@@ -83,6 +83,13 @@ class _Lines:
     def fail(self, msg: str):
         raise DataError(f"{self.path}: {msg} at line {self.pos}")
 
+    def parse_int(self, field: str, name: str) -> int:
+        """Parse one integer field of the current line, or fail naming it."""
+        try:
+            return int(field)
+        except ValueError:
+            self.fail(f"malformed {name} {field!r}")
+
 
 def _read_header(lines: _Lines, magic: str, n_counts: int) -> list[int]:
     head = lines.next().split(",")
@@ -213,13 +220,14 @@ def _read_mlp(lines: _Lines, tag: str) -> Mlp:
     fields = lines.next().split(",")
     if len(fields) != 3 or fields[0] != "encoder" or fields[1] != tag:
         lines.fail(f"expected encoder,{tag} section")
-    n_layers = int(fields[2])
+    n_layers = lines.parse_int(fields[2], "layer count")
     weights, biases = [], []
     for _ in range(n_layers):
         head = lines.next().split(",")
         if len(head) != 3 or head[0] != "layer":
             lines.fail("expected layer header")
-        out_dim, in_dim = int(head[1]), int(head[2])
+        out_dim = lines.parse_int(head[1], "layer dimension")
+        in_dim = lines.parse_int(head[2], "layer dimension")
         if out_dim < 1 or in_dim < 1:
             lines.fail("bad layer dims")
         w = np.empty((out_dim, in_dim))
@@ -299,7 +307,8 @@ def read_checkpoint(path: str) -> Checkpoint:
         if fields[0] == "optim":
             if len(fields) != 3:
                 lines.fail("malformed optim header")
-            step, n_arrays = int(fields[1]), int(fields[2])
+            step = lines.parse_int(fields[1], "optim step")
+            n_arrays = lines.parse_int(fields[2], "optim array count")
             if n_arrays != len(shapes):
                 lines.fail(f"optim carries {n_arrays} arrays, encoder has {len(shapes)}")
             moments = []
@@ -319,12 +328,15 @@ def read_checkpoint(path: str) -> Checkpoint:
                 lines.fail("malformed rng line")
             ckpt.rng_state = {
                 "bit_generator": "PCG64",
-                "state": {"state": int(fields[2]), "inc": int(fields[3])},
-                "has_uint32": int(fields[4]),
-                "uinteger": int(fields[5]),
+                "state": {"state": lines.parse_int(fields[2], "rng state"),
+                          "inc": lines.parse_int(fields[3], "rng increment")},
+                "has_uint32": lines.parse_int(fields[4], "rng has_uint32"),
+                "uinteger": lines.parse_int(fields[5], "rng uinteger"),
             }
         elif fields[0] == "steps_done":
-            ckpt.steps_done = int(fields[1])
+            if len(fields) != 2:
+                lines.fail("malformed steps_done line")
+            ckpt.steps_done = lines.parse_int(fields[1], "steps_done")
         else:
             lines.fail(f"unexpected section {fields[0]!r}")
     return ckpt
@@ -396,7 +408,7 @@ def read_scores(path: str) -> tuple[dict[str, str], list[ScoreRow]]:
         rows.append(ScoreRow(
             video_id=fields[0],
             identity_id=fields[1],
-            n_segments=int(fields[2]),
+            n_segments=lines.parse_int(fields[2], "n_segments"),
             flags=flags,
             blend=float(values[0]),
             norm_video=float(values[1]),
@@ -441,7 +453,8 @@ def read_report(path: str) -> tuple[dict[str, str], list[dict]]:
         if len(fields) != 8:
             lines.fail(f"expected 8 fields, found {len(fields)}")
         row = {"metric": fields[0], "group": fields[1],
-               "n_real": int(fields[2]), "n_fake": int(fields[3])}
+               "n_real": lines.parse_int(fields[2], "n_real"),
+               "n_fake": lines.parse_int(fields[3], "n_fake")}
         for name, raw in zip(("video", "audio", "av", "fusion"), fields[4:]):
             row[name] = None if raw == UNDEFINED else float(_parse_floats([raw], 1, lines)[0])
         rows.append(row)
@@ -472,8 +485,9 @@ def read_sweep(path: str) -> tuple[dict[str, str], list[dict]]:
         if len(fields) != 6:
             lines.fail(f"expected 6 fields, found {len(fields)}")
         rows.append({
-            "axis": fields[0], "x": int(fields[1]), "class": fields[2],
-            "n_real": int(fields[3]), "n_fake": int(fields[4]),
+            "axis": fields[0], "x": lines.parse_int(fields[1], "x"), "class": fields[2],
+            "n_real": lines.parse_int(fields[3], "n_real"),
+            "n_fake": lines.parse_int(fields[4], "n_fake"),
             "auc": None if fields[5] == UNDEFINED
                    else float(_parse_floats([fields[5]], 1, lines)[0]),
         })

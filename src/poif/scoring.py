@@ -25,7 +25,7 @@ import numpy as np
 from .encoder import EncoderParams, encode_batch
 from .exceptions import ConfigError, DataError, DegenerateReferenceError
 from .records import ALL_MODALITIES, FAKE, REAL, Modality, SegmentRecord
-from .similarity import check_temperature, squared_distance_matrix
+from .similarity import check_temperature, rows_per_block, squared_distance_matrix
 
 FUSED = "fused"
 STATISTICS = (Modality.AUDIO, Modality.VIDEO, Modality.AV, FUSED)
@@ -90,6 +90,27 @@ def _similarity_rows(x_audio, x_video, ref_audio, ref_video, tau):
     return {Modality.AUDIO: s_a, Modality.VIDEO: s_v, Modality.AV: s_a + s_v}
 
 
+def _self_scores(x_audio, x_video, groups, tau):
+    """Each reference segment's best similarity to segments of other groups.
+
+    Rows go in the distance kernel's row blocks, so only a block-by-n
+    slice of each similarity matrix and mask is alive at a time, never an
+    n-by-n matrix.
+    """
+    n = len(groups)
+    rows = rows_per_block(n, max(x_audio.shape[1], x_video.shape[1]))
+    scores = {m: np.empty(n) for m in ALL_MODALITIES}
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        sims = _similarity_rows(
+            x_audio[start:stop], x_video[start:stop], x_audio, x_video, tau
+        )
+        allowed = groups[start:stop, None] != groups[None, :]
+        for m in ALL_MODALITIES:
+            scores[m][start:stop] = np.where(allowed, sims[m], -np.inf).max(axis=1)
+    return scores
+
+
 def build_reference(
     segments: Sequence[SegmentRecord],
     params: EncoderParams,
@@ -136,22 +157,19 @@ def build_reference(
         )
 
     x_audio, x_video = encode_batch(params, segments)
-    sims = _similarity_rows(x_audio, x_video, x_audio, x_video, tau)
-
-    vids = np.array(video_ids)
+    # A self-score skips partners in its own group: its video, or only itself.
     if exclude_same_video:
-        allowed = vids[:, None] != vids[None, :]
+        groups = np.unique(video_ids, return_inverse=True)[1]
     else:
-        allowed = ~np.eye(len(segments), dtype=bool)
+        groups = np.arange(len(segments))
+    self_scores = _self_scores(x_audio, x_video, groups, tau)
 
     mu: dict[Modality, float] = {}
     sigma: dict[Modality, float] = {}
-    self_scores: dict[Modality, np.ndarray] = {}
     for m in ALL_MODALITIES:
-        scores = np.where(allowed, sims[m], -np.inf).max(axis=1)
+        scores = self_scores[m]
         mu[m] = float(scores.mean())
         sigma[m] = float(scores.std())
-        self_scores[m] = scores
         if sigma[m] < sigma_floor:
             raise DegenerateReferenceError(
                 f"reference for {poi_id!r} is degenerate: {m.value} self-scores have "

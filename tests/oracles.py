@@ -174,3 +174,28 @@ def naive_mlp_forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
             h = [math.tanh(v) for v in z] if li < len(mlp.weights) - 1 else z
         out[r] = h
     return out
+
+
+def dense_squared_distances(x, y=None):
+    """Unblocked broadcast: the whole (n, m, d) difference tensor at once."""
+    y = x if y is None else y
+    return ((x[:, None] - y[None]) ** 2).sum(-1)
+
+
+def dense_self_scores(x_audio, x_video, video_ids, tau, exclude_same_video):
+    """Reference self-scores from full n-by-n similarity matrices and masks.
+
+    Returns {"audio" | "video" | "av": (scores, mean, population std)}.
+    """
+    s_a = -(dense_squared_distances(x_audio) / tau)
+    s_v = -(dense_squared_distances(x_video) / tau)
+    vids = np.array(video_ids)
+    if exclude_same_video:
+        allowed = vids[:, None] != vids[None, :]
+    else:
+        allowed = ~np.eye(len(vids), dtype=bool)
+    out = {}
+    for name, sims in (("audio", s_a), ("video", s_v), ("av", s_a + s_v)):
+        scores = np.where(allowed, sims, -np.inf).max(axis=1)
+        out[name] = (scores, float(scores.mean()), float(scores.std()))
+    return out

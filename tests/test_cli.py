@@ -238,6 +238,12 @@ def test_missing_and_corrupt_inputs(pipeline, tmp_path, capsys):
     assert main(["train", "--features", str(corrupt), "--out", out,
                  *TRAIN_ARGS]) == 3
     assert main(["evaluate", "--scores", str(corrupt), "--out", out]) == 3
+    ckpt_lines = open(pipeline["ckpt"]).read().splitlines()
+    assert ckpt_lines[-1].startswith("steps_done,")
+    truncated = tmp_path / "truncated.ckpt"
+    truncated.write_text("\n".join(ckpt_lines[:-1] + ["steps_done"]) + "\n")
+    assert main(["score", "--checkpoint", str(truncated), "--reference", pipeline["ref"],
+                 "--test", pipeline["test"], "--out", out]) == 3
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no_such_key = 1\n")
     assert main(["synth", "--config", str(cfg), "--seed", "0", "--out", out]) == 2

@@ -143,6 +143,27 @@ def test_checkpoint_round_trip_with_resume_state(tmp_path):
                                   np.random.default_rng(77).standard_normal(8)[5:])
 
 
+def test_checkpoint_reader_reports_malformed_integers(tmp_path):
+    good = tmp_path / "c.ckpt"
+    params = init_encoder(3, 4, EncoderConfig(1, 4, 2), 2)
+    state = init_optim_state(params)
+    write_checkpoint(str(good), params, {}, optim_step=3, optim_m=state.m,
+                     optim_v=state.v, rng_state=np.random.default_rng(1).bit_generator.state,
+                     steps_done=3)
+    lines = good.read_text().splitlines()
+    assert lines[-1] == "steps_done,3"
+    bad = tmp_path / "bad.ckpt"
+
+    bad.write_text("\n".join(lines[:-1] + ["steps_done"]) + "\n")
+    with pytest.raises(DataError, match=rf"{bad}: malformed steps_done line at line {len(lines)}"):
+        read_checkpoint(str(bad))
+
+    at = lines.index("encoder,audio,2")
+    bad.write_text("\n".join(lines[:at] + ["encoder,audio,two"] + lines[at + 1:]) + "\n")
+    with pytest.raises(DataError, match=rf"{bad}: malformed layer count 'two' at line {at + 1}"):
+        read_checkpoint(str(bad))
+
+
 def score_rows():
     return [
         ScoreRow("v1", "p1", 10, ManipFlags(), 0.0, 1.2, -0.3, 0.8, -0.3, "real"),

@@ -1,10 +1,12 @@
+import importlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import phi, phi_inv, reference_stats_bruteforce
+from oracles import dense_self_scores, phi, phi_inv, reference_stats_bruteforce
 from poif.encoder import EncoderConfig, encode, init_encoder
 from poif.exceptions import ConfigError, DataError, DegenerateReferenceError
 from poif.records import Modality
@@ -21,6 +23,9 @@ from poif.scoring import (
 )
 from poif.similarity import joint_similarity, similarity
 from poif.synthgen import WorldConfig, generate_world, sample_identity_videos
+
+# The package re-exports a function named `similarity`, so fetch the module.
+similarity_module = importlib.import_module("poif.similarity")
 
 
 def one_person_segments(seed=0, videos=4, segments=5):
@@ -51,6 +56,39 @@ def test_reference_stats_match_bruteforce(params):
         mu, sigma = oracle[m.value]
         assert ref.mu[m] == pytest.approx(mu, abs=1e-12)
         assert ref.sigma[m] == pytest.approx(sigma, abs=1e-12)
+
+
+# 1 byte forces one-row blocks; 7 rows of 8*30*4 bytes split the 30
+# reference segments into blocks of 7, 7, 7, 7 and 2.
+@pytest.mark.parametrize("budget", [1, 7 * 8 * 30 * 4, 1 << 20])
+@pytest.mark.parametrize("exclude_same_video", [True, False])
+def test_streamed_calibration_matches_dense_oracle(params, monkeypatch, budget,
+                                                   exclude_same_video):
+    monkeypatch.setattr(similarity_module, "_BLOCK_BYTES", budget)
+    segments = one_person_segments(seed=2, videos=6, segments=5)
+    ref = quiet_reference(segments, params, tau=0.6,
+                          exclude_same_video=exclude_same_video)
+    oracle = dense_self_scores(ref.audio, ref.video, ref.video_ids, 0.6,
+                               exclude_same_video)
+    for m in Modality:
+        scores, mu, sigma = oracle[m.value]
+        assert np.array_equal(ref.self_scores[m], scores)
+        assert ref.mu[m] == mu
+        assert ref.sigma[m] == sigma
+
+
+def test_reference_calibration_never_holds_an_n_by_n_matrix():
+    n = 1000
+    segments = one_person_segments(seed=4, videos=50, segments=20)
+    assert len(segments) == n
+    params = init_encoder(6, 5, EncoderConfig(1, 8, 32), 3)
+    tracemalloc.start()
+    try:
+        build_reference(segments, params, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n * 8, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_normalized_self_scores_are_standardized(params):

@@ -1,7 +1,11 @@
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import dense_squared_distances
 from poif.exceptions import ConfigError
 from poif.records import EmbeddingPair, Modality
 from poif.similarity import (
@@ -11,6 +15,9 @@ from poif.similarity import (
     squared_distance,
     squared_distance_matrix,
 )
+
+# The package re-exports a function named `similarity`, so fetch the module.
+similarity_module = importlib.import_module("poif.similarity")
 
 
 def test_squared_distance_matches_manual():
@@ -33,6 +40,51 @@ def test_distance_matrix_exactly_symmetric(n, dim, seed):
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
     assert np.all(d >= 0.0)
+
+
+def set_rows_per_block(monkeypatch, rows, m, d):
+    """Patch the kernel's byte budget to give `rows` rows against m rows in d dims."""
+    monkeypatch.setattr(similarity_module, "_BLOCK_BYTES", rows * 8 * m * d)
+    assert similarity_module.rows_per_block(m, d) == rows
+
+
+# d >= 8 sums with numpy's unrolled pairwise reduction, d < 8 with a plain
+# loop; the blocked kernel has to reproduce both.  Rows 1 and 2-4 give
+# one-row blocks and several blocks with an uneven last one; 64 rows is
+# the single-block path.
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 64])
+def test_blocked_kernel_matches_dense_oracle_bitwise(monkeypatch, rows):
+    rng = np.random.default_rng(5)
+    for n, m, d in [(13, 9, 5), (7, 13, 32), (1, 9, 37), (11, 1, 32), (13, 13, 37)]:
+        x = rng.standard_normal((n, d)) * 3.0
+        y = rng.standard_normal((m, d))
+        set_rows_per_block(monkeypatch, rows, m, d)
+        assert np.array_equal(squared_distance_matrix(x, y), dense_squared_distances(x, y))
+        set_rows_per_block(monkeypatch, rows, n, d)
+        assert np.array_equal(squared_distance_matrix(x), dense_squared_distances(x))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_blocked_kernel_stays_symmetric_with_zero_diagonal(monkeypatch, rows):
+    set_rows_per_block(monkeypatch, rows, 40, 32)
+    x = np.random.default_rng(6).standard_normal((40, 32))
+    d = squared_distance_matrix(x)
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+
+
+def test_distance_matrix_memory_is_bounded_by_its_output():
+    # The unblocked (n, n, d) difference tensor alone is 256 MB here.
+    n, d = 1000, 32
+    x = np.random.default_rng(7).standard_normal((n, d))
+    out_bytes = n * n * 8
+    tracemalloc.start()
+    try:
+        squared_distance_matrix(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out_bytes, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_distance_matrix_agrees_with_scalar_path():
