@@ -73,11 +73,10 @@ def squared_distance_matrix(x: np.ndarray, y: np.ndarray | None = None) -> np.nd
         if y.ndim != 2 or y.shape[1] != x.shape[1]:
             raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     n, d = x.shape
-    rows = rows_per_block(len(y), d)
-    if rows >= n:
-        diff = x[:, None, :] - y[None, :, :]
-        np.multiply(diff, diff, out=diff)
-        return diff.sum(axis=-1)
+    # A call that fits in one block runs the loop once: at d=32 that
+    # measured no slower than a separate unblocked path (64x64: 290-316
+    # against 342-407 us; 10x100: 79-89 against 77-85 us).
+    rows = min(rows_per_block(len(y), d), max(n, 1))
     out = np.empty((n, len(y)))
     block = np.empty((rows, len(y), d))
     for start in range(0, n, rows):

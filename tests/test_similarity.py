@@ -50,8 +50,8 @@ def set_rows_per_block(monkeypatch, rows, m, d):
 
 # d >= 8 sums with numpy's unrolled pairwise reduction, d < 8 with a plain
 # loop; the blocked kernel has to reproduce both.  Rows 1 and 2-4 give
-# one-row blocks and several blocks with an uneven last one; 64 rows is
-# the single-block path.
+# one-row blocks and several blocks with an uneven last one; 64 rows puts
+# every shape in a single block.
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 64])
 def test_blocked_kernel_matches_dense_oracle_bitwise(monkeypatch, rows):
     rng = np.random.default_rng(5)
