@@ -7,7 +7,7 @@ decision threshold.  A synthetic world generator and a small CLI make the
 whole pipeline reproducible end to end.
 """
 
-from .encoder import EncoderConfig, EncoderParams, encode, encode_batch, init_encoder
+from .encoder import EncoderConfig, EncoderParams, encode_batch, init_encoder
 from .exceptions import (
     ConfigError,
     DataError,
@@ -15,23 +15,18 @@ from .exceptions import (
     PoifError,
     UndefinedMetricError,
 )
-from .losses import LossReport, contrastive_loss, positive_sets, total_loss
+from .losses import LossReport, positive_sets
 from .metrics import MetricsReport, ScoreSample, accuracy, auc, knn_person_id, pd_at_fa
-from .records import EmbeddingPair, ManipFlags, Modality, SegmentRecord
+from .records import ManipFlags, Modality, SegmentRecord
 from .scoring import (
     FUSED,
     DecisionPolicy,
-    PoiIndices,
     ReferenceSet,
     VideoVerdict,
     build_reference,
-    fuse,
-    normalize_index,
-    poi_index,
     quantile_threshold,
     score_video,
 )
-from .similarity import similarity, similarity_matrix, squared_distance
 from .synthgen import (
     Benchmark,
     ManipulationSpec,
@@ -52,7 +47,6 @@ __all__ = [
     "DataError",
     "DecisionPolicy",
     "DegenerateReferenceError",
-    "EmbeddingPair",
     "EncoderConfig",
     "EncoderParams",
     "FUSED",
@@ -62,7 +56,6 @@ __all__ = [
     "MetricsReport",
     "Modality",
     "NoiseSpec",
-    "PoiIndices",
     "PoifError",
     "ReferenceSet",
     "ScoreSample",
@@ -76,25 +69,16 @@ __all__ = [
     "apply_manipulation",
     "auc",
     "build_reference",
-    "contrastive_loss",
-    "encode",
     "encode_batch",
-    "fuse",
     "generate_benchmark",
     "generate_world",
     "init_encoder",
     "inject_noise",
     "knn_person_id",
-    "normalize_index",
     "pd_at_fa",
-    "poi_index",
     "positive_sets",
     "quantile_threshold",
     "sample_batch",
     "score_video",
-    "similarity",
-    "similarity_matrix",
-    "squared_distance",
-    "total_loss",
     "train",
 ]

@@ -389,10 +389,11 @@ def _fmt_cell(value: float | None) -> str:
 
 def _cmd_evaluate(args) -> int:
     merged = _resolve(args, _EVALUATE_SPEC)
+    policy = DecisionPolicy(p_fa=merged["p_fa"])
     scores_path = _need_input(merged, "scores", "--scores")
     out = _need(merged, "out", "--out")
     _, rows = fileio.read_scores(scores_path)
-    table = experiments.table_metrics(rows, p_fa=merged["p_fa"])
+    table = experiments.table_metrics(rows, p_fa=policy.p_fa)
     report = experiments.report_rows(table)
     fileio.write_report(out, report, _echo_meta(merged))
     print(f"wrote {out} ({len(report)} rows)")
@@ -410,6 +411,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     merged = _resolve(args, _SWEEP_SPEC)
+    if merged["ref_total"] < 1:
+        raise ConfigError(f"ref_total must be >= 1, got {merged['ref_total']}")
     ckpt, reference, test = _scoring_inputs(merged)
     out = _need(merged, "out", "--out")
     axis = _need(merged, "axis", "--axis")

@@ -1,21 +1,19 @@
 """Per-modality feed-forward encoders with hand-rolled backprop.
 
 Each modality has its own independent stack of affine layers with tanh
-between layers and a linear output.  An empty stack is the identity map,
-which is occasionally useful for isolating the scoring machinery from the
-learned representation.
+between layers and a linear output.  An empty stack is the identity map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .exceptions import ConfigError, DataError
 from .losses import loss_and_embedding_grads, positive_sets
-from .records import EmbeddingPair, SegmentRecord
+from .records import SegmentRecord
 from .utils import as_rng
 
 
@@ -86,10 +84,6 @@ def init_encoder(audio_dim: int, video_dim: int, cfg: EncoderConfig, rng) -> Enc
     return EncoderParams(audio=init_mlp(audio_dim, cfg, rng), video=init_mlp(video_dim, cfg, rng))
 
 
-def identity_encoder() -> EncoderParams:
-    return EncoderParams(audio=Mlp([], []), video=Mlp([], []))
-
-
 def mlp_forward(mlp: Mlp, x: np.ndarray, name: str = "encoder"):
     """Forward pass over a (n, dim) batch, returning output and activations.
 
@@ -144,13 +138,6 @@ def _stack_features(segments: Sequence[SegmentRecord]):
     )
 
 
-def encode(params: EncoderParams, seg: SegmentRecord) -> EmbeddingPair:
-    """Embed one segment through both modality encoders."""
-    a, _ = mlp_forward(params.audio, seg.audio[None, :], name="audio encoder")
-    v, _ = mlp_forward(params.video, seg.video[None, :], name="video encoder")
-    return EmbeddingPair(audio=a[0], video=v[0])
-
-
 def encode_batch(params: EncoderParams, segments: Sequence[SegmentRecord]):
     """Embed a batch in segment order; returns (n, d) matrices per modality."""
     f_audio, f_video = _stack_features(segments)
@@ -171,7 +158,7 @@ def loss_and_param_grads(
     x_audio, cache_a = mlp_forward(params.audio, f_audio, name="audio encoder")
     x_video, cache_v = mlp_forward(params.video, f_video, name="video encoder")
     report, d_xa, d_xv = loss_and_embedding_grads(
-        x_audio, x_video, pos.mask(), tau, joint_weight
+        x_audio, x_video, pos, tau, joint_weight
     )
     grads = EncoderParams(
         audio=mlp_backward(params.audio, cache_a, d_xa),
@@ -179,13 +166,3 @@ def loss_and_param_grads(
     )
     return grads, report
 
-
-def backward(
-    params: EncoderParams,
-    batch: Sequence[SegmentRecord],
-    tau: float,
-    joint_weight: float,
-) -> EncoderParams:
-    """Parameter gradients of the total loss for one batch."""
-    grads, _ = loss_and_param_grads(params, batch, tau, joint_weight)
-    return grads

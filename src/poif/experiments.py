@@ -83,7 +83,7 @@ def score_segments(
         vid, segs = item
         ref = references[segs[0].identity_id]
         verdict = score_video(segs, ref, params, tau, policy, statistic=statistic)
-        norm = verdict.mean_indices.normalized
+        norm = verdict.normalized
         return ScoreRow(
             video_id=vid,
             identity_id=segs[0].identity_id,
@@ -93,7 +93,7 @@ def score_segments(
             norm_video=norm["video"],
             norm_audio=norm["audio"],
             norm_av=norm["av"],
-            fused=verdict.mean_indices.fused,
+            fused=verdict.fused,
             decision=verdict.decision,
         )
 

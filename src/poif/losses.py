@@ -24,41 +24,22 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import ConfigError, DataError
-from .records import EmbeddingPair, Modality, SegmentRecord
-from .similarity import SimilarityMatrix, check_temperature, squared_distance_matrix
+from .records import SegmentRecord
+from .similarity import check_temperature, squared_distance_matrix
 
 
-@dataclass(frozen=True)
-class PositiveSet:
-    """Per anchor: the batch indices sharing the anchor's identity."""
-
-    sets: tuple[frozenset[int], ...]
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def mask(self) -> np.ndarray:
-        """Boolean (n, n) mask, True where column k is a positive of row c."""
-        n = len(self.sets)
-        m = np.zeros((n, n), dtype=bool)
-        for c, members in enumerate(self.sets):
-            for k in members:
-                m[c, k] = True
-        return m
-
-
-def positive_sets(batch: Sequence[SegmentRecord]) -> PositiveSet:
-    """Group batch indices by identity, excluding each anchor itself."""
+def positive_sets(batch: Sequence[SegmentRecord]) -> np.ndarray:
+    """Boolean (n, n) mask, True where column k shares row c's identity (k != c)."""
     if len(batch) < 2:
         raise ValueError(f"batch needs at least 2 segments, got {len(batch)}")
-    ids = [s.identity_id for s in batch]
-    sets = []
-    for c, anchor_id in enumerate(ids):
-        members = frozenset(k for k, other in enumerate(ids) if k != c and other == anchor_id)
-        if not members:
-            raise DataError(f"identity with single segment in batch: {anchor_id!r}")
-        sets.append(members)
-    return PositiveSet(tuple(sets))
+    ids = np.array([s.identity_id for s in batch])
+    mask = ids[:, None] == ids[None, :]
+    np.fill_diagonal(mask, False)
+    lonely = ~mask.any(axis=1)
+    if lonely.any():
+        lonely_id = batch[int(lonely.argmax())].identity_id
+        raise DataError(f"identity with single segment in batch: {lonely_id!r}")
+    return mask
 
 
 @dataclass(frozen=True)
@@ -70,14 +51,6 @@ class LossReport:
     l_tot: float
 
 
-@dataclass(eq=False)
-class LossGradients:
-    """Gradient of the total loss with respect to each segment's embeddings."""
-
-    audio: np.ndarray
-    video: np.ndarray
-
-
 def _check_joint_weight(joint_weight: float) -> float:
     joint_weight = float(joint_weight)
     if joint_weight < 0.0:
@@ -85,8 +58,8 @@ def _check_joint_weight(joint_weight: float) -> float:
     return joint_weight
 
 
-def _rows_and_grad(s: np.ndarray, pos: np.ndarray, want_grad: bool):
-    """Per-anchor loss terms and, optionally, d(loss)/d(entries).
+def _rows_and_grad(s: np.ndarray, pos: np.ndarray):
+    """Per-anchor loss terms and d(loss)/d(entries).
 
     Numerator and denominator are shifted by their own row maxima, which
     keeps both finite for arbitrarily negative similarities.  When the
@@ -105,50 +78,10 @@ def _rows_and_grad(s: np.ndarray, pos: np.ndarray, want_grad: bool):
     logden = m_off + np.log(e_off.sum(axis=1))
     lognum = m_pos + np.log(e_pos.sum(axis=1))
     rows = logden - lognum
-    if not want_grad:
-        return rows, None
     # d rows[c] / d s[c, k] = softmax over the row's off-diagonal entries
     # minus the softmax restricted to the positives.
     g = np.exp(s_off - logden[:, None]) - np.exp(s_pos - lognum[:, None])
     return rows, g
-
-
-def contrastive_loss(sim: SimilarityMatrix, pos: PositiveSet) -> float:
-    """Single-channel contrastive loss over one similarity matrix."""
-    if len(pos) != sim.n:
-        raise ValueError(f"positive sets cover {len(pos)} segments, matrix has {sim.n}")
-    if not np.all(np.isfinite(sim.entries)):
-        raise ValueError("similarity matrix contains non-finite entries")
-    rows, _ = _rows_and_grad(sim.entries, pos.mask(), want_grad=False)
-    return float(rows.sum())
-
-
-def total_loss(
-    sim_a: SimilarityMatrix,
-    sim_v: SimilarityMatrix,
-    sim_av: SimilarityMatrix,
-    pos: PositiveSet,
-    joint_weight: float,
-) -> LossReport:
-    """Combined loss: video + audio + joint_weight * joint.
-
-    The joint component is always evaluated and reported even when its
-    weight is zero.
-    """
-    joint_weight = _check_joint_weight(joint_weight)
-    tagged = {Modality.AUDIO: sim_a, Modality.VIDEO: sim_v, Modality.AV: sim_av}
-    for expected, sim in tagged.items():
-        if sim.modality != expected:
-            raise ValueError(f"expected a {expected.value} matrix, got {sim.modality.value}")
-    if not (sim_a.segment_ids == sim_v.segment_ids == sim_av.segment_ids):
-        raise ValueError("mismatched segment lists across similarity matrices")
-    l_a = contrastive_loss(sim_a, pos)
-    l_v = contrastive_loss(sim_v, pos)
-    l_av = contrastive_loss(sim_av, pos)
-    return LossReport(
-        l_v=l_v, l_a=l_a, l_av=l_av, joint_weight=joint_weight,
-        l_tot=l_v + l_a + joint_weight * l_av,
-    )
 
 
 def loss_and_embedding_grads(
@@ -160,8 +93,7 @@ def loss_and_embedding_grads(
 ):
     """Loss report plus gradients with respect to the embedding matrices.
 
-    Array-level core shared by loss_gradient and the training loop.  The
-    gradient of each channel flows through S(c, k) = -||x_c - x_k||^2/tau
+    The gradient of each channel flows through S(c, k) = -||x_c - x_k||^2/tau
     for both the row and the column in which a pair appears; the joint
     channel contributes to both modalities with the same pair weights.
     Reductions are fixed-order matrix products, so results are
@@ -176,9 +108,9 @@ def loss_and_embedding_grads(
     s_v = -(squared_distance_matrix(x_video) / tau)
     s_av = s_a + s_v
 
-    rows_a, g_a = _rows_and_grad(s_a, pos_mask, want_grad=True)
-    rows_v, g_v = _rows_and_grad(s_v, pos_mask, want_grad=True)
-    rows_av, g_av = _rows_and_grad(s_av, pos_mask, want_grad=True)
+    rows_a, g_a = _rows_and_grad(s_a, pos_mask)
+    rows_v, g_v = _rows_and_grad(s_v, pos_mask)
+    rows_av, g_av = _rows_and_grad(s_av, pos_mask)
 
     l_a = float(rows_a.sum())
     l_v = float(rows_v.sum())
@@ -195,20 +127,3 @@ def loss_and_embedding_grads(
     d_video = (-2.0 / tau) * (m_v.sum(axis=1, keepdims=True) * x_video - m_v @ x_video)
     return report, d_audio, d_video
 
-
-def loss_gradient(
-    embeddings: Sequence[EmbeddingPair],
-    batch: Sequence[SegmentRecord],
-    tau: float,
-    joint_weight: float,
-) -> LossGradients:
-    """Analytic gradient of the total loss for one embedded batch."""
-    if len(embeddings) != len(batch):
-        raise ValueError(f"{len(embeddings)} embeddings for {len(batch)} segments")
-    pos = positive_sets(batch)
-    x_audio = np.stack([e.audio for e in embeddings])
-    x_video = np.stack([e.video for e in embeddings])
-    _, d_audio, d_video = loss_and_embedding_grads(
-        x_audio, x_video, pos.mask(), tau, joint_weight
-    )
-    return LossGradients(audio=d_audio, video=d_video)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import UndefinedMetricError
-from .records import FAKE, REAL, EmbeddingPair, Modality
+from .records import FAKE, REAL, Modality
 from .scoring import DecisionPolicy
 from .similarity import squared_distance_matrix
 from .utils import as_rng
@@ -107,35 +107,35 @@ def accuracy(samples: Sequence[ScoreSample], policy: DecisionPolicy) -> float:
 
 
 def knn_person_id(
-    gallery: Sequence[tuple[str, EmbeddingPair]],
-    probes: Sequence[tuple[str, EmbeddingPair]],
+    gallery_labels: Sequence[str],
+    gallery_audio: np.ndarray,
+    gallery_video: np.ndarray,
+    probe_labels: Sequence[str],
+    probe_audio: np.ndarray,
+    probe_video: np.ndarray,
     modality: Modality,
 ) -> float:
     """Nearest-neighbor identification accuracy over labeled embeddings.
 
-    The joint modality ranks by the sum of the audio and video squared
-    distances (equivalent to concatenating the vectors).  Distance ties
-    resolve to the lowest gallery index.
+    Row i of each (n, d) embedding matrix belongs to label i.  The joint
+    modality ranks by the sum of the audio and video squared distances
+    (equivalent to concatenating the vectors).  Distance ties resolve to
+    the lowest gallery index.
     """
-    if not gallery:
+    if len(gallery_labels) == 0:
         raise ValueError("empty gallery")
-    if not probes:
+    if len(probe_labels) == 0:
         raise ValueError("no probes")
-    g_labels = [label for label, _ in gallery]
-    g_audio = np.stack([e.audio for _, e in gallery])
-    g_video = np.stack([e.video for _, e in gallery])
-    p_audio = np.stack([e.audio for _, e in probes])
-    p_video = np.stack([e.video for _, e in probes])
-
     if modality == Modality.AUDIO:
-        d = squared_distance_matrix(p_audio, g_audio)
+        d = squared_distance_matrix(probe_audio, gallery_audio)
     elif modality == Modality.VIDEO:
-        d = squared_distance_matrix(p_video, g_video)
+        d = squared_distance_matrix(probe_video, gallery_video)
     else:
-        d = squared_distance_matrix(p_audio, g_audio) + squared_distance_matrix(p_video, g_video)
+        d = (squared_distance_matrix(probe_audio, gallery_audio)
+             + squared_distance_matrix(probe_video, gallery_video))
 
     nearest = d.argmin(axis=1)
-    hits = [g_labels[nearest[i]] == label for i, (label, _) in enumerate(probes)]
+    hits = [gallery_labels[j] == label for j, label in zip(nearest, probe_labels)]
     return float(np.mean(hits))
 
 

@@ -1,4 +1,4 @@
-"""Core data model: modalities, manipulation flags, segments, embeddings.
+"""Core data model: modalities, manipulation flags, segments.
 
 A segment is a short slice of one talking-face video carrying one audio
 and one video feature vector.  Everything downstream (training batches,
@@ -27,7 +27,6 @@ class Modality(str, Enum):
     AV = "av"
 
 
-SINGLE_MODALITIES = (Modality.AUDIO, Modality.VIDEO)
 ALL_MODALITIES = (Modality.AUDIO, Modality.VIDEO, Modality.AV)
 
 REAL = "real"
@@ -102,25 +101,6 @@ def as_vector(values, name: str = "feature") -> np.ndarray:
 
 
 @dataclass(eq=False)
-class EmbeddingPair:
-    """Audio and video embedding of one segment under the current encoders."""
-
-    audio: np.ndarray
-    video: np.ndarray
-
-    def __post_init__(self):
-        self.audio = as_vector(self.audio, "audio embedding")
-        self.video = as_vector(self.video, "video embedding")
-
-    def get(self, modality: Modality) -> np.ndarray:
-        if modality == Modality.AUDIO:
-            return self.audio
-        if modality == Modality.VIDEO:
-            return self.video
-        raise ValueError("the joint tag has no single feature vector")
-
-
-@dataclass(eq=False)
 class SegmentRecord:
     """One audio-visual segment.
 
@@ -145,13 +125,6 @@ class SegmentRecord:
             raise DataError(f"segment_index must be non-negative, got {self.segment_index}")
         if not 0.0 <= self.blend <= 1.0:
             raise DataError(f"blend must lie in [0, 1], got {self.blend}")
-
-    def feature(self, modality: Modality) -> np.ndarray:
-        if modality == Modality.AUDIO:
-            return self.audio
-        if modality == Modality.VIDEO:
-            return self.video
-        raise ValueError("the joint tag has no single feature vector")
 
     @property
     def key(self) -> tuple[str, str, int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -187,55 +187,22 @@ def build_reference(
     )
 
 
-def poi_index(test, ref: ReferenceSet, modality: Modality, tau: float) -> float:
-    """Best similarity of one embedded test segment to the reference set."""
-    tau = check_temperature(tau)
-    if len(ref) == 0:
-        raise ValueError("empty reference set")
-    sims = _similarity_rows(
-        test.audio[None, :], test.video[None, :], ref.audio, ref.video, tau
-    )
-    return float(sims[modality].max())
-
-
-def normalize_index(raw: float, ref: ReferenceSet, modality: Modality) -> float:
-    """Center and scale a raw index by the reference calibration."""
-    return (raw - ref.mu[modality]) / ref.sigma[modality]
-
-
-def fuse(normalized: Mapping[Modality, float]) -> float:
-    """Minimum of the three normalized indices."""
-    missing = [m.value for m in ALL_MODALITIES if m not in normalized]
-    if missing:
-        raise ValueError(f"missing normalized indices for: {', '.join(missing)}")
-    return min(
-        min(normalized[Modality.AUDIO], normalized[Modality.VIDEO]),
-        normalized[Modality.AV],
-    )
-
-
-@dataclass(eq=False)
-class PoiIndices:
-    """Raw and normalized indices per modality plus the fused value."""
-
-    raw: dict[Modality, float]
-    normalized: dict[Modality, float]
-    fused: float
-
-
 @dataclass(eq=False)
 class VideoVerdict:
+    """Per-video means of the normalized indices and of the fused value."""
+
     video_id: str
     n_segments: int
-    mean_indices: PoiIndices
+    normalized: dict[Modality, float]
+    fused: float
     decision: str
     statistic_used: str
 
     @property
     def statistic_value(self) -> float:
         if self.statistic_used == FUSED:
-            return self.mean_indices.fused
-        return self.mean_indices.normalized[Modality(self.statistic_used)]
+            return self.fused
+        return self.normalized[Modality(self.statistic_used)]
 
 
 def score_video(
@@ -272,17 +239,15 @@ def score_video(
         normalized[Modality.AV],
     )
 
-    mean_indices = PoiIndices(
-        raw={m: float(raw[m].mean()) for m in ALL_MODALITIES},
-        normalized={m: float(normalized[m].mean()) for m in ALL_MODALITIES},
-        fused=float(fused_per_segment.mean()),
-    )
-    value = mean_indices.fused if statistic == FUSED else mean_indices.normalized[statistic]
+    means = {m: float(normalized[m].mean()) for m in ALL_MODALITIES}
+    fused = float(fused_per_segment.mean())
+    value = fused if statistic == FUSED else means[statistic]
     decision = FAKE if value < policy.threshold else REAL
     return VideoVerdict(
         video_id=test_segments[0].video_id,
         n_segments=len(test_segments),
-        mean_indices=mean_indices,
+        normalized=means,
+        fused=fused,
         decision=decision,
         statistic_used=FUSED if statistic == FUSED else statistic.value,
     )

@@ -4,19 +4,17 @@ The similarity between two segments in one modality is the negative
 squared Euclidean distance of their embeddings divided by a temperature:
 larger (closer to zero) means more alike.  The joint audio-visual
 similarity is defined as the sum of the two single-modality similarities,
-audio term first, and is always computed by summing the stored
-single-modality values so the identity holds bit-exactly.
+audio term first.  Callers (the loss and the scorer) add the two stored
+similarity matrices rather than recompute distances on concatenated
+vectors, so the identity holds bit-exactly.  This module holds the one
+distance kernel both of them use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .exceptions import ConfigError
-from .records import EmbeddingPair, Modality, SINGLE_MODALITIES
 
 
 def check_temperature(tau: float) -> float:
@@ -24,18 +22,6 @@ def check_temperature(tau: float) -> float:
     if not tau > 0.0:
         raise ConfigError(f"temperature must be positive, got {tau}")
     return tau
-
-
-def squared_distance(x, y) -> float:
-    """Squared Euclidean distance between two equal-length vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    d = x - y
-    # (d * d).sum() matches the reduction order of the matrix path below,
-    # which keeps scalar and vectorized results bit-identical.
-    return float((d * d).sum())
 
 
 # Byte budget for one row block's (rows, m, d) float64 difference
@@ -86,71 +72,3 @@ def squared_distance_matrix(x: np.ndarray, y: np.ndarray | None = None) -> np.nd
         np.multiply(diff, diff, out=diff)
         diff.sum(axis=-1, out=out[start:stop])
     return out
-
-
-def similarity(x: EmbeddingPair, y: EmbeddingPair, modality: Modality, tau: float) -> float:
-    """Single-modality similarity -||x - y||^2 / tau (always <= 0)."""
-    tau = check_temperature(tau)
-    if modality not in SINGLE_MODALITIES:
-        raise ValueError("joint similarity is computed via joint_similarity, not similarity")
-    return -(squared_distance(x.get(modality), y.get(modality)) / tau)
-
-
-def joint_similarity(x: EmbeddingPair, y: EmbeddingPair, tau: float) -> float:
-    """Joint similarity: audio similarity plus video similarity, in that order."""
-    return similarity(x, y, Modality.AUDIO, tau) + similarity(x, y, Modality.VIDEO, tau)
-
-
-@dataclass(eq=False)
-class SimilarityMatrix:
-    """Pairwise similarities for a fixed segment list in one modality."""
-
-    modality: Modality
-    entries: np.ndarray
-    segment_ids: tuple
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.float64)
-        n = self.entries.shape[0]
-        if self.entries.shape != (n, n):
-            raise ValueError(f"similarity matrix must be square, got {self.entries.shape}")
-        if len(self.segment_ids) != n:
-            raise ValueError(
-                f"segment id count {len(self.segment_ids)} does not match matrix size {n}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-def similarity_matrix(
-    embeddings: Sequence[EmbeddingPair],
-    modality: Modality,
-    tau: float,
-    segment_ids: Sequence | None = None,
-) -> SimilarityMatrix:
-    """Build the pairwise similarity matrix for a batch of embeddings.
-
-    The joint matrix is the elementwise sum of the audio and video
-    matrices (audio first), never recomputed from concatenated vectors.
-    """
-    tau = check_temperature(tau)
-    n = len(embeddings)
-    if n < 2:
-        raise ValueError(f"similarity matrix needs at least 2 segments, got {n}")
-    ids = tuple(segment_ids) if segment_ids is not None else tuple(range(n))
-    if len(ids) != n:
-        raise ValueError(f"segment id count {len(ids)} does not match batch size {n}")
-
-    if modality == Modality.AV:
-        ma = similarity_matrix(embeddings, Modality.AUDIO, tau, ids)
-        mv = similarity_matrix(embeddings, Modality.VIDEO, tau, ids)
-        return SimilarityMatrix(Modality.AV, ma.entries + mv.entries, ids)
-
-    dims = {e.get(modality).shape[0] for e in embeddings}
-    if len(dims) > 1:
-        raise ValueError(f"inconsistent {modality.value} embedding dims in batch: {sorted(dims)}")
-    x = np.stack([e.get(modality) for e in embeddings])
-    entries = -(squared_distance_matrix(x) / tau)
-    return SimilarityMatrix(modality, entries, ids)

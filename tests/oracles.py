@@ -12,8 +12,14 @@ import sys
 
 import numpy as np
 
-from poif.encoder import EncoderParams, Mlp, loss_and_param_grads
+from poif.encoder import EncoderParams, Mlp, loss_and_param_grads, mlp_forward
 from poif.optim import flatten_params, unflatten_params
+
+
+def squared_distance(x, y) -> float:
+    """Squared Euclidean distance between two equal-length vectors."""
+    d = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
+    return float((d * d).sum())
 
 
 def naive_contrastive_losses(x_audio, x_video, identities, tau):
@@ -25,10 +31,6 @@ def naive_contrastive_losses(x_audio, x_video, identities, tau):
     a silently degraded reference value.
     """
     n = len(identities)
-
-    def dist2(x, c, k):
-        d = np.asarray(x[c], dtype=np.float64) - np.asarray(x[k], dtype=np.float64)
-        return float((d * d).sum())
 
     def channel(sim):
         total = 0.0
@@ -47,8 +49,8 @@ def naive_contrastive_losses(x_audio, x_video, identities, tau):
             total += math.log(den) - math.log(num)
         return total
 
-    s_a = lambda c, k: -dist2(x_audio, c, k) / tau
-    s_v = lambda c, k: -dist2(x_video, c, k) / tau
+    s_a = lambda c, k: -squared_distance(x_audio[c], x_audio[k]) / tau
+    s_v = lambda c, k: -squared_distance(x_video[c], x_video[k]) / tau
     l_v = channel(s_v)
     l_a = channel(s_a)
     l_av = channel(lambda c, k: s_a(c, k) + s_v(c, k))
@@ -109,12 +111,16 @@ def pairwise_auc(real_scores, fake_scores) -> float:
     return wins / (len(real_scores) * len(fake_scores))
 
 
+def embed_one(params: EncoderParams, seg):
+    """(audio, video) embedding of one segment, forwarded as a one-row batch."""
+    audio, _ = mlp_forward(params.audio, seg.audio[None, :])
+    video, _ = mlp_forward(params.video, seg.video[None, :])
+    return audio[0], video[0]
+
+
 def reference_stats_bruteforce(segments, params, tau):
     """Leave-own-video-out self-score mean and spread by explicit loops."""
-    from poif.encoder import encode
-    from poif.similarity import squared_distance
-
-    embedded = [encode(params, s) for s in segments]
+    embedded = [embed_one(params, s) for s in segments]
     out = {}
     for m in ("audio", "video", "av"):
         best = []
@@ -123,8 +129,8 @@ def reference_stats_bruteforce(segments, params, tau):
             for k, other in enumerate(segments):
                 if other.video_id == seg.video_id:
                     continue
-                sa = -squared_distance(embedded[c].audio, embedded[k].audio) / tau
-                sv = -squared_distance(embedded[c].video, embedded[k].video) / tau
+                sa = -squared_distance(embedded[c][0], embedded[k][0]) / tau
+                sv = -squared_distance(embedded[c][1], embedded[k][1]) / tau
                 candidates.append({"audio": sa, "video": sv, "av": sa + sv}[m])
             best.append(max(candidates))
         mu = sum(best) / len(best)

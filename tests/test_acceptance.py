@@ -17,6 +17,7 @@ import pytest
 
 from conftest import embedding_matrices, make_batch
 from oracles import (
+    embed_one,
     fd_param_grads,
     max_rel_err,
     naive_contrastive_losses,
@@ -24,9 +25,10 @@ from oracles import (
     phi,
     reference_stats_bruteforce,
     scalar_adamw,
+    squared_distance,
 )
 from poif.cli import main
-from poif.encoder import EncoderConfig, encode, init_encoder, loss_and_param_grads
+from poif.encoder import EncoderConfig, encode_batch, init_encoder, loss_and_param_grads
 from poif.experiments import (
     AVG_GROUP,
     class_samples,
@@ -49,10 +51,9 @@ from poif.scoring import (
     DecisionPolicy,
     SmallReferenceWarning,
     build_reference,
-    poi_index,
     quantile_threshold,
+    score_video,
 )
-from poif.similarity import squared_distance
 from poif.synthgen import WorldConfig, generate_benchmark, generate_world, sample_identity_videos
 from poif.training import TrainConfig, train
 
@@ -136,19 +137,22 @@ def _run_seed(s: int) -> SeedResult:
     rng = np.random.default_rng([7000 + s])
     gallery, probes = [], []
     for poi in knn_world.identity_ids:
-        for seg in sample_identity_videos(knn_world, poi, 10, 10, rng, "g"):
-            gallery.append((poi, encode(params, seg)))
-        for seg in sample_identity_videos(knn_world, poi, 10, 1, rng, "p"):
-            probes.append((poi, encode(params, seg)))
-    knn = {m: 100.0 * knn_person_id(gallery, probes, m)
+        gallery.extend(sample_identity_videos(knn_world, poi, 10, 10, rng, "g"))
+        probes.extend(sample_identity_videos(knn_world, poi, 10, 1, rng, "p"))
+    g_labels = [seg.identity_id for seg in gallery]
+    p_labels = [seg.identity_id for seg in probes]
+    g_audio, g_video = encode_batch(params, gallery)
+    p_audio, p_video = encode_batch(params, probes)
+    knn = {m: 100.0 * knn_person_id(g_labels, g_audio, g_video,
+                                    p_labels, p_audio, p_video, m)
            for m in ("audio", "video", "av")}
     shuffle_rng = np.random.default_rng([8000 + s])
     shuffled = []
     for _ in range(25):
-        labels = [label for label, _ in gallery]
+        labels = list(g_labels)
         shuffle_rng.shuffle(labels)
-        relabeled = [(l, pair) for l, (_, pair) in zip(labels, gallery)]
-        shuffled.append(100.0 * knn_person_id(relabeled, probes, "av"))
+        shuffled.append(100.0 * knn_person_id(labels, g_audio, g_video,
+                                              p_labels, p_audio, p_video, "av"))
 
     return SeedResult(
         av_pd=av_pd,
@@ -208,7 +212,7 @@ def test_c02_loss_nonnegative_zero_on_one_identity_and_matches_naive():
         scale = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
         batch = make_batch(rng, counts=(per_id,) * n_ids)
         x_audio, x_video = embedding_matrices(rng, n, scale=scale)
-        pos = positive_sets(batch).mask()
+        pos = positive_sets(batch)
         report, _, _ = loss_and_embedding_grads(x_audio, x_video, pos, tau, lam)
         assert report.l_v >= 0.0 and report.l_a >= 0.0 and report.l_av >= 0.0
 
@@ -354,6 +358,7 @@ def test_c09_oracle_equivalences():
         samples += [ScoreSample(float(v), FAKE) for v in fakes]
         assert auc(samples) == pairwise_auc(reals, fakes)
 
+    policy = DecisionPolicy(p_fa=0.1)
     checked = 0
     for trial in range(10):
         rng_t = np.random.default_rng(910 + trial)
@@ -361,16 +366,18 @@ def test_c09_oracle_equivalences():
         params = init_encoder(6, 5, EncoderConfig(1, 8, 3), rng_t)
         ref = build_reference(ref_batch, params, TAU)
         for probe in make_batch(rng_t, counts=(10,)):
-            pair = encode(params, probe)
+            verdict = score_video([probe], ref, params, TAU, policy)
+            audio, video = embed_one(params, probe)
             best = {m: -math.inf for m in (Modality.AUDIO, Modality.VIDEO, Modality.AV)}
             for i in range(len(ref)):
-                s_a = -(squared_distance(pair.audio, ref.audio[i]) / TAU)
-                s_v = -(squared_distance(pair.video, ref.video[i]) / TAU)
+                s_a = -(squared_distance(audio, ref.audio[i]) / TAU)
+                s_v = -(squared_distance(video, ref.video[i]) / TAU)
                 best[Modality.AUDIO] = max(best[Modality.AUDIO], s_a)
                 best[Modality.VIDEO] = max(best[Modality.VIDEO], s_v)
                 best[Modality.AV] = max(best[Modality.AV], s_a + s_v)
+            # one segment: the verdict's mean is that segment's index
             for m, want in best.items():
-                assert poi_index(pair, ref, m, TAU) == want
+                assert verdict.normalized[m] == (want - ref.mu[m]) / ref.sigma[m]
                 checked += 1
 
     params = init_encoder(3, 2, EncoderConfig(1, 4, 2), 42)

@@ -178,6 +178,25 @@ def test_sweep_axes(pipeline):
                         "--ref-total", "9"]) == 3
 
 
+def test_out_of_range_settings_are_config_errors(pipeline, tmp_path, capsys):
+    scores = str(tmp_path / "scores.txt")
+    base = ["--checkpoint", pipeline["ckpt"], "--reference", pipeline["ref"],
+            "--test", pipeline["test"]]
+    assert main(["score", *base, "--out", scores]) == 0
+    report = str(tmp_path / "report.txt")
+    for p_fa in ("0", "1", "1.5", "-0.1"):
+        assert main(["score", *base, "--out", scores, "--p-fa", p_fa]) == 2
+        assert main(["evaluate", "--scores", scores, "--out", report,
+                     "--p-fa", p_fa]) == 2
+    for total in ("0", "-1"):
+        assert main(["sweep", *base, "--out", str(tmp_path / "sweep.txt"),
+                     "--axis", "ref_variety", "--values", "1",
+                     "--ref-total", total]) == 2
+    err = capsys.readouterr().err
+    assert "false-alarm rate" in err and "ref_total" in err
+    assert "data error" not in err
+
+
 def test_resumed_training_bit_matches_full_run(pipeline, tmp_path):
     half = str(tmp_path / "half.ckpt")
     full = str(tmp_path / "full.ckpt")

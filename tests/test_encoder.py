@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import make_batch
-from oracles import fd_param_grads, max_rel_err, naive_mlp_forward
+from oracles import embed_one, fd_param_grads, max_rel_err, naive_mlp_forward
 from poif.encoder import (
     EncoderConfig,
+    EncoderParams,
     Mlp,
-    encode,
     encode_batch,
     glorot_uniform,
-    identity_encoder,
     init_encoder,
     init_mlp,
     loss_and_param_grads,
@@ -30,13 +29,16 @@ def test_forward_matches_naive_loops():
         assert cache[0] is not None and cache[-1] is got
 
 
+def identity_encoder() -> EncoderParams:
+    return EncoderParams(audio=Mlp([], []), video=Mlp([], []))
+
+
 def test_identity_encoder_passes_features_through():
-    params = identity_encoder()
     rng = np.random.default_rng(1)
-    seg = make_batch(rng, counts=(2,))[0]
-    pair = encode(params, seg)
-    np.testing.assert_array_equal(pair.audio, seg.audio)
-    np.testing.assert_array_equal(pair.video, seg.video)
+    batch = make_batch(rng, counts=(2,))
+    x_audio, x_video = encode_batch(identity_encoder(), batch)
+    np.testing.assert_array_equal(x_audio, np.stack([s.audio for s in batch]))
+    np.testing.assert_array_equal(x_video, np.stack([s.video for s in batch]))
 
 
 def test_glorot_bounds_and_zero_biases():
@@ -113,9 +115,9 @@ def test_encode_batch_agrees_with_per_segment_encode():
     params = init_encoder(6, 5, EncoderConfig(2, 8, 4), rng)
     x_audio, x_video = encode_batch(params, batch)
     for i, seg in enumerate(batch):
-        pair = encode(params, seg)
-        np.testing.assert_allclose(x_audio[i], pair.audio, rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(x_video[i], pair.video, rtol=1e-14, atol=1e-15)
+        audio, video = embed_one(params, seg)
+        np.testing.assert_allclose(x_audio[i], audio, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(x_video[i], video, rtol=1e-14, atol=1e-15)
 
 
 def test_encode_batch_rejects_mixed_dims():

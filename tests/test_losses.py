@@ -7,29 +7,32 @@ from hypothesis import given, settings, strategies as st
 from conftest import embedding_matrices, make_batch
 from oracles import naive_contrastive_losses
 from poif.exceptions import ConfigError, DataError
-from poif.losses import (
-    loss_and_embedding_grads,
-    loss_gradient,
-    positive_sets,
-    total_loss,
-)
-from poif.records import EmbeddingPair, Modality
-from poif.similarity import similarity_matrix
+from poif.losses import loss_and_embedding_grads, positive_sets
 
 
 def test_positive_sets_pair_structure():
     batch = make_batch(np.random.default_rng(0), counts=(2, 2))
-    pos = positive_sets(batch)
-    assert pos.sets == (frozenset({1}), frozenset({0}), frozenset({3}), frozenset({2}))
-    mask = pos.mask()
-    assert mask.sum() == 4
-    assert not mask.diagonal().any()
+    mask = positive_sets(batch)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, [[False, True, False, False],
+                                 [True, False, False, False],
+                                 [False, False, False, True],
+                                 [False, False, True, False]])
+    # interleaved identities against the pairwise definition
+    shuffled = [batch[i] for i in (2, 0, 3, 1)] + make_batch(np.random.default_rng(1), (3,))
+    mask = positive_sets(shuffled)
+    for c, a in enumerate(shuffled):
+        for k, b in enumerate(shuffled):
+            assert mask[c, k] == (c != k and a.identity_id == b.identity_id)
 
 
 def test_positive_sets_rejects_singleton_identity():
     batch = make_batch(np.random.default_rng(0), counts=(2, 1))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="batch: 'p1'$"):
         positive_sets(batch)
+    # a contrastive batch needs at least one pair
+    with pytest.raises(ValueError):
+        positive_sets(batch[:1])
 
 
 def test_equal_embeddings_give_log3_per_anchor():
@@ -39,23 +42,24 @@ def test_equal_embeddings_give_log3_per_anchor():
     equal terms over a numerator of one.
     """
     batch = make_batch(np.random.default_rng(0), counts=(2, 2))
-    pairs = [EmbeddingPair(np.ones(4), np.full(3, 0.5)) for _ in batch]
+    x_audio, x_video = np.ones((4, 4)), np.full((4, 3), 0.5)
     pos = positive_sets(batch)
-    sims = {m: similarity_matrix(pairs, m, 0.8) for m in Modality}
-    report = total_loss(sims[Modality.AUDIO], sims[Modality.VIDEO],
-                        sims[Modality.AV], pos, joint_weight=0.5)
+    report, d_audio, d_video = loss_and_embedding_grads(
+        x_audio, x_video, pos, 0.8, joint_weight=0.5)
     expected = 4.0 * math.log(3.0)
     assert report.l_v == pytest.approx(expected, rel=1e-12)
     assert report.l_a == pytest.approx(expected, rel=1e-12)
     assert report.l_av == pytest.approx(expected, rel=1e-12)
     assert report.l_tot == pytest.approx(2.5 * expected, rel=1e-12)
+    # every pair difference is zero, so nothing moves the embeddings
+    assert np.all(d_audio == 0.0) and np.all(d_video == 0.0)
 
 
 def test_loss_exactly_zero_when_batch_is_one_identity():
     rng = np.random.default_rng(5)
     batch = make_batch(rng, counts=(6,))
     x_audio, x_video = embedding_matrices(rng, 6)
-    pos = positive_sets(batch).mask()
+    pos = positive_sets(batch)
     report, d_audio, d_video = loss_and_embedding_grads(x_audio, x_video, pos, 0.5, 1.0)
     # Numerator and denominator coincide term by term, so this is not an
     # approximation: the report and the gradients are exact zeros.
@@ -73,7 +77,7 @@ def test_loss_non_negative_and_matches_naive_summation(seed, n_ids, per_id, tau,
     batch = make_batch(rng, counts=(per_id,) * n_ids)
     n = n_ids * per_id
     x_audio, x_video = embedding_matrices(rng, n)
-    pos = positive_sets(batch).mask()
+    pos = positive_sets(batch)
     report, _, _ = loss_and_embedding_grads(x_audio, x_video, pos, tau, lam)
 
     assert report.l_v >= 0.0 and report.l_a >= 0.0 and report.l_av >= 0.0
@@ -91,7 +95,7 @@ def test_loss_stays_finite_where_naive_summation_underflows():
     rng = np.random.default_rng(11)
     batch = make_batch(rng, counts=(2, 2))
     x_audio, x_video = embedding_matrices(rng, 4, scale=40.0)
-    pos = positive_sets(batch).mask()
+    pos = positive_sets(batch)
     report, d_audio, _ = loss_and_embedding_grads(x_audio, x_video, pos, 0.01, 1.0)
     assert math.isfinite(report.l_tot)
     assert report.l_tot >= 0.0
@@ -102,7 +106,7 @@ def test_embedding_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     batch = make_batch(rng, counts=(2, 3))
     x_audio, x_video = embedding_matrices(rng, 5)
-    pos = positive_sets(batch).mask()
+    pos = positive_sets(batch)
     tau, lam, step = 0.9, 0.7, 1e-6
 
     _, d_audio, d_video = loss_and_embedding_grads(x_audio, x_video, pos, tau, lam)
@@ -124,24 +128,19 @@ def test_embedding_gradients_match_finite_differences():
 def test_joint_weight_enters_gradient_linearly():
     rng = np.random.default_rng(8)
     batch = make_batch(rng, counts=(2, 2))
-    pairs = [EmbeddingPair(rng.standard_normal(4), rng.standard_normal(4)) for _ in batch]
-    g0 = loss_gradient(pairs, batch, 0.5, 0.0)
-    g1 = loss_gradient(pairs, batch, 0.5, 1.0)
-    g2 = loss_gradient(pairs, batch, 0.5, 2.0)
-    np.testing.assert_allclose(g2.audio - g0.audio, 2.0 * (g1.audio - g0.audio), rtol=1e-10)
-    np.testing.assert_allclose(g2.video - g0.video, 2.0 * (g1.video - g0.video), rtol=1e-10)
-    assert np.any(g1.audio != g0.audio)
-
-
-def test_total_loss_rejects_mislabeled_matrices():
-    batch = make_batch(np.random.default_rng(9), counts=(2, 2))
-    rng = np.random.default_rng(9)
-    pairs = [EmbeddingPair(rng.standard_normal(3), rng.standard_normal(3)) for _ in batch]
+    x_audio, x_video = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
     pos = positive_sets(batch)
-    ma = similarity_matrix(pairs, Modality.AUDIO, 1.0)
-    mv = similarity_matrix(pairs, Modality.VIDEO, 1.0)
-    mav = similarity_matrix(pairs, Modality.AV, 1.0)
-    with pytest.raises(ValueError):
-        total_loss(mv, ma, mav, pos, 1.0)
+    g0, g1, g2 = (loss_and_embedding_grads(x_audio, x_video, pos, 0.5, lam)[1:]
+                  for lam in (0.0, 1.0, 2.0))
+    for k in (0, 1):
+        np.testing.assert_allclose(g2[k] - g0[k], 2.0 * (g1[k] - g0[k]), rtol=1e-10)
+    assert np.any(g1[0] != g0[0])
+
+
+def test_loss_rejects_negative_joint_weight():
+    rng = np.random.default_rng(9)
+    batch = make_batch(rng, counts=(2, 2))
+    x_audio, x_video = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    pos = positive_sets(batch)
     with pytest.raises(ConfigError):
-        total_loss(ma, mv, mav, pos, -0.5)
+        loss_and_embedding_grads(x_audio, x_video, pos, 1.0, -0.5)

@@ -12,7 +12,7 @@ from poif.metrics import (
     knn_person_id,
     pd_at_fa,
 )
-from poif.records import EmbeddingPair, Modality
+from poif.records import Modality
 from poif.scoring import DecisionPolicy
 
 
@@ -86,33 +86,42 @@ def test_score_sample_label_validation():
 
 
 def test_knn_identifies_by_distance_and_breaks_ties_low():
-    gallery = [("a", EmbeddingPair(np.zeros(2), np.zeros(2))),
-               ("b", EmbeddingPair(np.ones(2) * 4, np.ones(2) * 4))]
-    probes = [("a", EmbeddingPair(np.ones(2) * 0.1, np.ones(2) * 0.1)),
-              ("b", EmbeddingPair(np.ones(2) * 3.9, np.ones(2) * 3.9))]
+    gallery = (["a", "b"], np.array([[0.0, 0.0], [4.0, 4.0]]))
+    probes = (["a", "b"], np.array([[0.1, 0.1], [3.9, 3.9]]))
+
+    def knn(g, p, m):
+        # the same matrix stands in for both channels
+        return knn_person_id(g[0], g[1], g[1], p[0], p[1], p[1], m)
+
     for m in Modality:
-        assert knn_person_id(gallery, probes, m) == 1.0
+        assert knn(gallery, probes, m) == 1.0
     # equidistant probe resolves to the first gallery row
-    middle = [("a", EmbeddingPair(np.ones(2) * 2, np.ones(2) * 2))]
-    assert knn_person_id(gallery, middle, Modality.AV) == 1.0
-    assert knn_person_id(gallery[::-1], middle, Modality.AV) == 0.0
+    middle = (["a"], np.array([[2.0, 2.0]]))
+    assert knn(gallery, middle, Modality.AV) == 1.0
+    flipped = (gallery[0][::-1], gallery[1][::-1])
+    assert knn(flipped, middle, Modality.AV) == 0.0
 
 
 def test_knn_joint_uses_both_channels():
     # audio separates the classes, video is pure noise: the joint ranking
     # must still get it right because distances add
     rng = np.random.default_rng(1)
-    gallery, probes = [], []
+    g_labels, g_audio, g_video = [], [], []
+    p_labels, p_audio, p_video = [], [], []
     for label, offset in (("a", 0.0), ("b", 6.0)):
         for _ in range(10):
-            gallery.append((label, EmbeddingPair(
-                rng.standard_normal(3) + offset, rng.standard_normal(3))))
-        probes.append((label, EmbeddingPair(
-            rng.standard_normal(3) + offset, rng.standard_normal(3))))
-    assert knn_person_id(gallery, probes, Modality.AUDIO) == 1.0
-    assert knn_person_id(gallery, probes, Modality.AV) == 1.0
+            g_labels.append(label)
+            g_audio.append(rng.standard_normal(3) + offset)
+            g_video.append(rng.standard_normal(3))
+        p_labels.append(label)
+        p_audio.append(rng.standard_normal(3) + offset)
+        p_video.append(rng.standard_normal(3))
+    gallery = (g_labels, np.array(g_audio), np.array(g_video))
+    probes = (p_labels, np.array(p_audio), np.array(p_video))
+    assert knn_person_id(*gallery, *probes, Modality.AUDIO) == 1.0
+    assert knn_person_id(*gallery, *probes, Modality.AV) == 1.0
     with pytest.raises(ValueError):
-        knn_person_id([], probes, Modality.AUDIO)
+        knn_person_id([], np.empty((0, 3)), np.empty((0, 3)), *probes, Modality.AUDIO)
 
 
 def test_calibration_check_tracks_p_fa():

@@ -1,13 +1,19 @@
-import importlib
-import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import dense_self_scores, phi, phi_inv, reference_stats_bruteforce
-from poif.encoder import EncoderConfig, encode, init_encoder
+import poif.similarity as similarity_module
+from oracles import (
+    dense_self_scores,
+    embed_one,
+    phi,
+    phi_inv,
+    reference_stats_bruteforce,
+    squared_distance,
+)
+from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError, DataError, DegenerateReferenceError
 from poif.records import Modality
 from poif.scoring import (
@@ -15,17 +21,10 @@ from poif.scoring import (
     DecisionPolicy,
     SmallReferenceWarning,
     build_reference,
-    fuse,
-    normalize_index,
-    poi_index,
     quantile_threshold,
     score_video,
 )
-from poif.similarity import joint_similarity, similarity
 from poif.synthgen import WorldConfig, generate_world, sample_identity_videos
-
-# The package re-exports a function named `similarity`, so fetch the module.
-similarity_module = importlib.import_module("poif.similarity")
 
 
 def one_person_segments(seed=0, videos=4, segments=5):
@@ -136,31 +135,43 @@ def test_reference_rejects_mixed_and_fake_material(params):
         quiet_reference([], params, tau=0.5)
 
 
+def best_similarities(probe, ref_segments, params, tau):
+    """Best similarity of one probe to any reference segment, by scalar loops."""
+    audio, video = embed_one(params, probe)
+    best = {m: -np.inf for m in Modality}
+    for seg in ref_segments:
+        ref_audio, ref_video = embed_one(params, seg)
+        s_a = -(squared_distance(audio, ref_audio) / tau)
+        s_v = -(squared_distance(video, ref_video) / tau)
+        for m, s in ((Modality.AUDIO, s_a), (Modality.VIDEO, s_v), (Modality.AV, s_a + s_v)):
+            best[m] = max(best[m], s)
+    return best
+
+
 def test_poi_index_is_max_over_reference(params):
     segments = one_person_segments(seed=5)
     ref = quiet_reference(segments, params, tau=0.9)
     world = generate_world(WorldConfig(
         n_identities=1, n_videos_per_identity=1, n_segments_per_video=1,
         audio_dim=6, video_dim=5, seed=99))
-    probe = encode(params, world.segments[0])
-    embedded_ref = [encode(params, s) for s in segments]
-    for m in (Modality.AUDIO, Modality.VIDEO):
-        expected = max(similarity(probe, r, m, 0.9) for r in embedded_ref)
-        assert poi_index(probe, ref, m, 0.9) == pytest.approx(expected, rel=1e-15)
-    expected_av = max(joint_similarity(probe, r, 0.9) for r in embedded_ref)
-    assert poi_index(probe, ref, Modality.AV, 0.9) == pytest.approx(expected_av, rel=1e-13)
+    probe = world.segments[0]
+    verdict = score_video([probe], ref, params, 0.9, DecisionPolicy(p_fa=0.1))
+    for m, best in best_similarities(probe, segments, params, 0.9).items():
+        want = (best - ref.mu[m]) / ref.sigma[m]
+        assert verdict.normalized[m] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_normalize_and_fuse():
     segments = one_person_segments(seed=6)
     params = init_encoder(6, 5, EncoderConfig(1, 8, 4), 1)
     ref = quiet_reference(segments, params, tau=0.5)
-    raw = ref.mu[Modality.AUDIO] + 2.0 * ref.sigma[Modality.AUDIO]
-    assert normalize_index(raw, ref, Modality.AUDIO) == pytest.approx(2.0, rel=1e-12)
-    normalized = {Modality.AUDIO: 0.3, Modality.VIDEO: -1.2, Modality.AV: 4.0}
-    assert fuse(normalized) == -1.2
-    with pytest.raises(ValueError):
-        fuse({Modality.AUDIO: 0.0, Modality.VIDEO: 0.0})
+    # a probe equal to a reference segment has raw index 0 (its own
+    # distance), so normalization leaves exactly -mu / sigma
+    verdict = score_video(segments[:1], ref, params, 0.5, DecisionPolicy(p_fa=0.1))
+    for m in Modality:
+        assert verdict.normalized[m] == (0.0 - ref.mu[m]) / ref.sigma[m]
+    # for one segment the fused value is exactly the worst channel
+    assert verdict.fused == min(verdict.normalized.values())
 
 
 def test_quantile_threshold_matches_erf_inverse():
@@ -186,19 +197,15 @@ def test_score_video_averages_per_segment_indices(params):
     assert verdict.n_segments == 4
     assert verdict.statistic_used == FUSED
 
-    per_segment = []
-    for seg in test_segments:
-        probe = encode(params, seg)
-        normalized = {
-            m: normalize_index(poi_index(probe, ref, m, 0.5), ref, m)
-            for m in Modality
-        }
-        per_segment.append(normalized)
+    per_segment = [
+        score_video([seg], ref, params, 0.5, DecisionPolicy(p_fa=0.1))
+        for seg in test_segments
+    ]
     for m in Modality:
-        mean = sum(z[m] for z in per_segment) / len(per_segment)
-        assert verdict.mean_indices.normalized[m] == pytest.approx(mean, rel=1e-10)
-    fused = sum(min(z.values()) for z in per_segment) / len(per_segment)
-    assert verdict.mean_indices.fused == pytest.approx(fused, rel=1e-10)
+        mean = sum(v.normalized[m] for v in per_segment) / len(per_segment)
+        assert verdict.normalized[m] == pytest.approx(mean, rel=1e-10)
+    fused = sum(min(v.normalized.values()) for v in per_segment) / len(per_segment)
+    assert verdict.fused == pytest.approx(fused, rel=1e-10)
 
 
 def test_score_video_decision_follows_threshold(params):

@@ -1,36 +1,34 @@
-import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import dense_squared_distances
+import poif.similarity as similarity_module
+from conftest import make_batch
+from oracles import dense_squared_distances, squared_distance
+from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError
-from poif.records import EmbeddingPair, Modality
-from poif.similarity import (
-    joint_similarity,
-    similarity,
-    similarity_matrix,
-    squared_distance,
-    squared_distance_matrix,
-)
-
-# The package re-exports a function named `similarity`, so fetch the module.
-similarity_module = importlib.import_module("poif.similarity")
+from poif.losses import loss_and_embedding_grads
+from poif.records import Modality
+from poif.scoring import _similarity_rows, build_reference
+from poif.similarity import check_temperature, squared_distance_matrix
 
 
 def test_squared_distance_matches_manual():
     rng = np.random.default_rng(0)
-    x = rng.standard_normal(9)
-    y = rng.standard_normal(9)
-    assert squared_distance(x, y) == pytest.approx(float(((x - y) ** 2).sum()), rel=1e-15)
-    assert squared_distance(x, x) == 0.0
+    x = rng.standard_normal((1, 9))
+    y = rng.standard_normal((1, 9))
+    manual = float(((x - y) ** 2).sum())
+    assert squared_distance_matrix(x, y)[0, 0] == pytest.approx(manual, rel=1e-15)
+    assert squared_distance_matrix(x, x)[0, 0] == 0.0
 
 
 def test_squared_distance_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
-        squared_distance(np.zeros(3), np.zeros(4))
+        squared_distance_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        squared_distance_matrix(np.zeros(3))
 
 
 @given(st.integers(2, 12), st.integers(1, 8), st.integers(0, 10**6))
@@ -88,8 +86,8 @@ def test_distance_matrix_memory_is_bounded_by_its_output():
 
 
 def test_distance_matrix_agrees_with_scalar_path():
-    # Bitwise agreement: the scoring code relies on it when comparing a
-    # vectorized reference pass against per-segment queries.
+    # Bitwise agreement with the oracle's scalar distance: the acceptance
+    # battery compares best-match indices against scalar loops exactly.
     rng = np.random.default_rng(1)
     x = rng.standard_normal((5, 7))
     y = rng.standard_normal((4, 7))
@@ -99,51 +97,53 @@ def test_distance_matrix_agrees_with_scalar_path():
             assert d[i, j] == squared_distance(x[i], y[j])
 
 
+def channel_pairs(rng, n, m, d_audio=4, d_video=3):
+    """Test and reference embedding matrices, (audio, video) each."""
+    return ((rng.standard_normal((n, d_audio)), rng.standard_normal((n, d_video))),
+            (rng.standard_normal((m, d_audio)), rng.standard_normal((m, d_video))))
+
+
 def test_similarity_sign_and_temperature_scaling():
     rng = np.random.default_rng(2)
-    a = EmbeddingPair(rng.standard_normal(4), rng.standard_normal(3))
-    b = EmbeddingPair(rng.standard_normal(4), rng.standard_normal(3))
-    s1 = similarity(a, b, Modality.AUDIO, tau=1.0)
-    s2 = similarity(a, b, Modality.AUDIO, tau=2.0)
-    assert s1 <= 0.0
-    assert s2 == pytest.approx(s1 / 2.0, rel=1e-15)
-    assert joint_similarity(a, b, 1.0) == pytest.approx(
-        s1 + similarity(a, b, Modality.VIDEO, 1.0), rel=1e-15
-    )
+    (xa, xv), (ra, rv) = channel_pairs(rng, 3, 5)
+    s1 = _similarity_rows(xa, xv, ra, rv, 1.0)
+    s2 = _similarity_rows(xa, xv, ra, rv, 2.0)
+    for m in Modality:
+        assert np.all(s1[m] <= 0.0)
+        np.testing.assert_allclose(s2[m], s1[m] / 2.0, rtol=1e-15)
 
 
-def test_similarity_rejects_joint_tag_and_bad_tau():
-    a = EmbeddingPair(np.ones(2), np.ones(2))
-    with pytest.raises(ValueError):
-        similarity(a, a, Modality.AV, 1.0)
+def test_similarity_rejects_bad_tau():
+    for tau in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            check_temperature(tau)
+    rng = np.random.default_rng(3)
+    batch = make_batch(rng, counts=(4,))
+    x_audio, x_video = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    pos = ~np.eye(4, dtype=bool)
     with pytest.raises(ConfigError):
-        similarity(a, a, Modality.AUDIO, 0.0)
+        loss_and_embedding_grads(x_audio, x_video, pos, 0.0, 1.0)
+    params = init_encoder(6, 5, EncoderConfig(1, 4, 2), 0)
     with pytest.raises(ConfigError):
-        similarity(a, a, Modality.AUDIO, -1.0)
+        build_reference(batch, params, -1.0)
 
 
 def test_similarity_matrix_joint_is_sum_of_channels():
     rng = np.random.default_rng(3)
-    pairs = [EmbeddingPair(rng.standard_normal(4), rng.standard_normal(6)) for _ in range(7)]
-    ma = similarity_matrix(pairs, Modality.AUDIO, 0.7)
-    mv = similarity_matrix(pairs, Modality.VIDEO, 0.7)
-    mav = similarity_matrix(pairs, Modality.AV, 0.7)
-    assert np.array_equal(mav.entries, ma.entries + mv.entries)
-    assert mav.segment_ids == ma.segment_ids == tuple(range(7))
+    (xa, xv), (ra, rv) = channel_pairs(rng, 7, 6, d_video=6)
+    sims = _similarity_rows(xa, xv, ra, rv, 0.7)
+    assert np.array_equal(sims[Modality.AV], sims[Modality.AUDIO] + sims[Modality.VIDEO])
+    assert sims[Modality.AV].shape == (7, 6)
 
 
 def test_similarity_matrix_entries_match_pair_function():
     rng = np.random.default_rng(4)
-    pairs = [EmbeddingPair(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(4)]
-    m = similarity_matrix(pairs, Modality.VIDEO, 1.3)
+    (xa, xv), (ra, rv) = channel_pairs(rng, 4, 4, d_audio=3)
+    sims = _similarity_rows(xa, xv, ra, rv, 1.3)
     for i in range(4):
         for j in range(4):
-            assert m.entries[i, j] == pytest.approx(
-                similarity(pairs[i], pairs[j], Modality.VIDEO, 1.3), rel=1e-15, abs=1e-300
-            )
-
-
-def test_similarity_matrix_needs_two_segments():
-    pair = EmbeddingPair(np.ones(2), np.ones(2))
-    with pytest.raises(ValueError):
-        similarity_matrix([pair], Modality.AUDIO, 1.0)
+            s_a = -(squared_distance(xa[i], ra[j]) / 1.3)
+            s_v = -(squared_distance(xv[i], rv[j]) / 1.3)
+            assert sims[Modality.AUDIO][i, j] == s_a
+            assert sims[Modality.VIDEO][i, j] == s_v
+            assert sims[Modality.AV][i, j] == s_a + s_v
