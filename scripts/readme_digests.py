@@ -4,6 +4,9 @@
 Runs the README walkthrough (synth, train, benchmark synth, score,
 evaluate) and three sweeps in a temporary directory, with the poif
 sources on PYTHONPATH, then prints one "sha256  name" line per artifact.
+A resume leg trains the same recipe for half its steps and resumes to the
+full count; its checkpoint, printed as resumed.ckpt, must equal
+encoder.ckpt, and the script exits 1 when it does not.
 A behaviour-preserving change must print the same lines before and after:
 run it on both checkouts and diff the output.
 
@@ -32,6 +35,11 @@ SWEEPS = (
 )
 
 
+def train(steps: int, *extra: str) -> list[str]:
+    return ["train", "--features", "train_feats.txt", "--tau", "0.5", "--epochs", "1",
+            "--batches-per-epoch", str(steps), "--seed", "7", *extra]
+
+
 def pipeline() -> list[list[str]]:
     """The README commands, each writing its artifact into the working directory."""
     inputs = ["--checkpoint", "encoder.ckpt", "--reference", "bench_ref.txt",
@@ -39,9 +47,9 @@ def pipeline() -> list[list[str]]:
     commands = [
         ["synth", "--mode", "train", "--identities", "64", "--segments-per-video", "4",
          "--seed", "7", "--out", "train_feats.txt"],
-        ["train", "--features", "train_feats.txt", "--tau", "0.5", "--epochs", "1",
-         "--batches-per-epoch", "2000", "--seed", "7", "--out", "encoder.ckpt",
-         "--log", "train_log.txt"],
+        train(2000, "--out", "encoder.ckpt", "--log", "train_log.txt"),
+        train(1000, "--out", "half.ckpt"),
+        train(2000, "--resume", "half.ckpt", "--out", "resumed.ckpt"),
         ["synth", "--mode", "benchmark", "--identities", "20", "--seed", "8",
          "--train-features", "train_feats.txt",
          "--out-reference", "bench_ref.txt", "--out-test", "bench_test.txt"],
@@ -53,7 +61,8 @@ def pipeline() -> list[list[str]]:
 
 
 ARTIFACTS = ("train_feats.txt", "encoder.ckpt", "train_log.txt", "bench_ref.txt",
-             "bench_test.txt", "scores.txt", "report.txt") + tuple(out for out, _ in SWEEPS)
+             "bench_test.txt", "scores.txt", "report.txt") + tuple(out for out, _ in SWEEPS) \
+    + ("resumed.ckpt",)
 
 
 def sha256(path: Path) -> str:
@@ -81,8 +90,13 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"readme_digests: `poif {' '.join(command)}` exited "
                       f"{done.returncode}\n{done.stderr}", file=sys.stderr)
                 return 1
-        for name in ARTIFACTS:
-            print(f"{sha256(Path(work) / name)}  {name}")
+        digests = {name: sha256(Path(work) / name) for name in ARTIFACTS}
+    for name, digest in digests.items():
+        print(f"{digest}  {name}")
+    if digests["resumed.ckpt"] != digests["encoder.ckpt"]:
+        print("readme_digests: the resumed checkpoint differs from the uninterrupted one",
+              file=sys.stderr)
+        return 1
     return 0
 
 

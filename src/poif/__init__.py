@@ -37,7 +37,14 @@ from .synthgen import (
     generate_world,
     inject_noise,
 )
-from .training import TrainConfig, TrainResult, sample_batch, train
+from .training import (
+    TrainConfig,
+    TrainingIndex,
+    TrainResult,
+    index_training_set,
+    sample_batch,
+    train,
+)
 
 __version__ = "0.1.0"
 
@@ -62,6 +69,7 @@ __all__ = [
     "SegmentRecord",
     "TrainConfig",
     "TrainResult",
+    "TrainingIndex",
     "UndefinedMetricError",
     "VideoVerdict",
     "WorldConfig",
@@ -72,6 +80,7 @@ __all__ = [
     "encode_batch",
     "generate_benchmark",
     "generate_world",
+    "index_training_set",
     "init_encoder",
     "inject_noise",
     "knn_person_id",

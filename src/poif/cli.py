@@ -413,10 +413,12 @@ def _cmd_sweep(args) -> int:
     merged = _resolve(args, _SWEEP_SPEC)
     if merged["ref_total"] < 1:
         raise ConfigError(f"ref_total must be >= 1, got {merged['ref_total']}")
+    values = _need(merged, "values", "--values")
+    if any(v < 1 for v in values):
+        raise ConfigError(f"sweep values must be integers >= 1, got {values}")
     ckpt, reference, test = _scoring_inputs(merged)
     out = _need(merged, "out", "--out")
     axis = _need(merged, "axis", "--axis")
-    values = _need(merged, "values", "--values")
     rows = experiments.sweep_rows(
         axis, values, reference, test, ckpt.params, merged["tau"],
         statistic=_STATISTIC_BY_FLAG[merged["statistic"]],

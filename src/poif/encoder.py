@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import ConfigError, DataError
-from .losses import loss_and_embedding_grads, positive_sets
+from .losses import loss_and_embedding_grads
 from .records import SegmentRecord
 from .utils import as_rng
 
@@ -123,7 +123,8 @@ def mlp_backward(mlp: Mlp, cache: list[np.ndarray], d_out: np.ndarray) -> Mlp:
     return Mlp(d_weights, d_biases)
 
 
-def _stack_features(segments: Sequence[SegmentRecord]):
+def encode_batch(params: EncoderParams, segments: Sequence[SegmentRecord]):
+    """Embed a batch in segment order; returns (n, d) matrices per modality."""
     if not segments:
         raise ValueError("empty segment batch")
     audio_dims = {s.audio.shape[0] for s in segments}
@@ -132,15 +133,8 @@ def _stack_features(segments: Sequence[SegmentRecord]):
         raise DataError(
             f"inconsistent feature dims in batch: audio {sorted(audio_dims)}, video {sorted(video_dims)}"
         )
-    return (
-        np.stack([s.audio for s in segments]),
-        np.stack([s.video for s in segments]),
-    )
-
-
-def encode_batch(params: EncoderParams, segments: Sequence[SegmentRecord]):
-    """Embed a batch in segment order; returns (n, d) matrices per modality."""
-    f_audio, f_video = _stack_features(segments)
+    f_audio = np.stack([s.audio for s in segments])
+    f_video = np.stack([s.video for s in segments])
     x_audio, _ = mlp_forward(params.audio, f_audio, name="audio encoder")
     x_video, _ = mlp_forward(params.video, f_video, name="video encoder")
     return x_audio, x_video
@@ -148,21 +142,24 @@ def encode_batch(params: EncoderParams, segments: Sequence[SegmentRecord]):
 
 def loss_and_param_grads(
     params: EncoderParams,
-    batch: Sequence[SegmentRecord],
+    f_audio: np.ndarray,
+    f_video: np.ndarray,
+    pos_mask: np.ndarray,
     tau: float,
     joint_weight: float,
 ):
-    """One fused forward/backward pass: loss report and parameter gradients."""
-    pos = positive_sets(batch)
-    f_audio, f_video = _stack_features(batch)
+    """One fused forward/backward pass: loss report and parameter gradients.
+
+    f_audio and f_video are the batch's (n, d) feature rows and pos_mask
+    its (n, n) positive mask from ``positive_sets``.
+    """
     x_audio, cache_a = mlp_forward(params.audio, f_audio, name="audio encoder")
     x_video, cache_v = mlp_forward(params.video, f_video, name="video encoder")
     report, d_xa, d_xv = loss_and_embedding_grads(
-        x_audio, x_video, pos, tau, joint_weight
+        x_audio, x_video, pos_mask, tau, joint_weight
     )
     grads = EncoderParams(
         audio=mlp_backward(params.audio, cache_a, d_xa),
         video=mlp_backward(params.video, cache_v, d_xv),
     )
     return grads, report
-

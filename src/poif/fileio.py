@@ -45,6 +45,15 @@ def fmt(x: float) -> str:
     return "%.17g" % x
 
 
+def fmt_row(values) -> str:
+    """Comma-joined fmt() of every entry of an array, checked for finiteness once."""
+    arr = np.asarray(values, dtype=np.float64).ravel()
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ValueError(f"refusing to write non-finite value {float(arr[~finite][0])!r}")
+    return ",".join(["%.17g"] * arr.size) % tuple(arr.tolist())
+
+
 def _check_id(value: str, name: str) -> str:
     if not value or "," in value or "\n" in value:
         raise DataError(f"{name} must be non-empty and comma-free, got {value!r}")
@@ -159,9 +168,9 @@ def write_features(path: str, segments: Sequence[SegmentRecord], meta: Mapping[s
             str(seg.segment_index),
             str(int(f.is_fake)), str(int(f.v)), str(int(f.a)), str(int(f.ai)),
             fmt(seg.blend),
+            fmt_row(seg.audio),
+            fmt_row(seg.video),
         ]
-        fields.extend(fmt(x) for x in seg.audio)
-        fields.extend(fmt(x) for x in seg.video)
         out.append(",".join(fields))
     _write(path, out)
 
@@ -210,9 +219,8 @@ def _mlp_lines(tag: str, mlp: Mlp) -> list[str]:
     out = [f"encoder,{tag},{mlp.n_layers}"]
     for w, b in zip(mlp.weights, mlp.biases):
         out.append(f"layer,{w.shape[0]},{w.shape[1]}")
-        for row in w:
-            out.append("w," + ",".join(fmt(x) for x in row))
-        out.append("b," + ",".join(fmt(x) for x in b))
+        out.extend("w," + fmt_row(row) for row in w)
+        out.append("b," + fmt_row(b))
     return out
 
 
@@ -262,10 +270,8 @@ def write_checkpoint(
     out.extend(_mlp_lines("video", params.video))
     if optim_step is not None:
         out.append(f"optim,{optim_step},{len(optim_m)}")
-        for arr in optim_m:
-            out.append("m," + ",".join(fmt(x) for x in np.asarray(arr).ravel()))
-        for arr in optim_v:
-            out.append("v," + ",".join(fmt(x) for x in np.asarray(arr).ravel()))
+        out.extend("m," + fmt_row(arr) for arr in optim_m)
+        out.extend("v," + fmt_row(arr) for arr in optim_v)
     if rng_state is not None:
         if rng_state["bit_generator"] != "PCG64":
             raise ValueError(f"unsupported generator {rng_state['bit_generator']!r}")

@@ -19,25 +19,27 @@ pair is a positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .exceptions import ConfigError, DataError
-from .records import SegmentRecord
 from .similarity import check_temperature, squared_distance_matrix
 
 
-def positive_sets(batch: Sequence[SegmentRecord]) -> np.ndarray:
-    """Boolean (n, n) mask, True where column k shares row c's identity (k != c)."""
-    if len(batch) < 2:
-        raise ValueError(f"batch needs at least 2 segments, got {len(batch)}")
-    ids = np.array([s.identity_id for s in batch])
+def positive_sets(labels) -> np.ndarray:
+    """Boolean (n, n) mask, True where column k shares row c's identity label (k != c).
+
+    ``labels`` holds one identity label (id string or integer code) per
+    batch row.
+    """
+    ids = np.asarray(labels)
+    if len(ids) < 2:
+        raise ValueError(f"batch needs at least 2 segments, got {len(ids)}")
     mask = ids[:, None] == ids[None, :]
     np.fill_diagonal(mask, False)
     lonely = ~mask.any(axis=1)
     if lonely.any():
-        lonely_id = batch[int(lonely.argmax())].identity_id
+        lonely_id = ids[int(lonely.argmax())].item()
         raise DataError(f"identity with single segment in batch: {lonely_id!r}")
     return mask
 

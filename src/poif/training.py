@@ -4,6 +4,9 @@ Batches hold a fixed number of identities with a fixed number of segments
 each, and no two segments in a batch may come from the same video: within
 one video the recording conditions are shared, so same-video pairs would
 hand the loss a shortcut that does not transfer to unseen clips.
+
+``train`` checks and indexes the dataset once (``index_training_set``);
+each step then draws row indices and gathers the batch's feature rows.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .encoder import EncoderConfig, EncoderParams, init_encoder, loss_and_param_grads
 from .exceptions import ConfigError, DataError
-from .losses import LossReport
+from .losses import LossReport, positive_sets
 from .optim import OptimState, adamw_step, init_optim_state
 from .records import SegmentRecord
 from .utils import as_rng
@@ -99,44 +102,102 @@ class TrainResult:
     state: TrainState
 
 
+@dataclass(frozen=True, eq=False)
+class TrainingIndex:
+    """A training set prepared once, so that every step runs on arrays.
+
+    Rows are dataset positions.  ``audio`` and ``video`` hold the (n, d)
+    feature matrices and ``codes`` each row's identity code: its position
+    among the sorted identity ids.  ``videos[c]`` lists identity c's videos
+    in sorted video-id order, each as its rows in ``segment_index`` order,
+    and ``n_videos[c]`` counts them.
+    """
+
+    audio: np.ndarray
+    video: np.ndarray
+    codes: np.ndarray
+    videos: list[list[list[int]]]
+    n_videos: np.ndarray
+
+
+def index_training_set(dataset: Sequence[SegmentRecord]) -> TrainingIndex:
+    """Check a training set once and index it by identity, video and segment.
+
+    Training data must be entirely pristine, share one audio and one video
+    feature dimension, and keep every video id within one identity (so a
+    batch of distinct videos per identity has distinct videos overall).
+    """
+    if not dataset:
+        raise DataError("empty training dataset")
+    first = dataset[0]
+    audio_dim, video_dim = first.audio.shape[0], first.video.shape[0]
+    owner: dict[str, str] = {}
+    groups: dict[str, dict[str, list[int]]] = {}
+    for row, seg in enumerate(dataset):
+        if seg.flags.is_fake:
+            raise DataError(
+                f"training data must be pristine; found manipulated segment {seg.key}"
+            )
+        if seg.audio.shape[0] != audio_dim or seg.video.shape[0] != video_dim:
+            raise DataError(
+                f"inconsistent feature dims: segment {seg.key} has audio "
+                f"{seg.audio.shape[0]}, video {seg.video.shape[0]}; segment {first.key} "
+                f"has audio {audio_dim}, video {video_dim}"
+            )
+        identity = owner.setdefault(seg.video_id, seg.identity_id)
+        if identity != seg.identity_id:
+            raise DataError(
+                f"dataset reuses video id {seg.video_id!r} across identities "
+                f"{identity!r} and {seg.identity_id!r}; batch videos must be distinct"
+            )
+        groups.setdefault(seg.identity_id, {}).setdefault(seg.video_id, []).append(row)
+
+    identity_ids = sorted(groups)
+    code_of = {identity: c for c, identity in enumerate(identity_ids)}
+    # sorted() is stable, so segments sharing an index keep dataset order.
+    videos = [
+        [sorted(rows, key=lambda r: dataset[r].segment_index)
+         for _, rows in sorted(groups[identity].items())]
+        for identity in identity_ids
+    ]
+    return TrainingIndex(
+        audio=np.stack([s.audio for s in dataset]),
+        video=np.stack([s.video for s in dataset]),
+        codes=np.array([code_of[s.identity_id] for s in dataset], dtype=np.intp),
+        videos=videos,
+        n_videos=np.array([len(v) for v in videos], dtype=np.intp),
+    )
+
+
 def sample_batch(
-    dataset: Sequence[SegmentRecord],
+    index: TrainingIndex,
     identities_per_batch: int,
     segments_per_identity: int,
     rng,
-) -> list[SegmentRecord]:
-    """Draw identities_per_batch x segments_per_identity segments.
+) -> np.ndarray:
+    """Draw identities_per_batch x segments_per_identity rows of the index.
 
     Each sampled identity contributes segments from distinct videos, one
     segment per chosen video, so no two segments in the batch ever share a
-    video id.
+    video id.  Rows come grouped by identity.
     """
     rng = as_rng(rng)
     p, k = identities_per_batch, segments_per_identity
 
-    by_identity: dict[str, dict[str, list[SegmentRecord]]] = {}
-    for seg in dataset:
-        by_identity.setdefault(seg.identity_id, {}).setdefault(seg.video_id, []).append(seg)
-
-    eligible = [i for i in sorted(by_identity) if len(by_identity[i]) >= k]
+    eligible = np.flatnonzero(index.n_videos >= k)
     if len(eligible) < p:
         raise DataError(
             f"need at least {p} identities with {k} distinct videos each; "
-            f"found {len(eligible)} of {len(by_identity)}"
+            f"found {len(eligible)} of {len(index.videos)}"
         )
 
-    batch: list[SegmentRecord] = []
-    chosen = rng.choice(len(eligible), size=p, replace=False)
-    for idx in chosen:
-        videos = sorted(by_identity[eligible[idx]])
+    rows: list[int] = []
+    for idx in rng.choice(len(eligible), size=p, replace=False):
+        videos = index.videos[eligible[idx]]
         for vidx in rng.choice(len(videos), size=k, replace=False):
-            segs = sorted(by_identity[eligible[idx]][videos[vidx]], key=lambda s: s.segment_index)
-            batch.append(segs[rng.integers(len(segs))])
-
-    video_ids = [s.video_id for s in batch]
-    if len(set(video_ids)) != len(video_ids):
-        raise DataError("dataset reuses a video id across identities; batch videos must be distinct")
-    return batch
+            segs = videos[vidx]
+            rows.append(segs[rng.integers(len(segs))])
+    return np.array(rows, dtype=np.intp)
 
 
 def train(
@@ -151,19 +212,11 @@ def train(
     step with the saved parameters, moments, and sampler stream, so an
     interrupted run reproduces an uninterrupted one bit for bit.
     """
-    if not dataset:
-        raise DataError("empty training dataset")
-    for seg in dataset:
-        if seg.flags.is_fake:
-            raise DataError(
-                f"training data must be pristine; found manipulated segment {seg.key}"
-            )
-    audio_dim = dataset[0].audio.shape[0]
-    video_dim = dataset[0].video.shape[0]
+    index = index_training_set(dataset)
 
     if resume is None:
         rng = np.random.default_rng(cfg.seed)
-        params = init_encoder(audio_dim, video_dim, cfg.encoder, rng)
+        params = init_encoder(index.audio.shape[1], index.video.shape[1], cfg.encoder, rng)
         optim = init_optim_state(params)
         start = 0
     else:
@@ -178,10 +231,11 @@ def train(
 
     log: list[TrainStep] = []
     for step in range(start, cfg.total_steps):
-        batch = sample_batch(
-            dataset, cfg.identities_per_batch, cfg.segments_per_identity, rng
+        rows = sample_batch(index, cfg.identities_per_batch, cfg.segments_per_identity, rng)
+        pos = positive_sets(index.codes[rows])
+        grads, report = loss_and_param_grads(
+            params, index.audio[rows], index.video[rows], pos, cfg.tau, cfg.joint_weight
         )
-        grads, report = loss_and_param_grads(params, batch, cfg.tau, cfg.joint_weight)
         params, optim = adamw_step(params, optim, grads, cfg)
         log.append(TrainStep(step=step + 1, loss=report))
 

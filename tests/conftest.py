@@ -1,5 +1,6 @@
 import numpy as np
 
+from poif.losses import positive_sets
 from poif.records import SegmentRecord
 
 
@@ -26,4 +27,17 @@ def embedding_matrices(rng, n, audio_dim=6, video_dim=5, scale=1.0):
     return (
         rng.standard_normal((n, audio_dim)) * scale,
         rng.standard_normal((n, video_dim)) * scale,
+    )
+
+
+def identity_labels(batch):
+    return [s.identity_id for s in batch]
+
+
+def batch_inputs(batch):
+    """A record batch as the training step feeds it: feature rows and positive mask."""
+    return (
+        np.stack([s.audio for s in batch]),
+        np.stack([s.video for s in batch]),
+        positive_sets(identity_labels(batch)),
     )

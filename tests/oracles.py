@@ -66,14 +66,15 @@ def clone_params(params: EncoderParams) -> EncoderParams:
     )
 
 
-def fd_param_grads(params, batch, tau, joint_weight, step=1e-5) -> EncoderParams:
+def fd_param_grads(params, f_audio, f_video, pos_mask, tau, joint_weight,
+                   step=1e-5) -> EncoderParams:
     """Central finite differences of the total loss in every parameter."""
     work = clone_params(params)
     arrays = flatten_params(work)
     grads = [np.zeros_like(a) for a in arrays]
 
     def loss() -> float:
-        _, report = loss_and_param_grads(work, batch, tau, joint_weight)
+        _, report = loss_and_param_grads(work, f_audio, f_video, pos_mask, tau, joint_weight)
         return report.l_tot
 
     for arr, out in zip(arrays, grads):
@@ -88,6 +89,30 @@ def fd_param_grads(params, batch, tau, joint_weight, step=1e-5) -> EncoderParams
             flat[i] = keep
             g[i] = (up - down) / (2.0 * step)
     return unflatten_params(params, grads)
+
+
+def naive_sample_batch(dataset, identities_per_batch, segments_per_identity, rng):
+    """The sampler that regroups the whole dataset on every call.
+
+    Identities in sorted-id order, each identity's videos in sorted-id
+    order, each video's segments by segment_index; the rng draws match
+    the package's sampler call for call.  Returns the chosen records.
+    """
+    p, k = identities_per_batch, segments_per_identity
+    by_identity = {}
+    for seg in dataset:
+        by_identity.setdefault(seg.identity_id, {}).setdefault(seg.video_id, []).append(seg)
+    eligible = [i for i in sorted(by_identity) if len(by_identity[i]) >= k]
+    if len(eligible) < p:
+        raise ValueError(f"only {len(eligible)} identities have {k} videos")
+    batch = []
+    for idx in rng.choice(len(eligible), size=p, replace=False):
+        videos = sorted(by_identity[eligible[idx]])
+        for vidx in rng.choice(len(videos), size=k, replace=False):
+            segs = sorted(by_identity[eligible[idx]][videos[vidx]],
+                          key=lambda s: s.segment_index)
+            batch.append(segs[rng.integers(len(segs))])
+    return batch
 
 
 def max_rel_err(analytic: EncoderParams, reference: EncoderParams, floor=1e-3) -> float:

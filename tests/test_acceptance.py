@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import embedding_matrices, make_batch
+from conftest import batch_inputs, embedding_matrices, identity_labels, make_batch
 from oracles import (
     embed_one,
     fd_param_grads,
@@ -189,8 +189,9 @@ def test_c01_analytic_gradients_match_finite_differences():
         batch = make_batch(rng, counts=counts, audio_dim=8, video_dim=8,
                            scale=float(rng.uniform(0.5, 2.0)))
         params = init_encoder(8, 8, EncoderConfig(2, 8, 4), rng)
-        grads, _ = loss_and_param_grads(params, batch, tau=0.7, joint_weight=1.0)
-        fd = fd_param_grads(params, batch, 0.7, 1.0, step=1e-5)
+        f_audio, f_video, pos = batch_inputs(batch)
+        grads, _ = loss_and_param_grads(params, f_audio, f_video, pos, tau=0.7, joint_weight=1.0)
+        fd = fd_param_grads(params, f_audio, f_video, pos, 0.7, 1.0, step=1e-5)
         worst = max(worst, max_rel_err(grads, fd))
     elapsed = time.perf_counter() - started
     print(f"criterion 1: max relative gradient error {worst:.3g} "
@@ -212,7 +213,7 @@ def test_c02_loss_nonnegative_zero_on_one_identity_and_matches_naive():
         scale = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
         batch = make_batch(rng, counts=(per_id,) * n_ids)
         x_audio, x_video = embedding_matrices(rng, n, scale=scale)
-        pos = positive_sets(batch)
+        pos = positive_sets(identity_labels(batch))
         report, _, _ = loss_and_embedding_grads(x_audio, x_video, pos, tau, lam)
         assert report.l_v >= 0.0 and report.l_a >= 0.0 and report.l_av >= 0.0
 

@@ -195,6 +195,16 @@ def test_out_of_range_settings_are_config_errors(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "false-alarm rate" in err and "ref_total" in err
     assert "data error" not in err
+    # sweep values are settings too, refused before any input is read
+    missing = str(tmp_path / "missing.txt")
+    for values in ("0", "2,0", "3,-1"):
+        for inputs in (base, ["--checkpoint", missing, "--reference", missing,
+                              "--test", missing]):
+            assert main(["sweep", *inputs, "--out", str(tmp_path / "sweep.txt"),
+                         "--axis", "test_length", "--values", values]) == 2
+    err = capsys.readouterr().err
+    assert "sweep values must be integers >= 1" in err
+    assert "not found" not in err and "data error" not in err
 
 
 def test_resumed_training_bit_matches_full_run(pipeline, tmp_path):

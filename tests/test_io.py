@@ -229,6 +229,32 @@ def test_fmt_round_trips_doubles():
         fileio.fmt(float("inf"))
 
 
+def test_fmt_row_matches_per_scalar_fmt():
+    edge = [-0.0, 5e-324, 0.1, 1e308]
+    for values in (edge, np.array(edge), np.array(edge).reshape(2, 2)):
+        assert fileio.fmt_row(values) == ",".join(fileio.fmt(float(x)) for x in edge)
+    assert fileio.fmt_row(np.array(edge)).split(",") == ["-0", "4.9406564584124654e-324",
+                                                         "0.10000000000000001", "1e+308"]
+    for bad in (float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            fileio.fmt_row([1.0, bad])
+
+
+def test_checkpoint_writer_refuses_non_finite_and_leaves_no_file(tmp_path):
+    params = init_encoder(3, 4, EncoderConfig(1, 4, 2), 2)
+    state = init_optim_state(params)
+    state.m[1] = state.m[1].copy()
+    state.m[1][0] = np.nan
+    path = tmp_path / "c.ckpt"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_checkpoint(str(path), params, {}, optim_step=1, optim_m=state.m,
+                         optim_v=state.v, steps_done=1)
+    params.video.weights[0][1, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        write_checkpoint(str(path), params, {})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parse_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\n\nseed = 7\ntau=0.5\nbetas = 1.0,0.4\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import embedding_matrices, make_batch
+from conftest import embedding_matrices, identity_labels, make_batch
 from oracles import naive_contrastive_losses
 from poif.exceptions import ConfigError, DataError
 from poif.losses import loss_and_embedding_grads, positive_sets
@@ -12,7 +12,7 @@ from poif.losses import loss_and_embedding_grads, positive_sets
 
 def test_positive_sets_pair_structure():
     batch = make_batch(np.random.default_rng(0), counts=(2, 2))
-    mask = positive_sets(batch)
+    mask = positive_sets(identity_labels(batch))
     assert mask.dtype == bool
     assert np.array_equal(mask, [[False, True, False, False],
                                  [True, False, False, False],
@@ -20,7 +20,7 @@ def test_positive_sets_pair_structure():
                                  [False, False, True, False]])
     # interleaved identities against the pairwise definition
     shuffled = [batch[i] for i in (2, 0, 3, 1)] + make_batch(np.random.default_rng(1), (3,))
-    mask = positive_sets(shuffled)
+    mask = positive_sets(identity_labels(shuffled))
     for c, a in enumerate(shuffled):
         for k, b in enumerate(shuffled):
             assert mask[c, k] == (c != k and a.identity_id == b.identity_id)
@@ -29,10 +29,10 @@ def test_positive_sets_pair_structure():
 def test_positive_sets_rejects_singleton_identity():
     batch = make_batch(np.random.default_rng(0), counts=(2, 1))
     with pytest.raises(DataError, match="batch: 'p1'$"):
-        positive_sets(batch)
+        positive_sets(identity_labels(batch))
     # a contrastive batch needs at least one pair
     with pytest.raises(ValueError):
-        positive_sets(batch[:1])
+        positive_sets(identity_labels(batch[:1]))
 
 
 def test_equal_embeddings_give_log3_per_anchor():
@@ -43,7 +43,7 @@ def test_equal_embeddings_give_log3_per_anchor():
     """
     batch = make_batch(np.random.default_rng(0), counts=(2, 2))
     x_audio, x_video = np.ones((4, 4)), np.full((4, 3), 0.5)
-    pos = positive_sets(batch)
+    pos = positive_sets(identity_labels(batch))
     report, d_audio, d_video = loss_and_embedding_grads(
         x_audio, x_video, pos, 0.8, joint_weight=0.5)
     expected = 4.0 * math.log(3.0)
@@ -59,7 +59,7 @@ def test_loss_exactly_zero_when_batch_is_one_identity():
     rng = np.random.default_rng(5)
     batch = make_batch(rng, counts=(6,))
     x_audio, x_video = embedding_matrices(rng, 6)
-    pos = positive_sets(batch)
+    pos = positive_sets(identity_labels(batch))
     report, d_audio, d_video = loss_and_embedding_grads(x_audio, x_video, pos, 0.5, 1.0)
     # Numerator and denominator coincide term by term, so this is not an
     # approximation: the report and the gradients are exact zeros.
@@ -77,7 +77,7 @@ def test_loss_non_negative_and_matches_naive_summation(seed, n_ids, per_id, tau,
     batch = make_batch(rng, counts=(per_id,) * n_ids)
     n = n_ids * per_id
     x_audio, x_video = embedding_matrices(rng, n)
-    pos = positive_sets(batch)
+    pos = positive_sets(identity_labels(batch))
     report, _, _ = loss_and_embedding_grads(x_audio, x_video, pos, tau, lam)
 
     assert report.l_v >= 0.0 and report.l_a >= 0.0 and report.l_av >= 0.0
@@ -95,7 +95,7 @@ def test_loss_stays_finite_where_naive_summation_underflows():
     rng = np.random.default_rng(11)
     batch = make_batch(rng, counts=(2, 2))
     x_audio, x_video = embedding_matrices(rng, 4, scale=40.0)
-    pos = positive_sets(batch)
+    pos = positive_sets(identity_labels(batch))
     report, d_audio, _ = loss_and_embedding_grads(x_audio, x_video, pos, 0.01, 1.0)
     assert math.isfinite(report.l_tot)
     assert report.l_tot >= 0.0
@@ -106,7 +106,7 @@ def test_embedding_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     batch = make_batch(rng, counts=(2, 3))
     x_audio, x_video = embedding_matrices(rng, 5)
-    pos = positive_sets(batch)
+    pos = positive_sets(identity_labels(batch))
     tau, lam, step = 0.9, 0.7, 1e-6
 
     _, d_audio, d_video = loss_and_embedding_grads(x_audio, x_video, pos, tau, lam)
@@ -129,7 +129,7 @@ def test_joint_weight_enters_gradient_linearly():
     rng = np.random.default_rng(8)
     batch = make_batch(rng, counts=(2, 2))
     x_audio, x_video = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
-    pos = positive_sets(batch)
+    pos = positive_sets(identity_labels(batch))
     g0, g1, g2 = (loss_and_embedding_grads(x_audio, x_video, pos, 0.5, lam)[1:]
                   for lam in (0.0, 1.0, 2.0))
     for k in (0, 1):
@@ -141,6 +141,6 @@ def test_loss_rejects_negative_joint_weight():
     rng = np.random.default_rng(9)
     batch = make_batch(rng, counts=(2, 2))
     x_audio, x_video = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
-    pos = positive_sets(batch)
+    pos = positive_sets(identity_labels(batch))
     with pytest.raises(ConfigError):
         loss_and_embedding_grads(x_audio, x_video, pos, 1.0, -0.5)

@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
+from oracles import naive_sample_batch
 from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError, DataError
 from poif.optim import flatten_params
 from poif.records import ManipFlags
 from poif.synthgen import WorldConfig, generate_world
-from poif.training import TrainConfig, sample_batch, train
+from poif import training
+from poif.training import TrainConfig, index_training_set, sample_batch, train
 
 
 def tiny_world(seed=0, identities=6, videos=4, segments=3):
@@ -26,11 +30,34 @@ def tiny_cfg(**kw):
     return TrainConfig(**defaults)
 
 
+def uneven_world(seed=3):
+    """Identities with 1-5 videos and 1-6 segments per video, gaps in the indices."""
+    world = tiny_world(seed=seed, identities=7, videos=5, segments=6)
+    rng = np.random.default_rng(seed)
+    by_identity = {}
+    for seg in world.segments:
+        by_identity.setdefault(seg.identity_id, {}).setdefault(seg.video_id, []).append(seg)
+    keep = []
+    for videos in by_identity.values():
+        for video_id in sorted(videos)[:int(rng.integers(1, 6))]:
+            segs = videos[video_id]
+            chosen = rng.choice(len(segs), size=int(rng.integers(1, len(segs) + 1)),
+                                replace=False)
+            keep.extend(segs[i] for i in sorted(chosen))
+    return keep
+
+
+def shuffled(segments, seed=0):
+    order = np.random.default_rng(seed).permutation(len(segments))
+    return [segments[i] for i in order]
+
+
 def test_sample_batch_one_segment_per_video():
     world = tiny_world()
+    index = index_training_set(world.segments)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        batch = sample_batch(world.segments, 3, 2, rng)
+        batch = [world.segments[r] for r in sample_batch(index, 3, 2, rng)]
         assert len(batch) == 6
         assert len({s.identity_id for s in batch}) == 3
         video_ids = [s.video_id for s in batch]
@@ -41,11 +68,67 @@ def test_sample_batch_one_segment_per_video():
 
 def test_sample_batch_needs_enough_identities_with_enough_videos():
     world = tiny_world(identities=2, videos=2)
+    index = index_training_set(world.segments)
     rng = np.random.default_rng(0)
     with pytest.raises(DataError):
-        sample_batch(world.segments, 3, 2, rng)  # only 2 identities exist
+        sample_batch(index, 3, 2, rng)  # only 2 identities exist
     with pytest.raises(DataError):
-        sample_batch(world.segments, 2, 3, rng)  # only 2 videos per identity
+        sample_batch(index, 2, 3, rng)  # only 2 videos per identity
+
+
+def test_sample_batch_matches_regrouping_oracle():
+    """Same segments and the same rng stream as regrouping the dataset per call."""
+    segments = shuffled(uneven_world())
+    index = index_training_set(segments)
+    # the world really is uneven: 1 to 6 segments per video, and some
+    # identities have too few videos to be drawn
+    assert {len(rows) for videos in index.videos for rows in videos} == set(range(1, 7))
+    assert 3 <= np.count_nonzero(index.n_videos >= 3) < len(index.n_videos)
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(200):
+        got = [segments[r].key for r in sample_batch(index, 3, 3, ours)]
+        want = [s.key for s in naive_sample_batch(segments, 3, 3, theirs)]
+        assert got == want
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_train_ignores_dataset_order():
+    segments = uneven_world()
+    cfg = tiny_cfg(batches_per_epoch=20)
+    a = train(segments, cfg)
+    b = train(shuffled(segments, seed=1), cfg)
+    for wa, wb in zip(flatten_params(a.params), flatten_params(b.params)):
+        np.testing.assert_array_equal(wa, wb)
+    assert [s.loss for s in a.log] == [s.loss for s in b.log]
+    assert a.state.rng_state == b.state.rng_state
+
+
+def test_video_id_shared_across_identities_fails_before_first_step(monkeypatch):
+    segments = list(tiny_world().segments)
+    seg = segments[-1]
+    assert seg.identity_id != segments[0].identity_id
+    segments[-1] = type(seg)(
+        identity_id=seg.identity_id, video_id=segments[0].video_id,
+        segment_index=seg.segment_index, audio=seg.audio, video=seg.video,
+    )
+
+    def never(*args, **kwargs):
+        raise AssertionError("a batch was drawn from an invalid dataset")
+
+    monkeypatch.setattr(training, "sample_batch", never)
+    with pytest.raises(DataError, match=repr(segments[0].video_id)):
+        train(segments, tiny_cfg())
+
+
+def test_mixed_feature_dims_fail_before_first_step():
+    segments = list(tiny_world().segments)
+    seg = segments[4]
+    segments[4] = type(seg)(
+        identity_id=seg.identity_id, video_id=seg.video_id,
+        segment_index=seg.segment_index, audio=seg.audio[:-1], video=seg.video,
+    )
+    with pytest.raises(DataError, match=re.escape(f"inconsistent feature dims: segment {seg.key}")):
+        index_training_set(segments)
 
 
 def test_train_same_config_is_bit_reproducible():
