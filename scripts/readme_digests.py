@@ -61,8 +61,8 @@ def pipeline() -> list[list[str]]:
 
 
 ARTIFACTS = ("train_feats.txt", "encoder.ckpt", "train_log.txt", "bench_ref.txt",
-             "bench_test.txt", "scores.txt", "report.txt") + tuple(out for out, _ in SWEEPS) \
-    + ("resumed.ckpt",)
+             "bench_test.txt", "scores.txt", "report.txt", *(out for out, _ in SWEEPS),
+             "resumed.ckpt")
 
 
 def sha256(path: Path) -> str:
