@@ -17,7 +17,7 @@ import numpy as np
 
 from poif.encoder import EncoderConfig
 from poif.experiments import AVG_GROUP, score_segments, table_metrics
-from poif.records import GROUPS
+from poif.records import GROUPS, SegmentTable
 from poif.scoring import DecisionPolicy
 from poif.synthgen import WorldConfig, generate_benchmark, generate_world
 from poif.training import TrainConfig, train
@@ -42,7 +42,8 @@ def run_seed(s: int, joint_weight: float, steps: int, tau: float, p_fa: float):
                       batches_per_epoch=steps, seed=2000 + s,
                       encoder=EncoderConfig(2, 64, 32))
     params = train(train_world.segments, cfg).params
-    rows = score_segments(bench.reference, bench.test, params, tau,
+    rows = score_segments(SegmentTable.from_records(bench.reference),
+                          SegmentTable.from_records(bench.test), params, tau,
                           DecisionPolicy(p_fa=p_fa))
     return table_metrics(rows, p_fa=p_fa)
 

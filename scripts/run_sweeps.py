@@ -17,7 +17,7 @@ import numpy as np
 
 from poif.encoder import EncoderConfig
 from poif.experiments import sweep_rows
-from poif.records import GROUPS
+from poif.records import GROUPS, SegmentTable
 from poif.scoring import SmallReferenceWarning
 from poif.synthgen import (
     WorldConfig,
@@ -45,9 +45,10 @@ def run_seed(s: int, tau: float, steps: int, lengths, varieties, budget):
                       batches_per_epoch=steps, seed=2000 + s,
                       encoder=EncoderConfig(2, 64, 32))
     params = train(train_world.segments, cfg).params
+    test = SegmentTable.from_records(bench.test)
 
-    length_rows = sweep_rows("test_length", lengths, bench.reference,
-                             bench.test, params, tau)
+    length_rows = sweep_rows("test_length", lengths,
+                             SegmentTable.from_records(bench.reference), test, params, tau)
 
     # the variety sweep needs deep per-video pools to fill its budget
     rng = np.random.default_rng([5000 + s])
@@ -55,8 +56,8 @@ def run_seed(s: int, tau: float, steps: int, lengths, varieties, budget):
     for poi in eval_world.identity_ids:
         pool.extend(sample_identity_videos(
             eval_world, poi, max(varieties), budget, rng, "e"))
-    variety_rows = sweep_rows("ref_variety", varieties, pool, bench.test,
-                              params, tau, ref_total=budget)
+    variety_rows = sweep_rows("ref_variety", varieties, SegmentTable.from_records(pool),
+                              test, params, tau, ref_total=budget)
     return length_rows, variety_rows
 
 

@@ -17,7 +17,7 @@ from .exceptions import (
 )
 from .losses import LossReport, positive_sets
 from .metrics import MetricsReport, ScoreSample, accuracy, auc, knn_person_id, pd_at_fa
-from .records import ManipFlags, Modality, SegmentRecord
+from .records import ManipFlags, Modality, SegmentRecord, SegmentTable
 from .scoring import (
     FUSED,
     DecisionPolicy,
@@ -67,6 +67,7 @@ __all__ = [
     "ReferenceSet",
     "ScoreSample",
     "SegmentRecord",
+    "SegmentTable",
     "TrainConfig",
     "TrainResult",
     "TrainingIndex",

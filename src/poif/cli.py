@@ -116,7 +116,6 @@ _SCORE_SPEC = {
     "p_fa": (float, 0.1),
     "tau": (float, None),
     "statistic": (_choice(STATISTIC_CHOICES), "fusion"),
-    "workers": (int, 1),
 }
 
 _EVALUATE_SPEC = {
@@ -135,14 +134,12 @@ _SWEEP_SPEC = {
     "ref_total": (int, 100),
     "tau": (float, None),
     "statistic": (_choice(STATISTIC_CHOICES), "fusion"),
-    "workers": (int, 1),
 }
 
-# Settings that never enter output headers: paths vary by machine and
-# workers must not change bytes.
+# Settings that never enter output headers: paths vary by machine.
 _NO_ECHO = {
     "out", "out_reference", "out_test", "train_features", "features", "log",
-    "resume", "checkpoint", "reference", "test", "scores", "workers",
+    "resume", "checkpoint", "reference", "test", "scores",
 }
 
 
@@ -251,8 +248,8 @@ def _cmd_synth(args) -> int:
     if merged["train_features"] is not None:
         if not os.path.isfile(merged["train_features"]):
             raise ConfigError(f"train_features file not found: {merged['train_features']}")
-        _, train_segments = fileio.read_features(merged["train_features"])
-        train_ids = sorted({s.identity_id for s in train_segments})
+        _, train_table = fileio.read_feature_table(merged["train_features"])
+        train_ids = sorted(set(train_table.identity_ids.tolist()))
     bench = generate_benchmark(
         world,
         group_counts={g: merged["fakes_per_group"] for g in GROUPS},
@@ -354,14 +351,12 @@ def _cmd_train(args) -> int:
 
 def _scoring_inputs(merged) -> tuple:
     ckpt = fileio.read_checkpoint(_need_input(merged, "checkpoint", "--checkpoint"))
-    _, reference = fileio.read_features(_need_input(merged, "reference", "--reference"))
-    _, test = fileio.read_features(_need_input(merged, "test", "--test"))
+    _, reference = fileio.read_feature_table(_need_input(merged, "reference", "--reference"))
+    _, test = fileio.read_feature_table(_need_input(merged, "test", "--test"))
     if merged["tau"] is None:
         if "tau" not in ckpt.meta:
             raise ConfigError("no --tau given and the checkpoint records none")
         merged["tau"] = float(ckpt.meta["tau"])
-    if merged["workers"] < 1:
-        raise ConfigError(f"workers must be >= 1, got {merged['workers']}")
     return ckpt, reference, test
 
 
@@ -373,7 +368,6 @@ def _cmd_score(args) -> int:
     rows = experiments.score_segments(
         reference, test, ckpt.params, merged["tau"], policy,
         statistic=_STATISTIC_BY_FLAG[merged["statistic"]],
-        workers=merged["workers"],
     )
     meta = _echo_meta(merged, {"threshold": policy.threshold})
     fileio.write_scores(out, rows, meta)
@@ -423,7 +417,6 @@ def _cmd_sweep(args) -> int:
         axis, values, reference, test, ckpt.params, merged["tau"],
         statistic=_STATISTIC_BY_FLAG[merged["statistic"]],
         ref_total=merged["ref_total"],
-        workers=merged["workers"],
     )
     fileio.write_sweep(out, rows, _echo_meta(merged))
     print(f"wrote {out} ({len(rows)} rows)")

@@ -7,13 +7,11 @@ between layers and a linear output.  An empty stack is the identity map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .exceptions import ConfigError, DataError
 from .losses import loss_and_embedding_grads
-from .records import SegmentRecord
 from .utils import as_rng
 
 
@@ -123,18 +121,17 @@ def mlp_backward(mlp: Mlp, cache: list[np.ndarray], d_out: np.ndarray) -> Mlp:
     return Mlp(d_weights, d_biases)
 
 
-def encode_batch(params: EncoderParams, segments: Sequence[SegmentRecord]):
-    """Embed a batch in segment order; returns (n, d) matrices per modality."""
-    if not segments:
+def encode_batch(params: EncoderParams, f_audio: np.ndarray, f_video: np.ndarray):
+    """Embed (n, d_a) audio and (n, d_v) video feature rows as one batch.
+
+    Returns the (n, d) embedding matrices per modality, in row order.  A
+    row's embedding bits can depend on the batch it is in (BLAS picks its
+    path by batch size), so callers keep their batches fixed.
+    """
+    if len(f_audio) == 0:
         raise ValueError("empty segment batch")
-    audio_dims = {s.audio.shape[0] for s in segments}
-    video_dims = {s.video.shape[0] for s in segments}
-    if len(audio_dims) > 1 or len(video_dims) > 1:
-        raise DataError(
-            f"inconsistent feature dims in batch: audio {sorted(audio_dims)}, video {sorted(video_dims)}"
-        )
-    f_audio = np.stack([s.audio for s in segments])
-    f_video = np.stack([s.video for s in segments])
+    if len(f_audio) != len(f_video):
+        raise DataError(f"{len(f_audio)} audio rows but {len(f_video)} video rows")
     x_audio, _ = mlp_forward(params.audio, f_audio, name="audio encoder")
     x_video, _ = mlp_forward(params.video, f_video, name="video encoder")
     return x_audio, x_video

@@ -1,107 +1,175 @@
-"""Glue between segments on disk and the verification tables.
+"""Glue between segment tables and the verification tables.
 
-The scoring path groups reference segments by person, builds one
-reference set each, then scores every test video against the reference of
-the person it claims to be.  Videos are processed in first-occurrence
-order; inside a video, segments run in segment_index order.  Results come
-back as ScoreRow records, and table_metrics turns those into the
+The scoring path groups reference rows by person, builds one reference
+set each, then scores every test video against the reference of the
+person it claims to be.  Videos are processed in first-occurrence order;
+inside a video, segments run in segment_index order.  Each video is
+embedded as one batch, and each person's test segments are matched
+against that person's reference in row blocks.  Results come back as
+ScoreRow records, and table_metrics turns those into the
 per-manipulation-group AUC / accuracy / detection tables.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .encoder import EncoderParams
+import numpy as np
+
+from .encoder import EncoderParams, encode_batch
 from .exceptions import DataError, UndefinedMetricError
 from .fileio import ScoreRow
 from .metrics import MetricsReport, ScoreSample, accuracy, auc, pd_at_fa
-from .records import FAKE, GROUPS, REAL, SegmentRecord
-from .scoring import FUSED, DecisionPolicy, ReferenceSet, build_reference, score_video
+from .records import FAKE, GROUPS, REAL, SegmentTable, first_occurrence_codes
+from .scoring import (
+    FUSED,
+    DecisionPolicy,
+    ReferenceSet,
+    best_matches,
+    build_reference,
+    score_video,
+)
 
 STATISTIC_KEYS = ("video", "audio", "av", "fused")
 AVG_GROUP = "AVG"
 
 
-def group_by_identity(segments: Sequence[SegmentRecord]) -> dict[str, list[SegmentRecord]]:
-    out: dict[str, list[SegmentRecord]] = {}
-    for seg in segments:
-        out.setdefault(seg.identity_id, []).append(seg)
-    return out
+@dataclass(frozen=True, eq=False)
+class Videos:
+    """The videos of a table's rows, in first-occurrence order.
+
+    ``rows`` holds table rows grouped by video, in segment_index order
+    inside each video (equal indices keep table order); video k owns
+    ``rows[bounds[k]:bounds[k + 1]]``.
+    """
+
+    ids: list[str]
+    rows: np.ndarray
+    bounds: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def video_rows(self, k: int) -> np.ndarray:
+        return self.rows[self.bounds[k]:self.bounds[k + 1]]
 
 
-def group_by_video(segments: Sequence[SegmentRecord]) -> dict[str, list[SegmentRecord]]:
-    """Key by video id, preserving first-occurrence order of the videos."""
-    out: dict[str, list[SegmentRecord]] = {}
-    for seg in segments:
-        out.setdefault(seg.video_id, []).append(seg)
-    for vid, segs in out.items():
-        segs.sort(key=lambda s: s.segment_index)
-        owners = {s.identity_id for s in segs}
-        if len(owners) > 1:
-            raise DataError(f"video {vid!r} claims multiple identities: {sorted(owners)}")
-        flags = {s.flags for s in segs}
-        if len(flags) > 1:
-            raise DataError(f"video {vid!r} mixes manipulation labels")
-    return out
+def group_by_identity(table: SegmentTable) -> dict[str, np.ndarray]:
+    """Rows per identity, identities in first-occurrence order, rows in table order."""
+    codes, ids = first_occurrence_codes(table.identity_ids)
+    order = np.argsort(codes, kind="stable")
+    return dict(zip(ids, np.split(order, np.cumsum(np.bincount(codes))[:-1])))
+
+
+def group_by_video(table: SegmentTable, rows: np.ndarray | None = None) -> Videos:
+    """Group the given rows (default: all) by video; each video must be one
+    identity with one set of manipulation flags."""
+    rows = np.arange(len(table)) if rows is None else rows
+    codes, ids = first_occurrence_codes(table.video_ids[rows])
+    grouped = rows[np.lexsort((table.segment_index[rows], codes))]
+    counts = np.bincount(codes, minlength=len(ids))
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    lead = np.repeat(grouped[bounds[:-1]], counts)
+    bad_owner = table.identity_ids[grouped] != table.identity_ids[lead]
+    bad = bad_owner | (table.flags[grouped] != table.flags[lead]).any(axis=1)
+    if bad.any():
+        k = int(np.searchsorted(bounds, np.argmax(bad), side="right")) - 1
+        if bad_owner[bounds[k]:bounds[k + 1]].any():
+            owners = sorted(set(table.identity_ids[grouped[bounds[k]:bounds[k + 1]]].tolist()))
+            raise DataError(f"video {ids[k]!r} claims multiple identities: {owners}")
+        raise DataError(f"video {ids[k]!r} mixes manipulation labels")
+    return Videos(ids, grouped, bounds)
 
 
 def build_references(
-    reference_segments: Sequence[SegmentRecord],
+    reference: SegmentTable,
     params: EncoderParams,
     tau: float,
     **kwargs,
 ) -> dict[str, ReferenceSet]:
-    if not reference_segments:
+    if not len(reference):
         raise DataError("empty reference set")
     return {
-        poi: build_reference(segs, params, tau, **kwargs)
-        for poi, segs in group_by_identity(reference_segments).items()
+        poi: build_reference(reference.take(rows), params, tau, **kwargs)
+        for poi, rows in group_by_identity(reference).items()
     }
 
 
+def embed_videos(params: EncoderParams, table: SegmentTable, videos: Videos):
+    """Embed each video's rows as one batch; (n, d) matrices in ``videos.rows`` order."""
+    if not len(videos):
+        return np.empty((0, 0)), np.empty((0, 0))
+    parts = [encode_batch(params, table.audio[r], table.video[r])
+             for r in map(videos.video_rows, range(len(videos)))]
+    return tuple(np.concatenate([p[i] for p in parts]) for i in range(2))
+
+
+def _score_embedded(
+    table: SegmentTable,
+    videos: Videos,
+    embedded: tuple[np.ndarray, np.ndarray],
+    references: Mapping[str, ReferenceSet],
+    tau: float,
+    policy: DecisionPolicy,
+    statistic: str,
+) -> list[ScoreRow]:
+    """Score embedded videos, one person at a time, in video order."""
+    owners = table.identity_ids[videos.rows[videos.bounds[:-1]]].tolist()
+    missing = sorted(set(owners) - set(references))
+    if missing:
+        raise DataError(f"no reference material for: {', '.join(missing)}")
+    by_person: dict[str, list[int]] = {}
+    for k, poi in enumerate(owners):
+        by_person.setdefault(poi, []).append(k)
+
+    x_audio, x_video = embedded
+    bounds = videos.bounds
+    out: list[ScoreRow] = [None] * len(videos)
+    for poi, ks in by_person.items():
+        ref = references[poi]
+        at = np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in ks])
+        raw = best_matches(x_audio[at], x_video[at], ref.audio, ref.video, tau)
+        offset = 0
+        for k in ks:
+            n = bounds[k + 1] - bounds[k]
+            verdict = score_video(
+                videos.ids[k], {m: r[offset:offset + n] for m, r in raw.items()},
+                ref, policy, statistic=statistic,
+            )
+            offset += n
+            rows = videos.video_rows(k)
+            norm = verdict.normalized
+            out[k] = ScoreRow(
+                video_id=videos.ids[k],
+                identity_id=poi,
+                n_segments=int(n),
+                flags=table.flags_at(rows[0]),
+                blend=max(table.blend[rows].tolist()),
+                norm_video=norm["video"],
+                norm_audio=norm["audio"],
+                norm_av=norm["av"],
+                fused=verdict.fused,
+                decision=verdict.decision,
+            )
+    return out
+
+
 def score_segments(
-    reference_segments: Sequence[SegmentRecord],
-    test_segments: Sequence[SegmentRecord],
+    reference: SegmentTable,
+    test: SegmentTable,
     params: EncoderParams,
     tau: float,
     policy: DecisionPolicy,
     statistic: str = FUSED,
-    workers: int = 1,
     references: Mapping[str, ReferenceSet] | None = None,
 ) -> list[ScoreRow]:
     """Score every test video against its claimed person's reference."""
     if references is None:
-        references = build_references(reference_segments, params, tau)
-    videos = group_by_video(test_segments)
-    missing = sorted({segs[0].identity_id for segs in videos.values()} - set(references))
-    if missing:
-        raise DataError(f"no reference material for: {', '.join(missing)}")
-
-    def one(item: tuple[str, list[SegmentRecord]]) -> ScoreRow:
-        vid, segs = item
-        ref = references[segs[0].identity_id]
-        verdict = score_video(segs, ref, params, tau, policy, statistic=statistic)
-        norm = verdict.normalized
-        return ScoreRow(
-            video_id=vid,
-            identity_id=segs[0].identity_id,
-            n_segments=len(segs),
-            flags=segs[0].flags,
-            blend=max(s.blend for s in segs),
-            norm_video=norm["video"],
-            norm_audio=norm["audio"],
-            norm_av=norm["av"],
-            fused=verdict.fused,
-            decision=verdict.decision,
-        )
-
-    items = list(videos.items())
-    if workers <= 1:
-        return [one(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, items))
+        references = build_references(reference, params, tau)
+    videos = group_by_video(test)
+    return _score_embedded(test, videos, embed_videos(params, test, videos),
+                           references, tau, policy, statistic)
 
 
 def rows_to_samples(
@@ -198,103 +266,114 @@ def class_samples(rows: Sequence[ScoreRow], cls: str, statistic: str) -> list[Sc
     return samples
 
 
-def truncate_videos(test_segments: Sequence[SegmentRecord], x: int) -> list[SegmentRecord]:
+def truncate_videos(videos: Videos, x: int) -> Videos:
     """Keep each video's first x segments (in segment_index order)."""
+    counts = np.diff(videos.bounds)
+    position = np.arange(len(videos.rows)) - np.repeat(videos.bounds[:-1], counts)
+    kept = np.minimum(counts, x)
+    return Videos(videos.ids, videos.rows[position < x],
+                  np.concatenate(([0], np.cumsum(kept))))
+
+
+def _person_videos(reference: SegmentTable, rows: np.ndarray, x: int) -> tuple[Videos, list[int]]:
+    """One person's videos, and the first x of them by sorted video id."""
+    videos = group_by_video(reference, rows)
+    keep = sorted(range(len(videos)), key=videos.ids.__getitem__)[:x]
+    if len(keep) < x:
+        raise DataError(
+            f"reference for {str(reference.identity_ids[rows[0]])!r} has "
+            f"{len(keep)} videos, need {x}"
+        )
+    return videos, keep
+
+
+def reference_by_videos(reference: SegmentTable, x: int) -> np.ndarray:
+    """Per person, the rows of the first x videos (sorted by id)."""
     out = []
-    for segs in group_by_video(test_segments).values():
-        out.extend(segs[:x])
-    return out
+    for rows in group_by_identity(reference).values():
+        videos, keep = _person_videos(reference, rows, x)
+        out.extend(videos.video_rows(k) for k in keep)
+    return np.concatenate(out)
 
 
-def reference_by_videos(reference_segments: Sequence[SegmentRecord], x: int) -> list[SegmentRecord]:
-    """Per person, keep all segments of the first x videos (sorted by id)."""
-    out = []
-    for segs in group_by_identity(reference_segments).values():
-        videos = group_by_video(segs)
-        keep = sorted(videos)[:x]
-        if len(keep) < x:
-            raise DataError(
-                f"reference for {segs[0].identity_id!r} has {len(keep)} videos, need {x}"
-            )
-        for vid in keep:
-            out.extend(videos[vid])
-    return out
+def reference_by_variety(reference: SegmentTable, x: int, total: int) -> np.ndarray:
+    """Per person, the rows of a fixed budget of `total` segments over x videos.
 
-
-def reference_by_variety(
-    reference_segments: Sequence[SegmentRecord], x: int, total: int
-) -> list[SegmentRecord]:
-    """Per person, spread a fixed budget of `total` segments over x videos.
-
-    Videos are taken in sorted-id order and drained round-robin, so every
+    Videos are taken in sorted-id order and drained round-robin (every
+    video's first segment, then every video's second, ...), so every
     budget has the same size and only the variety changes.
     """
     out = []
-    for segs in group_by_identity(reference_segments).values():
-        videos = group_by_video(segs)
-        keep = sorted(videos)[:x]
-        if len(keep) < x:
+    for rows in group_by_identity(reference).values():
+        videos, keep = _person_videos(reference, rows, x)
+        counts = np.diff(videos.bounds)[keep]
+        if counts.sum() < total:
             raise DataError(
-                f"reference for {segs[0].identity_id!r} has {len(keep)} videos, need {x}"
+                f"reference for {str(reference.identity_ids[rows[0]])!r} cannot fill a "
+                f"budget of {total} segments from {x} videos"
             )
-        picked: list[SegmentRecord] = []
-        depth = 0
-        while len(picked) < total:
-            advanced = False
-            for vid in keep:
-                if len(picked) >= total:
-                    break
-                if depth < len(videos[vid]):
-                    picked.append(videos[vid][depth])
-                    advanced = True
-            if not advanced:
-                raise DataError(
-                    f"reference for {segs[0].identity_id!r} cannot fill a budget of "
-                    f"{total} segments from {x} videos"
-                )
-            depth += 1
-        out.extend(picked)
+        slot = np.repeat(np.arange(len(keep)), counts)
+        depth = np.arange(len(slot)) - np.repeat(np.cumsum(counts) - counts, counts)
+        picked = np.lexsort((slot, depth))[:total]
+        out.append(np.concatenate([videos.video_rows(k) for k in keep])[picked])
+    return np.concatenate(out)
+
+
+def sweep_scores(
+    axis: str,
+    values: Sequence[int],
+    reference: SegmentTable,
+    test: SegmentTable,
+    params: EncoderParams,
+    tau: float,
+    statistic: str = FUSED,
+    ref_total: int = 100,
+) -> list[tuple[int, list[ScoreRow]]]:
+    """Score rows at each point of one sweep axis, x ascending.
+
+    Every embedding whose batch stays the same is computed once: the full
+    reference's on test_length, the test videos' on ref_size and
+    ref_variety.  A truncated video and a reference subset are new
+    batches, so they are embedded per point.
+    """
+    if axis not in SWEEP_AXES:
+        raise DataError(f"unknown sweep axis {axis!r}")
+    if not values or any(v < 1 for v in values):
+        raise DataError(f"sweep values must be integers >= 1, got {list(values)}")
+    policy = DecisionPolicy(p_fa=0.5)
+    refs = build_references(reference, params, tau) if axis == "test_length" else None
+    videos = group_by_video(test)
+    embedded = None if axis == "test_length" else embed_videos(params, test, videos)
+    out = []
+    for x in sorted(set(values)):
+        scored = videos
+        if axis == "test_length":
+            scored = truncate_videos(videos, x)
+            embedded = embed_videos(params, test, scored)
+        elif axis == "ref_size":
+            subset = reference.take(reference_by_videos(reference, x))
+            refs = build_references(subset, params, tau)
+        else:
+            subset = reference.take(reference_by_variety(reference, x, ref_total))
+            refs = build_references(subset, params, tau, exclude_same_video=x > 1)
+        out.append((x, _score_embedded(test, scored, embedded, refs, tau, policy, statistic)))
     return out
 
 
 def sweep_rows(
     axis: str,
     values: Sequence[int],
-    reference_segments: Sequence[SegmentRecord],
-    test_segments: Sequence[SegmentRecord],
+    reference: SegmentTable,
+    test: SegmentTable,
     params: EncoderParams,
     tau: float,
     statistic: str = FUSED,
     ref_total: int = 100,
-    workers: int = 1,
 ) -> list[dict]:
     """AUC-vs-x curve rows for one sweep axis, sorted by x then class."""
-    if axis not in SWEEP_AXES:
-        raise DataError(f"unknown sweep axis {axis!r}")
-    if not values or any(v < 1 for v in values):
-        raise DataError(f"sweep values must be integers >= 1, got {list(values)}")
-    policy = DecisionPolicy(p_fa=0.5)
     rows = []
-    base_refs = build_references(reference_segments, params, tau) \
-        if axis == "test_length" else None
-    for x in sorted(set(values)):
-        if axis == "test_length":
-            scored = score_segments(
-                reference_segments, truncate_videos(test_segments, x),
-                params, tau, policy, statistic=statistic, workers=workers,
-                references=base_refs,
-            )
-        else:
-            if axis == "ref_size":
-                subset = reference_by_videos(reference_segments, x)
-                refs = build_references(subset, params, tau)
-            else:
-                subset = reference_by_variety(reference_segments, x, ref_total)
-                refs = build_references(subset, params, tau, exclude_same_video=x > 1)
-            scored = score_segments(
-                subset, test_segments, params, tau, policy,
-                statistic=statistic, workers=workers, references=refs,
-            )
+    for x, scored in sweep_scores(axis, values, reference, test, params, tau,
+                                  statistic, ref_total):
         for cls in sorted(SWEEP_CLASSES):
             samples = class_samples(scored, cls, statistic)
             n_real = sum(1 for s in samples if s.label == REAL)

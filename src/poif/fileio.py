@@ -17,7 +17,7 @@ import numpy as np
 
 from .encoder import EncoderParams, Mlp
 from .exceptions import ConfigError, DataError
-from .records import ManipFlags, SegmentRecord
+from .records import ManipFlags, SegmentRecord, SegmentTable, valid_flag_rows
 from .training import TrainStep
 
 FEAT_MAGIC = "POIF-FEAT"
@@ -175,42 +175,103 @@ def write_features(path: str, segments: Sequence[SegmentRecord], meta: Mapping[s
     _write(path, out)
 
 
-def read_features(path: str) -> tuple[dict[str, str], list[SegmentRecord]]:
+def _fail_feature_row(lines: _Lines, fields: Sequence[str], da: int, dv: int):
+    """Raise the error of one bad feature row.
+
+    The checks run in the order the row's fields are read, so the message
+    is the one a field-by-field reader would give for this row.
+    """
+    if len(fields) != 8 + da + dv:
+        lines.fail(f"expected {8 + da + dv} fields, found {len(fields)}")
+    try:
+        segment_index = int(fields[2])
+        bits = [int(b) for b in fields[3:7]]
+    except ValueError:
+        lines.fail("malformed segment row")
+    if any(b not in (0, 1) for b in bits):
+        lines.fail("manipulation flags must be 0 or 1")
+    blend = float(_parse_floats(fields[7:8], 1, lines)[0])
+    _parse_floats(fields[8:8 + da], da, lines)
+    _parse_floats(fields[8 + da:], dv, lines)
+    try:
+        ManipFlags(*(bool(b) for b in bits))
+    except DataError as e:
+        lines.fail(str(e))
+    for dim, name in ((da, "audio"), (dv, "video")):
+        if dim == 0:
+            lines.fail(f"{name} feature vector is empty")
+    if segment_index < 0:
+        lines.fail(f"segment_index must be non-negative, got {segment_index}")
+    if not 0.0 <= blend <= 1.0:
+        lines.fail(f"blend must lie in [0, 1], got {blend}")
+    lines.fail("malformed segment row")  # an index too large for int64
+
+
+def read_feature_table(path: str) -> tuple[dict[str, str], SegmentTable]:
+    """Read a feature file into columns.
+
+    Each payload line fills one row of preallocated arrays (split, then
+    int() and float() per field); the range, flag and finiteness checks
+    then run once over the arrays.  The first bad row, if any, is re-read
+    by ``_fail_feature_row`` for its exact error and line.
+    """
     lines = _Lines(path)
     da, dv, count = _read_header(lines, FEAT_MAGIC, 3)
     meta = _read_meta(lines)
-    segments = []
-    for _ in range(count):
-        fields = lines.next().split(",")
-        if len(fields) != 8 + da + dv:
-            lines.fail(f"expected {8 + da + dv} fields, found {len(fields)}")
+    start = lines.pos
+    payload = lines.lines[start:start + count]
+    n = len(payload)
+    identity_ids: list[str] = [""] * n
+    video_ids: list[str] = [""] * n
+    ints = np.zeros((n, 5), dtype=np.int64)  # segment_index, then the four flags
+    floats = np.zeros((n, 1 + da + dv))      # blend, audio, video
+    filled = n
+    for i, line in enumerate(payload):
+        fields = line.split(",")
         try:
-            segment_index = int(fields[2])
-            bits = [int(b) for b in fields[3:7]]
-        except ValueError:
-            lines.fail("malformed segment row")
-        if any(b not in (0, 1) for b in bits):
-            lines.fail("manipulation flags must be 0 or 1")
-        blend = float(_parse_floats(fields[7:8], 1, lines)[0])
-        audio = _parse_floats(fields[8:8 + da], da, lines)
-        video = _parse_floats(fields[8 + da:], dv, lines)
-        try:
-            segments.append(
-                SegmentRecord(
-                    identity_id=fields[0],
-                    video_id=fields[1],
-                    segment_index=segment_index,
-                    audio=audio,
-                    video=video,
-                    flags=ManipFlags(bool(bits[0]), bool(bits[1]), bool(bits[2]), bool(bits[3])),
-                    blend=blend,
-                )
-            )
-        except DataError as e:
-            lines.fail(str(e))
+            if len(fields) != 8 + da + dv:
+                raise ValueError
+            ints[i] = [int(f) for f in fields[2:7]]
+            floats[i] = [float(f) for f in fields[7:]]
+        except (ValueError, OverflowError):
+            filled = i
+            break
+        identity_ids[i] = fields[0]
+        video_ids[i] = fields[1]
+
+    flag_ints = ints[:filled, 1:]
+    blend = floats[:filled, 0]
+    bad = ((flag_ints != 0) & (flag_ints != 1)).any(axis=1)
+    bad |= ~np.isfinite(floats[:filled]).all(axis=1)
+    bad |= ~valid_flag_rows(flag_ints != 0)
+    bad |= ints[:filled, 0] < 0
+    bad |= ~((blend >= 0.0) & (blend <= 1.0))
+    if da == 0 or dv == 0:
+        bad[:] = True
+    first = int(np.argmax(bad)) if bad.any() else filled
+    if first < n:
+        lines.pos = start + first + 1
+        _fail_feature_row(lines, payload[first].split(","), da, dv)
+    lines.pos = start + n
+    if n < count:
+        lines.next()  # raises: truncated file
     if not lines.at_end():
         lines.fail("trailing data after last segment")
-    return meta, segments
+    return meta, SegmentTable(
+        identity_ids=np.array(identity_ids, dtype=str),
+        video_ids=np.array(video_ids, dtype=str),
+        segment_index=ints[:, 0].copy(),
+        flags=ints[:, 1:] == 1,
+        blend=floats[:, 0].copy(),
+        audio=np.ascontiguousarray(floats[:, 1:1 + da]),
+        video=np.ascontiguousarray(floats[:, 1 + da:]),
+    )
+
+
+def read_features(path: str) -> tuple[dict[str, str], list[SegmentRecord]]:
+    """The feature file as records (read through ``read_feature_table``)."""
+    meta, table = read_feature_table(path)
+    return meta, table.to_records()
 
 
 # -- checkpoints --------------------------------------------------------

@@ -1,14 +1,16 @@
 """Core data model: modalities, manipulation flags, segments.
 
 A segment is a short slice of one talking-face video carrying one audio
-and one video feature vector.  Everything downstream (training batches,
-reference sets, test clips) is a collection of these records.
+and one video feature vector.  Synthesis and training work on lists of
+``SegmentRecord``; scoring and sweeps work on a ``SegmentTable``, the same
+segments held as columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -45,6 +47,9 @@ _VALID_FAKE_COMBOS = {
 
 GROUPS = ("v", "v+ai", "a+ai", "v+a+ai")
 
+# Columns of SegmentTable.flags.
+FLAG_COLUMNS = ("is_fake", "v", "a", "ai")
+
 
 @dataclass(frozen=True)
 class ManipFlags:
@@ -78,6 +83,14 @@ class ManipFlags:
 
 
 PRISTINE = ManipFlags()
+
+
+def valid_flag_rows(flags: np.ndarray) -> np.ndarray:
+    """Which rows of an (n, 4) bool flag matrix ManipFlags would accept."""
+    manip = flags[:, 1:]
+    combos = np.array(sorted(_VALID_FAKE_COMBOS), dtype=bool)
+    fake_ok = (manip[:, None, :] == combos[None]).all(axis=2).any(axis=1)
+    return np.where(flags[:, 0], fake_ok, ~manip.any(axis=1))
 
 
 def flags_for_group(group: str) -> ManipFlags:
@@ -129,3 +142,83 @@ class SegmentRecord:
     @property
     def key(self) -> tuple[str, str, int]:
         return (self.identity_id, self.video_id, self.segment_index)
+
+
+@dataclass(frozen=True, eq=False)
+class SegmentTable:
+    """Segments as columns, one row per segment, in file or list order.
+
+    ``flags`` is an (n, 4) bool matrix with the FLAG_COLUMNS bits.  The ids
+    are numpy string arrays: convert with ``.tolist()`` or ``str()`` before
+    putting one into a message.
+    """
+
+    identity_ids: np.ndarray
+    video_ids: np.ndarray
+    segment_index: np.ndarray
+    flags: np.ndarray
+    blend: np.ndarray
+    audio: np.ndarray
+    video: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.segment_index)
+
+    @classmethod
+    def from_records(cls, records: Sequence[SegmentRecord]) -> "SegmentTable":
+        audio_dims = {s.audio.shape[0] for s in records}
+        video_dims = {s.video.shape[0] for s in records}
+        if len(audio_dims) > 1 or len(video_dims) > 1:
+            raise DataError(
+                f"inconsistent feature dims: audio {sorted(audio_dims)}, "
+                f"video {sorted(video_dims)}"
+            )
+        return cls(
+            identity_ids=np.array([s.identity_id for s in records], dtype=str),
+            video_ids=np.array([s.video_id for s in records], dtype=str),
+            segment_index=np.array([s.segment_index for s in records], dtype=np.int64),
+            flags=np.array([[getattr(s.flags, c) for c in FLAG_COLUMNS] for s in records],
+                           dtype=bool).reshape(-1, 4),
+            blend=np.array([s.blend for s in records], dtype=np.float64),
+            audio=np.stack([s.audio for s in records]) if records else np.empty((0, 0)),
+            video=np.stack([s.video for s in records]) if records else np.empty((0, 0)),
+        )
+
+    def take(self, rows) -> "SegmentTable":
+        """The table restricted to ``rows`` (indices or a mask), in that order."""
+        return SegmentTable(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def flags_at(self, row: int) -> ManipFlags:
+        return ManipFlags(*(bool(b) for b in self.flags[row]))
+
+    def key(self, row: int) -> tuple[str, str, int]:
+        return (str(self.identity_ids[row]), str(self.video_ids[row]),
+                int(self.segment_index[row]))
+
+    def to_records(self) -> list[SegmentRecord]:
+        flags: dict[tuple, ManipFlags] = {}
+        return [
+            SegmentRecord(
+                identity_id=identity, video_id=video_id, segment_index=index,
+                audio=audio, video=video,
+                flags=flags.get(bits) or flags.setdefault(bits, ManipFlags(*bits)),
+                blend=blend,
+            )
+            for identity, video_id, index, bits, blend, audio, video in zip(
+                self.identity_ids.tolist(), self.video_ids.tolist(),
+                self.segment_index.tolist(), map(tuple, self.flags.tolist()),
+                self.blend.tolist(), self.audio, self.video,
+            )
+        ]
+
+
+def first_occurrence_codes(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Number the distinct values in order of first appearance.
+
+    Returns each entry's code and the distinct values in code order.
+    """
+    names, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.reshape(-1)], names[order].tolist()

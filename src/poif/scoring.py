@@ -18,13 +18,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .encoder import EncoderParams, encode_batch
 from .exceptions import ConfigError, DataError, DegenerateReferenceError
-from .records import ALL_MODALITIES, FAKE, REAL, Modality, SegmentRecord
+from .records import ALL_MODALITIES, FAKE, REAL, Modality, SegmentTable
 from .similarity import check_temperature, rows_per_block, squared_distance_matrix
 
 FUSED = "fused"
@@ -90,79 +90,87 @@ def _similarity_rows(x_audio, x_video, ref_audio, ref_video, tau):
     return {Modality.AUDIO: s_a, Modality.VIDEO: s_v, Modality.AV: s_a + s_v}
 
 
-def _self_scores(x_audio, x_video, groups, tau):
-    """Each reference segment's best similarity to segments of other groups.
+def best_matches(x_audio, x_video, ref_audio, ref_video, tau, groups=None):
+    """Each row's best similarity to any reference row, per modality.
 
-    Rows go in the distance kernel's row blocks, so only a block-by-n
-    slice of each similarity matrix and mask is alive at a time, never an
-    n-by-n matrix.
+    Rows go in the distance kernel's row blocks, so only a block-by-m
+    slice of each similarity matrix is alive at a time, never the whole
+    n-by-m matrix.  ``groups`` is for calibration, where the rows are the
+    reference itself: it gives each row an integer group code, and pairs
+    within one group are skipped.
     """
-    n = len(groups)
-    rows = rows_per_block(n, max(x_audio.shape[1], x_video.shape[1]))
-    scores = {m: np.empty(n) for m in ALL_MODALITIES}
+    n = len(x_audio)
+    rows = rows_per_block(len(ref_audio), max(x_audio.shape[1], x_video.shape[1]))
+    best = {m: np.empty(n) for m in ALL_MODALITIES}
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         sims = _similarity_rows(
-            x_audio[start:stop], x_video[start:stop], x_audio, x_video, tau
+            x_audio[start:stop], x_video[start:stop], ref_audio, ref_video, tau
         )
-        allowed = groups[start:stop, None] != groups[None, :]
+        if groups is not None:
+            skipped = groups[start:stop, None] == groups[None, :]
+            for m in ALL_MODALITIES:
+                sims[m][skipped] = -np.inf
         for m in ALL_MODALITIES:
-            scores[m][start:stop] = np.where(allowed, sims[m], -np.inf).max(axis=1)
-    return scores
+            best[m][start:stop] = sims[m].max(axis=1)
+    return best
 
 
 def build_reference(
-    segments: Sequence[SegmentRecord],
+    table: SegmentTable,
     params: EncoderParams,
     tau: float,
     *,
     exclude_same_video: bool = True,
     sigma_floor: float = SIGMA_FLOOR,
 ) -> ReferenceSet:
-    """Embed pristine segments of one person and calibrate their self-scores.
+    """Embed one person's pristine segments and calibrate their self-scores.
 
-    With ``exclude_same_video`` (the default), at least two distinct
-    videos are required and every self-score ignores same-video partners.
-    Passing False relaxes the exclusion to the segment itself, which is the
-    only usable protocol for a single-video reference; expect optimistic
-    spread estimates there.
+    The rows are embedded as one batch, in table order.  With
+    ``exclude_same_video`` (the default), at least two distinct videos are
+    required and every self-score ignores same-video partners.  Passing
+    False relaxes the exclusion to the segment itself, which is the only
+    usable protocol for a single-video reference; expect optimistic spread
+    estimates there.
     """
     tau = check_temperature(tau)
-    if not segments:
+    if not len(table):
         raise DataError("empty reference")
-    poi_id = segments[0].identity_id
-    for seg in segments:
-        if seg.identity_id != poi_id:
+    poi_id = str(table.identity_ids[0])
+    other = table.identity_ids != poi_id
+    bad = np.flatnonzero(other | table.flags[:, 0])
+    if len(bad):
+        row = bad[0]
+        if other[row]:
             raise DataError(
-                f"reference mixes identities {poi_id!r} and {seg.identity_id!r}"
+                f"reference mixes identities {poi_id!r} and {str(table.identity_ids[row])!r}"
             )
-        if seg.flags.is_fake:
-            raise DataError(f"reference segments must be pristine; found {seg.key}")
+        raise DataError(f"reference segments must be pristine; found {table.key(row)}")
 
-    video_ids = tuple(seg.video_id for seg in segments)
+    video_ids = tuple(table.video_ids.tolist())
     n_videos = len(set(video_ids))
     if exclude_same_video and n_videos < 2:
         raise DataError(
             f"reference needs at least 2 distinct videos for leave-own-video-out "
             f"calibration; got {n_videos}"
         )
-    if not exclude_same_video and len(segments) < 2:
+    if not exclude_same_video and len(table) < 2:
         raise DataError("reference needs at least 2 segments")
-    if n_videos < 10 or len(segments) < 100:
+    if n_videos < 10 or len(table) < 100:
         warnings.warn(
-            f"reference for {poi_id!r} has {n_videos} videos / {len(segments)} segments, "
+            f"reference for {poi_id!r} has {n_videos} videos / {len(table)} segments, "
             f"below the nominal 10-video / 100-segment regime",
             SmallReferenceWarning,
             stacklevel=2,
         )
 
-    x_audio, x_video = encode_batch(params, segments)
+    x_audio, x_video = encode_batch(params, table.audio, table.video)
     # A self-score skips partners in its own group: its video, or only itself.
     if exclude_same_video:
-        groups = np.unique(video_ids, return_inverse=True)[1]
+        groups = np.unique(table.video_ids, return_inverse=True)[1]
     else:
-        groups = np.arange(len(segments))
-    self_scores = _self_scores(x_audio, x_video, groups, tau)
+        groups = np.arange(len(table))
+    self_scores = best_matches(x_audio, x_video, x_audio, x_video, tau, groups)
 
     mu: dict[Modality, float] = {}
     sigma: dict[Modality, float] = {}
@@ -206,22 +214,22 @@ class VideoVerdict:
 
 
 def score_video(
-    test_segments: Sequence[SegmentRecord],
+    video_id: str,
+    raw: Mapping[Modality, np.ndarray],
     ref: ReferenceSet,
-    params: EncoderParams,
-    tau: float,
     policy: DecisionPolicy,
     statistic: Modality | str = FUSED,
 ) -> VideoVerdict:
-    """Score a clip: per-segment indices, averaged after normalization.
+    """Verdict for one clip from its segments' raw indices (``best_matches``).
 
-    Segments are scored individually; the per-video statistic is the plain
-    mean of the per-segment normalized (or fused) values, so longer clips
-    average down the per-segment noise.  The verdict is fake when the
-    chosen statistic falls below the policy threshold.
+    Each segment's raw index is normalized with the reference's mu and
+    sigma, and the fused value is the worst of the three.  The per-video
+    statistic is the plain mean of the per-segment normalized (or fused)
+    values, so longer clips average down the per-segment noise.  The
+    verdict is fake when the chosen statistic falls below the policy
+    threshold.
     """
-    tau = check_temperature(tau)
-    if not test_segments:
+    if not len(raw[Modality.AUDIO]):
         raise DataError("no test segments to score")
     if statistic != FUSED:
         try:
@@ -229,10 +237,6 @@ def score_video(
         except ValueError:
             raise ConfigError(f"unknown statistic {statistic!r}") from None
 
-    x_audio, x_video = encode_batch(params, test_segments)
-    sims = _similarity_rows(x_audio, x_video, ref.audio, ref.video, tau)
-
-    raw = {m: sims[m].max(axis=1) for m in ALL_MODALITIES}
     normalized = {m: (raw[m] - ref.mu[m]) / ref.sigma[m] for m in ALL_MODALITIES}
     fused_per_segment = np.minimum(
         np.minimum(normalized[Modality.AUDIO], normalized[Modality.VIDEO]),
@@ -244,8 +248,8 @@ def score_video(
     value = fused if statistic == FUSED else means[statistic]
     decision = FAKE if value < policy.threshold else REAL
     return VideoVerdict(
-        video_id=test_segments[0].video_id,
-        n_segments=len(test_segments),
+        video_id=video_id,
+        n_segments=len(raw[Modality.AUDIO]),
         normalized=means,
         fused=fused,
         decision=decision,

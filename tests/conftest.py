@@ -1,7 +1,9 @@
 import numpy as np
 
+from poif.encoder import encode_batch
 from poif.losses import positive_sets
-from poif.records import SegmentRecord
+from poif.records import SegmentRecord, SegmentTable
+from poif.scoring import FUSED, best_matches, score_video
 
 
 def make_batch(rng, counts=(2, 2), audio_dim=6, video_dim=5, scale=1.0):
@@ -41,3 +43,11 @@ def batch_inputs(batch):
         np.stack([s.video for s in batch]),
         positive_sets(identity_labels(batch)),
     )
+
+
+def score_clip(segments, ref, params, tau, policy, statistic=FUSED):
+    """The package's path for one clip: one embedding batch, best matches, verdict."""
+    table = SegmentTable.from_records(segments)
+    x_audio, x_video = encode_batch(params, table.audio, table.video)
+    raw = best_matches(x_audio, x_video, ref.audio, ref.video, tau)
+    return score_video(segments[0].video_id, raw, ref, policy, statistic)

@@ -13,7 +13,10 @@ import sys
 import numpy as np
 
 from poif.encoder import EncoderParams, Mlp, loss_and_param_grads, mlp_forward
+from poif.fileio import ScoreRow
 from poif.optim import flatten_params, unflatten_params
+from poif.records import Modality, SegmentTable
+from poif.scoring import DecisionPolicy, build_reference
 
 
 def squared_distance(x, y) -> float:
@@ -229,4 +232,150 @@ def dense_self_scores(x_audio, x_video, video_ids, tau, exclude_same_video):
     for name, sims in (("audio", s_a), ("video", s_v), ("av", s_a + s_v)):
         scores = np.where(allowed, sims, -np.inf).max(axis=1)
         out[name] = (scores, float(scores.mean()), float(scores.std()))
+    return out
+
+
+# -- record-based scoring and sweeps ------------------------------------
+#
+# The scorer and sweep selectors as they ran on SegmentRecord lists: a
+# dict regrouping per call, one embedding batch and one dense similarity
+# matrix per test video, and the selectors as list builders.
+
+def _by_identity(segments):
+    out = {}
+    for seg in segments:
+        out.setdefault(seg.identity_id, []).append(seg)
+    return out
+
+
+def _by_video(segments):
+    """Videos in first-occurrence order, each sorted by segment_index (stable)."""
+    out = {}
+    for seg in segments:
+        out.setdefault(seg.video_id, []).append(seg)
+    for segs in out.values():
+        segs.sort(key=lambda s: s.segment_index)
+    return out
+
+
+def record_references(reference, params, tau, **kwargs):
+    return {poi: build_reference(SegmentTable.from_records(segs), params, tau, **kwargs)
+            for poi, segs in _by_identity(reference).items()}
+
+
+def record_score_video(segments, ref, params, tau):
+    """(per-modality means of normalized indices, mean fused) for one video."""
+    x_audio, _ = mlp_forward(params.audio, np.stack([s.audio for s in segments]))
+    x_video, _ = mlp_forward(params.video, np.stack([s.video for s in segments]))
+    s_a = -(dense_squared_distances(x_audio, ref.audio) / tau)
+    s_v = -(dense_squared_distances(x_video, ref.video) / tau)
+    raw = {"audio": s_a.max(axis=1), "video": s_v.max(axis=1), "av": (s_a + s_v).max(axis=1)}
+    norm = {m: (raw[m] - ref.mu[Modality(m)]) / ref.sigma[Modality(m)] for m in raw}
+    fused = np.minimum(np.minimum(norm["audio"], norm["video"]), norm["av"])
+    return {m: float(v.mean()) for m, v in norm.items()}, float(fused.mean())
+
+
+def record_score_rows(reference, test, params, tau, policy, statistic="fused",
+                      references=None):
+    """One ScoreRow per test video, videos in first-occurrence order."""
+    if references is None:
+        references = record_references(reference, params, tau)
+    rows = []
+    for vid, segs in _by_video(test).items():
+        norm, fused = record_score_video(segs, references[segs[0].identity_id], params, tau)
+        value = fused if statistic == "fused" else norm[statistic]
+        rows.append(ScoreRow(
+            video_id=vid, identity_id=segs[0].identity_id, n_segments=len(segs),
+            flags=segs[0].flags, blend=max(s.blend for s in segs),
+            norm_video=norm["video"], norm_audio=norm["audio"], norm_av=norm["av"],
+            fused=fused, decision="fake" if value < policy.threshold else "real",
+        ))
+    return rows
+
+
+def record_truncate_videos(test, x):
+    """Each video's first x segments (in segment_index order)."""
+    out = []
+    for segs in _by_video(test).values():
+        out.extend(segs[:x])
+    return out
+
+
+def _first_videos(segs, x):
+    videos = _by_video(segs)
+    keep = sorted(videos)[:x]
+    if len(keep) < x:
+        raise ValueError(f"{segs[0].identity_id} has {len(keep)} videos, need {x}")
+    return videos, keep
+
+
+def record_reference_by_videos(reference, x):
+    """Per person, all segments of the first x videos (sorted by id)."""
+    out = []
+    for segs in _by_identity(reference).values():
+        videos, keep = _first_videos(segs, x)
+        for vid in keep:
+            out.extend(videos[vid])
+    return out
+
+
+def record_reference_by_variety(reference, x, total):
+    """Per person, `total` segments drained round-robin from the first x videos."""
+    out = []
+    for segs in _by_identity(reference).values():
+        videos, keep = _first_videos(segs, x)
+        picked, depth = [], 0
+        while len(picked) < total:
+            advanced = False
+            for vid in keep:
+                if len(picked) < total and depth < len(videos[vid]):
+                    picked.append(videos[vid][depth])
+                    advanced = True
+            if not advanced:
+                raise ValueError(f"cannot fill {total} segments from {x} videos")
+            depth += 1
+        out.extend(picked)
+    return out
+
+
+def record_sweep_scores(axis, values, reference, test, params, tau, statistic="fused",
+                        ref_total=100):
+    """[(x, score rows)] per sweep point, everything rebuilt at every point."""
+    policy = DecisionPolicy(p_fa=0.5)
+    out = []
+    for x in sorted(set(values)):
+        if axis == "test_length":
+            rows = record_score_rows(reference, record_truncate_videos(test, x),
+                                     params, tau, policy, statistic)
+        elif axis == "ref_size":
+            rows = record_score_rows(record_reference_by_videos(reference, x), test,
+                                     params, tau, policy, statistic)
+        else:
+            subset = record_reference_by_variety(reference, x, ref_total)
+            refs = record_references(subset, params, tau, exclude_same_video=x > 1)
+            rows = record_score_rows(subset, test, params, tau, policy, statistic, refs)
+        out.append((x, rows))
+    return out
+
+
+def record_sweep_rows(axis, values, reference, test, params, tau, statistic="fused",
+                      ref_total=100):
+    """AUC rows per sweep point and class, AUC by pairwise comparison."""
+    classes = {
+        "all": lambda r: True,
+        "fr": lambda r: r.flags.v and r.blend < 1.0,
+        "fs": lambda r: r.flags.v and r.blend == 1.0,
+    }
+    out = []
+    for x, rows in record_sweep_scores(axis, values, reference, test, params, tau,
+                                       statistic, ref_total):
+        for cls in sorted(classes):
+            reals = [r.statistic(statistic) for r in rows if not r.flags.is_fake]
+            fakes = [r.statistic(statistic) for r in rows
+                     if r.flags.is_fake and classes[cls](r)]
+            if not fakes and cls != "all":
+                continue
+            value = 100.0 * pairwise_auc(reals, fakes) if reals and fakes else None
+            out.append({"axis": axis, "x": x, "class": cls, "n_real": len(reals),
+                        "n_fake": len(fakes), "auc": value})
     return out

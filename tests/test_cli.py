@@ -93,9 +93,14 @@ def test_score_and_rerun_byte_identical(pipeline):
     bytes_a = open(a, "rb").read()
     assert bytes_a == open(b, "rb").read()
 
-    threaded = str(d / "scores_w4.txt")
-    assert main(base + ["--out", threaded, "--workers", "4"]) == 0
-    assert bytes_a == open(threaded, "rb").read()
+    # scoring has no thread pool: its flag and config key are config errors
+    with pytest.raises(SystemExit) as refused:
+        main(base + ["--out", str(d / "scores_w4.txt"), "--workers", "4"])
+    assert refused.value.code == 2
+    config = d / "workers.cfg"
+    config.write_text("workers = 4\n")
+    assert main(base + ["--out", str(d / "scores_w4.txt"), "--config", str(config)]) == 2
+    assert not (d / "scores_w4.txt").exists()
 
     meta, rows = read_scores(a)
     assert meta["tau"] == "0.5"  # picked up from the checkpoint

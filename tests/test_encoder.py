@@ -16,6 +16,7 @@ from poif.encoder import (
     mlp_forward,
 )
 from poif.exceptions import ConfigError, DataError
+from poif.records import SegmentTable
 
 
 def test_forward_matches_naive_loops():
@@ -36,7 +37,8 @@ def identity_encoder() -> EncoderParams:
 def test_identity_encoder_passes_features_through():
     rng = np.random.default_rng(1)
     batch = make_batch(rng, counts=(2,))
-    x_audio, x_video = encode_batch(identity_encoder(), batch)
+    table = SegmentTable.from_records(batch)
+    x_audio, x_video = encode_batch(identity_encoder(), table.audio, table.video)
     np.testing.assert_array_equal(x_audio, np.stack([s.audio for s in batch]))
     np.testing.assert_array_equal(x_video, np.stack([s.video for s in batch]))
 
@@ -114,7 +116,8 @@ def test_encode_batch_agrees_with_per_segment_encode():
     rng = np.random.default_rng(6)
     batch = make_batch(rng, counts=(3, 2))
     params = init_encoder(6, 5, EncoderConfig(2, 8, 4), rng)
-    x_audio, x_video = encode_batch(params, batch)
+    table = SegmentTable.from_records(batch)
+    x_audio, x_video = encode_batch(params, table.audio, table.video)
     for i, seg in enumerate(batch):
         audio, video = embed_one(params, seg)
         np.testing.assert_allclose(x_audio[i], audio, rtol=1e-14, atol=1e-15)
@@ -124,9 +127,11 @@ def test_encode_batch_agrees_with_per_segment_encode():
 def test_encode_batch_rejects_mixed_dims():
     rng = np.random.default_rng(7)
     batch = make_batch(rng, counts=(2,), audio_dim=6) + make_batch(rng, counts=(2,), audio_dim=7)
-    params = identity_encoder()
-    with pytest.raises(DataError):
-        encode_batch(params, batch)
+    with pytest.raises(DataError, match="inconsistent feature dims"):
+        SegmentTable.from_records(batch)
+    table = SegmentTable.from_records(batch[:2])
+    with pytest.raises(DataError, match="2 audio rows but 1 video rows"):
+        encode_batch(identity_encoder(), table.audio, table.video[:1])
 
 
 def test_encoder_config_validation():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from poif.fileio import (
     ScoreRow,
     parse_config_file,
     read_checkpoint,
+    read_feature_table,
     read_features,
     read_report,
     read_scores,
@@ -98,6 +101,74 @@ def test_reader_rejects_corruption(tmp_path):
     bad.write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n")
     with pytest.raises(DataError):
         read_features(str(bad))
+
+
+def _set_fields(row, changes):
+    """Edit one payload row (0-based) of a feature file's lines: {field: value}."""
+    def edit(lines):
+        fields = lines[2 + row].split(",")  # header and one meta line come first
+        for i, value in changes.items():
+            fields[i] = value
+        lines[2 + row] = ",".join(fields)
+        return lines
+    return edit
+
+
+# Each case corrupts a valid 8-row file (3 audio, 4 video dims; rows on
+# lines 3-10) and names the message and line a field-by-field reader gives.
+READER_ERRORS = {
+    "field_count": (lambda ls: ls[:4] + [ls[4].rsplit(",", 1)[0]] + ls[5:],
+                    "expected 15 fields, found 14", 5),
+    "bad_int": (_set_fields(2, {2: "two"}), "malformed segment row", 5),
+    "bad_float": (_set_fields(2, {9: "oops"}), "unparseable float", 5),
+    "non_finite": (_set_fields(2, {12: "nan"}), "non-finite value", 5),
+    "flag_not_0_or_1": (_set_fields(2, {3: "2"}), "manipulation flags must be 0 or 1", 5),
+    "pristine_with_flags": (_set_fields(2, {4: "1"}),
+                            "pristine segment cannot carry manipulation flags", 5),
+    "invalid_combination": (_set_fields(2, {3: "1", 4: "0", 5: "1", 6: "0"}),
+                            "unsupported manipulation flag combination v=False a=True "
+                            "ai=False", 5),
+    "negative_segment_index": (_set_fields(2, {2: "-1"}),
+                               "segment_index must be non-negative, got -1", 5),
+    "blend_out_of_range": (_set_fields(2, {7: "1.5"}), "blend must lie in [0, 1], got 1.5", 5),
+    "truncated_payload": (lambda ls: ls[:-1], "truncated file", 10),
+    "trailing_row": (lambda ls: ls + [ls[-1]], "trailing data after last segment", 10),
+    # the first bad row wins, and inside a row the first field read
+    "earlier_row_first": (lambda ls: _set_fields(3, {2: "x"})(_set_fields(2, {12: "inf"})(ls)),
+                          "non-finite value", 5),
+    "later_check_earlier_row": (lambda ls: _set_fields(2, {2: "x"})(
+        _set_fields(1, {7: "-0.5"})(ls)), "blend must lie in [0, 1], got -0.5", 4),
+    "non_finite_before_unparseable": (_set_fields(2, {9: "inf", 12: "oops"}),
+                                      "non-finite value", 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_ERRORS))
+def test_feature_readers_name_path_and_line(tmp_path, case):
+    good = tmp_path / "ok.txt"
+    write_features(str(good), some_segments(), {"seed": "5"})
+    edit, message, line = READER_ERRORS[case]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(edit(good.read_text().splitlines())) + "\n")
+    want = rf"^{re.escape(f'{bad}: {message} at line {line}')}$"
+    for reader in (read_feature_table, read_features):
+        with pytest.raises(DataError, match=want):
+            reader(str(bad))
+
+
+def test_feature_table_columns(tmp_path):
+    path = str(tmp_path / "feat.txt")
+    segments = some_segments()
+    write_features(path, segments, {})
+    _, table = read_feature_table(path)
+    assert table.identity_ids.tolist() == [s.identity_id for s in segments]
+    assert table.video_ids.tolist() == [s.video_id for s in segments]
+    assert table.segment_index.tolist() == [s.segment_index for s in segments]
+    assert [table.flags_at(i) for i in range(len(table))] == [s.flags for s in segments]
+    assert table.blend.tolist() == [s.blend for s in segments]
+    np.testing.assert_array_equal(table.audio, np.stack([s.audio for s in segments]))
+    np.testing.assert_array_equal(table.video, np.stack([s.video for s in segments]))
+    assert table.audio.flags.c_contiguous and table.video.flags.c_contiguous
 
 
 def test_meta_lines_sorted_and_validated(tmp_path):

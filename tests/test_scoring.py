@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import poif.similarity as similarity_module
+from conftest import score_clip
 from oracles import (
     dense_self_scores,
     embed_one,
@@ -15,7 +16,7 @@ from oracles import (
 )
 from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError, DataError, DegenerateReferenceError
-from poif.records import Modality
+from poif.records import Modality, SegmentTable
 from poif.scoring import (
     FUSED,
     DecisionPolicy,
@@ -39,7 +40,7 @@ def one_person_segments(seed=0, videos=4, segments=5):
 def quiet_reference(segments, params, tau, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SmallReferenceWarning)
-        return build_reference(segments, params, tau, **kwargs)
+        return build_reference(SegmentTable.from_records(segments), params, tau, **kwargs)
 
 
 @pytest.fixture
@@ -81,9 +82,10 @@ def test_reference_calibration_never_holds_an_n_by_n_matrix():
     segments = one_person_segments(seed=4, videos=50, segments=20)
     assert len(segments) == n
     params = init_encoder(6, 5, EncoderConfig(1, 8, 32), 3)
+    table = SegmentTable.from_records(segments)
     tracemalloc.start()
     try:
-        build_reference(segments, params, 0.5)
+        build_reference(table, params, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -111,7 +113,8 @@ def test_single_video_reference_needs_explicit_opt_out(params):
 def test_small_reference_warns():
     segments = one_person_segments(videos=2, segments=3)
     with pytest.warns(SmallReferenceWarning):
-        build_reference(segments, init_encoder(6, 5, EncoderConfig(1, 8, 4), 0), 0.5)
+        build_reference(SegmentTable.from_records(segments),
+                        init_encoder(6, 5, EncoderConfig(1, 8, 4), 0), 0.5)
 
 
 def test_degenerate_reference_is_reported(params):
@@ -155,7 +158,7 @@ def test_poi_index_is_max_over_reference(params):
         n_identities=1, n_videos_per_identity=1, n_segments_per_video=1,
         audio_dim=6, video_dim=5, seed=99))
     probe = world.segments[0]
-    verdict = score_video([probe], ref, params, 0.9, DecisionPolicy(p_fa=0.1))
+    verdict = score_clip([probe], ref, params, 0.9, DecisionPolicy(p_fa=0.1))
     for m, best in best_similarities(probe, segments, params, 0.9).items():
         want = (best - ref.mu[m]) / ref.sigma[m]
         assert verdict.normalized[m] == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -167,7 +170,7 @@ def test_normalize_and_fuse():
     ref = quiet_reference(segments, params, tau=0.5)
     # a probe equal to a reference segment has raw index 0 (its own
     # distance), so normalization leaves exactly -mu / sigma
-    verdict = score_video(segments[:1], ref, params, 0.5, DecisionPolicy(p_fa=0.1))
+    verdict = score_clip(segments[:1], ref, params, 0.5, DecisionPolicy(p_fa=0.1))
     for m in Modality:
         assert verdict.normalized[m] == (0.0 - ref.mu[m]) / ref.sigma[m]
     # for one segment the fused value is exactly the worst channel
@@ -193,12 +196,12 @@ def test_score_video_averages_per_segment_indices(params):
         n_identities=1, n_videos_per_identity=1, n_segments_per_video=1,
         audio_dim=6, video_dim=5, seed=8))
     test_segments = sample_identity_videos(world, "id0000", 1, 4, np.random.default_rng(3))
-    verdict = score_video(test_segments, ref, params, 0.5, DecisionPolicy(p_fa=0.1))
+    verdict = score_clip(test_segments, ref, params, 0.5, DecisionPolicy(p_fa=0.1))
     assert verdict.n_segments == 4
     assert verdict.statistic_used == FUSED
 
     per_segment = [
-        score_video([seg], ref, params, 0.5, DecisionPolicy(p_fa=0.1))
+        score_clip([seg], ref, params, 0.5, DecisionPolicy(p_fa=0.1))
         for seg in test_segments
     ]
     for m in Modality:
@@ -215,13 +218,13 @@ def test_score_video_decision_follows_threshold(params):
         n_identities=1, n_videos_per_identity=1, n_segments_per_video=1,
         audio_dim=6, video_dim=5, seed=9))
     own = sample_identity_videos(world, "id0000", 1, 6, np.random.default_rng(1))
-    verdict = score_video(own, ref, params, 0.5, DecisionPolicy(p_fa=0.1))
+    verdict = score_clip(own, ref, params, 0.5, DecisionPolicy(p_fa=0.1))
     lenient = verdict.statistic_value >= DecisionPolicy(p_fa=0.1).threshold
     assert (verdict.decision == "real") == lenient
     # an absurdly strict policy must flag even genuine material
-    strict = score_video(own, ref, params, 0.5, DecisionPolicy(p_fa=0.999999))
+    strict = score_clip(own, ref, params, 0.5, DecisionPolicy(p_fa=0.999999))
     assert strict.decision == "fake"
     with pytest.raises(ConfigError):
-        score_video(own, ref, params, 0.5, DecisionPolicy(0.1), statistic="fusion")
+        score_clip(own, ref, params, 0.5, DecisionPolicy(0.1), statistic="fusion")
     with pytest.raises(DataError):
-        score_video([], ref, params, 0.5, DecisionPolicy(0.1))
+        score_video("empty", {m: np.empty(0) for m in Modality}, ref, DecisionPolicy(0.1))

@@ -10,7 +10,7 @@ from oracles import dense_squared_distances, squared_distance
 from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError
 from poif.losses import loss_and_embedding_grads
-from poif.records import Modality
+from poif.records import Modality, SegmentTable
 from poif.scoring import _similarity_rows, build_reference
 from poif.similarity import check_temperature, squared_distance_matrix
 
@@ -125,7 +125,7 @@ def test_similarity_rejects_bad_tau():
         loss_and_embedding_grads(x_audio, x_video, pos, 0.0, 1.0)
     params = init_encoder(6, 5, EncoderConfig(1, 4, 2), 0)
     with pytest.raises(ConfigError):
-        build_reference(batch, params, -1.0)
+        build_reference(SegmentTable.from_records(batch), params, -1.0)
 
 
 def test_similarity_matrix_joint_is_sum_of_channels():
