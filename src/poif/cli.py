@@ -418,7 +418,10 @@ def _cmd_sweep(args) -> int:
         statistic=_STATISTIC_BY_FLAG[merged["statistic"]],
         ref_total=merged["ref_total"],
     )
-    fileio.write_sweep(out, rows, _echo_meta(merged))
+    meta = _echo_meta(merged)
+    if axis != "ref_variety":
+        del meta["ref_total"]  # only the variety axis reads the budget
+    fileio.write_sweep(out, rows, meta)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 

@@ -164,19 +164,22 @@ def test_sweep_axes(pipeline):
     base = ["sweep", "--checkpoint", pipeline["ckpt"], "--reference",
             pipeline["ref"], "--test", pipeline["test"], "--out", out]
     assert main(base + ["--axis", "test_length", "--values", "3,1"]) == 0
-    _, rows = read_sweep(out)
+    meta, rows = read_sweep(out)
     assert [r["x"] for r in rows] == sorted(r["x"] for r in rows)
     assert all(r["axis"] == "test_length" for r in rows)
     assert {r["class"] for r in rows} <= {"all", "fr", "fs"}
+    assert "ref_total" not in meta  # the budget is echoed only where it is read
 
     assert main(base + ["--axis", "ref_size", "--values", "2,3"]) == 0
-    _, rows = read_sweep(out)
+    meta, rows = read_sweep(out)
     assert {r["x"] for r in rows} == {2, 3}
+    assert "ref_total" not in meta
 
     assert main(base + ["--axis", "ref_variety", "--values", "1,3",
                         "--ref-total", "3"]) == 0
-    _, rows = read_sweep(out)
+    meta, rows = read_sweep(out)
     assert {r["x"] for r in rows} == {1, 3}
+    assert meta["ref_total"] == "3"
 
     # a budget one video cannot fill is a data problem, not a crash
     assert main(base + ["--axis", "ref_variety", "--values", "1",
