@@ -21,7 +21,7 @@ from .encoder import EncoderParams, encode_batch
 from .exceptions import DataError, UndefinedMetricError
 from .fileio import ScoreRow
 from .metrics import MetricsReport, ScoreSample, accuracy, auc, pd_at_fa
-from .records import FAKE, GROUPS, REAL, SegmentTable, first_occurrence_codes
+from .records import FAKE, GROUPS, REAL, SegmentTable
 from .scoring import (
     FUSED,
     DecisionPolicy,
@@ -55,18 +55,33 @@ class Videos:
         return self.rows[self.bounds[k]:self.bounds[k + 1]]
 
 
+def _first_occurrence_codes(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Number the distinct values in order of first appearance.
+
+    Returns each entry's code and the distinct values in code order.
+    """
+    names, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], names[order].tolist()
+
+
 def group_by_identity(table: SegmentTable) -> dict[str, np.ndarray]:
     """Rows per identity, identities in first-occurrence order, rows in table order."""
-    codes, ids = first_occurrence_codes(table.identity_ids)
+    codes, ids = _first_occurrence_codes(table.identity_ids)
     order = np.argsort(codes, kind="stable")
     return dict(zip(ids, np.split(order, np.cumsum(np.bincount(codes))[:-1])))
 
 
 def group_by_video(table: SegmentTable, rows: np.ndarray | None = None) -> Videos:
-    """Group the given rows (default: all) by video; each video must be one
-    identity with one set of manipulation flags."""
+    """Group rows (default: all) by video, in first-occurrence order.
+
+    Every video must belong to one identity and carry one set of
+    manipulation flags.
+    """
     rows = np.arange(len(table)) if rows is None else rows
-    codes, ids = first_occurrence_codes(table.video_ids[rows])
+    codes, ids = _first_occurrence_codes(table.video_ids[rows])
     grouped = rows[np.lexsort((table.segment_index[rows], codes))]
     counts = np.bincount(codes, minlength=len(ids))
     bounds = np.concatenate(([0], np.cumsum(counts)))
@@ -100,9 +115,9 @@ def embed_videos(params: EncoderParams, table: SegmentTable, videos: Videos):
     """Embed each video's rows as one batch; (n, d) matrices in ``videos.rows`` order."""
     if not len(videos):
         return np.empty((0, 0)), np.empty((0, 0))
-    parts = [encode_batch(params, table.audio[r], table.video[r])
-             for r in map(videos.video_rows, range(len(videos)))]
-    return tuple(np.concatenate([p[i] for p in parts]) for i in range(2))
+    audio, video = zip(*(encode_batch(params, table.audio[r], table.video[r])
+                         for r in map(videos.video_rows, range(len(videos)))))
+    return np.concatenate(audio), np.concatenate(video)
 
 
 def _score_embedded(

@@ -196,29 +196,15 @@ class SegmentTable:
                 int(self.segment_index[row]))
 
     def to_records(self) -> list[SegmentRecord]:
-        flags: dict[tuple, ManipFlags] = {}
         return [
             SegmentRecord(
                 identity_id=identity, video_id=video_id, segment_index=index,
-                audio=audio, video=video,
-                flags=flags.get(bits) or flags.setdefault(bits, ManipFlags(*bits)),
-                blend=blend,
+                audio=audio, video=video, flags=ManipFlags(*bits), blend=blend,
             )
             for identity, video_id, index, bits, blend, audio, video in zip(
                 self.identity_ids.tolist(), self.video_ids.tolist(),
-                self.segment_index.tolist(), map(tuple, self.flags.tolist()),
+                self.segment_index.tolist(), self.flags.tolist(),
                 self.blend.tolist(), self.audio, self.video,
             )
         ]
 
-
-def first_occurrence_codes(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Number the distinct values in order of first appearance.
-
-    Returns each entry's code and the distinct values in code order.
-    """
-    names, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    return rank[inverse.reshape(-1)], names[order].tolist()
