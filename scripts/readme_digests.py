@@ -8,11 +8,16 @@ A resume leg trains the same recipe for half its steps and resumes to the
 full count; its checkpoint, printed as resumed.ckpt, must equal
 encoder.ckpt, and the script exits 1 when it does not.
 A behaviour-preserving change must print the same lines before and after:
-run it on both checkouts and diff the output.
+run it on both checkouts and diff the output.  A change that moves bits
+states its deltas with --against, which runs the pipeline for both
+checkouts and prints "same" or "differs" per artifact; for scores.txt it
+adds the largest absolute difference of any numeric field and the number
+of videos whose decision flipped.
 
 Usage:
     python3 scripts/readme_digests.py                 # this checkout's src/
     python3 scripts/readme_digests.py --src OTHER/src # another checkout
+    python3 scripts/readme_digests.py --against OTHER/src  # deltas against another
 """
 
 from __future__ import annotations
@@ -69,34 +74,84 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_pipeline(src: Path, work: str) -> bool:
+    """Run every README command with src's package in work; False on a failure."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    for command in pipeline():
+        done = subprocess.run([sys.executable, "-m", "poif.cli", *command], cwd=work,
+                              env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True)
+        if done.returncode != 0:
+            print(f"readme_digests: `poif {' '.join(command)}` with {src} exited "
+                  f"{done.returncode}\n{done.stderr}", file=sys.stderr)
+            return False
+    if sha256(Path(work) / "resumed.ckpt") != sha256(Path(work) / "encoder.ckpt"):
+        print(f"readme_digests: with {src}, the resumed checkpoint differs from the "
+              f"uninterrupted one", file=sys.stderr)
+        return False
+    return True
+
+
+def score_rows(path: Path) -> dict[str, tuple[list[float], str]]:
+    """Per video id: (blend, norm_video, norm_audio, norm_av, fused) and decision."""
+    lines = path.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("video_id,")) + 1
+    rows = {}
+    for line in lines[start:]:
+        fields = line.split(",")
+        rows[fields[0]] = ([float(v) for v in fields[7:12]], fields[12])
+    return rows
+
+
+def score_deltas(ours: Path, theirs: Path) -> str:
+    """Largest absolute numeric field difference and decision flips, as one phrase."""
+    a, b = score_rows(ours), score_rows(theirs)
+    if a.keys() != b.keys():
+        return "different videos"
+    largest = max((abs(x - y) for vid in a for x, y in zip(a[vid][0], b[vid][0])),
+                  default=0.0)
+    flips = sum(a[vid][1] != b[vid][1] for vid in a)
+    return f"max abs field diff {largest:.3g}, {flips} decision flips"
+
+
+def package(path: Path) -> Path | None:
+    src = path.resolve()
+    if not (src / "poif" / "cli.py").is_file():
+        print(f"readme_digests: no poif package under {src}", file=sys.stderr)
+        return None
+    return src
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=SRC,
                         help="directory holding the poif package (default: %(default)s)")
+    parser.add_argument("--against", type=Path,
+                        help="another checkout's package directory to compare artifacts with")
     args = parser.parse_args(argv)
-    src = args.src.resolve()
-    if not (src / "poif" / "cli.py").is_file():
-        print(f"readme_digests: no poif package under {src}", file=sys.stderr)
+    srcs = [package(args.src)] + ([package(args.against)] if args.against else [])
+    if None in srcs:
         return 2
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
 
-    with tempfile.TemporaryDirectory(prefix="poif-digests-") as work:
-        for command in pipeline():
-            done = subprocess.run([sys.executable, "-m", "poif.cli", *command], cwd=work,
-                                  env=env, stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.PIPE, text=True)
-            if done.returncode != 0:
-                print(f"readme_digests: `poif {' '.join(command)}` exited "
-                      f"{done.returncode}\n{done.stderr}", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="poif-digests-") as root:
+        works = [os.path.join(root, str(k)) for k in range(len(srcs))]
+        for src, work in zip(srcs, works):
+            os.mkdir(work)
+            if not run_pipeline(src, work):
                 return 1
-        digests = {name: sha256(Path(work) / name) for name in ARTIFACTS}
-    for name, digest in digests.items():
-        print(f"{digest}  {name}")
-    if digests["resumed.ckpt"] != digests["encoder.ckpt"]:
-        print("readme_digests: the resumed checkpoint differs from the uninterrupted one",
-              file=sys.stderr)
-        return 1
+        if len(works) == 1:
+            for name in ARTIFACTS:
+                print(f"{sha256(Path(works[0]) / name)}  {name}")
+            return 0
+        for name in ARTIFACTS:
+            ours, theirs = Path(works[0]) / name, Path(works[1]) / name
+            if sha256(ours) == sha256(theirs):
+                print(f"same     {name}")
+            elif name == "scores.txt":
+                print(f"differs  {name}  ({score_deltas(ours, theirs)})")
+            else:
+                print(f"differs  {name}")
     return 0
 
 
