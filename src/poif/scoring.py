@@ -25,7 +25,7 @@ import numpy as np
 from .encoder import EncoderParams, encode_batch
 from .exceptions import ConfigError, DataError, DegenerateReferenceError
 from .records import ALL_MODALITIES, FAKE, REAL, Modality, SegmentTable
-from .similarity import check_temperature, rows_per_block, squared_distance_matrix
+from .similarity import check_temperature, squared_distance_matrix
 
 FUSED = "fused"
 STATISTICS = (Modality.AUDIO, Modality.VIDEO, Modality.AV, FUSED)
@@ -33,6 +33,17 @@ STATISTICS = (Modality.AUDIO, Modality.VIDEO, Modality.AV, FUSED)
 SIGMA_FLOOR = 1e-9
 
 _STD_NORMAL = NormalDist()
+
+# Byte budget for one (rows, m) float64 similarity slice in best_matches.
+# 128 KB is 16 rows against a 1,000-segment reference; a 1 MB budget
+# peaked at 6.7 MB while scoring 400 rows against 1,000, twice the
+# 3.2 MB of the whole similarity matrix.
+_SLICE_BYTES = 1 << 17
+
+
+def rows_per_block(m: int) -> int:
+    """Rows per best_matches slice against m reference rows (at least 1)."""
+    return max(1, _SLICE_BYTES // max(8 * m, 1))
 
 
 class SmallReferenceWarning(UserWarning):
@@ -93,14 +104,15 @@ def _similarity_rows(x_audio, x_video, ref_audio, ref_video, tau):
 def best_matches(x_audio, x_video, ref_audio, ref_video, tau, groups=None):
     """Each row's best similarity to any reference row, per modality.
 
-    Rows go in the distance kernel's row blocks, so only a block-by-m
-    slice of each similarity matrix is alive at a time, never the whole
-    n-by-m matrix.  ``groups`` is for calibration, where the rows are the
+    Rows go in blocks of ``rows_per_block(m)``, so each similarity matrix
+    is alive only as a (rows, m) slice of at most ``_SLICE_BYTES`` (128 KB;
+    one row when a single row is larger), never as the whole n-by-m
+    matrix.  ``groups`` is for calibration, where the rows are the
     reference itself: it gives each row an integer group code, and pairs
     within one group are skipped.
     """
     n = len(x_audio)
-    rows = rows_per_block(len(ref_audio), max(x_audio.shape[1], x_video.shape[1]))
+    rows = rows_per_block(len(ref_audio))
     best = {m: np.empty(n) for m in ALL_MODALITIES}
     for start in range(0, n, rows):
         stop = min(start + rows, n)

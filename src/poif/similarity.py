@@ -24,51 +24,49 @@ def check_temperature(tau: float) -> float:
     return tau
 
 
-# Byte budget for one row block's (rows, m, d) float64 difference
-# temporary, small enough to stay in a core's L2 cache.  On a 2-CPU Xeon
-# (2 MB L2 per core) 1000x1000 distances at d=32 took 68 ms against
-# 209 ms unblocked; budgets of 256 KB to 1 MB measured alike, 2-4 MB slower.
-_BLOCK_BYTES = 1 << 20
-
-
-def rows_per_block(m: int, d: int) -> int:
-    """Rows of x per block against m rows of y in d dimensions (at least 1)."""
-    return max(1, _BLOCK_BYTES // max(8 * m * d, 1))
-
-
 def squared_distance_matrix(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """All pairwise squared distances between rows of x and rows of y.
 
-    With y omitted the result is exactly symmetric with an exactly zero
-    diagonal, because entries are computed from explicit row differences
-    rather than the expanded dot-product form.
+    Gram form: ||x_i||^2 + ||y_j||^2 - 2 x_i.y_j, from one matrix product
+    and two in-place broadcasts, clamped at 0 where cancellation would
+    leave a tiny negative.  Besides the (n, m) float64 result there is no
+    temporary larger than a vector (plus two (n, n) bool masks for the
+    y-omitted form), and no row blocking.
 
-    Memory is bounded: besides the (n, m) float64 result, the only
-    temporary is one block of row differences of at most ``_BLOCK_BYTES``
-    (1 MB), or one row's (m, d) differences when a single row exceeds it.
-    Each entry still sums its own d squared differences in one reduction,
-    so the result does not depend on the blocking, bit for bit.
+    Error bound: the product, the norms and the two additions each round,
+    so an entry is within about (2d + 4) * eps * (||x_i||^2 + ||y_j||^2) of
+    the exact distance (d the dimension, eps the float64 machine epsilon),
+    whatever order the BLAS sums in.  A one-row x goes through a different
+    BLAS routine than the same row inside a larger x, so the two can differ
+    in the last bits, within that bound.
+
+    With y omitted the result is exactly symmetric with an exactly zero
+    diagonal.  x @ x.T is exactly symmetric (numpy's BLAS path computes one
+    triangle and mirrors it; its fallback loop sums every pair in the same
+    order), the norms are its diagonal, and the entries (i, j) and
+    (j, i) go through the same operations: -2g, plus the norm of the
+    smaller index, plus the norm of the larger.  On the diagonal that is
+    (-2a + a) + a, which is 0 exactly.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-d embedding matrix, got shape {x.shape}")
     if y is None:
-        y = x
+        out = x @ x.T
+        sq = out.diagonal().copy()
+        out *= -2.0
+        lower = np.tri(len(x), k=-1, dtype=bool)
+        upper = ~lower
+        np.add(out, sq[:, None], out=out, where=upper)
+        np.add(out, sq[None, :], out=out, where=lower)
+        np.add(out, sq[None, :], out=out, where=upper)
+        np.add(out, sq[:, None], out=out, where=lower)
     else:
         y = np.asarray(y, dtype=np.float64)
         if y.ndim != 2 or y.shape[1] != x.shape[1]:
             raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    n, d = x.shape
-    # A call that fits in one block runs the loop once: at d=32 that
-    # measured no slower than a separate unblocked path (64x64: 290-316
-    # against 342-407 us; 10x100: 79-89 against 77-85 us).
-    rows = min(rows_per_block(len(y), d), max(n, 1))
-    out = np.empty((n, len(y)))
-    block = np.empty((rows, len(y), d))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        diff = block[: stop - start]
-        np.subtract(x[start:stop, None, :], y[None, :, :], out=diff)
-        np.multiply(diff, diff, out=diff)
-        diff.sum(axis=-1, out=out[start:stop])
-    return out
+        out = x @ y.T
+        out *= -2.0
+        out += np.einsum("ij,ij->i", x, x)[:, None]
+        out += np.einsum("ij,ij->i", y, y)[None, :]
+    return np.maximum(out, 0.0, out=out)

@@ -2,8 +2,46 @@ import numpy as np
 
 from poif.encoder import encode_batch
 from poif.losses import positive_sets
-from poif.records import SegmentRecord, SegmentTable
+from poif.records import Modality, SegmentRecord, SegmentTable
 from poif.scoring import FUSED, best_matches, score_video
+
+EPS = np.finfo(np.float64).eps
+
+
+def gram_bound(x, y=None):
+    """Per-entry bound on |squared_distance_matrix(x, y) - an elementwise oracle|.
+
+    The kernel's Gram form rounds in the product x_i.y_j (at most
+    d*eps*|x_i||y_j| in any summation order), in each norm (d*eps relative)
+    and in its two additions, so an entry is within (2d + 4)*eps*S of the
+    exact distance, S = ||x_i||^2 + ||y_j||^2.  An oracle summing d squared
+    differences is within (d + 3)*eps of it relative, at most
+    (2d + 6)*eps*S.  8*(d + 2)*eps*S covers both with room for the few
+    roundings callers add on each side (a division by tau, the joint sum).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = x if y is None else np.asarray(y, dtype=np.float64)
+    sq_x, sq_y = (x * x).sum(axis=1), (y * y).sum(axis=1)
+    return 8 * (x.shape[1] + 2) * EPS * (sq_x[:, None] + sq_y[None, :])
+
+
+def index_bound(x_audio, x_video, ref_audio, ref_video, tau):
+    """Per-row bound on each modality's raw index (``best_matches``) against an oracle.
+
+    A maximum over reference rows moves by at most the largest error of
+    the similarities it is taken over.
+    """
+    audio = gram_bound(x_audio, ref_audio).max(axis=1) / tau
+    video = gram_bound(x_video, ref_video).max(axis=1) / tau
+    return {Modality.AUDIO: audio, Modality.VIDEO: video, Modality.AV: audio + video}
+
+
+def assert_within(got, want, bound):
+    """Elementwise |got - want| <= bound, naming the worst ratio on failure."""
+    err = np.abs(np.asarray(got, dtype=np.float64) - np.asarray(want, dtype=np.float64))
+    bound = np.broadcast_to(bound, err.shape)
+    worst = np.unravel_index(np.argmax(err - bound), err.shape)
+    assert np.all(err <= bound), f"error {err[worst]:.3g} > bound {bound[worst]:.3g} at {worst}"
 
 
 def make_batch(rng, counts=(2, 2), audio_dim=6, video_dim=5, scale=1.0):

