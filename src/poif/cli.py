@@ -21,6 +21,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -467,29 +468,36 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """One stderr line per warning, like the error messages."""
+    print(f"poif: warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.run(args)
-    except ConfigError as e:
-        print(f"poif: config error: {e}", file=sys.stderr)
-        return 2
-    except DegenerateReferenceError as e:
-        print(f"poif: degenerate reference: {e}", file=sys.stderr)
-        return 4
-    except DataError as e:
-        print(f"poif: data error: {e}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as e:
-        print(f"poif: config error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"poif: data error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
-        print(f"poif: io error: {e}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.run(args)
+        except ConfigError as e:
+            print(f"poif: config error: {e}", file=sys.stderr)
+            return 2
+        except DegenerateReferenceError as e:
+            print(f"poif: degenerate reference: {e}", file=sys.stderr)
+            return 4
+        except DataError as e:
+            print(f"poif: data error: {e}", file=sys.stderr)
+            return 3
+        except FileNotFoundError as e:
+            print(f"poif: config error: {e}", file=sys.stderr)
+            return 2
+        except ValueError as e:
+            print(f"poif: data error: {e}", file=sys.stderr)
+            return 3
+        except OSError as e:
+            print(f"poif: io error: {e}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

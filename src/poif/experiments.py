@@ -12,6 +12,7 @@ per-manipulation-group AUC / accuracy / detection tables.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -26,6 +27,8 @@ from .scoring import (
     FUSED,
     DecisionPolicy,
     ReferenceSet,
+    SmallReferenceWarning,
+    below_nominal,
     best_matches,
     build_reference,
     score_video,
@@ -334,6 +337,28 @@ def reference_by_variety(reference: SegmentTable, x: int, total: int) -> np.ndar
     return np.concatenate(out)
 
 
+def _sweep_references(
+    point: str,
+    reference: SegmentTable,
+    params: EncoderParams,
+    tau: float,
+    **kwargs,
+) -> dict[str, ReferenceSet]:
+    """build_references for one sweep point, with one warning for all its small references."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SmallReferenceWarning)
+        refs = build_references(reference, params, tau, **kwargs)
+    small = sum(below_nominal(ref.n_videos, len(ref)) for ref in refs.values())
+    if small:
+        warnings.warn(
+            f"sweep {point}: {small} of {len(refs)} references are below the nominal "
+            f"10-video / 100-segment regime",
+            SmallReferenceWarning,
+            stacklevel=3,
+        )
+    return refs
+
+
 def sweep_scores(
     axis: str,
     values: Sequence[int],
@@ -349,14 +374,18 @@ def sweep_scores(
     Every embedding whose batch stays the same is computed once: the full
     reference's on test_length, the test videos' on ref_size and
     ref_variety.  A truncated video and a reference subset are new
-    batches, so they are embedded per point.
+    batches, so they are embedded per point.  References below the
+    nominal regime give one SmallReferenceWarning per point (per sweep on
+    test_length, which builds them once), not one per person.
     """
     if axis not in SWEEP_AXES:
         raise DataError(f"unknown sweep axis {axis!r}")
     if not values or any(v < 1 for v in values):
         raise DataError(f"sweep values must be integers >= 1, got {list(values)}")
     policy = DecisionPolicy(p_fa=0.5)
-    refs = build_references(reference, params, tau) if axis == "test_length" else None
+    refs = None
+    if axis == "test_length":
+        refs = _sweep_references(axis, reference, params, tau)
     videos = group_by_video(test)
     embedded = None if axis == "test_length" else embed_videos(params, test, videos)
     out = []
@@ -367,10 +396,11 @@ def sweep_scores(
             embedded = embed_videos(params, test, scored)
         elif axis == "ref_size":
             subset = reference.take(reference_by_videos(reference, x))
-            refs = build_references(subset, params, tau)
+            refs = _sweep_references(f"{axis}={x}", subset, params, tau)
         else:
             subset = reference.take(reference_by_variety(reference, x, ref_total))
-            refs = build_references(subset, params, tau, exclude_same_video=x > 1)
+            refs = _sweep_references(f"{axis}={x}", subset, params, tau,
+                                     exclude_same_video=x > 1)
         out.append((x, _score_embedded(test, scored, embedded, refs, tau, policy, statistic)))
     return out
 

@@ -50,6 +50,11 @@ class SmallReferenceWarning(UserWarning):
     """Reference set is below the nominal 10-video / 100-segment regime."""
 
 
+def below_nominal(n_videos: int, n_segments: int) -> bool:
+    """True for a reference that SmallReferenceWarning is about."""
+    return n_videos < 10 or n_segments < 100
+
+
 def quantile_threshold(p_fa: float) -> float:
     """Standard-normal quantile for an accepted false-alarm rate."""
     p_fa = float(p_fa)
@@ -168,7 +173,7 @@ def build_reference(
         )
     if not exclude_same_video and len(table) < 2:
         raise DataError("reference needs at least 2 segments")
-    if n_videos < 10 or len(table) < 100:
+    if below_nominal(n_videos, len(table)):
         warnings.warn(
             f"reference for {poi_id!r} has {n_videos} videos / {len(table)} segments, "
             f"below the nominal 10-video / 100-segment regime",

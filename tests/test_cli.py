@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from poif.cli import main
@@ -184,6 +186,27 @@ def test_sweep_axes(pipeline):
     # a budget one video cannot fill is a data problem, not a crash
     assert main(base + ["--axis", "ref_variety", "--values", "1",
                         "--ref-total", "9"]) == 3
+
+
+def test_small_reference_warnings_take_one_line_each(pipeline, tmp_path, capsys):
+    # every reference here has 3 videos / 9 segments
+    base = ["--checkpoint", pipeline["ckpt"], "--reference", pipeline["ref"],
+            "--test", pipeline["test"]]
+    sweep = ["sweep", *base, "--out", str(tmp_path / "sweep.txt")]
+    regime = "references are below the nominal 10-video / 100-segment regime"
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", SmallReferenceWarning)
+        assert main([*sweep, "--axis", "ref_size", "--values", "2,3"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"poif: warning: sweep ref_size={x}: 4 of 4 {regime}" for x in (2, 3)]
+        assert main([*sweep, "--axis", "test_length", "--values", "1,2,3"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"poif: warning: sweep test_length: 4 of 4 {regime}"]
+        # score keeps one warning per small reference
+        assert main(["score", *base, "--out", str(tmp_path / "scores.txt")]) == 0
+        err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4
+    assert all(line.startswith("poif: warning: reference for 'id01") for line in err)
 
 
 def test_out_of_range_settings_are_config_errors(pipeline, tmp_path, capsys):
