@@ -152,6 +152,22 @@ def test_score_segments_matches_record_oracle(world, statistic):
     assert_rows_within(got, want, score_tolerance(test_table, refs, params), policy, statistic)
 
 
+def test_video_scored_alone_matches_its_row_in_the_full_file(world):
+    # Alone, a video's rows are its person's only test rows, so its distance
+    # calls have other shapes and BLAS may sum in another order: here 2 of
+    # the 21 videos move in the last bits.  They must stay within the bound.
+    reference, test, params = world
+    policy = DecisionPolicy(p_fa=0.2)
+    ref_table, test_table = SegmentTable.from_records(reference), SegmentTable.from_records(test)
+    refs = build_references(ref_table, params, TAU)
+    full = score_segments(ref_table, test_table, params, TAU, policy, references=refs)
+    tol = score_tolerance(test_table, refs, params)
+    for row in full:
+        alone = test_table.take(np.flatnonzero(test_table.video_ids == row.video_id))
+        assert_rows_within(score_segments(ref_table, alone, params, TAU, policy, references=refs),
+                           [row], tol, policy, "fused")
+
+
 def point_references(axis, x, ref_table, params, ref_total):
     """The references one sweep point scores against."""
     if axis == "ref_size":

@@ -69,6 +69,35 @@ def test_blocked_kernel_stays_symmetric_with_zero_diagonal(d):
             assert np.all(np.diag(dist) == 0.0)
 
 
+def test_near_duplicate_rows_clamp_to_zero():
+    # Exact and near copies of a few large rows: the exact distance is 0 or
+    # tiny, and the Gram form's cancellation can round below it.
+    rng = np.random.default_rng(8)
+    base = rng.standard_normal((4, 32)) * 30.0
+    x = base[rng.integers(0, 4, 60)]
+    x[::2] += rng.standard_normal((30, 32)) * 1e-7
+    y = x[rng.permutation(60)]
+    for dist, oracle, bound in (
+        (squared_distance_matrix(x), dense_squared_distances(x), gram_bound(x)),
+        (squared_distance_matrix(x, y), dense_squared_distances(x, y), gram_bound(x, y)),
+    ):
+        assert np.all(dist >= 0.0)
+        assert_within(dist, oracle, bound)
+
+
+def test_one_row_call_agrees_with_its_row_in_a_larger_call():
+    # numpy hands a one-row product to gemv, a larger one to gemm; their
+    # sums may differ in the last bits, never beyond the bound
+    rng = np.random.default_rng(9)
+    y = rng.standard_normal((1000, 32))
+    for n in (2, 7, 40):
+        x = rng.standard_normal((n, 32)) * 3.0
+        full = squared_distance_matrix(x, y)
+        for i in range(n):
+            one = x[i:i + 1]
+            assert_within(squared_distance_matrix(one, y), full[i:i + 1], gram_bound(one, y))
+
+
 def test_distance_matrix_memory_is_bounded_by_its_output():
     # The unblocked (n, n, d) difference tensor alone is 256 MB here.
     n, d = 1000, 32
