@@ -35,9 +35,9 @@ SIGMA_FLOOR = 1e-9
 _STD_NORMAL = NormalDist()
 
 # Byte budget for one (rows, m) float64 similarity slice in best_matches.
-# 128 KB is 16 rows against a 1,000-segment reference; a 1 MB budget
-# peaked at 6.7 MB while scoring 400 rows against 1,000, twice the
-# 3.2 MB of the whole similarity matrix.
+# 128 KB is 16 rows against a 1,000-segment reference.  Scoring 400 rows
+# against 1,000 peaked at 1.2 MB with it, and at 6.7 MB with 1 MB slices:
+# twice the 3.2 MB of the whole similarity matrix.
 _SLICE_BYTES = 1 << 17
 
 

@@ -55,6 +55,8 @@ def squared_distance_matrix(x: np.ndarray, y: np.ndarray | None = None) -> np.nd
         out = x @ x.T
         sq = out.diagonal().copy()
         out *= -2.0
+        # Masks, not a materialized ||x_i||^2 + ||x_j||^2: that would be a
+        # second (n, n) float64 array, and each bool mask is an eighth of one.
         lower = np.tri(len(x), k=-1, dtype=bool)
         upper = ~lower
         np.add(out, sq[:, None], out=out, where=upper)
