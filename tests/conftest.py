@@ -37,7 +37,7 @@ def index_bound(x_audio, x_video, ref_audio, ref_video, tau):
 
 
 def assert_within(got, want, bound):
-    """Elementwise |got - want| <= bound, naming the worst ratio on failure."""
+    """Elementwise |got - want| <= bound, naming the entry that overshoots most."""
     err = np.abs(np.asarray(got, dtype=np.float64) - np.asarray(want, dtype=np.float64))
     bound = np.broadcast_to(bound, err.shape)
     worst = np.unravel_index(np.argmax(err - bound), err.shape)
