@@ -117,7 +117,8 @@ def mlp_backward(mlp: Mlp, cache: list[np.ndarray], d_out: np.ndarray) -> Mlp:
         d_z = d_h if i == last else d_h * (1.0 - h_out * h_out)
         d_weights[i] = d_z.T @ h_in
         d_biases[i] = d_z.sum(axis=0)
-        d_h = d_z @ mlp.weights[i]
+        if i > 0:  # nothing needs the gradient of the input features
+            d_h = d_z @ mlp.weights[i]
     return Mlp(d_weights, d_biases)
 
 

@@ -361,6 +361,19 @@ class Checkpoint:
             and self.steps_done is not None
 
 
+def _check_steps(lines: _Lines, optim_step: int | None, steps_done: int | None):
+    """Step counts are non-negative, and the optimizer's equals steps_done.
+
+    ``train`` writes both as the number of steps taken; a checkpoint whose
+    two counts disagree cannot continue a run.
+    """
+    for name, value in (("optim step", optim_step), ("steps_done", steps_done)):
+        if value is not None and value < 0:
+            lines.fail(f"negative {name} {value}")
+    if optim_step is not None and steps_done is not None and optim_step != steps_done:
+        lines.fail(f"optim step {optim_step} does not match steps_done {steps_done}")
+
+
 def read_checkpoint(path: str) -> Checkpoint:
     lines = _Lines(path)
     _read_header(lines, CKPT_MAGIC, 0)
@@ -375,6 +388,7 @@ def read_checkpoint(path: str) -> Checkpoint:
             if len(fields) != 3:
                 lines.fail("malformed optim header")
             step = lines.parse_int(fields[1], "optim step")
+            _check_steps(lines, step, ckpt.steps_done)
             n_arrays = lines.parse_int(fields[2], "optim array count")
             if n_arrays != len(shapes):
                 lines.fail(f"optim carries {n_arrays} arrays, encoder has {len(shapes)}")
@@ -404,6 +418,7 @@ def read_checkpoint(path: str) -> Checkpoint:
             if len(fields) != 2:
                 lines.fail("malformed steps_done line")
             ckpt.steps_done = lines.parse_int(fields[1], "steps_done")
+            _check_steps(lines, ckpt.optim_step, ckpt.steps_done)
         else:
             lines.fail(f"unexpected section {fields[0]!r}")
     return ckpt

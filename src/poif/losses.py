@@ -60,32 +60,6 @@ def _check_joint_weight(joint_weight: float) -> float:
     return joint_weight
 
 
-def _rows_and_grad(s: np.ndarray, pos: np.ndarray):
-    """Per-anchor loss terms and d(loss)/d(entries).
-
-    Numerator and denominator are shifted by their own row maxima, which
-    keeps both finite for arbitrarily negative similarities.  When the
-    positive set equals the full off-diagonal row the two computations
-    coincide term by term and the loss row is exactly zero.
-    """
-    n = s.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    s_off = np.where(off, s, -np.inf)
-    s_pos = np.where(pos, s, -np.inf)
-
-    m_off = s_off.max(axis=1)
-    m_pos = s_pos.max(axis=1)
-    e_off = np.exp(s_off - m_off[:, None])
-    e_pos = np.exp(s_pos - m_pos[:, None])
-    logden = m_off + np.log(e_off.sum(axis=1))
-    lognum = m_pos + np.log(e_pos.sum(axis=1))
-    rows = logden - lognum
-    # d rows[c] / d s[c, k] = softmax over the row's off-diagonal entries
-    # minus the softmax restricted to the positives.
-    g = np.exp(s_off - logden[:, None]) - np.exp(s_pos - lognum[:, None])
-    return rows, g
-
-
 def loss_and_embedding_grads(
     x_audio: np.ndarray,
     x_video: np.ndarray,
@@ -95,37 +69,71 @@ def loss_and_embedding_grads(
 ):
     """Loss report plus gradients with respect to the embedding matrices.
 
-    The gradient of each channel flows through S(c, k) = -||x_c - x_k||^2/tau
-    for both the row and the column in which a pair appears; the joint
-    channel contributes to both modalities with the same pair weights.
-    Reductions are fixed-order matrix products, so results are
+    pos_mask is the batch's (n, n) mask from ``positive_sets``: every
+    anchor needs at least one positive.  The three channels run as one
+    stacked pass.  The gradient of each channel flows through
+    S(c, k) = -||x_c - x_k||^2/tau for both the row and the column in which
+    a pair appears; the joint channel contributes to both modalities with
+    the same pair weights.  Reductions run in a fixed order, so results are
     reproducible bit for bit.
     """
     tau = check_temperature(tau)
     joint_weight = _check_joint_weight(joint_weight)
     x_audio = np.asarray(x_audio, dtype=np.float64)
     x_video = np.asarray(x_video, dtype=np.float64)
+    pos_mask = np.asarray(pos_mask, dtype=bool)
+    n = len(x_audio)
 
-    s_a = -(squared_distance_matrix(x_audio) / tau)
-    s_v = -(squared_distance_matrix(x_video) / tau)
-    s_av = s_a + s_v
+    # Audio, video and joint similarities as one (3, n, n) stack.
+    s = np.empty((3, n, n))
+    np.divide(squared_distance_matrix(x_audio), tau, out=s[0])
+    np.divide(squared_distance_matrix(x_video), tau, out=s[1])
+    np.negative(s[:2], out=s[:2])
+    np.add(s[0], s[1], out=s[2])
 
-    rows_a, g_a = _rows_and_grad(s_a, pos_mask)
-    rows_v, g_v = _rows_and_grad(s_v, pos_mask)
-    rows_av, g_av = _rows_and_grad(s_av, pos_mask)
+    # Positive entries as flat indices into an (n, n) matrix, grouped by
+    # anchor row (anchor c's run starts at starts[c]), and the same entries
+    # as (3, P) flat indices into the stack.
+    if not pos_mask.any(axis=1).all():
+        raise ValueError("every anchor needs at least one positive")
+    flat = np.flatnonzero(pos_mask)
+    anchor = flat // n
+    starts = np.searchsorted(anchor, np.arange(n))
+    at = flat + np.arange(0, 3 * n * n, n * n)[:, None]
+    s_pos = np.take(s, at)
 
-    l_a = float(rows_a.sum())
-    l_v = float(rows_v.sum())
-    l_av = float(rows_av.sum())
+    # Every log-sum-exp is shifted by its row maximum.  Exponentials of
+    # the positive set run on the positive entries only and are scattered
+    # into zeros, so each row sum runs over the same n entries, in the
+    # same order, as a masked full-row sum would.  Past this point s holds
+    # the off-diagonal similarities (-inf on the diagonal), and two more
+    # (3, n, n) buffers carry every later stage.
+    s.reshape(3, -1)[:, ::n + 1] = -np.inf
+    m_off = s.max(axis=2)
+    m_pos = np.maximum.reduceat(s_pos, starts, axis=1)
+    work = np.subtract(s, m_off[:, :, None])
+    logden = m_off + np.log(np.exp(work, out=work).sum(axis=2))
+    spare = np.zeros((3, n, n))
+    np.put(spare, at, np.exp(s_pos - np.take(m_pos, anchor, axis=1)))
+    lognum = m_pos + np.log(spare.sum(axis=2))
+    l_a, l_v, l_av = (float(l) for l in (logden - lognum).sum(axis=1))
     report = LossReport(
         l_v=l_v, l_a=l_a, l_av=l_av, joint_weight=joint_weight,
         l_tot=l_v + l_a + joint_weight * l_av,
     )
 
-    w_av = g_av + g_av.T
-    m_a = (g_a + g_a.T) + joint_weight * w_av
-    m_v = (g_v + g_v.T) + joint_weight * w_av
-    d_audio = (-2.0 / tau) * (m_a.sum(axis=1, keepdims=True) * x_audio - m_a @ x_audio)
-    d_video = (-2.0 / tau) * (m_v.sum(axis=1, keepdims=True) * x_video - m_v @ x_video)
-    return report, d_audio, d_video
+    # d loss / d s[c, k]: the softmax over the row's off-diagonal entries
+    # minus the softmax restricted to the positives.
+    g = np.subtract(s, logden[:, :, None], out=work)
+    np.exp(g, out=g)
+    np.put(g, at, np.take(g, at) - np.exp(s_pos - np.take(lognum, anchor, axis=1)))
 
+    # Each pair appears as a row and as a column; the joint channel feeds
+    # both modalities with the same pair weights: m[0] = sym_a + w * sym_av
+    # and m[1] = sym_v + w * sym_av.
+    sym = np.add(g, g.transpose(0, 2, 1), out=spare)
+    np.multiply(sym[2], joint_weight, out=g[2])
+    m = np.add(sym[:2], g[2], out=g[:2])
+    d_audio = (-2.0 / tau) * (m[0].sum(axis=1, keepdims=True) * x_audio - m[0] @ x_audio)
+    d_video = (-2.0 / tau) * (m[1].sum(axis=1, keepdims=True) * x_video - m[1] @ x_video)
+    return report, d_audio, d_video

@@ -57,11 +57,11 @@ def squared_distance_matrix(x: np.ndarray, y: np.ndarray | None = None) -> np.nd
         out *= -2.0
         # Masks, not a materialized ||x_i||^2 + ||x_j||^2: that would be a
         # second (n, n) float64 array, and each bool mask is an eighth of one.
+        # Upper triangle and diagonal: + ||x_i||^2, then + ||x_j||^2.
+        # Lower triangle: the same two norms in the other order.
         lower = np.tri(len(x), k=-1, dtype=bool)
-        upper = ~lower
-        np.add(out, sq[:, None], out=out, where=upper)
-        np.add(out, sq[None, :], out=out, where=lower)
-        np.add(out, sq[None, :], out=out, where=upper)
+        np.add(out, sq[:, None], out=out, where=~lower)
+        out += sq[None, :]
         np.add(out, sq[:, None], out=out, where=lower)
     else:
         y = np.asarray(y, dtype=np.float64)

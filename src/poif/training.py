@@ -108,16 +108,22 @@ class TrainingIndex:
 
     Rows are dataset positions.  ``audio`` and ``video`` hold the (n, d)
     feature matrices and ``codes`` each row's identity code: its position
-    among the sorted identity ids.  ``videos[c]`` lists identity c's videos
-    in sorted video-id order, each as its rows in ``segment_index`` order,
-    and ``n_videos[c]`` counts them.
+    among the sorted identity ids.  Videos are numbered identity by
+    identity, each identity's in sorted video-id order: identity c owns
+    videos ``first_video[c]`` to ``first_video[c] + n_videos[c] - 1``.
+    ``rows`` lists the dataset rows video by video, each video's in
+    ``segment_index`` order; video j's ``n_segments[j]`` rows start at
+    ``first_segment[j]``.
     """
 
     audio: np.ndarray
     video: np.ndarray
     codes: np.ndarray
-    videos: list[list[list[int]]]
     n_videos: np.ndarray
+    first_video: np.ndarray
+    n_segments: np.ndarray
+    first_segment: np.ndarray
+    rows: np.ndarray
 
 
 def index_training_set(dataset: Sequence[SegmentRecord]) -> TrainingIndex:
@@ -155,17 +161,19 @@ def index_training_set(dataset: Sequence[SegmentRecord]) -> TrainingIndex:
     identity_ids = sorted(groups)
     code_of = {identity: c for c, identity in enumerate(identity_ids)}
     # sorted() is stable, so segments sharing an index keep dataset order.
-    videos = [
-        [sorted(rows, key=lambda r: dataset[r].segment_index)
-         for _, rows in sorted(groups[identity].items())]
-        for identity in identity_ids
-    ]
+    videos = [sorted(rows, key=lambda r: dataset[r].segment_index)
+              for identity in identity_ids for _, rows in sorted(groups[identity].items())]
+    n_videos = np.array([len(groups[identity]) for identity in identity_ids], dtype=np.intp)
+    n_segments = np.array([len(rows) for rows in videos], dtype=np.intp)
     return TrainingIndex(
         audio=np.stack([s.audio for s in dataset]),
         video=np.stack([s.video for s in dataset]),
         codes=np.array([code_of[s.identity_id] for s in dataset], dtype=np.intp),
-        videos=videos,
-        n_videos=np.array([len(v) for v in videos], dtype=np.intp),
+        n_videos=n_videos,
+        first_video=np.cumsum(n_videos) - n_videos,
+        n_segments=n_segments,
+        first_segment=np.cumsum(n_segments) - n_segments,
+        rows=np.array([r for rows in videos for r in rows], dtype=np.intp),
     )
 
 
@@ -188,16 +196,17 @@ def sample_batch(
     if len(eligible) < p:
         raise DataError(
             f"need at least {p} identities with {k} distinct videos each; "
-            f"found {len(eligible)} of {len(index.videos)}"
+            f"found {len(eligible)} of {len(index.n_videos)}"
         )
 
-    rows: list[int] = []
+    picks = []
     for idx in rng.choice(len(eligible), size=p, replace=False):
-        videos = index.videos[eligible[idx]]
-        for vidx in rng.choice(len(videos), size=k, replace=False):
-            segs = videos[vidx]
-            rows.append(segs[rng.integers(len(segs))])
-    return np.array(rows, dtype=np.intp)
+        c = eligible[idx]
+        videos = index.first_video[c] + rng.choice(index.n_videos[c], size=k, replace=False)
+        # One draw for the k segment picks: the same values, and the same
+        # generator state after, as k scalar draws.
+        picks.append(index.first_segment[videos] + rng.integers(index.n_segments[videos]))
+    return index.rows[np.concatenate(picks)]
 
 
 def train(

@@ -14,9 +14,11 @@ import numpy as np
 
 from poif.encoder import EncoderParams, Mlp, loss_and_param_grads, mlp_forward
 from poif.fileio import ScoreRow
-from poif.optim import flatten_params, unflatten_params
+from poif.losses import LossReport
+from poif.optim import OptimState, flatten_params, unflatten_params
 from poif.records import Modality, SegmentTable
 from poif.scoring import DecisionPolicy, build_reference
+from poif.similarity import squared_distance_matrix
 
 
 def squared_distance(x, y) -> float:
@@ -58,6 +60,62 @@ def naive_contrastive_losses(x_audio, x_video, identities, tau):
     l_a = channel(s_a)
     l_av = channel(lambda c, k: s_a(c, k) + s_v(c, k))
     return l_v, l_a, l_av
+
+
+def _rows_and_grad(s, pos):
+    """One channel's per-anchor loss terms and d(loss)/d(entries), on masked full rows.
+
+    Numerator and denominator are shifted by their own row maxima.  When
+    the positive set equals the full off-diagonal row the two computations
+    coincide term by term and the loss row is exactly zero.
+    """
+    n = s.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    s_off = np.where(off, s, -np.inf)
+    s_pos = np.where(pos, s, -np.inf)
+
+    m_off = s_off.max(axis=1)
+    m_pos = s_pos.max(axis=1)
+    e_off = np.exp(s_off - m_off[:, None])
+    e_pos = np.exp(s_pos - m_pos[:, None])
+    logden = m_off + np.log(e_off.sum(axis=1))
+    lognum = m_pos + np.log(e_pos.sum(axis=1))
+    rows = logden - lognum
+    # softmax over the row's off-diagonal entries minus the softmax
+    # restricted to the positives
+    g = np.exp(s_off - logden[:, None]) - np.exp(s_pos - lognum[:, None])
+    return rows, g
+
+
+def per_channel_loss_and_embedding_grads(x_audio, x_video, pos_mask, tau, joint_weight):
+    """The loss kernel one channel at a time: (LossReport, d_audio, d_video).
+
+    Each channel's (n, n) similarity matrix goes through ``_rows_and_grad``
+    on its own, with every exponential over the whole masked row.  The
+    package's stacked pass must give the same bits.
+    """
+    x_audio = np.asarray(x_audio, dtype=np.float64)
+    x_video = np.asarray(x_video, dtype=np.float64)
+    s_a = -(squared_distance_matrix(x_audio) / tau)
+    s_v = -(squared_distance_matrix(x_video) / tau)
+    s_av = s_a + s_v
+
+    rows_a, g_a = _rows_and_grad(s_a, pos_mask)
+    rows_v, g_v = _rows_and_grad(s_v, pos_mask)
+    rows_av, g_av = _rows_and_grad(s_av, pos_mask)
+
+    l_a = float(rows_a.sum())
+    l_v = float(rows_v.sum())
+    l_av = float(rows_av.sum())
+    report = LossReport(l_v=l_v, l_a=l_a, l_av=l_av, joint_weight=float(joint_weight),
+                        l_tot=l_v + l_a + joint_weight * l_av)
+
+    w_av = g_av + g_av.T
+    m_a = (g_a + g_a.T) + joint_weight * w_av
+    m_v = (g_v + g_v.T) + joint_weight * w_av
+    d_audio = (-2.0 / tau) * (m_a.sum(axis=1, keepdims=True) * x_audio - m_a @ x_audio)
+    d_video = (-2.0 / tau) * (m_v.sum(axis=1, keepdims=True) * x_video - m_v @ x_video)
+    return report, d_audio, d_video
 
 
 def clone_params(params: EncoderParams) -> EncoderParams:
@@ -175,6 +233,27 @@ def scalar_adamw(w, g, m, v, t, lr, wd, b1, b2, eps):
     v_hat = v / (1.0 - b2 ** t)
     w = w - lr * (m_hat / (math.sqrt(v_hat) + eps)) - lr * wd * w
     return w, m, v
+
+
+def per_array_adamw_step(params, state, grads, cfg):
+    """One AdamW update array by array: (params, OptimState) with fresh arrays.
+
+    The package's flat-buffer update must give the same bits.
+    """
+    lr, wd = cfg.learning_rate, cfg.weight_decay
+    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
+    t = state.step + 1
+    new_p, new_m, new_v = [], [], []
+    for w, g, m, v in zip(flatten_params(params), flatten_params(grads), state.m, state.v):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        w = w - lr * (m_hat / (np.sqrt(v_hat) + eps)) - lr * wd * w
+        new_p.append(w)
+        new_m.append(m)
+        new_v.append(v)
+    return unflatten_params(params, new_p), OptimState(m=new_m, v=new_v, step=t)
 
 
 def phi(x: float) -> float:

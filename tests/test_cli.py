@@ -260,6 +260,25 @@ def test_resume_rejects_mismatched_settings(pipeline, tmp_path):
                  "--resume", pipeline["ckpt"], *mismatch]) == 2
 
 
+def test_resume_rejects_impossible_step_counts(pipeline, tmp_path, capsys):
+    lines = open(pipeline["ckpt"]).read().splitlines()
+    assert lines[-1] == "steps_done,6"
+    at_optim = next(i for i, line in enumerate(lines) if line.startswith("optim,6,"))
+    n_arrays = lines[at_optim].split(",")[2]
+    out = tmp_path / "out.ckpt"
+    bad = tmp_path / "bad.ckpt"
+    for edited, message in (
+        (lines[:-1] + ["steps_done,-3"], f"negative steps_done -3 at line {len(lines)}"),
+        (lines[:at_optim] + [f"optim,9,{n_arrays}"] + lines[at_optim + 1:],
+         f"optim step 9 does not match steps_done 6 at line {len(lines)}"),
+    ):
+        bad.write_text("\n".join(edited) + "\n")
+        assert main(["train", "--features", pipeline["train_feats"], "--out", str(out),
+                     "--resume", str(bad), *TRAIN_ARGS]) == 3
+        assert f"poif: data error: {bad}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_config_file_layering(pipeline, tmp_path):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text("mode = train\nidentities = 6\nseed = 3\n"

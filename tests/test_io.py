@@ -235,6 +235,39 @@ def test_checkpoint_reader_reports_malformed_integers(tmp_path):
         read_checkpoint(str(bad))
 
 
+def test_checkpoint_reader_rejects_impossible_step_counts(tmp_path):
+    good = tmp_path / "c.ckpt"
+    params = init_encoder(3, 4, EncoderConfig(1, 4, 2), 2)
+    state = init_optim_state(params)
+    write_checkpoint(str(good), params, {}, optim_step=10, optim_m=state.m,
+                     optim_v=state.v, rng_state=np.random.default_rng(1).bit_generator.state,
+                     steps_done=10)
+    lines = good.read_text().splitlines()
+    at_optim = lines.index(f"optim,10,{len(state.m)}")
+    assert lines[-1] == "steps_done,10"
+    bad = tmp_path / "bad.ckpt"
+
+    def reads(edited):
+        bad.write_text("\n".join(edited) + "\n")
+        return read_checkpoint(str(bad))
+
+    with pytest.raises(DataError, match=rf"{bad}: negative steps_done -3 at line {len(lines)}"):
+        reads(lines[:-1] + ["steps_done,-3"])
+    with pytest.raises(DataError, match=rf"{bad}: optim step 23 does not match steps_done 10 "
+                                        rf"at line {len(lines)}"):
+        reads(lines[:at_optim] + [f"optim,23,{len(state.m)}"] + lines[at_optim + 1:])
+    with pytest.raises(DataError, match=rf"{bad}: negative optim step -1 at line {at_optim + 1}"):
+        reads(lines[:at_optim] + [f"optim,-1,{len(state.m)}"] + lines[at_optim + 1:-1])
+    # steps_done ahead of the optimizer section: the optim header is the
+    # second count read, so it is the line named
+    moved = lines[:at_optim] + ["steps_done,4"] + lines[at_optim:-1]
+    with pytest.raises(DataError, match=rf"{bad}: optim step 10 does not match steps_done 4 "
+                                        rf"at line {at_optim + 2}"):
+        reads(moved)
+    # a weights-only checkpoint with a count but no optimizer is fine
+    assert reads(lines[:at_optim] + ["steps_done,0"]).steps_done == 0
+
+
 def score_rows():
     return [
         ScoreRow("v1", "p1", 10, ManipFlags(), 0.0, 1.2, -0.3, 0.8, -0.3, "real"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import embedding_matrices, identity_labels, make_batch
-from oracles import naive_contrastive_losses
+from oracles import naive_contrastive_losses, per_channel_loss_and_embedding_grads
 from poif.exceptions import ConfigError, DataError
 from poif.losses import loss_and_embedding_grads, positive_sets
 
@@ -144,3 +144,42 @@ def test_loss_rejects_negative_joint_weight():
     pos = positive_sets(identity_labels(batch))
     with pytest.raises(ConfigError):
         loss_and_embedding_grads(x_audio, x_video, pos, 1.0, -0.5)
+
+
+def interleaved_labels():
+    return np.array([0, 1, 2, 0, 1, 2, 3, 0, 3, 1, 2, 3])
+
+
+def ragged_labels():
+    return np.repeat(np.arange(4), (2, 5, 3, 6))
+
+
+@pytest.mark.parametrize("labels", [interleaved_labels, ragged_labels])
+@pytest.mark.parametrize("tau, scale", [(0.5, 1.0), (1e-4, 3.0)])
+@pytest.mark.parametrize("joint_weight", [0.0, 1.0, 2.5])
+def test_stacked_pass_matches_per_channel_oracle_bit_for_bit(labels, tau, scale, joint_weight):
+    """The (3, n, n) pass gives the per-channel path's bits, sharp tau included."""
+    ids = labels()
+    rng = np.random.default_rng(len(ids) + int(10 * joint_weight))
+    x_audio, x_video = embedding_matrices(rng, len(ids), scale=scale)
+    pos = positive_sets(ids)
+    report, d_audio, d_video = loss_and_embedding_grads(x_audio, x_video, pos, tau, joint_weight)
+    want, want_audio, want_video = per_channel_loss_and_embedding_grads(
+        x_audio, x_video, pos, tau, joint_weight)
+    if tau < 1e-3:
+        # similarities reach about -1e6: the max-shifted form is what runs
+        s_a = -(np.sum((x_audio[:, None] - x_audio[None]) ** 2, axis=-1) / tau)
+        assert s_a.min() < -3e5
+    for field in ("l_v", "l_a", "l_av", "joint_weight", "l_tot"):
+        assert np.array_equal(getattr(report, field), getattr(want, field)), field
+    assert np.array_equal(d_audio, want_audio)
+    assert np.array_equal(d_video, want_video)
+
+
+def test_loss_rejects_an_anchor_without_positives():
+    rng = np.random.default_rng(10)
+    x_audio, x_video = embedding_matrices(rng, 4)
+    pos = positive_sets([0, 0, 1, 1])
+    pos[2, 3] = False
+    with pytest.raises(ValueError, match="every anchor needs at least one positive"):
+        loss_and_embedding_grads(x_audio, x_video, pos, 0.5, 1.0)

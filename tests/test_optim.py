@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import clone_params, scalar_adamw
+from oracles import clone_params, per_array_adamw_step, scalar_adamw
 from poif.encoder import EncoderConfig, init_encoder
-from poif.optim import adamw_step, flatten_params, init_optim_state, unflatten_params
+from poif.fileio import read_checkpoint, write_checkpoint
+from poif.optim import (
+    OptimState,
+    adamw_step,
+    flatten_params,
+    init_optim_state,
+    unflatten_params,
+)
 from poif.training import TrainConfig
 
 
@@ -108,3 +115,81 @@ def test_shape_mismatch_is_rejected():
     bad.audio.weights[0] = np.zeros((1, 1))
     with pytest.raises(ValueError):
         adamw_step(params, state, bad, cfg())
+
+
+def random_grads(params, rng):
+    return unflatten_params(params, [rng.standard_normal(a.shape) for a in flatten_params(params)])
+
+
+def assert_same_bits(a_params, a_state, b_params, b_state):
+    assert a_state.step == b_state.step
+    for name, xs, ys in (("params", flatten_params(a_params), flatten_params(b_params)),
+                         ("m", a_state.m, b_state.m), ("v", a_state.v, b_state.v)):
+        assert len(xs) == len(ys)
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            assert x.shape == y.shape and np.array_equal(x, y), (name, i)
+
+
+def test_flat_buffers_match_per_array_oracle_bit_for_bit():
+    """250 steps on reused buffers, on fresh copies and array by array: same bits."""
+    params = init_encoder(5, 3, EncoderConfig(2, 8, 4), 6)
+    c = cfg(learning_rate=3e-3, weight_decay=0.02)
+    rng = np.random.default_rng(11)
+    flat = (params, init_optim_state(params))
+    copied = (params, init_optim_state(params))
+    oracle = (params, init_optim_state(params))
+    for _ in range(250):
+        grads = random_grads(params, rng)
+        flat = adamw_step(*flat, grads, c)
+        # fresh arrays every step: adamw_step packs them instead of
+        # reusing its buffers
+        p, s = copied
+        copied = adamw_step(clone_params(p), OptimState([a.copy() for a in s.m],
+                                                        [a.copy() for a in s.v], s.step),
+                            grads, c)
+        oracle = per_array_adamw_step(*oracle, grads, c)
+        assert_same_bits(*flat, *oracle)
+        assert_same_bits(*copied, *oracle)
+    # the buffers really were reused: the returned arrays are views of them
+    p, s = flat
+    assert s.packed[0].holds(flatten_params(p))
+    assert s.packed[1].holds(s.m) and s.packed[2].holds(s.v)
+
+
+def test_packed_buffers_follow_the_arrays_they_hold():
+    """A replaced array is packed anew; an array edited in place is its buffer."""
+    params = small_params(5)
+    c = cfg()
+    rng = np.random.default_rng(3)
+    params, state = adamw_step(params, init_optim_state(params), random_grads(params, rng), c)
+    grads = random_grads(params, rng)
+
+    state.m[1] = state.m[1] + 0.5           # a new array in place of a view
+    params.video.weights[0][0, 0] += 0.25   # an edit through a view
+    want = per_array_adamw_step(params, OptimState(list(state.m), list(state.v), state.step),
+                                grads, c)
+    assert_same_bits(*adamw_step(params, state, grads, c), *want)
+
+
+def test_checkpoint_mid_run_resumes_to_identical_bytes(tmp_path):
+    """200 steps straight, or 100 then a checkpoint round trip then 100 more."""
+    params0 = init_encoder(4, 3, EncoderConfig(1, 6, 3), 8)
+    c = cfg(learning_rate=2e-3)
+    grads = [random_grads(params0, np.random.default_rng(1000 + t)) for t in range(200)]
+
+    def run(params, state, steps):
+        for t in steps:
+            params, state = adamw_step(params, state, grads[t], c)
+        return params, state
+
+    def save(path, params, state):
+        write_checkpoint(str(path), params, {"tau": "0.5"}, optim_step=state.step,
+                         optim_m=state.m, optim_v=state.v, steps_done=state.step)
+        return path.read_bytes()
+
+    full = save(tmp_path / "full.ckpt", *run(params0, init_optim_state(params0), range(200)))
+    save(tmp_path / "half.ckpt", *run(params0, init_optim_state(params0), range(100)))
+    ckpt = read_checkpoint(str(tmp_path / "half.ckpt"))
+    resumed = run(ckpt.params, OptimState(ckpt.optim_m, ckpt.optim_v, ckpt.optim_step),
+                  range(100, 200))
+    assert save(tmp_path / "resumed.ckpt", *resumed) == full

@@ -8,7 +8,10 @@ ast, without importing the runner.
 
 import ast
 import importlib
+import sys
 from pathlib import Path
+
+from poif.cli import main
 
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
 
@@ -30,3 +33,50 @@ def test_every_traced_name_is_defined():
     assert missing == []
     records = importlib.import_module("poif.records")
     assert hasattr(records.SegmentRecord, "__post_init__")
+
+
+# The functions a training step calls, with their calls per step.  The
+# traced runner times training.step_ms from sample_batch's start to
+# adamw_step's end, and the per-layer spans by these names, so every step
+# has to call each one through its module binding.
+STEP_CALLS = {
+    ("training", "sample_batch"): 1,
+    ("losses", "positive_sets"): 1,
+    ("encoder", "loss_and_param_grads"): 1,
+    ("encoder", "mlp_forward"): 2,
+    ("encoder", "mlp_backward"): 2,
+    ("losses", "loss_and_embedding_grads"): 1,
+    ("similarity", "squared_distance_matrix"): 2,
+    ("optim", "adamw_step"): 1,
+}
+
+
+def test_every_training_step_calls_the_traced_functions(tmp_path, monkeypatch):
+    """Count calls the way traced_cli.py wraps them: every poif binding of a name."""
+    targets = traced_targets()
+    calls = {}
+    modules = [m for key, m in sys.modules.items()
+               if m is not None and (key == "poif" or key.startswith("poif."))]
+    for module, name in STEP_CALLS:
+        assert name in targets[module]
+        original = getattr(importlib.import_module(f"poif.{module}"), name)
+
+        def counted(*args, _original=original, _key=(module, name), **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _original(*args, **kwargs)
+
+        for m in modules:
+            for key, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, key, counted)
+
+    feats = str(tmp_path / "feats.txt")
+    assert main(["synth", "--mode", "train", "--identities", "4", "--videos-per-identity",
+                 "3", "--segments-per-video", "2", "--audio-dim", "5", "--video-dim", "4",
+                 "--seed", "1", "--out", feats]) == 0
+    assert calls == {}
+    assert main(["train", "--features", feats, "--out", str(tmp_path / "enc.ckpt"),
+                 "--seed", "1", "--tau", "0.5", "--epochs", "1", "--batches-per-epoch", "3",
+                 "--identities-per-batch", "2", "--segments-per-identity", "2",
+                 "--hidden-layers", "1", "--hidden-width", "4", "--embedding-dim", "3"]) == 0
+    assert calls == {key: 3 * per_step for key, per_step in STEP_CALLS.items()}
