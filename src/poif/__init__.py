@@ -17,7 +17,7 @@ from .exceptions import (
 )
 from .losses import LossReport, positive_sets
 from .metrics import MetricsReport, ScoreSample, accuracy, auc, knn_person_id, pd_at_fa
-from .records import ManipFlags, Modality, SegmentRecord, SegmentTable
+from .records import ManipFlags, Modality, SegmentTable
 from .scoring import (
     FUSED,
     DecisionPolicy,
@@ -30,12 +30,10 @@ from .scoring import (
 from .synthgen import (
     Benchmark,
     ManipulationSpec,
-    NoiseSpec,
     WorldConfig,
     apply_manipulation,
     generate_benchmark,
     generate_world,
-    inject_noise,
 )
 from .training import (
     TrainConfig,
@@ -62,11 +60,9 @@ __all__ = [
     "ManipulationSpec",
     "MetricsReport",
     "Modality",
-    "NoiseSpec",
     "PoifError",
     "ReferenceSet",
     "ScoreSample",
-    "SegmentRecord",
     "SegmentTable",
     "TrainConfig",
     "TrainResult",
@@ -83,7 +79,6 @@ __all__ = [
     "generate_world",
     "index_training_set",
     "init_encoder",
-    "inject_noise",
     "knn_person_id",
     "pd_at_fa",
     "positive_sets",

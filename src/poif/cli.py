@@ -284,7 +284,7 @@ def _cmd_train(args) -> int:
     _resolve_seed(merged)
     features_path = _need_input(merged, "features", "--features")
     out = _need(merged, "out", "--out")
-    _, segments = fileio.read_features(features_path)
+    _, table = fileio.read_feature_table(features_path)
 
     cfg = TrainConfig(
         learning_rate=merged["lr"],
@@ -326,12 +326,12 @@ def _cmd_train(args) -> int:
             steps_done=ckpt.steps_done,
         )
 
-    result = train(segments, cfg, resume=resume_state)
+    result = train(table, cfg, resume=resume_state)
 
     final_loss = result.log[-1].loss.l_tot if result.log else math.nan
     meta = _echo_meta(merged, {
-        "audio_dim": segments[0].audio.shape[0],
-        "video_dim": segments[0].video.shape[0],
+        "audio_dim": table.audio.shape[1],
+        "video_dim": table.video.shape[1],
         "final_loss": final_loss,
     })
     m, v = result.state.optim.m, result.state.optim.v

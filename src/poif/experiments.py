@@ -197,9 +197,9 @@ def rows_to_samples(
     samples = []
     for r in rows:
         if not r.flags.is_fake:
-            samples.append(ScoreSample(r.statistic(statistic), REAL, group))
+            samples.append(ScoreSample(r.statistic(statistic), REAL))
         elif r.flags.group() == group:
-            samples.append(ScoreSample(r.statistic(statistic), FAKE, group))
+            samples.append(ScoreSample(r.statistic(statistic), FAKE))
     return samples
 
 

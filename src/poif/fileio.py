@@ -17,7 +17,7 @@ import numpy as np
 
 from .encoder import EncoderParams, Mlp
 from .exceptions import ConfigError, DataError
-from .records import ManipFlags, SegmentRecord, SegmentTable, valid_flag_rows
+from .records import ManipFlags, SegmentTable, valid_flag_rows
 from .training import TrainStep
 
 FEAT_MAGIC = "POIF-FEAT"
@@ -151,27 +151,24 @@ def _write(path: str, lines: Iterable[str]):
 
 # -- features -----------------------------------------------------------
 
-def write_features(path: str, segments: Sequence[SegmentRecord], meta: Mapping[str, str]):
-    if not segments:
+def write_features(path: str, table: SegmentTable, meta: Mapping[str, str]):
+    if not len(table):
         raise DataError("refusing to write an empty feature file")
-    da = segments[0].audio.shape[0]
-    dv = segments[0].video.shape[0]
-    out = [f"{FEAT_MAGIC},{FORMAT_VERSION},{da},{dv},{len(segments)}"]
+    out = [f"{FEAT_MAGIC},{FORMAT_VERSION},{table.audio.shape[1]},{table.video.shape[1]},"
+           f"{len(table)}"]
     out.extend(_meta_lines(meta))
-    for seg in segments:
-        if seg.audio.shape[0] != da or seg.video.shape[0] != dv:
-            raise DataError(f"inconsistent feature dims in segment {seg.key}")
-        f = seg.flags
-        fields = [
-            _check_id(seg.identity_id, "identity_id"),
-            _check_id(seg.video_id, "video_id"),
-            str(seg.segment_index),
-            str(int(f.is_fake)), str(int(f.v)), str(int(f.a)), str(int(f.ai)),
-            fmt(seg.blend),
-            fmt_row(seg.audio),
-            fmt_row(seg.video),
-        ]
-        out.append(",".join(fields))
+    # One row at a time: a whole-table float matrix or flag lists would
+    # stay alive next to the formatted lines and raise the peak memory.
+    for row, (identity, video_id, index) in enumerate(zip(
+            table.identity_ids.tolist(), table.video_ids.tolist(), table.segment_index.tolist())):
+        out.append(",".join([
+            _check_id(identity, "identity_id"),
+            _check_id(video_id, "video_id"),
+            str(index),
+            *("1" if bit else "0" for bit in table.flags[row]),
+            fmt_row(np.concatenate((table.blend[row:row + 1], table.audio[row],
+                                    table.video[row]))),
+        ]))
     _write(path, out)
 
 
@@ -268,8 +265,8 @@ def read_feature_table(path: str) -> tuple[dict[str, str], SegmentTable]:
     )
 
 
-def read_features(path: str) -> tuple[dict[str, str], list[SegmentRecord]]:
-    """The feature file as records (read through ``read_feature_table``)."""
+def read_features(path: str) -> tuple[dict[str, str], list]:
+    """The feature file as one record per row (``read_feature_table``, then ``to_records``)."""
     meta, table = read_feature_table(path)
     return meta, table.to_records()
 
@@ -487,10 +484,13 @@ def read_scores(path: str) -> tuple[dict[str, str], list[ScoreRow]]:
         values = _parse_floats(fields[7:12], 5, lines)
         if fields[12] not in ("real", "fake"):
             lines.fail(f"bad decision {fields[12]!r}")
+        n_segments = lines.parse_int(fields[2], "n_segments")
+        if n_segments < 1:
+            lines.fail(f"n_segments must be >= 1, got {n_segments}")
         rows.append(ScoreRow(
             video_id=fields[0],
             identity_id=fields[1],
-            n_segments=lines.parse_int(fields[2], "n_segments"),
+            n_segments=n_segments,
             flags=flags,
             blend=float(values[0]),
             norm_video=float(values[1]),
@@ -540,6 +540,8 @@ def read_report(path: str) -> tuple[dict[str, str], list[dict]]:
         for name, raw in zip(("video", "audio", "av", "fusion"), fields[4:]):
             row[name] = None if raw == UNDEFINED else float(_parse_floats([raw], 1, lines)[0])
         rows.append(row)
+    if not lines.at_end():
+        lines.fail("trailing data after last report row")
     return meta, rows
 
 
@@ -573,6 +575,8 @@ def read_sweep(path: str) -> tuple[dict[str, str], list[dict]]:
             "auc": None if fields[5] == UNDEFINED
                    else float(_parse_floats([fields[5]], 1, lines)[0]),
         })
+    if not lines.at_end():
+        lines.fail("trailing data after last sweep row")
     return meta, rows
 
 

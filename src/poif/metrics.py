@@ -29,7 +29,6 @@ class ScoreSample:
 
     score: float
     label: str
-    group: str | None = None
 
     def __post_init__(self):
         if self.label not in (REAL, FAKE):

@@ -1,9 +1,10 @@
 """Core data model: modalities, manipulation flags, segments.
 
 A segment is a short slice of one talking-face video carrying one audio
-and one video feature vector.  Synthesis and training work on lists of
-``SegmentRecord``; scoring and sweeps work on a ``SegmentTable``, the same
-segments held as columns.
+and one video feature vector.  The pipeline, from synthesis to scoring,
+holds segments as the columns of a ``SegmentTable``.  ``SegmentRecord`` is
+one segment as an object: ``from_records`` and ``to_records`` convert
+between the two for callers that iterate segments one by one.
 """
 
 from __future__ import annotations
@@ -183,6 +184,12 @@ class SegmentTable:
             audio=np.stack([s.audio for s in records]) if records else np.empty((0, 0)),
             video=np.stack([s.video for s in records]) if records else np.empty((0, 0)),
         )
+
+    @classmethod
+    def concat(cls, tables: Sequence["SegmentTable"]) -> "SegmentTable":
+        """The rows of ``tables`` one after the other."""
+        return cls(*(np.concatenate([getattr(t, f.name) for t in tables])
+                     for f in fields(cls)))
 
     def take(self, rows) -> "SegmentTable":
         """The table restricted to ``rows`` (indices or a mask), in that order."""

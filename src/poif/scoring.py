@@ -28,7 +28,6 @@ from .records import ALL_MODALITIES, FAKE, REAL, Modality, SegmentTable
 from .similarity import check_temperature, squared_distance_matrix
 
 FUSED = "fused"
-STATISTICS = (Modality.AUDIO, Modality.VIDEO, Modality.AV, FUSED)
 
 SIGMA_FLOOR = 1e-9
 
@@ -139,7 +138,6 @@ def build_reference(
     tau: float,
     *,
     exclude_same_video: bool = True,
-    sigma_floor: float = SIGMA_FLOOR,
 ) -> ReferenceSet:
     """Embed one person's pristine segments and calibrate their self-scores.
 
@@ -195,10 +193,10 @@ def build_reference(
         scores = self_scores[m]
         mu[m] = float(scores.mean())
         sigma[m] = float(scores.std())
-        if sigma[m] < sigma_floor:
+        if sigma[m] < SIGMA_FLOOR:
             raise DegenerateReferenceError(
                 f"reference for {poi_id!r} is degenerate: {m.value} self-scores have "
-                f"spread {sigma[m]:.3g} below the floor {sigma_floor:.3g}"
+                f"spread {sigma[m]:.3g} below the floor {SIGMA_FLOOR:.3g}"
             )
 
     return ReferenceSet(

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exceptions import ConfigError, DataError
-from .records import GROUPS, ManipFlags, SegmentRecord, flags_for_group
+from .records import FLAG_COLUMNS, GROUPS, ManipFlags, SegmentTable, flags_for_group
 from .utils import as_rng
 
 
@@ -69,7 +69,7 @@ class World:
     identity_ids: tuple[str, ...]
     audio_latents: np.ndarray
     video_latents: np.ndarray
-    segments: list[SegmentRecord]
+    segments: SegmentTable
 
     def identity_row(self, identity_id: str) -> int:
         try:
@@ -78,23 +78,31 @@ class World:
             raise DataError(f"unknown identity {identity_id!r}") from None
 
 
-def _pristine_video(cfg, rng, identity_id, audio_latent, video_latent, video_id, n_segments):
-    bias_a = rng.standard_normal(cfg.audio_dim) * cfg.video_bias_scale
-    bias_v = rng.standard_normal(cfg.video_dim) * cfg.video_bias_scale
-    segments = []
-    for k in range(n_segments):
-        noise_a = rng.standard_normal(cfg.audio_dim) * cfg.segment_noise_scale
-        noise_v = rng.standard_normal(cfg.video_dim) * cfg.segment_noise_scale
-        segments.append(
-            SegmentRecord(
-                identity_id=identity_id,
-                video_id=video_id,
-                segment_index=k,
-                audio=audio_latent + bias_a + noise_a,
-                video=video_latent + bias_v + noise_v,
-            )
-        )
-    return segments
+def _pristine_videos(cfg, identity_ids, audio_latents, video_latents, normals, tag):
+    """Pristine segments of several identities from one block of standard normals.
+
+    ``normals`` has shape (identities, videos, 1 + segments, audio_dim +
+    video_dim): per video its bias draw, then one noise draw per segment,
+    audio before video in each.  Rows run identity by identity, video by
+    video; video j of identity i is named ``f"{i}_{tag}{j:03d}"``.
+    """
+    n_ids, n_videos, n_segments = normals.shape[0], normals.shape[1], normals.shape[2] - 1
+    da = cfg.audio_dim
+    bias = normals[:, :, :1] * cfg.video_bias_scale
+    noise = normals[:, :, 1:] * cfg.segment_noise_scale
+    audio = (audio_latents[:, None, None] + bias[..., :da]) + noise[..., :da]
+    video = (video_latents[:, None, None] + bias[..., da:]) + noise[..., da:]
+    names = [f"{i}_{tag}{j:03d}" for i in identity_ids for j in range(n_videos)]
+    n = n_ids * n_videos * n_segments
+    return SegmentTable(
+        identity_ids=np.repeat(np.array(identity_ids, dtype=str), n_videos * n_segments),
+        video_ids=np.repeat(np.array(names, dtype=str), n_segments),
+        segment_index=np.tile(np.arange(n_segments, dtype=np.int64), n_ids * n_videos),
+        flags=np.zeros((n, len(FLAG_COLUMNS)), dtype=bool),
+        blend=np.zeros(n),
+        audio=audio.reshape(n, da),
+        video=video.reshape(n, cfg.video_dim),
+    )
 
 
 def generate_world(cfg: WorldConfig) -> World:
@@ -102,29 +110,21 @@ def generate_world(cfg: WorldConfig) -> World:
 
     Draw order is fixed: per identity, the two latents, then per video its
     two biases followed by per-segment noise, audio before video
-    throughout.
+    throughout.  The whole world is one draw of standard normals in that
+    order.
     """
     rng = np.random.default_rng(cfg.seed)
-    identity_ids = []
-    audio_latents = np.empty((cfg.n_identities, cfg.audio_dim))
-    video_latents = np.empty((cfg.n_identities, cfg.video_dim))
-    segments: list[SegmentRecord] = []
-    for i in range(cfg.n_identities):
-        identity_id = f"id{cfg.identity_start + i:04d}"
-        identity_ids.append(identity_id)
-        audio_latents[i] = rng.standard_normal(cfg.audio_dim) * cfg.identity_scale
-        video_latents[i] = rng.standard_normal(cfg.video_dim) * cfg.identity_scale
-        for j in range(cfg.n_videos_per_identity):
-            segments.extend(
-                _pristine_video(
-                    cfg, rng, identity_id, audio_latents[i], video_latents[i],
-                    video_id=f"{identity_id}_v{j:03d}",
-                    n_segments=cfg.n_segments_per_video,
-                )
-            )
+    d = cfg.audio_dim + cfg.video_dim
+    v, k = cfg.n_videos_per_identity, cfg.n_segments_per_video
+    normals = rng.standard_normal((cfg.n_identities, d + v * (1 + k) * d))
+    latents = normals[:, :d] * cfg.identity_scale
+    audio_latents, video_latents = latents[:, :cfg.audio_dim], latents[:, cfg.audio_dim:]
+    identity_ids = tuple(f"id{cfg.identity_start + i:04d}" for i in range(cfg.n_identities))
+    segments = _pristine_videos(cfg, identity_ids, audio_latents, video_latents,
+                                normals[:, d:].reshape(cfg.n_identities, v, 1 + k, d), "v")
     return World(
         cfg=cfg,
-        identity_ids=tuple(identity_ids),
+        identity_ids=identity_ids,
         audio_latents=audio_latents,
         video_latents=video_latents,
         segments=segments,
@@ -138,31 +138,24 @@ def sample_identity_videos(
     n_segments: int,
     rng,
     video_prefix: str = "x",
-) -> list[SegmentRecord]:
+) -> SegmentTable:
     """Draw extra pristine videos for an existing identity.
 
     Used to grow reference or probe material beyond what the world was
     generated with; draws come from the provided stream, not the world
-    seed.
+    seed, in the order ``generate_world`` draws one identity's videos.
     """
     rng = as_rng(rng)
     row = world.identity_row(identity_id)
-    segments: list[SegmentRecord] = []
-    for j in range(n_videos):
-        segments.extend(
-            _pristine_video(
-                world.cfg, rng, identity_id,
-                world.audio_latents[row], world.video_latents[row],
-                video_id=f"{identity_id}_{video_prefix}{j:03d}",
-                n_segments=n_segments,
-            )
-        )
-    return segments
+    cfg = world.cfg
+    normals = rng.standard_normal((1, n_videos, 1 + n_segments, cfg.audio_dim + cfg.video_dim))
+    return _pristine_videos(cfg, [identity_id], world.audio_latents[row:row + 1],
+                            world.video_latents[row:row + 1], normals, video_prefix)
 
 
 @dataclass(eq=False)
 class ManipulationSpec:
-    """How to fake one segment: flags, blend fraction, donor, voice offset."""
+    """How to fake a video: flags, blend fraction, donor, voice offset."""
 
     flags: ManipFlags
     blend: float = 1.0
@@ -182,68 +175,47 @@ class ManipulationSpec:
 
 
 def apply_manipulation(
-    seg: SegmentRecord,
+    source: SegmentTable,
     spec: ManipulationSpec,
     world: World,
     new_video_id: str | None = None,
-) -> SegmentRecord:
-    """Rewrite one pristine segment per the spec; the source is untouched."""
-    if seg.flags.is_fake:
-        raise DataError(f"cannot manipulate an already-fake segment {seg.key}")
-    owner = world.identity_row(seg.identity_id)
-    audio = seg.audio
-    video = seg.video
+) -> SegmentTable:
+    """Rewrite the pristine rows of one identity per the spec; the source is untouched."""
+    owners = np.unique(source.identity_ids).tolist()
+    if len(owners) != 1:
+        raise DataError(f"a manipulation rewrites one identity's rows; got identities {owners}")
+    fake = np.flatnonzero(source.flags[:, 0])
+    if len(fake):
+        raise DataError(f"cannot manipulate an already-fake segment {source.key(fake[0])}")
+    owner_id = owners[0]
+    owner = world.identity_row(owner_id)
+    audio = source.audio
+    video = source.video
     blend = 0.0
 
-    if spec.donor_identity is not None and spec.donor_identity == seg.identity_id:
-        raise DataError(f"donor must differ from the claimed identity {seg.identity_id!r}")
+    if spec.donor_identity is not None and spec.donor_identity == owner_id:
+        raise DataError(f"donor must differ from the claimed identity {owner_id!r}")
 
     if spec.flags.v:
         donor = world.identity_row(spec.donor_identity)
-        video = seg.video + spec.blend * (world.video_latents[donor] - world.video_latents[owner])
+        delta = world.video_latents[donor] - world.video_latents[owner]
+        video = source.video + spec.blend * delta
         blend = spec.blend
     if spec.flags.a:
-        audio = seg.audio + spec.cloned_voice_offset
+        audio = source.audio + spec.cloned_voice_offset
     elif spec.flags.ai:
         donor = world.identity_row(spec.donor_identity)
-        audio = seg.audio + (world.audio_latents[donor] - world.audio_latents[owner])
+        audio = source.audio + (world.audio_latents[donor] - world.audio_latents[owner])
 
-    return SegmentRecord(
-        identity_id=seg.identity_id,
-        video_id=new_video_id if new_video_id is not None else seg.video_id,
-        segment_index=seg.segment_index,
+    n = len(source)
+    return SegmentTable(
+        identity_ids=source.identity_ids,
+        video_ids=source.video_ids if new_video_id is None else np.full(n, new_video_id),
+        segment_index=source.segment_index,
+        flags=np.tile([getattr(spec.flags, c) for c in FLAG_COLUMNS], (n, 1)),
+        blend=np.full(n, blend),
         audio=audio,
         video=video,
-        flags=spec.flags,
-        blend=blend,
-    )
-
-
-@dataclass
-class NoiseSpec:
-    """Additive white perturbation applied to stored features."""
-
-    audio_noise_scale: float = 0.0
-    video_noise_scale: float = 0.0
-
-    def __post_init__(self):
-        if self.audio_noise_scale < 0 or self.video_noise_scale < 0:
-            raise ConfigError("noise scales must be non-negative")
-
-
-def inject_noise(seg: SegmentRecord, spec: NoiseSpec, rng) -> SegmentRecord:
-    """Return a noisy copy of a segment; draws audio noise first."""
-    rng = as_rng(rng)
-    audio = seg.audio + rng.standard_normal(seg.audio.shape[0]) * spec.audio_noise_scale
-    video = seg.video + rng.standard_normal(seg.video.shape[0]) * spec.video_noise_scale
-    return SegmentRecord(
-        identity_id=seg.identity_id,
-        video_id=seg.video_id,
-        segment_index=seg.segment_index,
-        audio=audio,
-        video=video,
-        flags=seg.flags,
-        blend=seg.blend,
     )
 
 
@@ -252,8 +224,8 @@ class Benchmark:
     """Labeled evaluation material: references plus real and fake test videos."""
 
     poi_ids: tuple[str, ...]
-    reference: list[SegmentRecord]
-    test: list[SegmentRecord]
+    reference: SegmentTable
+    test: SegmentTable
 
 
 def generate_benchmark(
@@ -278,6 +250,10 @@ def generate_benchmark(
     ``betas``; donors are drawn uniformly from the other identities.
     ``train_identity_ids`` guards train/test identity disjointness.
     """
+    for name, count in (("segments_per_video", segments_per_video),
+                        ("reference_videos", reference_videos), ("real_videos", real_videos)):
+        if count < 1:
+            raise ConfigError(f"{name} must be >= 1, got {count}")
     rng = as_rng(rng)
     if train_identity_ids is not None:
         overlap = sorted(set(train_identity_ids) & set(world.identity_ids))
@@ -305,22 +281,19 @@ def generate_benchmark(
         for poi in world.identity_ids
     }
 
-    reference: list[SegmentRecord] = []
-    test: list[SegmentRecord] = []
+    reference: list[SegmentTable] = []
+    test: list[SegmentTable] = []
     for poi in world.identity_ids:
-        reference.extend(
+        reference.append(
             sample_identity_videos(
                 world, poi, reference_videos, segments_per_video, rng, video_prefix="r"
             )
         )
-        real_segments = sample_identity_videos(
+        real = sample_identity_videos(
             world, poi, real_videos, segments_per_video, rng, video_prefix="t"
         )
-        test.extend(real_segments)
-        by_video: dict[str, list[SegmentRecord]] = {}
-        for seg in real_segments:
-            by_video.setdefault(seg.video_id, []).append(seg)
-        source_videos = sorted(by_video)
+        test.append(real)
+        source_videos = np.unique(real.video_ids)
 
         for gi, group in enumerate(GROUPS):
             flags = flags_for_group(group)
@@ -334,11 +307,9 @@ def generate_benchmark(
                     donor_identity=world.identity_ids[donor_row],
                     cloned_voice_offset=voice_offsets[poi] if flags.a else None,
                 )
-                source = by_video[source_videos[j % len(source_videos)]]
+                source = real.take(real.video_ids == source_videos[j % len(source_videos)])
                 fake_video_id = f"{poi}_g{gi + 1}f{j:02d}"
-                test.extend(
-                    apply_manipulation(seg, spec, world, new_video_id=fake_video_id)
-                    for seg in source
-                )
+                test.append(apply_manipulation(source, spec, world, new_video_id=fake_video_id))
 
-    return Benchmark(poi_ids=world.identity_ids, reference=reference, test=test)
+    return Benchmark(poi_ids=world.identity_ids, reference=SegmentTable.concat(reference),
+                     test=SegmentTable.concat(test))

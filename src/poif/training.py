@@ -12,7 +12,6 @@ each step then draws row indices and gathers the batch's feature rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .encoder import EncoderConfig, EncoderParams, init_encoder, loss_and_param_
 from .exceptions import ConfigError, DataError
 from .losses import LossReport, positive_sets
 from .optim import OptimState, adamw_step, init_optim_state
-from .records import SegmentRecord
+from .records import SegmentTable
 from .utils import as_rng
 
 
@@ -126,54 +125,45 @@ class TrainingIndex:
     rows: np.ndarray
 
 
-def index_training_set(dataset: Sequence[SegmentRecord]) -> TrainingIndex:
+def index_training_set(table: SegmentTable) -> TrainingIndex:
     """Check a training set once and index it by identity, video and segment.
 
-    Training data must be entirely pristine, share one audio and one video
-    feature dimension, and keep every video id within one identity (so a
-    batch of distinct videos per identity has distinct videos overall).
+    Training data must be entirely pristine and keep every video id within
+    one identity (so a batch of distinct videos per identity has distinct
+    videos overall).  An error names the first bad row in table order.
     """
-    if not dataset:
+    if not len(table):
         raise DataError("empty training dataset")
-    first = dataset[0]
-    audio_dim, video_dim = first.audio.shape[0], first.video.shape[0]
-    owner: dict[str, str] = {}
-    groups: dict[str, dict[str, list[int]]] = {}
-    for row, seg in enumerate(dataset):
-        if seg.flags.is_fake:
+    identity_ids, codes = np.unique(table.identity_ids, return_inverse=True)
+    _, first, video_codes = np.unique(table.video_ids, return_index=True, return_inverse=True)
+    owner = codes[first]  # each video's identity: that of its first row
+    fake = table.flags[:, 0]
+    bad = fake | (codes != owner[video_codes])
+    if bad.any():
+        row = int(np.argmax(bad))
+        if fake[row]:
             raise DataError(
-                f"training data must be pristine; found manipulated segment {seg.key}"
+                f"training data must be pristine; found manipulated segment {table.key(row)}"
             )
-        if seg.audio.shape[0] != audio_dim or seg.video.shape[0] != video_dim:
-            raise DataError(
-                f"inconsistent feature dims: segment {seg.key} has audio "
-                f"{seg.audio.shape[0]}, video {seg.video.shape[0]}; segment {first.key} "
-                f"has audio {audio_dim}, video {video_dim}"
-            )
-        identity = owner.setdefault(seg.video_id, seg.identity_id)
-        if identity != seg.identity_id:
-            raise DataError(
-                f"dataset reuses video id {seg.video_id!r} across identities "
-                f"{identity!r} and {seg.identity_id!r}; batch videos must be distinct"
-            )
-        groups.setdefault(seg.identity_id, {}).setdefault(seg.video_id, []).append(row)
+        raise DataError(
+            f"dataset reuses video id {str(table.video_ids[row])!r} across identities "
+            f"{str(identity_ids[owner[video_codes[row]]])!r} and "
+            f"{str(table.identity_ids[row])!r}; batch videos must be distinct"
+        )
 
-    identity_ids = sorted(groups)
-    code_of = {identity: c for c, identity in enumerate(identity_ids)}
-    # sorted() is stable, so segments sharing an index keep dataset order.
-    videos = [sorted(rows, key=lambda r: dataset[r].segment_index)
-              for identity in identity_ids for _, rows in sorted(groups[identity].items())]
-    n_videos = np.array([len(groups[identity]) for identity in identity_ids], dtype=np.intp)
-    n_segments = np.array([len(rows) for rows in videos], dtype=np.intp)
+    # Video codes follow sorted video ids, so a stable sort by owner lists
+    # the videos identity by identity, each identity's in sorted-id order.
+    n_videos = np.bincount(owner, minlength=len(identity_ids))
+    n_segments = np.bincount(video_codes)[np.argsort(owner, kind="stable")]
     return TrainingIndex(
-        audio=np.stack([s.audio for s in dataset]),
-        video=np.stack([s.video for s in dataset]),
-        codes=np.array([code_of[s.identity_id] for s in dataset], dtype=np.intp),
+        audio=table.audio,
+        video=table.video,
+        codes=codes,
         n_videos=n_videos,
         first_video=np.cumsum(n_videos) - n_videos,
         n_segments=n_segments,
         first_segment=np.cumsum(n_segments) - n_segments,
-        rows=np.array([r for rows in videos for r in rows], dtype=np.intp),
+        rows=np.lexsort((table.segment_index, video_codes, codes)),
     )
 
 
@@ -210,7 +200,7 @@ def sample_batch(
 
 
 def train(
-    dataset: Sequence[SegmentRecord],
+    dataset: SegmentTable,
     cfg: TrainConfig,
     resume: TrainState | None = None,
 ) -> TrainResult:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 
 from poif.encoder import encode_batch
@@ -42,6 +44,15 @@ def assert_within(got, want, bound):
     bound = np.broadcast_to(bound, err.shape)
     worst = np.unravel_index(np.argmax(err - bound), err.shape)
     assert np.all(err <= bound), f"error {err[worst]:.3g} > bound {bound[worst]:.3g} at {worst}"
+
+
+def assert_tables_equal(got: SegmentTable, want: SegmentTable):
+    """Every column of two tables has the same dtype, shape and values."""
+    for f in fields(SegmentTable):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, (f.name, a.dtype, b.dtype,
+                                                           a.shape, b.shape)
+        np.testing.assert_array_equal(a, b, err_msg=f.name)
 
 
 def make_batch(rng, counts=(2, 2), audio_dim=6, video_dim=5, scale=1.0):

@@ -16,7 +16,7 @@ from poif.encoder import EncoderParams, Mlp, loss_and_param_grads, mlp_forward
 from poif.fileio import ScoreRow
 from poif.losses import LossReport
 from poif.optim import OptimState, flatten_params, unflatten_params
-from poif.records import Modality, SegmentTable
+from poif.records import ManipFlags, Modality, SegmentRecord, SegmentTable
 from poif.scoring import DecisionPolicy, build_reference
 from poif.similarity import squared_distance_matrix
 
@@ -150,6 +150,90 @@ def fd_param_grads(params, f_audio, f_video, pos_mask, tau, joint_weight,
             flat[i] = keep
             g[i] = (up - down) / (2.0 * step)
     return unflatten_params(params, grads)
+
+
+# -- record-based synthesis ---------------------------------------------
+#
+# The generator as it ran on SegmentRecord lists: one record per segment,
+# each latent, bias and noise vector its own standard_normal call.
+
+def _record_videos(cfg, rng, identity_id, audio_latent, video_latent, video_ids, n_segments):
+    segments = []
+    for video_id in video_ids:
+        bias_a = rng.standard_normal(cfg.audio_dim) * cfg.video_bias_scale
+        bias_v = rng.standard_normal(cfg.video_dim) * cfg.video_bias_scale
+        for k in range(n_segments):
+            noise_a = rng.standard_normal(cfg.audio_dim) * cfg.segment_noise_scale
+            noise_v = rng.standard_normal(cfg.video_dim) * cfg.segment_noise_scale
+            segments.append(SegmentRecord(
+                identity_id=identity_id, video_id=video_id, segment_index=k,
+                audio=audio_latent + bias_a + noise_a,
+                video=video_latent + bias_v + noise_v,
+            ))
+    return segments
+
+
+def record_world(cfg):
+    """(identity ids, audio latents, video latents, records, final rng state)."""
+    rng = np.random.default_rng(cfg.seed)
+    ids, audio_latents, video_latents, segments = [], [], [], []
+    for i in range(cfg.n_identities):
+        identity_id = f"id{cfg.identity_start + i:04d}"
+        ids.append(identity_id)
+        audio_latents.append(rng.standard_normal(cfg.audio_dim) * cfg.identity_scale)
+        video_latents.append(rng.standard_normal(cfg.video_dim) * cfg.identity_scale)
+        segments += _record_videos(
+            cfg, rng, identity_id, audio_latents[-1], video_latents[-1],
+            [f"{identity_id}_v{j:03d}" for j in range(cfg.n_videos_per_identity)],
+            cfg.n_segments_per_video)
+    return (tuple(ids), np.array(audio_latents), np.array(video_latents), segments,
+            rng.bit_generator.state)
+
+
+def record_identity_videos(world, identity_id, n_videos, n_segments, rng, video_prefix="x"):
+    """Extra pristine videos of one identity, drawn from rng record by record."""
+    row = world.identity_ids.index(identity_id)
+    return _record_videos(
+        world.cfg, rng, identity_id, world.audio_latents[row], world.video_latents[row],
+        [f"{identity_id}_{video_prefix}{j:03d}" for j in range(n_videos)], n_segments)
+
+
+def record_benchmark(world, group_counts, betas, rng, segments_per_video, reference_videos,
+                     real_videos, cloned_voice_scale):
+    """(reference records, test records) with the benchmark generator's draws."""
+    groups = ("v", "v+ai", "a+ai", "v+a+ai")
+    ids = world.identity_ids
+    offsets = {poi: rng.standard_normal(world.cfg.audio_dim) * cloned_voice_scale
+               for poi in ids}
+    reference, test = [], []
+    for poi in ids:
+        owner = ids.index(poi)
+        reference += record_identity_videos(world, poi, reference_videos, segments_per_video,
+                                            rng, "r")
+        reals = record_identity_videos(world, poi, real_videos, segments_per_video, rng, "t")
+        test += reals
+        sources = sorted({s.video_id for s in reals})
+        for gi, group in enumerate(groups):
+            v, a, ai = (part in group.split("+") for part in ("v", "a", "ai"))
+            for j in range(group_counts.get(group, 0)):
+                pick = int(rng.integers(len(ids) - 1))
+                donor = pick if pick < owner else pick + 1
+                blend = betas[j % len(betas)] if v else 0.0
+                for seg in (s for s in reals if s.video_id == sources[j % len(sources)]):
+                    audio, video = seg.audio, seg.video
+                    if v:
+                        video = seg.video + blend * (world.video_latents[donor]
+                                                     - world.video_latents[owner])
+                    if a:
+                        audio = seg.audio + offsets[poi]
+                    elif ai:
+                        audio = seg.audio + (world.audio_latents[donor]
+                                             - world.audio_latents[owner])
+                    test.append(SegmentRecord(
+                        identity_id=poi, video_id=f"{poi}_g{gi + 1}f{j:02d}",
+                        segment_index=seg.segment_index, audio=audio, video=video,
+                        flags=ManipFlags(is_fake=True, v=v, a=a, ai=ai), blend=blend))
+    return reference, test
 
 
 def naive_sample_batch(dataset, identities_per_batch, segments_per_identity, rng):

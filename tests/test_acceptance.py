@@ -109,8 +109,7 @@ def _run_seed(s: int) -> SeedResult:
         np.random.default_rng([4000 + s, 1]), cloned_voice_scale=CLONED_VOICE,
         train_identity_ids=TRAIN_IDS)
     policy = DecisionPolicy(p_fa=0.1)
-    reference = SegmentTable.from_records(bench.reference)
-    test = SegmentTable.from_records(bench.test)
+    reference, test = bench.reference, bench.test
 
     av_pd = {}
     for lam in (0.0, 1.0):
@@ -132,11 +131,10 @@ def _run_seed(s: int) -> SeedResult:
     }
     fr_rows = sweep_rows("test_length", [1, 10], reference, test, params, TAU)
     rng = np.random.default_rng([5000 + s])
-    extended = []
-    for poi in eval_world.identity_ids:
-        extended.extend(sample_identity_videos(eval_world, poi, 10, 100, rng, "e"))
-    variety_rows = sweep_rows("ref_variety", [1, 10], SegmentTable.from_records(extended),
-                              test, params, TAU, ref_total=100)
+    extended = SegmentTable.concat([sample_identity_videos(eval_world, poi, 10, 100, rng, "e")
+                                    for poi in eval_world.identity_ids])
+    variety_rows = sweep_rows("ref_variety", [1, 10], extended, test, params, TAU,
+                              ref_total=100)
 
     knn_world = generate_world(WorldConfig(
         n_identities=10, n_videos_per_identity=1, n_segments_per_video=1,
@@ -145,12 +143,11 @@ def _run_seed(s: int) -> SeedResult:
     rng = np.random.default_rng([7000 + s])
     gallery, probes = [], []
     for poi in knn_world.identity_ids:
-        gallery.extend(sample_identity_videos(knn_world, poi, 10, 10, rng, "g"))
-        probes.extend(sample_identity_videos(knn_world, poi, 10, 1, rng, "p"))
-    g_labels = [seg.identity_id for seg in gallery]
-    p_labels = [seg.identity_id for seg in probes]
-    g_table = SegmentTable.from_records(gallery)
-    p_table = SegmentTable.from_records(probes)
+        gallery.append(sample_identity_videos(knn_world, poi, 10, 10, rng, "g"))
+        probes.append(sample_identity_videos(knn_world, poi, 10, 1, rng, "p"))
+    g_table, p_table = SegmentTable.concat(gallery), SegmentTable.concat(probes)
+    g_labels = g_table.identity_ids.tolist()
+    p_labels = p_table.identity_ids.tolist()
     g_audio, g_video = encode_batch(params, g_table.audio, g_table.video)
     p_audio, p_video = encode_batch(params, p_table.audio, p_table.video)
     knn = {m: 100.0 * knn_person_id(g_labels, g_audio, g_video,
@@ -255,8 +252,8 @@ def test_c03_reference_self_scores_are_standardized():
             identity_scale=1.0, video_bias_scale=0.3, segment_noise_scale=0.4,
             identity_start=k, seed=300 + k))
         params = init_encoder(16, 16, EncoderConfig(1, 12, 6), 5000 + k)
-        ref = build_reference(SegmentTable.from_records(world.segments), params, TAU)
-        oracle = reference_stats_bruteforce(world.segments, params, TAU)
+        ref = build_reference(world.segments, params, TAU)
+        oracle = reference_stats_bruteforce(world.segments.to_records(), params, TAU)
         for m in (Modality.AUDIO, Modality.VIDEO, Modality.AV):
             z = (ref.self_scores[m] - ref.mu[m]) / ref.sigma[m]
             worst_mean = max(worst_mean, abs(float(z.mean())))

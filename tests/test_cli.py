@@ -374,3 +374,17 @@ def test_synth_benchmark_rejects_identity_overlap(pipeline, tmp_path):
                  "--seed", "9", "--train-features", pipeline["train_feats"],
                  "--out-reference", str(tmp_path / "r.txt"),
                  "--out-test", str(tmp_path / "t.txt")]) == 3
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--real-videos", "0"), ("--real-videos", "-1"),
+    ("--segments-per-video", "0"), ("--reference-videos", "0"),
+])
+def test_synth_benchmark_refuses_counts_below_one(tmp_path, capsys, flag, value):
+    ref, test = tmp_path / "r.txt", tmp_path / "t.txt"
+    assert main(["synth", "--mode", "benchmark", "--identities", "3", "--seed", "9",
+                 flag, value, "--out-reference", str(ref), "--out-test", str(test)]) == 2
+    setting = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == (
+        f"poif: config error: {setting} must be >= 1, got {value}\n")
+    assert not ref.exists() and not test.exists()

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import assert_tables_equal
 from poif import fileio
 from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError, DataError
@@ -24,29 +25,30 @@ from poif.fileio import (
 )
 from poif.losses import LossReport
 from poif.optim import flatten_params, init_optim_state
-from poif.records import ManipFlags, SegmentRecord
+from poif.records import ManipFlags, SegmentRecord, SegmentTable
 from poif.synthgen import WorldConfig, generate_world
 from poif.training import TrainStep
 
 
 def some_segments():
+    """A small world's table whose last row is a fake of its own video."""
     world = generate_world(WorldConfig(
         n_identities=2, n_videos_per_identity=2, n_segments_per_video=2,
         audio_dim=3, video_dim=4, seed=5))
-    segments = world.segments
-    segments[-1] = SegmentRecord(
-        identity_id=segments[-1].identity_id, video_id="faked",
-        segment_index=0, audio=segments[-1].audio * np.pi,
-        video=segments[-1].video / 3.0,
+    records = world.segments.to_records()
+    records[-1] = SegmentRecord(
+        identity_id=records[-1].identity_id, video_id="faked",
+        segment_index=0, audio=records[-1].audio * np.pi,
+        video=records[-1].video / 3.0,
         flags=ManipFlags(is_fake=True, v=True, ai=True), blend=0.4,
     )
-    return segments
+    return SegmentTable.from_records(records)
 
 
 def test_features_round_trip_is_bit_exact(tmp_path):
     path = str(tmp_path / "feat.txt")
-    segments = some_segments()
-    write_features(path, segments, {"seed": "5", "note": "x y z"})
+    segments = some_segments().to_records()
+    write_features(path, some_segments(), {"seed": "5", "note": "x y z"})
     meta, back = read_features(path)
     assert meta == {"seed": "5", "note": "x y z"}
     assert len(back) == len(segments)
@@ -61,12 +63,14 @@ def test_features_round_trip_is_bit_exact(tmp_path):
 def test_feature_writer_refuses_empty_and_bad_ids(tmp_path):
     path = str(tmp_path / "feat.txt")
     with pytest.raises(DataError):
-        write_features(path, [], {})
-    seg = some_segments()[0]
-    bad = SegmentRecord(identity_id="a,b", video_id="v", segment_index=0,
-                        audio=seg.audio, video=seg.video)
-    with pytest.raises(DataError):
-        write_features(path, [bad], {})
+        write_features(path, some_segments().take([]), {})
+    seg = some_segments().to_records()[0]
+    for identity_id, video_id in (("a,b", "v"), ("a", "")):
+        bad = SegmentRecord(identity_id=identity_id, video_id=video_id, segment_index=0,
+                            audio=seg.audio, video=seg.video)
+        with pytest.raises(DataError):
+            write_features(path, SegmentTable.from_records([bad]), {})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reader_accepts_header_only_file(tmp_path):
@@ -161,13 +165,7 @@ def test_feature_table_columns(tmp_path):
     segments = some_segments()
     write_features(path, segments, {})
     _, table = read_feature_table(path)
-    assert table.identity_ids.tolist() == [s.identity_id for s in segments]
-    assert table.video_ids.tolist() == [s.video_id for s in segments]
-    assert table.segment_index.tolist() == [s.segment_index for s in segments]
-    assert [table.flags_at(i) for i in range(len(table))] == [s.flags for s in segments]
-    assert table.blend.tolist() == [s.blend for s in segments]
-    np.testing.assert_array_equal(table.audio, np.stack([s.audio for s in segments]))
-    np.testing.assert_array_equal(table.video, np.stack([s.video for s in segments]))
+    assert_tables_equal(table, segments)
     assert table.audio.flags.c_contiguous and table.video.flags.c_contiguous
 
 
@@ -311,6 +309,55 @@ def test_sweep_round_trip(tmp_path):
     assert meta["statistic"] == "fusion"
     assert back[0]["auc"] == 77.125
     assert back[1]["auc"] is None and back[1]["x"] == 10
+
+
+def report_rows():
+    return [{"metric": "auc", "group": "v", "n_real": 8, "n_fake": 4,
+             "video": 88.5, "audio": None, "av": 91.25, "fusion": 90.0}]
+
+
+def sweep_rows():
+    return [{"axis": "ref_size", "x": 2, "class": "all", "n_real": 8, "n_fake": 16,
+             "auc": 60.5}]
+
+
+# Each written file has a header, one meta line, a column line and its
+# rows, so the last row is on line 3 + len(rows).
+TABLE_FILES = {
+    "scores": (write_scores, read_scores, score_rows, "score"),
+    "report": (write_report, read_report, report_rows, "report"),
+    "sweep": (write_sweep, read_sweep, sweep_rows, "sweep"),
+}
+
+
+@pytest.mark.parametrize("extra", ["copy of the last row", "garbage"])
+@pytest.mark.parametrize("kind", sorted(TABLE_FILES))
+def test_table_readers_refuse_rows_past_the_header_count(tmp_path, kind, extra):
+    write, read, rows, noun = TABLE_FILES[kind]
+    path = tmp_path / f"{kind}.txt"
+    write(str(path), rows(), {"seed": "1"})
+    lines = path.read_text().splitlines()
+    assert len(lines) == 3 + len(rows())
+    lines.append(lines[-1] if extra == "copy of the last row" else "not,a,row")
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}: trailing data after last {noun} row at line {len(lines) - 1}"
+    want = rf"^{re.escape(message)}$"
+    with pytest.raises(DataError, match=want):
+        read(str(path))
+
+
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_score_reader_refuses_n_segments_below_one(tmp_path, count):
+    path = tmp_path / "s.txt"
+    write_scores(str(path), score_rows(), {"p_fa": "0.1"})
+    lines = path.read_text().splitlines()
+    fields = lines[-1].split(",")
+    fields[2] = count
+    path.write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n")
+    message = f"{path}: n_segments must be >= 1, got {count} at line {len(lines)}"
+    want = rf"^{re.escape(message)}$"
+    with pytest.raises(DataError, match=want):
+        read_scores(str(path))
 
 
 def test_train_log_format(tmp_path):

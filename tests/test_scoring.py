@@ -34,7 +34,7 @@ def one_person_segments(seed=0, videos=4, segments=5):
         audio_dim=6, video_dim=5, seed=seed,
         segment_noise_scale=0.3, video_bias_scale=0.2,
     )
-    return generate_world(cfg).segments
+    return generate_world(cfg).segments.to_records()
 
 
 def quiet_reference(segments, params, tau, **kwargs):
@@ -136,7 +136,7 @@ def test_reference_rejects_mixed_and_fake_material(params):
                       n_segments_per_video=2, audio_dim=6, video_dim=5, seed=0)
     world = generate_world(cfg)
     with pytest.raises(DataError):
-        quiet_reference(world.segments, params, tau=0.5)
+        quiet_reference(world.segments.to_records(), params, tau=0.5)
     with pytest.raises(DataError):
         quiet_reference([], params, tau=0.5)
 
@@ -160,7 +160,7 @@ def test_poi_index_is_max_over_reference(params):
     world = generate_world(WorldConfig(
         n_identities=1, n_videos_per_identity=1, n_segments_per_video=1,
         audio_dim=6, video_dim=5, seed=99))
-    probe = world.segments[0]
+    probe = world.segments.to_records()[0]
     verdict = score_clip([probe], ref, params, 0.9, DecisionPolicy(p_fa=0.1))
     for m, best in best_similarities(probe, segments, params, 0.9).items():
         want = (best - ref.mu[m]) / ref.sigma[m]
@@ -200,7 +200,8 @@ def test_score_video_averages_per_segment_indices(params):
     world = generate_world(WorldConfig(
         n_identities=1, n_videos_per_identity=1, n_segments_per_video=1,
         audio_dim=6, video_dim=5, seed=8))
-    test_segments = sample_identity_videos(world, "id0000", 1, 4, np.random.default_rng(3))
+    test_segments = sample_identity_videos(world, "id0000", 1, 4,
+                                           np.random.default_rng(3)).to_records()
     verdict = score_clip(test_segments, ref, params, 0.5, DecisionPolicy(p_fa=0.1))
     assert verdict.n_segments == 4
     assert verdict.statistic_used == FUSED
@@ -222,7 +223,7 @@ def test_score_video_decision_follows_threshold(params):
     world = generate_world(WorldConfig(
         n_identities=1, n_videos_per_identity=1, n_segments_per_video=1,
         audio_dim=6, video_dim=5, seed=9))
-    own = sample_identity_videos(world, "id0000", 1, 6, np.random.default_rng(1))
+    own = sample_identity_videos(world, "id0000", 1, 6, np.random.default_rng(1)).to_records()
     verdict = score_clip(own, ref, params, 0.5, DecisionPolicy(p_fa=0.1))
     lenient = verdict.statistic_value >= DecisionPolicy(p_fa=0.1).threshold
     assert (verdict.decision == "real") == lenient

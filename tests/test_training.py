@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from oracles import naive_sample_batch
 from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError, DataError
 from poif.optim import flatten_params
-from poif.records import ManipFlags
+from poif.records import ManipFlags, SegmentTable
 from poif.synthgen import WorldConfig, generate_world
 from poif import training
 from poif.training import TrainConfig, index_training_set, sample_batch, train
@@ -35,7 +36,7 @@ def uneven_world(seed=3):
     world = tiny_world(seed=seed, identities=7, videos=5, segments=6)
     rng = np.random.default_rng(seed)
     by_identity = {}
-    for seg in world.segments:
+    for seg in world.segments.to_records():
         by_identity.setdefault(seg.identity_id, {}).setdefault(seg.video_id, []).append(seg)
     keep = []
     for videos in by_identity.values():
@@ -44,26 +45,38 @@ def uneven_world(seed=3):
             chosen = rng.choice(len(segs), size=int(rng.integers(1, len(segs) + 1)),
                                 replace=False)
             keep.extend(segs[i] for i in sorted(chosen))
-    return keep
+    return SegmentTable.from_records(keep)
 
 
-def shuffled(segments, seed=0):
-    order = np.random.default_rng(seed).permutation(len(segments))
-    return [segments[i] for i in order]
+def shuffled(table, seed=0):
+    return table.take(np.random.default_rng(seed).permutation(len(table)))
+
+
+def with_rows(table, changes):
+    """A copy of the table with some rows replaced: {row: record field changes}.
+
+    Edits go through records, because assigning a longer id into a
+    fixed-width numpy string column would silently truncate it.
+    """
+    records = table.to_records()
+    for row, change in changes.items():
+        records[row] = replace(records[row], **change)
+    return SegmentTable.from_records(records)
 
 
 def test_sample_batch_one_segment_per_video():
     world = tiny_world()
-    index = index_training_set(world.segments)
+    table = world.segments
+    index = index_training_set(table)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        batch = [world.segments[r] for r in sample_batch(index, 3, 2, rng)]
-        assert len(batch) == 6
-        assert len({s.identity_id for s in batch}) == 3
-        video_ids = [s.video_id for s in batch]
+        rows = sample_batch(index, 3, 2, rng)
+        assert len(rows) == 6
+        assert len(set(table.identity_ids[rows].tolist())) == 3
+        video_ids = table.video_ids[rows].tolist()
         assert len(set(video_ids)) == len(video_ids)
-        for seg in batch:
-            assert seg.video_id.startswith(seg.identity_id)
+        for identity, video_id in zip(table.identity_ids[rows].tolist(), video_ids):
+            assert video_id.startswith(identity)
 
 
 def test_sample_batch_needs_enough_identities_with_enough_videos():
@@ -78,25 +91,26 @@ def test_sample_batch_needs_enough_identities_with_enough_videos():
 
 def test_sample_batch_matches_regrouping_oracle():
     """Same segments and the same rng stream as regrouping the dataset per call."""
-    segments = shuffled(uneven_world())
-    index = index_training_set(segments)
+    table = shuffled(uneven_world())
+    records = table.to_records()
+    index = index_training_set(table)
     # the world really is uneven: 1 to 6 segments per video, and some
     # identities have too few videos to be drawn
     assert set(index.n_segments.tolist()) == set(range(1, 7))
     assert 3 <= np.count_nonzero(index.n_videos >= 3) < len(index.n_videos)
     ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(200):
-        got = [segments[r].key for r in sample_batch(index, 3, 3, ours)]
-        want = [s.key for s in naive_sample_batch(segments, 3, 3, theirs)]
+        got = [table.key(r) for r in sample_batch(index, 3, 3, ours)]
+        want = [s.key for s in naive_sample_batch(records, 3, 3, theirs)]
         assert got == want
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_train_ignores_dataset_order():
-    segments = uneven_world()
+    table = uneven_world()
     cfg = tiny_cfg(batches_per_epoch=20)
-    a = train(segments, cfg)
-    b = train(shuffled(segments, seed=1), cfg)
+    a = train(table, cfg)
+    b = train(shuffled(table, seed=1), cfg)
     for wa, wb in zip(flatten_params(a.params), flatten_params(b.params)):
         np.testing.assert_array_equal(wa, wb)
     assert [s.loss for s in a.log] == [s.loss for s in b.log]
@@ -104,31 +118,43 @@ def test_train_ignores_dataset_order():
 
 
 def test_video_id_shared_across_identities_fails_before_first_step(monkeypatch):
-    segments = list(tiny_world().segments)
-    seg = segments[-1]
-    assert seg.identity_id != segments[0].identity_id
-    segments[-1] = type(seg)(
-        identity_id=seg.identity_id, video_id=segments[0].video_id,
-        segment_index=seg.segment_index, audio=seg.audio, video=seg.video,
-    )
+    table = tiny_world().segments
+    assert table.identity_ids[-1] != table.identity_ids[0]
+    shared = str(table.video_ids[0])
+    table = with_rows(table, {len(table) - 1: {"video_id": shared}})
 
     def never(*args, **kwargs):
         raise AssertionError("a batch was drawn from an invalid dataset")
 
     monkeypatch.setattr(training, "sample_batch", never)
-    with pytest.raises(DataError, match=repr(segments[0].video_id)):
-        train(segments, tiny_cfg())
+    with pytest.raises(DataError, match=re.escape(
+            f"dataset reuses video id {shared!r} across identities 'id0000' and 'id0005'")):
+        train(table, tiny_cfg())
+
+
+FAKE = {"flags": ManipFlags(is_fake=True, v=True), "blend": 1.0}
+
+
+@pytest.mark.parametrize("fake_row, shared_row, message", [
+    (20, 40, r"manipulated segment \('id0001', 'id0001_v002', 2\)"),
+    (50, 40, r"reuses video id 'id0000_v000' across identities 'id0000' and 'id0003'"),
+    # a row that is both: the pristine check comes first
+    (40, 40, r"manipulated segment \('id0003', 'id0000_v000', 1\)"),
+])
+def test_first_bad_row_in_dataset_order_is_named(fake_row, shared_row, message):
+    table = tiny_world().segments
+    table = with_rows(table, {shared_row: {"video_id": "id0000_v000"}})
+    table = with_rows(table, {fake_row: FAKE})
+    with pytest.raises(DataError, match=message):
+        index_training_set(table)
 
 
 def test_mixed_feature_dims_fail_before_first_step():
-    segments = list(tiny_world().segments)
-    seg = segments[4]
-    segments[4] = type(seg)(
-        identity_id=seg.identity_id, video_id=seg.video_id,
-        segment_index=seg.segment_index, audio=seg.audio[:-1], video=seg.video,
-    )
-    with pytest.raises(DataError, match=re.escape(f"inconsistent feature dims: segment {seg.key}")):
-        index_training_set(segments)
+    records = tiny_world().segments.to_records()
+    records[4] = replace(records[4], audio=records[4].audio[:-1])
+    with pytest.raises(DataError, match=re.escape("inconsistent feature dims: audio [4, 5], "
+                                                  "video [4]")):
+        SegmentTable.from_records(records)
 
 
 def test_train_same_config_is_bit_reproducible():
@@ -184,16 +210,9 @@ def test_zero_epochs_returns_initialization():
 
 
 def test_train_refuses_manipulated_segments():
-    world = tiny_world()
-    segments = list(world.segments)
-    bad = segments[3]
-    segments[3] = type(bad)(
-        identity_id=bad.identity_id, video_id=bad.video_id,
-        segment_index=bad.segment_index, audio=bad.audio, video=bad.video,
-        flags=ManipFlags(is_fake=True, v=True), blend=1.0,
-    )
+    table = with_rows(tiny_world().segments, {3: FAKE})
     with pytest.raises(DataError):
-        train(segments, tiny_cfg())
+        train(table, tiny_cfg())
 
 
 def test_config_validation():
