@@ -22,7 +22,7 @@ from .scoring import (
     FUSED,
     DecisionPolicy,
     ReferenceSet,
-    VideoVerdict,
+    StackVerdict,
     build_reference,
     quantile_threshold,
     score_video,
@@ -64,11 +64,11 @@ __all__ = [
     "ReferenceSet",
     "ScoreSample",
     "SegmentTable",
+    "StackVerdict",
     "TrainConfig",
     "TrainResult",
     "TrainingIndex",
     "UndefinedMetricError",
-    "VideoVerdict",
     "WorldConfig",
     "accuracy",
     "apply_manipulation",

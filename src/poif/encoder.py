@@ -6,6 +6,7 @@ between layers and a linear output.  An empty stack is the identity map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,23 +84,27 @@ def init_encoder(audio_dim: int, video_dim: int, cfg: EncoderConfig, rng) -> Enc
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray, name: str = "encoder"):
-    """Forward pass over a (n, dim) batch, returning output and activations.
+    """Forward pass over a (..., n, dim) batch, returning output and activations.
 
-    The cache holds the input followed by every layer's post-activation
-    output, which is all the backward pass needs.
+    Leading dimensions stack independent batches: numpy's matmul makes one
+    BLAS call per (n, dim) matrix, so each batch's rows get the bits they
+    would get alone.  The cache holds the input followed by every layer's
+    post-activation output, which is all the backward pass needs.
     """
     h = np.asarray(x, dtype=np.float64)
-    if h.ndim != 2:
-        raise ValueError(f"{name}: expected a (n, dim) feature matrix, got shape {h.shape}")
+    if h.ndim < 2:
+        raise ValueError(f"{name}: expected a (..., n, dim) feature array, got shape {h.shape}")
     cache = [h]
     last = mlp.n_layers - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        if h.shape[1] != w.shape[1]:
+        if h.shape[-1] != w.shape[1]:
             raise ValueError(
-                f"{name} layer {i}: input dim {h.shape[1]} does not match weight dim {w.shape[1]}"
+                f"{name} layer {i}: input dim {h.shape[-1]} does not match weight dim {w.shape[1]}"
             )
-        z = h @ w.T + b
-        h = np.tanh(z) if i < last else z
+        h = h @ w.T
+        h += b
+        if i < last:
+            np.tanh(h, out=h)
         if not np.all(np.isfinite(h)):
             raise ValueError(f"{name} layer {i}: non-finite activation")
         cache.append(h)
@@ -123,18 +128,21 @@ def mlp_backward(mlp: Mlp, cache: list[np.ndarray], d_out: np.ndarray) -> Mlp:
 
 
 def encode_batch(params: EncoderParams, f_audio: np.ndarray, f_video: np.ndarray):
-    """Embed (n, d_a) audio and (n, d_v) video feature rows as one batch.
+    """Embed (..., n, d_a) audio and (..., n, d_v) video feature rows.
 
-    Returns the (n, d) embedding matrices per modality, in row order.  A
-    row's embedding bits can depend on the batch it is in (BLAS picks its
-    path by batch size), so callers keep their batches fixed.
+    Returns the (..., n, d) embedding arrays per modality, in row order.
+    A row's embedding bits can depend on the batch it is in (BLAS picks
+    its path by batch size), so callers keep their batches fixed; leading
+    dimensions stack batches of equal size without changing any row's bits.
     """
-    if len(f_audio) == 0:
+    rows_a, rows_v = (math.prod(np.shape(f)[:-1]) for f in (f_audio, f_video))
+    if not rows_a:
         raise ValueError("empty segment batch")
-    if len(f_audio) != len(f_video):
-        raise DataError(f"{len(f_audio)} audio rows but {len(f_video)} video rows")
-    x_audio, _ = mlp_forward(params.audio, f_audio, name="audio encoder")
-    x_video, _ = mlp_forward(params.video, f_video, name="video encoder")
+    if np.shape(f_audio)[:-1] != np.shape(f_video)[:-1]:
+        raise DataError(f"{rows_a} audio rows but {rows_v} video rows")
+    # [0] drops each forward's activation cache before the next one runs
+    x_audio = mlp_forward(params.audio, f_audio, name="audio encoder")[0]
+    x_video = mlp_forward(params.video, f_video, name="video encoder")[0]
     return x_audio, x_video
 
 

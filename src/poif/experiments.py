@@ -4,10 +4,11 @@ The scoring path groups reference rows by person, builds one reference
 set each, then scores every test video against the reference of the
 person it claims to be.  Videos are processed in first-occurrence order;
 inside a video, segments run in segment_index order.  Each video is
-embedded as one batch, and each person's test segments are matched
-against that person's reference in row blocks.  Results come back as
-ScoreRow records, and table_metrics turns those into the
-per-manipulation-group AUC / accuracy / detection tables.
+embedded as a batch of its own, in stacks of videos of equal length;
+each person's test segments are matched against that person's reference
+in row blocks, and each length's videos are judged as one stack.
+Results come back as ScoreRow records, and table_metrics turns those
+into the per-manipulation-group AUC / accuracy / detection tables.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .encoder import EncoderParams, encode_batch
 from .exceptions import DataError, UndefinedMetricError
 from .fileio import ScoreRow
 from .metrics import MetricsReport, ScoreSample, accuracy, auc, pd_at_fa
-from .records import FAKE, GROUPS, REAL, SegmentTable
+from .records import FAKE, GROUPS, REAL, ManipFlags, Modality, SegmentTable
 from .scoring import (
     FUSED,
     DecisionPolicy,
@@ -31,6 +32,7 @@ from .scoring import (
     below_nominal,
     best_matches,
     build_reference,
+    rows_per_block,
     score_video,
 )
 
@@ -70,11 +72,22 @@ def _first_occurrence_codes(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
     return rank[inverse], names[order].tolist()
 
 
+def _split_by(codes: np.ndarray) -> list[np.ndarray]:
+    """Positions per code 0..k-1 (every code present), each ascending."""
+    order = np.argsort(codes, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(codes))[:-1])
+
+
+def _by_length(counts: np.ndarray):
+    """(length, positions) per distinct count, lengths ascending, positions ascending."""
+    lengths, codes = np.unique(counts, return_inverse=True)
+    return zip(lengths.tolist(), _split_by(codes))
+
+
 def group_by_identity(table: SegmentTable) -> dict[str, np.ndarray]:
     """Rows per identity, identities in first-occurrence order, rows in table order."""
     codes, ids = _first_occurrence_codes(table.identity_ids)
-    order = np.argsort(codes, kind="stable")
-    return dict(zip(ids, np.split(order, np.cumsum(np.bincount(codes))[:-1])))
+    return dict(zip(ids, _split_by(codes)))
 
 
 def group_by_video(table: SegmentTable, rows: np.ndarray | None = None) -> Videos:
@@ -115,12 +128,31 @@ def build_references(
 
 
 def embed_videos(params: EncoderParams, table: SegmentTable, videos: Videos):
-    """Embed each video's rows as one batch; (n, d) matrices in ``videos.rows`` order."""
+    """Embed every video as a batch of its own; (n, d) matrices in ``videos.rows`` order.
+
+    Videos of one length L go through ``encode_batch`` together as a
+    (videos, L, dim) stack, which gives each video the bits of a batch of
+    its own.  A stack holds as many whole videos as ``rows_per_block``
+    allows for L times the widest layer (inputs included), so its largest
+    activation stays within one best_matches slice budget.
+    """
     if not len(videos):
         return np.empty((0, 0)), np.empty((0, 0))
-    audio, video = zip(*(encode_batch(params, table.audio[r], table.video[r])
-                         for r in map(videos.video_rows, range(len(videos)))))
-    return np.concatenate(audio), np.concatenate(video)
+    widest = max(table.audio.shape[1], table.video.shape[1],
+                 *(w.shape[0] for mlp in (params.audio, params.video) for w in mlp.weights))
+    out = None
+    for length, ks in _by_length(np.diff(videos.bounds)):
+        at = videos.bounds[ks, None] + np.arange(length)
+        per_stack = rows_per_block(length * widest)
+        for start in range(0, len(at), per_stack):
+            pos = at[start:start + per_stack]
+            rows = videos.rows[pos]
+            stacked = encode_batch(params, table.audio[rows], table.video[rows])
+            if out is None:
+                out = tuple(np.empty((len(videos.rows), x.shape[-1])) for x in stacked)
+            for whole, x in zip(out, stacked):
+                whole[pos] = x
+    return out
 
 
 def _score_embedded(
@@ -132,44 +164,49 @@ def _score_embedded(
     policy: DecisionPolicy,
     statistic: str,
 ) -> list[ScoreRow]:
-    """Score embedded videos, one person at a time, in video order."""
-    owners = table.identity_ids[videos.rows[videos.bounds[:-1]]].tolist()
+    """Score embedded videos, one person at a time, one stack per length; rows in video order.
+
+    A person's test rows are matched in video order, then each length's
+    videos are scored as one (videos, L) stack of their raw indices.
+    """
+    bounds = videos.bounds
+    first = videos.rows[bounds[:-1]]
+    codes, owners = _first_occurrence_codes(table.identity_ids[first])
     missing = sorted(set(owners) - set(references))
     if missing:
         raise DataError(f"no reference material for: {', '.join(missing)}")
-    by_person: dict[str, list[int]] = {}
-    for k, poi in enumerate(owners):
-        by_person.setdefault(poi, []).append(k)
 
     x_audio, x_video = embedded
-    bounds = videos.bounds
+    counts = np.diff(bounds)
+    flags = [ManipFlags(*f) for f in table.flags[first].tolist()]
+    blends = np.maximum.reduceat(table.blend[videos.rows], bounds[:-1]).tolist()
     out: list[ScoreRow] = [None] * len(videos)
-    for poi, ks in by_person.items():
+    for poi, ks in zip(owners, _split_by(codes)):
         ref = references[poi]
-        at = np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in ks])
+        n = counts[ks]
+        starts = np.cumsum(n) - n  # each video's first row among the person's rows
+        at = np.arange(n.sum()) + np.repeat(bounds[ks] - starts, n)
         raw = best_matches(x_audio[at], x_video[at], ref.audio, ref.video, tau)
-        offset = 0
-        for k in ks:
-            n = bounds[k + 1] - bounds[k]
-            verdict = score_video(
-                videos.ids[k], {m: r[offset:offset + n] for m, r in raw.items()},
-                ref, policy, statistic=statistic,
-            )
-            offset += n
-            rows = videos.video_rows(k)
-            norm = verdict.normalized
-            out[k] = ScoreRow(
-                video_id=videos.ids[k],
-                identity_id=poi,
-                n_segments=int(n),
-                flags=table.flags_at(rows[0]),
-                blend=max(table.blend[rows].tolist()),
-                norm_video=norm["video"],
-                norm_audio=norm["audio"],
-                norm_av=norm["av"],
-                fused=verdict.fused,
-                decision=verdict.decision,
-            )
+        for length, group in _by_length(n):
+            pos = starts[group, None] + np.arange(length)
+            verdict = score_video({m: r[pos] for m, r in raw.items()}, ref, policy,
+                                  statistic=statistic)
+            norm = {m: v.tolist() for m, v in verdict.normalized.items()}
+            for k, n_video, n_audio, n_av, fused, decision in zip(
+                    ks[group].tolist(), norm[Modality.VIDEO], norm[Modality.AUDIO],
+                    norm[Modality.AV], verdict.fused.tolist(), verdict.decisions):
+                out[k] = ScoreRow(
+                    video_id=videos.ids[k],
+                    identity_id=poi,
+                    n_segments=length,
+                    flags=flags[k],
+                    blend=blends[k],
+                    norm_video=n_video,
+                    norm_audio=n_audio,
+                    norm_av=n_av,
+                    fused=fused,
+                    decision=decision,
+                )
     return out
 
 

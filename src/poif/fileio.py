@@ -92,6 +92,12 @@ class _Lines:
     def fail(self, msg: str):
         raise DataError(f"{self.path}: {msg} at line {self.pos}")
 
+    def expect_end(self, what: str):
+        """Fail naming the first line past the payload, if there is one."""
+        if not self.at_end():
+            self.pos += 1
+            self.fail(f"trailing data after last {what}")
+
     def parse_int(self, field: str, name: str) -> int:
         """Parse one integer field of the current line, or fail naming it."""
         try:
@@ -142,10 +148,20 @@ def _parse_floats(fields: Sequence[str], n: int, lines: _Lines) -> np.ndarray:
 
 
 def _write(path: str, lines: Iterable[str]):
+    """Write lines as they come to a temporary file, then move it onto path.
+
+    A line that fails to format leaves neither path nor the temporary file.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="ascii") as f:
-        f.write("\n".join(lines))
-        f.write("\n")
+    f = open(tmp, "w", encoding="ascii")
+    try:
+        with f:
+            for line in lines:
+                f.write(line)
+                f.write("\n")
+    except BaseException:
+        os.unlink(tmp)
+        raise
     os.replace(tmp, path)
 
 
@@ -154,22 +170,25 @@ def _write(path: str, lines: Iterable[str]):
 def write_features(path: str, table: SegmentTable, meta: Mapping[str, str]):
     if not len(table):
         raise DataError("refusing to write an empty feature file")
-    out = [f"{FEAT_MAGIC},{FORMAT_VERSION},{table.audio.shape[1]},{table.video.shape[1]},"
-           f"{len(table)}"]
-    out.extend(_meta_lines(meta))
-    # One row at a time: a whole-table float matrix or flag lists would
-    # stay alive next to the formatted lines and raise the peak memory.
+    _write(path, _feature_lines(table, meta))
+
+
+def _feature_lines(table: SegmentTable, meta: Mapping[str, str]):
+    yield (f"{FEAT_MAGIC},{FORMAT_VERSION},{table.audio.shape[1]},{table.video.shape[1]},"
+           f"{len(table)}")
+    yield from _meta_lines(meta)
+    # One row at a time, written as it is made: a whole-table float matrix
+    # or the whole list of lines would stay alive and raise the peak memory.
     for row, (identity, video_id, index) in enumerate(zip(
             table.identity_ids.tolist(), table.video_ids.tolist(), table.segment_index.tolist())):
-        out.append(",".join([
+        yield ",".join([
             _check_id(identity, "identity_id"),
             _check_id(video_id, "video_id"),
             str(index),
             *("1" if bit else "0" for bit in table.flags[row]),
             fmt_row(np.concatenate((table.blend[row:row + 1], table.audio[row],
                                     table.video[row]))),
-        ]))
-    _write(path, out)
+        ])
 
 
 def _fail_feature_row(lines: _Lines, fields: Sequence[str], da: int, dv: int):
@@ -252,8 +271,7 @@ def read_feature_table(path: str) -> tuple[dict[str, str], SegmentTable]:
     lines.pos = start + n
     if n < count:
         lines.next()  # raises: truncated file
-    if not lines.at_end():
-        lines.fail("trailing data after last segment")
+    lines.expect_end("segment")
     return meta, SegmentTable(
         identity_ids=np.array(identity_ids, dtype=str),
         video_ids=np.array(video_ids, dtype=str),
@@ -499,8 +517,7 @@ def read_scores(path: str) -> tuple[dict[str, str], list[ScoreRow]]:
             fused=float(values[4]),
             decision=fields[12],
         ))
-    if not lines.at_end():
-        lines.fail("trailing data after last score row")
+    lines.expect_end("score row")
     return meta, rows
 
 
@@ -540,8 +557,7 @@ def read_report(path: str) -> tuple[dict[str, str], list[dict]]:
         for name, raw in zip(("video", "audio", "av", "fusion"), fields[4:]):
             row[name] = None if raw == UNDEFINED else float(_parse_floats([raw], 1, lines)[0])
         rows.append(row)
-    if not lines.at_end():
-        lines.fail("trailing data after last report row")
+    lines.expect_end("report row")
     return meta, rows
 
 
@@ -575,8 +591,7 @@ def read_sweep(path: str) -> tuple[dict[str, str], list[dict]]:
             "auc": None if fields[5] == UNDEFINED
                    else float(_parse_floats([fields[5]], 1, lines)[0]),
         })
-    if not lines.at_end():
-        lines.fail("trailing data after last sweep row")
+    lines.expect_end("sweep row")
     return meta, rows
 
 

@@ -211,40 +211,43 @@ def build_reference(
 
 
 @dataclass(eq=False)
-class VideoVerdict:
-    """Per-video means of the normalized indices and of the fused value."""
+class StackVerdict:
+    """Verdicts for a stack of clips of n_segments segments each.
 
-    video_id: str
+    ``normalized`` and ``fused`` hold each clip's means of the normalized
+    indices and of the fused value, ``decisions`` each clip's verdict.
+    """
+
     n_segments: int
-    normalized: dict[Modality, float]
-    fused: float
-    decision: str
+    normalized: dict[Modality, np.ndarray]
+    fused: np.ndarray
+    decisions: list[str]
     statistic_used: str
 
     @property
-    def statistic_value(self) -> float:
+    def statistic_value(self) -> np.ndarray:
         if self.statistic_used == FUSED:
             return self.fused
         return self.normalized[Modality(self.statistic_used)]
 
 
 def score_video(
-    video_id: str,
     raw: Mapping[Modality, np.ndarray],
     ref: ReferenceSet,
     policy: DecisionPolicy,
     statistic: Modality | str = FUSED,
-) -> VideoVerdict:
-    """Verdict for one clip from its segments' raw indices (``best_matches``).
+) -> StackVerdict:
+    """Verdicts for a (clips, L) stack of segments' raw indices (``best_matches``).
 
     Each segment's raw index is normalized with the reference's mu and
-    sigma, and the fused value is the worst of the three.  The per-video
-    statistic is the plain mean of the per-segment normalized (or fused)
-    values, so longer clips average down the per-segment noise.  The
-    verdict is fake when the chosen statistic falls below the policy
-    threshold.
+    sigma, and the fused value is the worst of the three.  A clip's
+    statistic is the plain mean of its per-segment normalized (or fused)
+    values, so longer clips average down the per-segment noise; each mean
+    runs over a contiguous row, which gives the bits of a 1-D mean of that
+    clip alone.  A clip is fake when the chosen statistic falls below the
+    policy threshold.
     """
-    if not len(raw[Modality.AUDIO]):
+    if not raw[Modality.AUDIO].size:
         raise DataError("no test segments to score")
     if statistic != FUSED:
         try:
@@ -258,15 +261,13 @@ def score_video(
         normalized[Modality.AV],
     )
 
-    means = {m: float(normalized[m].mean()) for m in ALL_MODALITIES}
-    fused = float(fused_per_segment.mean())
+    means = {m: normalized[m].mean(axis=-1) for m in ALL_MODALITIES}
+    fused = fused_per_segment.mean(axis=-1)
     value = fused if statistic == FUSED else means[statistic]
-    decision = FAKE if value < policy.threshold else REAL
-    return VideoVerdict(
-        video_id=video_id,
-        n_segments=len(raw[Modality.AUDIO]),
+    return StackVerdict(
+        n_segments=raw[Modality.AUDIO].shape[-1],
         normalized=means,
         fused=fused,
-        decision=decision,
+        decisions=np.where(value < policy.threshold, FAKE, REAL).tolist(),
         statistic_used=FUSED if statistic == FUSED else statistic.value,
     )

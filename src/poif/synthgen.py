@@ -181,7 +181,7 @@ def apply_manipulation(
     new_video_id: str | None = None,
 ) -> SegmentTable:
     """Rewrite the pristine rows of one identity per the spec; the source is untouched."""
-    owners = np.unique(source.identity_ids).tolist()
+    owners = sorted(set(source.identity_ids.tolist()))
     if len(owners) != 1:
         raise DataError(f"a manipulation rewrites one identity's rows; got identities {owners}")
     fake = np.flatnonzero(source.flags[:, 0])
@@ -293,7 +293,7 @@ def generate_benchmark(
             world, poi, real_videos, segments_per_video, rng, video_prefix="t"
         )
         test.append(real)
-        source_videos = np.unique(real.video_ids)
+        source_videos = sorted(set(real.video_ids.tolist()))
 
         for gi, group in enumerate(GROUPS):
             flags = flags_for_group(group)

@@ -95,8 +95,9 @@ def batch_inputs(batch):
 
 
 def score_clip(segments, ref, params, tau, policy, statistic=FUSED):
-    """The package's path for one clip: one embedding batch, best matches, verdict."""
+    """The package's path for one clip: one embedding batch, best matches, and
+    the verdict of a one-clip stack."""
     table = SegmentTable.from_records(segments)
     x_audio, x_video = encode_batch(params, table.audio, table.video)
     raw = best_matches(x_audio, x_video, ref.audio, ref.video, tau)
-    return score_video(segments[0].video_id, raw, ref, policy, statistic)
+    return score_video({m: r[None] for m, r in raw.items()}, ref, policy, statistic)

@@ -17,7 +17,7 @@ from poif.fileio import ScoreRow
 from poif.losses import LossReport
 from poif.optim import OptimState, flatten_params, unflatten_params
 from poif.records import ManipFlags, Modality, SegmentRecord, SegmentTable
-from poif.scoring import DecisionPolicy, build_reference
+from poif.scoring import DecisionPolicy, best_matches, build_reference
 from poif.similarity import squared_distance_matrix
 
 
@@ -541,4 +541,61 @@ def record_sweep_rows(axis, values, reference, test, params, tau, statistic="fus
             value = 100.0 * pairwise_auc(reals, fakes) if reals and fakes else None
             out.append({"axis": axis, "x": x, "class": cls, "n_real": len(reals),
                         "n_fake": len(fakes), "auc": value})
+    return out
+
+
+# -- per-video table scoring --------------------------------------------
+#
+# The table scorer as it ran before videos were stacked by length: every
+# video forwarded as a 2-D batch of its own, and every verdict computed
+# from that video's slice of its person's best matches.
+
+def per_video_forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
+    """The encoder's forward pass on one (n, dim) batch, out of place."""
+    h = np.asarray(x, dtype=np.float64)
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = h @ w.T + b
+        h = np.tanh(z) if i < mlp.n_layers - 1 else z
+    return h
+
+
+def per_video_embeddings(params: EncoderParams, table: SegmentTable, videos):
+    """Each video's rows embedded as one batch; (n, d) matrices in ``videos.rows`` order."""
+    audio, video = [], []
+    for k in range(len(videos)):
+        rows = videos.video_rows(k)
+        audio.append(per_video_forward(params.audio, table.audio[rows]))
+        video.append(per_video_forward(params.video, table.video[rows]))
+    return np.concatenate(audio), np.concatenate(video)
+
+
+def per_video_score_rows(table, videos, embedded, references, tau, policy, statistic):
+    """One ScoreRow per video, in video order, one verdict at a time."""
+    x_audio, x_video = embedded
+    bounds = videos.bounds
+    by_person = {}
+    for k in range(len(videos)):
+        by_person.setdefault(str(table.identity_ids[videos.video_rows(k)[0]]), []).append(k)
+    out = [None] * len(videos)
+    for poi, ks in by_person.items():
+        ref = references[poi]
+        at = np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in ks])
+        raw = best_matches(x_audio[at], x_video[at], ref.audio, ref.video, tau)
+        offset = 0
+        for k in ks:
+            n = int(bounds[k + 1] - bounds[k])
+            norm = {m: (r[offset:offset + n] - ref.mu[m]) / ref.sigma[m] for m, r in raw.items()}
+            offset += n
+            fused = np.minimum(np.minimum(norm[Modality.AUDIO], norm[Modality.VIDEO]),
+                               norm[Modality.AV])
+            means = {m.value: float(v.mean()) for m, v in norm.items()}
+            value = float(fused.mean()) if statistic == "fused" else means[statistic]
+            rows = videos.video_rows(k)
+            out[k] = ScoreRow(
+                video_id=videos.ids[k], identity_id=poi, n_segments=n,
+                flags=table.flags_at(rows[0]), blend=max(table.blend[rows].tolist()),
+                norm_video=means["video"], norm_audio=means["audio"], norm_av=means["av"],
+                fused=float(fused.mean()),
+                decision="fake" if value < policy.threshold else "real",
+            )
     return out

@@ -387,7 +387,7 @@ def test_c09_oracle_equivalences():
             # the distance kernel's error bound keeps near the scalar loop's
             bound = index_bound(audio[None], video[None], ref.audio, ref.video, TAU)
             for m, want in best.items():
-                assert_within(verdict.normalized[m], (want - ref.mu[m]) / ref.sigma[m],
+                assert_within(verdict.normalized[m][0], (want - ref.mu[m]) / ref.sigma[m],
                               bound[m][0] / ref.sigma[m])
                 checked += 1
 

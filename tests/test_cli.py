@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -388,3 +392,43 @@ def test_synth_benchmark_refuses_counts_below_one(tmp_path, capsys, flag, value)
     assert capsys.readouterr().err == (
         f"poif: config error: {setting} must be >= 1, got {value}\n")
     assert not ref.exists() and not test.exists()
+
+
+# Runs the README commands in one fresh interpreter and reports whether
+# numpy.ma was imported: numpy imports it lazily, at 13-16 ms, on the first
+# np.unique call without a return_* flag.
+NO_MASKED_ARRAYS = """
+import sys
+from poif.cli import main
+
+small = ["--audio-dim", "5", "--video-dim", "4"]
+scored = ["--checkpoint", "enc.ckpt", "--reference", "ref.txt", "--test", "test.txt"]
+for argv in (
+    ["synth", "--mode", "train", "--identities", "6", "--videos-per-identity", "4",
+     "--segments-per-video", "2", "--seed", "3", "--out", "train.txt", *small],
+    ["train", "--features", "train.txt", "--out", "enc.ckpt", "--log", "log.txt",
+     "--seed", "1", "--tau", "0.5", "--epochs", "1", "--batches-per-epoch", "3",
+     "--identities-per-batch", "3", "--segments-per-identity", "2",
+     "--hidden-layers", "1", "--hidden-width", "8", "--embedding-dim", "3"],
+    ["synth", "--mode", "benchmark", "--identities", "4", "--segments-per-video", "3",
+     "--reference-videos", "3", "--real-videos", "2", "--fakes-per-group", "1",
+     "--seed", "9", "--identity-start", "100", "--train-features", "train.txt",
+     "--out-reference", "ref.txt", "--out-test", "test.txt", *small],
+    ["score", *scored, "--out", "scores.txt"],
+    ["evaluate", "--scores", "scores.txt", "--out", "report.txt"],
+    ["sweep", *scored, "--axis", "test_length", "--values", "1,3", "--out", "sweep.txt"],
+):
+    assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_imports_masked_arrays(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

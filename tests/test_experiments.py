@@ -15,6 +15,8 @@ import pytest
 
 from conftest import assert_within, index_bound
 from oracles import (
+    per_video_embeddings,
+    per_video_score_rows,
     record_reference_by_variety,
     record_reference_by_videos,
     record_score_rows,
@@ -22,10 +24,12 @@ from oracles import (
     record_sweep_scores,
     record_truncate_videos,
 )
+from poif import experiments, scoring
 from poif.encoder import EncoderConfig, encode_batch, init_encoder
 from poif.exceptions import DataError
 from poif.experiments import (
     build_references,
+    embed_videos,
     group_by_video,
     reference_by_variety,
     reference_by_videos,
@@ -261,3 +265,131 @@ def test_scoring_holds_no_person_sized_similarity_matrix():
         tracemalloc.stop()
     assert len(rows) == n_test // 10
     assert peak < n_test * n_ref * 8, f"peak {peak / 1e6:.2f} MB"
+
+
+# -- stacks of equal-length videos --------------------------------------
+
+STACK_LENGTHS = (1, 2, 7, 10, 20)
+
+
+@pytest.fixture(scope="module")
+def stack_world():
+    """Three people, each with three test videos of every STACK_LENGTHS
+    length across all labels, rows shuffled together; 4 x 10 reference
+    segments per person.  A swapped face's blend grows along its video."""
+    rng = np.random.default_rng(21)
+    reference, test = [], []
+    labels = [(PRISTINE, 0.0)] + [(flags_for_group(g), 0.4 if "v" in g else 0.0)
+                                  for g in GROUPS]
+    for p in range(3):
+        poi = f"p{p}"
+        latent = (rng.normal(size=AUDIO_DIM), rng.normal(size=VIDEO_DIM))
+
+        def video(out, vid, length, flags=PRISTINE, blend=0.0):
+            for i in range(length):  # blends vary inside a video; a row keeps their max
+                out.append(SegmentRecord(
+                    identity_id=poi, video_id=vid, segment_index=i,
+                    audio=latent[0] + rng.normal(size=AUDIO_DIM) * 0.3,
+                    video=latent[1] + rng.normal(size=VIDEO_DIM) * 0.3,
+                    flags=flags, blend=blend * (0.9 + 0.05 * (i % 3))))
+
+        for v in range(4):
+            video(reference, f"{poi}_r{v}", 10)
+        for j, length in enumerate(STACK_LENGTHS * 3):
+            flags, blend = labels[j % len(labels)]
+            video(test, f"{poi}_t{j}", length, flags, blend)
+    test = [test[i] for i in rng.permutation(len(test))]
+    params = init_encoder(AUDIO_DIM, VIDEO_DIM, EncoderConfig(2, 64, 32), 8)
+    ref_table = SegmentTable.from_records(reference)
+    return ref_table, SegmentTable.from_records(test), params, build_references(
+        ref_table, params, TAU)
+
+
+WIDEST = 64  # the stack world's widest encoder layer
+
+
+@pytest.fixture(params=["default budget", "7-row budget at width 64"])
+def budget(request, monkeypatch):
+    """The stack byte budget; the small one splits most lengths into several stacks."""
+    if request.param != "default budget":
+        monkeypatch.setattr(scoring, "_SLICE_BYTES", 8 * WIDEST * 7 * 2)
+    return scoring._SLICE_BYTES
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_stacked_embeddings_match_per_video_batches(stack_world, budget, monkeypatch):
+    _, test, params, _ = stack_world
+    calls = []
+
+    def counted(params, f_audio, f_video):
+        calls.append(f_audio.shape[:-1])
+        return encode_batch(params, f_audio, f_video)
+
+    monkeypatch.setattr(experiments, "encode_batch", counted)
+    videos = group_by_video(test)
+    got = embed_videos(params, test, videos)
+    want = per_video_embeddings(params, test, videos)
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+    # whole videos per stack, as many as fit the budget at L x WIDEST
+    per_stack = {L: max(1, budget // (8 * L * WIDEST)) for L in STACK_LENGTHS}
+    assert sorted(calls) == sorted(
+        (min(per_stack[L], 9 - start), L) for L in STACK_LENGTHS
+        for start in range(0, 9, per_stack[L]))
+    if budget < 1 << 17:
+        assert len(calls) > 2 * len(STACK_LENGTHS)
+
+
+@pytest.mark.parametrize("statistic", ["video", "audio", "av", "fused"])
+def test_stacked_score_rows_match_per_video_verdicts(stack_world, budget, statistic):
+    ref_table, test, params, refs = stack_world
+    policy = DecisionPolicy(p_fa=0.3)
+    got = score_segments(ref_table, test, params, TAU, policy, statistic=statistic,
+                         references=refs)
+    videos = group_by_video(test)
+    want = per_video_score_rows(test, videos, per_video_embeddings(params, test, videos),
+                                refs, TAU, policy, statistic)
+    assert got == want
+    assert {r.n_segments for r in got} == set(STACK_LENGTHS)
+    assert {r.decision for r in got} == {"real", "fake"}
+
+
+def test_truncated_sweeps_match_per_video_verdicts(stack_world, budget):
+    ref_table, test, params, _ = stack_world
+    # calibration's row slices follow the budget, and so do its last bits
+    refs = build_references(ref_table, params, TAU)
+    values = [1, 2, 5, 7, 10, 15, 20, 30]
+    got = sweep_scores("test_length", values, ref_table, test, params, TAU)
+    videos = group_by_video(test)
+    assert [x for x, _ in got] == values
+    for x, rows in got:
+        scored = truncate_videos(videos, x)
+        assert rows == per_video_score_rows(
+            test, scored, per_video_embeddings(params, test, scored), refs, TAU,
+            DecisionPolicy(p_fa=0.5), "fused")
+
+
+def test_embedding_holds_only_its_output_and_a_few_stacks():
+    """400 videos x 10 segments: the output matrices plus a few stack budgets."""
+    rng = np.random.default_rng(12)
+    n_videos, length = 400, 10
+    test = SegmentTable.from_records([
+        SegmentRecord(identity_id="p0", video_id=f"t{i // length}", segment_index=i % length,
+                      audio=rng.normal(size=AUDIO_DIM), video=rng.normal(size=VIDEO_DIM))
+        for i in range(n_videos * length)])
+    params = init_encoder(AUDIO_DIM, VIDEO_DIM, EncoderConfig(2, WIDEST, 32), 3)
+    videos = group_by_video(test)
+    tracemalloc.start()
+    try:
+        x_audio, x_video = embed_videos(params, test, videos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = x_audio.nbytes + x_video.nbytes
+    assert output == 2 * n_videos * length * 32 * 8
+    assert peak < output + 8 * scoring._SLICE_BYTES, \
+        f"peak {peak / 1e6:.2f} MB over {output / 1e6:.2f} MB of output"

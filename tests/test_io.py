@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,15 @@ def test_feature_writer_refuses_empty_and_bad_ids(tmp_path):
         with pytest.raises(DataError):
             write_features(path, SegmentTable.from_records([bad]), {})
     assert list(tmp_path.iterdir()) == []
+    # lines are written as they are made: a bad last row removes the
+    # temporary file and leaves an earlier file at the path as it was
+    open(path, "w").write("earlier\n")
+    ids = some_segments().video_ids.astype(object)
+    ids[-1] = "a,b"
+    with pytest.raises(DataError, match="video_id must be non-empty and comma-free"):
+        write_features(path, replace(some_segments(), video_ids=ids.astype(str)), {})
+    assert [p.name for p in tmp_path.iterdir()] == ["feat.txt"]
+    assert open(path).read() == "earlier\n"
 
 
 def test_reader_accepts_header_only_file(tmp_path):
@@ -136,7 +146,7 @@ READER_ERRORS = {
                                "segment_index must be non-negative, got -1", 5),
     "blend_out_of_range": (_set_fields(2, {7: "1.5"}), "blend must lie in [0, 1], got 1.5", 5),
     "truncated_payload": (lambda ls: ls[:-1], "truncated file", 10),
-    "trailing_row": (lambda ls: ls + [ls[-1]], "trailing data after last segment", 10),
+    "trailing_row": (lambda ls: ls + [ls[-1]], "trailing data after last segment", 11),
     # the first bad row wins, and inside a row the first field read
     "earlier_row_first": (lambda ls: _set_fields(3, {2: "x"})(_set_fields(2, {12: "inf"})(ls)),
                           "non-finite value", 5),
@@ -340,7 +350,7 @@ def test_table_readers_refuse_rows_past_the_header_count(tmp_path, kind, extra):
     assert len(lines) == 3 + len(rows())
     lines.append(lines[-1] if extra == "copy of the last row" else "not,a,row")
     path.write_text("\n".join(lines) + "\n")
-    message = f"{path}: trailing data after last {noun} row at line {len(lines) - 1}"
+    message = f"{path}: trailing data after last {noun} row at line {len(lines)}"
     want = rf"^{re.escape(message)}$"
     with pytest.raises(DataError, match=want):
         read(str(path))

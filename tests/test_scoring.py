@@ -164,7 +164,7 @@ def test_poi_index_is_max_over_reference(params):
     verdict = score_clip([probe], ref, params, 0.9, DecisionPolicy(p_fa=0.1))
     for m, best in best_similarities(probe, segments, params, 0.9).items():
         want = (best - ref.mu[m]) / ref.sigma[m]
-        assert verdict.normalized[m] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert verdict.normalized[m][0] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_normalize_and_fuse():
@@ -176,10 +176,10 @@ def test_normalize_and_fuse():
     verdict = score_clip(segments[:1], ref, params, 0.5, DecisionPolicy(p_fa=0.1))
     bound = index_bound(ref.audio[:1], ref.video[:1], ref.audio, ref.video, 0.5)
     for m in Modality:
-        assert_within(verdict.normalized[m], (0.0 - ref.mu[m]) / ref.sigma[m],
+        assert_within(verdict.normalized[m][0], (0.0 - ref.mu[m]) / ref.sigma[m],
                       bound[m][0] / ref.sigma[m])
     # for one segment the fused value is exactly the worst channel
-    assert verdict.fused == min(verdict.normalized.values())
+    assert verdict.fused[0] == min(v[0] for v in verdict.normalized.values())
 
 
 def test_quantile_threshold_matches_erf_inverse():
@@ -211,10 +211,11 @@ def test_score_video_averages_per_segment_indices(params):
         for seg in test_segments
     ]
     for m in Modality:
-        mean = sum(v.normalized[m] for v in per_segment) / len(per_segment)
-        assert verdict.normalized[m] == pytest.approx(mean, rel=1e-10)
-    fused = sum(min(v.normalized.values()) for v in per_segment) / len(per_segment)
-    assert verdict.fused == pytest.approx(fused, rel=1e-10)
+        mean = sum(v.normalized[m][0] for v in per_segment) / len(per_segment)
+        assert verdict.normalized[m][0] == pytest.approx(mean, rel=1e-10)
+    fused = sum(min(x[0] for x in v.normalized.values()) for v in per_segment) \
+        / len(per_segment)
+    assert verdict.fused[0] == pytest.approx(fused, rel=1e-10)
 
 
 def test_score_video_decision_follows_threshold(params):
@@ -225,12 +226,12 @@ def test_score_video_decision_follows_threshold(params):
         audio_dim=6, video_dim=5, seed=9))
     own = sample_identity_videos(world, "id0000", 1, 6, np.random.default_rng(1)).to_records()
     verdict = score_clip(own, ref, params, 0.5, DecisionPolicy(p_fa=0.1))
-    lenient = verdict.statistic_value >= DecisionPolicy(p_fa=0.1).threshold
-    assert (verdict.decision == "real") == lenient
+    lenient = verdict.statistic_value[0] >= DecisionPolicy(p_fa=0.1).threshold
+    assert (verdict.decisions == ["real"]) == lenient
     # an absurdly strict policy must flag even genuine material
     strict = score_clip(own, ref, params, 0.5, DecisionPolicy(p_fa=0.999999))
-    assert strict.decision == "fake"
+    assert strict.decisions == ["fake"]
     with pytest.raises(ConfigError):
         score_clip(own, ref, params, 0.5, DecisionPolicy(0.1), statistic="fusion")
     with pytest.raises(DataError):
-        score_video("empty", {m: np.empty(0) for m in Modality}, ref, DecisionPolicy(0.1))
+        score_video({m: np.empty((0, 3)) for m in Modality}, ref, DecisionPolicy(0.1))

@@ -11,6 +11,9 @@ import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
+from poif import scoring
 from poif.cli import main
 
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
@@ -51,13 +54,13 @@ STEP_CALLS = {
 }
 
 
-def test_every_training_step_calls_the_traced_functions(tmp_path, monkeypatch):
+def count_calls(monkeypatch, names) -> dict:
     """Count calls the way traced_cli.py wraps them: every poif binding of a name."""
     targets = traced_targets()
     calls = {}
     modules = [m for key, m in sys.modules.items()
                if m is not None and (key == "poif" or key.startswith("poif."))]
-    for module, name in STEP_CALLS:
+    for module, name in names:
         assert name in targets[module]
         original = getattr(importlib.import_module(f"poif.{module}"), name)
 
@@ -69,7 +72,11 @@ def test_every_training_step_calls_the_traced_functions(tmp_path, monkeypatch):
             for key, value in list(vars(m).items()):
                 if value is original:
                     monkeypatch.setattr(m, key, counted)
+    return calls
 
+
+def test_every_training_step_calls_the_traced_functions(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, STEP_CALLS)
     feats = str(tmp_path / "feats.txt")
     assert main(["synth", "--mode", "train", "--identities", "4", "--videos-per-identity",
                  "3", "--segments-per-video", "2", "--audio-dim", "5", "--video-dim", "4",
@@ -80,3 +87,56 @@ def test_every_training_step_calls_the_traced_functions(tmp_path, monkeypatch):
                  "--identities-per-batch", "2", "--segments-per-identity", "2",
                  "--hidden-layers", "1", "--hidden-width", "4", "--embedding-dim", "3"]) == 0
     assert calls == {key: 3 * per_step for key, per_step in STEP_CALLS.items()}
+
+
+# The functions score and sweep call per person and per stack.  The traced
+# runner's encoder.encode_batch and scoring.score_video spans time one
+# stack each, so the embedding and the verdicts of a stack must go through
+# these module bindings once per stack.
+SCORING_CALLS = (("scoring", "build_reference"), ("encoder", "encode_batch"),
+                 ("encoder", "mlp_forward"), ("scoring", "score_video"))
+
+
+@pytest.mark.filterwarnings("ignore::poif.scoring.SmallReferenceWarning")
+def test_score_and_sweep_call_the_traced_functions_once_per_stack(tmp_path, monkeypatch):
+    people, test_videos, length, widest = 3, 6, 3, 8
+    paths = {name: str(tmp_path / name) for name in ("train", "ckpt", "ref", "test", "out")}
+    assert main(["synth", "--mode", "train", "--identities", "4", "--videos-per-identity",
+                 "3", "--segments-per-video", "2", "--audio-dim", "5", "--video-dim", "4",
+                 "--seed", "1", "--out", paths["train"]]) == 0
+    assert main(["train", "--features", paths["train"], "--out", paths["ckpt"],
+                 "--seed", "1", "--tau", "0.5", "--epochs", "1", "--batches-per-epoch", "2",
+                 "--identities-per-batch", "2", "--segments-per-identity", "2",
+                 "--hidden-layers", "1", "--hidden-width", str(widest),
+                 "--embedding-dim", "3"]) == 0
+    # 2 real and 4 fake test videos of 3 segments per person
+    assert main(["synth", "--mode", "benchmark", "--identities", str(people),
+                 "--audio-dim", "5", "--video-dim", "4", "--segments-per-video", str(length),
+                 "--reference-videos", "3", "--real-videos", "2", "--fakes-per-group", "1",
+                 "--seed", "9", "--identity-start", "100", "--train-features", paths["train"],
+                 "--out-reference", paths["ref"], "--out-test", paths["test"]]) == 0
+    budget = 8 * length * widest * 4  # four whole 3-segment videos per stack
+    monkeypatch.setattr(scoring, "_SLICE_BYTES", budget)
+    inputs = ["--checkpoint", paths["ckpt"], "--reference", paths["ref"],
+              "--test", paths["test"], "--out", paths["out"]]
+
+    def stacks(x):
+        return -(-people * test_videos // max(1, budget // (8 * x * widest)))
+
+    def expected(encode_batch, score_video):
+        return {("scoring", "build_reference"): people,
+                ("encoder", "encode_batch"): encode_batch,
+                ("encoder", "mlp_forward"): 2 * encode_batch,
+                ("scoring", "score_video"): score_video}
+
+    calls = count_calls(monkeypatch, SCORING_CALLS)
+    assert main(["score", *inputs]) == 0
+    assert stacks(length) == 5
+    assert calls == expected(people + stacks(length), people)
+
+    calls.clear()
+    points = (1, 2, 3)
+    assert main(["sweep", *inputs, "--axis", "test_length",
+                 "--values", ",".join(map(str, points))]) == 0
+    assert [stacks(x) for x in points] == [2, 3, 5]
+    assert calls == expected(people + sum(map(stacks, points)), people * len(points))
