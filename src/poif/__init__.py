@@ -16,7 +16,7 @@ from .exceptions import (
     UndefinedMetricError,
 )
 from .losses import LossReport, positive_sets
-from .metrics import MetricsReport, ScoreSample, accuracy, auc, knn_person_id, pd_at_fa
+from .metrics import MetricsReport, ScoreSample, accuracy, auc, pd_at_fa
 from .records import ManipFlags, Modality, SegmentTable
 from .scoring import (
     FUSED,
@@ -79,7 +79,6 @@ __all__ = [
     "generate_world",
     "index_training_set",
     "init_encoder",
-    "knn_person_id",
     "pd_at_fa",
     "positive_sets",
     "quantile_threshold",

@@ -351,7 +351,7 @@ def _cmd_train(args) -> int:
 
 
 def _scoring_inputs(merged) -> tuple:
-    ckpt = fileio.read_checkpoint(_need_input(merged, "checkpoint", "--checkpoint"))
+    ckpt = fileio.read_encoders(_need_input(merged, "checkpoint", "--checkpoint"))
     _, reference = fileio.read_feature_table(_need_input(merged, "reference", "--reference"))
     _, test = fileio.read_feature_table(_need_input(merged, "test", "--test"))
     if merged["tau"] is None:

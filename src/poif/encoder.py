@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DataError
-from .losses import loss_and_embedding_grads
+from .losses import LossPlan, loss_and_embedding_grads
 from .utils import as_rng
 
 
@@ -105,7 +105,7 @@ def mlp_forward(mlp: Mlp, x: np.ndarray, name: str = "encoder"):
         h += b
         if i < last:
             np.tanh(h, out=h)
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise ValueError(f"{name} layer {i}: non-finite activation")
         cache.append(h)
     return h, cache
@@ -150,19 +150,19 @@ def loss_and_param_grads(
     params: EncoderParams,
     f_audio: np.ndarray,
     f_video: np.ndarray,
-    pos_mask: np.ndarray,
+    plan: LossPlan,
     tau: float,
     joint_weight: float,
 ):
     """One fused forward/backward pass: loss report and parameter gradients.
 
-    f_audio and f_video are the batch's (n, d) feature rows and pos_mask
-    its (n, n) positive mask from ``positive_sets``.
+    f_audio and f_video are the batch's (n, d) feature rows and plan the
+    ``loss_plan`` of its positive mask.
     """
     x_audio, cache_a = mlp_forward(params.audio, f_audio, name="audio encoder")
     x_video, cache_v = mlp_forward(params.video, f_video, name="video encoder")
     report, d_xa, d_xv = loss_and_embedding_grads(
-        x_audio, x_video, pos_mask, tau, joint_weight
+        x_audio, x_video, plan, tau, joint_weight
     )
     grads = EncoderParams(
         audio=mlp_backward(params.audio, cache_a, d_xa),

@@ -389,12 +389,22 @@ def _check_steps(lines: _Lines, optim_step: int | None, steps_done: int | None):
         lines.fail(f"optim step {optim_step} does not match steps_done {steps_done}")
 
 
-def read_checkpoint(path: str) -> Checkpoint:
+def _read_encoders(path: str) -> tuple[_Lines, Checkpoint]:
     lines = _Lines(path)
     _read_header(lines, CKPT_MAGIC, 0)
     meta = _read_meta(lines)
     params = EncoderParams(audio=_read_mlp(lines, "audio"), video=_read_mlp(lines, "video"))
-    ckpt = Checkpoint(meta=meta, params=params)
+    return lines, Checkpoint(meta=meta, params=params)
+
+
+def read_encoders(path: str) -> Checkpoint:
+    """A checkpoint's settings and encoders; any resume state after them is not read."""
+    return _read_encoders(path)[1]
+
+
+def read_checkpoint(path: str) -> Checkpoint:
+    lines, ckpt = _read_encoders(path)
+    params = ckpt.params
     shapes = [a.shape for mlp in (params.audio, params.video) for pair in
               zip(mlp.weights, mlp.biases) for a in pair]
     while not lines.at_end():

@@ -60,18 +60,52 @@ def _check_joint_weight(joint_weight: float) -> float:
     return joint_weight
 
 
+@dataclass(frozen=True, eq=False)
+class LossPlan:
+    """A batch layout's positive entries, prepared once for every batch that has it.
+
+    ``at`` holds the positive entries as (3, P) flat indices into a
+    (3, n, n) stack, one row per channel, grouped by anchor row;
+    ``anchor`` gives each entry's row, and anchor c's run starts at
+    ``starts[c]``.
+    """
+
+    n: int
+    anchor: np.ndarray
+    starts: np.ndarray
+    at: np.ndarray
+
+
+def loss_plan(pos_mask) -> LossPlan:
+    """The loss's index arrays for a (n, n) positive mask from ``positive_sets``.
+
+    Every anchor needs at least one positive.
+    """
+    pos_mask = np.asarray(pos_mask, dtype=bool)
+    n = len(pos_mask)
+    if not pos_mask.any(axis=1).all():
+        raise ValueError("every anchor needs at least one positive")
+    flat = np.flatnonzero(pos_mask)
+    anchor = flat // n
+    return LossPlan(
+        n=n,
+        anchor=anchor,
+        starts=np.searchsorted(anchor, np.arange(n)),
+        at=flat + np.arange(0, 3 * n * n, n * n)[:, None],
+    )
+
+
 def loss_and_embedding_grads(
     x_audio: np.ndarray,
     x_video: np.ndarray,
-    pos_mask: np.ndarray,
+    plan: LossPlan,
     tau: float,
     joint_weight: float,
 ):
     """Loss report plus gradients with respect to the embedding matrices.
 
-    pos_mask is the batch's (n, n) mask from ``positive_sets``: every
-    anchor needs at least one positive.  The three channels run as one
-    stacked pass.  The gradient of each channel flows through
+    plan is the ``loss_plan`` of the batch's positive mask.  The three
+    channels run as one stacked pass.  The gradient of each channel flows through
     S(c, k) = -||x_c - x_k||^2/tau for both the row and the column in which
     a pair appears; the joint channel contributes to both modalities with
     the same pair weights.  Reductions run in a fixed order, so results are
@@ -81,25 +115,18 @@ def loss_and_embedding_grads(
     joint_weight = _check_joint_weight(joint_weight)
     x_audio = np.asarray(x_audio, dtype=np.float64)
     x_video = np.asarray(x_video, dtype=np.float64)
-    pos_mask = np.asarray(pos_mask, dtype=bool)
     n = len(x_audio)
+    if n != plan.n:
+        raise ValueError(f"batch of {n} rows for a loss plan of {plan.n}")
+    anchor, at = plan.anchor, plan.at
 
     # Audio, video and joint similarities as one (3, n, n) stack.
+    # (Dividing by -tau rounds as dividing by tau and negating does.)
     s = np.empty((3, n, n))
-    np.divide(squared_distance_matrix(x_audio), tau, out=s[0])
-    np.divide(squared_distance_matrix(x_video), tau, out=s[1])
-    np.negative(s[:2], out=s[:2])
+    np.divide(squared_distance_matrix(x_audio), -tau, out=s[0])
+    np.divide(squared_distance_matrix(x_video), -tau, out=s[1])
     np.add(s[0], s[1], out=s[2])
 
-    # Positive entries as flat indices into an (n, n) matrix, grouped by
-    # anchor row (anchor c's run starts at starts[c]), and the same entries
-    # as (3, P) flat indices into the stack.
-    if not pos_mask.any(axis=1).all():
-        raise ValueError("every anchor needs at least one positive")
-    flat = np.flatnonzero(pos_mask)
-    anchor = flat // n
-    starts = np.searchsorted(anchor, np.arange(n))
-    at = flat + np.arange(0, 3 * n * n, n * n)[:, None]
     s_pos = np.take(s, at)
 
     # Every log-sum-exp is shifted by its row maximum.  Exponentials of
@@ -109,8 +136,11 @@ def loss_and_embedding_grads(
     # the off-diagonal similarities (-inf on the diagonal), and two more
     # (3, n, n) buffers carry every later stage.
     s.reshape(3, -1)[:, ::n + 1] = -np.inf
-    m_off = s.max(axis=2)
-    m_pos = np.maximum.reduceat(s_pos, starts, axis=1)
+    # Each channel's matrix is exactly symmetric (squared_distance_matrix
+    # guarantees it for x alone), so its column maxima are its row maxima,
+    # and they reduce along the fast axis.
+    m_off = s.max(axis=1)
+    m_pos = np.maximum.reduceat(s_pos, plan.starts, axis=1)
     work = np.subtract(s, m_off[:, :, None])
     logden = m_off + np.log(np.exp(work, out=work).sum(axis=2))
     spare = np.zeros((3, n, n))

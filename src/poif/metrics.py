@@ -1,4 +1,4 @@
-"""Detection and identification metrics.
+"""Detection metrics.
 
 AUC follows the rank-sum convention with half credit for ties, computed
 from midranks; it agrees exactly with the quadratic pairwise count
@@ -17,9 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import UndefinedMetricError
-from .records import FAKE, REAL, Modality
+from .records import FAKE, REAL
 from .scoring import DecisionPolicy
-from .similarity import squared_distance_matrix
 from .utils import as_rng
 
 
@@ -103,39 +102,6 @@ def accuracy(samples: Sequence[ScoreSample], policy: DecisionPolicy) -> float:
     scores, is_real = _split(samples)
     predicted_real = scores >= policy.threshold
     return float(np.mean(predicted_real == is_real))
-
-
-def knn_person_id(
-    gallery_labels: Sequence[str],
-    gallery_audio: np.ndarray,
-    gallery_video: np.ndarray,
-    probe_labels: Sequence[str],
-    probe_audio: np.ndarray,
-    probe_video: np.ndarray,
-    modality: Modality,
-) -> float:
-    """Nearest-neighbor identification accuracy over labeled embeddings.
-
-    Row i of each (n, d) embedding matrix belongs to label i.  The joint
-    modality ranks by the sum of the audio and video squared distances
-    (equivalent to concatenating the vectors).  Distance ties resolve to
-    the lowest gallery index.
-    """
-    if len(gallery_labels) == 0:
-        raise ValueError("empty gallery")
-    if len(probe_labels) == 0:
-        raise ValueError("no probes")
-    if modality == Modality.AUDIO:
-        d = squared_distance_matrix(probe_audio, gallery_audio)
-    elif modality == Modality.VIDEO:
-        d = squared_distance_matrix(probe_video, gallery_video)
-    else:
-        d = (squared_distance_matrix(probe_audio, gallery_audio)
-             + squared_distance_matrix(probe_video, gallery_video))
-
-    nearest = d.argmin(axis=1)
-    hits = [gallery_labels[j] == label for j, label in zip(nearest, probe_labels)]
-    return float(np.mean(hits))
 
 
 def calibration_check(n: int, policy: DecisionPolicy, rng=0) -> float:

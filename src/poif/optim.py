@@ -1,46 +1,24 @@
-"""Adam with decoupled weight decay.
+"""Adam with decoupled weight decay, in place on flat buffers.
 
 The decay term is applied directly to the weights (w -= lr * wd * w) on
 top of the bias-corrected Adam step, never folded into the gradient.
 Parameters and moments are lists of arrays in a fixed traversal order
 (audio layers then video, weight before bias), which makes the state easy
-to serialize.  The update runs on one flat buffer per quantity, in that
-order: a handful of whole-buffer operations instead of the same
-operations on every array.  Each element still goes through the same
-operations in the same order, so the bits do not depend on the layout.
-The parameters and moments ``adamw_step`` returns are views of its flat
-buffers, and the next step finds those buffers again instead of packing
-the arrays anew.
+to serialize.  A run packs them once (``pack``): each quantity becomes one
+flat buffer in that order, and its arrays become views of the buffer.
+``adamw_step`` then updates the three buffers in place with a handful of
+whole-buffer operations.  Each element still goes through the same
+operations in the same order as in an array-by-array update, so the bits
+do not depend on the layout.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .encoder import EncoderParams, Mlp
-
-
-class Packed:
-    """One flat float64 buffer and the arrays cut from it, in order."""
-
-    __slots__ = ("buffer", "arrays")
-
-    def __init__(self, buffer: np.ndarray, shapes: list[tuple[int, ...]]):
-        self.buffer = buffer
-        arrays, start = [], 0
-        for shape in shapes:
-            size = math.prod(shape)
-            arrays.append(buffer[start:start + size].reshape(shape))
-            start += size
-        self.arrays = tuple(arrays)
-
-    def holds(self, arrays: list[np.ndarray]) -> bool:
-        """True when arrays are exactly this buffer's arrays, in order."""
-        return len(arrays) == len(self.arrays) and all(
-            a is b for a, b in zip(arrays, self.arrays))
 
 
 @dataclass(eq=False)
@@ -48,15 +26,29 @@ class OptimState:
     """First/second moment estimates plus the shared step counter.
 
     ``m`` and ``v`` hold one array per parameter array, in
-    ``flatten_params`` order.  ``packed`` records the flat buffers behind
-    the parameters and moments that ``adamw_step`` returned with this
-    state; a buffer is used only while it still holds the arrays passed in.
+    ``flatten_params`` order.
     """
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
-    packed: tuple[Packed, Packed, Packed] | None = field(default=None, repr=False)
+
+
+@dataclass(eq=False)
+class FlatState:
+    """A run's parameters and optimizer state as views of three flat buffers.
+
+    ``w``, ``m`` and ``v`` are 1-D float64 buffers in ``flatten_params``
+    order.  Every array of ``params`` is a view of ``w``, and every array
+    of ``optim.m`` and ``optim.v`` a view of ``m`` and ``v``, so
+    ``adamw_step`` moves them all at once.
+    """
+
+    params: EncoderParams
+    optim: OptimState
+    w: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
 
 
 def flatten_params(params: EncoderParams) -> list[np.ndarray]:
@@ -98,70 +90,77 @@ def _concat(arrays: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.asarray(a, dtype=np.float64).reshape(-1) for a in arrays])
 
 
-def _flat(arrays: list[np.ndarray], packed: Packed | None) -> np.ndarray:
-    """The arrays as one flat buffer: packed's own if it holds them, else a packed copy."""
-    if packed is not None and packed.holds(arrays):
-        return packed.buffer
-    return _concat(arrays)
+def _packed(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A flat copy of the arrays, and views of it shaped like them."""
+    flat, views, start = _concat(arrays), [], 0
+    for a in arrays:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return flat, views
 
 
-def adamw_step(
-    params: EncoderParams,
-    state: OptimState,
-    grads: EncoderParams,
-    cfg,
-) -> tuple[EncoderParams, OptimState]:
-    """One update; cfg supplies learning_rate, weight_decay, beta1, beta2, epsilon.
+def pack(params: EncoderParams, state: OptimState) -> FlatState:
+    """Copy parameters and moments into flat buffers; the inputs stay untouched.
 
-    Returns fresh parameter and state objects; inputs are left untouched.
+    The moments must match the parameters array for array.
     """
-    p_arrays = flatten_params(params)
+    arrays = flatten_params(params)
+    if len(state.m) != len(arrays) or len(state.v) != len(arrays):
+        raise ValueError(
+            f"optimizer state tracks {len(state.m)} arrays, params have {len(arrays)}")
+    for w, m, v in zip(arrays, state.m, state.v):
+        if m.shape != w.shape or v.shape != w.shape:
+            raise ValueError(f"moment shapes {m.shape}, {v.shape} do not match parameter "
+                             f"shape {w.shape}")
+    w, w_views = _packed(arrays)
+    m, m_views = _packed(state.m)
+    v, v_views = _packed(state.v)
+    return FlatState(
+        params=unflatten_params(params, w_views),
+        optim=OptimState(m=m_views, v=v_views, step=state.step),
+        w=w, m=m, v=v,
+    )
+
+
+def adamw_step(flat: FlatState, grads: EncoderParams, cfg) -> None:
+    """One update of flat's buffers, in place.
+
+    cfg supplies learning_rate, weight_decay, beta1, beta2 and epsilon.
+    """
     g_arrays = flatten_params(grads)
+    p_arrays = flatten_params(flat.params)
     if len(p_arrays) != len(g_arrays):
         raise ValueError(f"{len(g_arrays)} gradient arrays for {len(p_arrays)} parameters")
-    if len(state.m) != len(p_arrays) or len(state.v) != len(p_arrays):
-        raise ValueError(f"optimizer state tracks {len(state.m)} arrays, params have {len(p_arrays)}")
-    shapes = [w.shape for w in p_arrays]
-    for shape, g, m, v in zip(shapes, g_arrays, state.m, state.v):
-        if g.shape != shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter shape {shape}")
-        if m.shape != shape or v.shape != shape:
-            raise ValueError(f"moment shapes {m.shape}, {v.shape} do not match parameter "
-                             f"shape {shape}")
+    for w, g in zip(p_arrays, g_arrays):
+        if g.shape != w.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match parameter shape {w.shape}")
 
     lr = cfg.learning_rate
     wd = cfg.weight_decay
     b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
-    t = state.step + 1
-
-    packed = state.packed or (None, None, None)
-    w = _flat(p_arrays, packed[0])
-    m = _flat(state.m, packed[1])
-    v = _flat(state.v, packed[2])
+    t = flat.optim.step + 1
+    w, m, v = flat.w, flat.m, flat.v
     g = _concat(g_arrays)
 
     # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g);
     # w = w - lr * (m_hat / (sqrt(v_hat) + eps)) - lr * wd * w,
-    # operation for operation, into fresh buffers.  g is this call's own
-    # copy, so it doubles as a temporary.
+    # operation for operation.  g is this call's own copy, so it doubles
+    # as a temporary; the decay term is taken from the weights before the
+    # step is subtracted.
     tmp = g * g
     g *= 1.0 - b1
-    new_m = b1 * m
-    new_m += g
+    m *= b1
+    m += g
     tmp *= 1.0 - b2
-    new_v = b2 * v
-    new_v += tmp
-    den = np.divide(new_v, 1.0 - b2 ** t, out=tmp)
+    v *= b2
+    v += tmp
+    den = np.divide(v, 1.0 - b2 ** t, out=tmp)
     np.sqrt(den, out=den)
     den += eps
-    new_w = new_m / (1.0 - b1 ** t)
-    new_w /= den
-    new_w *= lr
-    np.subtract(w, new_w, out=new_w)
-    new_w -= np.multiply(w, lr * wd, out=g)
-
-    out = tuple(Packed(buf, shapes) for buf in (new_w, new_m, new_v))
-    return (
-        unflatten_params(params, list(out[0].arrays)),
-        OptimState(m=list(out[1].arrays), v=list(out[2].arrays), step=t, packed=out),
-    )
+    step = np.divide(m, 1.0 - b1 ** t, out=g)
+    step /= den
+    step *= lr
+    decay = np.multiply(w, lr * wd, out=den)
+    w -= step
+    w -= decay
+    flat.optim.step = t

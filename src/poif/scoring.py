@@ -98,10 +98,13 @@ class ReferenceSet:
         return len(set(self.video_ids))
 
 
-def _similarity_rows(x_audio, x_video, ref_audio, ref_video, tau):
-    """Test-versus-reference similarities per modality; joint = audio + video."""
-    s_a = -(squared_distance_matrix(x_audio, ref_audio) / tau)
-    s_v = -(squared_distance_matrix(x_video, ref_video) / tau)
+def _similarity_rows(x_audio, x_video, ref_audio, ref_video, tau, ref_sq):
+    """Test-versus-reference similarities per modality; joint = audio + video.
+
+    ref_sq holds the squared row norms of ref_audio and ref_video.
+    """
+    s_a = -(squared_distance_matrix(x_audio, ref_audio, ref_sq[0]) / tau)
+    s_v = -(squared_distance_matrix(x_video, ref_video, ref_sq[1]) / tau)
     return {Modality.AUDIO: s_a, Modality.VIDEO: s_v, Modality.AV: s_a + s_v}
 
 
@@ -111,17 +114,19 @@ def best_matches(x_audio, x_video, ref_audio, ref_video, tau, groups=None):
     Rows go in blocks of ``rows_per_block(m)``, so each similarity matrix
     is alive only as a (rows, m) slice of at most ``_SLICE_BYTES`` (128 KB;
     one row when a single row is larger), never as the whole n-by-m
-    matrix.  ``groups`` is for calibration, where the rows are the
+    matrix; the reference's row norms are computed once for all blocks.
+    ``groups`` is for calibration, where the rows are the
     reference itself: it gives each row an integer group code, and pairs
     within one group are skipped.
     """
     n = len(x_audio)
     rows = rows_per_block(len(ref_audio))
     best = {m: np.empty(n) for m in ALL_MODALITIES}
+    ref_sq = [np.einsum("ij,ij->i", y, y) for y in (ref_audio, ref_video)]
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         sims = _similarity_rows(
-            x_audio[start:stop], x_video[start:stop], ref_audio, ref_video, tau
+            x_audio[start:stop], x_video[start:stop], ref_audio, ref_video, tau, ref_sq
         )
         if groups is not None:
             skipped = groups[start:stop, None] == groups[None, :]

@@ -12,6 +12,8 @@ distance kernel both of them use.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .exceptions import ConfigError
@@ -24,14 +26,28 @@ def check_temperature(tau: float) -> float:
     return tau
 
 
-def squared_distance_matrix(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+@lru_cache(maxsize=4)
+def _triangles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n, n) bool masks: the strict lower triangle, and the rest."""
+    lower = np.tri(n, k=-1, dtype=bool)
+    rest = ~lower
+    lower.flags.writeable = rest.flags.writeable = False
+    return lower, rest
+
+
+def squared_distance_matrix(
+    x: np.ndarray, y: np.ndarray | None = None, y_sq: np.ndarray | None = None
+) -> np.ndarray:
     """All pairwise squared distances between rows of x and rows of y.
 
     Gram form: ||x_i||^2 + ||y_j||^2 - 2 x_i.y_j, from one matrix product
     and two in-place broadcasts, clamped at 0 where cancellation would
     leave a tiny negative.  Besides the (n, m) float64 result there is no
     temporary larger than a vector (plus two (n, n) bool masks for the
-    y-omitted form), and no row blocking.
+    y-omitted form, kept for the next call of the same n), and no row
+    blocking.  ``y_sq``, the squared row norms of y as
+    ``np.einsum("ij,ij->i", y, y)`` gives them, saves a caller that
+    matches many row blocks against one y from computing them per block.
 
     Error bound: the product, the norms and the two additions each round,
     so an entry is within about (2d + 4) * eps * (||x_i||^2 + ||y_j||^2) of
@@ -59,8 +75,8 @@ def squared_distance_matrix(x: np.ndarray, y: np.ndarray | None = None) -> np.nd
         # second (n, n) float64 array, and each bool mask is an eighth of one.
         # Upper triangle and diagonal: + ||x_i||^2, then + ||x_j||^2.
         # Lower triangle: the same two norms in the other order.
-        lower = np.tri(len(x), k=-1, dtype=bool)
-        np.add(out, sq[:, None], out=out, where=~lower)
+        lower, rest = _triangles(len(x))
+        np.add(out, sq[:, None], out=out, where=rest)
         out += sq[None, :]
         np.add(out, sq[:, None], out=out, where=lower)
     else:
@@ -70,5 +86,5 @@ def squared_distance_matrix(x: np.ndarray, y: np.ndarray | None = None) -> np.nd
         out = x @ y.T
         out *= -2.0
         out += np.einsum("ij,ij->i", x, x)[:, None]
-        out += np.einsum("ij,ij->i", y, y)[None, :]
+        out += (np.einsum("ij,ij->i", y, y) if y_sq is None else y_sq)[None, :]
     return np.maximum(out, 0.0, out=out)

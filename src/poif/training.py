@@ -17,8 +17,8 @@ import numpy as np
 
 from .encoder import EncoderConfig, EncoderParams, init_encoder, loss_and_param_grads
 from .exceptions import ConfigError, DataError
-from .losses import LossReport, positive_sets
-from .optim import OptimState, adamw_step, init_optim_state
+from .losses import LossReport, loss_plan, positive_sets
+from .optim import OptimState, adamw_step, init_optim_state, pack
 from .records import SegmentTable
 from .utils import as_rng
 
@@ -228,20 +228,26 @@ def train(
                 f"resume state is at step {start}, beyond the configured {cfg.total_steps}"
             )
 
+    # Every batch holds p identities with k rows each, grouped by identity,
+    # so one loss plan serves every step.  Packing copies, so a resumed
+    # state is left as it was.
+    p, k = cfg.identities_per_batch, cfg.segments_per_identity
+    plan = loss_plan(positive_sets(np.repeat(np.arange(p), k)))
+    flat = pack(params, optim)
     log: list[TrainStep] = []
     for step in range(start, cfg.total_steps):
-        rows = sample_batch(index, cfg.identities_per_batch, cfg.segments_per_identity, rng)
-        pos = positive_sets(index.codes[rows])
+        rows = sample_batch(index, p, k, rng)
         grads, report = loss_and_param_grads(
-            params, index.audio[rows], index.video[rows], pos, cfg.tau, cfg.joint_weight
+            flat.params, index.audio.take(rows, axis=0), index.video.take(rows, axis=0), plan,
+            cfg.tau, cfg.joint_weight,
         )
-        params, optim = adamw_step(params, optim, grads, cfg)
+        adamw_step(flat, grads, cfg)
         log.append(TrainStep(step=step + 1, loss=report))
 
     state = TrainState(
-        params=params,
-        optim=optim,
+        params=flat.params,
+        optim=flat.optim,
         rng_state=rng.bit_generator.state,
         steps_done=cfg.total_steps,
     )
-    return TrainResult(params=params, log=log, state=state)
+    return TrainResult(params=flat.params, log=log, state=state)

@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 
 from poif.encoder import encode_batch
-from poif.losses import positive_sets
+from poif.losses import loss_plan, positive_sets
 from poif.records import Modality, SegmentRecord, SegmentTable
 from poif.scoring import FUSED, best_matches, score_video
 
@@ -86,11 +86,11 @@ def identity_labels(batch):
 
 
 def batch_inputs(batch):
-    """A record batch as the training step feeds it: feature rows and positive mask."""
+    """A record batch as the training step feeds it: feature rows and loss plan."""
     return (
         np.stack([s.audio for s in batch]),
         np.stack([s.video for s in batch]),
-        positive_sets(identity_labels(batch)),
+        loss_plan(positive_sets(identity_labels(batch))),
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
+from typing import Sequence
 
 import numpy as np
 
@@ -127,7 +128,7 @@ def clone_params(params: EncoderParams) -> EncoderParams:
     )
 
 
-def fd_param_grads(params, f_audio, f_video, pos_mask, tau, joint_weight,
+def fd_param_grads(params, f_audio, f_video, plan, tau, joint_weight,
                    step=1e-5) -> EncoderParams:
     """Central finite differences of the total loss in every parameter."""
     work = clone_params(params)
@@ -135,7 +136,7 @@ def fd_param_grads(params, f_audio, f_video, pos_mask, tau, joint_weight,
     grads = [np.zeros_like(a) for a in arrays]
 
     def loss() -> float:
-        _, report = loss_and_param_grads(work, f_audio, f_video, pos_mask, tau, joint_weight)
+        _, report = loss_and_param_grads(work, f_audio, f_video, plan, tau, joint_weight)
         return report.l_tot
 
     for arr, out in zip(arrays, grads):
@@ -307,6 +308,39 @@ def reference_stats_bruteforce(segments, params, tau):
         var = sum((b - mu) ** 2 for b in best) / len(best)
         out[m] = (mu, math.sqrt(var))
     return out
+
+
+def knn_person_id(
+    gallery_labels: Sequence[str],
+    gallery_audio: np.ndarray,
+    gallery_video: np.ndarray,
+    probe_labels: Sequence[str],
+    probe_audio: np.ndarray,
+    probe_video: np.ndarray,
+    modality: Modality,
+) -> float:
+    """Nearest-neighbor identification accuracy over labeled embeddings (criterion 7).
+
+    Row i of each (n, d) embedding matrix belongs to label i.  The joint
+    modality ranks by the sum of the audio and video squared distances
+    (equivalent to concatenating the vectors).  Distance ties resolve to
+    the lowest gallery index.
+    """
+    if len(gallery_labels) == 0:
+        raise ValueError("empty gallery")
+    if len(probe_labels) == 0:
+        raise ValueError("no probes")
+    if modality == Modality.AUDIO:
+        d = squared_distance_matrix(probe_audio, gallery_audio)
+    elif modality == Modality.VIDEO:
+        d = squared_distance_matrix(probe_video, gallery_video)
+    else:
+        d = (squared_distance_matrix(probe_audio, gallery_audio)
+             + squared_distance_matrix(probe_video, gallery_video))
+
+    nearest = d.argmin(axis=1)
+    hits = [gallery_labels[j] == label for j, label in zip(nearest, probe_labels)]
+    return float(np.mean(hits))
 
 
 def scalar_adamw(w, g, m, v, t, lr, wd, b1, b2, eps):

@@ -27,6 +27,7 @@ from conftest import (
 from oracles import (
     embed_one,
     fd_param_grads,
+    knn_person_id,
     max_rel_err,
     naive_contrastive_losses,
     pairwise_auc,
@@ -44,16 +45,15 @@ from poif.experiments import (
     sweep_rows,
     table_metrics,
 )
-from poif.losses import loss_and_embedding_grads, positive_sets
+from poif.losses import loss_and_embedding_grads, loss_plan, positive_sets
 from poif.metrics import (
     FAKE,
     REAL,
     ScoreSample,
     auc,
     calibration_check,
-    knn_person_id,
 )
-from poif.optim import adamw_step, flatten_params, init_optim_state, unflatten_params
+from poif.optim import adamw_step, flatten_params, init_optim_state, pack, unflatten_params
 from poif.records import Modality, SegmentTable
 from poif.scoring import (
     DecisionPolicy,
@@ -196,9 +196,9 @@ def test_c01_analytic_gradients_match_finite_differences():
         batch = make_batch(rng, counts=counts, audio_dim=8, video_dim=8,
                            scale=float(rng.uniform(0.5, 2.0)))
         params = init_encoder(8, 8, EncoderConfig(2, 8, 4), rng)
-        f_audio, f_video, pos = batch_inputs(batch)
-        grads, _ = loss_and_param_grads(params, f_audio, f_video, pos, tau=0.7, joint_weight=1.0)
-        fd = fd_param_grads(params, f_audio, f_video, pos, 0.7, 1.0, step=1e-5)
+        f_audio, f_video, plan = batch_inputs(batch)
+        grads, _ = loss_and_param_grads(params, f_audio, f_video, plan, tau=0.7, joint_weight=1.0)
+        fd = fd_param_grads(params, f_audio, f_video, plan, 0.7, 1.0, step=1e-5)
         worst = max(worst, max_rel_err(grads, fd))
     elapsed = time.perf_counter() - started
     print(f"criterion 1: max relative gradient error {worst:.3g} "
@@ -220,11 +220,11 @@ def test_c02_loss_nonnegative_zero_on_one_identity_and_matches_naive():
         scale = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
         batch = make_batch(rng, counts=(per_id,) * n_ids)
         x_audio, x_video = embedding_matrices(rng, n, scale=scale)
-        pos = positive_sets(identity_labels(batch))
-        report, _, _ = loss_and_embedding_grads(x_audio, x_video, pos, tau, lam)
+        plan = loss_plan(positive_sets(identity_labels(batch)))
+        report, _, _ = loss_and_embedding_grads(x_audio, x_video, plan, tau, lam)
         assert report.l_v >= 0.0 and report.l_a >= 0.0 and report.l_av >= 0.0
 
-        solo = ~np.eye(n, dtype=bool)  # one identity: every partner positive
+        solo = loss_plan(~np.eye(n, dtype=bool))  # one identity: every partner positive
         same, _, _ = loss_and_embedding_grads(x_audio, x_video, solo, tau, lam)
         assert abs(same.l_tot) <= 1e-12
 
@@ -391,8 +391,9 @@ def test_c09_oracle_equivalences():
                               bound[m][0] / ref.sigma[m])
                 checked += 1
 
-    params = init_encoder(3, 2, EncoderConfig(1, 4, 2), 42)
-    state = init_optim_state(params)
+    init = init_encoder(3, 2, EncoderConfig(1, 4, 2), 42)
+    flat = pack(init, init_optim_state(init))
+    params = flat.params  # views of the buffers adamw_step updates in place
     cfg = TrainConfig(learning_rate=1e-3, weight_decay=0.01, epochs=1,
                       batches_per_epoch=1, tau=TAU)
     grad_rng = np.random.default_rng(911)
@@ -410,8 +411,7 @@ def test_c09_oracle_equivalences():
                 shadow[(arr_idx, pos)] = scalar_adamw(
                     w, float(gv), m, v, step, cfg.learning_rate,
                     cfg.weight_decay, cfg.beta1, cfg.beta2, cfg.epsilon)
-        grads = unflatten_params(params, grad_arrays)
-        params, state = adamw_step(params, state, grads, cfg)
+        adamw_step(flat, unflatten_params(params, grad_arrays), cfg)
         for arr_idx, arr in enumerate(flatten_params(params)):
             for pos, w in np.ndenumerate(arr):
                 worst = max(worst, abs(w - shadow[(arr_idx, pos)][0]))

@@ -325,8 +325,21 @@ def test_missing_and_corrupt_inputs(pipeline, tmp_path, capsys):
     assert ckpt_lines[-1].startswith("steps_done,")
     truncated = tmp_path / "truncated.ckpt"
     truncated.write_text("\n".join(ckpt_lines[:-1] + ["steps_done"]) + "\n")
-    assert main(["score", "--checkpoint", str(truncated), "--reference", pipeline["ref"],
-                 "--test", pipeline["test"], "--out", out]) == 3
+    scoring = ["--reference", pipeline["ref"], "--test", pipeline["test"], "--out", out]
+    # resuming reads the whole checkpoint; scoring reads its settings and
+    # encoders only, and names the bad line of those
+    assert main(["train", "--features", pipeline["train_feats"], "--resume", str(truncated),
+                 "--out", out, *TRAIN_ARGS]) == 3
+    assert f"{truncated}: malformed steps_done line at line {len(ckpt_lines)}" in \
+        capsys.readouterr().err
+    assert main(["score", "--checkpoint", str(truncated), *scoring]) == 0
+    weights = [i for i, line in enumerate(ckpt_lines) if line.startswith("w,")]
+    ckpt_lines[weights[-1]] += ",0.5"
+    truncated.write_text("\n".join(ckpt_lines) + "\n")
+    for command in (["score"], ["sweep", "--axis", "test_length", "--values", "1"]):
+        assert main([*command, "--checkpoint", str(truncated), *scoring]) == 3
+        assert f"{truncated}: expected 8 values, found 9 at line {weights[-1] + 1}" in \
+            capsys.readouterr().err
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no_such_key = 1\n")
     assert main(["synth", "--config", str(cfg), "--seed", "0", "--out", out]) == 2

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import embedding_matrices, identity_labels, make_batch
 from oracles import naive_contrastive_losses, per_channel_loss_and_embedding_grads
 from poif.exceptions import ConfigError, DataError
-from poif.losses import loss_and_embedding_grads, positive_sets
+from poif.losses import loss_and_embedding_grads, loss_plan, positive_sets
 
 
 def test_positive_sets_pair_structure():
@@ -43,9 +43,9 @@ def test_equal_embeddings_give_log3_per_anchor():
     """
     batch = make_batch(np.random.default_rng(0), counts=(2, 2))
     x_audio, x_video = np.ones((4, 4)), np.full((4, 3), 0.5)
-    pos = positive_sets(identity_labels(batch))
+    plan = loss_plan(positive_sets(identity_labels(batch)))
     report, d_audio, d_video = loss_and_embedding_grads(
-        x_audio, x_video, pos, 0.8, joint_weight=0.5)
+        x_audio, x_video, plan, 0.8, joint_weight=0.5)
     expected = 4.0 * math.log(3.0)
     assert report.l_v == pytest.approx(expected, rel=1e-12)
     assert report.l_a == pytest.approx(expected, rel=1e-12)
@@ -59,8 +59,8 @@ def test_loss_exactly_zero_when_batch_is_one_identity():
     rng = np.random.default_rng(5)
     batch = make_batch(rng, counts=(6,))
     x_audio, x_video = embedding_matrices(rng, 6)
-    pos = positive_sets(identity_labels(batch))
-    report, d_audio, d_video = loss_and_embedding_grads(x_audio, x_video, pos, 0.5, 1.0)
+    plan = loss_plan(positive_sets(identity_labels(batch)))
+    report, d_audio, d_video = loss_and_embedding_grads(x_audio, x_video, plan, 0.5, 1.0)
     # Numerator and denominator coincide term by term, so this is not an
     # approximation: the report and the gradients are exact zeros.
     assert report.l_tot == 0.0
@@ -77,8 +77,8 @@ def test_loss_non_negative_and_matches_naive_summation(seed, n_ids, per_id, tau,
     batch = make_batch(rng, counts=(per_id,) * n_ids)
     n = n_ids * per_id
     x_audio, x_video = embedding_matrices(rng, n)
-    pos = positive_sets(identity_labels(batch))
-    report, _, _ = loss_and_embedding_grads(x_audio, x_video, pos, tau, lam)
+    plan = loss_plan(positive_sets(identity_labels(batch)))
+    report, _, _ = loss_and_embedding_grads(x_audio, x_video, plan, tau, lam)
 
     assert report.l_v >= 0.0 and report.l_a >= 0.0 and report.l_av >= 0.0
     ids = [s.identity_id for s in batch]
@@ -95,8 +95,8 @@ def test_loss_stays_finite_where_naive_summation_underflows():
     rng = np.random.default_rng(11)
     batch = make_batch(rng, counts=(2, 2))
     x_audio, x_video = embedding_matrices(rng, 4, scale=40.0)
-    pos = positive_sets(identity_labels(batch))
-    report, d_audio, _ = loss_and_embedding_grads(x_audio, x_video, pos, 0.01, 1.0)
+    plan = loss_plan(positive_sets(identity_labels(batch)))
+    report, d_audio, _ = loss_and_embedding_grads(x_audio, x_video, plan, 0.01, 1.0)
     assert math.isfinite(report.l_tot)
     assert report.l_tot >= 0.0
     assert np.all(np.isfinite(d_audio))
@@ -106,19 +106,19 @@ def test_embedding_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     batch = make_batch(rng, counts=(2, 3))
     x_audio, x_video = embedding_matrices(rng, 5)
-    pos = positive_sets(identity_labels(batch))
+    plan = loss_plan(positive_sets(identity_labels(batch)))
     tau, lam, step = 0.9, 0.7, 1e-6
 
-    _, d_audio, d_video = loss_and_embedding_grads(x_audio, x_video, pos, tau, lam)
+    _, d_audio, d_video = loss_and_embedding_grads(x_audio, x_video, plan, tau, lam)
 
     for x, analytic, which in ((x_audio, d_audio, 0), (x_video, d_video, 1)):
         for r in range(x.shape[0]):
             for c in range(x.shape[1]):
                 keep = x[r, c]
                 x[r, c] = keep + step
-                up = loss_and_embedding_grads(x_audio, x_video, pos, tau, lam)[0].l_tot
+                up = loss_and_embedding_grads(x_audio, x_video, plan, tau, lam)[0].l_tot
                 x[r, c] = keep - step
-                down = loss_and_embedding_grads(x_audio, x_video, pos, tau, lam)[0].l_tot
+                down = loss_and_embedding_grads(x_audio, x_video, plan, tau, lam)[0].l_tot
                 x[r, c] = keep
                 fd = (up - down) / (2.0 * step)
                 denom = max(abs(fd), abs(analytic[r, c]), 1e-3)
@@ -129,8 +129,8 @@ def test_joint_weight_enters_gradient_linearly():
     rng = np.random.default_rng(8)
     batch = make_batch(rng, counts=(2, 2))
     x_audio, x_video = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
-    pos = positive_sets(identity_labels(batch))
-    g0, g1, g2 = (loss_and_embedding_grads(x_audio, x_video, pos, 0.5, lam)[1:]
+    plan = loss_plan(positive_sets(identity_labels(batch)))
+    g0, g1, g2 = (loss_and_embedding_grads(x_audio, x_video, plan, 0.5, lam)[1:]
                   for lam in (0.0, 1.0, 2.0))
     for k in (0, 1):
         np.testing.assert_allclose(g2[k] - g0[k], 2.0 * (g1[k] - g0[k]), rtol=1e-10)
@@ -141,9 +141,9 @@ def test_loss_rejects_negative_joint_weight():
     rng = np.random.default_rng(9)
     batch = make_batch(rng, counts=(2, 2))
     x_audio, x_video = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
-    pos = positive_sets(identity_labels(batch))
+    plan = loss_plan(positive_sets(identity_labels(batch)))
     with pytest.raises(ConfigError):
-        loss_and_embedding_grads(x_audio, x_video, pos, 1.0, -0.5)
+        loss_and_embedding_grads(x_audio, x_video, plan, 1.0, -0.5)
 
 
 def interleaved_labels():
@@ -163,7 +163,8 @@ def test_stacked_pass_matches_per_channel_oracle_bit_for_bit(labels, tau, scale,
     rng = np.random.default_rng(len(ids) + int(10 * joint_weight))
     x_audio, x_video = embedding_matrices(rng, len(ids), scale=scale)
     pos = positive_sets(ids)
-    report, d_audio, d_video = loss_and_embedding_grads(x_audio, x_video, pos, tau, joint_weight)
+    report, d_audio, d_video = loss_and_embedding_grads(x_audio, x_video, loss_plan(pos), tau,
+                                                        joint_weight)
     want, want_audio, want_video = per_channel_loss_and_embedding_grads(
         x_audio, x_video, pos, tau, joint_weight)
     if tau < 1e-3:
@@ -182,4 +183,32 @@ def test_loss_rejects_an_anchor_without_positives():
     pos = positive_sets([0, 0, 1, 1])
     pos[2, 3] = False
     with pytest.raises(ValueError, match="every anchor needs at least one positive"):
-        loss_and_embedding_grads(x_audio, x_video, pos, 0.5, 1.0)
+        loss_plan(pos)
+    # a plan made for another batch size is refused
+    plan = loss_plan(positive_sets([0, 0, 1, 1, 2, 2]))
+    with pytest.raises(ValueError, match="batch of 4 rows for a loss plan of 6"):
+        loss_and_embedding_grads(x_audio, x_video, plan, 0.5, 1.0)
+
+
+# c01's batch shapes (identities x segments, uneven ones included) and
+# c02's (2-4 identities of 2-3 segments), plus c02's one-identity mask.
+PLAN_SHAPES = [(4, 4), (2, 2, 2, 2), (2, 2, 4), (2, 3, 3),
+               (2, 2), (3, 3), (2, 2, 2), (3, 3, 3, 3), (6,)]
+
+
+@pytest.mark.parametrize("counts", PLAN_SHAPES)
+def test_one_plan_per_shape_matches_the_mask_per_call_oracle_bit_for_bit(counts):
+    """A plan built once serves every batch of its shape with the bits of a
+    loss that reads the positive mask on every call."""
+    rng = np.random.default_rng(sum(counts) * 100 + len(counts))
+    pos = positive_sets(np.repeat(np.arange(len(counts)), counts))
+    plan = loss_plan(pos)
+    for _ in range(20):
+        tau = float(rng.uniform(0.2, 3.0))
+        lam = float(rng.uniform(0.0, 2.0))
+        scale = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
+        x_audio, x_video = embedding_matrices(rng, len(pos), scale=scale)
+        got = loss_and_embedding_grads(x_audio, x_video, plan, tau, lam)
+        want = per_channel_loss_and_embedding_grads(x_audio, x_video, pos, tau, lam)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])

@@ -9,6 +9,7 @@ from poif.optim import (
     adamw_step,
     flatten_params,
     init_optim_state,
+    pack,
     unflatten_params,
 )
 from poif.training import TrainConfig
@@ -23,6 +24,13 @@ def cfg(**kw):
                     batches_per_epoch=1, tau=0.5)
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def one_step(params, state, grads, c):
+    """Pack, step once, and return the new parameters and state."""
+    flat = pack(params, state)
+    adamw_step(flat, grads, c)
+    return flat.params, flat.optim
 
 
 def test_flatten_order_and_round_trip():
@@ -42,7 +50,7 @@ def test_zero_gradient_step_is_pure_weight_decay():
     state = init_optim_state(params)
     grads = unflatten_params(params, [np.zeros_like(a) for a in flatten_params(params)])
     c = cfg()
-    new_params, new_state = adamw_step(params, state, grads, c)
+    new_params, new_state = one_step(params, state, grads, c)
     for w0, w1 in zip(flatten_params(params), flatten_params(new_params)):
         np.testing.assert_allclose(w1, w0 * (1.0 - c.learning_rate * c.weight_decay),
                                    rtol=1e-14, atol=0)
@@ -56,7 +64,7 @@ def test_first_step_has_full_bias_correction():
     state = init_optim_state(params)
     grads = clone_params(params)  # any nonzero arrays will do
     c = cfg()
-    new_params, _ = adamw_step(params, state, grads, c)
+    new_params, _ = one_step(params, state, grads, c)
     for w, g, w1 in zip(flatten_params(params), flatten_params(grads),
                         flatten_params(new_params)):
         expected = w - c.learning_rate * (g / (np.abs(g) + c.epsilon)) \
@@ -67,7 +75,7 @@ def test_first_step_has_full_bias_correction():
 def test_trajectory_matches_scalar_reference():
     """1000 steps against an elementwise pure-Python reference."""
     params = small_params(2)
-    state = init_optim_state(params)
+    flat = pack(params, init_optim_state(params))
     c = cfg(learning_rate=3e-3, weight_decay=0.02)
     rng = np.random.default_rng(42)
 
@@ -78,8 +86,7 @@ def test_trajectory_matches_scalar_reference():
 
     for t in range(1, 1001):
         g_arrays = [rng.standard_normal(a.shape) for a in flatten_params(params)]
-        grads = unflatten_params(params, g_arrays)
-        params, state = adamw_step(params, state, grads, c)
+        adamw_step(flat, unflatten_params(params, g_arrays), c)
         for idx, g in enumerate(g_arrays):
             for pos, gval in np.ndenumerate(g):
                 w, m, v = shadow[(idx, pos)]
@@ -88,24 +95,25 @@ def test_trajectory_matches_scalar_reference():
                     c.learning_rate, c.weight_decay, c.beta1, c.beta2, c.epsilon,
                 )
 
-    assert state.step == 1000
+    assert flat.optim.step == 1000
     worst = 0.0
-    for idx, w in enumerate(flatten_params(params)):
+    for idx, w in enumerate(flatten_params(flat.params)):
         for pos, val in np.ndenumerate(w):
             worst = max(worst, abs(float(val) - shadow[(idx, pos)][0]))
     assert worst <= 1e-12
 
 
-def test_inputs_are_left_untouched():
+def test_pack_leaves_its_inputs_untouched():
     params = small_params(3)
     state = init_optim_state(params)
     before = [a.copy() for a in flatten_params(params)]
-    grads = clone_params(params)
-    adamw_step(params, state, grads, cfg())
+    flat = pack(params, state)
+    adamw_step(flat, clone_params(params), cfg())
+    assert flat.optim.step == 1 and state.step == 0
     for a, b in zip(flatten_params(params), before):
         np.testing.assert_array_equal(a, b)
-    assert state.step == 0
     assert all(np.all(m == 0.0) for m in state.m)
+    assert not any(np.shares_memory(a, flat.w) for a in flatten_params(params))
 
 
 def test_shape_mismatch_is_rejected():
@@ -113,8 +121,14 @@ def test_shape_mismatch_is_rejected():
     state = init_optim_state(params)
     bad = clone_params(params)
     bad.audio.weights[0] = np.zeros((1, 1))
-    with pytest.raises(ValueError):
-        adamw_step(params, state, bad, cfg())
+    with pytest.raises(ValueError, match="gradient shape"):
+        adamw_step(pack(params, state), bad, cfg())
+    # moments that do not match the parameters are refused when packed
+    state.v[2] = np.zeros(7)
+    with pytest.raises(ValueError, match="moment shapes"):
+        pack(params, state)
+    with pytest.raises(ValueError, match="tracks 7 arrays"):
+        pack(params, OptimState(state.m[:7], state.v[:7]))
 
 
 def random_grads(params, rng):
@@ -131,44 +145,43 @@ def assert_same_bits(a_params, a_state, b_params, b_state):
 
 
 def test_flat_buffers_match_per_array_oracle_bit_for_bit():
-    """250 steps on reused buffers, on fresh copies and array by array: same bits."""
+    """250 in-place steps on one set of flat buffers, and array by array: same bits."""
     params = init_encoder(5, 3, EncoderConfig(2, 8, 4), 6)
     c = cfg(learning_rate=3e-3, weight_decay=0.02)
     rng = np.random.default_rng(11)
-    flat = (params, init_optim_state(params))
-    copied = (params, init_optim_state(params))
+    flat = pack(params, init_optim_state(params))
+    views = flatten_params(flat.params) + flat.optim.m + flat.optim.v
     oracle = (params, init_optim_state(params))
     for _ in range(250):
         grads = random_grads(params, rng)
-        flat = adamw_step(*flat, grads, c)
-        # fresh arrays every step: adamw_step packs them instead of
-        # reusing its buffers
-        p, s = copied
-        copied = adamw_step(clone_params(p), OptimState([a.copy() for a in s.m],
-                                                        [a.copy() for a in s.v], s.step),
-                            grads, c)
+        adamw_step(flat, grads, c)
         oracle = per_array_adamw_step(*oracle, grads, c)
-        assert_same_bits(*flat, *oracle)
-        assert_same_bits(*copied, *oracle)
-    # the buffers really were reused: the returned arrays are views of them
-    p, s = flat
-    assert s.packed[0].holds(flatten_params(p))
-    assert s.packed[1].holds(s.m) and s.packed[2].holds(s.v)
+        assert_same_bits(flat.params, flat.optim, *oracle)
+    # the buffers were updated in place: the arrays are the views packed at the start
+    now = flatten_params(flat.params) + flat.optim.m + flat.optim.v
+    assert all(a is b for a, b in zip(now, views))
+    assert all(np.shares_memory(a, buf) for arrays, buf in (
+        (flatten_params(flat.params), flat.w), (flat.optim.m, flat.m), (flat.optim.v, flat.v))
+        for a in arrays)
 
 
-def test_packed_buffers_follow_the_arrays_they_hold():
-    """A replaced array is packed anew; an array edited in place is its buffer."""
+def test_edits_through_the_views_reach_the_update():
+    """The arrays are the buffers: an edit through a view is what the next step reads."""
     params = small_params(5)
     c = cfg()
     rng = np.random.default_rng(3)
-    params, state = adamw_step(params, init_optim_state(params), random_grads(params, rng), c)
+    flat = pack(params, init_optim_state(params))
+    adamw_step(flat, random_grads(params, rng), c)
     grads = random_grads(params, rng)
 
-    state.m[1] = state.m[1] + 0.5           # a new array in place of a view
-    params.video.weights[0][0, 0] += 0.25   # an edit through a view
-    want = per_array_adamw_step(params, OptimState(list(state.m), list(state.v), state.step),
+    flat.optim.m[1] += 0.5                      # edits through views
+    flat.params.video.weights[0][0, 0] += 0.25
+    want = per_array_adamw_step(clone_params(flat.params),
+                                OptimState([a.copy() for a in flat.optim.m],
+                                           [a.copy() for a in flat.optim.v], flat.optim.step),
                                 grads, c)
-    assert_same_bits(*adamw_step(params, state, grads, c), *want)
+    adamw_step(flat, grads, c)
+    assert_same_bits(flat.params, flat.optim, *want)
 
 
 def test_checkpoint_mid_run_resumes_to_identical_bytes(tmp_path):
@@ -178,9 +191,10 @@ def test_checkpoint_mid_run_resumes_to_identical_bytes(tmp_path):
     grads = [random_grads(params0, np.random.default_rng(1000 + t)) for t in range(200)]
 
     def run(params, state, steps):
+        flat = pack(params, state)
         for t in steps:
-            params, state = adamw_step(params, state, grads[t], c)
-        return params, state
+            adamw_step(flat, grads[t], c)
+        return flat.params, flat.optim
 
     def save(path, params, state):
         write_checkpoint(str(path), params, {"tau": "0.5"}, optim_step=state.step,

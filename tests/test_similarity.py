@@ -8,9 +8,9 @@ from conftest import assert_within, gram_bound, make_batch
 from oracles import dense_squared_distances, squared_distance
 from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError
-from poif.losses import loss_and_embedding_grads
+from poif.losses import loss_and_embedding_grads, loss_plan
 from poif.records import Modality, SegmentTable
-from poif.scoring import _similarity_rows, build_reference
+from poif.scoring import _similarity_rows, best_matches, build_reference, rows_per_block
 from poif.similarity import check_temperature, squared_distance_matrix
 
 
@@ -127,11 +127,33 @@ def channel_pairs(rng, n, m, d_audio=4, d_video=3):
             (rng.standard_normal((m, d_audio)), rng.standard_normal((m, d_video))))
 
 
+def row_norms(*ys):
+    return [np.einsum("ij,ij->i", y, y) for y in ys]
+
+
+def test_best_matches_slices_keep_the_bits_of_one_kernel_call_per_slice():
+    """best_matches computes the reference's row norms once for all its
+    slices; every slice gets the bits of a kernel call that computes them."""
+    rng = np.random.default_rng(12)
+    (xa, xv), (ra, rv) = channel_pairs(rng, 70, 300, d_audio=32, d_video=16)
+    rows = rows_per_block(300)
+    assert rows < 70  # several slices, the last one shorter
+    got = best_matches(xa, xv, ra, rv, 0.7)
+    for start in range(0, 70, rows):
+        part = slice(start, start + rows)
+        s_a = -(squared_distance_matrix(xa[part], ra) / 0.7)
+        s_v = -(squared_distance_matrix(xv[part], rv) / 0.7)
+        for m, sims in ((Modality.AUDIO, s_a), (Modality.VIDEO, s_v), (Modality.AV, s_a + s_v)):
+            assert np.array_equal(got[m][part], sims.max(axis=1)), (m, start)
+        assert np.array_equal(squared_distance_matrix(xa[part], ra, row_norms(ra)[0]),
+                              squared_distance_matrix(xa[part], ra))
+
+
 def test_similarity_sign_and_temperature_scaling():
     rng = np.random.default_rng(2)
     (xa, xv), (ra, rv) = channel_pairs(rng, 3, 5)
-    s1 = _similarity_rows(xa, xv, ra, rv, 1.0)
-    s2 = _similarity_rows(xa, xv, ra, rv, 2.0)
+    s1 = _similarity_rows(xa, xv, ra, rv, 1.0, row_norms(ra, rv))
+    s2 = _similarity_rows(xa, xv, ra, rv, 2.0, row_norms(ra, rv))
     for m in Modality:
         assert np.all(s1[m] <= 0.0)
         np.testing.assert_allclose(s2[m], s1[m] / 2.0, rtol=1e-15)
@@ -144,9 +166,9 @@ def test_similarity_rejects_bad_tau():
     rng = np.random.default_rng(3)
     batch = make_batch(rng, counts=(4,))
     x_audio, x_video = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
-    pos = ~np.eye(4, dtype=bool)
+    plan = loss_plan(~np.eye(4, dtype=bool))
     with pytest.raises(ConfigError):
-        loss_and_embedding_grads(x_audio, x_video, pos, 0.0, 1.0)
+        loss_and_embedding_grads(x_audio, x_video, plan, 0.0, 1.0)
     params = init_encoder(6, 5, EncoderConfig(1, 4, 2), 0)
     with pytest.raises(ConfigError):
         build_reference(SegmentTable.from_records(batch), params, -1.0)
@@ -155,7 +177,7 @@ def test_similarity_rejects_bad_tau():
 def test_similarity_matrix_joint_is_sum_of_channels():
     rng = np.random.default_rng(3)
     (xa, xv), (ra, rv) = channel_pairs(rng, 7, 6, d_video=6)
-    sims = _similarity_rows(xa, xv, ra, rv, 0.7)
+    sims = _similarity_rows(xa, xv, ra, rv, 0.7, row_norms(ra, rv))
     assert np.array_equal(sims[Modality.AV], sims[Modality.AUDIO] + sims[Modality.VIDEO])
     assert sims[Modality.AV].shape == (7, 6)
 
@@ -163,7 +185,7 @@ def test_similarity_matrix_joint_is_sum_of_channels():
 def test_similarity_matrix_entries_match_pair_function():
     rng = np.random.default_rng(4)
     (xa, xv), (ra, rv) = channel_pairs(rng, 4, 4, d_audio=3)
-    sims = _similarity_rows(xa, xv, ra, rv, 1.3)
+    sims = _similarity_rows(xa, xv, ra, rv, 1.3, row_norms(ra, rv))
     bound_a, bound_v = gram_bound(xa, ra) / 1.3, gram_bound(xv, rv) / 1.3
     for i in range(4):
         for j in range(4):

@@ -7,6 +7,7 @@ import pytest
 from oracles import naive_sample_batch
 from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError, DataError
+from poif.fileio import write_checkpoint
 from poif.optim import flatten_params
 from poif.records import ManipFlags, SegmentTable
 from poif.synthgen import WorldConfig, generate_world
@@ -189,6 +190,41 @@ def test_resume_reproduces_uninterrupted_run():
     # the resumed log holds only the continued steps
     assert [s.step for s in resumed.log] == list(range(7, 13))
     assert [s.loss.l_tot for s in resumed.log] == [s.loss.l_tot for s in full.log[6:]]
+
+
+def checkpoint_bytes(path, result):
+    state = result.state
+    write_checkpoint(str(path), state.params, {"tau": "0.5"}, optim_step=state.optim.step,
+                     optim_m=state.optim.m, optim_v=state.optim.v, rng_state=state.rng_state,
+                     steps_done=state.steps_done)
+    return path.read_bytes()
+
+
+def test_resume_within_an_epoch_gives_the_uninterrupted_bytes(tmp_path):
+    """5 steps, then resumed to 3 epochs of 4: the bytes of 12 steps straight."""
+    table = uneven_world()
+    full = train(table, tiny_cfg(epochs=3, batches_per_epoch=4))
+    part = train(table, tiny_cfg(epochs=1, batches_per_epoch=5))
+    resumed = train(table, tiny_cfg(epochs=3, batches_per_epoch=4), resume=part.state)
+    assert part.state.steps_done == 5
+    assert checkpoint_bytes(tmp_path / "resumed.ckpt", resumed) == \
+        checkpoint_bytes(tmp_path / "full.ckpt", full)
+    assert [s.loss for s in resumed.log] == [s.loss for s in full.log[5:]]
+
+
+def test_train_leaves_its_resume_arrays_untouched():
+    world = tiny_world()
+    half = train(world.segments, tiny_cfg(batches_per_epoch=6))
+    state = half.state
+    arrays = flatten_params(state.params) + state.optim.m + state.optim.v
+    before = [a.copy() for a in arrays]
+    rng_state = {**state.rng_state, "state": dict(state.rng_state["state"])}
+    resumed = train(world.segments, tiny_cfg(batches_per_epoch=12), resume=state)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+    assert state.optim.step == state.steps_done == 6
+    assert state.rng_state == rng_state
+    assert not any(np.shares_memory(a, b) for a in flatten_params(resumed.params)
+                   for b in arrays)
 
 
 def test_resume_beyond_budget_is_rejected():
