@@ -5,8 +5,10 @@ each, and no two segments in a batch may come from the same video: within
 one video the recording conditions are shared, so same-video pairs would
 hand the loss a shortcut that does not transfer to unseen clips.
 
-``train`` checks and indexes the dataset once (``index_training_set``);
-each step then draws row indices and gathers the batch's feature rows.
+``train`` checks and indexes the dataset for its batch shape once
+(``index_training_set``) and builds the loss's index arrays once; each
+step then draws row indices with one generator call and gathers the
+batch's feature rows.
 """
 
 from __future__ import annotations
@@ -103,34 +105,38 @@ class TrainResult:
 
 @dataclass(frozen=True, eq=False)
 class TrainingIndex:
-    """A training set prepared once, so that every step runs on arrays.
+    """A training set prepared once for its batch shape, so that every step runs on arrays.
 
-    Rows are dataset positions.  ``audio`` and ``video`` hold the (n, d)
-    feature matrices and ``codes`` each row's identity code: its position
-    among the sorted identity ids.  Videos are numbered identity by
-    identity, each identity's in sorted video-id order: identity c owns
-    videos ``first_video[c]`` to ``first_video[c] + n_videos[c] - 1``.
-    ``rows`` lists the dataset rows video by video, each video's in
-    ``segment_index`` order; video j's ``n_segments[j]`` rows start at
-    ``first_segment[j]``.
+    Rows are dataset positions; ``audio`` and ``video`` hold their features.
+    Videos are numbered identity by identity, each identity's in sorted
+    video-id order.  ``rows`` lists the rows video by video, by segment
+    index; video j's ``n_segments[j]`` rows start at ``first_segment[j]``.
+    Per identity with at least ``segments_per_identity`` videos,
+    ``first_video`` is its first and ``padding`` is 0.0 on its V video
+    slots and 2.0 past its count.
     """
 
     audio: np.ndarray
     video: np.ndarray
-    codes: np.ndarray
-    n_videos: np.ndarray
-    first_video: np.ndarray
     n_segments: np.ndarray
     first_segment: np.ndarray
     rows: np.ndarray
+    identities_per_batch: int
+    segments_per_identity: int
+    first_video: np.ndarray
+    padding: np.ndarray
 
 
-def index_training_set(table: SegmentTable) -> TrainingIndex:
+def index_training_set(
+    table: SegmentTable, identities_per_batch: int, segments_per_identity: int
+) -> TrainingIndex:
     """Check a training set once and index it by identity, video and segment.
 
     Training data must be entirely pristine and keep every video id within
     one identity (so a batch of distinct videos per identity has distinct
     videos overall).  An error names the first bad row in table order.
+    Batches of p = identities_per_batch identities with k =
+    segments_per_identity videos each need p identities with k videos.
     """
     if not len(table):
         raise DataError("empty training dataset")
@@ -150,53 +156,52 @@ def index_training_set(table: SegmentTable) -> TrainingIndex:
             f"{str(identity_ids[owner[video_codes[row]]])!r} and "
             f"{str(table.identity_ids[row])!r}; batch videos must be distinct"
         )
-
-    # Video codes follow sorted video ids, so a stable sort by owner lists
-    # the videos identity by identity, each identity's in sorted-id order.
-    n_videos = np.bincount(owner, minlength=len(identity_ids))
-    n_segments = np.bincount(video_codes)[np.argsort(owner, kind="stable")]
-    return TrainingIndex(
-        audio=table.audio,
-        video=table.video,
-        codes=codes,
-        n_videos=n_videos,
-        first_video=np.cumsum(n_videos) - n_videos,
-        n_segments=n_segments,
-        first_segment=np.cumsum(n_segments) - n_segments,
-        rows=np.lexsort((table.segment_index, video_codes, codes)),
-    )
-
-
-def sample_batch(
-    index: TrainingIndex,
-    identities_per_batch: int,
-    segments_per_identity: int,
-    rng,
-) -> np.ndarray:
-    """Draw identities_per_batch x segments_per_identity rows of the index.
-
-    Each sampled identity contributes segments from distinct videos, one
-    segment per chosen video, so no two segments in the batch ever share a
-    video id.  Rows come grouped by identity.
-    """
-    rng = as_rng(rng)
     p, k = identities_per_batch, segments_per_identity
-
-    eligible = np.flatnonzero(index.n_videos >= k)
+    n_videos = np.bincount(owner, minlength=len(identity_ids))
+    eligible = np.flatnonzero(n_videos >= k)
     if len(eligible) < p:
         raise DataError(
             f"need at least {p} identities with {k} distinct videos each; "
-            f"found {len(eligible)} of {len(index.n_videos)}"
+            f"found {len(eligible)} of {len(n_videos)}"
         )
 
-    picks = []
-    for idx in rng.choice(len(eligible), size=p, replace=False):
-        c = eligible[idx]
-        videos = index.first_video[c] + rng.choice(index.n_videos[c], size=k, replace=False)
-        # One draw for the k segment picks: the same values, and the same
-        # generator state after, as k scalar draws.
-        picks.append(index.first_segment[videos] + rng.integers(index.n_segments[videos]))
-    return index.rows[np.concatenate(picks)]
+    # Video codes follow sorted video ids, so a stable sort by owner lists
+    # the videos identity by identity, each identity's in sorted-id order.
+    n_segments = np.bincount(video_codes)[np.argsort(owner, kind="stable")]
+    first_video = np.cumsum(n_videos) - n_videos
+    n_videos = n_videos[eligible]
+    return TrainingIndex(
+        audio=table.audio,
+        video=table.video,
+        n_segments=n_segments,
+        first_segment=np.cumsum(n_segments) - n_segments,
+        rows=np.lexsort((table.segment_index, video_codes, codes)),
+        identities_per_batch=p,
+        segments_per_identity=k,
+        first_video=first_video[eligible],
+        padding=np.where(np.arange(n_videos.max()) >= n_videos[:, None], 2.0, 0.0),
+    )
+
+
+def sample_batch(index: TrainingIndex, rng) -> np.ndarray:
+    """Draw p = identities_per_batch identities x k = segments_per_identity videos.
+
+    One segment per chosen video, rows grouped by identity.  One call
+    draws e + p*V + p*k doubles of one 64-bit word each, so the stream
+    after t batches depends on t alone.  The first p of a stable argsort
+    of e keys are the identities, the first k of V keys per identity
+    (padding raised above 1) its videos, and u picks segment floor(u*n).
+    """
+    p, k = index.identities_per_batch, index.segments_per_identity
+    e, v = index.padding.shape
+    u = as_rng(rng).random(e + p * v + p * k)
+    who = np.argsort(u[:e], kind="stable")[:p]
+    keys = u[e:e + p * v].reshape(p, v) + index.padding[who]
+    videos = index.first_video[who, None] + np.argsort(keys, axis=1, kind="stable")[:, :k]
+    n = index.n_segments[videos]
+    # u < 1, but u * n can round up to n
+    segment = np.minimum((u[e + p * v:].reshape(p, k) * n).astype(np.intp), n - 1)
+    return index.rows[index.first_segment[videos] + segment].ravel()
 
 
 def train(
@@ -211,7 +216,8 @@ def train(
     step with the saved parameters, moments, and sampler stream, so an
     interrupted run reproduces an uninterrupted one bit for bit.
     """
-    index = index_training_set(dataset)
+    p, k = cfg.identities_per_batch, cfg.segments_per_identity
+    index = index_training_set(dataset, p, k)
 
     if resume is None:
         rng = np.random.default_rng(cfg.seed)
@@ -231,12 +237,11 @@ def train(
     # Every batch holds p identities with k rows each, grouped by identity,
     # so one loss plan serves every step.  Packing copies, so a resumed
     # state is left as it was.
-    p, k = cfg.identities_per_batch, cfg.segments_per_identity
     plan = loss_plan(positive_sets(np.repeat(np.arange(p), k)))
     flat = pack(params, optim)
     log: list[TrainStep] = []
     for step in range(start, cfg.total_steps):
-        rows = sample_batch(index, p, k, rng)
+        rows = sample_batch(index, rng)
         grads, report = loss_and_param_grads(
             flat.params, index.audio.take(rows, axis=0), index.video.take(rows, axis=0), plan,
             cfg.tau, cfg.joint_weight,

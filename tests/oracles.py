@@ -241,8 +241,14 @@ def naive_sample_batch(dataset, identities_per_batch, segments_per_identity, rng
     """The sampler that regroups the whole dataset on every call.
 
     Identities in sorted-id order, each identity's videos in sorted-id
-    order, each video's segments by segment_index; the rng draws match
-    the package's sampler call for call.  Returns the chosen records.
+    order, each video's segments by segment_index.  One rng.random call
+    draws e + p*V + p*k values (e eligible identities, V the most videos
+    any of them has).  The p identities with the smallest of the first e
+    values are drawn, in that order; the j-th drawn identity's videos are
+    ranked the same way by the j-th run of V values (one per video, the
+    rest unused), and its k first taken; the value u for a chosen video's
+    segment picks int(u * n) of its n, capped at n - 1.  Sorting is
+    stable, so equal values keep index order.  Returns the chosen records.
     """
     p, k = identities_per_batch, segments_per_identity
     by_identity = {}
@@ -251,13 +257,23 @@ def naive_sample_batch(dataset, identities_per_batch, segments_per_identity, rng
     eligible = [i for i in sorted(by_identity) if len(by_identity[i]) >= k]
     if len(eligible) < p:
         raise ValueError(f"only {len(eligible)} identities have {k} videos")
+    e = len(eligible)
+    width = max(len(by_identity[i]) for i in eligible)
+    u = rng.random(e + p * width + p * k).tolist()
+    identity_keys = u[:e]
+    video_keys = u[e:e + p * width]
+    segment_keys = u[e + p * width:]
     batch = []
-    for idx in rng.choice(len(eligible), size=p, replace=False):
-        videos = sorted(by_identity[eligible[idx]])
-        for vidx in rng.choice(len(videos), size=k, replace=False):
-            segs = sorted(by_identity[eligible[idx]][videos[vidx]],
-                          key=lambda s: s.segment_index)
-            batch.append(segs[rng.integers(len(segs))])
+    drawn = sorted(range(e), key=lambda i: identity_keys[i])[:p]
+    for j, idx in enumerate(drawn):
+        videos = by_identity[eligible[idx]]
+        names = sorted(videos)
+        keys = video_keys[j * width:(j + 1) * width]
+        chosen = sorted(range(len(names)), key=lambda v: keys[v])[:k]
+        for slot, vidx in enumerate(chosen):
+            segs = sorted(videos[names[vidx]], key=lambda s: s.segment_index)
+            pick = int(segment_keys[j * k + slot] * len(segs))
+            batch.append(segs[min(pick, len(segs) - 1)])
     return batch
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -68,10 +69,10 @@ def with_rows(table, changes):
 def test_sample_batch_one_segment_per_video():
     world = tiny_world()
     table = world.segments
-    index = index_training_set(table)
+    index = index_training_set(table, 3, 2)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        rows = sample_batch(index, 3, 2, rng)
+        rows = sample_batch(index, rng)
         assert len(rows) == 6
         assert len(set(table.identity_ids[rows].tolist())) == 3
         video_ids = table.video_ids[rows].tolist()
@@ -80,31 +81,91 @@ def test_sample_batch_one_segment_per_video():
             assert video_id.startswith(identity)
 
 
-def test_sample_batch_needs_enough_identities_with_enough_videos():
+def test_sample_batch_needs_enough_identities_with_enough_videos(monkeypatch):
     world = tiny_world(identities=2, videos=2)
-    index = index_training_set(world.segments)
-    rng = np.random.default_rng(0)
-    with pytest.raises(DataError):
-        sample_batch(index, 3, 2, rng)  # only 2 identities exist
-    with pytest.raises(DataError):
-        sample_batch(index, 2, 3, rng)  # only 2 videos per identity
+    with pytest.raises(DataError, match="need at least 3 identities with 2 distinct videos"):
+        index_training_set(world.segments, 3, 2)  # only 2 identities exist
+    with pytest.raises(DataError, match="found 0 of 2"):
+        index_training_set(world.segments, 2, 3)  # only 2 videos per identity
+
+    def never(*args, **kwargs):
+        raise AssertionError("a batch was drawn")
+
+    # train refuses before its first step, even a run of no steps
+    monkeypatch.setattr(training, "sample_batch", never)
+    for epochs in (0, 1):
+        with pytest.raises(DataError):
+            train(world.segments, tiny_cfg(epochs=epochs))
 
 
 def test_sample_batch_matches_regrouping_oracle():
     """Same segments and the same rng stream as regrouping the dataset per call."""
     table = shuffled(uneven_world())
     records = table.to_records()
-    index = index_training_set(table)
+    index = index_training_set(table, 3, 3)
     # the world really is uneven: 1 to 6 segments per video, and some
     # identities have too few videos to be drawn
     assert set(index.n_segments.tolist()) == set(range(1, 7))
-    assert 3 <= np.count_nonzero(index.n_videos >= 3) < len(index.n_videos)
+    assert 3 <= len(index.first_video) < len(set(table.identity_ids.tolist()))
     ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(200):
-        got = [table.key(r) for r in sample_batch(index, 3, 3, ours)]
+        got = [table.key(r) for r in sample_batch(index, ours)]
         want = [s.key for s in naive_sample_batch(records, 3, 3, theirs)]
         assert got == want
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def binomial_interval(n, q, alpha):
+    """Counts lo, hi with P(X < lo) <= alpha/2 and P(X > hi) <= alpha/2, X ~ Binomial(n, q).
+
+    Exact tails, summed from the log pmf.
+    """
+    i = np.arange(n + 1)
+    log_choose = np.concatenate([[0.0], np.cumsum(np.log(n - i[1:] + 1) - np.log(i[1:]))])
+    pmf = np.exp(log_choose + i * math.log(q) + (n - i) * math.log1p(-q))
+    at_most = np.cumsum(pmf)              # P(X <= i)
+    at_least = np.cumsum(pmf[::-1])[::-1]  # P(X >= i)
+    lo = int(np.argmax(at_most > alpha / 2))
+    hi = int(n - np.argmax(at_least[::-1] > alpha / 2))
+    return lo, hi
+
+
+def test_sample_batch_draws_identities_videos_and_segments_uniformly():
+    """Counts over 20,000 batches against uniform draws.
+
+    An eligible identity is in a batch with probability p/e, one of its
+    nv videos with (p/e)(k/nv), and one of that video's ns segments with
+    (p/e)(k/nv)/ns.  Batches are independent and hit a cell at most once,
+    so each count is binomial.  Every count must lie in its exact
+    interval at level 0.001/cells (Bonferroni), so all of them hold
+    together with probability at least 99.9% when the draw is uniform.
+    """
+    table = uneven_world()
+    p, k, draws = 3, 3, 20_000
+    index = index_training_set(table, p, k)
+    rng = np.random.default_rng(2026)
+    rows = np.concatenate([sample_batch(index, rng) for _ in range(draws)])
+
+    identities, identity_of = np.unique(table.identity_ids, return_inverse=True)
+    videos, video_of = np.unique(table.video_ids, return_inverse=True)
+    owner = np.empty(len(videos), dtype=int)
+    owner[video_of] = identity_of
+    n_videos, n_segments = np.bincount(owner), np.bincount(video_of)
+    eligible = n_videos >= k
+    q_identity = p / eligible.sum()
+    identity_hits = np.bincount(identity_of[rows], minlength=len(identities)) // k
+    video_hits = np.bincount(video_of[rows], minlength=len(videos))
+    row_hits = np.bincount(rows, minlength=len(table))
+    assert not identity_hits[~eligible].any()
+    cells = [(identity_hits[c], q_identity) for c in np.flatnonzero(eligible)]
+    cells += [(video_hits[j], q_identity * k / n_videos[owner[j]])
+              for j in np.flatnonzero(eligible[owner])]
+    cells += [(row_hits[r], q_identity * k / n_videos[identity_of[r]] / n_segments[video_of[r]])
+              for r in np.flatnonzero(eligible[identity_of])]
+    alpha = 0.001 / len(cells)
+    for count, q in cells:
+        lo, hi = binomial_interval(draws, q, alpha)
+        assert lo <= count <= hi, (count, q, lo, hi)
 
 
 def test_train_ignores_dataset_order():
@@ -147,7 +208,7 @@ def test_first_bad_row_in_dataset_order_is_named(fake_row, shared_row, message):
     table = with_rows(table, {shared_row: {"video_id": "id0000_v000"}})
     table = with_rows(table, {fake_row: FAKE})
     with pytest.raises(DataError, match=message):
-        index_training_set(table)
+        index_training_set(table, 3, 2)
 
 
 def test_mixed_feature_dims_fail_before_first_step():
