@@ -404,8 +404,7 @@ def read_encoders(path: str) -> Checkpoint:
 
 def read_checkpoint(path: str) -> Checkpoint:
     lines, ckpt = _read_encoders(path)
-    params = ckpt.params
-    shapes = [a.shape for mlp in (params.audio, params.video) for pair in
+    shapes = [a.shape for mlp in (ckpt.params.audio, ckpt.params.video) for pair in
               zip(mlp.weights, mlp.biases) for a in pair]
     while not lines.at_end():
         fields = lines.next().split(",")

@@ -64,13 +64,10 @@ def _check_joint_weight(joint_weight: float) -> float:
 class LossPlan:
     """A batch layout's positive entries, prepared once for every batch that has it.
 
-    ``at`` holds the positive entries as (3, P) flat indices into a
-    (3, n, n) stack, one row per channel, grouped by anchor row;
-    ``anchor`` gives each entry's row, and anchor c's run starts at
-    ``starts[c]``.
+    ``at``: (3, P) flat indices into a (3, n, n) stack, grouped by anchor
+    row; ``anchor``: each entry's row; ``starts[c]``: where c's run starts.
     """
 
-    n: int
     anchor: np.ndarray
     starts: np.ndarray
     at: np.ndarray
@@ -88,7 +85,6 @@ def loss_plan(pos_mask) -> LossPlan:
     flat = np.flatnonzero(pos_mask)
     anchor = flat // n
     return LossPlan(
-        n=n,
         anchor=anchor,
         starts=np.searchsorted(anchor, np.arange(n)),
         at=flat + np.arange(0, 3 * n * n, n * n)[:, None],
@@ -116,8 +112,8 @@ def loss_and_embedding_grads(
     x_audio = np.asarray(x_audio, dtype=np.float64)
     x_video = np.asarray(x_video, dtype=np.float64)
     n = len(x_audio)
-    if n != plan.n:
-        raise ValueError(f"batch of {n} rows for a loss plan of {plan.n}")
+    if n != len(plan.starts):
+        raise ValueError(f"batch of {n} rows for a loss plan of {len(plan.starts)}")
     anchor, at = plan.anchor, plan.at
 
     # Audio, video and joint similarities as one (3, n, n) stack.

@@ -19,7 +19,6 @@ import numpy as np
 from .exceptions import UndefinedMetricError
 from .records import FAKE, REAL
 from .scoring import DecisionPolicy
-from .utils import as_rng
 
 
 @dataclass(frozen=True)
@@ -102,15 +101,3 @@ def accuracy(samples: Sequence[ScoreSample], policy: DecisionPolicy) -> float:
     scores, is_real = _split(samples)
     predicted_real = scores >= policy.threshold
     return float(np.mean(predicted_real == is_real))
-
-
-def calibration_check(n: int, policy: DecisionPolicy, rng=0) -> float:
-    """Empirical false-alarm rate of the policy on standard-normal scores.
-
-    If normalized genuine scores really follow a standard normal, the
-    returned rate should sit near policy.p_fa.
-    """
-    if n < 1000:
-        raise ValueError(f"calibration check needs at least 1000 draws, got {n}")
-    draws = as_rng(rng).standard_normal(n)
-    return float(np.mean(draws < policy.threshold))

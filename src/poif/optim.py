@@ -38,10 +38,9 @@ class OptimState:
 class FlatState:
     """A run's parameters and optimizer state as views of three flat buffers.
 
-    ``w``, ``m`` and ``v`` are 1-D float64 buffers in ``flatten_params``
-    order.  Every array of ``params`` is a view of ``w``, and every array
-    of ``optim.m`` and ``optim.v`` a view of ``m`` and ``v``, so
-    ``adamw_step`` moves them all at once.
+    ``params``, ``optim.m`` and ``optim.v`` view the 1-D float64 buffers
+    ``w``, ``m`` and ``v`` (``flatten_params`` order), so an update of the
+    buffers moves them all.
     """
 
     params: EncoderParams

@@ -195,9 +195,6 @@ class SegmentTable:
         """The table restricted to ``rows`` (indices or a mask), in that order."""
         return SegmentTable(*(getattr(self, f.name)[rows] for f in fields(self)))
 
-    def flags_at(self, row: int) -> ManipFlags:
-        return ManipFlags(*(bool(b) for b in self.flags[row]))
-
     def key(self, row: int) -> tuple[str, str, int]:
         return (str(self.identity_ids[row]), str(self.video_ids[row]),
                 int(self.segment_index[row]))

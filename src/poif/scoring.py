@@ -99,10 +99,7 @@ class ReferenceSet:
 
 
 def _similarity_rows(x_audio, x_video, ref_audio, ref_video, tau, ref_sq):
-    """Test-versus-reference similarities per modality; joint = audio + video.
-
-    ref_sq holds the squared row norms of ref_audio and ref_video.
-    """
+    """Similarities per modality, joint = audio + video; ref_sq: the references' row norms."""
     s_a = -(squared_distance_matrix(x_audio, ref_audio, ref_sq[0]) / tau)
     s_v = -(squared_distance_matrix(x_video, ref_video, ref_sq[1]) / tau)
     return {Modality.AUDIO: s_a, Modality.VIDEO: s_v, Modality.AV: s_a + s_v}
@@ -228,12 +225,6 @@ class StackVerdict:
     fused: np.ndarray
     decisions: list[str]
     statistic_used: str
-
-    @property
-    def statistic_value(self) -> np.ndarray:
-        if self.statistic_used == FUSED:
-            return self.fused
-        return self.normalized[Modality(self.statistic_used)]
 
 
 def score_video(

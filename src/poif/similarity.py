@@ -44,10 +44,8 @@ def squared_distance_matrix(
     and two in-place broadcasts, clamped at 0 where cancellation would
     leave a tiny negative.  Besides the (n, m) float64 result there is no
     temporary larger than a vector (plus two (n, n) bool masks for the
-    y-omitted form, kept for the next call of the same n), and no row
-    blocking.  ``y_sq``, the squared row norms of y as
-    ``np.einsum("ij,ij->i", y, y)`` gives them, saves a caller that
-    matches many row blocks against one y from computing them per block.
+    y-omitted form, cached per n), and no row blocking.  ``y_sq`` passes
+    y's squared row norms, ``np.einsum("ij,ij->i", y, y)``, precomputed.
 
     Error bound: the product, the norms and the two additions each round,
     so an entry is within about (2d + 4) * eps * (||x_i||^2 + ||y_j||^2) of

@@ -359,6 +359,18 @@ def knn_person_id(
     return float(np.mean(hits))
 
 
+def calibration_check(n: int, policy: DecisionPolicy, rng=0) -> float:
+    """Empirical false-alarm rate of the policy on standard-normal scores.
+
+    If normalized genuine scores really follow a standard normal, the
+    returned rate should sit near policy.p_fa.
+    """
+    if n < 1000:
+        raise ValueError(f"calibration check needs at least 1000 draws, got {n}")
+    draws = np.random.default_rng(rng).standard_normal(n)
+    return float(np.mean(draws < policy.threshold))
+
+
 def scalar_adamw(w, g, m, v, t, lr, wd, b1, b2, eps):
     """Textbook decoupled-weight-decay update for one scalar parameter."""
     m = b1 * m + (1.0 - b1) * g
@@ -643,7 +655,8 @@ def per_video_score_rows(table, videos, embedded, references, tau, policy, stati
             rows = videos.video_rows(k)
             out[k] = ScoreRow(
                 video_id=videos.ids[k], identity_id=poi, n_segments=n,
-                flags=table.flags_at(rows[0]), blend=max(table.blend[rows].tolist()),
+                flags=ManipFlags(*(bool(b) for b in table.flags[rows[0]])),
+                blend=max(table.blend[rows].tolist()),
                 norm_video=means["video"], norm_audio=means["audio"], norm_av=means["av"],
                 fused=float(fused.mean()),
                 decision="fake" if value < policy.threshold else "real",

@@ -25,6 +25,7 @@ from conftest import (
     score_clip,
 )
 from oracles import (
+    calibration_check,
     embed_one,
     fd_param_grads,
     knn_person_id,
@@ -51,7 +52,6 @@ from poif.metrics import (
     REAL,
     ScoreSample,
     auc,
-    calibration_check,
 )
 from poif.optim import adamw_step, flatten_params, init_optim_state, pack, unflatten_params
 from poif.records import Modality, SegmentTable

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import knn_person_id, pairwise_auc
+from oracles import calibration_check, knn_person_id, pairwise_auc
 from poif.exceptions import UndefinedMetricError
 from poif.metrics import (
     ScoreSample,
     accuracy,
     auc,
-    calibration_check,
     pd_at_fa,
 )
 from poif.records import Modality

@@ -226,7 +226,7 @@ def test_score_video_decision_follows_threshold(params):
         audio_dim=6, video_dim=5, seed=9))
     own = sample_identity_videos(world, "id0000", 1, 6, np.random.default_rng(1)).to_records()
     verdict = score_clip(own, ref, params, 0.5, DecisionPolicy(p_fa=0.1))
-    lenient = verdict.statistic_value[0] >= DecisionPolicy(p_fa=0.1).threshold
+    lenient = verdict.fused[0] >= DecisionPolicy(p_fa=0.1).threshold  # the default statistic
     assert (verdict.decisions == ["real"]) == lenient
     # an absurdly strict policy must flag even genuine material
     strict = score_clip(own, ref, params, 0.5, DecisionPolicy(p_fa=0.999999))

@@ -141,7 +141,7 @@ def test_video_swap_moves_identity_component():
     np.testing.assert_allclose(fake.video, source.video + delta, rtol=1e-15)
     np.testing.assert_array_equal(fake.audio, source.audio)
     assert fake.blend.tolist() == [1.0, 1.0]
-    assert [fake.flags_at(i) for i in range(2)] == [flags_for_group("v")] * 2
+    assert [r.flags for r in fake.to_records()] == [flags_for_group("v")] * 2
     assert fake.video_ids.tolist() == ["f0", "f0"]
     assert fake.identity_ids.tolist() == ["id0000", "id0000"]
     assert fake.segment_index.tolist() == [0, 1]
@@ -213,7 +213,7 @@ def test_benchmark_composition():
     assert not bench.reference.flags.any()
 
     fakes = bench.test.take(bench.test.flags[:, 0])
-    groups = [fakes.flags_at(i).group() for i in range(len(fakes))]
+    groups = [r.flags.group() for r in fakes.to_records()]
     assert {g: groups.count(g) for g in GROUPS} == {g: 2 * 3 * 4 for g in GROUPS}
     # betas rotate across a group's fakes
     blends = fakes.blend.tolist()
