@@ -101,11 +101,11 @@ def loss_and_embedding_grads(
     """Loss report plus gradients with respect to the embedding matrices.
 
     plan is the ``loss_plan`` of the batch's positive mask.  The three
-    channels run as one stacked pass.  The gradient of each channel flows through
-    S(c, k) = -||x_c - x_k||^2/tau for both the row and the column in which
-    a pair appears; the joint channel contributes to both modalities with
-    the same pair weights.  Reductions run in a fixed order, so results are
-    reproducible bit for bit.
+    channels run as one stacked pass.  The gradient of each channel flows
+    through S(c, k) = -||x_c - x_k||^2/tau for both the row and the column
+    in which a pair appears; the joint channel contributes to both
+    modalities with the same pair weights.  Reductions run in a fixed
+    order, so results are reproducible bit for bit.
     """
     tau = check_temperature(tau)
     joint_weight = _check_joint_weight(joint_weight)

@@ -186,11 +186,12 @@ def index_training_set(
 def sample_batch(index: TrainingIndex, rng) -> np.ndarray:
     """Draw p = identities_per_batch identities x k = segments_per_identity videos.
 
-    One segment per chosen video, rows grouped by identity.  One call
+    One segment per chosen video, so no two rows share a video; rows come
+    grouped by identity.  One call
     draws e + p*V + p*k doubles of one 64-bit word each, so the stream
     after t batches depends on t alone.  The first p of a stable argsort
     of e keys are the identities, the first k of V keys per identity
-    (padding raised above 1) its videos, and u picks segment floor(u*n).
+    (padding above 1) its videos, and u picks segment floor(u*n).
     """
     p, k = index.identities_per_batch, index.segments_per_identity
     e, v = index.padding.shape
