@@ -168,7 +168,7 @@ def index_training_set(
     # Video codes follow sorted video ids, so a stable sort by owner lists
     # the videos identity by identity, each identity's in sorted-id order.
     n_segments = np.bincount(video_codes)[np.argsort(owner, kind="stable")]
-    first_video = np.cumsum(n_videos) - n_videos
+    first_video = (np.cumsum(n_videos) - n_videos)[eligible]
     n_videos = n_videos[eligible]
     return TrainingIndex(
         audio=table.audio,
@@ -178,7 +178,7 @@ def index_training_set(
         rows=np.lexsort((table.segment_index, video_codes, codes)),
         identities_per_batch=p,
         segments_per_identity=k,
-        first_video=first_video[eligible],
+        first_video=first_video,
         padding=np.where(np.arange(n_videos.max()) >= n_videos[:, None], 2.0, 0.0),
     )
 
