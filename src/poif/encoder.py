@@ -6,13 +6,13 @@ between layers and a linear output.  An empty stack is the identity map.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConfigError, DataError
 from .losses import LossPlan, loss_and_embedding_grads
+from .similarity import padded_blocks, rows_per_block
 from .utils import as_rng
 
 
@@ -84,22 +84,20 @@ def init_encoder(audio_dim: int, video_dim: int, cfg: EncoderConfig, rng) -> Enc
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray, name: str = "encoder"):
-    """Forward pass over a (..., n, dim) batch, returning output and activations.
+    """Forward pass over an (n, dim) batch, returning output and activations.
 
-    Leading dimensions stack independent batches: numpy's matmul makes one
-    BLAS call per (n, dim) matrix, so each batch's rows get the bits they
-    would get alone.  The cache holds the input followed by every layer's
-    post-activation output, which is all the backward pass needs.
+    The cache holds the input followed by every layer's post-activation
+    output, which is all the backward pass needs.
     """
     h = np.asarray(x, dtype=np.float64)
-    if h.ndim < 2:
-        raise ValueError(f"{name}: expected a (..., n, dim) feature array, got shape {h.shape}")
+    if h.ndim != 2:
+        raise ValueError(f"{name}: expected an (n, dim) feature array, got shape {h.shape}")
     cache = [h]
     last = mlp.n_layers - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        if h.shape[-1] != w.shape[1]:
+        if h.shape[1] != w.shape[1]:
             raise ValueError(
-                f"{name} layer {i}: input dim {h.shape[-1]} does not match weight dim {w.shape[1]}"
+                f"{name} layer {i}: input dim {h.shape[1]} does not match weight dim {w.shape[1]}"
             )
         h = h @ w.T
         h += b
@@ -127,23 +125,36 @@ def mlp_backward(mlp: Mlp, cache: list[np.ndarray], d_out: np.ndarray) -> Mlp:
     return Mlp(d_weights, d_biases)
 
 
-def encode_batch(params: EncoderParams, f_audio: np.ndarray, f_video: np.ndarray):
-    """Embed (..., n, d_a) audio and (..., n, d_v) video feature rows.
+def _encode(mlp: Mlp, f: np.ndarray, name: str) -> np.ndarray:
+    """mlp's output for f's rows, one mlp_forward per fixed-shape block."""
+    rows = rows_per_block(np.shape(f)[1] + sum(w.shape[0] for w in mlp.weights))
+    out = None
+    for start, stop, block in padded_blocks(f, rows):
+        h = mlp_forward(mlp, block, name)[0]
+        if out is None:
+            out = np.empty((len(f), h.shape[1]))
+        out[start:stop] = h[:stop - start]
+    return out
 
-    Returns the (..., n, d) embedding arrays per modality, in row order.
-    A row's embedding bits can depend on the batch it is in (BLAS picks
-    its path by batch size), so callers keep their batches fixed; leading
-    dimensions stack batches of equal size without changing any row's bits.
+
+def encode_batch(params: EncoderParams, f_audio: np.ndarray, f_video: np.ndarray):
+    """Embed (n, d_a) audio and (n, d_v) video feature rows.
+
+    Returns the (n, d) embedding arrays per modality, in row order.  Each
+    modality runs on zero-padded blocks of ``rows_per_block`` rows for its
+    input plus layer widths (``similarity.padded_blocks``), so a row's
+    embedding has the same bits alone, shifted or among any neighbours,
+    and a block's forward pass, activation cache included, fits one budget.
     """
-    rows_a, rows_v = (math.prod(np.shape(f)[:-1]) for f in (f_audio, f_video))
+    if np.ndim(f_audio) != 2 or np.ndim(f_video) != 2:
+        raise ValueError(f"expected (n, dim) rows, got {np.shape(f_audio)}, {np.shape(f_video)}")
+    rows_a, rows_v = len(f_audio), len(f_video)
     if not rows_a:
         raise ValueError("empty segment batch")
-    if np.shape(f_audio)[:-1] != np.shape(f_video)[:-1]:
+    if rows_a != rows_v:
         raise DataError(f"{rows_a} audio rows but {rows_v} video rows")
-    # [0] drops each forward's activation cache before the next one runs
-    x_audio = mlp_forward(params.audio, f_audio, name="audio encoder")[0]
-    x_video = mlp_forward(params.video, f_video, name="video encoder")[0]
-    return x_audio, x_video
+    return (_encode(params.audio, f_audio, "audio encoder"),
+            _encode(params.video, f_video, "video encoder"))
 
 
 def loss_and_param_grads(

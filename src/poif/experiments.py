@@ -1,14 +1,11 @@
 """Glue between segment tables and the verification tables.
 
-The scoring path groups reference rows by person, builds one reference
-set each, then scores every test video against the reference of the
-person it claims to be.  Videos are processed in first-occurrence order;
-inside a video, segments run in segment_index order.  Each video is
-embedded as a batch of its own, in stacks of videos of equal length;
-each person's test segments are matched against that person's reference
-in row blocks, and each length's videos are judged as one stack.
-Results come back as ScoreRow records, and table_metrics turns those
-into the per-manipulation-group AUC / accuracy / detection tables.
+The scoring path embeds each table once, builds one reference set per
+person, matches each person's test rows against it once, and judges each
+person's videos of one length as one stack.  Videos are processed in
+first-occurrence order; inside a video, segments run in segment_index
+order.  Results come back as ScoreRow records, and table_metrics turns
+those into the per-manipulation-group AUC / accuracy / detection tables.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from .encoder import EncoderParams, encode_batch
 from .exceptions import DataError, UndefinedMetricError
 from .fileio import ScoreRow
 from .metrics import MetricsReport, ScoreSample, accuracy, auc, pd_at_fa
-from .records import FAKE, GROUPS, REAL, ManipFlags, Modality, SegmentTable
+from .records import ALL_MODALITIES, FAKE, GROUPS, REAL, ManipFlags, Modality, SegmentTable
 from .scoring import (
     FUSED,
     DecisionPolicy,
@@ -32,7 +29,6 @@ from .scoring import (
     below_nominal,
     best_matches,
     build_reference,
-    rows_per_block,
     score_video,
 )
 
@@ -84,10 +80,14 @@ def _by_length(counts: np.ndarray):
     return zip(lengths.tolist(), _split_by(codes))
 
 
-def group_by_identity(table: SegmentTable) -> dict[str, np.ndarray]:
-    """Rows per identity, identities in first-occurrence order, rows in table order."""
-    codes, ids = _first_occurrence_codes(table.identity_ids)
-    return dict(zip(ids, _split_by(codes)))
+def group_by_identity(table: SegmentTable, rows: np.ndarray | None = None) -> dict:
+    """Rows (default: all) per identity, identities in first-occurrence order.
+
+    Each identity's rows keep their order in ``rows``.
+    """
+    rows = np.arange(len(table)) if rows is None else rows
+    codes, ids = _first_occurrence_codes(table.identity_ids[rows])
+    return {poi: rows[at] for poi, at in zip(ids, _split_by(codes))}
 
 
 def group_by_video(table: SegmentTable, rows: np.ndarray | None = None) -> Videos:
@@ -113,100 +113,72 @@ def group_by_video(table: SegmentTable, rows: np.ndarray | None = None) -> Video
     return Videos(ids, grouped, bounds)
 
 
+def _calibrate(reference, embedded, tau, rows=None, **kwargs) -> dict[str, ReferenceSet]:
+    """One reference set per person from the given rows of an embedded reference table."""
+    return {
+        poi: build_reference(reference.take(mine), tuple(x[mine] for x in embedded), tau,
+                             **kwargs)
+        for poi, mine in group_by_identity(reference, rows).items()
+    }
+
+
 def build_references(
     reference: SegmentTable,
     params: EncoderParams,
     tau: float,
     **kwargs,
 ) -> dict[str, ReferenceSet]:
+    """Embed the reference table once and build every person's reference set."""
     if not len(reference):
         raise DataError("empty reference set")
-    return {
-        poi: build_reference(reference.take(rows), params, tau, **kwargs)
-        for poi, rows in group_by_identity(reference).items()
-    }
+    embedded = encode_batch(params, reference.audio, reference.video)
+    return _calibrate(reference, embedded, tau, **kwargs)
 
 
-def embed_videos(params: EncoderParams, table: SegmentTable, videos: Videos):
-    """Embed every video as a batch of its own; (n, d) matrices in ``videos.rows`` order.
+def _match_rows(table, embedded, references, tau) -> dict[Modality, np.ndarray]:
+    """Each row's best matches against its claimed person's reference, by table row.
 
-    Videos of one length L go through ``encode_batch`` together as a
-    (videos, L, dim) stack, which gives each video the bits of a batch of
-    its own.  A stack holds as many whole videos as ``rows_per_block``
-    allows for L times the widest layer (inputs included), so its largest
-    activation stays within one best_matches slice budget.
+    A person's rows are matched in one best_matches call.
     """
-    if not len(videos):
-        return np.empty((0, 0)), np.empty((0, 0))
-    widest = max(table.audio.shape[1], table.video.shape[1],
-                 *(w.shape[0] for mlp in (params.audio, params.video) for w in mlp.weights))
-    out = None
-    for length, ks in _by_length(np.diff(videos.bounds)):
-        at = videos.bounds[ks, None] + np.arange(length)
-        per_stack = rows_per_block(length * widest)
-        for start in range(0, len(at), per_stack):
-            pos = at[start:start + per_stack]
-            rows = videos.rows[pos]
-            stacked = encode_batch(params, table.audio[rows], table.video[rows])
-            if out is None:
-                out = tuple(np.empty((len(videos.rows), x.shape[-1])) for x in stacked)
-            for whole, x in zip(out, stacked):
-                whole[pos] = x
-    return out
+    people = group_by_identity(table)
+    missing = sorted(set(people) - set(references))
+    if missing:
+        raise DataError(f"no reference material for: {', '.join(missing)}")
+    raw = {m: np.empty(len(table)) for m in ALL_MODALITIES}
+    for poi, rows in people.items():
+        ref = references[poi]
+        best = best_matches(embedded[0][rows], embedded[1][rows], ref.audio, ref.video, tau)
+        for m in ALL_MODALITIES:
+            raw[m][rows] = best[m]
+    return raw
 
 
-def _score_embedded(
-    table: SegmentTable,
-    videos: Videos,
-    embedded: tuple[np.ndarray, np.ndarray],
-    references: Mapping[str, ReferenceSet],
-    tau: float,
-    policy: DecisionPolicy,
-    statistic: str,
-) -> list[ScoreRow]:
-    """Score embedded videos, one person at a time, one stack per length; rows in video order.
+def _judge(table, videos, raw, references, policy, statistic) -> list[ScoreRow]:
+    """Score rows in video order from the rows' raw indices (``_match_rows``).
 
-    A person's test rows are matched in video order, then each length's
-    videos are scored as one (videos, L) stack of their raw indices.
+    Each person's videos of one length L are judged as one (videos, L) stack.
     """
     bounds = videos.bounds
     first = videos.rows[bounds[:-1]]
     codes, owners = _first_occurrence_codes(table.identity_ids[first])
-    missing = sorted(set(owners) - set(references))
-    if missing:
-        raise DataError(f"no reference material for: {', '.join(missing)}")
-
-    x_audio, x_video = embedded
     counts = np.diff(bounds)
     flags = [ManipFlags(*f) for f in table.flags[first].tolist()]
     blends = np.maximum.reduceat(table.blend[videos.rows], bounds[:-1]).tolist()
     out: list[ScoreRow] = [None] * len(videos)
     for poi, ks in zip(owners, _split_by(codes)):
         ref = references[poi]
-        n = counts[ks]
-        starts = np.cumsum(n) - n  # each video's first row among the person's rows
-        at = np.arange(n.sum()) + np.repeat(bounds[ks] - starts, n)
-        raw = best_matches(x_audio[at], x_video[at], ref.audio, ref.video, tau)
-        for length, group in _by_length(n):
-            pos = starts[group, None] + np.arange(length)
-            verdict = score_video({m: r[pos] for m, r in raw.items()}, ref, policy,
+        for length, group in _by_length(counts[ks]):
+            at = videos.rows[bounds[ks[group], None] + np.arange(length)]
+            verdict = score_video({m: r[at] for m, r in raw.items()}, ref, policy,
                                   statistic=statistic)
             norm = {m: v.tolist() for m, v in verdict.normalized.items()}
             for k, n_video, n_audio, n_av, fused, decision in zip(
                     ks[group].tolist(), norm[Modality.VIDEO], norm[Modality.AUDIO],
                     norm[Modality.AV], verdict.fused.tolist(), verdict.decisions):
                 out[k] = ScoreRow(
-                    video_id=videos.ids[k],
-                    identity_id=poi,
-                    n_segments=length,
-                    flags=flags[k],
-                    blend=blends[k],
-                    norm_video=n_video,
-                    norm_audio=n_audio,
-                    norm_av=n_av,
-                    fused=fused,
-                    decision=decision,
-                )
+                    video_id=videos.ids[k], identity_id=poi, n_segments=length,
+                    flags=flags[k], blend=blends[k], norm_video=n_video, norm_audio=n_audio,
+                    norm_av=n_av, fused=fused, decision=decision)
     return out
 
 
@@ -223,8 +195,8 @@ def score_segments(
     if references is None:
         references = build_references(reference, params, tau)
     videos = group_by_video(test)
-    return _score_embedded(test, videos, embed_videos(params, test, videos),
-                           references, tau, policy, statistic)
+    raw = _match_rows(test, encode_batch(params, test.audio, test.video), references, tau)
+    return _judge(test, videos, raw, references, policy, statistic)
 
 
 def rows_to_samples(
@@ -374,17 +346,11 @@ def reference_by_variety(reference: SegmentTable, x: int, total: int) -> np.ndar
     return np.concatenate(out)
 
 
-def _sweep_references(
-    point: str,
-    reference: SegmentTable,
-    params: EncoderParams,
-    tau: float,
-    **kwargs,
-) -> dict[str, ReferenceSet]:
-    """build_references for one sweep point, with one warning for all its small references."""
+def _sweep_references(point: str, reference, embedded, tau, rows=None, **kwargs):
+    """The references of one sweep point, with one warning for all its small references."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SmallReferenceWarning)
-        refs = build_references(reference, params, tau, **kwargs)
+        refs = _calibrate(reference, embedded, tau, rows, **kwargs)
     small = sum(below_nominal(ref.n_videos, len(ref)) for ref in refs.values())
     if small:
         warnings.warn(
@@ -408,37 +374,43 @@ def sweep_scores(
 ) -> list[tuple[int, list[ScoreRow]]]:
     """Score rows at each point of one sweep axis, x ascending.
 
-    Every embedding whose batch stays the same is computed once: the full
-    reference's on test_length, the test videos' on ref_size and
-    ref_variety.  A truncated video and a reference subset are new
-    batches, so they are embedded per point.  References below the
-    nominal regime give one SmallReferenceWarning per point (per sweep on
-    test_length, which builds them once), not one per person.
+    Both tables are embedded once per sweep.  On test_length the
+    references are built and the test rows matched once, and each point
+    judges every video's first x segments.  On ref_size and ref_variety a
+    point's references are row selections of the one reference
+    embedding; they are calibrated and matched per point, because
+    matches against a subset of reference rows move bits.  References
+    below the nominal regime give one SmallReferenceWarning per point (per
+    sweep on test_length), not one per person.
     """
     if axis not in SWEEP_AXES:
         raise DataError(f"unknown sweep axis {axis!r}")
     if not values or any(v < 1 for v in values):
         raise DataError(f"sweep values must be integers >= 1, got {list(values)}")
+    if not len(reference):
+        raise DataError("empty reference set")
     policy = DecisionPolicy(p_fa=0.5)
-    refs = None
-    if axis == "test_length":
-        refs = _sweep_references(axis, reference, params, tau)
+    ref_embedded = encode_batch(params, reference.audio, reference.video)
     videos = group_by_video(test)
-    embedded = None if axis == "test_length" else embed_videos(params, test, videos)
+    embedded = encode_batch(params, test.audio, test.video)
+    if axis == "test_length":
+        refs = _sweep_references(axis, reference, ref_embedded, tau)
+        raw = _match_rows(test, embedded, refs, tau)
     out = []
     for x in sorted(set(values)):
         scored = videos
         if axis == "test_length":
             scored = truncate_videos(videos, x)
-            embedded = embed_videos(params, test, scored)
-        elif axis == "ref_size":
-            subset = reference.take(reference_by_videos(reference, x))
-            refs = _sweep_references(f"{axis}={x}", subset, params, tau)
         else:
-            subset = reference.take(reference_by_variety(reference, x, ref_total))
-            refs = _sweep_references(f"{axis}={x}", subset, params, tau,
-                                     exclude_same_video=x > 1)
-        out.append((x, _score_embedded(test, scored, embedded, refs, tau, policy, statistic)))
+            if axis == "ref_size":
+                rows, kwargs = reference_by_videos(reference, x), {}
+            else:
+                rows = reference_by_variety(reference, x, ref_total)
+                kwargs = {"exclude_same_video": x > 1}
+            refs = _sweep_references(f"{axis}={x}", reference, ref_embedded, tau, rows,
+                                     **kwargs)
+            raw = _match_rows(test, embedded, refs, tau)
+        out.append((x, _judge(test, scored, raw, refs, policy, statistic)))
     return out
 
 

@@ -22,28 +22,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .encoder import EncoderParams, encode_batch
 from .exceptions import ConfigError, DataError, DegenerateReferenceError
 from .records import ALL_MODALITIES, FAKE, REAL, Modality, SegmentTable
-from .similarity import check_temperature, squared_distance_matrix
+from .similarity import check_temperature, padded_blocks, rows_per_block, squared_distance_matrix
 
 FUSED = "fused"
 
 SIGMA_FLOOR = 1e-9
 
 _STD_NORMAL = NormalDist()
-
-# Byte budget for one (rows, m) float64 similarity slice in best_matches.
-# 128 KB is 16 rows against a 1,000-segment reference.  Scoring 400 rows
-# against 1,000 peaked at 1.2 MB with it, and at 6.7 MB with 1 MB slices:
-# twice the 3.2 MB of the whole similarity matrix.
-_SLICE_BYTES = 1 << 17
-
-
-def rows_per_block(m: int) -> int:
-    """Rows per best_matches slice against m reference rows (at least 1)."""
-    return max(1, _SLICE_BYTES // max(8 * m, 1))
-
 
 class SmallReferenceWarning(UserWarning):
     """Reference set is below the nominal 10-video / 100-segment regime."""
@@ -108,42 +95,41 @@ def _similarity_rows(x_audio, x_video, ref_audio, ref_video, tau, ref_sq):
 def best_matches(x_audio, x_video, ref_audio, ref_video, tau, groups=None):
     """Each row's best similarity to any reference row, per modality.
 
-    Rows go in blocks of ``rows_per_block(m)``, so each similarity matrix
-    is alive only as a (rows, m) slice of at most ``_SLICE_BYTES`` (128 KB;
-    one row when a single row is larger), never as the whole n-by-m
-    matrix; the reference's row norms are computed once for all blocks.
-    ``groups`` is for calibration, where the rows are the
+    Rows go in zero-padded blocks of ``rows_per_block(m)`` rows
+    (``similarity.padded_blocks``), so each similarity matrix is alive only
+    as a (rows, m) slice of at most ``_SLICE_BYTES`` (128 KB; one row when
+    a single row is larger), never as the whole n-by-m matrix, and a row's
+    best matches have the same bits alone, shifted or among any
+    neighbours.  The reference's row norms are computed once for all
+    blocks.  ``groups`` is for calibration, where the rows are the
     reference itself: it gives each row an integer group code, and pairs
     within one group are skipped.
     """
-    n = len(x_audio)
     rows = rows_per_block(len(ref_audio))
-    best = {m: np.empty(n) for m in ALL_MODALITIES}
+    best = {m: np.empty(len(x_audio)) for m in ALL_MODALITIES}
     ref_sq = [np.einsum("ij,ij->i", y, y) for y in (ref_audio, ref_video)]
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        sims = _similarity_rows(
-            x_audio[start:stop], x_video[start:stop], ref_audio, ref_video, tau, ref_sq
-        )
-        if groups is not None:
-            skipped = groups[start:stop, None] == groups[None, :]
-            for m in ALL_MODALITIES:
-                sims[m][skipped] = -np.inf
+    for (start, stop, xa), (_, _, xv) in zip(padded_blocks(x_audio, rows),
+                                             padded_blocks(x_video, rows)):
+        sims = _similarity_rows(xa, xv, ref_audio, ref_video, tau, ref_sq)
         for m in ALL_MODALITIES:
-            best[m][start:stop] = sims[m].max(axis=1)
+            s = sims[m][:stop - start]
+            if groups is not None:
+                s[groups[start:stop, None] == groups[None, :]] = -np.inf
+            best[m][start:stop] = s.max(axis=1)
     return best
 
 
 def build_reference(
     table: SegmentTable,
-    params: EncoderParams,
+    embedded: tuple[np.ndarray, np.ndarray],
     tau: float,
     *,
     exclude_same_video: bool = True,
 ) -> ReferenceSet:
-    """Embed one person's pristine segments and calibrate their self-scores.
+    """Calibrate one person's pristine segments on their embedding.
 
-    The rows are embedded as one batch, in table order.  With
+    ``embedded`` holds the (audio, video) embeddings of the table's rows,
+    in table order (``encode_batch``).  With
     ``exclude_same_video`` (the default), at least two distinct videos are
     required and every self-score ignores same-video partners.  Passing
     False relaxes the exclusion to the segment itself, which is the only
@@ -181,7 +167,7 @@ def build_reference(
             stacklevel=2,
         )
 
-    x_audio, x_video = encode_batch(params, table.audio, table.video)
+    x_audio, x_video = embedded
     # A self-score skips partners in its own group: its video, or only itself.
     if exclude_same_video:
         groups = np.unique(table.video_ids, return_inverse=True)[1]

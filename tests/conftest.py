@@ -5,7 +5,7 @@ import numpy as np
 from poif.encoder import encode_batch
 from poif.losses import loss_plan, positive_sets
 from poif.records import Modality, SegmentRecord, SegmentTable
-from poif.scoring import FUSED, best_matches, score_video
+from poif.scoring import FUSED, best_matches, build_reference, score_video
 
 EPS = np.finfo(np.float64).eps
 
@@ -101,3 +101,8 @@ def score_clip(segments, ref, params, tau, policy, statistic=FUSED):
     x_audio, x_video = encode_batch(params, table.audio, table.video)
     raw = best_matches(x_audio, x_video, ref.audio, ref.video, tau)
     return score_video({m: r[None] for m, r in raw.items()}, ref, policy, statistic)
+
+
+def embedded_reference(table, params, tau, **kwargs):
+    """build_reference on the table's own embedding."""
+    return build_reference(table, encode_batch(params, table.audio, table.video), tau, **kwargs)

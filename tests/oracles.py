@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from poif.encoder import EncoderParams, Mlp, loss_and_param_grads, mlp_forward
+from poif.encoder import EncoderParams, Mlp, encode_batch, mlp_forward
 from poif.fileio import ScoreRow
-from poif.losses import LossReport
+from poif.losses import LossReport, loss_and_embedding_grads
 from poif.optim import OptimState, flatten_params, unflatten_params
 from poif.records import ManipFlags, Modality, SegmentRecord, SegmentTable
 from poif.scoring import DecisionPolicy, best_matches, build_reference
@@ -136,8 +136,10 @@ def fd_param_grads(params, f_audio, f_video, plan, tau, joint_weight,
     grads = [np.zeros_like(a) for a in arrays]
 
     def loss() -> float:
-        _, report = loss_and_param_grads(work, f_audio, f_video, plan, tau, joint_weight)
-        return report.l_tot
+        # the forward and the loss of loss_and_param_grads, without its backward
+        x_audio = mlp_forward(work.audio, f_audio)[0]
+        x_video = mlp_forward(work.video, f_video)[0]
+        return loss_and_embedding_grads(x_audio, x_video, plan, tau, joint_weight)[0].l_tot
 
     for arr, out in zip(arrays, grads):
         flat = arr.reshape(-1)
@@ -484,8 +486,12 @@ def _by_video(segments):
 
 
 def record_references(reference, params, tau, **kwargs):
-    return {poi: build_reference(SegmentTable.from_records(segs), params, tau, **kwargs)
-            for poi, segs in _by_identity(reference).items()}
+    out = {}
+    for poi, segs in _by_identity(reference).items():
+        table = SegmentTable.from_records(segs)
+        embedded = encode_batch(params, table.audio, table.video)
+        out[poi] = build_reference(table, embedded, tau, **kwargs)
+    return out
 
 
 def record_score_video(segments, ref, params, tau):
@@ -608,28 +614,8 @@ def record_sweep_rows(axis, values, reference, test, params, tau, statistic="fus
 
 # -- per-video table scoring --------------------------------------------
 #
-# The table scorer as it ran before videos were stacked by length: every
-# video forwarded as a 2-D batch of its own, and every verdict computed
-# from that video's slice of its person's best matches.
-
-def per_video_forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
-    """The encoder's forward pass on one (n, dim) batch, out of place."""
-    h = np.asarray(x, dtype=np.float64)
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = h @ w.T + b
-        h = np.tanh(z) if i < mlp.n_layers - 1 else z
-    return h
-
-
-def per_video_embeddings(params: EncoderParams, table: SegmentTable, videos):
-    """Each video's rows embedded as one batch; (n, d) matrices in ``videos.rows`` order."""
-    audio, video = [], []
-    for k in range(len(videos)):
-        rows = videos.video_rows(k)
-        audio.append(per_video_forward(params.audio, table.audio[rows]))
-        video.append(per_video_forward(params.video, table.video[rows]))
-    return np.concatenate(audio), np.concatenate(video)
-
+# The table scorer one video at a time: every verdict computed from that
+# video's slice of its person's best matches, on given embeddings.
 
 def per_video_score_rows(table, videos, embedded, references, tau, policy, statistic):
     """One ScoreRow per video, in video order, one verdict at a time."""

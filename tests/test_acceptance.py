@@ -18,6 +18,7 @@ import pytest
 from conftest import (
     assert_within,
     batch_inputs,
+    embedded_reference,
     embedding_matrices,
     identity_labels,
     index_bound,
@@ -58,7 +59,6 @@ from poif.records import Modality, SegmentTable
 from poif.scoring import (
     DecisionPolicy,
     SmallReferenceWarning,
-    build_reference,
     quantile_threshold,
 )
 from poif.synthgen import WorldConfig, generate_benchmark, generate_world, sample_identity_videos
@@ -252,7 +252,7 @@ def test_c03_reference_self_scores_are_standardized():
             identity_scale=1.0, video_bias_scale=0.3, segment_noise_scale=0.4,
             identity_start=k, seed=300 + k))
         params = init_encoder(16, 16, EncoderConfig(1, 12, 6), 5000 + k)
-        ref = build_reference(world.segments, params, TAU)
+        ref = embedded_reference(world.segments, params, TAU)
         oracle = reference_stats_bruteforce(world.segments.to_records(), params, TAU)
         for m in (Modality.AUDIO, Modality.VIDEO, Modality.AV):
             z = (ref.self_scores[m] - ref.mu[m]) / ref.sigma[m]
@@ -372,7 +372,7 @@ def test_c09_oracle_equivalences():
         rng_t = np.random.default_rng(910 + trial)
         ref_batch = make_batch(rng_t, counts=(8,))
         params = init_encoder(6, 5, EncoderConfig(1, 8, 3), rng_t)
-        ref = build_reference(SegmentTable.from_records(ref_batch), params, TAU)
+        ref = embedded_reference(SegmentTable.from_records(ref_batch), params, TAU)
         for probe in make_batch(rng_t, counts=(10,)):
             verdict = score_clip([probe], ref, params, TAU, policy)
             audio, video = embed_one(params, probe)

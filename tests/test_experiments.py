@@ -15,7 +15,6 @@ import pytest
 
 from conftest import assert_within, index_bound
 from oracles import (
-    per_video_embeddings,
     per_video_score_rows,
     record_reference_by_variety,
     record_reference_by_videos,
@@ -24,12 +23,11 @@ from oracles import (
     record_sweep_scores,
     record_truncate_videos,
 )
-from poif import experiments, scoring
+from poif import similarity
 from poif.encoder import EncoderConfig, encode_batch, init_encoder
 from poif.exceptions import DataError
 from poif.experiments import (
     build_references,
-    embed_videos,
     group_by_video,
     reference_by_variety,
     reference_by_videos,
@@ -39,7 +37,7 @@ from poif.experiments import (
     truncate_videos,
 )
 from poif.records import GROUPS, PRISTINE, Modality, SegmentRecord, SegmentTable, flags_for_group
-from poif.scoring import DecisionPolicy, SmallReferenceWarning
+from poif.scoring import DecisionPolicy, SmallReferenceWarning, best_matches
 
 pytestmark = pytest.mark.filterwarnings("ignore::poif.scoring.SmallReferenceWarning")
 
@@ -157,19 +155,16 @@ def test_score_segments_matches_record_oracle(world, statistic):
 
 
 def test_video_scored_alone_matches_its_row_in_the_full_file(world):
-    # Alone, a video's rows are its person's only test rows, so its distance
-    # calls have other shapes and BLAS may sum in another order: here 2 of
-    # the 21 videos move in the last bits.  They must stay within the bound.
+    # A row's embedding and matches do not depend on its neighbours, so a
+    # video alone gets the bits of its row in the full file.
     reference, test, params = world
     policy = DecisionPolicy(p_fa=0.2)
     ref_table, test_table = SegmentTable.from_records(reference), SegmentTable.from_records(test)
     refs = build_references(ref_table, params, TAU)
     full = score_segments(ref_table, test_table, params, TAU, policy, references=refs)
-    tol = score_tolerance(test_table, refs, params)
     for row in full:
         alone = test_table.take(np.flatnonzero(test_table.video_ids == row.video_id))
-        assert_rows_within(score_segments(ref_table, alone, params, TAU, policy, references=refs),
-                           [row], tol, policy, "fused")
+        assert score_segments(ref_table, alone, params, TAU, policy, references=refs) == [row]
 
 
 def point_references(axis, x, ref_table, params, ref_total):
@@ -202,6 +197,23 @@ def test_sweeps_match_record_oracle(world, axis, values):
         assert_no_near_ties(want_rows, "fused", tol)
     assert sweep_rows(axis, values, ref_table, test_table, params, TAU, ref_total=7) \
         == record_sweep_rows(axis, values, reference, test, params, TAU, ref_total=7)
+
+
+def test_test_length_sweep_matches_scoring_the_truncated_table(world):
+    """Each test_length point equals score_segments on the truncated table,
+    its videos in reverse order, bit for bit."""
+    reference, test, params = world
+    ref_table, test_table = SegmentTable.from_records(reference), SegmentTable.from_records(test)
+    refs = build_references(ref_table, params, TAU)
+    videos = group_by_video(test_table)
+    values = [1, 3, 37, 38, 40]
+    for x, rows in sweep_scores("test_length", values, ref_table, test_table, params, TAU):
+        scored = truncate_videos(videos, x)
+        truncated = test_table.take(np.concatenate(
+            [scored.video_rows(k) for k in reversed(range(len(scored)))]))
+        want = score_segments(ref_table, truncated, params, TAU, DecisionPolicy(p_fa=0.5),
+                              references=refs)
+        assert sorted(rows, key=lambda r: r.video_id) == sorted(want, key=lambda r: r.video_id)
 
 
 def test_selections_match_record_oracle(world):
@@ -310,10 +322,11 @@ WIDEST = 64  # the stack world's widest encoder layer
 
 @pytest.fixture(params=["default budget", "7-row budget at width 64"])
 def budget(request, monkeypatch):
-    """The stack byte budget; the small one splits most lengths into several stacks."""
+    """The row-block byte budget; the small one splits every table and every
+    person's test rows into several blocks, the last one padded."""
     if request.param != "default budget":
-        monkeypatch.setattr(scoring, "_SLICE_BYTES", 8 * WIDEST * 7 * 2)
-    return scoring._SLICE_BYTES
+        monkeypatch.setattr(similarity, "_SLICE_BYTES", 8 * WIDEST * 7 * 2)
+    return similarity._SLICE_BYTES
 
 
 def assert_same_bits(got, want):
@@ -321,27 +334,26 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def test_stacked_embeddings_match_per_video_batches(stack_world, budget, monkeypatch):
-    _, test, params, _ = stack_world
-    calls = []
-
-    def counted(params, f_audio, f_video):
-        calls.append(f_audio.shape[:-1])
-        return encode_batch(params, f_audio, f_video)
-
-    monkeypatch.setattr(experiments, "encode_batch", counted)
-    videos = group_by_video(test)
-    got = embed_videos(params, test, videos)
-    want = per_video_embeddings(params, test, videos)
-    for g, w in zip(got, want):
-        assert_same_bits(g, w)
-    # whole videos per stack, as many as fit the budget at L x WIDEST
-    per_stack = {L: max(1, budget // (8 * L * WIDEST)) for L in STACK_LENGTHS}
-    assert sorted(calls) == sorted(
-        (min(per_stack[L], 9 - start), L) for L in STACK_LENGTHS
-        for start in range(0, 9, per_stack[L]))
-    if budget < 1 << 17:
-        assert len(calls) > 2 * len(STACK_LENGTHS)
+def test_rows_get_the_same_bits_alone_shifted_and_among_any_neighbours(stack_world, budget):
+    """encode_batch and best_matches run on fixed-shape padded blocks, so a
+    row's embedding and best matches do not depend on its neighbours.  A
+    BLAS whose results depend on a row's place in a block fails here."""
+    ref_table, test, params, refs = stack_world
+    ref = refs["p0"]
+    n = len(test)
+    x_audio, x_video = encode_batch(params, test.audio, test.video)
+    full = best_matches(x_audio, x_video, ref.audio, ref.video, TAU)
+    rng = np.random.default_rng(5)  # every selection but the last has a padded last block
+    selections = [np.array([i]) for i in (0, 1, n // 2, n - 1)]
+    selections += [np.arange(7, n), np.arange(n - 7)]
+    selections += [rng.permutation(n)[:k] for k in (2, 17, 60, n)]
+    for rows in selections:
+        part = encode_batch(params, test.audio[rows], test.video[rows])
+        for got, want in zip(part, (x_audio, x_video)):
+            assert_same_bits(got, want[rows])
+        matched = best_matches(x_audio[rows], x_video[rows], ref.audio, ref.video, TAU)
+        for m in Modality:
+            assert_same_bits(matched[m], full[m][rows])
 
 
 @pytest.mark.parametrize("statistic", ["video", "audio", "av", "fused"])
@@ -351,8 +363,8 @@ def test_stacked_score_rows_match_per_video_verdicts(stack_world, budget, statis
     got = score_segments(ref_table, test, params, TAU, policy, statistic=statistic,
                          references=refs)
     videos = group_by_video(test)
-    want = per_video_score_rows(test, videos, per_video_embeddings(params, test, videos),
-                                refs, TAU, policy, statistic)
+    embedded = tuple(x[videos.rows] for x in encode_batch(params, test.audio, test.video))
+    want = per_video_score_rows(test, videos, embedded, refs, TAU, policy, statistic)
     assert got == want
     assert {r.n_segments for r in got} == set(STACK_LENGTHS)
     assert {r.decision for r in got} == {"real", "fake"}
@@ -365,16 +377,17 @@ def test_truncated_sweeps_match_per_video_verdicts(stack_world, budget):
     values = [1, 2, 5, 7, 10, 15, 20, 30]
     got = sweep_scores("test_length", values, ref_table, test, params, TAU)
     videos = group_by_video(test)
+    x_audio, x_video = encode_batch(params, test.audio, test.video)
     assert [x for x, _ in got] == values
     for x, rows in got:
         scored = truncate_videos(videos, x)
         assert rows == per_video_score_rows(
-            test, scored, per_video_embeddings(params, test, scored), refs, TAU,
+            test, scored, (x_audio[scored.rows], x_video[scored.rows]), refs, TAU,
             DecisionPolicy(p_fa=0.5), "fused")
 
 
 def test_embedding_holds_only_its_output_and_a_few_stacks():
-    """400 videos x 10 segments: the output matrices plus a few stack budgets."""
+    """4,000 rows: the output matrices plus at most two block budgets."""
     rng = np.random.default_rng(12)
     n_videos, length = 400, 10
     test = SegmentTable.from_records([
@@ -382,14 +395,13 @@ def test_embedding_holds_only_its_output_and_a_few_stacks():
                       audio=rng.normal(size=AUDIO_DIM), video=rng.normal(size=VIDEO_DIM))
         for i in range(n_videos * length)])
     params = init_encoder(AUDIO_DIM, VIDEO_DIM, EncoderConfig(2, WIDEST, 32), 3)
-    videos = group_by_video(test)
     tracemalloc.start()
     try:
-        x_audio, x_video = embed_videos(params, test, videos)
+        x_audio, x_video = encode_batch(params, test.audio, test.video)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     output = x_audio.nbytes + x_video.nbytes
     assert output == 2 * n_videos * length * 32 * 8
-    assert peak < output + 8 * scoring._SLICE_BYTES, \
+    assert peak < output + 2 * similarity._SLICE_BYTES, \
         f"peak {peak / 1e6:.2f} MB over {output / 1e6:.2f} MB of output"

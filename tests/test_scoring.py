@@ -4,8 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-import poif.scoring as scoring_module
-from conftest import assert_within, index_bound, score_clip
+from conftest import assert_within, embedded_reference, index_bound, score_clip
 from oracles import (
     dense_self_scores,
     embed_one,
@@ -14,6 +13,7 @@ from oracles import (
     reference_stats_bruteforce,
     squared_distance,
 )
+from poif import similarity
 from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError, DataError, DegenerateReferenceError
 from poif.records import Modality, SegmentTable
@@ -40,7 +40,7 @@ def one_person_segments(seed=0, videos=4, segments=5):
 def quiet_reference(segments, params, tau, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SmallReferenceWarning)
-        return build_reference(SegmentTable.from_records(segments), params, tau, **kwargs)
+        return embedded_reference(SegmentTable.from_records(segments), params, tau, **kwargs)
 
 
 @pytest.fixture
@@ -59,13 +59,14 @@ def test_reference_stats_match_bruteforce(params):
 
 
 # Slice budgets: 1 byte forces one-row slices; 6720 bytes are 28 rows of
-# 8*30 bytes, splitting the 30 reference segments into slices of 28 and 2;
-# 1 MB takes them in one.
+# 8*30 bytes, splitting the 30 reference segments into a slice of 28 and
+# a last one of 2 padded to 28; 1 MB takes them in one.  The budget sets
+# the encoder's row blocks too.
 @pytest.mark.parametrize("budget", [1, 28 * 8 * 30, 1 << 20])
 @pytest.mark.parametrize("exclude_same_video", [True, False])
 def test_streamed_calibration_matches_dense_oracle(params, monkeypatch, budget,
                                                    exclude_same_video):
-    monkeypatch.setattr(scoring_module, "_SLICE_BYTES", budget)
+    monkeypatch.setattr(similarity, "_SLICE_BYTES", budget)
     segments = one_person_segments(seed=2, videos=6, segments=5)
     ref = quiet_reference(segments, params, tau=0.6,
                           exclude_same_video=exclude_same_video)
@@ -88,7 +89,7 @@ def test_reference_calibration_never_holds_an_n_by_n_matrix():
     table = SegmentTable.from_records(segments)
     tracemalloc.start()
     try:
-        build_reference(table, params, 0.5)
+        embedded_reference(table, params, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -116,8 +117,8 @@ def test_single_video_reference_needs_explicit_opt_out(params):
 def test_small_reference_warns():
     segments = one_person_segments(videos=2, segments=3)
     with pytest.warns(SmallReferenceWarning):
-        build_reference(SegmentTable.from_records(segments),
-                        init_encoder(6, 5, EncoderConfig(1, 8, 4), 0), 0.5)
+        embedded_reference(SegmentTable.from_records(segments),
+                           init_encoder(6, 5, EncoderConfig(1, 8, 4), 0), 0.5)
 
 
 def test_degenerate_reference_is_reported(params):
@@ -137,8 +138,8 @@ def test_reference_rejects_mixed_and_fake_material(params):
     world = generate_world(cfg)
     with pytest.raises(DataError):
         quiet_reference(world.segments.to_records(), params, tau=0.5)
-    with pytest.raises(DataError):
-        quiet_reference([], params, tau=0.5)
+    with pytest.raises(DataError, match="empty reference"):
+        build_reference(SegmentTable.from_records([]), (np.empty((0, 4)),) * 2, tau=0.5)
 
 
 def best_similarities(probe, ref_segments, params, tau):

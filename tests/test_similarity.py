@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import assert_within, gram_bound, make_batch
+from conftest import assert_within, embedded_reference, gram_bound, make_batch
 from oracles import dense_squared_distances, squared_distance
 from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError
 from poif.losses import loss_and_embedding_grads, loss_plan
 from poif.records import Modality, SegmentTable
-from poif.scoring import _similarity_rows, best_matches, build_reference, rows_per_block
-from poif.similarity import check_temperature, squared_distance_matrix
+from poif.scoring import _similarity_rows, best_matches
+from poif.similarity import (
+    check_temperature,
+    padded_blocks,
+    rows_per_block,
+    squared_distance_matrix,
+)
 
 
 def test_squared_distance_matches_manual():
@@ -133,20 +138,21 @@ def row_norms(*ys):
 
 def test_best_matches_slices_keep_the_bits_of_one_kernel_call_per_slice():
     """best_matches computes the reference's row norms once for all its
-    slices; every slice gets the bits of a kernel call that computes them."""
+    slices; every slice, the last one zero-padded, gets the bits of a
+    kernel call that computes them."""
     rng = np.random.default_rng(12)
     (xa, xv), (ra, rv) = channel_pairs(rng, 70, 300, d_audio=32, d_video=16)
     rows = rows_per_block(300)
-    assert rows < 70  # several slices, the last one shorter
+    assert 70 % rows  # several slices, the last one padded
     got = best_matches(xa, xv, ra, rv, 0.7)
-    for start in range(0, 70, rows):
-        part = slice(start, start + rows)
-        s_a = -(squared_distance_matrix(xa[part], ra) / 0.7)
-        s_v = -(squared_distance_matrix(xv[part], rv) / 0.7)
+    for (start, stop, ba), (_, _, bv) in zip(padded_blocks(xa, rows), padded_blocks(xv, rows)):
+        assert len(ba) == len(bv) == rows
+        s_a = -(squared_distance_matrix(ba, ra) / 0.7)[:stop - start]
+        s_v = -(squared_distance_matrix(bv, rv) / 0.7)[:stop - start]
         for m, sims in ((Modality.AUDIO, s_a), (Modality.VIDEO, s_v), (Modality.AV, s_a + s_v)):
-            assert np.array_equal(got[m][part], sims.max(axis=1)), (m, start)
-        assert np.array_equal(squared_distance_matrix(xa[part], ra, row_norms(ra)[0]),
-                              squared_distance_matrix(xa[part], ra))
+            assert np.array_equal(got[m][start:stop], sims.max(axis=1)), (m, start)
+        assert np.array_equal(squared_distance_matrix(ba, ra, row_norms(ra)[0]),
+                              squared_distance_matrix(ba, ra))
 
 
 def test_similarity_sign_and_temperature_scaling():
@@ -171,7 +177,7 @@ def test_similarity_rejects_bad_tau():
         loss_and_embedding_grads(x_audio, x_video, plan, 0.0, 1.0)
     params = init_encoder(6, 5, EncoderConfig(1, 4, 2), 0)
     with pytest.raises(ConfigError):
-        build_reference(SegmentTable.from_records(batch), params, -1.0)
+        embedded_reference(SegmentTable.from_records(batch), params, -1.0)
 
 
 def test_similarity_matrix_joint_is_sum_of_channels():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from poif import scoring
+from poif import similarity
 from poif.cli import main
 
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
@@ -90,10 +90,11 @@ def test_every_training_step_calls_the_traced_functions(tmp_path, monkeypatch):
     assert calls == {**RUN_CALLS, **{key: 3 * per_step for key, per_step in STEP_CALLS.items()}}
 
 
-# The functions score and sweep call per person and per stack.  The traced
-# runner's encoder.encode_batch and scoring.score_video spans time one
-# stack each, so the embedding and the verdicts of a stack must go through
-# these module bindings once per stack.
+# The functions score and sweep call per table, per block, per person and
+# per stack.  The traced runner's encoder.encode_batch span times the
+# embedding of one table, an encoder.mlp_forward span one fixed-shape block
+# of it, and a scoring.score_video span one (person, length) stack, so each
+# must go through these module bindings exactly that often.
 SCORING_CALLS = (("scoring", "build_reference"), ("encoder", "encode_batch"),
                  ("encoder", "mlp_forward"), ("scoring", "score_video"))
 
@@ -110,34 +111,37 @@ def test_score_and_sweep_call_the_traced_functions_once_per_stack(tmp_path, monk
                  "--identities-per-batch", "2", "--segments-per-identity", "2",
                  "--hidden-layers", "1", "--hidden-width", str(widest),
                  "--embedding-dim", "3"]) == 0
-    # 2 real and 4 fake test videos of 3 segments per person
+    # 3 reference videos, 2 real and 4 fake test videos of 3 segments per person
     assert main(["synth", "--mode", "benchmark", "--identities", str(people),
                  "--audio-dim", "5", "--video-dim", "4", "--segments-per-video", str(length),
                  "--reference-videos", "3", "--real-videos", "2", "--fakes-per-group", "1",
                  "--seed", "9", "--identity-start", "100", "--train-features", paths["train"],
                  "--out-reference", paths["ref"], "--out-test", paths["test"]]) == 0
-    budget = 8 * length * widest * 4  # four whole 3-segment videos per stack
-    monkeypatch.setattr(scoring, "_SLICE_BYTES", budget)
+    budget = 8 * 16 * 6  # six rows of the audio encoder's 5 + 8 + 3 values per block
+    monkeypatch.setattr(similarity, "_SLICE_BYTES", budget)
     inputs = ["--checkpoint", paths["ckpt"], "--reference", paths["ref"],
               "--test", paths["test"], "--out", paths["out"]]
 
-    def stacks(x):
-        return -(-people * test_videos // max(1, budget // (8 * x * widest)))
+    def blocks(rows):
+        # audio rows hold 5 + 8 + 3 values, video rows 4 + 8 + 3
+        return sum(-(-rows // (budget // (8 * width))) for width in (16, 15))
 
-    def expected(encode_batch, score_video):
+    # one encode_batch per table, 27 reference and 54 test rows
+    forwards = blocks(people * 3 * length) + blocks(people * test_videos * length)
+    assert forwards == 2 * 5 + 2 * 9
+
+    def expected(score_video):
         return {("scoring", "build_reference"): people,
-                ("encoder", "encode_batch"): encode_batch,
-                ("encoder", "mlp_forward"): 2 * encode_batch,
+                ("encoder", "encode_batch"): 2,
+                ("encoder", "mlp_forward"): forwards,
                 ("scoring", "score_video"): score_video}
 
     calls = count_calls(monkeypatch, SCORING_CALLS)
     assert main(["score", *inputs]) == 0
-    assert stacks(length) == 5
-    assert calls == expected(people + stacks(length), people)
+    assert calls == expected(people)
 
     calls.clear()
     points = (1, 2, 3)
     assert main(["sweep", *inputs, "--axis", "test_length",
                  "--values", ",".join(map(str, points))]) == 0
-    assert [stacks(x) for x in points] == [2, 3, 5]
-    assert calls == expected(people + sum(map(stacks, points)), people * len(points))
+    assert calls == expected(people * len(points))
