@@ -40,8 +40,16 @@ STATISTIC_CHOICES = ("video", "audio", "av", "fusion")
 _STATISTIC_BY_FLAG = {"video": "video", "audio": "audio", "av": "av", "fusion": FUSED}
 
 
+def finite(raw: str) -> float:
+    """float(raw), refusing inf and nan (argparse: "invalid finite value")."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _float_list(raw: str) -> list[float]:
-    values = [float(p) for p in raw.split(",") if p.strip()]
+    values = [finite(p) for p in raw.split(",") if p.strip()]
     if not values:
         raise ValueError(f"expected a comma-separated list of numbers, got {raw!r}")
     return values
@@ -71,9 +79,9 @@ _SYNTH_SPEC = {
     "segments_per_video": (int, None),
     "audio_dim": (int, 16),
     "video_dim": (int, 16),
-    "identity_scale": (float, 1.0),
-    "video_bias_scale": (float, 0.1),
-    "segment_noise_scale": (float, 0.1),
+    "identity_scale": (finite, 1.0),
+    "video_bias_scale": (finite, 0.1),
+    "segment_noise_scale": (finite, 0.1),
     "identity_start": (int, None),
     "seed": (int, None),
     "out": (str, None),
@@ -82,7 +90,7 @@ _SYNTH_SPEC = {
     "train_features": (str, None),
     "fakes_per_group": (int, 4),
     "betas": (_float_list, [1.0, 0.4]),
-    "cloned_voice_scale": (float, 0.5),
+    "cloned_voice_scale": (finite, 0.5),
     "reference_videos": (int, 10),
     "real_videos": (int, 4),
 }
@@ -93,13 +101,13 @@ _TRAIN_SPEC = {
     "log": (str, None),
     "resume": (str, None),
     "seed": (int, None),
-    "lr": (float, 1e-4),
-    "weight_decay": (float, 0.01),
-    "beta1": (float, 0.9),
-    "beta2": (float, 0.999),
-    "epsilon": (float, 1e-8),
-    "tau": (float, 0.01),
-    "lambda": (float, 1.0),
+    "lr": (finite, 1e-4),
+    "weight_decay": (finite, 0.01),
+    "beta1": (finite, 0.9),
+    "beta2": (finite, 0.999),
+    "epsilon": (finite, 1e-8),
+    "tau": (finite, 0.01),
+    "lambda": (finite, 1.0),
     "epochs": (int, 12),
     "batches_per_epoch": (int, 2304),
     "identities_per_batch": (int, 8),
@@ -114,15 +122,15 @@ _SCORE_SPEC = {
     "reference": (str, None),
     "test": (str, None),
     "out": (str, None),
-    "p_fa": (float, 0.1),
-    "tau": (float, None),
+    "p_fa": (finite, 0.1),
+    "tau": (finite, None),
     "statistic": (_choice(STATISTIC_CHOICES), "fusion"),
 }
 
 _EVALUATE_SPEC = {
     "scores": (str, None),
     "out": (str, None),
-    "p_fa": (float, 0.1),
+    "p_fa": (finite, 0.1),
 }
 
 _SWEEP_SPEC = {
@@ -133,7 +141,7 @@ _SWEEP_SPEC = {
     "axis": (_choice(experiments.SWEEP_AXES), None),
     "values": (_int_list, None),
     "ref_total": (int, 100),
-    "tau": (float, None),
+    "tau": (finite, None),
     "statistic": (_choice(STATISTIC_CHOICES), "fusion"),
 }
 

@@ -266,12 +266,12 @@ def generate_benchmark(
         raise DataError(f"unknown manipulation groups: {', '.join(unknown)}")
     for g, c in group_counts.items():
         if c < 0:
-            raise DataError(f"group {g!r} has negative count {c}")
+            raise ConfigError(f"group {g!r} has negative count {c}")
     betas = [float(b) for b in betas]
     if any(not 0.0 <= b <= 1.0 for b in betas):
-        raise DataError(f"betas must lie in [0, 1], got {betas}")
+        raise ConfigError(f"betas must lie in [0, 1], got {betas}")
     if any(group_counts.get(g, 0) > 0 and "v" in g.split("+") for g in GROUPS) and not betas:
-        raise DataError("video-manipulated groups requested but no betas given")
+        raise ConfigError("video-manipulated groups requested but no betas given")
     if len(world.identity_ids) < 2 and any(group_counts.get(g, 0) > 0 for g in GROUPS):
         raise DataError("fakes need at least 2 identities to draw donors from")
 

@@ -240,6 +240,34 @@ def test_out_of_range_settings_are_config_errors(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sweep values must be integers >= 1" in err
     assert "not found" not in err and "data error" not in err
+    # non-finite numbers, from a flag or a config file, before any input is read
+    out = tmp_path / "out.txt"
+    inputs = {
+        "train": ["--features", missing, "--seed", "1"],
+        "score": ["--checkpoint", missing, "--reference", missing, "--test", missing],
+        "sweep": ["--checkpoint", missing, "--reference", missing, "--test", missing,
+                  "--axis", "test_length", "--values", "1"],
+        "synth": ["--seed", "1"],
+    }
+    config = tmp_path / "bad.cfg"
+    for command, key, value in (
+            ("train", "tau", "inf"), ("train", "epsilon", "inf"), ("train", "lr", "inf"),
+            ("train", "lambda", "inf"), ("train", "lambda", "nan"),
+            ("train", "weight-decay", "inf"), ("train", "weight-decay", "nan"),
+            ("score", "tau", "inf"), ("sweep", "tau", "inf"),
+            ("synth", "identity-scale", "nan"), ("synth", "segment-noise-scale", "inf"),
+            ("synth", "betas", "1,nan")):
+        args = [command, *inputs[command], "--out", str(out)]
+        with pytest.raises(SystemExit) as refused:
+            main([*args, f"--{key}", value])
+        assert refused.value.code == 2
+        assert f"argument --{key}: invalid " in capsys.readouterr().err
+        config.write_text(f"{key} = {value}\n")
+        assert main([*args, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"expected a finite number, got '{value.split(',')[-1]}'" in err, err
+        assert "not found" not in err
+        assert not out.exists()
 
 
 def test_resumed_training_bit_matches_full_run(pipeline, tmp_path):
@@ -404,6 +432,19 @@ def test_synth_benchmark_refuses_counts_below_one(tmp_path, capsys, flag, value)
     setting = flag[2:].replace("-", "_")
     assert capsys.readouterr().err == (
         f"poif: config error: {setting} must be >= 1, got {value}\n")
+    assert not ref.exists() and not test.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--fakes-per-group", "-1", "group 'v' has negative count -1"),
+    ("--betas", "1.5", "betas must lie in [0, 1], got [1.5]"),
+    ("--betas", "0.4,-0.5", "betas must lie in [0, 1], got [0.4, -0.5]"),
+])
+def test_synth_benchmark_refuses_bad_group_settings(tmp_path, capsys, flag, value, message):
+    ref, test = tmp_path / "r.txt", tmp_path / "t.txt"
+    assert main(["synth", "--mode", "benchmark", "--identities", "3", "--seed", "9",
+                 flag, value, "--out-reference", str(ref), "--out-test", str(test)]) == 2
+    assert capsys.readouterr().err == f"poif: config error: {message}\n"
     assert not ref.exists() and not test.exists()
 
 

@@ -243,12 +243,13 @@ def test_benchmark_guards():
     rng = np.random.default_rng(0)
     with pytest.raises(DataError):
         generate_benchmark(world, {"vv": 1}, [1.0], rng)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="group 'v' has negative count -1"):
         generate_benchmark(world, {"v": -1}, [1.0], rng)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="no betas given"):
         generate_benchmark(world, {"v": 1}, [], rng)
-    with pytest.raises(DataError):
-        generate_benchmark(world, {"v": 1}, [1.2], rng)
+    for beta in (1.2, -0.1, float("nan")):
+        with pytest.raises(ConfigError, match="betas must lie in"):
+            generate_benchmark(world, {"v": 1}, [beta], rng)
     with pytest.raises(DataError):
         generate_benchmark(world, {"v": 1}, [1.0], rng,
                            train_identity_ids=["id0001", "zz"])
