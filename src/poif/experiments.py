@@ -74,12 +74,6 @@ def _split_by(codes: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(codes))[:-1])
 
 
-def _by_length(counts: np.ndarray):
-    """(length, positions) per distinct count, lengths ascending, positions ascending."""
-    lengths, codes = np.unique(counts, return_inverse=True)
-    return zip(lengths.tolist(), _split_by(codes))
-
-
 def group_by_identity(table: SegmentTable, rows: np.ndarray | None = None) -> dict:
     """Rows (default: all) per identity, identities in first-occurrence order.
 
@@ -167,7 +161,8 @@ def _judge(table, videos, raw, references, policy, statistic) -> list[ScoreRow]:
     out: list[ScoreRow] = [None] * len(videos)
     for poi, ks in zip(owners, _split_by(codes)):
         ref = references[poi]
-        for length, group in _by_length(counts[ks]):
+        lengths, by_length = np.unique(counts[ks], return_inverse=True)
+        for length, group in zip(lengths.tolist(), _split_by(by_length)):
             at = videos.rows[bounds[ks[group], None] + np.arange(length)]
             verdict = score_video({m: r[at] for m, r in raw.items()}, ref, policy,
                                   statistic=statistic)

@@ -96,14 +96,12 @@ def best_matches(x_audio, x_video, ref_audio, ref_video, tau, groups=None):
     """Each row's best similarity to any reference row, per modality.
 
     Rows go in zero-padded blocks of ``rows_per_block(m)`` rows
-    (``similarity.padded_blocks``), so each similarity matrix is alive only
-    as a (rows, m) slice of at most ``_SLICE_BYTES`` (128 KB; one row when
-    a single row is larger), never as the whole n-by-m matrix, and a row's
-    best matches have the same bits alone, shifted or among any
-    neighbours.  The reference's row norms are computed once for all
-    blocks.  ``groups`` is for calibration, where the rows are the
-    reference itself: it gives each row an integer group code, and pairs
-    within one group are skipped.
+    (``similarity.padded_blocks``): each similarity matrix is alive only as
+    a (rows, m) slice within the 128 KB budget, and a row's best matches
+    have the same bits alone, shifted or among any neighbours.  The
+    reference's row norms are computed once for all blocks.  ``groups`` is
+    for calibration, where the rows are the reference itself: it gives
+    each row an integer group code, and pairs within one group are skipped.
     """
     rows = rows_per_block(len(ref_audio))
     best = {m: np.empty(len(x_audio)) for m in ALL_MODALITIES}

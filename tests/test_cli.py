@@ -439,7 +439,7 @@ def test_synth_benchmark_refuses_counts_below_one(tmp_path, capsys, flag, value)
     ("--fakes-per-group", "-1", "group 'v' has negative count -1"),
     ("--betas", "1.5", "betas must lie in [0, 1], got [1.5]"),
     ("--betas", "0.4,-0.5", "betas must lie in [0, 1], got [0.4, -0.5]"),
-])
+], ids=["negative-count", "beta-above-one", "beta-below-zero"])
 def test_synth_benchmark_refuses_bad_group_settings(tmp_path, capsys, flag, value, message):
     ref, test = tmp_path / "r.txt", tmp_path / "t.txt"
     assert main(["synth", "--mode", "benchmark", "--identities", "3", "--seed", "9",

@@ -338,12 +338,13 @@ def test_rows_get_the_same_bits_alone_shifted_and_among_any_neighbours(stack_wor
     """encode_batch and best_matches run on fixed-shape padded blocks, so a
     row's embedding and best matches do not depend on its neighbours.  A
     BLAS whose results depend on a row's place in a block fails here."""
-    ref_table, test, params, refs = stack_world
+    _, test, params, refs = stack_world
     ref = refs["p0"]
     n = len(test)
     x_audio, x_video = encode_batch(params, test.audio, test.video)
     full = best_matches(x_audio, x_video, ref.audio, ref.video, TAU)
-    rng = np.random.default_rng(5)  # every selection but the last has a padded last block
+    rng = np.random.default_rng(5)
+    # lone rows and the two shifted ranges end in a padded block at both budgets
     selections = [np.array([i]) for i in (0, 1, n // 2, n - 1)]
     selections += [np.arange(7, n), np.arange(n - 7)]
     selections += [rng.permutation(n)[:k] for k in (2, 17, 60, n)]
