@@ -16,8 +16,8 @@ from .exceptions import (
     UndefinedMetricError,
 )
 from .losses import LossReport, positive_sets
-from .metrics import MetricsReport, ScoreSample, accuracy, auc, pd_at_fa
-from .records import ManipFlags, Modality, SegmentTable
+from .metrics import MetricsReport, accuracy, auc, pd_at_fa
+from .records import ManipFlags, SegmentTable
 from .scoring import (
     FUSED,
     DecisionPolicy,
@@ -59,10 +59,8 @@ __all__ = [
     "ManipFlags",
     "ManipulationSpec",
     "MetricsReport",
-    "Modality",
     "PoifError",
     "ReferenceSet",
-    "ScoreSample",
     "SegmentTable",
     "StackVerdict",
     "TrainConfig",

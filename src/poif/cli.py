@@ -62,11 +62,17 @@ def _int_list(raw: str) -> list[int]:
     return values
 
 
+# argparse names a flag's converter in its error: "invalid <__name__> value".
+_float_list.__name__ = "finite list"
+_int_list.__name__ = "integer list"
+
+
 def _choice(options: Sequence[str]) -> Callable[[str], str]:
     def convert(raw: str) -> str:
         if raw not in options:
             raise ValueError(f"expected one of {', '.join(options)}; got {raw!r}")
         return raw
+    convert.choices = options  # a flag checks these itself (argparse choices)
     return convert
 
 
@@ -442,7 +448,9 @@ def _add_setting_flags(sp: argparse.ArgumentParser, spec: Mapping, flags: Mappin
     for key, (converter, _) in spec.items():
         flag = flags.get(key, "--" + key.replace("_", "-"))
         kwargs: dict = {"dest": key, "default": None}
-        if converter is not str:
+        if hasattr(converter, "choices"):
+            kwargs["choices"] = converter.choices
+        elif converter is not str:
             kwargs["type"] = converter
         sp.add_argument(flag, **kwargs)
 

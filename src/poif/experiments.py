@@ -5,7 +5,8 @@ person, matches each person's test rows against it once, and judges each
 person's videos of one length as one stack.  Videos are processed in
 first-occurrence order; inside a video, segments run in segment_index
 order.  Results come back as ScoreRow records, and table_metrics turns
-those into the per-manipulation-group AUC / accuracy / detection tables.
+those into the per-manipulation-group AUC / accuracy / detection tables,
+computed on the rows' statistics as one array.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from .encoder import EncoderParams, encode_batch
 from .exceptions import DataError, UndefinedMetricError
 from .fileio import ScoreRow
-from .metrics import MetricsReport, ScoreSample, accuracy, auc, pd_at_fa
-from .records import ALL_MODALITIES, FAKE, GROUPS, REAL, ManipFlags, Modality, SegmentTable
+from .metrics import MetricsReport, accuracy, auc, pd_at_fa
+from .records import CHANNELS, GROUPS, ManipFlags, SegmentTable
 from .scoring import (
     FUSED,
     DecisionPolicy,
@@ -129,8 +130,8 @@ def build_references(
     return _calibrate(reference, embedded, tau, **kwargs)
 
 
-def _match_rows(table, embedded, references, tau) -> dict[Modality, np.ndarray]:
-    """Each row's best matches against its claimed person's reference, by table row.
+def _match_rows(table, embedded, references, tau) -> np.ndarray:
+    """Each row's best matches against its claimed person's reference: (3, table rows).
 
     A person's rows are matched in one best_matches call.
     """
@@ -138,12 +139,11 @@ def _match_rows(table, embedded, references, tau) -> dict[Modality, np.ndarray]:
     missing = sorted(set(people) - set(references))
     if missing:
         raise DataError(f"no reference material for: {', '.join(missing)}")
-    raw = {m: np.empty(len(table)) for m in ALL_MODALITIES}
+    raw = np.empty((len(CHANNELS), len(table)))
     for poi, rows in people.items():
         ref = references[poi]
-        best = best_matches(embedded[0][rows], embedded[1][rows], ref.audio, ref.video, tau)
-        for m in ALL_MODALITIES:
-            raw[m][rows] = best[m]
+        raw[:, rows] = best_matches(embedded[0][rows], embedded[1][rows], ref.audio,
+                                    ref.video, tau)
     return raw
 
 
@@ -164,12 +164,11 @@ def _judge(table, videos, raw, references, policy, statistic) -> list[ScoreRow]:
         lengths, by_length = np.unique(counts[ks], return_inverse=True)
         for length, group in zip(lengths.tolist(), _split_by(by_length)):
             at = videos.rows[bounds[ks[group], None] + np.arange(length)]
-            verdict = score_video({m: r[at] for m, r in raw.items()}, ref, policy,
-                                  statistic=statistic)
-            norm = {m: v.tolist() for m, v in verdict.normalized.items()}
+            verdict = score_video(np.take(raw, at, axis=1), ref, policy, statistic=statistic)
+            audio, video, av = verdict.normalized.tolist()
             for k, n_video, n_audio, n_av, fused, decision in zip(
-                    ks[group].tolist(), norm[Modality.VIDEO], norm[Modality.AUDIO],
-                    norm[Modality.AV], verdict.fused.tolist(), verdict.decisions):
+                    ks[group].tolist(), video, audio, av, verdict.fused.tolist(),
+                    verdict.decisions):
                 out[k] = ScoreRow(
                     video_id=videos.ids[k], identity_id=poi, n_segments=length,
                     flags=flags[k], blend=blends[k], norm_video=n_video, norm_audio=n_audio,
@@ -194,17 +193,11 @@ def score_segments(
     return _judge(test, videos, raw, references, policy, statistic)
 
 
-def rows_to_samples(
-    rows: Sequence[ScoreRow], group: str, statistic: str
-) -> list[ScoreSample]:
-    """Reals plus the fakes of one manipulation group, as labeled scores."""
-    samples = []
-    for r in rows:
-        if not r.flags.is_fake:
-            samples.append(ScoreSample(r.statistic(statistic), REAL))
-        elif r.flags.group() == group:
-            samples.append(ScoreSample(r.statistic(statistic), FAKE))
-    return samples
+def _statistics(rows: Sequence[ScoreRow]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' (n, 4) statistics in STATISTIC_KEYS order, and their fake mask."""
+    values = np.array([(r.norm_video, r.norm_audio, r.norm_av, r.fused) for r in rows],
+                      dtype=np.float64).reshape(-1, len(STATISTIC_KEYS))
+    return values, np.array([r.flags.is_fake for r in rows], dtype=bool)
 
 
 def _guarded(fn) -> float | None:
@@ -230,23 +223,25 @@ def table_metrics(
     groups where each metric is defined.  Accuracy uses the even-odds
     threshold (0 on the normalized scale).
     """
-    present = [g for g in GROUPS if any(r.flags.is_fake and r.flags.group() == g for r in rows)]
+    values, fake = _statistics(rows)
+    groups = np.array([r.flags.group() for r in rows], dtype=str)
+    present = [g for g in GROUPS if (groups == g).any()]
     if not present:
         raise DataError("no fake videos in the score table")
-    even = DecisionPolicy(p_fa=0.5)
+    even = DecisionPolicy(p_fa=0.5).threshold
     table: dict[str, dict[str, MetricsReport]] = {}
     for group in present:
+        keep = ~fake | (groups == group)
+        is_real = ~fake[keep]
+        n_real = int(is_real.sum())
         table[group] = {}
-        for stat in STATISTIC_KEYS:
-            samples = rows_to_samples(rows, group, stat)
-            n_real = sum(1 for s in samples if s.label == REAL)
-            n_fake = len(samples) - n_real
+        for stat, scores in zip(STATISTIC_KEYS, values[keep].T):
             table[group][stat] = MetricsReport(
-                auc=_guarded(lambda: auc(samples)),
-                accuracy=_guarded(lambda: accuracy(samples, even)),
-                pd_at_fa=_guarded(lambda: pd_at_fa(samples, fa=p_fa)),
+                auc=_guarded(lambda: auc(scores, is_real)),
+                accuracy=_guarded(lambda: accuracy(scores, is_real, even)),
+                pd_at_fa=_guarded(lambda: pd_at_fa(scores, is_real, fa=p_fa)),
                 n_real=n_real,
-                n_fake=n_fake,
+                n_fake=len(is_real) - n_real,
             )
     table[AVG_GROUP] = {
         stat: MetricsReport(
@@ -265,27 +260,6 @@ def table_metrics(
 
 SWEEP_AXES = ("test_length", "ref_size", "ref_variety")
 SWEEP_CLASSES = ("all", "fr", "fs")
-
-
-def _in_class(flags, blend: float, cls: str) -> bool:
-    if cls == "all":
-        return True
-    if cls == "fs":
-        return flags.v and blend == 1.0
-    if cls == "fr":
-        return flags.v and blend < 1.0
-    raise ValueError(f"unknown sweep class {cls!r}")
-
-
-def class_samples(rows: Sequence[ScoreRow], cls: str, statistic: str) -> list[ScoreSample]:
-    """All reals versus the fakes of one manipulation class."""
-    samples = []
-    for r in rows:
-        if not r.flags.is_fake:
-            samples.append(ScoreSample(r.statistic(statistic), REAL))
-        elif _in_class(r.flags, r.blend, cls):
-            samples.append(ScoreSample(r.statistic(statistic), FAKE))
-    return samples
 
 
 def truncate_videos(videos: Videos, x: int) -> Videos:
@@ -419,23 +393,30 @@ def sweep_rows(
     statistic: str = FUSED,
     ref_total: int = 100,
 ) -> list[dict]:
-    """AUC-vs-x curve rows for one sweep axis, sorted by x then class."""
+    """AUC-vs-x curve rows for one sweep axis, sorted by x then class.
+
+    Each class compares all real videos with its fakes: every fake (all),
+    or the manipulated videos with a partial (fr, blend below 1) or a full
+    (fs, blend 1) identity swap.
+    """
     rows = []
     for x, scored in sweep_scores(axis, values, reference, test, params, tau,
                                   statistic, ref_total):
+        stats, fake = _statistics(scored)
+        scores = stats[:, STATISTIC_KEYS.index(statistic)]
+        swapped = fake & np.array([r.flags.v for r in scored], dtype=bool)
+        blend = np.array([r.blend for r in scored], dtype=np.float64)
+        classes = {"all": fake, "fr": swapped & (blend < 1.0), "fs": swapped & (blend == 1.0)}
         for cls in sorted(SWEEP_CLASSES):
-            samples = class_samples(scored, cls, statistic)
-            n_real = sum(1 for s in samples if s.label == REAL)
-            n_fake = len(samples) - n_real
+            keep = ~fake | classes[cls]
+            is_real = ~fake[keep]
+            n_fake = int(classes[cls].sum())
             if n_fake == 0 and cls != "all":
                 continue
-            try:
-                value = 100.0 * auc(samples)
-            except UndefinedMetricError:
-                value = None
             rows.append({
                 "axis": axis, "x": x, "class": cls,
-                "n_real": n_real, "n_fake": n_fake, "auc": value,
+                "n_real": len(is_real) - n_fake, "n_fake": n_fake,
+                "auc": _guarded(lambda: auc(scores[keep], is_real)),
             })
     return rows
 

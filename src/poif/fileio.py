@@ -465,14 +465,6 @@ class ScoreRow:
     fused: float
     decision: str
 
-    def statistic(self, name: str) -> float:
-        return {
-            "video": self.norm_video,
-            "audio": self.norm_audio,
-            "av": self.norm_av,
-            "fused": self.fused,
-        }[name]
-
 
 def write_scores(path: str, rows: Sequence[ScoreRow], meta: Mapping[str, str]):
     out = [f"{SCORES_MAGIC},{FORMAT_VERSION},{len(rows)}"]

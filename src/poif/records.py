@@ -1,4 +1,4 @@
-"""Core data model: modalities, manipulation flags, segments.
+"""Core data model: similarity channels, manipulation flags, segments.
 
 A segment is a short slice of one talking-face video carrying one audio
 and one video feature vector.  The pipeline, from synthesis to scoring,
@@ -10,7 +10,6 @@ between the two for callers that iterate segments one by one.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -18,19 +17,10 @@ import numpy as np
 from .exceptions import DataError
 
 
-class Modality(str, Enum):
-    """Feature stream tag: the two single modalities plus the joint tag.
-
-    The joint tag is only valid where a joint similarity is defined; raw
-    features exist for audio and video alone.
-    """
-
-    AUDIO = "audio"
-    VIDEO = "video"
-    AV = "av"
-
-
-ALL_MODALITIES = (Modality.AUDIO, Modality.VIDEO, Modality.AV)
+# The three similarity channels, in the order of every (3, ...) stack: the
+# two single modalities, then the joint audio-visual channel.  Raw features
+# exist for audio and video alone.
+CHANNELS = ("audio", "video", "av")
 
 REAL = "real"
 FAKE = "fake"

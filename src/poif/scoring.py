@@ -18,12 +18,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Mapping
 
 import numpy as np
 
 from .exceptions import ConfigError, DataError, DegenerateReferenceError
-from .records import ALL_MODALITIES, FAKE, REAL, Modality, SegmentTable
+from .records import CHANNELS, FAKE, REAL, SegmentTable
 from .similarity import check_temperature, padded_blocks, rows_per_block, squared_distance_matrix
 
 FUSED = "fused"
@@ -64,18 +63,18 @@ class DecisionPolicy:
 class ReferenceSet:
     """Embedded pristine segments of one person, with calibration stats.
 
-    mu and sigma are the mean and population spread of the leave-own-video-out
-    self-scores per modality; self_scores keeps the per-segment values for
-    diagnostics.
+    mu and sigma are the (3,) means and population spreads of the
+    leave-own-video-out self-scores per channel (CHANNELS order);
+    self_scores keeps the (3, n) per-segment values for diagnostics.
     """
 
     poi_id: str
     video_ids: tuple[str, ...]
     audio: np.ndarray
     video: np.ndarray
-    mu: dict[Modality, float]
-    sigma: dict[Modality, float]
-    self_scores: dict[Modality, np.ndarray]
+    mu: np.ndarray
+    sigma: np.ndarray
+    self_scores: np.ndarray
 
     def __len__(self) -> int:
         return len(self.video_ids)
@@ -86,14 +85,21 @@ class ReferenceSet:
 
 
 def _similarity_rows(x_audio, x_video, ref_audio, ref_video, tau, ref_sq):
-    """Similarities per modality, joint = audio + video; ref_sq: the references' row norms."""
-    s_a = -(squared_distance_matrix(x_audio, ref_audio, ref_sq[0]) / tau)
-    s_v = -(squared_distance_matrix(x_video, ref_video, ref_sq[1]) / tau)
-    return {Modality.AUDIO: s_a, Modality.VIDEO: s_v, Modality.AV: s_a + s_v}
+    """(3, rows, m) similarities in CHANNELS order, joint = audio + video.
+
+    ``ref_sq`` holds the references' row norms.  Dividing into the stack and
+    negating in place gives the bits of ``-(d / tau)``.
+    """
+    sims = np.empty((len(CHANNELS), len(x_audio), len(ref_audio)))
+    for plane, x, y, y_sq in zip(sims, (x_audio, x_video), (ref_audio, ref_video), ref_sq):
+        np.divide(squared_distance_matrix(x, y, y_sq), tau, out=plane)
+    np.negative(sims[:2], out=sims[:2])
+    np.add(sims[0], sims[1], out=sims[2])
+    return sims
 
 
 def best_matches(x_audio, x_video, ref_audio, ref_video, tau, groups=None):
-    """Each row's best similarity to any reference row, per modality.
+    """Each row's best similarity to any reference row, as a (3, n) channel stack.
 
     Rows go in zero-padded blocks of ``rows_per_block(m)`` rows
     (``similarity.padded_blocks``): each similarity matrix is alive only as
@@ -104,16 +110,14 @@ def best_matches(x_audio, x_video, ref_audio, ref_video, tau, groups=None):
     each row an integer group code, and pairs within one group are skipped.
     """
     rows = rows_per_block(len(ref_audio))
-    best = {m: np.empty(len(x_audio)) for m in ALL_MODALITIES}
+    best = np.empty((len(CHANNELS), len(x_audio)))
     ref_sq = [np.einsum("ij,ij->i", y, y) for y in (ref_audio, ref_video)]
     for (start, stop, xa), (_, _, xv) in zip(padded_blocks(x_audio, rows),
                                              padded_blocks(x_video, rows)):
-        sims = _similarity_rows(xa, xv, ref_audio, ref_video, tau, ref_sq)
-        for m in ALL_MODALITIES:
-            s = sims[m][:stop - start]
-            if groups is not None:
-                s[groups[start:stop, None] == groups[None, :]] = -np.inf
-            best[m][start:stop] = s.max(axis=1)
+        sims = _similarity_rows(xa, xv, ref_audio, ref_video, tau, ref_sq)[:, :stop - start]
+        if groups is not None:
+            sims[:, groups[start:stop, None] == groups[None, :]] = -np.inf
+        sims.max(axis=2, out=best[:, start:stop])
     return best
 
 
@@ -173,24 +177,21 @@ def build_reference(
         groups = np.arange(len(table))
     self_scores = best_matches(x_audio, x_video, x_audio, x_video, tau, groups)
 
-    mu: dict[Modality, float] = {}
-    sigma: dict[Modality, float] = {}
-    for m in ALL_MODALITIES:
-        scores = self_scores[m]
-        mu[m] = float(scores.mean())
-        sigma[m] = float(scores.std())
-        if sigma[m] < SIGMA_FLOOR:
-            raise DegenerateReferenceError(
-                f"reference for {poi_id!r} is degenerate: {m.value} self-scores have "
-                f"spread {sigma[m]:.3g} below the floor {SIGMA_FLOOR:.3g}"
-            )
+    sigma = self_scores.std(axis=1)
+    low = np.flatnonzero(sigma < SIGMA_FLOOR)
+    if len(low):
+        c = low[0]
+        raise DegenerateReferenceError(
+            f"reference for {poi_id!r} is degenerate: {CHANNELS[c]} self-scores have "
+            f"spread {sigma[c]:.3g} below the floor {SIGMA_FLOOR:.3g}"
+        )
 
     return ReferenceSet(
         poi_id=poi_id,
         video_ids=video_ids,
         audio=x_audio,
         video=x_video,
-        mu=mu,
+        mu=self_scores.mean(axis=1),
         sigma=sigma,
         self_scores=self_scores,
     )
@@ -200,54 +201,51 @@ def build_reference(
 class StackVerdict:
     """Verdicts for a stack of clips of n_segments segments each.
 
-    ``normalized`` and ``fused`` hold each clip's means of the normalized
-    indices and of the fused value, ``decisions`` each clip's verdict.
+    ``normalized`` holds each clip's means of the normalized indices as a
+    (3, clips) channel stack, ``fused`` each clip's mean of the fused value,
+    ``decisions`` each clip's verdict.
     """
 
     n_segments: int
-    normalized: dict[Modality, np.ndarray]
+    normalized: np.ndarray
     fused: np.ndarray
     decisions: list[str]
     statistic_used: str
 
 
 def score_video(
-    raw: Mapping[Modality, np.ndarray],
+    raw: np.ndarray,
     ref: ReferenceSet,
     policy: DecisionPolicy,
-    statistic: Modality | str = FUSED,
+    statistic: str = FUSED,
 ) -> StackVerdict:
-    """Verdicts for a (clips, L) stack of segments' raw indices (``best_matches``).
+    """Verdicts for a (3, clips, L) stack of segments' raw indices (``best_matches``).
 
     Each segment's raw index is normalized with the reference's mu and
-    sigma, and the fused value is the worst of the three.  A clip's
-    statistic is the plain mean of its per-segment normalized (or fused)
-    values, so longer clips average down the per-segment noise; each mean
-    runs over a contiguous row, which gives the bits of a 1-D mean of that
-    clip alone.  A clip is fake when the chosen statistic falls below the
-    policy threshold.
+    sigma, and the fused value is the worst of the three channels.  A
+    clip's statistic (a channel name or ``fused``) is the plain mean of its
+    per-segment normalized (or fused) values, so longer clips average down
+    the per-segment noise.  The stack is made C-contiguous first, so each
+    mean runs over a contiguous row and gives the bits of a 1-D mean of
+    that clip alone, whatever the caller's layout.  A clip is fake when the
+    chosen statistic falls below the policy threshold.
     """
-    if not raw[Modality.AUDIO].size:
+    raw = np.ascontiguousarray(raw, dtype=np.float64)
+    if raw.ndim != 3 or len(raw) != len(CHANNELS):
+        raise DataError(f"expected a (3, clips, L) stack of raw indices, got {raw.shape}")
+    if not raw.size:
         raise DataError("no test segments to score")
-    if statistic != FUSED:
-        try:
-            statistic = Modality(statistic)
-        except ValueError:
-            raise ConfigError(f"unknown statistic {statistic!r}") from None
+    if statistic != FUSED and statistic not in CHANNELS:
+        raise ConfigError(f"unknown statistic {statistic!r}")
 
-    normalized = {m: (raw[m] - ref.mu[m]) / ref.sigma[m] for m in ALL_MODALITIES}
-    fused_per_segment = np.minimum(
-        np.minimum(normalized[Modality.AUDIO], normalized[Modality.VIDEO]),
-        normalized[Modality.AV],
-    )
-
-    means = {m: normalized[m].mean(axis=-1) for m in ALL_MODALITIES}
-    fused = fused_per_segment.mean(axis=-1)
-    value = fused if statistic == FUSED else means[statistic]
+    normalized = (raw - ref.mu[:, None, None]) / ref.sigma[:, None, None]
+    means = normalized.mean(axis=-1)
+    fused = normalized.min(axis=0).mean(axis=-1)
+    value = fused if statistic == FUSED else means[CHANNELS.index(statistic)]
     return StackVerdict(
-        n_segments=raw[Modality.AUDIO].shape[-1],
+        n_segments=raw.shape[-1],
         normalized=means,
         fused=fused,
         decisions=np.where(value < policy.threshold, FAKE, REAL).tolist(),
-        statistic_used=FUSED if statistic == FUSED else statistic.value,
+        statistic_used=statistic,
     )

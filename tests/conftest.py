@@ -4,7 +4,7 @@ import numpy as np
 
 from poif.encoder import encode_batch
 from poif.losses import loss_plan, positive_sets
-from poif.records import Modality, SegmentRecord, SegmentTable
+from poif.records import SegmentRecord, SegmentTable
 from poif.scoring import FUSED, best_matches, build_reference, score_video
 
 EPS = np.finfo(np.float64).eps
@@ -28,14 +28,14 @@ def gram_bound(x, y=None):
 
 
 def index_bound(x_audio, x_video, ref_audio, ref_video, tau):
-    """Per-row bound on each modality's raw index (``best_matches``) against an oracle.
+    """Per-row bound on each channel's raw index (``best_matches``) against an oracle.
 
     A maximum over reference rows moves by at most the largest error of
     the similarities it is taken over.
     """
     audio = gram_bound(x_audio, ref_audio).max(axis=1) / tau
     video = gram_bound(x_video, ref_video).max(axis=1) / tau
-    return {Modality.AUDIO: audio, Modality.VIDEO: video, Modality.AV: audio + video}
+    return np.stack([audio, video, audio + video])
 
 
 def assert_within(got, want, bound):
@@ -100,7 +100,7 @@ def score_clip(segments, ref, params, tau, policy, statistic=FUSED):
     table = SegmentTable.from_records(segments)
     x_audio, x_video = encode_batch(params, table.audio, table.video)
     raw = best_matches(x_audio, x_video, ref.audio, ref.video, tau)
-    return score_video({m: r[None] for m, r in raw.items()}, ref, policy, statistic)
+    return score_video(raw[:, None], ref, policy, statistic)
 
 
 def embedded_reference(table, params, tau, **kwargs):

@@ -17,7 +17,7 @@ from poif.encoder import EncoderParams, Mlp, encode_batch, mlp_forward
 from poif.fileio import ScoreRow
 from poif.losses import LossReport, loss_and_embedding_grads
 from poif.optim import OptimState, flatten_params, unflatten_params
-from poif.records import ManipFlags, Modality, SegmentRecord, SegmentTable
+from poif.records import CHANNELS, ManipFlags, SegmentRecord, SegmentTable
 from poif.scoring import DecisionPolicy, best_matches, build_reference
 from poif.similarity import squared_distance_matrix
 
@@ -335,22 +335,23 @@ def knn_person_id(
     probe_labels: Sequence[str],
     probe_audio: np.ndarray,
     probe_video: np.ndarray,
-    modality: Modality,
+    modality: str,
 ) -> float:
     """Nearest-neighbor identification accuracy over labeled embeddings (criterion 7).
 
-    Row i of each (n, d) embedding matrix belongs to label i.  The joint
-    modality ranks by the sum of the audio and video squared distances
-    (equivalent to concatenating the vectors).  Distance ties resolve to
-    the lowest gallery index.
+    Row i of each (n, d) embedding matrix belongs to label i.  ``modality``
+    is a channel name (``records.CHANNELS``); the joint channel ranks by
+    the sum of the audio and video squared distances (equivalent to
+    concatenating the vectors).  Distance ties resolve to the lowest
+    gallery index.
     """
     if len(gallery_labels) == 0:
         raise ValueError("empty gallery")
     if len(probe_labels) == 0:
         raise ValueError("no probes")
-    if modality == Modality.AUDIO:
+    if modality == "audio":
         d = squared_distance_matrix(probe_audio, gallery_audio)
-    elif modality == Modality.VIDEO:
+    elif modality == "video":
         d = squared_distance_matrix(probe_video, gallery_video)
     else:
         d = (squared_distance_matrix(probe_audio, gallery_audio)
@@ -501,9 +502,19 @@ def record_score_video(segments, ref, params, tau):
     s_a = -(dense_squared_distances(x_audio, ref.audio) / tau)
     s_v = -(dense_squared_distances(x_video, ref.video) / tau)
     raw = {"audio": s_a.max(axis=1), "video": s_v.max(axis=1), "av": (s_a + s_v).max(axis=1)}
-    norm = {m: (raw[m] - ref.mu[Modality(m)]) / ref.sigma[Modality(m)] for m in raw}
+    norm = {m: (raw[m] - ref.mu[c]) / ref.sigma[c] for c, m in enumerate(CHANNELS)}
     fused = np.minimum(np.minimum(norm["audio"], norm["video"]), norm["av"])
     return {m: float(v.mean()) for m, v in norm.items()}, float(fused.mean())
+
+
+def row_statistic(row: ScoreRow, name: str) -> float:
+    """A score row's value of one statistic: a channel name or "fused"."""
+    return {
+        "video": row.norm_video,
+        "audio": row.norm_audio,
+        "av": row.norm_av,
+        "fused": row.fused,
+    }[name]
 
 
 def record_score_rows(reference, test, params, tau, policy, statistic="fused",
@@ -601,8 +612,8 @@ def record_sweep_rows(axis, values, reference, test, params, tau, statistic="fus
     for x, rows in record_sweep_scores(axis, values, reference, test, params, tau,
                                        statistic, ref_total):
         for cls in sorted(classes):
-            reals = [r.statistic(statistic) for r in rows if not r.flags.is_fake]
-            fakes = [r.statistic(statistic) for r in rows
+            reals = [row_statistic(r, statistic) for r in rows if not r.flags.is_fake]
+            fakes = [row_statistic(r, statistic) for r in rows
                      if r.flags.is_fake and classes[cls](r)]
             if not fakes and cls != "all":
                 continue
@@ -632,11 +643,11 @@ def per_video_score_rows(table, videos, embedded, references, tau, policy, stati
         offset = 0
         for k in ks:
             n = int(bounds[k + 1] - bounds[k])
-            norm = {m: (r[offset:offset + n] - ref.mu[m]) / ref.sigma[m] for m, r in raw.items()}
+            norm = {m: (raw[c, offset:offset + n] - ref.mu[c]) / ref.sigma[c]
+                    for c, m in enumerate(CHANNELS)}
             offset += n
-            fused = np.minimum(np.minimum(norm[Modality.AUDIO], norm[Modality.VIDEO]),
-                               norm[Modality.AV])
-            means = {m.value: float(v.mean()) for m, v in norm.items()}
+            fused = np.minimum(np.minimum(norm["audio"], norm["video"]), norm["av"])
+            means = {m: float(v.mean()) for m, v in norm.items()}
             value = float(fused.mean()) if statistic == "fused" else means[statistic]
             rows = videos.video_rows(k)
             out[k] = ScoreRow(

@@ -42,20 +42,14 @@ from poif.cli import main
 from poif.encoder import EncoderConfig, encode_batch, init_encoder, loss_and_param_grads
 from poif.experiments import (
     AVG_GROUP,
-    class_samples,
     score_segments,
     sweep_rows,
     table_metrics,
 )
 from poif.losses import loss_and_embedding_grads, loss_plan, positive_sets
-from poif.metrics import (
-    FAKE,
-    REAL,
-    ScoreSample,
-    auc,
-)
+from poif.metrics import auc
 from poif.optim import adamw_step, flatten_params, init_optim_state, pack, unflatten_params
-from poif.records import Modality, SegmentTable
+from poif.records import CHANNELS, SegmentTable
 from poif.scoring import (
     DecisionPolicy,
     SmallReferenceWarning,
@@ -161,11 +155,14 @@ def _run_seed(s: int) -> SeedResult:
         shuffled.append(100.0 * knn_person_id(labels, g_audio, g_video,
                                               p_labels, p_audio, p_video, "av"))
 
+    # all real videos against the full-swap fakes (blend 1)
+    fs = [r for r in rows if not r.flags.is_fake or (r.flags.v and r.blend == 1.0)]
     return SeedResult(
         av_pd=av_pd,
         final_losses=final_losses,
         audio_auc_v=table["v"]["audio"].auc,
-        video_auc_fs=100.0 * auc(class_samples(rows, "fs", "video")),
+        video_auc_fs=100.0 * auc([r.norm_video for r in fs],
+                                 [not r.flags.is_fake for r in fs]),
         avg_auc={stat: table[AVG_GROUP][stat].auc
                  for stat in ("video", "audio", "av", "fused")},
         fr_auc_by_len={r["x"]: r["auc"] for r in fr_rows if r["class"] == "fr"},
@@ -254,13 +251,13 @@ def test_c03_reference_self_scores_are_standardized():
         params = init_encoder(16, 16, EncoderConfig(1, 12, 6), 5000 + k)
         ref = embedded_reference(world.segments, params, TAU)
         oracle = reference_stats_bruteforce(world.segments.to_records(), params, TAU)
-        for m in (Modality.AUDIO, Modality.VIDEO, Modality.AV):
-            z = (ref.self_scores[m] - ref.mu[m]) / ref.sigma[m]
+        for c, m in enumerate(CHANNELS):
+            z = (ref.self_scores[c] - ref.mu[c]) / ref.sigma[c]
             worst_mean = max(worst_mean, abs(float(z.mean())))
             worst_std = max(worst_std, abs(float(z.std()) - 1.0))
-            mu, sigma = oracle[m.value]
-            worst_oracle = max(worst_oracle, abs(ref.mu[m] - mu),
-                               abs(ref.sigma[m] - sigma))
+            mu, sigma = oracle[m]
+            worst_oracle = max(worst_oracle, abs(ref.mu[c] - mu),
+                               abs(ref.sigma[c] - sigma))
     print(f"criterion 3: 50 references, |mean| <= {worst_mean:.3g}, "
           f"|std-1| <= {worst_std:.3g} (limits 1e-9), "
           f"oracle gap {worst_oracle:.3g} (limit 1e-12)")
@@ -362,9 +359,8 @@ def test_c09_oracle_equivalences():
         levels = int(rng.choice([4, 16, 1000000]))
         reals = np.round(rng.normal(size=rng.integers(3, 41)) * levels) / levels
         fakes = np.round(rng.normal(size=rng.integers(3, 41)) * levels) / levels
-        samples = [ScoreSample(float(v), REAL) for v in reals]
-        samples += [ScoreSample(float(v), FAKE) for v in fakes]
-        assert auc(samples) == pairwise_auc(reals, fakes)
+        is_real = np.arange(len(reals) + len(fakes)) < len(reals)
+        assert auc(np.concatenate([reals, fakes]), is_real) == pairwise_auc(reals, fakes)
 
     policy = DecisionPolicy(p_fa=0.1)
     checked = 0
@@ -376,19 +372,17 @@ def test_c09_oracle_equivalences():
         for probe in make_batch(rng_t, counts=(10,)):
             verdict = score_clip([probe], ref, params, TAU, policy)
             audio, video = embed_one(params, probe)
-            best = {m: -math.inf for m in (Modality.AUDIO, Modality.VIDEO, Modality.AV)}
+            best = [-math.inf] * len(CHANNELS)
             for i in range(len(ref)):
                 s_a = -(squared_distance(audio, ref.audio[i]) / TAU)
                 s_v = -(squared_distance(video, ref.video[i]) / TAU)
-                best[Modality.AUDIO] = max(best[Modality.AUDIO], s_a)
-                best[Modality.VIDEO] = max(best[Modality.VIDEO], s_v)
-                best[Modality.AV] = max(best[Modality.AV], s_a + s_v)
+                best = [max(b, s) for b, s in zip(best, (s_a, s_v, s_a + s_v))]
             # one segment: the verdict's mean is that segment's index, which
             # the distance kernel's error bound keeps near the scalar loop's
             bound = index_bound(audio[None], video[None], ref.audio, ref.video, TAU)
-            for m, want in best.items():
-                assert_within(verdict.normalized[m][0], (want - ref.mu[m]) / ref.sigma[m],
-                              bound[m][0] / ref.sigma[m])
+            for c, want in enumerate(best):
+                assert_within(verdict.normalized[c][0], (want - ref.mu[c]) / ref.sigma[c],
+                              bound[c][0] / ref.sigma[c])
                 checked += 1
 
     init = init_encoder(3, 2, EncoderConfig(1, 4, 2), 42)

@@ -270,6 +270,34 @@ def test_out_of_range_settings_are_config_errors(pipeline, tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command,key,value,expects", [
+    ("synth", "betas", "1,nan", "invalid finite list value: '1,nan'"),
+    ("sweep", "values", "1,x", "invalid integer list value: '1,x'"),
+    ("score", "statistic", "bogus", "invalid choice: 'bogus' (choose from"),
+], ids=["synth-betas", "sweep-values", "score-statistic"])
+def test_flag_errors_say_what_the_flag_expects(tmp_path, capsys, command, key, value, expects):
+    missing = str(tmp_path / "missing.txt")
+    inputs = {
+        "synth": ["--seed", "1"],
+        "score": ["--checkpoint", missing, "--reference", missing, "--test", missing],
+        "sweep": ["--checkpoint", missing, "--reference", missing, "--test", missing,
+                  "--axis", "test_length"],
+    }
+    args = [command, *inputs[command], "--out", str(tmp_path / "out.txt")]
+    with pytest.raises(SystemExit) as refused:
+        main([*args, f"--{key}", value])
+    assert refused.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --{key}: {expects}" in err, err
+    # argparse names a converter by its __name__; no private function may show
+    assert "invalid _" not in err and "convert" not in err, err
+    # the config-file path keeps its own message
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{key} = {value}\n")
+    assert main([*args, "--config", str(config)]) == 2
+    assert f"bad config value {key}={value!r}" in capsys.readouterr().err
+
+
 def test_resumed_training_bit_matches_full_run(pipeline, tmp_path):
     half = str(tmp_path / "half.ckpt")
     full = str(tmp_path / "full.ckpt")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_tables_equal
+from oracles import row_statistic
 from poif import fileio
 from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError, DataError
@@ -290,7 +291,7 @@ def test_scores_round_trip(tmp_path):
     meta, rows = read_scores(path)
     assert meta["p_fa"] == "0.1"
     assert [r.video_id for r in rows] == ["v1", "v2"]
-    assert rows[0].statistic("video") == 1.2
+    assert row_statistic(rows[0], "video") == 1.2
     assert rows[1].flags.v and rows[1].blend == 1.0
     assert rows[1].decision == "fake"
 

@@ -4,27 +4,26 @@ from hypothesis import given, strategies as st
 
 from oracles import calibration_check, knn_person_id, pairwise_auc
 from poif.exceptions import UndefinedMetricError
-from poif.metrics import (
-    ScoreSample,
-    accuracy,
-    auc,
-    pd_at_fa,
-)
-from poif.records import Modality
+from poif.metrics import accuracy, auc, pd_at_fa
+from poif.records import CHANNELS
 from poif.scoring import DecisionPolicy
 
 
 def labeled(real_scores, fake_scores):
-    return [ScoreSample(s, "real") for s in real_scores] + \
-           [ScoreSample(s, "fake") for s in fake_scores]
+    """(scores, is_real): the reals, then the fakes."""
+    scores = np.concatenate([np.asarray(real_scores, dtype=np.float64),
+                             np.asarray(fake_scores, dtype=np.float64)])
+    return scores, np.arange(len(scores)) < len(real_scores)
 
 
 def test_auc_frozen_cases():
-    assert auc(labeled([2.0, 3.0], [0.0, 1.0])) == 1.0
-    assert auc(labeled([0.0, 1.0], [2.0, 3.0])) == 0.0
-    assert auc(labeled([1.0, 1.0], [1.0, 1.0])) == 0.5
+    assert auc(*labeled([2.0, 3.0], [0.0, 1.0])) == 1.0
+    assert auc(*labeled([0.0, 1.0], [2.0, 3.0])) == 0.0
+    assert auc(*labeled([1.0, 1.0], [1.0, 1.0])) == 0.5
     # one tie across classes: 3 wins + 0.5 out of 4 pairs
-    assert auc(labeled([1.0, 2.0], [0.0, 1.0])) == pytest.approx(0.875)
+    assert auc(*labeled([1.0, 2.0], [0.0, 1.0])) == pytest.approx(0.875)
+    # the mask, not the position, says which entries are real
+    assert auc([0.0, 2.0, 1.0, 3.0], [False, True, False, True]) == 1.0
 
 
 @given(st.integers(0, 10**6), st.integers(1, 25), st.integers(1, 25), st.integers(1, 6))
@@ -33,15 +32,15 @@ def test_auc_matches_pairwise_oracle(seed, n_real, n_fake, levels):
     rng = np.random.default_rng(seed)
     real = np.round(rng.standard_normal(n_real) * levels) / levels
     fake = np.round(rng.standard_normal(n_fake) * levels) / levels
-    got = auc(labeled(real, fake))
+    got = auc(*labeled(real, fake))
     assert got == pytest.approx(pairwise_auc(real, fake), abs=1e-12)
 
 
 def test_auc_undefined_for_single_class():
     with pytest.raises(UndefinedMetricError):
-        auc(labeled([1.0, 2.0], []))
+        auc(*labeled([1.0, 2.0], []))
     with pytest.raises(UndefinedMetricError):
-        auc(labeled([], [1.0]))
+        auc(*labeled([], [1.0]))
 
 
 def test_pd_at_fa_threshold_is_real_quantile():
@@ -50,8 +49,8 @@ def test_pd_at_fa_threshold_is_real_quantile():
     samples = labeled(reals, fakes)
     # fa=0.1 -> threshold is the 10th smallest real (value 9); only the
     # low block of fakes sits strictly below it
-    assert pd_at_fa(samples, fa=0.1) == pytest.approx(0.5)
-    assert pd_at_fa(samples, fa=0.99) == pytest.approx(1.0)
+    assert pd_at_fa(*samples, fa=0.1) == pytest.approx(0.5)
+    assert pd_at_fa(*samples, fa=0.99) == pytest.approx(1.0)
     # realized false-alarm rate never exceeds fa
     for fa in (0.01, 0.1, 0.5, 0.9):
         k = int(np.ceil(fa * len(reals) - 1e-9))
@@ -62,25 +61,20 @@ def test_pd_at_fa_threshold_is_real_quantile():
 def test_pd_at_fa_small_real_set_keeps_one_anchor():
     samples = labeled([5.0, 6.0, 7.0], [4.0, 5.5])
     # ceil(0.1 * 3) -> k=1, threshold 5.0, only the 4.0 fake is below
-    assert pd_at_fa(samples, fa=0.1) == pytest.approx(0.5)
+    assert pd_at_fa(*samples, fa=0.1) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        pd_at_fa(samples, fa=0.0)
+        pd_at_fa(*samples, fa=0.0)
     with pytest.raises(UndefinedMetricError):
-        pd_at_fa(labeled([1.0], []), fa=0.1)
+        pd_at_fa(*labeled([1.0], []), fa=0.1)
 
 
 def test_accuracy_against_policy_threshold():
-    even = DecisionPolicy(p_fa=0.5)  # threshold exactly 0
+    even = DecisionPolicy(p_fa=0.5).threshold  # exactly 0
     samples = labeled([0.0, 1.0, -1.0], [-2.0, 0.5])
     # reals at 0.0 and 1.0 pass, -1.0 fails; fake at -2.0 caught, 0.5 missed
-    assert accuracy(samples, even) == pytest.approx(3.0 / 5.0)
+    assert accuracy(*samples, even) == pytest.approx(3.0 / 5.0)
     with pytest.raises(ValueError):
-        accuracy([], even)
-
-
-def test_score_sample_label_validation():
-    with pytest.raises(ValueError):
-        ScoreSample(0.0, "genuine")
+        accuracy([], [], even)
 
 
 def test_knn_identifies_by_distance_and_breaks_ties_low():
@@ -91,13 +85,13 @@ def test_knn_identifies_by_distance_and_breaks_ties_low():
         # the same matrix stands in for both channels
         return knn_person_id(g[0], g[1], g[1], p[0], p[1], p[1], m)
 
-    for m in Modality:
+    for m in CHANNELS:
         assert knn(gallery, probes, m) == 1.0
     # equidistant probe resolves to the first gallery row
     middle = (["a"], np.array([[2.0, 2.0]]))
-    assert knn(gallery, middle, Modality.AV) == 1.0
+    assert knn(gallery, middle, "av") == 1.0
     flipped = (gallery[0][::-1], gallery[1][::-1])
-    assert knn(flipped, middle, Modality.AV) == 0.0
+    assert knn(flipped, middle, "av") == 0.0
 
 
 def test_knn_joint_uses_both_channels():
@@ -116,10 +110,10 @@ def test_knn_joint_uses_both_channels():
         p_video.append(rng.standard_normal(3))
     gallery = (g_labels, np.array(g_audio), np.array(g_video))
     probes = (p_labels, np.array(p_audio), np.array(p_video))
-    assert knn_person_id(*gallery, *probes, Modality.AUDIO) == 1.0
-    assert knn_person_id(*gallery, *probes, Modality.AV) == 1.0
+    assert knn_person_id(*gallery, *probes, "audio") == 1.0
+    assert knn_person_id(*gallery, *probes, "av") == 1.0
     with pytest.raises(ValueError):
-        knn_person_id([], np.empty((0, 3)), np.empty((0, 3)), *probes, Modality.AUDIO)
+        knn_person_id([], np.empty((0, 3)), np.empty((0, 3)), *probes, "audio")
 
 
 def test_calibration_check_tracks_p_fa():

@@ -16,7 +16,7 @@ from oracles import (
 from poif import similarity
 from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError, DataError, DegenerateReferenceError
-from poif.records import Modality, SegmentTable
+from poif.records import CHANNELS, SegmentTable
 from poif.scoring import (
     FUSED,
     DecisionPolicy,
@@ -52,10 +52,10 @@ def test_reference_stats_match_bruteforce(params):
     segments = one_person_segments()
     ref = quiet_reference(segments, params, tau=0.7)
     oracle = reference_stats_bruteforce(segments, params, 0.7)
-    for m in Modality:
-        mu, sigma = oracle[m.value]
-        assert ref.mu[m] == pytest.approx(mu, abs=1e-12)
-        assert ref.sigma[m] == pytest.approx(sigma, abs=1e-12)
+    for c, m in enumerate(CHANNELS):
+        mu, sigma = oracle[m]
+        assert ref.mu[c] == pytest.approx(mu, abs=1e-12)
+        assert ref.sigma[c] == pytest.approx(sigma, abs=1e-12)
 
 
 # Slice budgets: 1 byte forces one-row slices; 6720 bytes are 28 rows of
@@ -73,12 +73,12 @@ def test_streamed_calibration_matches_dense_oracle(params, monkeypatch, budget,
     oracle = dense_self_scores(ref.audio, ref.video, ref.video_ids, 0.6,
                                exclude_same_video)
     bound = index_bound(ref.audio, ref.video, ref.audio, ref.video, 0.6)
-    for m in Modality:
-        scores, mu, sigma = oracle[m.value]
-        assert_within(ref.self_scores[m], scores, bound[m])
+    for c, m in enumerate(CHANNELS):
+        scores, mu, sigma = oracle[m]
+        assert_within(ref.self_scores[c], scores, bound[c])
         # a mean, and a population spread, move by at most the largest error
-        assert_within(ref.mu[m], mu, bound[m].max())
-        assert_within(ref.sigma[m], sigma, bound[m].max())
+        assert_within(ref.mu[c], mu, bound[c].max())
+        assert_within(ref.sigma[c], sigma, bound[c].max())
 
 
 def test_reference_calibration_never_holds_an_n_by_n_matrix():
@@ -99,8 +99,8 @@ def test_reference_calibration_never_holds_an_n_by_n_matrix():
 def test_normalized_self_scores_are_standardized(params):
     segments = one_person_segments(seed=3)
     ref = quiet_reference(segments, params, tau=0.5)
-    for m in Modality:
-        z = (ref.self_scores[m] - ref.mu[m]) / ref.sigma[m]
+    for scores, mu, sigma in zip(ref.self_scores, ref.mu, ref.sigma):
+        z = (scores - mu) / sigma
         assert abs(z.mean()) < 1e-12
         assert abs(z.std() - 1.0) < 1e-12
 
@@ -145,13 +145,12 @@ def test_reference_rejects_mixed_and_fake_material(params):
 def best_similarities(probe, ref_segments, params, tau):
     """Best similarity of one probe to any reference segment, by scalar loops."""
     audio, video = embed_one(params, probe)
-    best = {m: -np.inf for m in Modality}
+    best = [-np.inf] * len(CHANNELS)
     for seg in ref_segments:
         ref_audio, ref_video = embed_one(params, seg)
         s_a = -(squared_distance(audio, ref_audio) / tau)
         s_v = -(squared_distance(video, ref_video) / tau)
-        for m, s in ((Modality.AUDIO, s_a), (Modality.VIDEO, s_v), (Modality.AV, s_a + s_v)):
-            best[m] = max(best[m], s)
+        best = [max(b, s) for b, s in zip(best, (s_a, s_v, s_a + s_v))]
     return best
 
 
@@ -163,9 +162,9 @@ def test_poi_index_is_max_over_reference(params):
         audio_dim=6, video_dim=5, seed=99))
     probe = world.segments.to_records()[0]
     verdict = score_clip([probe], ref, params, 0.9, DecisionPolicy(p_fa=0.1))
-    for m, best in best_similarities(probe, segments, params, 0.9).items():
-        want = (best - ref.mu[m]) / ref.sigma[m]
-        assert verdict.normalized[m][0] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    for c, best in enumerate(best_similarities(probe, segments, params, 0.9)):
+        want = (best - ref.mu[c]) / ref.sigma[c]
+        assert verdict.normalized[c][0] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_normalize_and_fuse():
@@ -176,11 +175,11 @@ def test_normalize_and_fuse():
     # distance) up to the kernel's bound, so normalization leaves -mu / sigma
     verdict = score_clip(segments[:1], ref, params, 0.5, DecisionPolicy(p_fa=0.1))
     bound = index_bound(ref.audio[:1], ref.video[:1], ref.audio, ref.video, 0.5)
-    for m in Modality:
-        assert_within(verdict.normalized[m][0], (0.0 - ref.mu[m]) / ref.sigma[m],
-                      bound[m][0] / ref.sigma[m])
+    for c in range(len(CHANNELS)):
+        assert_within(verdict.normalized[c][0], (0.0 - ref.mu[c]) / ref.sigma[c],
+                      bound[c][0] / ref.sigma[c])
     # for one segment the fused value is exactly the worst channel
-    assert verdict.fused[0] == min(v[0] for v in verdict.normalized.values())
+    assert verdict.fused[0] == min(verdict.normalized[:, 0])
 
 
 def test_quantile_threshold_matches_erf_inverse():
@@ -211,12 +210,27 @@ def test_score_video_averages_per_segment_indices(params):
         score_clip([seg], ref, params, 0.5, DecisionPolicy(p_fa=0.1))
         for seg in test_segments
     ]
-    for m in Modality:
-        mean = sum(v.normalized[m][0] for v in per_segment) / len(per_segment)
-        assert verdict.normalized[m][0] == pytest.approx(mean, rel=1e-10)
-    fused = sum(min(x[0] for x in v.normalized.values()) for v in per_segment) \
-        / len(per_segment)
+    for c in range(len(CHANNELS)):
+        mean = sum(v.normalized[c][0] for v in per_segment) / len(per_segment)
+        assert verdict.normalized[c][0] == pytest.approx(mean, rel=1e-10)
+    fused = sum(min(v.normalized[:, 0]) for v in per_segment) / len(per_segment)
     assert verdict.fused[0] == pytest.approx(fused, rel=1e-10)
+
+
+def test_score_video_gives_a_strided_stack_the_bits_of_its_contiguous_copy(params):
+    """A fancy index after a slice, raw[:, at], returns a channel-innermost
+    stack that is not C-contiguous; means along L over it would sum in
+    another order.  score_video makes its input contiguous itself."""
+    ref = quiet_reference(one_person_segments(seed=10), params, tau=0.5)
+    rng = np.random.default_rng(10)
+    raw = ref.mu[:, None] + ref.sigma[:, None] * rng.standard_normal((len(CHANNELS), 400))
+    strided = raw[:, rng.permutation(400).reshape(40, 10)]
+    assert not strided.flags.c_contiguous
+    got = score_video(strided, ref, DecisionPolicy(0.1))
+    want = score_video(np.ascontiguousarray(strided), ref, DecisionPolicy(0.1))
+    assert got.normalized.tobytes() == want.normalized.tobytes()
+    assert got.fused.tobytes() == want.fused.tobytes()
+    assert got.decisions == want.decisions
 
 
 def test_score_video_decision_follows_threshold(params):
@@ -235,4 +249,4 @@ def test_score_video_decision_follows_threshold(params):
     with pytest.raises(ConfigError):
         score_clip(own, ref, params, 0.5, DecisionPolicy(0.1), statistic="fusion")
     with pytest.raises(DataError):
-        score_video({m: np.empty((0, 3)) for m in Modality}, ref, DecisionPolicy(0.1))
+        score_video(np.empty((3, 0, 3)), ref, DecisionPolicy(0.1))

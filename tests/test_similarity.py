@@ -9,7 +9,7 @@ from oracles import dense_squared_distances, squared_distance
 from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError
 from poif.losses import loss_and_embedding_grads, loss_plan
-from poif.records import Modality, SegmentTable
+from poif.records import CHANNELS, SegmentTable
 from poif.scoring import _similarity_rows, best_matches
 from poif.similarity import (
     check_temperature,
@@ -149,8 +149,8 @@ def test_best_matches_slices_keep_the_bits_of_one_kernel_call_per_slice():
         assert len(ba) == len(bv) == rows
         s_a = -(squared_distance_matrix(ba, ra) / 0.7)[:stop - start]
         s_v = -(squared_distance_matrix(bv, rv) / 0.7)[:stop - start]
-        for m, sims in ((Modality.AUDIO, s_a), (Modality.VIDEO, s_v), (Modality.AV, s_a + s_v)):
-            assert np.array_equal(got[m][start:stop], sims.max(axis=1)), (m, start)
+        for m, best, sims in zip(CHANNELS, got, (s_a, s_v, s_a + s_v)):
+            assert np.array_equal(best[start:stop], sims.max(axis=1)), (m, start)
         assert np.array_equal(squared_distance_matrix(ba, ra, row_norms(ra)[0]),
                               squared_distance_matrix(ba, ra))
 
@@ -160,9 +160,9 @@ def test_similarity_sign_and_temperature_scaling():
     (xa, xv), (ra, rv) = channel_pairs(rng, 3, 5)
     s1 = _similarity_rows(xa, xv, ra, rv, 1.0, row_norms(ra, rv))
     s2 = _similarity_rows(xa, xv, ra, rv, 2.0, row_norms(ra, rv))
-    for m in Modality:
-        assert np.all(s1[m] <= 0.0)
-        np.testing.assert_allclose(s2[m], s1[m] / 2.0, rtol=1e-15)
+    for c in range(len(CHANNELS)):
+        assert np.all(s1[c] <= 0.0)
+        np.testing.assert_allclose(s2[c], s1[c] / 2.0, rtol=1e-15)
 
 
 def test_similarity_rejects_bad_tau():
@@ -184,8 +184,8 @@ def test_similarity_matrix_joint_is_sum_of_channels():
     rng = np.random.default_rng(3)
     (xa, xv), (ra, rv) = channel_pairs(rng, 7, 6, d_video=6)
     sims = _similarity_rows(xa, xv, ra, rv, 0.7, row_norms(ra, rv))
-    assert np.array_equal(sims[Modality.AV], sims[Modality.AUDIO] + sims[Modality.VIDEO])
-    assert sims[Modality.AV].shape == (7, 6)
+    assert np.array_equal(sims[2], sims[0] + sims[1])
+    assert sims.shape == (len(CHANNELS), 7, 6)
 
 
 def test_similarity_matrix_entries_match_pair_function():
@@ -197,6 +197,6 @@ def test_similarity_matrix_entries_match_pair_function():
         for j in range(4):
             s_a = -(squared_distance(xa[i], ra[j]) / 1.3)
             s_v = -(squared_distance(xv[i], rv[j]) / 1.3)
-            assert_within(sims[Modality.AUDIO][i, j], s_a, bound_a[i, j])
-            assert_within(sims[Modality.VIDEO][i, j], s_v, bound_v[i, j])
-            assert_within(sims[Modality.AV][i, j], s_a + s_v, bound_a[i, j] + bound_v[i, j])
+            assert_within(sims[0, i, j], s_a, bound_a[i, j])
+            assert_within(sims[1, i, j], s_v, bound_v[i, j])
+            assert_within(sims[2, i, j], s_a + s_v, bound_a[i, j] + bound_v[i, j])
