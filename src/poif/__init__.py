@@ -15,9 +15,9 @@ from .exceptions import (
     PoifError,
     UndefinedMetricError,
 )
-from .losses import LossReport, positive_sets
+from .losses import LOSS_COLUMNS, positive_sets
 from .metrics import MetricsReport, accuracy, auc, pd_at_fa
-from .records import ManipFlags, SegmentTable
+from .records import ManipFlags, ScoreTable, SegmentTable
 from .scoring import (
     FUSED,
     DecisionPolicy,
@@ -55,12 +55,13 @@ __all__ = [
     "EncoderConfig",
     "EncoderParams",
     "FUSED",
-    "LossReport",
+    "LOSS_COLUMNS",
     "ManipFlags",
     "ManipulationSpec",
     "MetricsReport",
     "PoifError",
     "ReferenceSet",
+    "ScoreTable",
     "SegmentTable",
     "StackVerdict",
     "TrainConfig",

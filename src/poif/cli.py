@@ -31,7 +31,7 @@ from .encoder import EncoderConfig
 from .exceptions import ConfigError, DataError, DegenerateReferenceError
 from .fileio import fmt, parse_config_file
 from .optim import OptimState
-from .records import GROUPS, REAL
+from .records import GROUPS
 from .scoring import FUSED, DecisionPolicy
 from .synthgen import WorldConfig, generate_benchmark, generate_world
 from .training import TrainConfig, TrainState, train
@@ -320,7 +320,7 @@ def _cmd_train(args) -> int:
         ),
     )
 
-    resume_state = None
+    resume_state, final_loss = None, math.nan
     if merged["resume"] is not None:
         if not os.path.isfile(merged["resume"]):
             raise ConfigError(f"resume checkpoint not found: {merged['resume']}")
@@ -339,10 +339,13 @@ def _cmd_train(args) -> int:
             rng_state=ckpt.rng_state,
             steps_done=ckpt.steps_done,
         )
+        # a resume at the checkpoint's own budget takes no step and keeps its loss
+        final_loss = ckpt.meta.get("final_loss", final_loss)
 
     result = train(table, cfg, resume=resume_state)
 
-    final_loss = result.log[-1].loss.l_tot if result.log else math.nan
+    if len(result.log):
+        final_loss = float(result.log[-1, -1])
     meta = _echo_meta(merged, {
         "audio_dim": table.audio.shape[1],
         "video_dim": table.video.shape[1],
@@ -359,7 +362,8 @@ def _cmd_train(args) -> int:
     print(f"wrote {out} ({result.state.steps_done} steps, final loss "
           f"{_stringify(final_loss)})")
     if merged["log"] is not None:
-        fileio.write_train_log(merged["log"], result.log, meta)
+        fileio.write_train_log(merged["log"], result.log, meta,
+                               first_step=result.state.steps_done - len(result.log) + 1)
         print(f"wrote {merged['log']} ({len(result.log)} rows)")
     return 0
 
@@ -380,15 +384,15 @@ def _cmd_score(args) -> int:
     ckpt, reference, test = _scoring_inputs(merged)
     out = _need(merged, "out", "--out")
     policy = DecisionPolicy(p_fa=merged["p_fa"])
-    rows = experiments.score_segments(
+    scores = experiments.score_segments(
         reference, test, ckpt.params, merged["tau"], policy,
         statistic=_STATISTIC_BY_FLAG[merged["statistic"]],
     )
     meta = _echo_meta(merged, {"threshold": policy.threshold})
-    fileio.write_scores(out, rows, meta)
-    n_real = sum(1 for r in rows if r.decision == REAL)
-    print(f"wrote {out} ({len(rows)} videos: {n_real} judged real, "
-          f"{len(rows) - n_real} judged fake)")
+    fileio.write_scores(out, scores, meta)
+    n_fake = int(scores.fake.sum())
+    print(f"wrote {out} ({len(scores)} videos: {len(scores) - n_fake} judged real, "
+          f"{n_fake} judged fake)")
     return 0
 
 
@@ -401,8 +405,8 @@ def _cmd_evaluate(args) -> int:
     policy = DecisionPolicy(p_fa=merged["p_fa"])
     scores_path = _need_input(merged, "scores", "--scores")
     out = _need(merged, "out", "--out")
-    _, rows = fileio.read_scores(scores_path)
-    table = experiments.table_metrics(rows, p_fa=policy.p_fa)
+    _, scores = fileio.read_score_table(scores_path)
+    table = experiments.table_metrics(scores, p_fa=policy.p_fa)
     report = experiments.report_rows(table)
     fileio.write_report(out, report, _echo_meta(merged))
     print(f"wrote {out} ({len(report)} rows)")

@@ -165,18 +165,18 @@ def loss_and_param_grads(
     tau: float,
     joint_weight: float,
 ):
-    """One fused forward/backward pass: loss report and parameter gradients.
+    """One fused forward/backward pass: parameter gradients and the (4,) loss row.
 
     f_audio and f_video are the batch's (n, d) feature rows and plan the
     ``loss_plan`` of its positive mask.
     """
     x_audio, cache_a = mlp_forward(params.audio, f_audio, name="audio encoder")
     x_video, cache_v = mlp_forward(params.video, f_video, name="video encoder")
-    report, d_xa, d_xv = loss_and_embedding_grads(
+    losses, d_xa, d_xv = loss_and_embedding_grads(
         x_audio, x_video, plan, tau, joint_weight
     )
     grads = EncoderParams(
         audio=mlp_backward(params.audio, cache_a, d_xa),
         video=mlp_backward(params.video, cache_v, d_xv),
     )
-    return grads, report
+    return grads, losses

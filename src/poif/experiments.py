@@ -4,26 +4,24 @@ The scoring path embeds each table once, builds one reference set per
 person, matches each person's test rows against it once, and judges each
 person's videos of one length as one stack.  Videos are processed in
 first-occurrence order; inside a video, segments run in segment_index
-order.  Results come back as ScoreRow records, and table_metrics turns
-those into the per-manipulation-group AUC / accuracy / detection tables,
-computed on the rows' statistics as one array.
+order.  Results come back as a ScoreTable, one row per video, and
+table_metrics turns its columns into the per-manipulation-group AUC /
+accuracy / detection tables.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .encoder import EncoderParams, encode_batch
 from .exceptions import DataError, UndefinedMetricError
-from .fileio import ScoreRow
 from .metrics import MetricsReport, accuracy, auc, pd_at_fa
-from .records import CHANNELS, GROUPS, ManipFlags, SegmentTable
+from .records import CHANNELS, FLAG_COLUMNS, FUSED, GROUPS, ScoreTable, SegmentTable, flags_for_group
 from .scoring import (
-    FUSED,
     DecisionPolicy,
     ReferenceSet,
     SmallReferenceWarning,
@@ -33,7 +31,7 @@ from .scoring import (
     score_video,
 )
 
-STATISTIC_KEYS = ("video", "audio", "av", "fused")
+STATISTIC_KEYS = ("video", "audio", "av", FUSED)
 AVG_GROUP = "AVG"
 
 
@@ -147,8 +145,8 @@ def _match_rows(table, embedded, references, tau) -> np.ndarray:
     return raw
 
 
-def _judge(table, videos, raw, references, policy, statistic) -> list[ScoreRow]:
-    """Score rows in video order from the rows' raw indices (``_match_rows``).
+def _judge(table, videos, raw, references, policy, statistic) -> ScoreTable:
+    """The score table in video order from the rows' raw indices (``_match_rows``).
 
     Each person's videos of one length L are judged as one (videos, L) stack.
     """
@@ -156,24 +154,22 @@ def _judge(table, videos, raw, references, policy, statistic) -> list[ScoreRow]:
     first = videos.rows[bounds[:-1]]
     codes, owners = _first_occurrence_codes(table.identity_ids[first])
     counts = np.diff(bounds)
-    flags = [ManipFlags(*f) for f in table.flags[first].tolist()]
-    blends = np.maximum.reduceat(table.blend[videos.rows], bounds[:-1]).tolist()
-    out: list[ScoreRow] = [None] * len(videos)
+    normalized = np.empty((len(CHANNELS), len(videos)))
+    fused = np.empty(len(videos))
+    fake = np.empty(len(videos), dtype=bool)
     for poi, ks in zip(owners, _split_by(codes)):
         ref = references[poi]
         lengths, by_length = np.unique(counts[ks], return_inverse=True)
         for length, group in zip(lengths.tolist(), _split_by(by_length)):
-            at = videos.rows[bounds[ks[group], None] + np.arange(length)]
+            k = ks[group]
+            at = videos.rows[bounds[k, None] + np.arange(length)]
             verdict = score_video(np.take(raw, at, axis=1), ref, policy, statistic=statistic)
-            audio, video, av = verdict.normalized.tolist()
-            for k, n_video, n_audio, n_av, fused, decision in zip(
-                    ks[group].tolist(), video, audio, av, verdict.fused.tolist(),
-                    verdict.decisions):
-                out[k] = ScoreRow(
-                    video_id=videos.ids[k], identity_id=poi, n_segments=length,
-                    flags=flags[k], blend=blends[k], norm_video=n_video, norm_audio=n_audio,
-                    norm_av=n_av, fused=fused, decision=decision)
-    return out
+            normalized[:, k], fused[k], fake[k] = verdict.normalized, verdict.fused, verdict.fake
+    return ScoreTable(
+        video_ids=np.array(videos.ids, dtype=str), identity_ids=table.identity_ids[first],
+        n_segments=counts, flags=table.flags[first],
+        blend=np.maximum.reduceat(table.blend[videos.rows], bounds[:-1]),
+        normalized=normalized, fused=fused, fake=fake)
 
 
 def score_segments(
@@ -184,20 +180,13 @@ def score_segments(
     policy: DecisionPolicy,
     statistic: str = FUSED,
     references: Mapping[str, ReferenceSet] | None = None,
-) -> list[ScoreRow]:
+) -> ScoreTable:
     """Score every test video against its claimed person's reference."""
     if references is None:
         references = build_references(reference, params, tau)
     videos = group_by_video(test)
     raw = _match_rows(test, encode_batch(params, test.audio, test.video), references, tau)
     return _judge(test, videos, raw, references, policy, statistic)
-
-
-def _statistics(rows: Sequence[ScoreRow]) -> tuple[np.ndarray, np.ndarray]:
-    """The rows' (n, 4) statistics in STATISTIC_KEYS order, and their fake mask."""
-    values = np.array([(r.norm_video, r.norm_audio, r.norm_av, r.fused) for r in rows],
-                      dtype=np.float64).reshape(-1, len(STATISTIC_KEYS))
-    return values, np.array([r.flags.is_fake for r in rows], dtype=bool)
 
 
 def _guarded(fn) -> float | None:
@@ -213,7 +202,7 @@ def _mean_defined(values: Sequence[float | None]) -> float | None:
 
 
 def table_metrics(
-    rows: Sequence[ScoreRow], p_fa: float = 0.1
+    scores: ScoreTable, p_fa: float = 0.1
 ) -> dict[str, dict[str, MetricsReport]]:
     """Per-group metrics for each statistic, plus the cross-group average.
 
@@ -223,33 +212,37 @@ def table_metrics(
     groups where each metric is defined.  Accuracy uses the even-odds
     threshold (0 on the normalized scale).
     """
-    values, fake = _statistics(rows)
-    groups = np.array([r.flags.group() for r in rows], dtype=str)
-    present = [g for g in GROUPS if (groups == g).any()]
-    if not present:
+    fake = scores.flags[:, 0]
+    members = {}
+    for group in GROUPS:
+        member = (scores.flags == astuple(flags_for_group(group))).all(axis=1)
+        if member.any():
+            members[group] = member
+    if not members:
         raise DataError("no fake videos in the score table")
     even = DecisionPolicy(p_fa=0.5).threshold
     table: dict[str, dict[str, MetricsReport]] = {}
-    for group in present:
-        keep = ~fake | (groups == group)
+    for group, member in members.items():
+        keep = ~fake | member
         is_real = ~fake[keep]
         n_real = int(is_real.sum())
         table[group] = {}
-        for stat, scores in zip(STATISTIC_KEYS, values[keep].T):
+        for stat in STATISTIC_KEYS:
+            values = scores.statistic(stat)[keep]
             table[group][stat] = MetricsReport(
-                auc=_guarded(lambda: auc(scores, is_real)),
-                accuracy=_guarded(lambda: accuracy(scores, is_real, even)),
-                pd_at_fa=_guarded(lambda: pd_at_fa(scores, is_real, fa=p_fa)),
+                auc=_guarded(lambda: auc(values, is_real)),
+                accuracy=_guarded(lambda: accuracy(values, is_real, even)),
+                pd_at_fa=_guarded(lambda: pd_at_fa(values, is_real, fa=p_fa)),
                 n_real=n_real,
                 n_fake=len(is_real) - n_real,
             )
     table[AVG_GROUP] = {
         stat: MetricsReport(
-            auc=_mean_defined([table[g][stat].auc for g in present]),
-            accuracy=_mean_defined([table[g][stat].accuracy for g in present]),
-            pd_at_fa=_mean_defined([table[g][stat].pd_at_fa for g in present]),
-            n_real=sum(table[g][stat].n_real for g in present),
-            n_fake=sum(table[g][stat].n_fake for g in present),
+            auc=_mean_defined([table[g][stat].auc for g in members]),
+            accuracy=_mean_defined([table[g][stat].accuracy for g in members]),
+            pd_at_fa=_mean_defined([table[g][stat].pd_at_fa for g in members]),
+            n_real=sum(table[g][stat].n_real for g in members),
+            n_fake=sum(table[g][stat].n_fake for g in members),
         )
         for stat in STATISTIC_KEYS
     }
@@ -340,8 +333,8 @@ def sweep_scores(
     tau: float,
     statistic: str = FUSED,
     ref_total: int = 100,
-) -> list[tuple[int, list[ScoreRow]]]:
-    """Score rows at each point of one sweep axis, x ascending.
+) -> list[tuple[int, ScoreTable]]:
+    """The score table at each point of one sweep axis, x ascending.
 
     Both tables are embedded once per sweep.  On test_length the
     references are built and the test rows matched once, and each point
@@ -402,11 +395,11 @@ def sweep_rows(
     rows = []
     for x, scored in sweep_scores(axis, values, reference, test, params, tau,
                                   statistic, ref_total):
-        stats, fake = _statistics(scored)
-        scores = stats[:, STATISTIC_KEYS.index(statistic)]
-        swapped = fake & np.array([r.flags.v for r in scored], dtype=bool)
-        blend = np.array([r.blend for r in scored], dtype=np.float64)
-        classes = {"all": fake, "fr": swapped & (blend < 1.0), "fs": swapped & (blend == 1.0)}
+        scores = scored.statistic(statistic)
+        fake = scored.flags[:, 0]
+        swapped = fake & scored.flags[:, FLAG_COLUMNS.index("v")]
+        classes = {"all": fake, "fr": swapped & (scored.blend < 1.0),
+                   "fs": swapped & (scored.blend == 1.0)}
         for cls in sorted(SWEEP_CLASSES):
             keep = ~fake | classes[cls]
             is_real = ~fake[keep]

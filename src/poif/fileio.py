@@ -17,8 +17,10 @@ import numpy as np
 
 from .encoder import EncoderParams, Mlp
 from .exceptions import ConfigError, DataError
-from .records import ManipFlags, SegmentTable, valid_flag_rows
-from .training import TrainStep
+from .losses import LOSS_COLUMNS
+from .records import (
+    FAKE, FLAG_COLUMNS, REAL, VALID_FLAGS, ManipFlags, ScoreTable, SegmentTable, valid_flag_rows,
+)
 
 FEAT_MAGIC = "POIF-FEAT"
 CKPT_MAGIC = "POIF-CKPT"
@@ -34,7 +36,7 @@ SCORE_COLUMNS = (
 )
 REPORT_COLUMNS = "metric,group,n_real,n_fake,video,audio,av,fusion"
 SWEEP_COLUMNS = "axis,x,class,n_real,n_fake,auc"
-LOG_COLUMNS = "step,l_v,l_a,l_av,l_tot"
+LOG_COLUMNS = ",".join(("step",) + LOSS_COLUMNS)
 UNDEFINED = "undefined"
 
 
@@ -98,6 +100,12 @@ class _Lines:
             self.pos += 1
             self.fail(f"trailing data after last {what}")
 
+    def check_ids(self, fields: Sequence[str], names: Sequence[str]):
+        """Fail naming the first of the leading id fields that is empty."""
+        for value, name in zip(fields, names):
+            if not value:
+                self.fail(f"{name} must be non-empty")
+
     def parse_int(self, field: str, name: str) -> int:
         """Parse one integer field of the current line, or fail naming it."""
         try:
@@ -133,6 +141,21 @@ def _read_meta(lines: _Lines) -> dict[str, str]:
         k, v = line.split("=", 1)
         meta[k.strip()] = v
     return meta
+
+
+def _table_head(magic: str, count: int, meta: Mapping[str, str], columns: str) -> list[str]:
+    """The header, meta and column lines of a table file of count rows."""
+    return [f"{magic},{FORMAT_VERSION},{count}", *_meta_lines(meta), columns]
+
+
+def _open_table(path: str, magic: str, columns: str, noun: str):
+    """(lines, row count, meta) of a table file, positioned at its first row."""
+    lines = _Lines(path)
+    (count,) = _read_header(lines, magic, 1)
+    meta = _read_meta(lines)
+    if lines.next() != columns:
+        lines.fail(f"unexpected {noun} columns")
+    return lines, count, meta
 
 
 def _parse_floats(fields: Sequence[str], n: int, lines: _Lines) -> np.ndarray:
@@ -199,6 +222,7 @@ def _fail_feature_row(lines: _Lines, fields: Sequence[str], da: int, dv: int):
     """
     if len(fields) != 8 + da + dv:
         lines.fail(f"expected {8 + da + dv} fields, found {len(fields)}")
+    lines.check_ids(fields, ("identity_id", "video_id"))
     try:
         segment_index = int(fields[2])
         bits = [int(b) for b in fields[3:7]]
@@ -227,9 +251,10 @@ def read_feature_table(path: str) -> tuple[dict[str, str], SegmentTable]:
     """Read a feature file into columns.
 
     Each payload line fills one row of preallocated arrays (split, then
-    int() and float() per field); the range, flag and finiteness checks
-    then run once over the arrays.  The first bad row, if any, is re-read
-    by ``_fail_feature_row`` for its exact error and line.
+    int() and float() per field; a row that fails them or has an empty id
+    stops the loop); the range, flag and finiteness checks then run once
+    over the arrays.  The first bad row, if any, is re-read by
+    ``_fail_feature_row`` for its exact error and line.
     """
     lines = _Lines(path)
     da, dv, count = _read_header(lines, FEAT_MAGIC, 3)
@@ -245,7 +270,7 @@ def read_feature_table(path: str) -> tuple[dict[str, str], SegmentTable]:
     for i, line in enumerate(payload):
         fields = line.split(",")
         try:
-            if len(fields) != 8 + da + dv:
+            if len(fields) != 8 + da + dv or not (fields[0] and fields[1]):
                 raise ValueError
             ints[i] = [int(f) for f in fields[2:7]]
             floats[i] = [float(f) for f in fields[7:]]
@@ -450,6 +475,59 @@ def read_checkpoint(path: str) -> Checkpoint:
 
 # -- scores -------------------------------------------------------------
 
+def write_scores(path: str, table: ScoreTable, meta: Mapping[str, str]):
+    _write(path, _score_lines(table, meta))
+
+
+def _score_lines(table: ScoreTable, meta: Mapping[str, str]):
+    yield from _table_head(SCORES_MAGIC, len(table), meta, SCORE_COLUMNS)
+    audio, video, av = table.normalized
+    values = np.stack((table.blend, video, audio, av, table.fused), axis=1)
+    for video_id, identity, n_segments, bits, row, fake in zip(
+            table.video_ids.tolist(), table.identity_ids.tolist(), table.n_segments.tolist(),
+            table.flags.tolist(), values, table.fake.tolist()):
+        yield ",".join([_check_id(video_id, "video_id"), _check_id(identity, "identity_id"),
+                        str(n_segments), *("1" if bit else "0" for bit in bits),
+                        fmt_row(row), FAKE if fake else REAL])
+
+
+def read_score_table(path: str) -> tuple[dict[str, str], ScoreTable]:
+    """Read a score file into columns, row by row; a flag is any integer, non-zero meaning set."""
+    lines, count, meta = _open_table(path, SCORES_MAGIC, SCORE_COLUMNS, "score")
+    n = min(count, len(lines.lines) - lines.pos)  # a short file fails at its end
+    video_ids, identity_ids = [""] * n, [""] * n
+    n_segments = np.zeros(n, dtype=np.int64)
+    flags = np.zeros((n, len(FLAG_COLUMNS)), dtype=bool)
+    floats = np.zeros((n, 5))  # blend, norm_video, norm_audio, norm_av, fused
+    fake = np.zeros(n, dtype=bool)
+    for i in range(count):
+        fields = lines.next().split(",")
+        if len(fields) != 13:
+            lines.fail(f"expected 13 fields, found {len(fields)}")
+        lines.check_ids(fields, ("video_id", "identity_id"))
+        try:
+            flags[i] = bits = tuple(int(b) != 0 for b in fields[3:7])
+        except ValueError:
+            bits = None
+        if bits not in VALID_FLAGS:
+            lines.fail("malformed score row flags")
+        floats[i] = _parse_floats(fields[7:12], 5, lines)
+        if fields[12] not in (REAL, FAKE):
+            lines.fail(f"bad decision {fields[12]!r}")
+        length = lines.parse_int(fields[2], "n_segments")
+        if length < 1:
+            lines.fail(f"n_segments must be >= 1, got {length}")
+        if length >= 2 ** 63:
+            lines.fail(f"malformed n_segments {fields[2]!r}")
+        n_segments[i] = length
+        video_ids[i], identity_ids[i], fake[i] = fields[0], fields[1], fields[12] == FAKE
+    lines.expect_end("score row")
+    blend, norm_video, norm_audio, norm_av, fused = floats.T
+    return meta, ScoreTable(
+        np.array(video_ids, dtype=str), np.array(identity_ids, dtype=str), n_segments, flags,
+        blend.copy(), np.stack((norm_audio, norm_video, norm_av)), fused.copy(), fake)
+
+
 @dataclass
 class ScoreRow:
     """One scored test video against one person's reference set."""
@@ -466,60 +544,14 @@ class ScoreRow:
     decision: str
 
 
-def write_scores(path: str, rows: Sequence[ScoreRow], meta: Mapping[str, str]):
-    out = [f"{SCORES_MAGIC},{FORMAT_VERSION},{len(rows)}"]
-    out.extend(_meta_lines(meta))
-    out.append(SCORE_COLUMNS)
-    for r in rows:
-        f = r.flags
-        out.append(",".join([
-            _check_id(r.video_id, "video_id"),
-            _check_id(r.identity_id, "identity_id"),
-            str(r.n_segments),
-            str(int(f.is_fake)), str(int(f.v)), str(int(f.a)), str(int(f.ai)),
-            fmt(r.blend),
-            fmt(r.norm_video), fmt(r.norm_audio), fmt(r.norm_av), fmt(r.fused),
-            r.decision,
-        ]))
-    _write(path, out)
-
-
 def read_scores(path: str) -> tuple[dict[str, str], list[ScoreRow]]:
-    lines = _Lines(path)
-    (count,) = _read_header(lines, SCORES_MAGIC, 1)
-    meta = _read_meta(lines)
-    if lines.next() != SCORE_COLUMNS:
-        lines.fail("unexpected score columns")
-    rows = []
-    for _ in range(count):
-        fields = lines.next().split(",")
-        if len(fields) != 13:
-            lines.fail(f"expected 13 fields, found {len(fields)}")
-        try:
-            bits = [int(b) for b in fields[3:7]]
-            flags = ManipFlags(bool(bits[0]), bool(bits[1]), bool(bits[2]), bool(bits[3]))
-        except (ValueError, DataError):
-            lines.fail("malformed score row flags")
-        values = _parse_floats(fields[7:12], 5, lines)
-        if fields[12] not in ("real", "fake"):
-            lines.fail(f"bad decision {fields[12]!r}")
-        n_segments = lines.parse_int(fields[2], "n_segments")
-        if n_segments < 1:
-            lines.fail(f"n_segments must be >= 1, got {n_segments}")
-        rows.append(ScoreRow(
-            video_id=fields[0],
-            identity_id=fields[1],
-            n_segments=n_segments,
-            flags=flags,
-            blend=float(values[0]),
-            norm_video=float(values[1]),
-            norm_audio=float(values[2]),
-            norm_av=float(values[3]),
-            fused=float(values[4]),
-            decision=fields[12],
-        ))
-    lines.expect_end("score row")
-    return meta, rows
+    """A row view over ``read_score_table``, one ScoreRow per video; the package never calls it."""
+    meta, t = read_score_table(path)
+    audio, video, av = t.normalized.tolist()
+    return meta, [ScoreRow(*row) for row in zip(
+        t.video_ids.tolist(), t.identity_ids.tolist(), t.n_segments.tolist(),
+        [ManipFlags(*bits) for bits in t.flags.tolist()], t.blend.tolist(), video, audio, av,
+        t.fused.tolist(), [FAKE if f else REAL for f in t.fake.tolist()])]
 
 
 # -- reports, sweeps, training logs -------------------------------------
@@ -530,9 +562,7 @@ def _opt(x: float | None) -> str:
 
 def write_report(path: str, rows: Sequence[Mapping], meta: Mapping[str, str]):
     """Rows carry metric, group, n_real, n_fake and one value per statistic."""
-    out = [f"{REPORT_MAGIC},{FORMAT_VERSION},{len(rows)}"]
-    out.extend(_meta_lines(meta))
-    out.append(REPORT_COLUMNS)
+    out = _table_head(REPORT_MAGIC, len(rows), meta, REPORT_COLUMNS)
     for r in rows:
         out.append(",".join([
             r["metric"], r["group"], str(r["n_real"]), str(r["n_fake"]),
@@ -542,11 +572,7 @@ def write_report(path: str, rows: Sequence[Mapping], meta: Mapping[str, str]):
 
 
 def read_report(path: str) -> tuple[dict[str, str], list[dict]]:
-    lines = _Lines(path)
-    (count,) = _read_header(lines, REPORT_MAGIC, 1)
-    meta = _read_meta(lines)
-    if lines.next() != REPORT_COLUMNS:
-        lines.fail("unexpected report columns")
+    lines, count, meta = _open_table(path, REPORT_MAGIC, REPORT_COLUMNS, "report")
     rows = []
     for _ in range(count):
         fields = lines.next().split(",")
@@ -563,9 +589,7 @@ def read_report(path: str) -> tuple[dict[str, str], list[dict]]:
 
 
 def write_sweep(path: str, rows: Sequence[Mapping], meta: Mapping[str, str]):
-    out = [f"{SWEEP_MAGIC},{FORMAT_VERSION},{len(rows)}"]
-    out.extend(_meta_lines(meta))
-    out.append(SWEEP_COLUMNS)
+    out = _table_head(SWEEP_MAGIC, len(rows), meta, SWEEP_COLUMNS)
     for r in rows:
         out.append(",".join([
             r["axis"], str(r["x"]), r["class"], str(r["n_real"]), str(r["n_fake"]),
@@ -575,11 +599,7 @@ def write_sweep(path: str, rows: Sequence[Mapping], meta: Mapping[str, str]):
 
 
 def read_sweep(path: str) -> tuple[dict[str, str], list[dict]]:
-    lines = _Lines(path)
-    (count,) = _read_header(lines, SWEEP_MAGIC, 1)
-    meta = _read_meta(lines)
-    if lines.next() != SWEEP_COLUMNS:
-        lines.fail("unexpected sweep columns")
+    lines, count, meta = _open_table(path, SWEEP_MAGIC, SWEEP_COLUMNS, "sweep")
     rows = []
     for _ in range(count):
         fields = lines.next().split(",")
@@ -596,15 +616,11 @@ def read_sweep(path: str) -> tuple[dict[str, str], list[dict]]:
     return meta, rows
 
 
-def write_train_log(path: str, log: Sequence[TrainStep], meta: Mapping[str, str]):
-    out = [f"{LOG_MAGIC},{FORMAT_VERSION},{len(log)}"]
-    out.extend(_meta_lines(meta))
-    out.append(LOG_COLUMNS)
-    for entry in log:
-        r = entry.loss
-        out.append(",".join([
-            str(entry.step), fmt(r.l_v), fmt(r.l_a), fmt(r.l_av), fmt(r.l_tot),
-        ]))
+def write_train_log(path: str, log: np.ndarray, meta: Mapping[str, str],
+                    first_step: int = 1):
+    """One line per (steps, 4) log row (LOSS_COLUMNS), numbered from first_step."""
+    out = _table_head(LOG_MAGIC, len(log), meta, LOG_COLUMNS)
+    out.extend(f"{step},{fmt_row(row)}" for step, row in enumerate(log, first_step))
     _write(path, out)
 
 

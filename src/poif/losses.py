@@ -25,6 +25,9 @@ import numpy as np
 from .exceptions import ConfigError, DataError
 from .similarity import check_temperature, squared_distance_matrix
 
+# The entries of a loss row: the three channels and their weighted total.
+LOSS_COLUMNS = ("l_v", "l_a", "l_av", "l_tot")
+
 
 def positive_sets(labels) -> np.ndarray:
     """Boolean (n, n) mask, True where column k shares row c's identity label (k != c).
@@ -42,15 +45,6 @@ def positive_sets(labels) -> np.ndarray:
         lonely_id = ids[int(lonely.argmax())].item()
         raise DataError(f"identity with single segment in batch: {lonely_id!r}")
     return mask
-
-
-@dataclass(frozen=True)
-class LossReport:
-    l_v: float
-    l_a: float
-    l_av: float
-    joint_weight: float
-    l_tot: float
 
 
 def _check_joint_weight(joint_weight: float) -> float:
@@ -98,7 +92,7 @@ def loss_and_embedding_grads(
     tau: float,
     joint_weight: float,
 ):
-    """Loss report plus gradients with respect to the embedding matrices.
+    """The (4,) loss row (LOSS_COLUMNS) plus gradients with respect to the embeddings.
 
     plan is the ``loss_plan`` of the batch's positive mask.  The three
     channels run as one stacked pass.  The gradient of each channel flows
@@ -143,10 +137,7 @@ def loss_and_embedding_grads(
     np.put(spare, at, np.exp(s_pos - np.take(m_pos, anchor, axis=1)))
     lognum = m_pos + np.log(spare.sum(axis=2))
     l_a, l_v, l_av = (float(l) for l in (logden - lognum).sum(axis=1))
-    report = LossReport(
-        l_v=l_v, l_a=l_a, l_av=l_av, joint_weight=joint_weight,
-        l_tot=l_v + l_a + joint_weight * l_av,
-    )
+    losses = np.array([l_v, l_a, l_av, l_v + l_a + joint_weight * l_av])
 
     # d loss / d s[c, k]: the softmax over the row's off-diagonal entries
     # minus the softmax restricted to the positives.
@@ -162,4 +153,4 @@ def loss_and_embedding_grads(
     m = np.add(sym[:2], g[2], out=g[:2])
     d_audio = (-2.0 / tau) * (m[0].sum(axis=1, keepdims=True) * x_audio - m[0] @ x_audio)
     d_video = (-2.0 / tau) * (m[1].sum(axis=1, keepdims=True) * x_video - m[1] @ x_video)
-    return report, d_audio, d_video
+    return losses, d_audio, d_video

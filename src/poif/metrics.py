@@ -40,16 +40,9 @@ def auc(scores, is_real) -> float:
         raise UndefinedMetricError(
             f"AUC undefined with {n_real} real and {n_fake} fake samples"
         )
-    order = np.argsort(scores, kind="stable")
-    ranked = scores[order]
-    ranks = np.empty(len(scores), dtype=np.float64)
-    i = 0
-    while i < len(scores):
-        j = i
-        while j < len(scores) and ranked[j] == ranked[i]:
-            j += 1
-        ranks[order[i:j]] = (i + 1 + j) / 2.0  # midrank of positions i+1 .. j
-        i = j
+    # Equal scores share the midrank of their run of sorted positions.
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     rank_sum = ranks[is_real].sum()
     return float((rank_sum - n_real * (n_real + 1) / 2.0) / (n_real * n_fake))
 

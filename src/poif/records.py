@@ -1,10 +1,11 @@
-"""Core data model: similarity channels, manipulation flags, segments.
+"""Core data model: similarity channels, manipulation flags, segments, scores.
 
 A segment is a short slice of one talking-face video carrying one audio
 and one video feature vector.  The pipeline, from synthesis to scoring,
 holds segments as the columns of a ``SegmentTable``.  ``SegmentRecord`` is
 one segment as an object: ``from_records`` and ``to_records`` convert
-between the two for callers that iterate segments one by one.
+between the two for callers that iterate segments one by one.  Scoring
+gives one row per test video, held as the columns of a ``ScoreTable``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .exceptions import DataError
 # exist for audio and video alone.
 CHANNELS = ("audio", "video", "av")
 
+# The statistic that takes each segment's worst channel.
+FUSED = "fused"
+
 REAL = "real"
 FAKE = "fake"
 
@@ -38,8 +42,9 @@ _VALID_FAKE_COMBOS = {
 
 GROUPS = ("v", "v+ai", "a+ai", "v+a+ai")
 
-# Columns of SegmentTable.flags.
+# Columns of SegmentTable.flags, and the rows of them ManipFlags accepts.
 FLAG_COLUMNS = ("is_fake", "v", "a", "ai")
+VALID_FLAGS = frozenset([(False,) * 4] + [(True, *combo) for combo in _VALID_FAKE_COMBOS])
 
 
 @dataclass(frozen=True)
@@ -65,27 +70,18 @@ class ManipFlags:
                 f"unsupported manipulation flag combination v={self.v} a={self.a} ai={self.ai}"
             )
 
-    def group(self) -> str:
-        """Group label, 'pristine' or one of GROUPS."""
-        if not self.is_fake:
-            return "pristine"
-        parts = [name for name, on in (("v", self.v), ("a", self.a), ("ai", self.ai)) if on]
-        return "+".join(parts)
-
 
 PRISTINE = ManipFlags()
 
 
 def valid_flag_rows(flags: np.ndarray) -> np.ndarray:
-    """Which rows of an (n, 4) bool flag matrix ManipFlags would accept."""
-    manip = flags[:, 1:]
-    combos = np.array(sorted(_VALID_FAKE_COMBOS), dtype=bool)
-    fake_ok = (manip[:, None, :] == combos[None]).all(axis=2).any(axis=1)
-    return np.where(flags[:, 0], fake_ok, ~manip.any(axis=1))
+    """Which rows of an (n, 4) bool flag matrix ManipFlags would accept (VALID_FLAGS)."""
+    valid = np.array(sorted(VALID_FLAGS), dtype=bool)
+    return (flags[:, None, :] == valid[None]).all(axis=2).any(axis=1)
 
 
 def flags_for_group(group: str) -> ManipFlags:
-    """Inverse of ManipFlags.group for the four fake groups."""
+    """The flags of one of the four fake groups: its "+"-joined set bits."""
     if group not in GROUPS:
         raise DataError(f"unknown manipulation group {group!r}; expected one of {GROUPS}")
     parts = group.split("+")
@@ -202,3 +198,28 @@ class SegmentTable:
             )
         ]
 
+
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """Scored test videos as columns, one row per video, in video order.
+
+    ``flags`` is (n, 4) in FLAG_COLUMNS order and ``blend`` each video's
+    largest segment blend; ``normalized`` holds the (3, n) channel means in
+    CHANNELS order, ``fused`` the fused means, ``fake`` the bool decisions.
+    """
+
+    video_ids: np.ndarray
+    identity_ids: np.ndarray
+    n_segments: np.ndarray
+    flags: np.ndarray
+    blend: np.ndarray
+    normalized: np.ndarray
+    fused: np.ndarray
+    fake: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.video_ids)
+
+    def statistic(self, name: str) -> np.ndarray:
+        """One statistic's column: a channel name or FUSED."""
+        return self.fused if name == FUSED else self.normalized[CHANNELS.index(name)]

@@ -22,10 +22,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .exceptions import ConfigError, DataError, DegenerateReferenceError
-from .records import CHANNELS, FAKE, REAL, SegmentTable
+from .records import CHANNELS, FUSED, SegmentTable
 from .similarity import check_temperature, padded_blocks, rows_per_block, squared_distance_matrix
-
-FUSED = "fused"
 
 SIGMA_FLOOR = 1e-9
 
@@ -203,13 +201,13 @@ class StackVerdict:
 
     ``normalized`` holds each clip's means of the normalized indices as a
     (3, clips) channel stack, ``fused`` each clip's mean of the fused value,
-    ``decisions`` each clip's verdict.
+    ``fake`` each clip's verdict (True: judged fake).
     """
 
     n_segments: int
     normalized: np.ndarray
     fused: np.ndarray
-    decisions: list[str]
+    fake: np.ndarray
     statistic_used: str
 
 
@@ -246,6 +244,6 @@ def score_video(
         n_segments=raw.shape[-1],
         normalized=means,
         fused=fused,
-        decisions=np.where(value < policy.threshold, FAKE, REAL).tolist(),
+        fake=value < policy.threshold,
         statistic_used=statistic,
     )

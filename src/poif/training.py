@@ -19,7 +19,7 @@ import numpy as np
 
 from .encoder import EncoderConfig, EncoderParams, init_encoder, loss_and_param_grads
 from .exceptions import ConfigError, DataError
-from .losses import LossReport, loss_plan, positive_sets
+from .losses import LOSS_COLUMNS, loss_plan, positive_sets
 from .optim import OptimState, adamw_step, init_optim_state, pack
 from .records import SegmentTable
 from .utils import as_rng
@@ -80,12 +80,6 @@ class TrainConfig:
         return self.epochs * self.batches_per_epoch
 
 
-@dataclass(frozen=True)
-class TrainStep:
-    step: int
-    loss: LossReport
-
-
 @dataclass(eq=False)
 class TrainState:
     """Everything needed to continue a run exactly where it stopped."""
@@ -98,8 +92,10 @@ class TrainState:
 
 @dataclass(eq=False)
 class TrainResult:
+    """``log`` holds one LOSS_COLUMNS row per step taken, the last at state.steps_done."""
+
     params: EncoderParams
-    log: list[TrainStep]
+    log: np.ndarray
     state: TrainState
 
 
@@ -240,15 +236,14 @@ def train(
     # state is left as it was.
     plan = loss_plan(positive_sets(np.repeat(np.arange(p), k)))
     flat = pack(params, optim)
-    log: list[TrainStep] = []
-    for step in range(start, cfg.total_steps):
+    log = np.empty((cfg.total_steps - start, len(LOSS_COLUMNS)))
+    for losses in log:
         rows = sample_batch(index, rng)
-        grads, report = loss_and_param_grads(
+        grads, losses[:] = loss_and_param_grads(
             flat.params, index.audio.take(rows, axis=0), index.video.take(rows, axis=0), plan,
             cfg.tau, cfg.joint_weight,
         )
         adamw_step(flat, grads, cfg)
-        log.append(TrainStep(step=step + 1, loss=report))
 
     state = TrainState(
         params=flat.params,

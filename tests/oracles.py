@@ -15,7 +15,7 @@ import numpy as np
 
 from poif.encoder import EncoderParams, Mlp, encode_batch, mlp_forward
 from poif.fileio import ScoreRow
-from poif.losses import LossReport, loss_and_embedding_grads
+from poif.losses import LOSS_COLUMNS, loss_and_embedding_grads
 from poif.optim import OptimState, flatten_params, unflatten_params
 from poif.records import CHANNELS, ManipFlags, SegmentRecord, SegmentTable
 from poif.scoring import DecisionPolicy, best_matches, build_reference
@@ -89,7 +89,7 @@ def _rows_and_grad(s, pos):
 
 
 def per_channel_loss_and_embedding_grads(x_audio, x_video, pos_mask, tau, joint_weight):
-    """The loss kernel one channel at a time: (LossReport, d_audio, d_video).
+    """The loss kernel one channel at a time: (loss row, d_audio, d_video).
 
     Each channel's (n, n) similarity matrix goes through ``_rows_and_grad``
     on its own, with every exponential over the whole masked row.  The
@@ -108,15 +108,19 @@ def per_channel_loss_and_embedding_grads(x_audio, x_video, pos_mask, tau, joint_
     l_a = float(rows_a.sum())
     l_v = float(rows_v.sum())
     l_av = float(rows_av.sum())
-    report = LossReport(l_v=l_v, l_a=l_a, l_av=l_av, joint_weight=float(joint_weight),
-                        l_tot=l_v + l_a + joint_weight * l_av)
+    losses = np.array([l_v, l_a, l_av, l_v + l_a + float(joint_weight) * l_av])
 
     w_av = g_av + g_av.T
     m_a = (g_a + g_a.T) + joint_weight * w_av
     m_v = (g_v + g_v.T) + joint_weight * w_av
     d_audio = (-2.0 / tau) * (m_a.sum(axis=1, keepdims=True) * x_audio - m_a @ x_audio)
     d_video = (-2.0 / tau) * (m_v.sum(axis=1, keepdims=True) * x_video - m_v @ x_video)
-    return report, d_audio, d_video
+    return losses, d_audio, d_video
+
+
+def loss_entry(losses, name: str) -> float:
+    """One named entry (LOSS_COLUMNS) of a loss row."""
+    return float(losses[LOSS_COLUMNS.index(name)])
 
 
 def clone_params(params: EncoderParams) -> EncoderParams:
@@ -139,7 +143,8 @@ def fd_param_grads(params, f_audio, f_video, plan, tau, joint_weight,
         # the forward and the loss of loss_and_param_grads, without its backward
         x_audio = mlp_forward(work.audio, f_audio)[0]
         x_video = mlp_forward(work.video, f_video)[0]
-        return loss_and_embedding_grads(x_audio, x_video, plan, tau, joint_weight)[0].l_tot
+        return loss_entry(loss_and_embedding_grads(x_audio, x_video, plan, tau, joint_weight)[0],
+                          "l_tot")
 
     for arr, out in zip(arrays, grads):
         flat = arr.reshape(-1)
@@ -286,6 +291,26 @@ def max_rel_err(analytic: EncoderParams, reference: EncoderParams, floor=1e-3) -
         denom = np.maximum(np.maximum(np.abs(a), np.abs(r)), floor)
         worst = max(worst, float((np.abs(a - r) / denom).max()))
     return worst
+
+
+def midrank_auc(scores, is_real) -> float:
+    """Rank-sum AUC with midranks found by walking each run of tied sorted scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    is_real = np.asarray(is_real, dtype=bool)
+    n_real = int(is_real.sum())
+    n_fake = len(scores) - n_real
+    order = np.argsort(scores, kind="stable")
+    ranked = scores[order]
+    ranks = np.empty(len(scores), dtype=np.float64)
+    i = 0
+    while i < len(scores):
+        j = i
+        while j < len(scores) and ranked[j] == ranked[i]:
+            j += 1
+        ranks[order[i:j]] = (i + 1 + j) / 2.0  # midrank of positions i+1 .. j
+        i = j
+    rank_sum = ranks[is_real].sum()
+    return float((rank_sum - n_real * (n_real + 1) / 2.0) / (n_real * n_fake))
 
 
 def pairwise_auc(real_scores, fake_scores) -> float:
@@ -505,6 +530,21 @@ def record_score_video(segments, ref, params, tau):
     norm = {m: (raw[m] - ref.mu[c]) / ref.sigma[c] for c, m in enumerate(CHANNELS)}
     fused = np.minimum(np.minimum(norm["audio"], norm["video"]), norm["av"])
     return {m: float(v.mean()) for m, v in norm.items()}, float(fused.mean())
+
+
+def score_table_rows(table) -> list[ScoreRow]:
+    """One ScoreRow per row of a ScoreTable, read column by column."""
+    rows = []
+    for k in range(len(table)):
+        norm = {m: float(table.normalized[c, k]) for c, m in enumerate(CHANNELS)}
+        rows.append(ScoreRow(
+            video_id=str(table.video_ids[k]), identity_id=str(table.identity_ids[k]),
+            n_segments=int(table.n_segments[k]),
+            flags=ManipFlags(*(bool(b) for b in table.flags[k])), blend=float(table.blend[k]),
+            norm_video=norm["video"], norm_audio=norm["audio"], norm_av=norm["av"],
+            fused=float(table.fused[k]), decision="fake" if table.fake[k] else "real",
+        ))
+    return rows
 
 
 def row_statistic(row: ScoreRow, name: str) -> float:

@@ -46,7 +46,7 @@ from poif.experiments import (
     sweep_rows,
     table_metrics,
 )
-from poif.losses import loss_and_embedding_grads, loss_plan, positive_sets
+from poif.losses import LOSS_COLUMNS, loss_and_embedding_grads, loss_plan, positive_sets
 from poif.metrics import auc
 from poif.optim import adamw_step, flatten_params, init_optim_state, pack, unflatten_params
 from poif.records import CHANNELS, SegmentTable
@@ -113,14 +113,15 @@ def _run_seed(s: int) -> SeedResult:
                           encoder=EncoderConfig(2, 64, 32))
         result = train(train_world.segments, cfg)
         params = result.params
-        rows = score_segments(reference, test, params, TAU, policy)
-        table = table_metrics(rows, p_fa=0.1)
+        scores = score_segments(reference, test, params, TAU, policy)
+        table = table_metrics(scores, p_fa=0.1)
         av_pd[lam] = sum(table[g]["av"].pd_at_fa for g in AUDIO_SHIFT_GROUPS) / 3.0
         elapsed = time.perf_counter() - started
 
     # everything below reads the lam=1 run, which is still bound
+    # summed in Python in step order: np.mean's pairwise order would move c08's digits
     final_losses = {
-        name: _mean(getattr(entry.loss, name) for entry in result.log[-FINAL_STEPS:])
+        name: _mean(result.log[-FINAL_STEPS:, LOSS_COLUMNS.index(name)].tolist())
         for name in ("l_a", "l_v", "l_av")
     }
     fr_rows = sweep_rows("test_length", [1, 10], reference, test, params, TAU)
@@ -156,13 +157,13 @@ def _run_seed(s: int) -> SeedResult:
                                               p_labels, p_audio, p_video, "av"))
 
     # all real videos against the full-swap fakes (blend 1)
-    fs = [r for r in rows if not r.flags.is_fake or (r.flags.v and r.blend == 1.0)]
+    fake, swapped = scores.flags[:, 0], scores.flags[:, 1]
+    fs = ~fake | (swapped & (scores.blend == 1.0))
     return SeedResult(
         av_pd=av_pd,
         final_losses=final_losses,
         audio_auc_v=table["v"]["audio"].auc,
-        video_auc_fs=100.0 * auc([r.norm_video for r in fs],
-                                 [not r.flags.is_fake for r in fs]),
+        video_auc_fs=100.0 * auc(scores.statistic("video")[fs], ~fake[fs]),
         avg_auc={stat: table[AVG_GROUP][stat].auc
                  for stat in ("video", "audio", "av", "fused")},
         fr_auc_by_len={r["x"]: r["auc"] for r in fr_rows if r["class"] == "fr"},
@@ -218,12 +219,13 @@ def test_c02_loss_nonnegative_zero_on_one_identity_and_matches_naive():
         batch = make_batch(rng, counts=(per_id,) * n_ids)
         x_audio, x_video = embedding_matrices(rng, n, scale=scale)
         plan = loss_plan(positive_sets(identity_labels(batch)))
-        report, _, _ = loss_and_embedding_grads(x_audio, x_video, plan, tau, lam)
-        assert report.l_v >= 0.0 and report.l_a >= 0.0 and report.l_av >= 0.0
+        losses, _, _ = loss_and_embedding_grads(x_audio, x_video, plan, tau, lam)
+        l_v, l_a, l_av, _ = losses.tolist()
+        assert l_v >= 0.0 and l_a >= 0.0 and l_av >= 0.0
 
         solo = loss_plan(~np.eye(n, dtype=bool))  # one identity: every partner positive
         same, _, _ = loss_and_embedding_grads(x_audio, x_video, solo, tau, lam)
-        assert abs(same.l_tot) <= 1e-12
+        assert abs(same[LOSS_COLUMNS.index("l_tot")]) <= 1e-12
 
         try:
             naive = naive_contrastive_losses(
@@ -233,7 +235,7 @@ def test_c02_loss_nonnegative_zero_on_one_identity_and_matches_naive():
         if not all(math.isfinite(v) for v in naive):
             continue
         compared += 1
-        for got, want in zip((report.l_v, report.l_a, report.l_av), naive):
+        for got, want in zip((l_v, l_a, l_av), naive):
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     print(f"criterion 2: {compared}/1000 batches comparable to naive "
           f"summation, worst relative gap {worst:.3g} (limit 1e-9)")

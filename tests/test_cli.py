@@ -11,10 +11,13 @@ from poif.scoring import SmallReferenceWarning
 
 # tiny references are the point of these fixtures
 pytestmark = pytest.mark.filterwarnings("ignore::poif.scoring.SmallReferenceWarning")
+import numpy as np
+
 from poif.fileio import (
     read_checkpoint,
     read_features,
     read_report,
+    read_score_table,
     read_scores,
     read_sweep,
     write_checkpoint,
@@ -22,8 +25,7 @@ from poif.fileio import (
     write_scores,
 )
 from poif.encoder import EncoderConfig, init_encoder
-from poif.records import ManipFlags
-from poif.fileio import ScoreRow
+from poif.records import ScoreTable
 
 TRAIN_ARGS = [
     "--seed", "1", "--tau", "0.5", "--epochs", "1", "--batches-per-epoch", "6",
@@ -87,6 +89,8 @@ def test_train_checkpoint_records_run(pipeline):
     assert ckpt.params.audio.weights[0].shape == (8, 5)
     log = open(pipeline["log"]).read().splitlines()
     assert log[0].startswith("POIF-LOG,1,6")
+    # the six payload lines are numbered by step, from 1
+    assert [line.split(",")[0] for line in log[-6:]] == ["1", "2", "3", "4", "5", "6"]
 
 
 def test_score_and_rerun_byte_identical(pipeline):
@@ -114,6 +118,26 @@ def test_score_and_rerun_byte_identical(pipeline):
     assert "workers" not in meta
     assert len(rows) == 4 * 6
     assert {r.decision for r in rows} <= {"real", "fake"}
+    # the columns written are the columns read: the same bytes come back
+    again = str(d / "scores_again.txt")
+    meta, table = read_score_table(a)
+    write_scores(again, table, meta)
+    assert open(again, "rb").read() == bytes_a
+
+
+def test_empty_video_id_in_test_file_fails_before_scoring(pipeline, tmp_path, capsys):
+    lines = open(pipeline["test"]).read().splitlines()
+    at = next(i for i, line in enumerate(lines) if not line.startswith(("POIF", "#")))
+    fields = lines[at].split(",")
+    fields[1] = ""
+    bad = tmp_path / "test.txt"
+    bad.write_text("\n".join(lines[:at] + [",".join(fields)] + lines[at + 1:]) + "\n")
+    out = tmp_path / "scores.txt"
+    assert main(["score", "--checkpoint", pipeline["ckpt"], "--reference", pipeline["ref"],
+                 "--test", str(bad), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        f"poif: data error: {bad}: video_id must be non-empty at line {at + 1}\n"
+    assert not out.exists()
 
 
 def test_score_statistic_flag_drives_decisions(pipeline):
@@ -149,12 +173,14 @@ def test_evaluate_reports_groups_and_average(pipeline, capsys):
 
 
 def test_evaluate_marks_single_class_metrics_undefined(pipeline, tmp_path):
-    rows = [ScoreRow("f1", "p", 3, ManipFlags(is_fake=True, v=True), 1.0,
-                     -3.0, -0.1, -2.0, -3.0, "fake"),
-            ScoreRow("f2", "p", 3, ManipFlags(is_fake=True, v=True), 1.0,
-                     -2.0, -0.2, -1.5, -2.0, "fake")]
+    fakes = ScoreTable(
+        video_ids=np.array(["f1", "f2"]), identity_ids=np.array(["p", "p"]),
+        n_segments=np.array([3, 3]), flags=np.array([[True, True, False, False]] * 2),
+        blend=np.array([1.0, 1.0]),
+        normalized=np.array([[-0.1, -0.2], [-3.0, -2.0], [-2.0, -1.5]]),  # audio, video, av
+        fused=np.array([-3.0, -2.0]), fake=np.array([True, True]))
     scores = str(tmp_path / "fakes_only.txt")
-    write_scores(scores, rows, {})
+    write_scores(scores, fakes, {})
     report = str(tmp_path / "report.txt")
     assert main(["evaluate", "--scores", scores, "--out", report]) == 0
     _, back = read_report(report)
@@ -305,11 +331,33 @@ def test_resumed_training_bit_matches_full_run(pipeline, tmp_path):
     feats = pipeline["train_feats"]
     half_args = list(TRAIN_ARGS)
     half_args[half_args.index("6")] = "3"  # stop after 3 of the 6 batches
+    full_log = tmp_path / "full_log.txt"
+    resumed_log = tmp_path / "resumed_log.txt"
     assert main(["train", "--features", feats, "--out", half, *half_args]) == 0
-    assert main(["train", "--features", feats, "--out", full, *TRAIN_ARGS]) == 0
+    assert main(["train", "--features", feats, "--out", full, "--log", str(full_log),
+                 *TRAIN_ARGS]) == 0
     assert main(["train", "--features", feats, "--out", resumed,
-                 "--resume", half, *TRAIN_ARGS]) == 0
+                 "--resume", half, "--log", str(resumed_log), *TRAIN_ARGS]) == 0
     assert open(full, "rb").read() == open(resumed, "rb").read()
+    # the resumed log holds steps 4 to 6, numbered and valued as in the full run
+    full_lines = full_log.read_text().splitlines()
+    resumed_lines = resumed_log.read_text().splitlines()
+    assert resumed_lines[0].startswith("POIF-LOG,1,3")
+    assert [line.split(",")[0] for line in resumed_lines[-3:]] == ["4", "5", "6"]
+    assert resumed_lines[-3:] == full_lines[-3:]
+
+
+def test_resuming_a_finished_run_gives_its_bytes(pipeline, tmp_path, capsys):
+    """A complete checkpoint resumed at its own budget takes no step and
+    writes the same checkpoint, its final loss included."""
+    again = tmp_path / "again.ckpt"
+    log = tmp_path / "log.txt"
+    assert main(["train", "--features", pipeline["train_feats"], "--out", str(again),
+                 "--resume", pipeline["ckpt"], "--log", str(log), *TRAIN_ARGS]) == 0
+    assert again.read_bytes() == open(pipeline["ckpt"], "rb").read()
+    final_loss = read_checkpoint(pipeline["ckpt"]).meta["final_loss"]
+    assert f"(6 steps, final loss {final_loss})" in capsys.readouterr().out
+    assert log.read_text().splitlines()[0] == "POIF-LOG,1,0"
 
 
 def test_resume_rejects_mismatched_settings(pipeline, tmp_path):

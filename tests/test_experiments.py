@@ -23,6 +23,7 @@ from oracles import (
     record_sweep_scores,
     record_truncate_videos,
     row_statistic,
+    score_table_rows,
 )
 from poif import similarity
 from poif.encoder import EncoderConfig, encode_batch, init_encoder
@@ -149,8 +150,8 @@ def test_score_segments_matches_record_oracle(world, statistic):
     policy = DecisionPolicy(p_fa=0.2)
     ref_table, test_table = SegmentTable.from_records(reference), SegmentTable.from_records(test)
     refs = build_references(ref_table, params, TAU)
-    got = score_segments(ref_table, test_table, params, TAU, policy, statistic=statistic,
-                         references=refs)
+    got = score_table_rows(score_segments(ref_table, test_table, params, TAU, policy,
+                                          statistic=statistic, references=refs))
     want = record_score_rows(reference, test, params, TAU, policy, statistic)
     assert_rows_within(got, want, score_tolerance(test_table, refs, params), policy, statistic)
 
@@ -162,10 +163,12 @@ def test_video_scored_alone_matches_its_row_in_the_full_file(world):
     policy = DecisionPolicy(p_fa=0.2)
     ref_table, test_table = SegmentTable.from_records(reference), SegmentTable.from_records(test)
     refs = build_references(ref_table, params, TAU)
-    full = score_segments(ref_table, test_table, params, TAU, policy, references=refs)
+    full = score_table_rows(score_segments(ref_table, test_table, params, TAU, policy,
+                                           references=refs))
     for row in full:
         alone = test_table.take(np.flatnonzero(test_table.video_ids == row.video_id))
-        assert score_segments(ref_table, alone, params, TAU, policy, references=refs) == [row]
+        assert score_table_rows(score_segments(ref_table, alone, params, TAU, policy,
+                                               references=refs)) == [row]
 
 
 def point_references(axis, x, ref_table, params, ref_total):
@@ -190,7 +193,8 @@ def test_sweeps_match_record_oracle(world, axis, values):
     want = record_sweep_scores(axis, values, reference, test, params, TAU, ref_total=7)
     assert [x for x, _ in got] == sorted(values)
     assert [x for x, _ in want] == sorted(values)
-    for (x, got_rows), (_, want_rows) in zip(got, want):
+    for (x, got_table), (_, want_rows) in zip(got, want):
+        got_rows = score_table_rows(got_table)
         # truncating test videos only drops rows, so the full table's bound holds
         tol = score_tolerance(test_table, point_references(axis, x, ref_table, params, 7),
                               params)
@@ -212,9 +216,10 @@ def test_test_length_sweep_matches_scoring_the_truncated_table(world):
         scored = truncate_videos(videos, x)
         truncated = test_table.take(np.concatenate(
             [scored.video_rows(k) for k in reversed(range(len(scored)))]))
-        want = score_segments(ref_table, truncated, params, TAU, DecisionPolicy(p_fa=0.5),
-                              references=refs)
-        assert sorted(rows, key=lambda r: r.video_id) == sorted(want, key=lambda r: r.video_id)
+        want = score_table_rows(score_segments(ref_table, truncated, params, TAU,
+                                               DecisionPolicy(p_fa=0.5), references=refs))
+        assert sorted(score_table_rows(rows), key=lambda r: r.video_id) \
+            == sorted(want, key=lambda r: r.video_id)
 
 
 def test_selections_match_record_oracle(world):
@@ -366,9 +371,9 @@ def test_stacked_score_rows_match_per_video_verdicts(stack_world, budget, statis
     videos = group_by_video(test)
     embedded = tuple(x[videos.rows] for x in encode_batch(params, test.audio, test.video))
     want = per_video_score_rows(test, videos, embedded, refs, TAU, policy, statistic)
-    assert got == want
-    assert {r.n_segments for r in got} == set(STACK_LENGTHS)
-    assert {r.decision for r in got} == {"real", "fake"}
+    assert score_table_rows(got) == want
+    assert set(got.n_segments.tolist()) == set(STACK_LENGTHS)
+    assert set(got.fake.tolist()) == {True, False}
 
 
 def test_truncated_sweeps_match_per_video_verdicts(stack_world, budget):
@@ -380,9 +385,9 @@ def test_truncated_sweeps_match_per_video_verdicts(stack_world, budget):
     videos = group_by_video(test)
     x_audio, x_video = encode_batch(params, test.audio, test.video)
     assert [x for x, _ in got] == values
-    for x, rows in got:
+    for x, scores in got:
         scored = truncate_videos(videos, x)
-        assert rows == per_video_score_rows(
+        assert score_table_rows(scores) == per_video_score_rows(
             test, scored, (x_audio[scored.rows], x_video[scored.rows]), refs, TAU,
             DecisionPolicy(p_fa=0.5), "fused")
 

@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 
 from conftest import assert_tables_equal
-from oracles import row_statistic
+from oracles import row_statistic, score_table_rows
 from poif import fileio
 from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError, DataError
 from poif.fileio import (
-    ScoreRow,
     parse_config_file,
     read_checkpoint,
     read_feature_table,
     read_features,
     read_report,
+    read_score_table,
     read_scores,
     read_sweep,
     write_checkpoint,
@@ -25,11 +25,9 @@ from poif.fileio import (
     write_sweep,
     write_train_log,
 )
-from poif.losses import LossReport
 from poif.optim import flatten_params, init_optim_state
-from poif.records import ManipFlags, SegmentRecord, SegmentTable
+from poif.records import ManipFlags, ScoreTable, SegmentRecord, SegmentTable
 from poif.synthgen import WorldConfig, generate_world
-from poif.training import TrainStep
 
 
 def some_segments():
@@ -118,15 +116,23 @@ def test_reader_rejects_corruption(tmp_path):
         read_features(str(bad))
 
 
-def _set_fields(row, changes):
-    """Edit one payload row (0-based) of a feature file's lines: {field: value}."""
+def _set_fields(row, changes, first=2):
+    """Edit one payload row (0-based) of a file's lines: {field: value}.
+
+    The payload starts on line index ``first``: after the header and one
+    meta line in a feature file, and after a column line too in a table file.
+    """
     def edit(lines):
-        fields = lines[2 + row].split(",")  # header and one meta line come first
+        fields = lines[first + row].split(",")
         for i, value in changes.items():
             fields[i] = value
-        lines[2 + row] = ",".join(fields)
+        lines[first + row] = ",".join(fields)
         return lines
     return edit
+
+
+def _set_score_fields(row, changes):
+    return _set_fields(row, changes, first=3)
 
 
 # Each case corrupts a valid 8-row file (3 audio, 4 video dims; rows on
@@ -155,6 +161,12 @@ READER_ERRORS = {
         _set_fields(1, {7: "-0.5"})(ls)), "blend must lie in [0, 1], got -0.5", 4),
     "non_finite_before_unparseable": (_set_fields(2, {9: "inf", 12: "oops"}),
                                       "non-finite value", 5),
+    # the writers refuse empty ids, and so do the readers, before any later row
+    "empty_identity_id": (lambda ls: _set_fields(5, {7: "x"})(_set_fields(2, {0: ""})(ls)),
+                          "identity_id must be non-empty", 5),
+    "empty_video_id": (_set_fields(3, {1: "", 7: "x"}), "video_id must be non-empty", 6),
+    "empty_id_after_bad_blend": (lambda ls: _set_fields(4, {1: ""})(
+        _set_fields(1, {7: "2"})(ls)), "blend must lie in [0, 1], got 2.0", 4),
 }
 
 
@@ -277,23 +289,50 @@ def test_checkpoint_reader_rejects_impossible_step_counts(tmp_path):
     assert reads(lines[:at_optim] + ["steps_done,0"]).steps_done == 0
 
 
-def score_rows():
-    return [
-        ScoreRow("v1", "p1", 10, ManipFlags(), 0.0, 1.2, -0.3, 0.8, -0.3, "real"),
-        ScoreRow("v2", "p1", 10, ManipFlags(is_fake=True, v=True), 1.0,
-                 -4.5, 0.1, -3.3, -4.5, "fake"),
-    ]
+def score_table():
+    """Two scored videos: v1 real, v2 a judged-fake face swap."""
+    return ScoreTable(
+        video_ids=np.array(["v1", "v2"]), identity_ids=np.array(["p1", "p1"]),
+        n_segments=np.array([10, 10]),
+        flags=np.array([[False] * 4, [True, True, False, False]]),
+        blend=np.array([0.0, 1.0]),
+        normalized=np.array([[-0.3, 0.1], [1.2, -4.5], [0.8, -3.3]]),  # audio, video, av
+        fused=np.array([-0.3, -4.5]),
+        fake=np.array([False, True]),
+    )
 
 
 def test_scores_round_trip(tmp_path):
     path = str(tmp_path / "s.txt")
-    write_scores(path, score_rows(), {"p_fa": "0.1"})
+    write_scores(path, score_table(), {"p_fa": "0.1"})
+    assert path_lines(path)[3:] == [
+        "v1,p1,10,0,0,0,0,0,1.2,-0.29999999999999999,0.80000000000000004,"
+        "-0.29999999999999999,real",
+        "v2,p1,10,1,1,0,0,1,-4.5,0.10000000000000001,-3.2999999999999998,-4.5,fake",
+    ]
     meta, rows = read_scores(path)
     assert meta["p_fa"] == "0.1"
     assert [r.video_id for r in rows] == ["v1", "v2"]
     assert row_statistic(rows[0], "video") == 1.2
     assert rows[1].flags.v and rows[1].blend == 1.0
     assert rows[1].decision == "fake"
+    # the row view is the table's rows
+    meta_table, table = read_score_table(path)
+    assert meta_table == meta and score_table_rows(table) == rows
+    assert_score_tables_equal(table, score_table())
+
+
+def path_lines(path) -> list[str]:
+    with open(path) as f:
+        return f.read().splitlines()
+
+
+def assert_score_tables_equal(got: ScoreTable, want: ScoreTable):
+    for name in ("video_ids", "identity_ids", "n_segments", "flags", "blend", "normalized",
+                 "fused", "fake"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and np.array_equal(a, b), name
+    assert got.flags.dtype == got.fake.dtype == bool
 
 
 def test_report_round_trip_keeps_undefined(tmp_path):
@@ -335,7 +374,8 @@ def sweep_rows():
 # Each written file has a header, one meta line, a column line and its
 # rows, so the last row is on line 3 + len(rows).
 TABLE_FILES = {
-    "scores": (write_scores, read_scores, score_rows, "score"),
+    "scores": (write_scores, read_scores, score_table, "score"),
+    "score_table": (write_scores, read_score_table, score_table, "score"),
     "report": (write_report, read_report, report_rows, "report"),
     "sweep": (write_sweep, read_sweep, sweep_rows, "sweep"),
 }
@@ -357,30 +397,77 @@ def test_table_readers_refuse_rows_past_the_header_count(tmp_path, kind, extra):
         read(str(path))
 
 
+# Each case corrupts the two-row score file of score_table() (rows on lines
+# 4 and 5) and names the message and line the row-by-row reader gives.
+SCORE_READER_ERRORS = {
+    "field_count": (lambda ls: ls[:4] + [ls[4].rsplit(",", 1)[0]],
+                    "expected 13 fields, found 12", 5),
+    "bad_flag": (_set_score_fields(1, {3: "x"}), "malformed score row flags", 5),
+    "pristine_with_flags": (_set_score_fields(0, {4: "1"}), "malformed score row flags", 4),
+    "invalid_combination": (_set_score_fields(1, {4: "0", 5: "1"}),
+                            "malformed score row flags", 5),
+    "bad_float": (_set_score_fields(1, {8: "oops"}), "unparseable float", 5),
+    "non_finite": (_set_score_fields(1, {9: "inf"}), "non-finite value", 5),
+    "bad_decision": (_set_score_fields(1, {12: "maybe"}), "bad decision 'maybe'", 5),
+    "bad_n_segments": (_set_score_fields(1, {2: "ten"}), "malformed n_segments 'ten'", 5),
+    "n_segments_overflow": (_set_score_fields(1, {2: "9223372036854775808"}),
+                            "malformed n_segments '9223372036854775808'", 5),
+    "truncated_payload": (lambda ls: ls[:-1], "truncated file", 5),
+    # the first bad row wins, and inside a row the first field read
+    "flags_before_floats": (_set_score_fields(1, {3: "x", 8: "oops"}),
+                            "malformed score row flags", 5),
+    "earlier_row_first": (lambda ls: _set_score_fields(1, {3: "x"})(
+        _set_score_fields(0, {12: "?"})(ls)), "bad decision '?'", 4),
+    "empty_video_id": (_set_score_fields(1, {0: "", 3: "x"}), "video_id must be non-empty", 5),
+    "empty_identity_id": (_set_score_fields(0, {1: ""}), "identity_id must be non-empty", 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCORE_READER_ERRORS))
+def test_score_readers_name_path_and_line(tmp_path, case):
+    good = tmp_path / "ok.txt"
+    write_scores(str(good), score_table(), {"p_fa": "0.1"})
+    edit, message, line = SCORE_READER_ERRORS[case]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(edit(good.read_text().splitlines())) + "\n")
+    want = rf"^{re.escape(f'{bad}: {message} at line {line}')}$"
+    for reader in (read_score_table, read_scores):
+        with pytest.raises(DataError, match=want):
+            reader(str(bad))
+
+
 @pytest.mark.parametrize("count", ["-3", "0"])
 def test_score_reader_refuses_n_segments_below_one(tmp_path, count):
     path = tmp_path / "s.txt"
-    write_scores(str(path), score_rows(), {"p_fa": "0.1"})
+    write_scores(str(path), score_table(), {"p_fa": "0.1"})
     lines = path.read_text().splitlines()
     fields = lines[-1].split(",")
     fields[2] = count
     path.write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n")
     message = f"{path}: n_segments must be >= 1, got {count} at line {len(lines)}"
     want = rf"^{re.escape(message)}$"
-    with pytest.raises(DataError, match=want):
-        read_scores(str(path))
+    for reader in (read_score_table, read_scores):
+        with pytest.raises(DataError, match=want):
+            reader(str(path))
 
 
 def test_train_log_format(tmp_path):
     path = tmp_path / "log.txt"
-    log = [TrainStep(step=1, loss=LossReport(1.5, 2.5, 3.5, 1.0, 7.5)),
-           TrainStep(step=2, loss=LossReport(1.0, 2.0, 3.0, 1.0, 6.0))]
+    log = np.array([[1.5, 2.5, 3.5, 7.5], [1.0, 2.0, 3.0, 6.0]])
     write_train_log(str(path), log, {"lambda": "1"})
     lines = path.read_text().splitlines()
     assert lines[0] == "POIF-LOG,1,2"
     assert lines[1] == "# lambda=1"
     assert lines[2] == "step,l_v,l_a,l_av,l_tot"
     assert lines[3] == "1,1.5,2.5,3.5,7.5"
+    # a resumed run numbers its rows from the first step it took
+    write_train_log(str(path), log, {}, first_step=7)
+    assert path.read_text().splitlines()[1:] == ["step,l_v,l_a,l_av,l_tot",
+                                                 "7,1.5,2.5,3.5,7.5", "8,1,2,3,6"]
+    log[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        write_train_log(str(tmp_path / "bad.txt"), log, {})
+    assert not (tmp_path / "bad.txt").exists()
 
 
 def test_fmt_round_trips_doubles():

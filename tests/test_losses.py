@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import embedding_matrices, identity_labels, make_batch
-from oracles import naive_contrastive_losses, per_channel_loss_and_embedding_grads
+from oracles import loss_entry, naive_contrastive_losses, per_channel_loss_and_embedding_grads
 from poif.exceptions import ConfigError, DataError
-from poif.losses import loss_and_embedding_grads, loss_plan, positive_sets
+from poif.losses import LOSS_COLUMNS, loss_and_embedding_grads, loss_plan, positive_sets
 
 
 def test_positive_sets_pair_structure():
@@ -44,13 +44,16 @@ def test_equal_embeddings_give_log3_per_anchor():
     batch = make_batch(np.random.default_rng(0), counts=(2, 2))
     x_audio, x_video = np.ones((4, 4)), np.full((4, 3), 0.5)
     plan = loss_plan(positive_sets(identity_labels(batch)))
-    report, d_audio, d_video = loss_and_embedding_grads(
+    losses, d_audio, d_video = loss_and_embedding_grads(
         x_audio, x_video, plan, 0.8, joint_weight=0.5)
+    assert LOSS_COLUMNS == ("l_v", "l_a", "l_av", "l_tot")
+    assert losses.shape == (4,) and losses.dtype == np.float64
     expected = 4.0 * math.log(3.0)
-    assert report.l_v == pytest.approx(expected, rel=1e-12)
-    assert report.l_a == pytest.approx(expected, rel=1e-12)
-    assert report.l_av == pytest.approx(expected, rel=1e-12)
-    assert report.l_tot == pytest.approx(2.5 * expected, rel=1e-12)
+    l_v, l_a, l_av, l_tot = losses
+    assert l_v == pytest.approx(expected, rel=1e-12)
+    assert l_a == pytest.approx(expected, rel=1e-12)
+    assert l_av == pytest.approx(expected, rel=1e-12)
+    assert l_tot == pytest.approx(2.5 * expected, rel=1e-12)
     # every pair difference is zero, so nothing moves the embeddings
     assert np.all(d_audio == 0.0) and np.all(d_video == 0.0)
 
@@ -60,11 +63,10 @@ def test_loss_exactly_zero_when_batch_is_one_identity():
     batch = make_batch(rng, counts=(6,))
     x_audio, x_video = embedding_matrices(rng, 6)
     plan = loss_plan(positive_sets(identity_labels(batch)))
-    report, d_audio, d_video = loss_and_embedding_grads(x_audio, x_video, plan, 0.5, 1.0)
+    losses, d_audio, d_video = loss_and_embedding_grads(x_audio, x_video, plan, 0.5, 1.0)
     # Numerator and denominator coincide term by term, so this is not an
-    # approximation: the report and the gradients are exact zeros.
-    assert report.l_tot == 0.0
-    assert report.l_v == 0.0 and report.l_a == 0.0 and report.l_av == 0.0
+    # approximation: the losses and the gradients are exact zeros.
+    assert np.all(losses == 0.0)
     assert np.all(d_audio == 0.0)
     assert np.all(d_video == 0.0)
 
@@ -78,15 +80,16 @@ def test_loss_non_negative_and_matches_naive_summation(seed, n_ids, per_id, tau,
     n = n_ids * per_id
     x_audio, x_video = embedding_matrices(rng, n)
     plan = loss_plan(positive_sets(identity_labels(batch)))
-    report, _, _ = loss_and_embedding_grads(x_audio, x_video, plan, tau, lam)
+    losses, _, _ = loss_and_embedding_grads(x_audio, x_video, plan, tau, lam)
 
-    assert report.l_v >= 0.0 and report.l_a >= 0.0 and report.l_av >= 0.0
+    assert np.all(losses[:3] >= 0.0)
     ids = [s.identity_id for s in batch]
     l_v, l_a, l_av = naive_contrastive_losses(x_audio, x_video, ids, tau)
-    assert report.l_v == pytest.approx(l_v, rel=1e-9, abs=1e-9)
-    assert report.l_a == pytest.approx(l_a, rel=1e-9, abs=1e-9)
-    assert report.l_av == pytest.approx(l_av, rel=1e-9, abs=1e-9)
-    assert report.l_tot == pytest.approx(l_v + l_a + lam * l_av, rel=1e-9, abs=1e-9)
+    assert loss_entry(losses, "l_v") == pytest.approx(l_v, rel=1e-9, abs=1e-9)
+    assert loss_entry(losses, "l_a") == pytest.approx(l_a, rel=1e-9, abs=1e-9)
+    assert loss_entry(losses, "l_av") == pytest.approx(l_av, rel=1e-9, abs=1e-9)
+    assert loss_entry(losses, "l_tot") == pytest.approx(l_v + l_a + lam * l_av, rel=1e-9,
+                                                        abs=1e-9)
 
 
 def test_loss_stays_finite_where_naive_summation_underflows():
@@ -96,9 +99,10 @@ def test_loss_stays_finite_where_naive_summation_underflows():
     batch = make_batch(rng, counts=(2, 2))
     x_audio, x_video = embedding_matrices(rng, 4, scale=40.0)
     plan = loss_plan(positive_sets(identity_labels(batch)))
-    report, d_audio, _ = loss_and_embedding_grads(x_audio, x_video, plan, 0.01, 1.0)
-    assert math.isfinite(report.l_tot)
-    assert report.l_tot >= 0.0
+    losses, d_audio, _ = loss_and_embedding_grads(x_audio, x_video, plan, 0.01, 1.0)
+    l_tot = loss_entry(losses, "l_tot")
+    assert math.isfinite(l_tot)
+    assert l_tot >= 0.0
     assert np.all(np.isfinite(d_audio))
 
 
@@ -116,9 +120,11 @@ def test_embedding_gradients_match_finite_differences():
             for c in range(x.shape[1]):
                 keep = x[r, c]
                 x[r, c] = keep + step
-                up = loss_and_embedding_grads(x_audio, x_video, plan, tau, lam)[0].l_tot
+                up = loss_entry(loss_and_embedding_grads(x_audio, x_video, plan, tau, lam)[0],
+                                "l_tot")
                 x[r, c] = keep - step
-                down = loss_and_embedding_grads(x_audio, x_video, plan, tau, lam)[0].l_tot
+                down = loss_entry(loss_and_embedding_grads(x_audio, x_video, plan, tau, lam)[0],
+                                  "l_tot")
                 x[r, c] = keep
                 fd = (up - down) / (2.0 * step)
                 denom = max(abs(fd), abs(analytic[r, c]), 1e-3)
@@ -163,7 +169,7 @@ def test_stacked_pass_matches_per_channel_oracle_bit_for_bit(labels, tau, scale,
     rng = np.random.default_rng(len(ids) + int(10 * joint_weight))
     x_audio, x_video = embedding_matrices(rng, len(ids), scale=scale)
     pos = positive_sets(ids)
-    report, d_audio, d_video = loss_and_embedding_grads(x_audio, x_video, loss_plan(pos), tau,
+    losses, d_audio, d_video = loss_and_embedding_grads(x_audio, x_video, loss_plan(pos), tau,
                                                         joint_weight)
     want, want_audio, want_video = per_channel_loss_and_embedding_grads(
         x_audio, x_video, pos, tau, joint_weight)
@@ -171,8 +177,7 @@ def test_stacked_pass_matches_per_channel_oracle_bit_for_bit(labels, tau, scale,
         # similarities reach about -1e6: the max-shifted form is what runs
         s_a = -(np.sum((x_audio[:, None] - x_audio[None]) ** 2, axis=-1) / tau)
         assert s_a.min() < -3e5
-    for field in ("l_v", "l_a", "l_av", "joint_weight", "l_tot"):
-        assert np.array_equal(getattr(report, field), getattr(want, field)), field
+    assert np.array_equal(losses, want)
     assert np.array_equal(d_audio, want_audio)
     assert np.array_equal(d_video, want_video)
 
@@ -210,5 +215,5 @@ def test_one_plan_per_shape_matches_the_mask_per_call_oracle_bit_for_bit(counts)
         x_audio, x_video = embedding_matrices(rng, len(pos), scale=scale)
         got = loss_and_embedding_grads(x_audio, x_video, plan, tau, lam)
         want = per_channel_loss_and_embedding_grads(x_audio, x_video, pos, tau, lam)
-        assert got[0] == want[0]
+        assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])

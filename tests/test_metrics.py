@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import calibration_check, knn_person_id, pairwise_auc
+from oracles import calibration_check, knn_person_id, midrank_auc, pairwise_auc
 from poif.exceptions import UndefinedMetricError
 from poif.metrics import accuracy, auc, pd_at_fa
 from poif.records import CHANNELS
@@ -34,6 +34,24 @@ def test_auc_matches_pairwise_oracle(seed, n_real, n_fake, levels):
     fake = np.round(rng.standard_normal(n_fake) * levels) / levels
     got = auc(*labeled(real, fake))
     assert got == pytest.approx(pairwise_auc(real, fake), abs=1e-12)
+
+
+def test_auc_gives_the_bits_of_the_tie_walking_loop():
+    """Midranks from unique counts equal the sorted-run walk exactly: both
+    are sums of halves.  Ties, signed zeros and every class size mix in."""
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        n = int(rng.integers(2, 60))
+        levels = int(rng.choice([1, 3, 16, 10**6]))
+        scores = np.round(rng.standard_normal(n) * levels) / levels
+        scores[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+        is_real = rng.random(n) < rng.uniform(0.1, 0.9)
+        is_real[0], is_real[-1] = True, False
+        assert auc(scores, is_real).hex() == midrank_auc(scores, is_real).hex()
+    n = 420
+    scores = np.round(rng.standard_normal(n) * 4) / 4
+    is_real = np.arange(n) % 3 == 0
+    assert auc(scores, is_real).hex() == midrank_auc(scores, is_real).hex()
 
 
 def test_auc_undefined_for_single_class():

@@ -213,7 +213,8 @@ def test_benchmark_composition():
     assert not bench.reference.flags.any()
 
     fakes = bench.test.take(bench.test.flags[:, 0])
-    groups = [r.flags.group() for r in fakes.to_records()]
+    group_of = {flags_for_group(g): g for g in GROUPS}
+    groups = [group_of[r.flags] for r in fakes.to_records()]
     assert {g: groups.count(g) for g in GROUPS} == {g: 2 * 3 * 4 for g in GROUPS}
     # betas rotate across a group's fakes
     blends = fakes.blend.tolist()

@@ -9,6 +9,7 @@ from oracles import naive_sample_batch
 from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError, DataError
 from poif.fileio import write_checkpoint
+from poif.losses import LOSS_COLUMNS
 from poif.optim import flatten_params
 from poif.records import ManipFlags, SegmentTable
 from poif.synthgen import WorldConfig, generate_world
@@ -175,7 +176,7 @@ def test_train_ignores_dataset_order():
     b = train(shuffled(table, seed=1), cfg)
     for wa, wb in zip(flatten_params(a.params), flatten_params(b.params)):
         np.testing.assert_array_equal(wa, wb)
-    assert [s.loss for s in a.log] == [s.loss for s in b.log]
+    assert np.array_equal(a.log, b.log)
     assert a.state.rng_state == b.state.rng_state
 
 
@@ -225,7 +226,7 @@ def test_train_same_config_is_bit_reproducible():
     b = train(world.segments, tiny_cfg())
     for wa, wb in zip(flatten_params(a.params), flatten_params(b.params)):
         np.testing.assert_array_equal(wa, wb)
-    assert [s.loss.l_tot for s in a.log] == [s.loss.l_tot for s in b.log]
+    assert np.array_equal(a.log[:, -1], b.log[:, -1])
     assert a.state.rng_state == b.state.rng_state
 
 
@@ -233,9 +234,10 @@ def test_train_log_covers_every_step_and_loss_drops():
     world = tiny_world(identities=8)
     cfg = tiny_cfg(batches_per_epoch=150, learning_rate=3e-3)
     result = train(world.segments, cfg)
-    assert [s.step for s in result.log] == list(range(1, 151))
-    first = np.mean([s.loss.l_tot for s in result.log[:20]])
-    last = np.mean([s.loss.l_tot for s in result.log[-20:]])
+    assert result.log.shape == (150, len(LOSS_COLUMNS))
+    assert result.state.steps_done == 150
+    first = np.mean(result.log[:20, -1])
+    last = np.mean(result.log[-20:, -1])
     assert last < first
 
 
@@ -248,9 +250,9 @@ def test_resume_reproduces_uninterrupted_run():
         np.testing.assert_array_equal(wa, wb)
     assert full.state.rng_state == resumed.state.rng_state
     assert resumed.state.steps_done == 12
-    # the resumed log holds only the continued steps
-    assert [s.step for s in resumed.log] == list(range(7, 13))
-    assert [s.loss.l_tot for s in resumed.log] == [s.loss.l_tot for s in full.log[6:]]
+    # the resumed log holds only the continued steps, 7 to 12
+    assert len(resumed.log) == 6
+    assert np.array_equal(resumed.log[:, -1], full.log[6:, -1])
 
 
 def checkpoint_bytes(path, result):
@@ -270,7 +272,7 @@ def test_resume_within_an_epoch_gives_the_uninterrupted_bytes(tmp_path):
     assert part.state.steps_done == 5
     assert checkpoint_bytes(tmp_path / "resumed.ckpt", resumed) == \
         checkpoint_bytes(tmp_path / "full.ckpt", full)
-    assert [s.loss for s in resumed.log] == [s.loss for s in full.log[5:]]
+    assert np.array_equal(resumed.log, full.log[5:])
 
 
 def test_train_leaves_its_resume_arrays_untouched():
@@ -299,7 +301,7 @@ def test_zero_epochs_returns_initialization():
     world = tiny_world()
     cfg = tiny_cfg(epochs=0)
     result = train(world.segments, cfg)
-    assert result.log == []
+    assert result.log.shape == (0, len(LOSS_COLUMNS))
     assert result.state.steps_done == 0
     init = init_encoder(5, 4, cfg.encoder, np.random.default_rng(cfg.seed))
     for wa, wb in zip(flatten_params(result.params), flatten_params(init)):
