@@ -41,7 +41,7 @@ def run_seed(s: int, joint_weight: float, steps: int, tau: float, p_fa: float):
     cfg = TrainConfig(tau=tau, joint_weight=joint_weight, epochs=1,
                       batches_per_epoch=steps, seed=2000 + s,
                       encoder=EncoderConfig(2, 64, 32))
-    params = train(train_world.segments, cfg).params
+    params = train(train_world.segments, cfg).state.params
     rows = score_segments(bench.reference, bench.test, params, tau,
                           DecisionPolicy(p_fa=p_fa))
     return table_metrics(rows, p_fa=p_fa)

@@ -44,7 +44,7 @@ def run_seed(s: int, tau: float, steps: int, lengths, varieties, budget):
     cfg = TrainConfig(tau=tau, joint_weight=1.0, epochs=1,
                       batches_per_epoch=steps, seed=2000 + s,
                       encoder=EncoderConfig(2, 64, 32))
-    params = train(train_world.segments, cfg).params
+    params = train(train_world.segments, cfg).state.params
     length_rows = sweep_rows("test_length", lengths, bench.reference, bench.test, params, tau)
 
     # the variety sweep needs deep per-video pools to fill its budget

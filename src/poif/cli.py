@@ -30,11 +30,10 @@ from . import experiments, fileio
 from .encoder import EncoderConfig
 from .exceptions import ConfigError, DataError, DegenerateReferenceError
 from .fileio import fmt, parse_config_file
-from .optim import OptimState
 from .records import GROUPS
 from .scoring import FUSED, DecisionPolicy
 from .synthgen import WorldConfig, generate_benchmark, generate_world
-from .training import TrainConfig, TrainState, train
+from .training import TrainConfig, train
 
 STATISTIC_CHOICES = ("video", "audio", "av", "fusion")
 _STATISTIC_BY_FLAG = {"video": "video", "audio": "audio", "av": "av", "fusion": FUSED}
@@ -320,12 +319,12 @@ def _cmd_train(args) -> int:
         ),
     )
 
-    resume_state, final_loss = None, math.nan
+    resume, final_loss = None, math.nan
     if merged["resume"] is not None:
         if not os.path.isfile(merged["resume"]):
             raise ConfigError(f"resume checkpoint not found: {merged['resume']}")
         ckpt = fileio.read_checkpoint(merged["resume"])
-        if not ckpt.can_resume:
+        if ckpt.state is None:
             raise ConfigError(f"checkpoint {merged['resume']} carries no resume state")
         mismatched = [k for k in _RESUME_MUST_MATCH
                       if ckpt.meta.get(k) != _stringify(merged[k])]
@@ -333,16 +332,11 @@ def _cmd_train(args) -> int:
             raise ConfigError(
                 "resume settings differ from the checkpoint: " + ", ".join(mismatched)
             )
-        resume_state = TrainState(
-            params=ckpt.params,
-            optim=OptimState(m=ckpt.optim_m, v=ckpt.optim_v, step=ckpt.optim_step),
-            rng_state=ckpt.rng_state,
-            steps_done=ckpt.steps_done,
-        )
+        resume = ckpt.state
         # a resume at the checkpoint's own budget takes no step and keeps its loss
         final_loss = ckpt.meta.get("final_loss", final_loss)
 
-    result = train(table, cfg, resume=resume_state)
+    result = train(table, cfg, resume=resume)
 
     if len(result.log):
         final_loss = float(result.log[-1, -1])
@@ -351,14 +345,7 @@ def _cmd_train(args) -> int:
         "video_dim": table.video.shape[1],
         "final_loss": final_loss,
     })
-    m, v = result.state.optim.m, result.state.optim.v
-    fileio.write_checkpoint(
-        out, result.params, meta,
-        optim_step=result.state.optim.step,
-        optim_m=m, optim_v=v,
-        rng_state=result.state.rng_state,
-        steps_done=result.state.steps_done,
-    )
+    fileio.write_checkpoint(out, result.state, meta)
     print(f"wrote {out} ({result.state.steps_done} steps, final loss "
           f"{_stringify(final_loss)})")
     if merged["log"] is not None:

@@ -18,9 +18,11 @@ import numpy as np
 from .encoder import EncoderParams, Mlp
 from .exceptions import ConfigError, DataError
 from .losses import LOSS_COLUMNS
+from .optim import flatten_params
 from .records import (
     FAKE, FLAG_COLUMNS, REAL, VALID_FLAGS, ManipFlags, ScoreTable, SegmentTable, valid_flag_rows,
 )
+from .training import TrainState
 
 FEAT_MAGIC = "POIF-FEAT"
 CKPT_MAGIC = "POIF-CKPT"
@@ -353,65 +355,55 @@ def _read_mlp(lines: _Lines, tag: str) -> Mlp:
     return Mlp(weights=weights, biases=biases)
 
 
-def write_checkpoint(
-    path: str,
-    params: EncoderParams,
-    meta: Mapping[str, str],
-    *,
-    optim_step: int | None = None,
-    optim_m: Sequence[np.ndarray] | None = None,
-    optim_v: Sequence[np.ndarray] | None = None,
-    rng_state: Mapping | None = None,
-    steps_done: int | None = None,
-):
-    """Write encoder weights, optionally with the state needed to resume."""
-    out = [f"{CKPT_MAGIC},{FORMAT_VERSION}"]
-    out.extend(_meta_lines(meta))
-    out.extend(_mlp_lines("audio", params.audio))
-    out.extend(_mlp_lines("video", params.video))
-    if optim_step is not None:
-        out.append(f"optim,{optim_step},{len(optim_m)}")
-        out.extend("m," + fmt_row(arr) for arr in optim_m)
-        out.extend("v," + fmt_row(arr) for arr in optim_v)
-    if rng_state is not None:
-        if rng_state["bit_generator"] != "PCG64":
-            raise ValueError(f"unsupported generator {rng_state['bit_generator']!r}")
-        s = rng_state["state"]
-        out.append(
-            f"rng,PCG64,{s['state']},{s['inc']},{rng_state['has_uint32']},{rng_state['uinteger']}"
-        )
-    if steps_done is not None:
-        out.append(f"steps_done,{steps_done}")
-    _write(path, out)
+def write_checkpoint(path: str, state: TrainState, meta: Mapping[str, str]):
+    """Write a run's settings and its whole resume state, in ``read_checkpoint``'s order."""
+    rng = state.rng_state
+    if rng["bit_generator"] != "PCG64":
+        raise ValueError(f"unsupported generator {rng['bit_generator']!r}")
+    s = rng["state"]
+    _write(path, [
+        f"{CKPT_MAGIC},{FORMAT_VERSION}", *_meta_lines(meta),
+        *_mlp_lines("audio", state.params.audio), *_mlp_lines("video", state.params.video),
+        f"optim,{state.steps_done},{len(state.m)}",
+        *("m," + fmt_row(arr) for arr in state.m),
+        *("v," + fmt_row(arr) for arr in state.v),
+        f"rng,PCG64,{s['state']},{s['inc']},{rng['has_uint32']},{rng['uinteger']}",
+        f"steps_done,{state.steps_done}",
+    ])
 
 
 @dataclass(eq=False)
 class Checkpoint:
+    """A checkpoint's settings and encoders, and its resume state (None when the file has none)."""
+
     meta: dict[str, str]
     params: EncoderParams
-    optim_step: int | None = None
-    optim_m: list[np.ndarray] | None = None
-    optim_v: list[np.ndarray] | None = None
-    rng_state: dict | None = None
-    steps_done: int | None = None
+    state: TrainState | None
 
     @property
     def can_resume(self) -> bool:
-        return self.optim_step is not None and self.rng_state is not None \
-            and self.steps_done is not None
+        return self.state is not None
+
+    @property
+    def steps_done(self) -> int | None:
+        return None if self.state is None else self.state.steps_done
 
 
-def _check_steps(lines: _Lines, optim_step: int | None, steps_done: int | None):
-    """Step counts are non-negative, and the optimizer's equals steps_done.
+def _section(lines: _Lines, tag: str, n_fields: int, what: str) -> list[str]:
+    """The fields of the next line, which must be the tag's section of n_fields fields."""
+    fields = lines.next().split(",")
+    if fields[0] != tag:
+        lines.fail(f"expected {tag} {what}, found {fields[0]!r}")
+    if len(fields) != n_fields:
+        lines.fail(f"malformed {tag} {what}")
+    return fields
 
-    ``train`` writes both as the number of steps taken; a checkpoint whose
-    two counts disagree cannot continue a run.
-    """
-    for name, value in (("optim step", optim_step), ("steps_done", steps_done)):
-        if value is not None and value < 0:
-            lines.fail(f"negative {name} {value}")
-    if optim_step is not None and steps_done is not None and optim_step != steps_done:
-        lines.fail(f"optim step {optim_step} does not match steps_done {steps_done}")
+
+def _step_count(lines: _Lines, field: str, name: str) -> int:
+    count = lines.parse_int(field, name)
+    if count < 0:
+        lines.fail(f"negative {name} {count}")
+    return count
 
 
 def _read_encoders(path: str) -> tuple[_Lines, Checkpoint]:
@@ -419,7 +411,7 @@ def _read_encoders(path: str) -> tuple[_Lines, Checkpoint]:
     _read_header(lines, CKPT_MAGIC, 0)
     meta = _read_meta(lines)
     params = EncoderParams(audio=_read_mlp(lines, "audio"), video=_read_mlp(lines, "video"))
-    return lines, Checkpoint(meta=meta, params=params)
+    return lines, Checkpoint(meta, params, None)
 
 
 def read_encoders(path: str) -> Checkpoint:
@@ -428,48 +420,46 @@ def read_encoders(path: str) -> Checkpoint:
 
 
 def read_checkpoint(path: str) -> Checkpoint:
+    """A checkpoint's settings, encoders and resume state, if the file goes on past the encoders.
+
+    The resume state is read in the one order ``write_checkpoint`` writes
+    it: the optim section (its step count, then the m and v moments in
+    ``flatten_params`` order), the rng line, and the steps_done line, whose
+    count must equal the optim section's.
+    """
     lines, ckpt = _read_encoders(path)
-    shapes = [a.shape for mlp in (ckpt.params.audio, ckpt.params.video) for pair in
-              zip(mlp.weights, mlp.biases) for a in pair]
-    while not lines.at_end():
-        fields = lines.next().split(",")
-        if fields[0] == "optim":
-            if len(fields) != 3:
-                lines.fail("malformed optim header")
-            step = lines.parse_int(fields[1], "optim step")
-            _check_steps(lines, step, ckpt.steps_done)
-            n_arrays = lines.parse_int(fields[2], "optim array count")
-            if n_arrays != len(shapes):
-                lines.fail(f"optim carries {n_arrays} arrays, encoder has {len(shapes)}")
-            moments = []
-            for tag in ("m", "v"):
-                arrays = []
-                for shape in shapes:
-                    row = lines.next().split(",")
-                    if row[0] != tag:
-                        lines.fail(f"expected {tag} row")
-                    n = int(np.prod(shape))
-                    arrays.append(_parse_floats(row[1:], n, lines).reshape(shape))
-                moments.append(arrays)
-            ckpt.optim_step = step
-            ckpt.optim_m, ckpt.optim_v = moments
-        elif fields[0] == "rng":
-            if len(fields) != 6 or fields[1] != "PCG64":
-                lines.fail("malformed rng line")
-            ckpt.rng_state = {
-                "bit_generator": "PCG64",
-                "state": {"state": lines.parse_int(fields[2], "rng state"),
-                          "inc": lines.parse_int(fields[3], "rng increment")},
-                "has_uint32": lines.parse_int(fields[4], "rng has_uint32"),
-                "uinteger": lines.parse_int(fields[5], "rng uinteger"),
-            }
-        elif fields[0] == "steps_done":
-            if len(fields) != 2:
-                lines.fail("malformed steps_done line")
-            ckpt.steps_done = lines.parse_int(fields[1], "steps_done")
-            _check_steps(lines, ckpt.optim_step, ckpt.steps_done)
-        else:
-            lines.fail(f"unexpected section {fields[0]!r}")
+    if lines.at_end():
+        return ckpt
+    fields = _section(lines, "optim", 3, "header")
+    step = _step_count(lines, fields[1], "optim step")
+    shapes = [a.shape for a in flatten_params(ckpt.params)]
+    n_arrays = lines.parse_int(fields[2], "optim array count")
+    if n_arrays != len(shapes):
+        lines.fail(f"optim carries {n_arrays} arrays, encoder has {len(shapes)}")
+    moments = []
+    for tag in ("m", "v"):
+        arrays = []
+        for shape in shapes:
+            row = lines.next().split(",")
+            if row[0] != tag:
+                lines.fail(f"expected {tag} row")
+            arrays.append(_parse_floats(row[1:], int(np.prod(shape)), lines).reshape(shape))
+        moments.append(arrays)
+    fields = _section(lines, "rng", 6, "line")
+    if fields[1] != "PCG64":
+        lines.fail("malformed rng line")
+    rng_state = {
+        "bit_generator": "PCG64",
+        "state": {"state": lines.parse_int(fields[2], "rng state"),
+                  "inc": lines.parse_int(fields[3], "rng increment")},
+        "has_uint32": lines.parse_int(fields[4], "rng has_uint32"),
+        "uinteger": lines.parse_int(fields[5], "rng uinteger"),
+    }
+    steps_done = _step_count(lines, _section(lines, "steps_done", 2, "line")[1], "steps_done")
+    if steps_done != step:
+        lines.fail(f"optim step {step} does not match steps_done {steps_done}")
+    lines.expect_end("checkpoint section")
+    ckpt.state = TrainState(ckpt.params, *moments, rng_state, steps_done)
     return ckpt
 
 
@@ -492,7 +482,7 @@ def _score_lines(table: ScoreTable, meta: Mapping[str, str]):
 
 
 def read_score_table(path: str) -> tuple[dict[str, str], ScoreTable]:
-    """Read a score file into columns, row by row; a flag is any integer, non-zero meaning set."""
+    """Read a score file into columns, row by row; a flag is 0 or 1, as in a feature file."""
     lines, count, meta = _open_table(path, SCORES_MAGIC, SCORE_COLUMNS, "score")
     n = min(count, len(lines.lines) - lines.pos)  # a short file fails at its end
     video_ids, identity_ids = [""] * n, [""] * n
@@ -506,11 +496,14 @@ def read_score_table(path: str) -> tuple[dict[str, str], ScoreTable]:
             lines.fail(f"expected 13 fields, found {len(fields)}")
         lines.check_ids(fields, ("video_id", "identity_id"))
         try:
-            flags[i] = bits = tuple(int(b) != 0 for b in fields[3:7])
+            bits = tuple(int(b) for b in fields[3:7])
         except ValueError:
             bits = None
-        if bits not in VALID_FLAGS:
+        if bits and not set(bits) <= {0, 1}:
+            lines.fail("manipulation flags must be 0 or 1")
+        if bits not in VALID_FLAGS:  # 0 and 1 compare and hash equal to False and True
             lines.fail("malformed score row flags")
+        flags[i] = bits
         floats[i] = _parse_floats(fields[7:12], 5, lines)
         if fields[12] not in (REAL, FAKE):
             lines.fail(f"bad decision {fields[12]!r}")

@@ -2,49 +2,40 @@
 
 The decay term is applied directly to the weights (w -= lr * wd * w) on
 top of the bias-corrected Adam step, never folded into the gradient.
-Parameters and moments are lists of arrays in a fixed traversal order
-(audio layers then video, weight before bias), which makes the state easy
-to serialize.  A run packs them once (``pack``): each quantity becomes one
-flat buffer in that order, and its arrays become views of the buffer.
-``adamw_step`` then updates the three buffers in place with a handful of
-whole-buffer operations.  Each element still goes through the same
+A run's state (``training.TrainState``) holds parameters and moments as
+lists of arrays in a fixed traversal order (audio layers then video,
+weight before bias), which makes it easy to serialize.  A run packs it
+once (``pack``): each quantity becomes one flat buffer in that order, and
+its arrays become views of the buffer.  ``adamw_step`` then updates the
+three buffers in place with a handful of whole-buffer operations and
+counts the step in the state's ``steps_done``.  Each element still goes through the same
 operations in the same order as in an array-by-array update, so the bits
 do not depend on the layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .encoder import EncoderParams, Mlp
 
-
-@dataclass(eq=False)
-class OptimState:
-    """First/second moment estimates plus the shared step counter.
-
-    ``m`` and ``v`` hold one array per parameter array, in
-    ``flatten_params`` order.
-    """
-
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    step: int = 0
+if TYPE_CHECKING:
+    from .training import TrainState
 
 
 @dataclass(eq=False)
 class FlatState:
-    """A run's parameters and optimizer state as views of three flat buffers.
+    """A run's state whose arrays view three flat buffers.
 
-    ``params``, ``optim.m`` and ``optim.v`` view the 1-D float64 buffers
-    ``w``, ``m`` and ``v`` (``flatten_params`` order), so an update of the
-    buffers moves them all.
+    ``state.params``, ``state.m`` and ``state.v`` view the 1-D float64
+    buffers ``w``, ``m`` and ``v`` (``flatten_params`` order), so an update
+    of the buffers moves them all.
     """
 
-    params: EncoderParams
-    optim: OptimState
+    state: TrainState
     w: np.ndarray
     m: np.ndarray
     v: np.ndarray
@@ -73,13 +64,10 @@ def unflatten_params(template: EncoderParams, arrays: list[np.ndarray]) -> Encod
     return EncoderParams(audio=mlps[0], video=mlps[1])
 
 
-def init_optim_state(params: EncoderParams) -> OptimState:
+def init_optim_state(params: EncoderParams) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Zero first and second moments, one array per parameter array."""
     arrays = flatten_params(params)
-    return OptimState(
-        m=[np.zeros_like(a) for a in arrays],
-        v=[np.zeros_like(a) for a in arrays],
-        step=0,
-    )
+    return [np.zeros_like(a) for a in arrays], [np.zeros_like(a) for a in arrays]
 
 
 def _concat(arrays: list[np.ndarray]) -> np.ndarray:
@@ -98,12 +86,12 @@ def _packed(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat, views
 
 
-def pack(params: EncoderParams, state: OptimState) -> FlatState:
-    """Copy parameters and moments into flat buffers; the inputs stay untouched.
+def pack(state: TrainState) -> FlatState:
+    """Copy a run's parameters and moments into flat buffers; the input stays untouched.
 
     The moments must match the parameters array for array.
     """
-    arrays = flatten_params(params)
+    arrays = flatten_params(state.params)
     if len(state.m) != len(arrays) or len(state.v) != len(arrays):
         raise ValueError(
             f"optimizer state tracks {len(state.m)} arrays, params have {len(arrays)}")
@@ -114,20 +102,18 @@ def pack(params: EncoderParams, state: OptimState) -> FlatState:
     w, w_views = _packed(arrays)
     m, m_views = _packed(state.m)
     v, v_views = _packed(state.v)
-    return FlatState(
-        params=unflatten_params(params, w_views),
-        optim=OptimState(m=m_views, v=v_views, step=state.step),
-        w=w, m=m, v=v,
-    )
+    views = replace(state, params=unflatten_params(state.params, w_views), m=m_views, v=v_views)
+    return FlatState(state=views, w=w, m=m, v=v)
 
 
 def adamw_step(flat: FlatState, grads: EncoderParams, cfg) -> None:
-    """One update of flat's buffers, in place.
+    """One update of flat's buffers in place, counted in its state's steps_done.
 
-    cfg supplies learning_rate, weight_decay, beta1, beta2 and epsilon.
+    Adam's t is the step being taken, steps_done + 1.  cfg supplies
+    learning_rate, weight_decay, beta1, beta2 and epsilon.
     """
     g_arrays = flatten_params(grads)
-    p_arrays = flatten_params(flat.params)
+    p_arrays = flatten_params(flat.state.params)
     if len(p_arrays) != len(g_arrays):
         raise ValueError(f"{len(g_arrays)} gradient arrays for {len(p_arrays)} parameters")
     for w, g in zip(p_arrays, g_arrays):
@@ -137,7 +123,7 @@ def adamw_step(flat: FlatState, grads: EncoderParams, cfg) -> None:
     lr = cfg.learning_rate
     wd = cfg.weight_decay
     b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
-    t = flat.optim.step + 1
+    t = flat.state.steps_done + 1
     w, m, v = flat.w, flat.m, flat.v
     g = _concat(g_arrays)
 
@@ -162,4 +148,4 @@ def adamw_step(flat: FlatState, grads: EncoderParams, cfg) -> None:
     decay = np.multiply(w, lr * wd, out=den)
     w -= step
     w -= decay
-    flat.optim.step = t
+    flat.state.steps_done = t

@@ -29,21 +29,24 @@ FUSED = "fused"
 REAL = "real"
 FAKE = "fake"
 
-# The four supported fake populations, as (v, a, ai) combinations:
-# video swapped with consistent audio, video swapped with a real but
-# mismatched audio track, synthesized voice over untouched video, and
-# both streams manipulated.
-_VALID_FAKE_COMBOS = {
-    (True, False, False),
-    (True, False, True),
-    (False, True, True),
-    (True, True, True),
-}
+# Columns of SegmentTable.flags.
+FLAG_COLUMNS = ("is_fake", "v", "a", "ai")
 
+# The four supported fake populations, each named by its set (v, a, ai)
+# bits: video swapped with consistent audio, video swapped with a real but
+# mismatched audio track, synthesized voice over untouched video, and both
+# streams manipulated.
 GROUPS = ("v", "v+ai", "a+ai", "v+a+ai")
 
-# Columns of SegmentTable.flags, and the rows of them ManipFlags accepts.
-FLAG_COLUMNS = ("is_fake", "v", "a", "ai")
+
+def _group_bits(group: str) -> tuple[bool, ...]:
+    """A fake group's (v, a, ai) bits: the flags its "+"-joined name lists."""
+    parts = group.split("+")
+    return tuple(flag in parts for flag in FLAG_COLUMNS[1:])
+
+
+# The (v, a, ai) combinations of the groups, and the flag rows ManipFlags accepts.
+_VALID_FAKE_COMBOS = frozenset(map(_group_bits, GROUPS))
 VALID_FLAGS = frozenset([(False,) * 4] + [(True, *combo) for combo in _VALID_FAKE_COMBOS])
 
 
@@ -84,8 +87,7 @@ def flags_for_group(group: str) -> ManipFlags:
     """The flags of one of the four fake groups: its "+"-joined set bits."""
     if group not in GROUPS:
         raise DataError(f"unknown manipulation group {group!r}; expected one of {GROUPS}")
-    parts = group.split("+")
-    return ManipFlags(is_fake=True, v="v" in parts, a="a" in parts, ai="ai" in parts)
+    return ManipFlags(True, *_group_bits(group))
 
 
 def as_vector(values, name: str = "feature") -> np.ndarray:

@@ -197,18 +197,16 @@ def build_reference(
 
 @dataclass(eq=False)
 class StackVerdict:
-    """Verdicts for a stack of clips of n_segments segments each.
+    """Verdicts for a stack of clips of equal length.
 
     ``normalized`` holds each clip's means of the normalized indices as a
     (3, clips) channel stack, ``fused`` each clip's mean of the fused value,
     ``fake`` each clip's verdict (True: judged fake).
     """
 
-    n_segments: int
     normalized: np.ndarray
     fused: np.ndarray
     fake: np.ndarray
-    statistic_used: str
 
 
 def score_video(
@@ -240,10 +238,4 @@ def score_video(
     means = normalized.mean(axis=-1)
     fused = normalized.min(axis=0).mean(axis=-1)
     value = fused if statistic == FUSED else means[CHANNELS.index(statistic)]
-    return StackVerdict(
-        n_segments=raw.shape[-1],
-        normalized=means,
-        fused=fused,
-        fake=value < policy.threshold,
-        statistic_used=statistic,
-    )
+    return StackVerdict(normalized=means, fused=fused, fake=value < policy.threshold)

@@ -20,7 +20,7 @@ import numpy as np
 from .encoder import EncoderConfig, EncoderParams, init_encoder, loss_and_param_grads
 from .exceptions import ConfigError, DataError
 from .losses import LOSS_COLUMNS, loss_plan, positive_sets
-from .optim import OptimState, adamw_step, init_optim_state, pack
+from .optim import adamw_step, init_optim_state, pack
 from .records import SegmentTable
 from .utils import as_rng
 
@@ -82,10 +82,16 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class TrainState:
-    """Everything needed to continue a run exactly where it stopped."""
+    """Everything needed to continue a run exactly where it stopped.
+
+    ``m`` and ``v`` are Adam's moments, one array per parameter array in
+    ``flatten_params`` order; ``rng_state`` is the batch sampler's
+    generator state after ``steps_done`` steps.
+    """
 
     params: EncoderParams
-    optim: OptimState
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     rng_state: dict
     steps_done: int
 
@@ -94,7 +100,6 @@ class TrainState:
 class TrainResult:
     """``log`` holds one LOSS_COLUMNS row per step taken, the last at state.steps_done."""
 
-    params: EncoderParams
     log: np.ndarray
     state: TrainState
 
@@ -209,46 +214,36 @@ def train(
     """Run (or continue) contrastive training over a pristine dataset.
 
     Training data must be entirely pristine; a single manipulated segment
-    aborts the run.  With ``resume``, execution picks up at the recorded
-    step with the saved parameters, moments, and sampler stream, so an
+    aborts the run.  A fresh run starts from a step-0 state: ``init_encoder``
+    on a generator seeded with cfg.seed, zero moments, and that generator's
+    state.  Fresh and resumed runs then take the same path, so an
     interrupted run reproduces an uninterrupted one bit for bit.
     """
     p, k = cfg.identities_per_batch, cfg.segments_per_identity
     index = index_training_set(dataset, p, k)
-
-    if resume is None:
+    state = resume
+    if state is None:
         rng = np.random.default_rng(cfg.seed)
         params = init_encoder(index.audio.shape[1], index.video.shape[1], cfg.encoder, rng)
-        optim = init_optim_state(params)
-        start = 0
-    else:
-        params, optim = resume.params, resume.optim
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = resume.rng_state
-        start = resume.steps_done
-        if start > cfg.total_steps:
-            raise ConfigError(
-                f"resume state is at step {start}, beyond the configured {cfg.total_steps}"
-            )
+        state = TrainState(params, *init_optim_state(params), rng.bit_generator.state, 0)
+    if state.steps_done > cfg.total_steps:
+        raise ConfigError(f"resume state is at step {state.steps_done}, "
+                          f"beyond the configured {cfg.total_steps}")
 
     # Every batch holds p identities with k rows each, grouped by identity,
     # so one loss plan serves every step.  Packing copies, so a resumed
     # state is left as it was.
     plan = loss_plan(positive_sets(np.repeat(np.arange(p), k)))
-    flat = pack(params, optim)
-    log = np.empty((cfg.total_steps - start, len(LOSS_COLUMNS)))
+    flat = pack(state)
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = state.rng_state
+    log = np.empty((cfg.total_steps - state.steps_done, len(LOSS_COLUMNS)))
     for losses in log:
         rows = sample_batch(index, rng)
         grads, losses[:] = loss_and_param_grads(
-            flat.params, index.audio.take(rows, axis=0), index.video.take(rows, axis=0), plan,
-            cfg.tau, cfg.joint_weight,
+            flat.state.params, index.audio.take(rows, axis=0), index.video.take(rows, axis=0),
+            plan, cfg.tau, cfg.joint_weight,
         )
         adamw_step(flat, grads, cfg)
-
-    state = TrainState(
-        params=flat.params,
-        optim=flat.optim,
-        rng_state=rng.bit_generator.state,
-        steps_done=cfg.total_steps,
-    )
-    return TrainResult(params=flat.params, log=log, state=state)
+    flat.state.rng_state = rng.bit_generator.state
+    return TrainResult(log=log, state=flat.state)

@@ -4,8 +4,10 @@ import numpy as np
 
 from poif.encoder import encode_batch
 from poif.losses import loss_plan, positive_sets
+from poif.optim import init_optim_state
 from poif.records import SegmentRecord, SegmentTable
 from poif.scoring import FUSED, best_matches, build_reference, score_video
+from poif.training import TrainState
 
 EPS = np.finfo(np.float64).eps
 
@@ -106,3 +108,14 @@ def score_clip(segments, ref, params, tau, policy, statistic=FUSED):
 def embedded_reference(table, params, tau, **kwargs):
     """build_reference on the table's own embedding."""
     return build_reference(table, encode_batch(params, table.audio, table.video), tau, **kwargs)
+
+
+def step0(params, steps_done=0):
+    """A run state at steps_done: params, zero moments, and a seeded generator's state."""
+    return TrainState(params, *init_optim_state(params),
+                      np.random.default_rng(1).bit_generator.state, steps_done)
+
+
+def encoders_only(lines):
+    """A checkpoint's lines cut after its encoder sections."""
+    return lines[:next(i for i, line in enumerate(lines) if line.startswith("optim,"))]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from poif.encoder import EncoderParams, Mlp, encode_batch, mlp_forward
 from poif.fileio import ScoreRow
 from poif.losses import LOSS_COLUMNS, loss_and_embedding_grads
-from poif.optim import OptimState, flatten_params, unflatten_params
+from poif.optim import flatten_params, unflatten_params
 from poif.records import CHANNELS, ManipFlags, SegmentRecord, SegmentTable
 from poif.scoring import DecisionPolicy, best_matches, build_reference
 from poif.similarity import squared_distance_matrix
@@ -409,16 +410,16 @@ def scalar_adamw(w, g, m, v, t, lr, wd, b1, b2, eps):
     return w, m, v
 
 
-def per_array_adamw_step(params, state, grads, cfg):
-    """One AdamW update array by array: (params, OptimState) with fresh arrays.
+def per_array_adamw_step(state, grads, cfg):
+    """One AdamW update of a TrainState array by array, into a new TrainState of fresh arrays.
 
     The package's flat-buffer update must give the same bits.
     """
     lr, wd = cfg.learning_rate, cfg.weight_decay
     b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
-    t = state.step + 1
+    t = state.steps_done + 1
     new_p, new_m, new_v = [], [], []
-    for w, g, m, v in zip(flatten_params(params), flatten_params(grads), state.m, state.v):
+    for w, g, m, v in zip(flatten_params(state.params), flatten_params(grads), state.m, state.v):
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * (g * g)
         m_hat = m / (1.0 - b1 ** t)
@@ -427,7 +428,8 @@ def per_array_adamw_step(params, state, grads, cfg):
         new_p.append(w)
         new_m.append(m)
         new_v.append(v)
-    return unflatten_params(params, new_p), OptimState(m=new_m, v=new_v, step=t)
+    return replace(state, params=unflatten_params(state.params, new_p), m=new_m, v=new_v,
+                   steps_done=t)
 
 
 def phi(x: float) -> float:

@@ -24,6 +24,7 @@ from conftest import (
     index_bound,
     make_batch,
     score_clip,
+    step0,
 )
 from oracles import (
     calibration_check,
@@ -48,7 +49,7 @@ from poif.experiments import (
 )
 from poif.losses import LOSS_COLUMNS, loss_and_embedding_grads, loss_plan, positive_sets
 from poif.metrics import auc
-from poif.optim import adamw_step, flatten_params, init_optim_state, pack, unflatten_params
+from poif.optim import adamw_step, flatten_params, pack, unflatten_params
 from poif.records import CHANNELS, SegmentTable
 from poif.scoring import (
     DecisionPolicy,
@@ -112,7 +113,7 @@ def _run_seed(s: int) -> SeedResult:
                           batches_per_epoch=2000, seed=2000 + s,
                           encoder=EncoderConfig(2, 64, 32))
         result = train(train_world.segments, cfg)
-        params = result.params
+        params = result.state.params
         scores = score_segments(reference, test, params, TAU, policy)
         table = table_metrics(scores, p_fa=0.1)
         av_pd[lam] = sum(table[g]["av"].pd_at_fa for g in AUDIO_SHIFT_GROUPS) / 3.0
@@ -388,8 +389,8 @@ def test_c09_oracle_equivalences():
                 checked += 1
 
     init = init_encoder(3, 2, EncoderConfig(1, 4, 2), 42)
-    flat = pack(init, init_optim_state(init))
-    params = flat.params  # views of the buffers adamw_step updates in place
+    flat = pack(step0(init))
+    params = flat.state.params  # views of the buffers adamw_step updates in place
     cfg = TrainConfig(learning_rate=1e-3, weight_decay=0.01, epochs=1,
                       batches_per_epoch=1, tau=TAU)
     grad_rng = np.random.default_rng(911)

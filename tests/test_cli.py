@@ -13,6 +13,7 @@ from poif.scoring import SmallReferenceWarning
 pytestmark = pytest.mark.filterwarnings("ignore::poif.scoring.SmallReferenceWarning")
 import numpy as np
 
+from conftest import encoders_only
 from poif.fileio import (
     read_checkpoint,
     read_features,
@@ -24,7 +25,6 @@ from poif.fileio import (
     write_features,
     write_scores,
 )
-from poif.encoder import EncoderConfig, init_encoder
 from poif.records import ScoreTable
 
 TRAIN_ARGS = [
@@ -368,6 +368,19 @@ def test_resume_rejects_mismatched_settings(pipeline, tmp_path):
                  "--resume", pipeline["ckpt"], *mismatch]) == 2
 
 
+def test_resume_of_encoders_alone_is_a_config_error(pipeline, tmp_path, capsys):
+    """A checkpoint cut after its encoder sections scores, but cannot continue a run."""
+    lines = open(pipeline["ckpt"]).read().splitlines()
+    bare = tmp_path / "bare.ckpt"
+    bare.write_text("\n".join(encoders_only(lines)) + "\n")
+    out = tmp_path / "out.ckpt"
+    assert main(["train", "--features", pipeline["train_feats"], "--out", str(out),
+                 "--resume", str(bare), *TRAIN_ARGS]) == 2
+    assert f"poif: config error: checkpoint {bare} carries no resume state" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resume_rejects_impossible_step_counts(pipeline, tmp_path, capsys):
     lines = open(pipeline["ckpt"]).read().splitlines()
     assert lines[-1] == "steps_done,6"
@@ -467,8 +480,7 @@ def test_degenerate_reference_exit_code(pipeline, tmp_path):
 
 def test_score_requires_tau_from_somewhere(pipeline, tmp_path):
     bare = str(tmp_path / "bare.ckpt")
-    params = init_encoder(5, 4, EncoderConfig(1, 8, 3), 0)
-    write_checkpoint(bare, params, {"note": "no tau recorded"})
+    write_checkpoint(bare, read_checkpoint(pipeline["ckpt"]).state, {"note": "no tau recorded"})
     assert main(["score", "--checkpoint", bare, "--reference", pipeline["ref"],
                  "--test", pipeline["test"],
                  "--out", str(tmp_path / "s.txt")]) == 2

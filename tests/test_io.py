@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import assert_tables_equal
+from conftest import assert_tables_equal, encoders_only, step0
 from oracles import row_statistic, score_table_rows
 from poif import fileio
 from poif.encoder import EncoderConfig, init_encoder
@@ -25,7 +25,7 @@ from poif.fileio import (
     write_sweep,
     write_train_log,
 )
-from poif.optim import flatten_params, init_optim_state
+from poif.optim import flatten_params
 from poif.records import ManipFlags, ScoreTable, SegmentRecord, SegmentTable
 from poif.synthgen import WorldConfig, generate_world
 
@@ -203,12 +203,13 @@ def test_meta_lines_sorted_and_validated(tmp_path):
 
 
 def test_checkpoint_round_trip_weights_only(tmp_path):
-    path = str(tmp_path / "c.ckpt")
+    path = tmp_path / "c.ckpt"
     params = init_encoder(3, 4, EncoderConfig(2, 6, 5), 11)
-    write_checkpoint(path, params, {"tau": "0.5"})
-    ckpt = read_checkpoint(path)
+    write_checkpoint(str(path), step0(params), {"tau": "0.5"})
+    path.write_text("\n".join(encoders_only(path.read_text().splitlines())) + "\n")
+    ckpt = read_checkpoint(str(path))
     assert ckpt.meta["tau"] == "0.5"
-    assert not ckpt.can_resume
+    assert ckpt.state is None and not ckpt.can_resume and ckpt.steps_done is None
     for a, b in zip(flatten_params(params), flatten_params(ckpt.params)):
         np.testing.assert_array_equal(a, b)
 
@@ -216,21 +217,23 @@ def test_checkpoint_round_trip_weights_only(tmp_path):
 def test_checkpoint_round_trip_with_resume_state(tmp_path):
     path = str(tmp_path / "c.ckpt")
     params = init_encoder(3, 4, EncoderConfig(1, 4, 2), 2)
-    state = init_optim_state(params)
-    state.m = [np.full_like(a, 0.25) for a in state.m]
     rng = np.random.default_rng(77)
     rng.standard_normal(5)
-    rng_state = rng.bit_generator.state
-    write_checkpoint(path, params, {}, optim_step=13, optim_m=state.m,
-                     optim_v=state.v, rng_state=rng_state, steps_done=13)
+    state = replace(step0(params, 13), rng_state=rng.bit_generator.state)
+    state.m = [np.full_like(a, 0.25) for a in state.m]
+    write_checkpoint(path, state, {})
+    # the one step counter is written twice, as the file format has it
+    lines = open(path).read().splitlines()
+    assert f"optim,13,{len(state.m)}" in lines and lines[-1] == "steps_done,13"
     ckpt = read_checkpoint(path)
     assert ckpt.can_resume
-    assert ckpt.optim_step == 13 and ckpt.steps_done == 13
-    for a, b in zip(state.m, ckpt.optim_m):
+    assert ckpt.steps_done == ckpt.state.steps_done == 13
+    assert ckpt.state.params is ckpt.params
+    for a, b in zip(state.m + state.v, ckpt.state.m + ckpt.state.v):
         np.testing.assert_array_equal(a, b)
-    assert ckpt.rng_state == rng_state
+    assert ckpt.state.rng_state == state.rng_state
     restored = np.random.default_rng(0)
-    restored.bit_generator.state = ckpt.rng_state
+    restored.bit_generator.state = ckpt.state.rng_state
     np.testing.assert_array_equal(restored.standard_normal(3),
                                   np.random.default_rng(77).standard_normal(8)[5:])
 
@@ -238,10 +241,7 @@ def test_checkpoint_round_trip_with_resume_state(tmp_path):
 def test_checkpoint_reader_reports_malformed_integers(tmp_path):
     good = tmp_path / "c.ckpt"
     params = init_encoder(3, 4, EncoderConfig(1, 4, 2), 2)
-    state = init_optim_state(params)
-    write_checkpoint(str(good), params, {}, optim_step=3, optim_m=state.m,
-                     optim_v=state.v, rng_state=np.random.default_rng(1).bit_generator.state,
-                     steps_done=3)
+    write_checkpoint(str(good), step0(params, 3), {})
     lines = good.read_text().splitlines()
     assert lines[-1] == "steps_done,3"
     bad = tmp_path / "bad.ckpt"
@@ -256,37 +256,61 @@ def test_checkpoint_reader_reports_malformed_integers(tmp_path):
         read_checkpoint(str(bad))
 
 
-def test_checkpoint_reader_rejects_impossible_step_counts(tmp_path):
-    good = tmp_path / "c.ckpt"
+def checkpoint_lines(tmp_path, steps_done):
+    """The lines of a small checkpoint at steps_done, and a reader of edited lines."""
     params = init_encoder(3, 4, EncoderConfig(1, 4, 2), 2)
-    state = init_optim_state(params)
-    write_checkpoint(str(good), params, {}, optim_step=10, optim_m=state.m,
-                     optim_v=state.v, rng_state=np.random.default_rng(1).bit_generator.state,
-                     steps_done=10)
-    lines = good.read_text().splitlines()
-    at_optim = lines.index(f"optim,10,{len(state.m)}")
-    assert lines[-1] == "steps_done,10"
+    good = tmp_path / "c.ckpt"
+    write_checkpoint(str(good), step0(params, steps_done), {})
     bad = tmp_path / "bad.ckpt"
 
     def reads(edited):
         bad.write_text("\n".join(edited) + "\n")
         return read_checkpoint(str(bad))
 
+    return good.read_text().splitlines(), bad, reads
+
+
+def test_checkpoint_reader_rejects_impossible_step_counts(tmp_path):
+    lines, bad, reads = checkpoint_lines(tmp_path, 10)
+    at_optim = lines.index("optim,10,8")
+    assert lines[-1] == "steps_done,10"
+
     with pytest.raises(DataError, match=rf"{bad}: negative steps_done -3 at line {len(lines)}"):
         reads(lines[:-1] + ["steps_done,-3"])
     with pytest.raises(DataError, match=rf"{bad}: optim step 23 does not match steps_done 10 "
                                         rf"at line {len(lines)}"):
-        reads(lines[:at_optim] + [f"optim,23,{len(state.m)}"] + lines[at_optim + 1:])
+        reads(lines[:at_optim] + ["optim,23,8"] + lines[at_optim + 1:])
     with pytest.raises(DataError, match=rf"{bad}: negative optim step -1 at line {at_optim + 1}"):
-        reads(lines[:at_optim] + [f"optim,-1,{len(state.m)}"] + lines[at_optim + 1:-1])
-    # steps_done ahead of the optimizer section: the optim header is the
-    # second count read, so it is the line named
-    moved = lines[:at_optim] + ["steps_done,4"] + lines[at_optim:-1]
-    with pytest.raises(DataError, match=rf"{bad}: optim step 10 does not match steps_done 4 "
-                                        rf"at line {at_optim + 2}"):
-        reads(moved)
-    # a weights-only checkpoint with a count but no optimizer is fine
-    assert reads(lines[:at_optim] + ["steps_done,0"]).steps_done == 0
+        reads(lines[:at_optim] + ["optim,-1,8"] + lines[at_optim + 1:-1])
+
+
+def test_checkpoint_reader_refuses_partial_or_reordered_resume_state(tmp_path):
+    """The resume state is read in the writer's one order, and whole or not at all."""
+    lines, bad, reads = checkpoint_lines(tmp_path, 10)
+    at_optim = lines.index("optim,10,8")
+    rng_line = lines[-2]
+    assert rng_line.startswith("rng,PCG64,")
+    for edited, message in (
+        # a steps_done line ahead of the optim section, or in place of it
+        (lines[:at_optim] + ["steps_done,10"] + lines[at_optim:-1],
+         f"expected optim header, found 'steps_done' at line {at_optim + 1}"),
+        (lines[:at_optim] + ["steps_done,0"],
+         f"expected optim header, found 'steps_done' at line {at_optim + 1}"),
+        (lines[:at_optim] + [rng_line] + lines[at_optim:-2] + lines[-1:],
+         f"expected optim header, found 'rng' at line {at_optim + 1}"),
+        # the rng line missing, or the file cut before its last line
+        (lines[:-2] + lines[-1:],
+         f"expected rng line, found 'steps_done' at line {len(lines) - 1}"),
+        (lines[:-1], f"truncated file at line {len(lines)}"),
+        (lines[:at_optim + 3], f"truncated file at line {at_optim + 4}"),
+        # a section after the last one
+        (lines + ["steps_done,10"],
+         f"trailing data after last checkpoint section at line {len(lines) + 1}"),
+    ):
+        with pytest.raises(DataError, match=rf"^{re.escape(f'{bad}: {message}')}$"):
+            reads(edited)
+    # the encoders alone are a checkpoint without resume state
+    assert reads(encoders_only(lines)).state is None
 
 
 def score_table():
@@ -404,6 +428,10 @@ SCORE_READER_ERRORS = {
                     "expected 13 fields, found 12", 5),
     "bad_flag": (_set_score_fields(1, {3: "x"}), "malformed score row flags", 5),
     "pristine_with_flags": (_set_score_fields(0, {4: "1"}), "malformed score row flags", 4),
+    # a flag is 0 or 1, as in a feature file: 2 or -1 is refused, not read as set
+    "flag_two": (_set_score_fields(1, {3: "2"}), "manipulation flags must be 0 or 1", 5),
+    "flag_minus_one": (_set_score_fields(0, {3: "2", 4: "-1"}),
+                       "manipulation flags must be 0 or 1", 4),
     "invalid_combination": (_set_score_fields(1, {4: "0", 5: "1"}),
                             "malformed score row flags", 5),
     "bad_float": (_set_score_fields(1, {8: "oops"}), "unparseable float", 5),
@@ -491,16 +519,15 @@ def test_fmt_row_matches_per_scalar_fmt():
 
 def test_checkpoint_writer_refuses_non_finite_and_leaves_no_file(tmp_path):
     params = init_encoder(3, 4, EncoderConfig(1, 4, 2), 2)
-    state = init_optim_state(params)
+    state = step0(params, 1)
     state.m[1] = state.m[1].copy()
     state.m[1][0] = np.nan
     path = tmp_path / "c.ckpt"
     with pytest.raises(ValueError, match="non-finite"):
-        write_checkpoint(str(path), params, {}, optim_step=1, optim_m=state.m,
-                         optim_v=state.v, steps_done=1)
+        write_checkpoint(str(path), state, {})
     params.video.weights[0][1, 2] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        write_checkpoint(str(path), params, {})
+        write_checkpoint(str(path), step0(params), {})
     assert list(tmp_path.iterdir()) == []
 
 

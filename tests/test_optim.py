@@ -1,17 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import step0
 from oracles import clone_params, per_array_adamw_step, scalar_adamw
 from poif.encoder import EncoderConfig, init_encoder
 from poif.fileio import read_checkpoint, write_checkpoint
-from poif.optim import (
-    OptimState,
-    adamw_step,
-    flatten_params,
-    init_optim_state,
-    pack,
-    unflatten_params,
-)
+from poif.optim import adamw_step, flatten_params, pack, unflatten_params
 from poif.training import TrainConfig
 
 
@@ -26,11 +22,11 @@ def cfg(**kw):
     return TrainConfig(**defaults)
 
 
-def one_step(params, state, grads, c):
-    """Pack, step once, and return the new parameters and state."""
-    flat = pack(params, state)
+def one_step(state, grads, c):
+    """Pack, step once, and return the new state."""
+    flat = pack(state)
     adamw_step(flat, grads, c)
-    return flat.params, flat.optim
+    return flat.state
 
 
 def test_flatten_order_and_round_trip():
@@ -47,24 +43,22 @@ def test_flatten_order_and_round_trip():
 
 def test_zero_gradient_step_is_pure_weight_decay():
     params = small_params()
-    state = init_optim_state(params)
     grads = unflatten_params(params, [np.zeros_like(a) for a in flatten_params(params)])
     c = cfg()
-    new_params, new_state = one_step(params, state, grads, c)
-    for w0, w1 in zip(flatten_params(params), flatten_params(new_params)):
+    new_state = one_step(step0(params), grads, c)
+    for w0, w1 in zip(flatten_params(params), flatten_params(new_state.params)):
         np.testing.assert_allclose(w1, w0 * (1.0 - c.learning_rate * c.weight_decay),
                                    rtol=1e-14, atol=0)
-    assert new_state.step == 1
+    assert new_state.steps_done == 1
     assert all(np.all(m == 0.0) for m in new_state.m)
     assert all(np.all(v == 0.0) for v in new_state.v)
 
 
 def test_first_step_has_full_bias_correction():
     params = small_params(1)
-    state = init_optim_state(params)
     grads = clone_params(params)  # any nonzero arrays will do
     c = cfg()
-    new_params, _ = one_step(params, state, grads, c)
+    new_params = one_step(step0(params), grads, c).params
     for w, g, w1 in zip(flatten_params(params), flatten_params(grads),
                         flatten_params(new_params)):
         expected = w - c.learning_rate * (g / (np.abs(g) + c.epsilon)) \
@@ -75,7 +69,7 @@ def test_first_step_has_full_bias_correction():
 def test_trajectory_matches_scalar_reference():
     """1000 steps against an elementwise pure-Python reference."""
     params = small_params(2)
-    flat = pack(params, init_optim_state(params))
+    flat = pack(step0(params))
     c = cfg(learning_rate=3e-3, weight_decay=0.02)
     rng = np.random.default_rng(42)
 
@@ -95,9 +89,9 @@ def test_trajectory_matches_scalar_reference():
                     c.learning_rate, c.weight_decay, c.beta1, c.beta2, c.epsilon,
                 )
 
-    assert flat.optim.step == 1000
+    assert flat.state.steps_done == 1000
     worst = 0.0
-    for idx, w in enumerate(flatten_params(flat.params)):
+    for idx, w in enumerate(flatten_params(flat.state.params)):
         for pos, val in np.ndenumerate(w):
             worst = max(worst, abs(float(val) - shadow[(idx, pos)][0]))
     assert worst <= 1e-12
@@ -105,11 +99,11 @@ def test_trajectory_matches_scalar_reference():
 
 def test_pack_leaves_its_inputs_untouched():
     params = small_params(3)
-    state = init_optim_state(params)
+    state = step0(params)
     before = [a.copy() for a in flatten_params(params)]
-    flat = pack(params, state)
+    flat = pack(state)
     adamw_step(flat, clone_params(params), cfg())
-    assert flat.optim.step == 1 and state.step == 0
+    assert flat.state.steps_done == 1 and state.steps_done == 0
     for a, b in zip(flatten_params(params), before):
         np.testing.assert_array_equal(a, b)
     assert all(np.all(m == 0.0) for m in state.m)
@@ -118,26 +112,26 @@ def test_pack_leaves_its_inputs_untouched():
 
 def test_shape_mismatch_is_rejected():
     params = small_params(4)
-    state = init_optim_state(params)
+    state = step0(params)
     bad = clone_params(params)
     bad.audio.weights[0] = np.zeros((1, 1))
     with pytest.raises(ValueError, match="gradient shape"):
-        adamw_step(pack(params, state), bad, cfg())
+        adamw_step(pack(state), bad, cfg())
     # moments that do not match the parameters are refused when packed
     state.v[2] = np.zeros(7)
     with pytest.raises(ValueError, match="moment shapes"):
-        pack(params, state)
+        pack(state)
     with pytest.raises(ValueError, match="tracks 7 arrays"):
-        pack(params, OptimState(state.m[:7], state.v[:7]))
+        pack(replace(state, m=state.m[:7], v=state.v[:7]))
 
 
 def random_grads(params, rng):
     return unflatten_params(params, [rng.standard_normal(a.shape) for a in flatten_params(params)])
 
 
-def assert_same_bits(a_params, a_state, b_params, b_state):
-    assert a_state.step == b_state.step
-    for name, xs, ys in (("params", flatten_params(a_params), flatten_params(b_params)),
+def assert_same_bits(a_state, b_state):
+    assert a_state.steps_done == b_state.steps_done
+    for name, xs, ys in (("params", flatten_params(a_state.params), flatten_params(b_state.params)),
                          ("m", a_state.m, b_state.m), ("v", a_state.v, b_state.v)):
         assert len(xs) == len(ys)
         for i, (x, y) in enumerate(zip(xs, ys)):
@@ -149,20 +143,20 @@ def test_flat_buffers_match_per_array_oracle_bit_for_bit():
     params = init_encoder(5, 3, EncoderConfig(2, 8, 4), 6)
     c = cfg(learning_rate=3e-3, weight_decay=0.02)
     rng = np.random.default_rng(11)
-    flat = pack(params, init_optim_state(params))
-    views = flatten_params(flat.params) + flat.optim.m + flat.optim.v
-    oracle = (params, init_optim_state(params))
+    flat = pack(step0(params))
+    views = flatten_params(flat.state.params) + flat.state.m + flat.state.v
+    oracle = step0(params)
     for _ in range(250):
         grads = random_grads(params, rng)
         adamw_step(flat, grads, c)
-        oracle = per_array_adamw_step(*oracle, grads, c)
-        assert_same_bits(flat.params, flat.optim, *oracle)
+        oracle = per_array_adamw_step(oracle, grads, c)
+        assert_same_bits(flat.state, oracle)
     # the buffers were updated in place: the arrays are the views packed at the start
-    now = flatten_params(flat.params) + flat.optim.m + flat.optim.v
+    now = flatten_params(flat.state.params) + flat.state.m + flat.state.v
     assert all(a is b for a, b in zip(now, views))
     assert all(np.shares_memory(a, buf) for arrays, buf in (
-        (flatten_params(flat.params), flat.w), (flat.optim.m, flat.m), (flat.optim.v, flat.v))
-        for a in arrays)
+        (flatten_params(flat.state.params), flat.w), (flat.state.m, flat.m),
+        (flat.state.v, flat.v)) for a in arrays)
 
 
 def test_edits_through_the_views_reach_the_update():
@@ -170,18 +164,17 @@ def test_edits_through_the_views_reach_the_update():
     params = small_params(5)
     c = cfg()
     rng = np.random.default_rng(3)
-    flat = pack(params, init_optim_state(params))
+    flat = pack(step0(params))
     adamw_step(flat, random_grads(params, rng), c)
     grads = random_grads(params, rng)
 
-    flat.optim.m[1] += 0.5                      # edits through views
-    flat.params.video.weights[0][0, 0] += 0.25
-    want = per_array_adamw_step(clone_params(flat.params),
-                                OptimState([a.copy() for a in flat.optim.m],
-                                           [a.copy() for a in flat.optim.v], flat.optim.step),
-                                grads, c)
+    flat.state.m[1] += 0.5                      # edits through views
+    flat.state.params.video.weights[0][0, 0] += 0.25
+    copy = replace(flat.state, params=clone_params(flat.state.params),
+                   m=[a.copy() for a in flat.state.m], v=[a.copy() for a in flat.state.v])
+    want = per_array_adamw_step(copy, grads, c)
     adamw_step(flat, grads, c)
-    assert_same_bits(flat.params, flat.optim, *want)
+    assert_same_bits(flat.state, want)
 
 
 def test_checkpoint_mid_run_resumes_to_identical_bytes(tmp_path):
@@ -190,20 +183,17 @@ def test_checkpoint_mid_run_resumes_to_identical_bytes(tmp_path):
     c = cfg(learning_rate=2e-3)
     grads = [random_grads(params0, np.random.default_rng(1000 + t)) for t in range(200)]
 
-    def run(params, state, steps):
-        flat = pack(params, state)
+    def run(state, steps):
+        flat = pack(state)
         for t in steps:
             adamw_step(flat, grads[t], c)
-        return flat.params, flat.optim
+        return flat.state
 
-    def save(path, params, state):
-        write_checkpoint(str(path), params, {"tau": "0.5"}, optim_step=state.step,
-                         optim_m=state.m, optim_v=state.v, steps_done=state.step)
+    def save(path, state):
+        write_checkpoint(str(path), state, {"tau": "0.5"})
         return path.read_bytes()
 
-    full = save(tmp_path / "full.ckpt", *run(params0, init_optim_state(params0), range(200)))
-    save(tmp_path / "half.ckpt", *run(params0, init_optim_state(params0), range(100)))
-    ckpt = read_checkpoint(str(tmp_path / "half.ckpt"))
-    resumed = run(ckpt.params, OptimState(ckpt.optim_m, ckpt.optim_v, ckpt.optim_step),
-                  range(100, 200))
-    assert save(tmp_path / "resumed.ckpt", *resumed) == full
+    full = save(tmp_path / "full.ckpt", run(step0(params0), range(200)))
+    save(tmp_path / "half.ckpt", run(step0(params0), range(100)))
+    resumed = run(read_checkpoint(str(tmp_path / "half.ckpt")).state, range(100, 200))
+    assert save(tmp_path / "resumed.ckpt", resumed) == full

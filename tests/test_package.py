@@ -1,7 +1,7 @@
 """The package's export list."""
 
 import poif
-from poif import losses, training
+from poif import losses, optim, training
 
 
 def test_every_exported_name_resolves_and_the_object_apis_are_gone():
@@ -11,3 +11,5 @@ def test_every_exported_name_resolves_and_the_object_apis_are_gone():
         assert gone not in poif.__all__ and not hasattr(poif, gone)
     # loss rows and training logs are arrays
     assert not hasattr(losses, "LossReport") and not hasattr(training, "TrainStep")
+    # a run's resumable state is one TrainState
+    assert not hasattr(optim, "OptimState")

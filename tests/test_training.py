@@ -174,7 +174,7 @@ def test_train_ignores_dataset_order():
     cfg = tiny_cfg(batches_per_epoch=20)
     a = train(table, cfg)
     b = train(shuffled(table, seed=1), cfg)
-    for wa, wb in zip(flatten_params(a.params), flatten_params(b.params)):
+    for wa, wb in zip(flatten_params(a.state.params), flatten_params(b.state.params)):
         np.testing.assert_array_equal(wa, wb)
     assert np.array_equal(a.log, b.log)
     assert a.state.rng_state == b.state.rng_state
@@ -224,7 +224,7 @@ def test_train_same_config_is_bit_reproducible():
     world = tiny_world()
     a = train(world.segments, tiny_cfg())
     b = train(world.segments, tiny_cfg())
-    for wa, wb in zip(flatten_params(a.params), flatten_params(b.params)):
+    for wa, wb in zip(flatten_params(a.state.params), flatten_params(b.state.params)):
         np.testing.assert_array_equal(wa, wb)
     assert np.array_equal(a.log[:, -1], b.log[:, -1])
     assert a.state.rng_state == b.state.rng_state
@@ -246,7 +246,7 @@ def test_resume_reproduces_uninterrupted_run():
     full = train(world.segments, tiny_cfg(batches_per_epoch=12))
     half = train(world.segments, tiny_cfg(batches_per_epoch=6))
     resumed = train(world.segments, tiny_cfg(batches_per_epoch=12), resume=half.state)
-    for wa, wb in zip(flatten_params(full.params), flatten_params(resumed.params)):
+    for wa, wb in zip(flatten_params(full.state.params), flatten_params(resumed.state.params)):
         np.testing.assert_array_equal(wa, wb)
     assert full.state.rng_state == resumed.state.rng_state
     assert resumed.state.steps_done == 12
@@ -256,10 +256,7 @@ def test_resume_reproduces_uninterrupted_run():
 
 
 def checkpoint_bytes(path, result):
-    state = result.state
-    write_checkpoint(str(path), state.params, {"tau": "0.5"}, optim_step=state.optim.step,
-                     optim_m=state.optim.m, optim_v=state.optim.v, rng_state=state.rng_state,
-                     steps_done=state.steps_done)
+    write_checkpoint(str(path), result.state, {"tau": "0.5"})
     return path.read_bytes()
 
 
@@ -279,14 +276,14 @@ def test_train_leaves_its_resume_arrays_untouched():
     world = tiny_world()
     half = train(world.segments, tiny_cfg(batches_per_epoch=6))
     state = half.state
-    arrays = flatten_params(state.params) + state.optim.m + state.optim.v
+    arrays = flatten_params(state.params) + state.m + state.v
     before = [a.copy() for a in arrays]
     rng_state = {**state.rng_state, "state": dict(state.rng_state["state"])}
     resumed = train(world.segments, tiny_cfg(batches_per_epoch=12), resume=state)
     assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
-    assert state.optim.step == state.steps_done == 6
+    assert state.steps_done == 6
     assert state.rng_state == rng_state
-    assert not any(np.shares_memory(a, b) for a in flatten_params(resumed.params)
+    assert not any(np.shares_memory(a, b) for a in flatten_params(resumed.state.params)
                    for b in arrays)
 
 
@@ -304,7 +301,7 @@ def test_zero_epochs_returns_initialization():
     assert result.log.shape == (0, len(LOSS_COLUMNS))
     assert result.state.steps_done == 0
     init = init_encoder(5, 4, cfg.encoder, np.random.default_rng(cfg.seed))
-    for wa, wb in zip(flatten_params(result.params), flatten_params(init)):
+    for wa, wb in zip(flatten_params(result.state.params), flatten_params(init)):
         np.testing.assert_array_equal(wa, wb)
 
 
