@@ -356,23 +356,23 @@ def _cmd_train(args) -> int:
 
 
 def _scoring_inputs(merged) -> tuple:
-    ckpt = fileio.read_encoders(_need_input(merged, "checkpoint", "--checkpoint"))
+    meta, params = fileio.read_encoders(_need_input(merged, "checkpoint", "--checkpoint"))
     _, reference = fileio.read_feature_table(_need_input(merged, "reference", "--reference"))
     _, test = fileio.read_feature_table(_need_input(merged, "test", "--test"))
     if merged["tau"] is None:
-        if "tau" not in ckpt.meta:
+        if "tau" not in meta:
             raise ConfigError("no --tau given and the checkpoint records none")
-        merged["tau"] = float(ckpt.meta["tau"])
-    return ckpt, reference, test
+        merged["tau"] = float(meta["tau"])
+    return params, reference, test
 
 
 def _cmd_score(args) -> int:
     merged = _resolve(args, _SCORE_SPEC)
-    ckpt, reference, test = _scoring_inputs(merged)
+    params, reference, test = _scoring_inputs(merged)
     out = _need(merged, "out", "--out")
     policy = DecisionPolicy(p_fa=merged["p_fa"])
     scores = experiments.score_segments(
-        reference, test, ckpt.params, merged["tau"], policy,
+        reference, test, params, merged["tau"], policy,
         statistic=_STATISTIC_BY_FLAG[merged["statistic"]],
     )
     meta = _echo_meta(merged, {"threshold": policy.threshold})
@@ -416,11 +416,11 @@ def _cmd_sweep(args) -> int:
     values = _need(merged, "values", "--values")
     if any(v < 1 for v in values):
         raise ConfigError(f"sweep values must be integers >= 1, got {values}")
-    ckpt, reference, test = _scoring_inputs(merged)
+    params, reference, test = _scoring_inputs(merged)
     out = _need(merged, "out", "--out")
     axis = _need(merged, "axis", "--axis")
     rows = experiments.sweep_rows(
-        axis, values, reference, test, ckpt.params, merged["tau"],
+        axis, values, reference, test, params, merged["tau"],
         statistic=_STATISTIC_BY_FLAG[merged["statistic"]],
         ref_total=merged["ref_total"],
     )

@@ -20,7 +20,7 @@ from .exceptions import ConfigError, DataError
 from .losses import LOSS_COLUMNS
 from .optim import flatten_params
 from .records import (
-    FAKE, FLAG_COLUMNS, REAL, VALID_FLAGS, ManipFlags, ScoreTable, SegmentTable, valid_flag_rows,
+    FAKE, FLAG_COLUMNS, REAL, ManipFlags, ScoreTable, SegmentTable, valid_flag_rows,
 )
 from .training import TrainState
 
@@ -36,8 +36,6 @@ SCORE_COLUMNS = (
     "video_id,identity_id,n_segments,is_fake,v,a,ai,blend,"
     "norm_video,norm_audio,norm_av,fused,decision"
 )
-REPORT_COLUMNS = "metric,group,n_real,n_fake,video,audio,av,fusion"
-SWEEP_COLUMNS = "axis,x,class,n_real,n_fake,auc"
 LOG_COLUMNS = ",".join(("step",) + LOSS_COLUMNS)
 UNDEFINED = "undefined"
 
@@ -59,8 +57,10 @@ def fmt_row(values) -> str:
 
 
 def _check_id(value: str, name: str) -> str:
-    if not value or "," in value or "\n" in value:
-        raise DataError(f"{name} must be non-empty and comma-free, got {value!r}")
+    # a row whose first field starts with "#" would read back as a meta line
+    if not value or "," in value or "\n" in value or value.startswith("#"):
+        raise DataError(f"{name} must be non-empty and comma-free, without a leading '#', "
+                        f"got {value!r}")
     return value
 
 
@@ -68,7 +68,8 @@ def _meta_lines(meta: Mapping[str, str]) -> list[str]:
     lines = []
     for k in sorted(meta):
         v = str(meta[k])
-        if "\n" in k or "\n" in v or "=" in k:
+        # the reader strips the whitespace around a key and after a value
+        if "\n" in k or "\n" in v or "=" in k or k != k.strip() or v != v.strip():
             raise ValueError(f"bad meta entry {k!r}={v!r}")
         lines.append(f"# {k}={v}")
     return lines
@@ -101,12 +102,6 @@ class _Lines:
         if not self.at_end():
             self.pos += 1
             self.fail(f"trailing data after last {what}")
-
-    def check_ids(self, fields: Sequence[str], names: Sequence[str]):
-        """Fail naming the first of the leading id fields that is empty."""
-        for value, name in zip(fields, names):
-            if not value:
-                self.fail(f"{name} must be non-empty")
 
     def parse_int(self, field: str, name: str) -> int:
         """Parse one integer field of the current line, or fail naming it."""
@@ -150,14 +145,15 @@ def _table_head(magic: str, count: int, meta: Mapping[str, str], columns: str) -
     return [f"{magic},{FORMAT_VERSION},{count}", *_meta_lines(meta), columns]
 
 
-def _open_table(path: str, magic: str, columns: str, noun: str):
-    """(lines, row count, meta) of a table file, positioned at its first row."""
+def _open(path: str, magic: str, n_counts: int, columns: str | None = None, noun: str = ""):
+    """(lines, header counts, meta) of a file, positioned at its first row: past
+    the column line, which must equal ``columns``, when one is given."""
     lines = _Lines(path)
-    (count,) = _read_header(lines, magic, 1)
+    counts = _read_header(lines, magic, n_counts)
     meta = _read_meta(lines)
-    if lines.next() != columns:
+    if columns is not None and lines.next() != columns:
         lines.fail(f"unexpected {noun} columns")
-    return lines, count, meta
+    return lines, counts, meta
 
 
 def _parse_floats(fields: Sequence[str], n: int, lines: _Lines) -> np.ndarray:
@@ -172,8 +168,8 @@ def _parse_floats(fields: Sequence[str], n: int, lines: _Lines) -> np.ndarray:
     return values
 
 
-def _write(path: str, lines: Iterable[str]):
-    """Write lines as they come to a temporary file, then move it onto path.
+def _write(path: str, *parts: Iterable[str]):
+    """Write the lines of each part as they come to a temporary file, then move it onto path.
 
     A line that fails to format leaves neither path nor the temporary file.
     """
@@ -181,139 +177,211 @@ def _write(path: str, lines: Iterable[str]):
     f = open(tmp, "w", encoding="ascii")
     try:
         with f:
-            for line in lines:
-                f.write(line)
-                f.write("\n")
+            for lines in parts:
+                for line in lines:
+                    f.write(line)
+                    f.write("\n")
     except BaseException:
         os.unlink(tmp)
         raise
     os.replace(tmp, path)
 
 
-# -- features -----------------------------------------------------------
+# -- feature and score rows ---------------------------------------------
 
-def write_features(path: str, table: SegmentTable, meta: Mapping[str, str]):
-    if not len(table):
-        raise DataError("refusing to write an empty feature file")
-    _write(path, _feature_lines(table, meta))
+@dataclass(frozen=True)
+class _RowLayout:
+    """A feature or score row: two ids, a count (at least count_floor), the four
+    flag bits, the (name, width) groups of floats, each checked whole before the
+    next, and, in a score row, a decision word.  unit_blend: blend in [0, 1]."""
 
+    ids: tuple[str, str]
+    count: str
+    count_floor: int
+    count_rule: str
+    groups: tuple[tuple[str, int], ...]
+    decision: bool
+    unit_blend: bool
+    noun: str
 
-def _feature_lines(table: SegmentTable, meta: Mapping[str, str]):
-    yield (f"{FEAT_MAGIC},{FORMAT_VERSION},{table.audio.shape[1]},{table.video.shape[1]},"
-           f"{len(table)}")
-    yield from _meta_lines(meta)
-    # One row at a time, written as it is made: a whole-table float matrix
-    # or the whole list of lines would stay alive and raise the peak memory.
-    for row, (identity, video_id, index) in enumerate(zip(
-            table.identity_ids.tolist(), table.video_ids.tolist(), table.segment_index.tolist())):
-        yield ",".join([
-            _check_id(identity, "identity_id"),
-            _check_id(video_id, "video_id"),
-            str(index),
-            *("1" if bit else "0" for bit in table.flags[row]),
-            fmt_row(np.concatenate((table.blend[row:row + 1], table.audio[row],
-                                    table.video[row]))),
-        ])
+    @property
+    def width(self) -> int:
+        return 7 + sum(n for _, n in self.groups) + self.decision
 
 
-def _fail_feature_row(lines: _Lines, fields: Sequence[str], da: int, dv: int):
-    """Raise the error of one bad feature row.
-
-    The checks run in the order the row's fields are read, so the message
-    is the one a field-by-field reader would give for this row.
-    """
-    if len(fields) != 8 + da + dv:
-        lines.fail(f"expected {8 + da + dv} fields, found {len(fields)}")
-    lines.check_ids(fields, ("identity_id", "video_id"))
-    try:
-        segment_index = int(fields[2])
-        bits = [int(b) for b in fields[3:7]]
-    except ValueError:
-        lines.fail("malformed segment row")
-    if any(b not in (0, 1) for b in bits):
-        lines.fail("manipulation flags must be 0 or 1")
-    blend = float(_parse_floats(fields[7:8], 1, lines)[0])
-    _parse_floats(fields[8:8 + da], da, lines)
-    _parse_floats(fields[8 + da:], dv, lines)
-    try:
-        ManipFlags(*(bool(b) for b in bits))
-    except DataError as e:
-        lines.fail(str(e))
-    for dim, name in ((da, "audio"), (dv, "video")):
-        if dim == 0:
-            lines.fail(f"{name} feature vector is empty")
-    if segment_index < 0:
-        lines.fail(f"segment_index must be non-negative, got {segment_index}")
-    if not 0.0 <= blend <= 1.0:
-        lines.fail(f"blend must lie in [0, 1], got {blend}")
-    lines.fail("malformed segment row")  # an index too large for int64
+def _feature_rows(da: int, dv: int) -> _RowLayout:
+    return _RowLayout(("identity_id", "video_id"), "segment_index", 0,
+                      "segment_index must be non-negative, got {}",
+                      (("blend", 1), ("audio", da), ("video", dv)), False, True, "segment")
 
 
-def read_feature_table(path: str) -> tuple[dict[str, str], SegmentTable]:
-    """Read a feature file into columns.
+# The floats are blend, norm_video, norm_audio, norm_av and fused.
+_SCORE_ROWS = _RowLayout(("video_id", "identity_id"), "n_segments", 1,
+                         "n_segments must be >= 1, got {}", (("score", 5),), True, False,
+                         "score row")
 
-    Each payload line fills one row of preallocated arrays (split, then
-    int() and float() per field; a row that fails them or has an empty id
-    stops the loop); the range, flag and finiteness checks then run once
-    over the arrays.  The first bad row, if any, is re-read by
-    ``_fail_feature_row`` for its exact error and line.
-    """
-    lines = _Lines(path)
-    da, dv, count = _read_header(lines, FEAT_MAGIC, 3)
-    meta = _read_meta(lines)
+
+def _row_lines(layout: _RowLayout, ids: Sequence[np.ndarray], counts: np.ndarray,
+               flags: np.ndarray, blocks: Sequence[np.ndarray]):
+    """One line per row, without a decision word: ids, count, flag bits, then the
+    floats of each (n, k) block.  Each line is made as it is written: a whole-table
+    float matrix or list of lines would raise the peak memory."""
+    first, second = layout.ids
+    for a, b, count, bits, *parts in zip(ids[0].tolist(), ids[1].tolist(), counts.tolist(),
+                                         flags.tolist(), *blocks):
+        yield ",".join([_check_id(a, first), _check_id(b, second), str(count),
+                        *("1" if bit else "0" for bit in bits), fmt_row(np.concatenate(parts))])
+
+
+def _read_rows(lines: _Lines, count: int, layout: _RowLayout):
+    """The next count rows as (first ids, second ids, counts, flags, floats, words).
+
+    Each line fills one row of preallocated arrays; a row that fails int() or
+    float(), or has an empty id, stops the loop.  The other checks then run
+    once over the arrays, and ``_fail_row`` re-reads the first bad row for
+    its error.  words, the decision words, is None in a feature table."""
     start = lines.pos
     payload = lines.lines[start:start + count]
     n = len(payload)
-    identity_ids: list[str] = [""] * n
-    video_ids: list[str] = [""] * n
-    ints = np.zeros((n, 5), dtype=np.int64)  # segment_index, then the four flags
-    floats = np.zeros((n, 1 + da + dv))      # blend, audio, video
+    firsts, seconds = [""] * n, [""] * n
+    width = layout.width
+    end = width - layout.decision
+    ints = np.zeros((n, 5), dtype=np.int64)  # the count, then the four flags
+    floats = np.zeros((n, end - 7))
     filled = n
     for i, line in enumerate(payload):
         fields = line.split(",")
         try:
-            if len(fields) != 8 + da + dv or not (fields[0] and fields[1]):
+            if len(fields) != width or not (fields[0] and fields[1]):
                 raise ValueError
             ints[i] = [int(f) for f in fields[2:7]]
-            floats[i] = [float(f) for f in fields[7:]]
+            floats[i] = [float(f) for f in fields[7:end]]
         except (ValueError, OverflowError):
             filled = i
             break
-        identity_ids[i] = fields[0]
-        video_ids[i] = fields[1]
+        firsts[i], seconds[i] = fields[0], fields[1]
 
-    flag_ints = ints[:filled, 1:]
-    blend = floats[:filled, 0]
-    bad = ((flag_ints != 0) & (flag_ints != 1)).any(axis=1)
+    bad = ~valid_flag_rows(ints[:filled, 1:])
     bad |= ~np.isfinite(floats[:filled]).all(axis=1)
-    bad |= ~valid_flag_rows(flag_ints != 0)
-    bad |= ints[:filled, 0] < 0
-    bad |= ~((blend >= 0.0) & (blend <= 1.0))
-    if da == 0 or dv == 0:
+    bad |= ints[:filled, 0] < layout.count_floor
+    if layout.unit_blend:
+        bad |= ~((floats[:filled, 0] >= 0.0) & (floats[:filled, 0] <= 1.0))
+    words = None
+    if layout.decision:
+        words = np.array([line[line.rfind(",") + 1:] for line in payload[:filled]], dtype=str)
+        bad |= (words != REAL) & (words != FAKE)
+    if any(w == 0 for _, w in layout.groups):
         bad[:] = True
     first = int(np.argmax(bad)) if bad.any() else filled
     if first < n:
         lines.pos = start + first + 1
-        _fail_feature_row(lines, payload[first].split(","), da, dv)
+        _fail_row(lines, payload[first].split(","), layout)
     lines.pos = start + n
     if n < count:
         lines.next()  # raises: truncated file
-    lines.expect_end("segment")
-    return meta, SegmentTable(
-        identity_ids=np.array(identity_ids, dtype=str),
-        video_ids=np.array(video_ids, dtype=str),
-        segment_index=ints[:, 0].copy(),
-        flags=ints[:, 1:] == 1,
-        blend=floats[:, 0].copy(),
-        audio=np.ascontiguousarray(floats[:, 1:1 + da]),
-        video=np.ascontiguousarray(floats[:, 1 + da:]),
-    )
+    lines.expect_end(layout.noun)
+    return (np.array(firsts, dtype=str), np.array(seconds, dtype=str), ints[:, 0].copy(),
+            ints[:, 1:] == 1, floats, words)
+
+
+def _fail_row(lines: _Lines, fields: Sequence[str], layout: _RowLayout):
+    """Raise the error of one bad row, checking its fields in the order they are read."""
+    if len(fields) != layout.width:
+        lines.fail(f"expected {layout.width} fields, found {len(fields)}")
+    for value, name in zip(fields, layout.ids):
+        if not value:
+            lines.fail(f"{name} must be non-empty")
+    count, *bits = [lines.parse_int(field, name) for field, name in
+                    zip(fields[2:7], (layout.count, *FLAG_COLUMNS))]
+    if any(b not in (0, 1) for b in bits):
+        lines.fail("manipulation flags must be 0 or 1")
+    at = 7
+    for _, n in layout.groups:
+        _parse_floats(fields[at:at + n], n, lines)
+        at += n
+    if layout.decision and fields[-1] not in (REAL, FAKE):
+        lines.fail(f"bad decision {fields[-1]!r}")
+    try:
+        ManipFlags(*map(bool, bits))
+    except DataError as e:
+        lines.fail(str(e))
+    for name, n in layout.groups:
+        if n == 0:
+            lines.fail(f"{name} feature vector is empty")
+    if count < layout.count_floor:
+        lines.fail(layout.count_rule.format(count))
+    if layout.unit_blend and not 0.0 <= float(fields[7]) <= 1.0:
+        lines.fail(f"blend must lie in [0, 1], got {float(fields[7])}")
+    lines.fail(f"malformed {layout.count} {fields[2]!r}")  # a count too large for int64
+
+
+def write_features(path: str, table: SegmentTable, meta: Mapping[str, str]):
+    if not len(table):
+        raise DataError("refusing to write an empty feature file")
+    da, dv = table.audio.shape[1], table.video.shape[1]
+    _write(path, [f"{FEAT_MAGIC},{FORMAT_VERSION},{da},{dv},{len(table)}", *_meta_lines(meta)],
+           _row_lines(_feature_rows(da, dv), (table.identity_ids, table.video_ids),
+                      table.segment_index, table.flags,
+                      (table.blend[:, None], table.audio, table.video)))
+
+
+def read_feature_table(path: str) -> tuple[dict[str, str], SegmentTable]:
+    """Read a feature file into columns, through ``_read_rows``."""
+    lines, (da, dv, count), meta = _open(path, FEAT_MAGIC, 3)
+    *columns, floats, _ = _read_rows(lines, count, _feature_rows(da, dv))
+    return meta, SegmentTable(*columns, blend=floats[:, 0].copy(),
+                              audio=np.ascontiguousarray(floats[:, 1:1 + da]),
+                              video=np.ascontiguousarray(floats[:, 1 + da:]))
 
 
 def read_features(path: str) -> tuple[dict[str, str], list]:
     """The feature file as one record per row (``read_feature_table``, then ``to_records``)."""
     meta, table = read_feature_table(path)
     return meta, table.to_records()
+
+
+def write_scores(path: str, table: ScoreTable, meta: Mapping[str, str]):
+    audio, video, av = table.normalized
+    values = np.stack((table.blend, video, audio, av, table.fused), axis=1)
+    rows = _row_lines(_SCORE_ROWS, (table.video_ids, table.identity_ids), table.n_segments,
+                      table.flags, (values,))
+    _write(path, _table_head(SCORES_MAGIC, len(table), meta, SCORE_COLUMNS),
+           (f"{row},{FAKE if fake else REAL}" for row, fake in zip(rows, table.fake.tolist())))
+
+
+def read_score_table(path: str) -> tuple[dict[str, str], ScoreTable]:
+    """Read a score file into columns, through ``_read_rows``."""
+    lines, (count,), meta = _open(path, SCORES_MAGIC, 1, SCORE_COLUMNS, "score")
+    *columns, floats, words = _read_rows(lines, count, _SCORE_ROWS)
+    blend, norm_video, norm_audio, norm_av, fused = floats.T
+    return meta, ScoreTable(*columns, blend.copy(), np.stack((norm_audio, norm_video, norm_av)),
+                            fused.copy(), words == FAKE)
+
+
+@dataclass
+class ScoreRow:
+    """One scored test video against one person's reference set."""
+
+    video_id: str
+    identity_id: str
+    n_segments: int
+    flags: ManipFlags
+    blend: float
+    norm_video: float
+    norm_audio: float
+    norm_av: float
+    fused: float
+    decision: str
+
+
+def read_scores(path: str) -> tuple[dict[str, str], list[ScoreRow]]:
+    """A row view over ``read_score_table``, one ScoreRow per video; the package never calls it."""
+    meta, t = read_score_table(path)
+    audio, video, av = t.normalized.tolist()
+    return meta, [ScoreRow(*row) for row in zip(
+        t.video_ids.tolist(), t.identity_ids.tolist(), t.n_segments.tolist(),
+        [ManipFlags(*bits) for bits in t.flags.tolist()], t.blend.tolist(), video, audio, av,
+        t.fused.tolist(), [FAKE if f else REAL for f in t.fake.tolist()])]
 
 
 # -- checkpoints --------------------------------------------------------
@@ -406,17 +474,17 @@ def _step_count(lines: _Lines, field: str, name: str) -> int:
     return count
 
 
-def _read_encoders(path: str) -> tuple[_Lines, Checkpoint]:
+def _read_encoders(path: str) -> tuple[_Lines, dict[str, str], EncoderParams]:
     lines = _Lines(path)
     _read_header(lines, CKPT_MAGIC, 0)
     meta = _read_meta(lines)
-    params = EncoderParams(audio=_read_mlp(lines, "audio"), video=_read_mlp(lines, "video"))
-    return lines, Checkpoint(meta, params, None)
+    return lines, meta, EncoderParams(audio=_read_mlp(lines, "audio"),
+                                      video=_read_mlp(lines, "video"))
 
 
-def read_encoders(path: str) -> Checkpoint:
-    """A checkpoint's settings and encoders; any resume state after them is not read."""
-    return _read_encoders(path)[1]
+def read_encoders(path: str) -> tuple[dict[str, str], EncoderParams]:
+    """A checkpoint's (settings, encoders); any resume state after them is not read."""
+    return _read_encoders(path)[1:]
 
 
 def read_checkpoint(path: str) -> Checkpoint:
@@ -427,12 +495,12 @@ def read_checkpoint(path: str) -> Checkpoint:
     ``flatten_params`` order), the rng line, and the steps_done line, whose
     count must equal the optim section's.
     """
-    lines, ckpt = _read_encoders(path)
+    lines, meta, params = _read_encoders(path)
     if lines.at_end():
-        return ckpt
+        return Checkpoint(meta, params, None)
     fields = _section(lines, "optim", 3, "header")
     step = _step_count(lines, fields[1], "optim step")
-    shapes = [a.shape for a in flatten_params(ckpt.params)]
+    shapes = [a.shape for a in flatten_params(params)]
     n_arrays = lines.parse_int(fields[2], "optim array count")
     if n_arrays != len(shapes):
         lines.fail(f"optim carries {n_arrays} arrays, encoder has {len(shapes)}")
@@ -459,92 +527,9 @@ def read_checkpoint(path: str) -> Checkpoint:
     if steps_done != step:
         lines.fail(f"optim step {step} does not match steps_done {steps_done}")
     lines.expect_end("checkpoint section")
-    ckpt.state = TrainState(ckpt.params, *moments, rng_state, steps_done)
-    return ckpt
+    return Checkpoint(meta, params, TrainState(params, *moments, rng_state, steps_done))
 
 
-# -- scores -------------------------------------------------------------
-
-def write_scores(path: str, table: ScoreTable, meta: Mapping[str, str]):
-    _write(path, _score_lines(table, meta))
-
-
-def _score_lines(table: ScoreTable, meta: Mapping[str, str]):
-    yield from _table_head(SCORES_MAGIC, len(table), meta, SCORE_COLUMNS)
-    audio, video, av = table.normalized
-    values = np.stack((table.blend, video, audio, av, table.fused), axis=1)
-    for video_id, identity, n_segments, bits, row, fake in zip(
-            table.video_ids.tolist(), table.identity_ids.tolist(), table.n_segments.tolist(),
-            table.flags.tolist(), values, table.fake.tolist()):
-        yield ",".join([_check_id(video_id, "video_id"), _check_id(identity, "identity_id"),
-                        str(n_segments), *("1" if bit else "0" for bit in bits),
-                        fmt_row(row), FAKE if fake else REAL])
-
-
-def read_score_table(path: str) -> tuple[dict[str, str], ScoreTable]:
-    """Read a score file into columns, row by row; a flag is 0 or 1, as in a feature file."""
-    lines, count, meta = _open_table(path, SCORES_MAGIC, SCORE_COLUMNS, "score")
-    n = min(count, len(lines.lines) - lines.pos)  # a short file fails at its end
-    video_ids, identity_ids = [""] * n, [""] * n
-    n_segments = np.zeros(n, dtype=np.int64)
-    flags = np.zeros((n, len(FLAG_COLUMNS)), dtype=bool)
-    floats = np.zeros((n, 5))  # blend, norm_video, norm_audio, norm_av, fused
-    fake = np.zeros(n, dtype=bool)
-    for i in range(count):
-        fields = lines.next().split(",")
-        if len(fields) != 13:
-            lines.fail(f"expected 13 fields, found {len(fields)}")
-        lines.check_ids(fields, ("video_id", "identity_id"))
-        try:
-            bits = tuple(int(b) for b in fields[3:7])
-        except ValueError:
-            bits = None
-        if bits and not set(bits) <= {0, 1}:
-            lines.fail("manipulation flags must be 0 or 1")
-        if bits not in VALID_FLAGS:  # 0 and 1 compare and hash equal to False and True
-            lines.fail("malformed score row flags")
-        flags[i] = bits
-        floats[i] = _parse_floats(fields[7:12], 5, lines)
-        if fields[12] not in (REAL, FAKE):
-            lines.fail(f"bad decision {fields[12]!r}")
-        length = lines.parse_int(fields[2], "n_segments")
-        if length < 1:
-            lines.fail(f"n_segments must be >= 1, got {length}")
-        if length >= 2 ** 63:
-            lines.fail(f"malformed n_segments {fields[2]!r}")
-        n_segments[i] = length
-        video_ids[i], identity_ids[i], fake[i] = fields[0], fields[1], fields[12] == FAKE
-    lines.expect_end("score row")
-    blend, norm_video, norm_audio, norm_av, fused = floats.T
-    return meta, ScoreTable(
-        np.array(video_ids, dtype=str), np.array(identity_ids, dtype=str), n_segments, flags,
-        blend.copy(), np.stack((norm_audio, norm_video, norm_av)), fused.copy(), fake)
-
-
-@dataclass
-class ScoreRow:
-    """One scored test video against one person's reference set."""
-
-    video_id: str
-    identity_id: str
-    n_segments: int
-    flags: ManipFlags
-    blend: float
-    norm_video: float
-    norm_audio: float
-    norm_av: float
-    fused: float
-    decision: str
-
-
-def read_scores(path: str) -> tuple[dict[str, str], list[ScoreRow]]:
-    """A row view over ``read_score_table``, one ScoreRow per video; the package never calls it."""
-    meta, t = read_score_table(path)
-    audio, video, av = t.normalized.tolist()
-    return meta, [ScoreRow(*row) for row in zip(
-        t.video_ids.tolist(), t.identity_ids.tolist(), t.n_segments.tolist(),
-        [ManipFlags(*bits) for bits in t.flags.tolist()], t.blend.tolist(), video, audio, av,
-        t.fused.tolist(), [FAKE if f else REAL for f in t.fake.tolist()])]
 
 
 # -- reports, sweeps, training logs -------------------------------------
@@ -553,60 +538,58 @@ def _opt(x: float | None) -> str:
     return UNDEFINED if x is None else fmt(x)
 
 
+def _parse_opt(lines: _Lines, field: str, name: str) -> float | None:
+    return None if field == UNDEFINED else float(_parse_floats([field], 1, lines)[0])
+
+
+# The column kinds of report and sweep rows, as (format, parse) pairs:
+# a word, an integer, and a float or UNDEFINED.
+_WORD = (str, lambda lines, field, name: field)
+_INT = (str, _Lines.parse_int)
+_FLOAT_OR_UNDEFINED = (_opt, _parse_opt)
+_REPORT_KINDS = {"metric": _WORD, "group": _WORD, "n_real": _INT, "n_fake": _INT,
+                 "video": _FLOAT_OR_UNDEFINED, "audio": _FLOAT_OR_UNDEFINED,
+                 "av": _FLOAT_OR_UNDEFINED, "fusion": _FLOAT_OR_UNDEFINED}
+_SWEEP_KINDS = {"axis": _WORD, "x": _INT, "class": _WORD, "n_real": _INT, "n_fake": _INT,
+                "auc": _FLOAT_OR_UNDEFINED}
+REPORT_COLUMNS = ",".join(_REPORT_KINDS)
+SWEEP_COLUMNS = ",".join(_SWEEP_KINDS)
+
+
+def _write_dict_rows(path: str, magic: str, kinds: Mapping, rows: Sequence[Mapping],
+                     meta: Mapping[str, str]):
+    _write(path, _table_head(magic, len(rows), meta, ",".join(kinds)),
+           [",".join(show(r[name]) for name, (show, _) in kinds.items()) for r in rows])
+
+
+def _read_dict_rows(path: str, magic: str, kinds: Mapping, noun: str):
+    lines, (count,), meta = _open(path, magic, 1, ",".join(kinds), noun)
+    rows = []
+    for _ in range(count):
+        fields = lines.next().split(",")
+        if len(fields) != len(kinds):
+            lines.fail(f"expected {len(kinds)} fields, found {len(fields)}")
+        rows.append({name: parse(lines, field, name)
+                     for (name, (_, parse)), field in zip(kinds.items(), fields)})
+    lines.expect_end(f"{noun} row")
+    return meta, rows
+
+
 def write_report(path: str, rows: Sequence[Mapping], meta: Mapping[str, str]):
     """Rows carry metric, group, n_real, n_fake and one value per statistic."""
-    out = _table_head(REPORT_MAGIC, len(rows), meta, REPORT_COLUMNS)
-    for r in rows:
-        out.append(",".join([
-            r["metric"], r["group"], str(r["n_real"]), str(r["n_fake"]),
-            _opt(r["video"]), _opt(r["audio"]), _opt(r["av"]), _opt(r["fusion"]),
-        ]))
-    _write(path, out)
+    _write_dict_rows(path, REPORT_MAGIC, _REPORT_KINDS, rows, meta)
 
 
 def read_report(path: str) -> tuple[dict[str, str], list[dict]]:
-    lines, count, meta = _open_table(path, REPORT_MAGIC, REPORT_COLUMNS, "report")
-    rows = []
-    for _ in range(count):
-        fields = lines.next().split(",")
-        if len(fields) != 8:
-            lines.fail(f"expected 8 fields, found {len(fields)}")
-        row = {"metric": fields[0], "group": fields[1],
-               "n_real": lines.parse_int(fields[2], "n_real"),
-               "n_fake": lines.parse_int(fields[3], "n_fake")}
-        for name, raw in zip(("video", "audio", "av", "fusion"), fields[4:]):
-            row[name] = None if raw == UNDEFINED else float(_parse_floats([raw], 1, lines)[0])
-        rows.append(row)
-    lines.expect_end("report row")
-    return meta, rows
+    return _read_dict_rows(path, REPORT_MAGIC, _REPORT_KINDS, "report")
 
 
 def write_sweep(path: str, rows: Sequence[Mapping], meta: Mapping[str, str]):
-    out = _table_head(SWEEP_MAGIC, len(rows), meta, SWEEP_COLUMNS)
-    for r in rows:
-        out.append(",".join([
-            r["axis"], str(r["x"]), r["class"], str(r["n_real"]), str(r["n_fake"]),
-            _opt(r["auc"]),
-        ]))
-    _write(path, out)
+    _write_dict_rows(path, SWEEP_MAGIC, _SWEEP_KINDS, rows, meta)
 
 
 def read_sweep(path: str) -> tuple[dict[str, str], list[dict]]:
-    lines, count, meta = _open_table(path, SWEEP_MAGIC, SWEEP_COLUMNS, "sweep")
-    rows = []
-    for _ in range(count):
-        fields = lines.next().split(",")
-        if len(fields) != 6:
-            lines.fail(f"expected 6 fields, found {len(fields)}")
-        rows.append({
-            "axis": fields[0], "x": lines.parse_int(fields[1], "x"), "class": fields[2],
-            "n_real": lines.parse_int(fields[3], "n_real"),
-            "n_fake": lines.parse_int(fields[4], "n_fake"),
-            "auc": None if fields[5] == UNDEFINED
-                   else float(_parse_floats([fields[5]], 1, lines)[0]),
-        })
-    lines.expect_end("sweep row")
-    return meta, rows
+    return _read_dict_rows(path, SWEEP_MAGIC, _SWEEP_KINDS, "sweep")
 
 
 def write_train_log(path: str, log: np.ndarray, meta: Mapping[str, str],

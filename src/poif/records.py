@@ -78,7 +78,8 @@ PRISTINE = ManipFlags()
 
 
 def valid_flag_rows(flags: np.ndarray) -> np.ndarray:
-    """Which rows of an (n, 4) bool flag matrix ManipFlags would accept (VALID_FLAGS)."""
+    """Which rows of an (n, 4) flag matrix of bools or ints ManipFlags would accept
+    (VALID_FLAGS): a row with an int other than 0 or 1 is refused."""
     valid = np.array(sorted(VALID_FLAGS), dtype=bool)
     return (flags[:, None, :] == valid[None]).all(axis=2).any(axis=1)
 

@@ -12,6 +12,7 @@ from poif.exceptions import ConfigError, DataError
 from poif.fileio import (
     parse_config_file,
     read_checkpoint,
+    read_encoders,
     read_feature_table,
     read_features,
     read_report,
@@ -26,7 +27,7 @@ from poif.fileio import (
     write_train_log,
 )
 from poif.optim import flatten_params
-from poif.records import ManipFlags, ScoreTable, SegmentRecord, SegmentTable
+from poif.records import FLAG_COLUMNS, ManipFlags, ScoreTable, SegmentRecord, SegmentTable
 from poif.synthgen import WorldConfig, generate_world
 
 
@@ -65,7 +66,8 @@ def test_feature_writer_refuses_empty_and_bad_ids(tmp_path):
     with pytest.raises(DataError):
         write_features(path, some_segments().take([]), {})
     seg = some_segments().to_records()[0]
-    for identity_id, video_id in (("a,b", "v"), ("a", "")):
+    # an id starting with "#" would read back as a meta line
+    for identity_id, video_id in (("a,b", "v"), ("a", ""), ("#a", "v"), ("a", "#v")):
         bad = SegmentRecord(identity_id=identity_id, video_id=video_id, segment_index=0,
                             audio=seg.audio, video=seg.video)
         with pytest.raises(DataError):
@@ -140,7 +142,7 @@ def _set_score_fields(row, changes):
 READER_ERRORS = {
     "field_count": (lambda ls: ls[:4] + [ls[4].rsplit(",", 1)[0]] + ls[5:],
                     "expected 15 fields, found 14", 5),
-    "bad_int": (_set_fields(2, {2: "two"}), "malformed segment row", 5),
+    "bad_int": (_set_fields(2, {2: "two"}), "malformed segment_index 'two'", 5),
     "bad_float": (_set_fields(2, {9: "oops"}), "unparseable float", 5),
     "non_finite": (_set_fields(2, {12: "nan"}), "non-finite value", 5),
     "flag_not_0_or_1": (_set_fields(2, {3: "2"}), "manipulation flags must be 0 or 1", 5),
@@ -198,8 +200,12 @@ def test_meta_lines_sorted_and_validated(tmp_path):
     lines = open(path).read().splitlines()
     assert lines[1] == "# alpha=2"
     assert lines[2] == "# zebra=1"
-    with pytest.raises(ValueError):
-        write_features(path, some_segments(), {"a=b": "1"})
+    # the reader strips the whitespace around a key and after a value
+    for bad in ({"a=b": "1"}, {" k": "1"}, {"k ": "1"}, {"k": " v"}, {"k": "v "},
+                {"k": "\tv"}):
+        with pytest.raises(ValueError, match="bad meta entry"):
+            write_features(path, some_segments(), bad)
+    assert read_features(path)[0] == {"zebra": "1", "alpha": "2"}
 
 
 def test_checkpoint_round_trip_weights_only(tmp_path):
@@ -254,6 +260,18 @@ def test_checkpoint_reader_reports_malformed_integers(tmp_path):
     bad.write_text("\n".join(lines[:at] + ["encoder,audio,two"] + lines[at + 1:]) + "\n")
     with pytest.raises(DataError, match=rf"{bad}: malformed layer count 'two' at line {at + 1}"):
         read_checkpoint(str(bad))
+
+
+def test_read_encoders_gives_the_checkpoints_settings_and_encoders(tmp_path):
+    path = str(tmp_path / "c.ckpt")
+    params = init_encoder(3, 4, EncoderConfig(1, 4, 2), 2)
+    write_checkpoint(path, step0(params, 5), {"tau": "0.5"})
+    ckpt = read_checkpoint(path)
+    assert ckpt.can_resume
+    meta, got = read_encoders(path)
+    assert meta == ckpt.meta == {"tau": "0.5"}
+    pairs = list(zip(flatten_params(got), flatten_params(ckpt.params), strict=True))
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs)
 
 
 def checkpoint_lines(tmp_path, steps_done):
@@ -405,6 +423,37 @@ TABLE_FILES = {
 }
 
 
+def score_table_of(rows) -> ScoreTable:
+    """The ScoreTable of read_scores' rows, inverse to oracles.score_table_rows."""
+    return ScoreTable(
+        np.array([r.video_id for r in rows]), np.array([r.identity_id for r in rows]),
+        np.array([r.n_segments for r in rows]),
+        np.array([[getattr(r.flags, c) for c in FLAG_COLUMNS] for r in rows]),
+        np.array([r.blend for r in rows]),
+        np.array([[r.norm_audio, r.norm_video, r.norm_av] for r in rows]).T,
+        np.array([r.fused for r in rows]), np.array([r.decision == "fake" for r in rows]))
+
+
+# Each kind: (writer, reader, written rows, what the writer takes of the read rows).
+ROUND_TRIPS = {
+    "features": (write_features, read_feature_table, some_segments, lambda table: table),
+    "feature_records": (write_features, read_features, some_segments,
+                        SegmentTable.from_records),
+    **{kind: (write, read, rows, score_table_of if read is read_scores else lambda got: got)
+       for kind, (write, read, rows, _) in TABLE_FILES.items()},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUND_TRIPS))
+def test_write_read_write_gives_the_same_bytes(tmp_path, kind):
+    write, read, rows, writable = ROUND_TRIPS[kind]
+    first, again = tmp_path / "first.txt", tmp_path / "again.txt"
+    write(str(first), rows(), {"seed": "1", "note": "x y"})
+    meta, got = read(str(first))
+    write(str(again), writable(got), meta)
+    assert again.read_bytes() == first.read_bytes()
+
+
 @pytest.mark.parametrize("extra", ["copy of the last row", "garbage"])
 @pytest.mark.parametrize("kind", sorted(TABLE_FILES))
 def test_table_readers_refuse_rows_past_the_header_count(tmp_path, kind, extra):
@@ -422,18 +471,20 @@ def test_table_readers_refuse_rows_past_the_header_count(tmp_path, kind, extra):
 
 
 # Each case corrupts the two-row score file of score_table() (rows on lines
-# 4 and 5) and names the message and line the row-by-row reader gives.
+# 4 and 5) and names the message and line a field-by-field reader gives.
 SCORE_READER_ERRORS = {
     "field_count": (lambda ls: ls[:4] + [ls[4].rsplit(",", 1)[0]],
                     "expected 13 fields, found 12", 5),
-    "bad_flag": (_set_score_fields(1, {3: "x"}), "malformed score row flags", 5),
-    "pristine_with_flags": (_set_score_fields(0, {4: "1"}), "malformed score row flags", 4),
+    "bad_flag": (_set_score_fields(1, {3: "x"}), "malformed is_fake 'x'", 5),
+    "pristine_with_flags": (_set_score_fields(0, {4: "1"}),
+                            "pristine segment cannot carry manipulation flags", 4),
     # a flag is 0 or 1, as in a feature file: 2 or -1 is refused, not read as set
     "flag_two": (_set_score_fields(1, {3: "2"}), "manipulation flags must be 0 or 1", 5),
     "flag_minus_one": (_set_score_fields(0, {3: "2", 4: "-1"}),
                        "manipulation flags must be 0 or 1", 4),
     "invalid_combination": (_set_score_fields(1, {4: "0", 5: "1"}),
-                            "malformed score row flags", 5),
+                            "unsupported manipulation flag combination v=False a=True "
+                            "ai=False", 5),
     "bad_float": (_set_score_fields(1, {8: "oops"}), "unparseable float", 5),
     "non_finite": (_set_score_fields(1, {9: "inf"}), "non-finite value", 5),
     "bad_decision": (_set_score_fields(1, {12: "maybe"}), "bad decision 'maybe'", 5),
@@ -443,7 +494,7 @@ SCORE_READER_ERRORS = {
     "truncated_payload": (lambda ls: ls[:-1], "truncated file", 5),
     # the first bad row wins, and inside a row the first field read
     "flags_before_floats": (_set_score_fields(1, {3: "x", 8: "oops"}),
-                            "malformed score row flags", 5),
+                            "malformed is_fake 'x'", 5),
     "earlier_row_first": (lambda ls: _set_score_fields(1, {3: "x"})(
         _set_score_fields(0, {12: "?"})(ls)), "bad decision '?'", 4),
     "empty_video_id": (_set_score_fields(1, {0: "", 3: "x"}), "video_id must be non-empty", 5),
