@@ -29,9 +29,7 @@ from .scoring import (
 )
 from .synthgen import (
     Benchmark,
-    ManipulationSpec,
     WorldConfig,
-    apply_manipulation,
     generate_benchmark,
     generate_world,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "FUSED",
     "LOSS_COLUMNS",
     "ManipFlags",
-    "ManipulationSpec",
     "MetricsReport",
     "PoifError",
     "ReferenceSet",
@@ -70,7 +67,6 @@ __all__ = [
     "UndefinedMetricError",
     "WorldConfig",
     "accuracy",
-    "apply_manipulation",
     "auc",
     "build_reference",
     "encode_batch",

@@ -12,7 +12,7 @@ accuracy / detection tables.
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .encoder import EncoderParams, encode_batch
 from .exceptions import DataError, UndefinedMetricError
 from .metrics import MetricsReport, accuracy, auc, pd_at_fa
-from .records import CHANNELS, FLAG_COLUMNS, FUSED, GROUPS, ScoreTable, SegmentTable, flags_for_group
+from .records import CHANNELS, FLAG_COLUMNS, FUSED, GROUP_FLAGS, GROUPS, ScoreTable, SegmentTable
 from .scoring import (
     DecisionPolicy,
     ReferenceSet,
@@ -214,8 +214,8 @@ def table_metrics(
     """
     fake = scores.flags[:, 0]
     members = {}
-    for group in GROUPS:
-        member = (scores.flags == astuple(flags_for_group(group))).all(axis=1)
+    for group, flags in zip(GROUPS, GROUP_FLAGS):
+        member = (scores.flags == flags).all(axis=1)
         if member.any():
             members[group] = member
     if not members:

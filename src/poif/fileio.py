@@ -56,11 +56,16 @@ def fmt_row(values) -> str:
     return ",".join(["%.17g"] * arr.size) % tuple(arr.tolist())
 
 
+def _breaks_line(text: str) -> bool:
+    """Whether str.splitlines, which the readers split a file with, would cut text."""
+    return "".join(text.splitlines()) != text
+
+
 def _check_id(value: str, name: str) -> str:
     # a row whose first field starts with "#" would read back as a meta line
-    if not value or "," in value or "\n" in value or value.startswith("#"):
-        raise DataError(f"{name} must be non-empty and comma-free, without a leading '#', "
-                        f"got {value!r}")
+    if not value or "," in value or _breaks_line(value) or value.startswith("#"):
+        raise DataError(f"{name} must be non-empty and comma-free, without a leading '#' "
+                        f"or a line break, got {value!r}")
     return value
 
 
@@ -69,7 +74,7 @@ def _meta_lines(meta: Mapping[str, str]) -> list[str]:
     for k in sorted(meta):
         v = str(meta[k])
         # the reader strips the whitespace around a key and after a value
-        if "\n" in k or "\n" in v or "=" in k or k != k.strip() or v != v.strip():
+        if _breaks_line(k) or _breaks_line(v) or "=" in k or k != k.strip() or v != v.strip():
             raise ValueError(f"bad meta entry {k!r}={v!r}")
         lines.append(f"# {k}={v}")
     return lines

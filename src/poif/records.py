@@ -38,16 +38,13 @@ FLAG_COLUMNS = ("is_fake", "v", "a", "ai")
 # streams manipulated.
 GROUPS = ("v", "v+ai", "a+ai", "v+a+ai")
 
+# Each group's flag row in FLAG_COLUMNS order: is_fake, then the bits its
+# "+"-joined name lists.
+GROUP_FLAGS = np.array([[True] + [flag in group.split("+") for flag in FLAG_COLUMNS[1:]]
+                        for group in GROUPS])
 
-def _group_bits(group: str) -> tuple[bool, ...]:
-    """A fake group's (v, a, ai) bits: the flags its "+"-joined name lists."""
-    parts = group.split("+")
-    return tuple(flag in parts for flag in FLAG_COLUMNS[1:])
-
-
-# The (v, a, ai) combinations of the groups, and the flag rows ManipFlags accepts.
-_VALID_FAKE_COMBOS = frozenset(map(_group_bits, GROUPS))
-VALID_FLAGS = frozenset([(False,) * 4] + [(True, *combo) for combo in _VALID_FAKE_COMBOS])
+# The (v, a, ai) combinations ManipFlags accepts on a fake.
+_FAKE_COMBOS = frozenset(map(tuple, GROUP_FLAGS[:, 1:].tolist()))
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,7 @@ class ManipFlags:
         if not self.is_fake:
             if any(combo):
                 raise DataError("pristine segment cannot carry manipulation flags")
-        elif combo not in _VALID_FAKE_COMBOS:
+        elif combo not in _FAKE_COMBOS:
             raise DataError(
                 f"unsupported manipulation flag combination v={self.v} a={self.a} ai={self.ai}"
             )
@@ -78,17 +75,10 @@ PRISTINE = ManipFlags()
 
 
 def valid_flag_rows(flags: np.ndarray) -> np.ndarray:
-    """Which rows of an (n, 4) flag matrix of bools or ints ManipFlags would accept
-    (VALID_FLAGS): a row with an int other than 0 or 1 is refused."""
-    valid = np.array(sorted(VALID_FLAGS), dtype=bool)
+    """Which rows of an (n, 4) flag matrix of bools or ints ManipFlags would accept:
+    all zero or a GROUP_FLAGS row.  A row with an int other than 0 or 1 is refused."""
+    valid = np.vstack([np.zeros(len(FLAG_COLUMNS), dtype=bool), GROUP_FLAGS])
     return (flags[:, None, :] == valid[None]).all(axis=2).any(axis=1)
-
-
-def flags_for_group(group: str) -> ManipFlags:
-    """The flags of one of the four fake groups: its "+"-joined set bits."""
-    if group not in GROUPS:
-        raise DataError(f"unknown manipulation group {group!r}; expected one of {GROUPS}")
-    return ManipFlags(True, *_group_bits(group))
 
 
 def as_vector(values, name: str = "feature") -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exceptions import ConfigError, DataError
-from .records import FLAG_COLUMNS, GROUPS, ManipFlags, SegmentTable, flags_for_group
+from .records import FLAG_COLUMNS, GROUP_FLAGS, GROUPS, SegmentTable
 from .utils import as_rng
 
 
@@ -154,76 +154,9 @@ def sample_identity_videos(
 
 
 @dataclass(eq=False)
-class ManipulationSpec:
-    """How to fake a video: flags, blend fraction, donor, voice offset."""
-
-    flags: ManipFlags
-    blend: float = 1.0
-    donor_identity: str | None = None
-    cloned_voice_offset: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not self.flags.is_fake:
-            raise DataError("manipulation spec must carry fake flags")
-        if self.flags.v and not 0.0 <= self.blend <= 1.0:
-            raise DataError(f"blend must lie in [0, 1], got {self.blend}")
-        needs_donor = self.flags.v or (self.flags.ai and not self.flags.a)
-        if needs_donor and self.donor_identity is None:
-            raise DataError("manipulation needs a donor identity")
-        if self.flags.a and self.cloned_voice_offset is None:
-            raise DataError("synthesized-voice manipulation needs a cloned_voice_offset")
-
-
-def apply_manipulation(
-    source: SegmentTable,
-    spec: ManipulationSpec,
-    world: World,
-    new_video_id: str | None = None,
-) -> SegmentTable:
-    """Rewrite the pristine rows of one identity per the spec; the source is untouched."""
-    owners = sorted(set(source.identity_ids.tolist()))
-    if len(owners) != 1:
-        raise DataError(f"a manipulation rewrites one identity's rows; got identities {owners}")
-    fake = np.flatnonzero(source.flags[:, 0])
-    if len(fake):
-        raise DataError(f"cannot manipulate an already-fake segment {source.key(fake[0])}")
-    owner_id = owners[0]
-    owner = world.identity_row(owner_id)
-    audio = source.audio
-    video = source.video
-    blend = 0.0
-
-    if spec.donor_identity is not None and spec.donor_identity == owner_id:
-        raise DataError(f"donor must differ from the claimed identity {owner_id!r}")
-
-    if spec.flags.v:
-        donor = world.identity_row(spec.donor_identity)
-        delta = world.video_latents[donor] - world.video_latents[owner]
-        video = source.video + spec.blend * delta
-        blend = spec.blend
-    if spec.flags.a:
-        audio = source.audio + spec.cloned_voice_offset
-    elif spec.flags.ai:
-        donor = world.identity_row(spec.donor_identity)
-        audio = source.audio + (world.audio_latents[donor] - world.audio_latents[owner])
-
-    n = len(source)
-    return SegmentTable(
-        identity_ids=source.identity_ids,
-        video_ids=source.video_ids if new_video_id is None else np.full(n, new_video_id),
-        segment_index=source.segment_index,
-        flags=np.tile([getattr(spec.flags, c) for c in FLAG_COLUMNS], (n, 1)),
-        blend=np.full(n, blend),
-        audio=audio,
-        video=video,
-    )
-
-
-@dataclass(eq=False)
 class Benchmark:
     """Labeled evaluation material: references plus real and fake test videos."""
 
-    poi_ids: tuple[str, ...]
     reference: SegmentTable
     test: SegmentTable
 
@@ -263,53 +196,67 @@ def generate_benchmark(
             )
     unknown = sorted(set(group_counts) - set(GROUPS))
     if unknown:
-        raise DataError(f"unknown manipulation groups: {', '.join(unknown)}")
+        raise ConfigError(f"unknown manipulation groups: {', '.join(unknown)}")
     for g, c in group_counts.items():
         if c < 0:
             raise ConfigError(f"group {g!r} has negative count {c}")
     betas = [float(b) for b in betas]
     if any(not 0.0 <= b <= 1.0 for b in betas):
         raise ConfigError(f"betas must lie in [0, 1], got {betas}")
-    if any(group_counts.get(g, 0) > 0 and "v" in g.split("+") for g in GROUPS) and not betas:
+    counts = [group_counts.get(g, 0) for g in GROUPS]
+    if any(c > 0 for c, flags in zip(counts, GROUP_FLAGS) if flags[1]) and not betas:
         raise ConfigError("video-manipulated groups requested but no betas given")
-    if len(world.identity_ids) < 2 and any(group_counts.get(g, 0) > 0 for g in GROUPS):
-        raise DataError("fakes need at least 2 identities to draw donors from")
+    n, n_fakes = len(world.identity_ids), sum(counts)
+    if n < 2 and n_fakes:
+        raise ConfigError("fakes need at least 2 identities to draw donors from")
 
-    n = len(world.identity_ids)
-    voice_offsets = {
-        poi: rng.standard_normal(world.cfg.audio_dim) * cloned_voice_scale
-        for poi in world.identity_ids
-    }
+    # The draws, in their fixed order: every person's voice offset, then per
+    # person its reference videos, its real test videos and one donor per fake.
+    cfg, k = world.cfg, segments_per_video
+    voice_offsets = rng.standard_normal((n, cfg.audio_dim)) * cloned_voice_scale
+    shape = (1 + k, cfg.audio_dim + cfg.video_dim)
+    reference_normals = np.empty((n, reference_videos, *shape))
+    real_normals = np.empty((n, real_videos, *shape))
+    picks = np.zeros((n, n_fakes), dtype=np.int64)
+    for i in range(n):
+        rng.standard_normal(out=reference_normals[i])
+        rng.standard_normal(out=real_normals[i])
+        if n_fakes:
+            picks[i] = rng.integers(n - 1, size=n_fakes)
+    latents = (cfg, world.identity_ids, world.audio_latents, world.video_latents)
+    reference = _pristine_videos(*latents, reference_normals, "r")
+    real = _pristine_videos(*latents, real_normals, "t")
 
-    reference: list[SegmentTable] = []
-    test: list[SegmentTable] = []
-    for poi in world.identity_ids:
-        reference.append(
-            sample_identity_videos(
-                world, poi, reference_videos, segments_per_video, rng, video_prefix="r"
-            )
-        )
-        real = sample_identity_videos(
-            world, poi, real_videos, segments_per_video, rng, video_prefix="t"
-        )
-        test.append(real)
-        source_videos = sorted(set(real.video_ids.tolist()))
+    # A person's fakes run group by group.  Fake j of a group copies the
+    # person's real video j in name order and, if it swaps the video, takes
+    # beta j, both cycling (without betas, no fake swaps a video).
+    group = np.tile(np.repeat(np.arange(len(GROUPS)), counts), n)
+    j = np.tile(np.concatenate([np.arange(c) for c in counts]), n)
+    owner = np.repeat(np.arange(n), n_fakes)
+    donor = picks.ravel() + (picks.ravel() >= owner)  # any identity but the owner
+    in_name_order = np.argsort([f"{t:03d}" for t in range(real_videos)])
+    source = owner * real_videos + in_name_order[j % real_videos]
+    names = [f"{world.identity_ids[o]}_g{g + 1}f{i:02d}"
+             for o, g, i in zip(owner.tolist(), group.tolist(), j.tolist())]
+    flags = GROUP_FLAGS[group]
+    blend = np.where(flags[:, 1], np.take(betas or [0.0], j, mode="wrap"), 0.0)
 
-        for gi, group in enumerate(GROUPS):
-            flags = flags_for_group(group)
-            for j in range(group_counts.get(group, 0)):
-                donor_pick = int(rng.integers(n - 1))
-                poi_row = world.identity_row(poi)
-                donor_row = donor_pick if donor_pick < poi_row else donor_pick + 1
-                spec = ManipulationSpec(
-                    flags=flags,
-                    blend=betas[j % len(betas)] if flags.v else 0.0,
-                    donor_identity=world.identity_ids[donor_row],
-                    cloned_voice_offset=voice_offsets[poi] if flags.a else None,
-                )
-                source = real.take(real.video_ids == source_videos[j % len(source_videos)])
-                fake_video_id = f"{poi}_g{gi + 1}f{j:02d}"
-                test.append(apply_manipulation(source, spec, world, new_video_id=fake_video_id))
-
-    return Benchmark(poi_ids=world.identity_ids, reference=SegmentTable.concat(reference),
-                     test=SegmentTable.concat(test))
+    # Every fake segment as one gather of its source row, then each edit by mask.
+    rows = (source[:, None] * k + np.arange(k)).ravel()
+    owner, donor, flags, blend = (np.repeat(x, k, axis=0) for x in (owner, donor, flags, blend))
+    audio, video = real.audio[rows], real.video[rows]
+    v, a, ai = flags[:, 1], flags[:, 2], flags[:, 3] & ~flags[:, 2]
+    video[v] += blend[v, None] * (world.video_latents[donor[v]] - world.video_latents[owner[v]])
+    audio[a] += voice_offsets[owner[a]]
+    audio[ai] += world.audio_latents[donor[ai]] - world.audio_latents[owner[ai]]
+    fakes = SegmentTable(
+        identity_ids=real.identity_ids[rows],
+        video_ids=np.repeat(np.array(names, dtype=str), k),
+        segment_index=real.segment_index[rows],
+        flags=flags, blend=blend, audio=audio, video=video,
+    )
+    # Each person's real videos, then their fakes.
+    n_real = n * real_videos * k
+    order = np.hstack([np.arange(n_real).reshape(n, real_videos * k),
+                       n_real + np.arange(len(fakes)).reshape(n, n_fakes * k)]).ravel()
+    return Benchmark(reference=reference, test=SegmentTable.concat([real, fakes]).take(order))

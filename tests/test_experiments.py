@@ -38,7 +38,7 @@ from poif.experiments import (
     sweep_scores,
     truncate_videos,
 )
-from poif.records import GROUPS, PRISTINE, SegmentRecord, SegmentTable, flags_for_group
+from poif.records import GROUP_FLAGS, PRISTINE, ManipFlags, SegmentRecord, SegmentTable
 from poif.scoring import DecisionPolicy, SmallReferenceWarning, best_matches
 
 pytestmark = pytest.mark.filterwarnings("ignore::poif.scoring.SmallReferenceWarning")
@@ -78,8 +78,8 @@ def ragged_world(seed=0, people=3):
             video(reference, poi, f"{poi}_r{v}", int(rng.integers(1, 41)), latent)
         for v in range(3):
             video(test, poi, f"{poi}_t{v}", int(rng.integers(1, 41)), latent)
-        for g, group in enumerate(GROUPS):
-            flags = flags_for_group(group)
+        for g, bits in enumerate(GROUP_FLAGS.tolist()):
+            flags = ManipFlags(*bits)
             blend = (1.0, 0.4)[g % 2] if flags.v else 0.0
             donor = (rng.normal(size=AUDIO_DIM), rng.normal(size=VIDEO_DIM))
             video(test, poi, f"{poi}_f{g}", int(rng.integers(1, 41)), donor, flags, blend)
@@ -297,8 +297,8 @@ def stack_world():
     segments per person.  A swapped face's blend grows along its video."""
     rng = np.random.default_rng(21)
     reference, test = [], []
-    labels = [(PRISTINE, 0.0)] + [(flags_for_group(g), 0.4 if "v" in g else 0.0)
-                                  for g in GROUPS]
+    labels = [(PRISTINE, 0.0)] + [(ManipFlags(*flags.tolist()), 0.4 if flags[1] else 0.0)
+                                  for flags in GROUP_FLAGS]
     for p in range(3):
         poi = f"p{p}"
         latent = (rng.normal(size=AUDIO_DIM), rng.normal(size=VIDEO_DIM))

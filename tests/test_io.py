@@ -84,6 +84,21 @@ def test_feature_writer_refuses_empty_and_bad_ids(tmp_path):
     assert open(path).read() == "earlier\n"
 
 
+@pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"],
+                         ids=["cr", "vt", "ff", "fs", "gs", "rs"])
+def test_writers_refuse_every_line_break_the_reader_splits_on(tmp_path, brk):
+    """The reader splits a file with str.splitlines, so an id or a settings value
+    holding any of its line breaks would not read back: neither is written."""
+    path = str(tmp_path / "feat.txt")
+    ids = some_segments().video_ids.astype(object)
+    ids[0] = f"a{brk}b"
+    with pytest.raises(DataError, match="video_id must be non-empty"):
+        write_features(path, replace(some_segments(), video_ids=ids.astype(str)), {})
+    with pytest.raises(ValueError, match="bad meta entry"):
+        write_features(path, some_segments(), {"k": f"x{brk}y"})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reader_accepts_header_only_file(tmp_path):
     # a scored run over an empty test set still writes a valid file
     path = tmp_path / "empty.txt"

@@ -4,15 +4,8 @@ import pytest
 from conftest import assert_tables_equal
 from oracles import record_benchmark, record_identity_videos, record_world
 from poif.exceptions import ConfigError, DataError
-from poif.records import GROUPS, SegmentTable, flags_for_group
-from poif.synthgen import (
-    ManipulationSpec,
-    WorldConfig,
-    apply_manipulation,
-    generate_benchmark,
-    generate_world,
-    sample_identity_videos,
-)
+from poif.records import GROUP_FLAGS, GROUPS, SegmentTable
+from poif.synthgen import WorldConfig, generate_benchmark, generate_world, sample_identity_videos
 
 
 def small_world(seed=0, **kw):
@@ -89,12 +82,24 @@ def test_sample_identity_videos_matches_record_oracle(kw):
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-@pytest.mark.parametrize("kw", [w for w in ORACLE_WORLDS if w["n_identities"] > 1])
-def test_benchmark_matches_record_oracle(kw):
+SMALL_BENCHMARK = dict(group_counts={"v": 3, "v+ai": 1, "a+ai": 2, "v+a+ai": 1},
+                       segments_per_video=2, reference_videos=3, real_videos=2,
+                       cloned_voice_scale=0.3)
+# The README benchmark: 20 people, 10 reference videos of 10 segments, 4 real
+# videos and 4 fakes per group each, over the CLI's benchmark world.
+README_WORLD = dict(n_identities=20, n_videos_per_identity=1, n_segments_per_video=1,
+                    seed=8, identity_start=10000)
+README_BENCHMARK = dict(group_counts={g: 4 for g in GROUPS}, segments_per_video=10,
+                        reference_videos=10, real_videos=4, cloned_voice_scale=0.5)
+ORACLE_BENCHMARKS = [(w, SMALL_BENCHMARK) for w in ORACLE_WORLDS if w["n_identities"] > 1]
+
+
+@pytest.mark.parametrize("kw, shape", ORACLE_BENCHMARKS + [(README_WORLD, README_BENCHMARK)],
+                         ids=[f"kw{i}" for i in range(len(ORACLE_BENCHMARKS))] + ["readme"])
+def test_benchmark_matches_record_oracle(kw, shape):
     world = generate_world(WorldConfig(**kw))
-    counts = {"v": 3, "v+ai": 1, "a+ai": 2, "v+a+ai": 1}
-    shape = dict(segments_per_video=2, reference_videos=3, real_videos=2,
-                 cloned_voice_scale=0.3)
+    shape = dict(shape)
+    counts = shape.pop("group_counts")
     ours, theirs = np.random.default_rng([5, 1]), np.random.default_rng([5, 1])
     bench = generate_benchmark(world, counts, [1.0, 0.4], ours, **shape)
     reference, test = record_benchmark(world, counts, [1.0, 0.4], theirs, **shape)
@@ -132,72 +137,55 @@ def test_sample_identity_videos_extends_world():
         sample_identity_videos(world, "nobody", 1, 1, np.random.default_rng(0))
 
 
-def test_video_swap_moves_identity_component():
-    world = small_world()
-    source = video_rows(world.segments, "id0000_v000")
-    spec = ManipulationSpec(flags=flags_for_group("v"), blend=1.0, donor_identity="id0001")
-    fake = apply_manipulation(source, spec, world, new_video_id="f0")
-    delta = world.video_latents[1] - world.video_latents[0]
-    np.testing.assert_allclose(fake.video, source.video + delta, rtol=1e-15)
-    np.testing.assert_array_equal(fake.audio, source.audio)
-    assert fake.blend.tolist() == [1.0, 1.0]
-    assert [r.flags for r in fake.to_records()] == [flags_for_group("v")] * 2
-    assert fake.video_ids.tolist() == ["f0", "f0"]
-    assert fake.identity_ids.tolist() == ["id0000", "id0000"]
-    assert fake.segment_index.tolist() == [0, 1]
-
-    partial = apply_manipulation(
-        source, ManipulationSpec(flags=flags_for_group("v"), blend=0.4,
-                                 donor_identity="id0001"), world)
-    np.testing.assert_allclose(partial.video, source.video + 0.4 * delta, rtol=1e-15)
-    assert partial.video_ids.tolist() == ["id0000_v000"] * 2
-
-
-def test_audio_manipulations():
-    world = small_world()
-    source = video_rows(world.segments, "id0000_v001")
-    offset = np.full(5, 0.25)
-    cloned = apply_manipulation(
-        source, ManipulationSpec(flags=flags_for_group("a+ai"), cloned_voice_offset=offset),
-        world)
-    np.testing.assert_allclose(cloned.audio, source.audio + offset, rtol=1e-15)
-    np.testing.assert_array_equal(cloned.video, source.video)
-    assert not cloned.blend.any()
-
-    swapped = apply_manipulation(
-        source, ManipulationSpec(flags=flags_for_group("v+ai"), blend=1.0,
-                                 donor_identity="id0002"), world)
-    np.testing.assert_allclose(
-        swapped.audio, source.audio + (world.audio_latents[2] - world.audio_latents[0]),
-        rtol=1e-15)
-
-
-def test_manipulation_guards():
-    world = small_world()
-    source = video_rows(world.segments, "id0000_v000")
-    with pytest.raises(DataError):
-        ManipulationSpec(flags=flags_for_group("v"))  # donor missing
-    with pytest.raises(DataError):
-        ManipulationSpec(flags=flags_for_group("a+ai"))  # offset missing
-    with pytest.raises(DataError):
-        ManipulationSpec(flags=flags_for_group("v"), blend=1.5, donor_identity="id0001")
-    spec = ManipulationSpec(flags=flags_for_group("v"), donor_identity="id0000")
-    with pytest.raises(DataError, match="donor must differ"):
-        apply_manipulation(source, spec, world)
-    good = ManipulationSpec(flags=flags_for_group("v"), donor_identity="id0002")
-    fake = apply_manipulation(source, good, world)
-    with pytest.raises(DataError, match=r"already-fake segment \('id0000', 'id0000_v000', 0\)"):
-        apply_manipulation(fake, good, world)
-    mixed = world.segments.take([0, 6])
-    with pytest.raises(DataError, match=r"one identity's rows; got identities "
-                                        r"\['id0000', 'id0001'\]"):
-        apply_manipulation(mixed, good, world)
-
-
 def bench_world(seed=0, identities=4):
     return generate_world(WorldConfig(
         n_identities=identities, n_videos_per_identity=1, n_segments_per_video=1,
         audio_dim=5, video_dim=4, seed=seed))
+
+
+def test_benchmark_fakes_are_their_sources_plus_the_group_edit():
+    """Each fake is its source video plus its group's edit, bit for bit: a swap
+    adds blend times a donor's video latent delta, a foreign track the same
+    donor's audio latent delta, a cloned voice the person's one offset; the
+    untouched channel is the source's."""
+    world = bench_world(identities=5)
+    counts, betas, real_videos = {"v": 3, "v+ai": 2, "a+ai": 3, "v+a+ai": 2}, [1.0, 0.4], 2
+    bench = generate_benchmark(world, counts, betas, np.random.default_rng(4),
+                               segments_per_video=3, reference_videos=2,
+                               real_videos=real_videos, cloned_voice_scale=0.5)
+    # the voice offsets are the generator's first draw
+    offsets = np.random.default_rng(4).standard_normal((5, 5)) * 0.5
+    test = bench.test
+    cloned = set()
+    for name in dict.fromkeys(test.video_ids[test.flags[:, 0]].tolist()):
+        fake = video_rows(test, name)
+        poi, tag = name.split("_")
+        owner, g, j = world.identity_row(poi), int(tag[1]) - 1, int(tag[3:])
+        source = video_rows(test, f"{poi}_t{j % real_videos:03d}")
+        assert not source.flags.any()
+        assert fake.identity_ids.tolist() == [poi] * 3
+        assert fake.segment_index.tolist() == source.segment_index.tolist() == [0, 1, 2]
+        assert (fake.flags == GROUP_FLAGS[g]).all()
+        _, v, a, ai = GROUP_FLAGS[g]
+        blend = betas[j % len(betas)] if v else 0.0
+        assert fake.blend.tolist() == [blend] * 3
+        if v:
+            donors = [d for d in range(5) if np.array_equal(
+                fake.video, source.video + blend * (world.video_latents[d]
+                                                    - world.video_latents[owner]))]
+            assert len(donors) == 1 and donors[0] != owner
+        else:
+            np.testing.assert_array_equal(fake.video, source.video)
+        if a:
+            np.testing.assert_array_equal(fake.audio, source.audio + offsets[owner])
+            cloned.add(g)
+        elif ai:  # a foreign track: the donor of the video swap
+            np.testing.assert_array_equal(
+                fake.audio,
+                source.audio + (world.audio_latents[donors[0]] - world.audio_latents[owner]))
+        else:
+            np.testing.assert_array_equal(fake.audio, source.audio)
+    assert cloned == {GROUPS.index("a+ai"), GROUPS.index("v+a+ai")}
 
 
 def test_benchmark_composition():
@@ -205,7 +193,6 @@ def test_benchmark_composition():
     counts = {g: 2 for g in GROUPS}
     bench = generate_benchmark(world, counts, [1.0, 0.4], np.random.default_rng(7),
                                segments_per_video=3, reference_videos=4, real_videos=2)
-    assert bench.poi_ids == world.identity_ids
     # per identity: 4 reference videos x 3 segments
     assert len(bench.reference) == 4 * 4 * 3
     # per identity: 2 real + 8 fake videos, 3 segments each
@@ -213,8 +200,7 @@ def test_benchmark_composition():
     assert not bench.reference.flags.any()
 
     fakes = bench.test.take(bench.test.flags[:, 0])
-    group_of = {flags_for_group(g): g for g in GROUPS}
-    groups = [group_of[r.flags] for r in fakes.to_records()]
+    groups = [GROUPS[(GROUP_FLAGS == row).all(axis=1).argmax()] for row in fakes.flags]
     assert {g: groups.count(g) for g in GROUPS} == {g: 2 * 3 * 4 for g in GROUPS}
     # betas rotate across a group's fakes
     blends = fakes.blend.tolist()
@@ -242,7 +228,7 @@ def test_benchmark_fakes_are_paired_with_real_sources():
 def test_benchmark_guards():
     world = bench_world()
     rng = np.random.default_rng(0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="unknown manipulation groups: vv"):
         generate_benchmark(world, {"vv": 1}, [1.0], rng)
     with pytest.raises(ConfigError, match="group 'v' has negative count -1"):
         generate_benchmark(world, {"v": -1}, [1.0], rng)
@@ -255,7 +241,7 @@ def test_benchmark_guards():
         generate_benchmark(world, {"v": 1}, [1.0], rng,
                            train_identity_ids=["id0001", "zz"])
     solo = bench_world(identities=1)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="fakes need at least 2 identities"):
         generate_benchmark(solo, {"v": 1}, [1.0], rng)
 
 
