@@ -13,36 +13,16 @@ Usage:
 import argparse
 import time
 
-import numpy as np
-
-from poif.encoder import EncoderConfig
+import desk
 from poif.experiments import AVG_GROUP, score_segments, table_metrics
 from poif.records import GROUPS
 from poif.scoring import DecisionPolicy
-from poif.synthgen import WorldConfig, generate_benchmark, generate_world
-from poif.training import TrainConfig, train
-
-AUDIO_SHIFT_GROUPS = ("v+ai", "a+ai", "v+a+ai")
 
 
-def run_seed(s: int, joint_weight: float, steps: int, tau: float, p_fa: float):
-    train_world = generate_world(WorldConfig(
-        n_identities=64, n_videos_per_identity=8, n_segments_per_video=4,
-        identity_scale=1.0, video_bias_scale=0.25, segment_noise_scale=0.25,
-        seed=1000 + s))
-    eval_world = generate_world(WorldConfig(
-        n_identities=20, n_videos_per_identity=1, n_segments_per_video=1,
-        identity_scale=1.0, video_bias_scale=0.25, segment_noise_scale=0.25,
-        identity_start=10000, seed=3000 + s))
-    bench = generate_benchmark(
-        eval_world, {g: 4 for g in GROUPS}, [1.0, 0.4],
-        np.random.default_rng([4000 + s, 1]), cloned_voice_scale=0.2,
-        train_identity_ids=[f"id{i:04d}" for i in range(64)])
-    cfg = TrainConfig(tau=tau, joint_weight=joint_weight, epochs=1,
-                      batches_per_epoch=steps, seed=2000 + s,
-                      encoder=EncoderConfig(2, 64, 32))
-    params = train(train_world.segments, cfg).state.params
-    rows = score_segments(bench.reference, bench.test, params, tau,
+def run_seed(world: desk.DeskWorld, joint_weight: float, steps: int, tau: float,
+             p_fa: float):
+    params = desk.train_seed(world, joint_weight, steps, tau).state.params
+    rows = score_segments(world.bench.reference, world.bench.test, params, tau,
                           DecisionPolicy(p_fa=p_fa))
     return table_metrics(rows, p_fa=p_fa)
 
@@ -66,32 +46,30 @@ def print_table(tables: list, joint_weight: float):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=5)
-    parser.add_argument("--steps", type=int, default=2000)
-    parser.add_argument("--tau", type=float, default=0.5)
+    parser.add_argument("--steps", type=int, default=desk.STEPS)
+    parser.add_argument("--tau", type=float, default=desk.TAU)
     parser.add_argument("--p-fa", type=float, default=0.1)
     args = parser.parse_args()
 
     started = time.perf_counter()
     tables = {0.0: [], 1.0: []}
     for s in range(args.seeds):
+        world = desk.build(s)
         for joint_weight in (0.0, 1.0):
             tables[joint_weight].append(
-                run_seed(s, joint_weight, args.steps, args.tau, args.p_fa))
+                run_seed(world, joint_weight, args.steps, args.tau, args.p_fa))
             print(f"seed {s} joint weight {joint_weight:g} done "
                   f"({time.perf_counter() - started:.0f}s)")
 
     for joint_weight in (0.0, 1.0):
         print_table(tables[joint_weight], joint_weight)
 
-    print("\nAV Pd@10% averaged over the audio-shifted groups:")
+    print(f"\nAV Pd@{100 * args.p_fa:g}% averaged over the audio-shifted groups:")
     wins = 0
     for s in range(args.seeds):
-        pair = []
-        for joint_weight in (0.0, 1.0):
-            t = tables[joint_weight][s]
-            pair.append(sum(t[g]["av"].pd_at_fa for g in AUDIO_SHIFT_GROUPS) / 3.0)
-        wins += pair[1] > pair[0]
-        print(f"  seed {s}: {pair[0]:.1f} -> {pair[1]:.1f}")
+        before, after = (desk.audio_shift_av_pd(tables[w][s]) for w in (0.0, 1.0))
+        wins += after > before
+        print(f"  seed {s}: {before:.1f} -> {after:.1f}")
     print(f"joint term ahead on {wins}/{args.seeds} seeds")
 
 

@@ -15,45 +15,19 @@ import warnings
 
 import numpy as np
 
-from poif.encoder import EncoderConfig
+import desk
 from poif.experiments import sweep_rows
-from poif.records import GROUPS, SegmentTable
 from poif.scoring import SmallReferenceWarning
-from poif.synthgen import (
-    WorldConfig,
-    generate_benchmark,
-    generate_world,
-    sample_identity_videos,
-)
-from poif.training import TrainConfig, train
 
 
 def run_seed(s: int, tau: float, steps: int, lengths, varieties, budget):
-    train_world = generate_world(WorldConfig(
-        n_identities=64, n_videos_per_identity=8, n_segments_per_video=4,
-        identity_scale=1.0, video_bias_scale=0.25, segment_noise_scale=0.25,
-        seed=1000 + s))
-    eval_world = generate_world(WorldConfig(
-        n_identities=20, n_videos_per_identity=1, n_segments_per_video=1,
-        identity_scale=1.0, video_bias_scale=0.25, segment_noise_scale=0.25,
-        identity_start=10000, seed=3000 + s))
-    bench = generate_benchmark(
-        eval_world, {g: 4 for g in GROUPS}, [1.0, 0.4],
-        np.random.default_rng([4000 + s, 1]), cloned_voice_scale=0.2,
-        train_identity_ids=[f"id{i:04d}" for i in range(64)])
-    cfg = TrainConfig(tau=tau, joint_weight=1.0, epochs=1,
-                      batches_per_epoch=steps, seed=2000 + s,
-                      encoder=EncoderConfig(2, 64, 32))
-    params = train(train_world.segments, cfg).state.params
-    length_rows = sweep_rows("test_length", lengths, bench.reference, bench.test, params, tau)
-
-    # the variety sweep needs deep per-video pools to fill its budget
-    rng = np.random.default_rng([5000 + s])
-    pool = SegmentTable.concat([
-        sample_identity_videos(eval_world, poi, max(varieties), budget, rng, "e")
-        for poi in eval_world.identity_ids])
-    variety_rows = sweep_rows("ref_variety", varieties, pool, bench.test, params, tau,
-                              ref_total=budget)
+    world = desk.build(s)
+    params = desk.train_seed(world, 1.0, steps, tau).state.params
+    test = world.bench.test
+    length_rows = sweep_rows("test_length", lengths, world.bench.reference, test, params, tau)
+    variety_rows = sweep_rows("ref_variety", varieties,
+                              desk.variety_pool(world, max(varieties), budget), test,
+                              params, tau, ref_total=budget)
     return length_rows, variety_rows
 
 
@@ -74,8 +48,8 @@ def print_curve(title: str, rows_by_seed: list):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=3)
-    parser.add_argument("--steps", type=int, default=2000)
-    parser.add_argument("--tau", type=float, default=0.5)
+    parser.add_argument("--steps", type=int, default=desk.STEPS)
+    parser.add_argument("--tau", type=float, default=desk.TAU)
     parser.add_argument("--lengths", type=int, nargs="+", default=[1, 2, 5, 10])
     parser.add_argument("--varieties", type=int, nargs="+", default=[1, 2, 5, 10])
     parser.add_argument("--budget", type=int, default=100)

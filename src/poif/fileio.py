@@ -10,6 +10,7 @@ write/read round trip is bit-exact.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -66,6 +67,8 @@ def _check_id(value: str, name: str) -> str:
     if not value or "," in value or _breaks_line(value) or value.startswith("#"):
         raise DataError(f"{name} must be non-empty and comma-free, without a leading '#' "
                         f"or a line break, got {value!r}")
+    if not value.isascii():
+        raise DataError(f"{name} must be ASCII, got {value!r}")
     return value
 
 
@@ -76,16 +79,32 @@ def _meta_lines(meta: Mapping[str, str]) -> list[str]:
         # the reader strips the whitespace around a key and after a value
         if _breaks_line(k) or _breaks_line(v) or "=" in k or k != k.strip() or v != v.strip():
             raise ValueError(f"bad meta entry {k!r}={v!r}")
+        if not (k.isascii() and v.isascii()):
+            raise ValueError(f"meta entry {k!r}={v!r} must be ASCII")
         lines.append(f"# {k}={v}")
     return lines
+
+
+def _ascii_lines(path: str, fail) -> list[str]:
+    """The lines of an ASCII file, cut by str.splitlines; a non-ASCII byte raises
+    fail(n), n the number of the line that holds the first one."""
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            return f.read().splitlines()
+    except UnicodeDecodeError:
+        with open(path, "rb") as f:
+            data = f.read()
+    start = re.search(rb"[\x80-\xff]", data).start()
+    # "x" stands in for the bad byte, so that a line it starts is counted
+    raise fail(len((data[:start].decode("ascii") + "x").splitlines()))
 
 
 class _Lines:
     """Cursor over the lines of one file, with parse-error context."""
 
     def __init__(self, path: str):
-        with open(path, "r", encoding="ascii") as f:
-            self.lines = f.read().splitlines()
+        self.lines = _ascii_lines(
+            path, lambda n: DataError(f"{path}: non-ASCII byte at line {n}"))
         self.path = path
         self.pos = 0
 
@@ -176,7 +195,8 @@ def _parse_floats(fields: Sequence[str], n: int, lines: _Lines) -> np.ndarray:
 def _write(path: str, *parts: Iterable[str]):
     """Write the lines of each part as they come to a temporary file, then move it onto path.
 
-    A line that fails to format leaves neither path nor the temporary file.
+    A line that fails to format, or a move that fails, leaves path as it was
+    and no temporary file.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     f = open(tmp, "w", encoding="ascii")
@@ -186,10 +206,10 @@ def _write(path: str, *parts: Iterable[str]):
                 for line in lines:
                     f.write(line)
                     f.write("\n")
+        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-    os.replace(tmp, path)
 
 
 # -- feature and score rows ---------------------------------------------
@@ -610,8 +630,7 @@ def write_train_log(path: str, log: np.ndarray, meta: Mapping[str, str],
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a flat key=value settings file; # starts a comment line."""
     try:
-        with open(path, "r", encoding="ascii") as f:
-            raw = f.read().splitlines()
+        raw = _ascii_lines(path, lambda n: ConfigError(f"{path}:{n}: non-ASCII byte"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     out: dict[str, str] = {}

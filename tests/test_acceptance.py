@@ -2,10 +2,10 @@
 
 `pytest -v tests/test_acceptance.py` reads as the scorecard: one test per
 numbered criterion, each printing the measured numbers (visible with -s or
-on failure).  The session fixture trains the five-seed experiment grid
-once, with and without the joint loss term, and the detection, trend,
-identification, and ablation criteria all read from it.  Expect a few
-minutes of wall time.
+on failure).  The session fixture trains the five-seed desk-scale grid
+(`scripts/desk.py`) once, with and without the joint loss term, and the
+detection, trend, identification, and ablation criteria all read from
+it.  Expect a few minutes of wall time.
 """
 
 import math
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import desk
 from conftest import (
     assert_within,
     batch_inputs,
@@ -26,6 +27,7 @@ from conftest import (
     score_clip,
     step0,
 )
+from desk import TAU
 from oracles import (
     calibration_check,
     embed_one,
@@ -56,24 +58,17 @@ from poif.scoring import (
     SmallReferenceWarning,
     quantile_threshold,
 )
-from poif.synthgen import WorldConfig, generate_benchmark, generate_world, sample_identity_videos
-from poif.training import TrainConfig, train
+from poif.synthgen import WorldConfig, generate_world, sample_identity_videos
+from poif.training import TrainConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::poif.scoring.SmallReferenceWarning")
 
 SEEDS = tuple(range(5))
-TAU = 0.5
-IDENTITY_SCALE, VIDEO_BIAS, SEGMENT_NOISE = 1.0, 0.25, 0.25
-CLONED_VOICE = 0.2
-FAKE_GROUPS = ("v", "v+ai", "a+ai", "v+a+ai")
-AUDIO_SHIFT_GROUPS = ("v+ai", "a+ai", "v+a+ai")
-EVAL_IDENTITIES, FAKES_PER_GROUP = 20, 4
 # AV Pd@10% moves in steps of one fake video out of a group's fakes; the
 # mean over the audio-shift groups moves by at most this when one fake per
 # group crosses the threshold.
-AV_PD_STEP = 100.0 / (EVAL_IDENTITIES * FAKES_PER_GROUP)
+AV_PD_STEP = 100.0 / (desk.EVAL_IDENTITIES * desk.FAKES_PER_GROUP)
 FINAL_STEPS = 100      # training steps averaged for the end-of-training losses
-TRAIN_IDS = [f"id{i:04d}" for i in range(64)]
 
 
 @dataclass
@@ -91,32 +86,18 @@ class SeedResult:
 
 
 def _run_seed(s: int) -> SeedResult:
-    train_world = generate_world(WorldConfig(
-        n_identities=64, n_videos_per_identity=8, n_segments_per_video=4,
-        identity_scale=IDENTITY_SCALE, video_bias_scale=VIDEO_BIAS,
-        segment_noise_scale=SEGMENT_NOISE, seed=1000 + s))
-    eval_world = generate_world(WorldConfig(
-        n_identities=EVAL_IDENTITIES, n_videos_per_identity=1, n_segments_per_video=1,
-        identity_scale=IDENTITY_SCALE, video_bias_scale=VIDEO_BIAS,
-        segment_noise_scale=SEGMENT_NOISE, identity_start=10000, seed=3000 + s))
-    bench = generate_benchmark(
-        eval_world, {g: FAKES_PER_GROUP for g in FAKE_GROUPS}, [1.0, 0.4],
-        np.random.default_rng([4000 + s, 1]), cloned_voice_scale=CLONED_VOICE,
-        train_identity_ids=TRAIN_IDS)
+    world = desk.build(s)
     policy = DecisionPolicy(p_fa=0.1)
-    reference, test = bench.reference, bench.test
+    reference, test = world.bench.reference, world.bench.test
 
     av_pd = {}
     for lam in (0.0, 1.0):
         started = time.perf_counter()
-        cfg = TrainConfig(tau=TAU, joint_weight=lam, epochs=1,
-                          batches_per_epoch=2000, seed=2000 + s,
-                          encoder=EncoderConfig(2, 64, 32))
-        result = train(train_world.segments, cfg)
+        result = desk.train_seed(world, lam)
         params = result.state.params
         scores = score_segments(reference, test, params, TAU, policy)
         table = table_metrics(scores, p_fa=0.1)
-        av_pd[lam] = sum(table[g]["av"].pd_at_fa for g in AUDIO_SHIFT_GROUPS) / 3.0
+        av_pd[lam] = desk.audio_shift_av_pd(table)
         elapsed = time.perf_counter() - started
 
     # everything below reads the lam=1 run, which is still bound
@@ -126,16 +107,12 @@ def _run_seed(s: int) -> SeedResult:
         for name in ("l_a", "l_v", "l_av")
     }
     fr_rows = sweep_rows("test_length", [1, 10], reference, test, params, TAU)
-    rng = np.random.default_rng([5000 + s])
-    extended = SegmentTable.concat([sample_identity_videos(eval_world, poi, 10, 100, rng, "e")
-                                    for poi in eval_world.identity_ids])
-    variety_rows = sweep_rows("ref_variety", [1, 10], extended, test, params, TAU,
-                              ref_total=100)
+    variety_rows = sweep_rows("ref_variety", [1, 10], desk.variety_pool(world, 10, 100), test,
+                              params, TAU, ref_total=100)
 
-    knn_world = generate_world(WorldConfig(
+    knn_world = generate_world(desk.world_config(
         n_identities=10, n_videos_per_identity=1, n_segments_per_video=1,
-        identity_scale=IDENTITY_SCALE, video_bias_scale=VIDEO_BIAS,
-        segment_noise_scale=SEGMENT_NOISE, identity_start=20000, seed=6000 + s))
+        identity_start=20000, seed=6000 + s))
     rng = np.random.default_rng([7000 + s])
     gallery, probes = [], []
     for poi in knn_world.identity_ids:

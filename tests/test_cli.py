@@ -461,6 +461,16 @@ def test_missing_and_corrupt_inputs(pipeline, tmp_path, capsys):
     cfg.write_text("no_such_key = 1\n")
     assert main(["synth", "--config", str(cfg), "--seed", "0", "--out", out]) == 2
     capsys.readouterr()
+    # a non-ASCII byte: a data error in an input file, a config error in a config file
+    corrupt.write_bytes(b"POIF-FEAT,1,5,4,2\n# note=caf\xc3\xa9\n")
+    for command in (["train", "--features", str(corrupt), "--out", out, *TRAIN_ARGS],
+                    ["evaluate", "--scores", str(corrupt), "--out", out]):
+        assert main(command) == 3
+        assert f"poif: data error: {corrupt}: non-ASCII byte at line 2\n" in \
+            capsys.readouterr().err
+    cfg.write_bytes(b"# caf\xc3\xa9\nseed = 0\n")
+    assert main(["synth", "--config", str(cfg), "--out", out]) == 2
+    assert f"poif: config error: {cfg}:1: non-ASCII byte\n" in capsys.readouterr().err
 
 
 def test_degenerate_reference_exit_code(pipeline, tmp_path):

@@ -99,6 +99,30 @@ def test_writers_refuse_every_line_break_the_reader_splits_on(tmp_path, brk):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_writers_refuse_non_ascii_text_by_field(tmp_path):
+    """The readers refuse a non-ASCII byte, so no id or setting carrying one is written."""
+    path = str(tmp_path / "feat.txt")
+    ids = some_segments().identity_ids.astype(object)
+    ids[-1] = "caf\u00e9"
+    with pytest.raises(DataError, match="^identity_id must be ASCII"):
+        write_features(path, replace(some_segments(), identity_ids=ids.astype(str)), {})
+    for meta in ({"note": "caf\u00e9"}, {"caf\u00e9": "1"}):
+        with pytest.raises(ValueError, match="must be ASCII"):
+            write_features(path, some_segments(), meta)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writing_onto_a_directory_leaves_it_and_no_temporary_file(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept\n")
+    with pytest.raises(OSError):
+        write_features(str(out), some_segments(), {})
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    assert (out / "kept.txt").read_text() == "kept\n"
+
+
 def test_reader_accepts_header_only_file(tmp_path):
     # a scored run over an empty test set still writes a valid file
     path = tmp_path / "empty.txt"
@@ -564,6 +588,32 @@ def test_train_log_format(tmp_path):
     assert not (tmp_path / "bad.txt").exists()
 
 
+# Each kind: (writer, reader, what it writes).
+NON_ASCII_FILES = {
+    "features": (write_features, read_feature_table, some_segments),
+    "scores": (write_scores, read_score_table, score_table),
+    "checkpoint": (write_checkpoint, read_checkpoint,
+                   lambda: step0(init_encoder(3, 4, EncoderConfig(1, 4, 2), 2), 1)),
+    "report": (write_report, read_report, report_rows),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_ASCII_FILES))
+def test_readers_name_path_and_line_of_a_non_ascii_byte(tmp_path, kind):
+    write, read, rows = NON_ASCII_FILES[kind]
+    path = tmp_path / "f.txt"
+    write(str(path), rows(), {"seed": "1"})
+    lines = path.read_bytes().splitlines(keepends=True)
+    # a bad byte inside the meta line, and one starting the last line
+    for n, at in ((2, 3), (len(lines), 0)):
+        edited = list(lines)
+        edited[n - 1] = edited[n - 1][:at] + b"\xc3\xa9" + edited[n - 1][at:]
+        path.write_bytes(b"".join(edited))
+        message = f"{path}: non-ASCII byte at line {n}"
+        with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
+            read(str(path))
+
+
 def test_fmt_round_trips_doubles():
     values = [np.pi, 1.0 / 3.0, 1e-300, -2.5e17, 0.1 + 0.2]
     for v in values:
@@ -606,3 +656,6 @@ def test_parse_config_file(tmp_path):
         parse_config_file(str(cfg))
     with pytest.raises(ConfigError):
         parse_config_file(str(tmp_path / "missing.cfg"))
+    cfg.write_bytes(b"seed = 7\n# caf\xc3\xa9\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(cfg))}:2: non-ASCII byte$"):
+        parse_config_file(str(cfg))

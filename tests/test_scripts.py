@@ -7,29 +7,29 @@ from pathlib import Path
 
 import pytest
 
+from readme_digests import score_deltas
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script, expect", [
     ("run_ablation.py", "joint term ahead on"),
+    ("run_ablation.py --p-fa 0.05", "AV Pd@5% averaged"),
     ("run_sweeps.py", "AUC vs reference variety"),
 ])
 def test_script_runs(script, expect):
+    """script is the script's name and any options it takes beyond the tiny budget."""
+    name, *options = script.split()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
-                           "--seeds", "1", "--steps", "10"],
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name),
+                           "--seeds", "1", "--steps", "10", *options],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert expect in done.stdout
 
 
 def test_digest_score_deltas(tmp_path):
-    sys.path.insert(0, str(ROOT / "scripts"))
-    try:
-        from readme_digests import score_deltas
-    finally:
-        sys.path.remove(str(ROOT / "scripts"))
     head = ("POIF-SCORES,1,2\n# p_fa=0.1\nvideo_id,identity_id,n_segments,is_fake,v,a,ai,"
             "blend,norm_video,norm_audio,norm_av,fused,decision\n")
     ours, theirs, other = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
