@@ -13,6 +13,8 @@ states its deltas with --against, which runs the pipeline for both
 checkouts and prints "same" or "differs" per artifact; for scores.txt it
 adds the largest absolute difference of any numeric field and the number
 of videos whose decision flipped.
+Artifact bytes depend on the BLAS kernel, so the script names the OpenBLAS
+core it runs on, on stderr ("unknown" when no core line appears).
 
 Usage:
     python3 scripts/readme_digests.py                 # this checkout's src/
@@ -74,10 +76,23 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_pipeline(src: Path, work: str) -> bool:
-    """Run every README command with src's package in work; False on a failure."""
+def pipeline_env(src: Path) -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+def blas_core(stderr: str) -> str:
+    """The core that OpenBLAS names with OPENBLAS_VERBOSE=2 ("Core: SkylakeX"), or "unknown"."""
+    for line in stderr.splitlines():
+        if line.startswith("Core:") and line[5:].strip():
+            return line[5:].strip()
+    return "unknown"
+
+
+def run_pipeline(src: Path, work: str) -> bool:
+    """Run every README command with src's package in work; False on a failure."""
+    env = pipeline_env(src)
     for command in pipeline():
         done = subprocess.run([sys.executable, "-m", "poif.cli", *command], cwd=work,
                               env=env, stdout=subprocess.DEVNULL,
@@ -129,6 +144,9 @@ def main(argv: list[str] | None = None) -> int:
     srcs = [package(args.src)] + ([package(args.against)] if args.against else [])
     if None in srcs:
         return 2
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
+                           text=True, env={**pipeline_env(srcs[0]), "OPENBLAS_VERBOSE": "2"})
+    print(f"readme_digests: BLAS core {blas_core(probe.stderr)}", file=sys.stderr)
 
     with tempfile.TemporaryDirectory(prefix="poif-digests-") as root:
         works = [os.path.join(root, str(k)) for k in range(len(srcs))]

@@ -30,8 +30,8 @@ from . import experiments, fileio
 from .encoder import EncoderConfig
 from .exceptions import ConfigError, DataError, DegenerateReferenceError
 from .fileio import fmt, parse_config_file
-from .records import GROUPS
-from .scoring import FUSED, DecisionPolicy
+from .records import FUSED, GROUPS
+from .scoring import DecisionPolicy
 from .synthgen import WorldConfig, generate_benchmark, generate_world
 from .training import TrainConfig, train
 

@@ -128,15 +128,33 @@ def build_references(
     return _calibrate(reference, embedded, tau, **kwargs)
 
 
+def _need_material(claimed, available) -> None:
+    missing = sorted(set(claimed) - set(available))
+    if missing:
+        raise DataError(f"no reference material for: {', '.join(missing)}")
+
+
+def _claimed(reference: SegmentTable, test: SegmentTable) -> SegmentTable:
+    """The reference rows of the persons that the test table claims.
+
+    Only they are calibrated, so no one else's reference can fail a run.  A
+    claimed person keeps their bits, because every row is embedded alone.
+    """
+    for name, table in (("reference", reference), ("test", test)):
+        if not len(table):
+            raise DataError(f"empty {name} set")
+    claimed, owners = set(test.identity_ids.tolist()), reference.identity_ids.tolist()
+    _need_material(claimed, owners)
+    return reference.take(np.array([poi in claimed for poi in owners]))
+
+
 def _match_rows(table, embedded, references, tau) -> np.ndarray:
     """Each row's best matches against its claimed person's reference: (3, table rows).
 
     A person's rows are matched in one best_matches call.
     """
     people = group_by_identity(table)
-    missing = sorted(set(people) - set(references))
-    if missing:
-        raise DataError(f"no reference material for: {', '.join(missing)}")
+    _need_material(people, references)
     raw = np.empty((len(CHANNELS), len(table)))
     for poi, rows in people.items():
         ref = references[poi]
@@ -183,7 +201,7 @@ def score_segments(
 ) -> ScoreTable:
     """Score every test video against its claimed person's reference."""
     if references is None:
-        references = build_references(reference, params, tau)
+        references = build_references(_claimed(reference, test), params, tau)
     videos = group_by_video(test)
     raw = _match_rows(test, encode_batch(params, test.audio, test.video), references, tau)
     return _judge(test, videos, raw, references, policy, statistic)
@@ -349,8 +367,7 @@ def sweep_scores(
         raise DataError(f"unknown sweep axis {axis!r}")
     if not values or any(v < 1 for v in values):
         raise DataError(f"sweep values must be integers >= 1, got {list(values)}")
-    if not len(reference):
-        raise DataError("empty reference set")
+    reference = _claimed(reference, test)
     policy = DecisionPolicy(p_fa=0.5)
     ref_embedded = encode_batch(params, reference.audio, reference.video)
     videos = group_by_video(test)

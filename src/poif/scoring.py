@@ -154,11 +154,11 @@ def build_reference(
     n_videos = len(set(video_ids))
     if exclude_same_video and n_videos < 2:
         raise DataError(
-            f"reference needs at least 2 distinct videos for leave-own-video-out "
-            f"calibration; got {n_videos}"
+            f"reference for {poi_id!r} needs at least 2 distinct videos for "
+            f"leave-own-video-out calibration; got {n_videos}"
         )
     if not exclude_same_video and len(table) < 2:
-        raise DataError("reference needs at least 2 segments")
+        raise DataError(f"reference for {poi_id!r} needs at least 2 segments")
     if below_nominal(n_videos, len(table)):
         warnings.warn(
             f"reference for {poi_id!r} has {n_videos} videos / {len(table)} segments, "

@@ -5,8 +5,8 @@ import numpy as np
 from poif.encoder import encode_batch
 from poif.losses import loss_plan, positive_sets
 from poif.optim import init_optim_state
-from poif.records import SegmentRecord, SegmentTable
-from poif.scoring import FUSED, best_matches, build_reference, score_video
+from poif.records import FUSED, SegmentRecord, SegmentTable
+from poif.scoring import best_matches, build_reference, score_video
 from poif.training import TrainState
 
 EPS = np.finfo(np.float64).eps

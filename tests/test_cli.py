@@ -218,6 +218,50 @@ def test_sweep_axes(pipeline):
                         "--ref-total", "9"]) == 3
 
 
+def test_only_claimed_persons_are_calibrated(pipeline, tmp_path, capsys):
+    lines = open(pipeline["ref"]).read().splitlines()
+    head = [line for line in lines if line.startswith(("POIF", "#"))]
+    rows = lines[len(head):]
+    first = rows[0].split(",")[1]
+    # one more person, with one reference video: too few to calibrate
+    extra = ["id0999,id0999_r000," + row.split(",", 2)[2]
+             for row in rows if row.split(",")[1] == first]
+
+    def reference(name, kept):
+        path = tmp_path / name
+        path.write_text("\n".join([",".join(head[0].split(",")[:-1] + [str(len(kept))]),
+                                   *head[1:], *kept]) + "\n")
+        return str(path)
+
+    plus = reference("ref_plus.txt", rows + extra)
+    model = ["--checkpoint", pipeline["ckpt"]]
+    assert main(["score", *model, "--reference", plus, "--test", plus,
+                 "--out", str(tmp_path / "claimed.txt")]) == 3
+    assert "reference for 'id0999' needs at least 2 distinct videos" in capsys.readouterr().err
+    for command in (["score"], ["sweep", "--axis", "ref_size", "--values", "2,3"]):
+        written = []
+        for ref in (pipeline["ref"], plus):
+            out = tmp_path / f"out_{len(written)}.txt"
+            assert main([*command, *model, "--reference", ref, "--test", pipeline["test"],
+                         "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        # a claimed person without reference rows is still a data error
+        only = reference("ref_only.txt", [row for row in rows if row.startswith("id0100,")])
+        assert main([*command, *model, "--reference", only, "--test", pipeline["test"],
+                     "--out", str(out)]) == 3
+        assert "no reference material for: id0101, id0102, id0103" in \
+            capsys.readouterr().err
+        unclaimed = reference("ref_unclaimed.txt", extra)
+        assert main([*command, *model, "--reference", unclaimed, "--test", pipeline["test"],
+                     "--out", str(out)]) == 3
+        assert "no reference material for: id0100, id0101, id0102, id0103" in \
+            capsys.readouterr().err
+        assert main([*command, *model, "--reference", plus, "--test",
+                     reference("test_empty.txt", []), "--out", str(out)]) == 3
+        assert "poif: data error: empty test set" in capsys.readouterr().err
+
+
 def test_small_reference_warnings_take_one_line_each(pipeline, tmp_path, capsys):
     # every reference here has 3 videos / 9 segments
     base = ["--checkpoint", pipeline["ckpt"], "--reference", pipeline["ref"],

@@ -113,6 +113,16 @@ def test_single_video_reference_needs_explicit_opt_out(params):
     assert len(ref) == 8
 
 
+def test_reference_count_errors_name_the_person(params):
+    one_video = one_person_segments(videos=1, segments=8)
+    poi = one_video[0].identity_id
+    with pytest.raises(DataError, match=f"reference for '{poi}' needs at least 2 distinct "
+                                        f"videos for leave-own-video-out calibration; got 1"):
+        quiet_reference(one_video, params, tau=0.5)
+    with pytest.raises(DataError, match=f"reference for '{poi}' needs at least 2 segments"):
+        quiet_reference(one_video[:1], params, tau=0.5, exclude_same_video=False)
+
+
 def test_small_reference_warns():
     segments = one_person_segments(videos=2, segments=3)
     with pytest.warns(SmallReferenceWarning):

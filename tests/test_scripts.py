@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from readme_digests import score_deltas
+from readme_digests import blas_core, score_deltas
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,3 +42,8 @@ def test_digest_score_deltas(tmp_path):
     assert score_deltas(ours, theirs) == "max abs field diff 0.125, 1 decision flips"
     assert score_deltas(ours, ours) == "max abs field diff 0, 0 decision flips"
     assert score_deltas(ours, other) == "different videos"
+
+
+def test_digest_blas_core():
+    assert blas_core("Core: SkylakeX\n") == "SkylakeX"
+    assert blas_core("") == "unknown"

@@ -8,6 +8,8 @@ ast, without importing the runner.
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +18,8 @@ import pytest
 from poif import similarity
 from poif.cli import main
 
-TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACED_CLI = ROOT / "perfbench" / "traced_cli.py"
 
 
 def traced_targets() -> dict:
@@ -36,6 +39,22 @@ def test_every_traced_name_is_defined():
     assert missing == []
     records = importlib.import_module("poif.records")
     assert hasattr(records.SegmentRecord, "__post_init__")
+
+
+def test_importing_the_cli_loads_every_traced_module(tmp_path):
+    """The runner wraps the modules in sys.modules right after ``import poif.cli``.
+
+    A module that the CLI imports lazily would be missing there, and every
+    traced command would fail, so the import runs in a fresh interpreter.
+    """
+    wanted = {f"poif.{module}" for module in traced_targets()} | {"poif.records"}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", "import sys, poif.cli; print(*sys.modules)"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert sorted(wanted - set(done.stdout.split())) == []
 
 
 # The functions a training step calls, with their calls per step.  The
