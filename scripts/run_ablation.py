@@ -16,14 +16,12 @@ import time
 import desk
 from poif.experiments import AVG_GROUP, score_segments, table_metrics
 from poif.records import GROUPS
-from poif.scoring import DecisionPolicy
 
 
 def run_seed(world: desk.DeskWorld, joint_weight: float, steps: int, tau: float,
              p_fa: float):
     params = desk.train_seed(world, joint_weight, steps, tau).state.params
-    rows = score_segments(world.bench.reference, world.bench.test, params, tau,
-                          DecisionPolicy(p_fa=p_fa))
+    rows = score_segments(world.bench.reference, world.bench.test, params, tau, p_fa)
     return table_metrics(rows, p_fa=p_fa)
 
 

@@ -31,7 +31,8 @@ from .encoder import EncoderConfig
 from .exceptions import ConfigError, DataError, DegenerateReferenceError
 from .fileio import fmt, parse_config_file
 from .records import FUSED, GROUPS
-from .scoring import DecisionPolicy
+from .scoring import quantile_threshold
+from .similarity import check_temperature
 from .synthgen import WorldConfig, generate_benchmark, generate_world
 from .training import TrainConfig, train
 
@@ -295,10 +296,6 @@ _RESUME_MUST_MATCH = (
 def _cmd_train(args) -> int:
     merged = _resolve(args, _TRAIN_SPEC)
     _resolve_seed(merged)
-    features_path = _need_input(merged, "features", "--features")
-    out = _need(merged, "out", "--out")
-    _, table = fileio.read_feature_table(features_path)
-
     cfg = TrainConfig(
         learning_rate=merged["lr"],
         weight_decay=merged["weight_decay"],
@@ -318,6 +315,9 @@ def _cmd_train(args) -> int:
             embedding_dim=merged["embedding_dim"],
         ),
     )
+    features_path = _need_input(merged, "features", "--features")
+    out = _need(merged, "out", "--out")
+    _, table = fileio.read_feature_table(features_path)
 
     resume, final_loss = None, math.nan
     if merged["resume"] is not None:
@@ -356,6 +356,8 @@ def _cmd_train(args) -> int:
 
 
 def _scoring_inputs(merged) -> tuple:
+    if merged["tau"] is not None:
+        check_temperature(merged["tau"])
     meta, params = fileio.read_encoders(_need_input(merged, "checkpoint", "--checkpoint"))
     _, reference = fileio.read_feature_table(_need_input(merged, "reference", "--reference"))
     _, test = fileio.read_feature_table(_need_input(merged, "test", "--test"))
@@ -368,14 +370,14 @@ def _scoring_inputs(merged) -> tuple:
 
 def _cmd_score(args) -> int:
     merged = _resolve(args, _SCORE_SPEC)
+    threshold = quantile_threshold(merged["p_fa"])
     params, reference, test = _scoring_inputs(merged)
     out = _need(merged, "out", "--out")
-    policy = DecisionPolicy(p_fa=merged["p_fa"])
     scores = experiments.score_segments(
-        reference, test, params, merged["tau"], policy,
+        reference, test, params, merged["tau"], merged["p_fa"],
         statistic=_STATISTIC_BY_FLAG[merged["statistic"]],
     )
-    meta = _echo_meta(merged, {"threshold": policy.threshold})
+    meta = _echo_meta(merged, {"threshold": threshold})
     fileio.write_scores(out, scores, meta)
     n_fake = int(scores.fake.sum())
     print(f"wrote {out} ({len(scores)} videos: {len(scores) - n_fake} judged real, "
@@ -389,11 +391,11 @@ def _fmt_cell(value: float | None) -> str:
 
 def _cmd_evaluate(args) -> int:
     merged = _resolve(args, _EVALUATE_SPEC)
-    policy = DecisionPolicy(p_fa=merged["p_fa"])
+    quantile_threshold(merged["p_fa"])  # range check before reading
     scores_path = _need_input(merged, "scores", "--scores")
     out = _need(merged, "out", "--out")
     _, scores = fileio.read_score_table(scores_path)
-    table = experiments.table_metrics(scores, p_fa=policy.p_fa)
+    table = experiments.table_metrics(scores, p_fa=merged["p_fa"])
     report = experiments.report_rows(table)
     fileio.write_report(out, report, _echo_meta(merged))
     print(f"wrote {out} ({len(report)} rows)")

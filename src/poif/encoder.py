@@ -13,7 +13,6 @@ import numpy as np
 from .exceptions import ConfigError, DataError
 from .losses import LossPlan, loss_and_embedding_grads
 from .similarity import padded_blocks, rows_per_block
-from .utils import as_rng
 
 
 @dataclass
@@ -68,18 +67,17 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.nd
     return rng.uniform(-limit, limit, size=(out_dim, in_dim))
 
 
-def init_mlp(in_dim: int, cfg: EncoderConfig, rng) -> Mlp:
+def init_mlp(in_dim: int, cfg: EncoderConfig, rng: np.random.Generator) -> Mlp:
     """Seeded uniform init in +-sqrt(6/(fan_in+fan_out)); zero biases."""
-    rng = as_rng(rng)
     dims = [in_dim] + [cfg.hidden_width] * cfg.hidden_layers + [cfg.embedding_dim]
     weights = [glorot_uniform(rng, dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
     biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
     return Mlp(weights, biases)
 
 
-def init_encoder(audio_dim: int, video_dim: int, cfg: EncoderConfig, rng) -> EncoderParams:
+def init_encoder(audio_dim: int, video_dim: int, cfg: EncoderConfig,
+                 rng: np.random.Generator) -> EncoderParams:
     """Draw both encoders from one stream, audio first."""
-    rng = as_rng(rng)
     return EncoderParams(audio=init_mlp(audio_dim, cfg, rng), video=init_mlp(video_dim, cfg, rng))
 
 

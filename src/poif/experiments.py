@@ -1,8 +1,9 @@
 """Glue between segment tables and the verification tables.
 
 The scoring path embeds each table once, builds one reference set per
-person, matches each person's test rows against it once, and judges each
-person's videos of one length as one stack.  Videos are processed in
+person, matches each person's test rows against it once, scores each
+person's videos of one length as one stack, and judges the whole table
+in one comparison against the threshold.  Videos are processed in
 first-occurrence order; inside a video, segments run in segment_index
 order.  Results come back as a ScoreTable, one row per video, and
 table_metrics turns its columns into the per-manipulation-group AUC /
@@ -20,19 +21,18 @@ import numpy as np
 from .encoder import EncoderParams, encode_batch
 from .exceptions import DataError, UndefinedMetricError
 from .metrics import MetricsReport, accuracy, auc, pd_at_fa
-from .records import CHANNELS, FLAG_COLUMNS, FUSED, GROUP_FLAGS, GROUPS, ScoreTable, SegmentTable
+from .records import (
+    CHANNELS, FLAG_COLUMNS, FUSED, GROUP_FLAGS, GROUPS, ScoreTable, SegmentTable, statistic_column,
+)
 from .scoring import (
-    DecisionPolicy,
-    ReferenceSet,
-    SmallReferenceWarning,
-    below_nominal,
-    best_matches,
-    build_reference,
-    score_video,
+    ReferenceSet, SmallReferenceWarning, below_nominal, best_matches, build_reference,
+    quantile_threshold, score_video,
 )
 
 STATISTIC_KEYS = ("video", "audio", "av", FUSED)
 AVG_GROUP = "AVG"
+# The threshold at even odds: quantile_threshold(0.5) is exactly 0.0.
+EVEN_ODDS = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,10 +163,12 @@ def _match_rows(table, embedded, references, tau) -> np.ndarray:
     return raw
 
 
-def _judge(table, videos, raw, references, policy, statistic) -> ScoreTable:
+def _judge(table, videos, raw, references, threshold, statistic) -> ScoreTable:
     """The score table in video order from the rows' raw indices (``_match_rows``).
 
-    Each person's videos of one length L are judged as one (videos, L) stack.
+    Each person's videos of one length L are scored as one (videos, L)
+    stack; then every video whose statistic falls below the threshold is
+    judged fake, in one comparison over the table.
     """
     bounds = videos.bounds
     first = videos.rows[bounds[:-1]]
@@ -174,20 +176,19 @@ def _judge(table, videos, raw, references, policy, statistic) -> ScoreTable:
     counts = np.diff(bounds)
     normalized = np.empty((len(CHANNELS), len(videos)))
     fused = np.empty(len(videos))
-    fake = np.empty(len(videos), dtype=bool)
     for poi, ks in zip(owners, _split_by(codes)):
         ref = references[poi]
         lengths, by_length = np.unique(counts[ks], return_inverse=True)
         for length, group in zip(lengths.tolist(), _split_by(by_length)):
             k = ks[group]
             at = videos.rows[bounds[k, None] + np.arange(length)]
-            verdict = score_video(np.take(raw, at, axis=1), ref, policy, statistic=statistic)
-            normalized[:, k], fused[k], fake[k] = verdict.normalized, verdict.fused, verdict.fake
+            normalized[:, k], fused[k] = score_video(np.take(raw, at, axis=1), ref)
     return ScoreTable(
         video_ids=np.array(videos.ids, dtype=str), identity_ids=table.identity_ids[first],
         n_segments=counts, flags=table.flags[first],
         blend=np.maximum.reduceat(table.blend[videos.rows], bounds[:-1]),
-        normalized=normalized, fused=fused, fake=fake)
+        normalized=normalized, fused=fused,
+        fake=statistic_column(normalized, fused, statistic) < threshold)
 
 
 def score_segments(
@@ -195,16 +196,21 @@ def score_segments(
     test: SegmentTable,
     params: EncoderParams,
     tau: float,
-    policy: DecisionPolicy,
+    p_fa: float,
     statistic: str = FUSED,
     references: Mapping[str, ReferenceSet] | None = None,
 ) -> ScoreTable:
-    """Score every test video against its claimed person's reference."""
+    """Score every test video against its claimed person's reference.
+
+    A video is judged fake when its statistic falls below the
+    standard-normal quantile at the accepted false-alarm rate ``p_fa``.
+    """
+    threshold = quantile_threshold(p_fa)
     if references is None:
         references = build_references(_claimed(reference, test), params, tau)
     videos = group_by_video(test)
     raw = _match_rows(test, encode_batch(params, test.audio, test.video), references, tau)
-    return _judge(test, videos, raw, references, policy, statistic)
+    return _judge(test, videos, raw, references, threshold, statistic)
 
 
 def _guarded(fn) -> float | None:
@@ -228,7 +234,7 @@ def table_metrics(
     real test videos; a single-class group leaves its rank metrics
     undefined rather than failing.  The AVG entry macro-averages over the
     groups where each metric is defined.  Accuracy uses the even-odds
-    threshold (0 on the normalized scale).
+    threshold (``EVEN_ODDS``, 0 on the normalized scale).
     """
     fake = scores.flags[:, 0]
     members = {}
@@ -238,7 +244,6 @@ def table_metrics(
             members[group] = member
     if not members:
         raise DataError("no fake videos in the score table")
-    even = DecisionPolicy(p_fa=0.5).threshold
     table: dict[str, dict[str, MetricsReport]] = {}
     for group, member in members.items():
         keep = ~fake | member
@@ -249,7 +254,7 @@ def table_metrics(
             values = scores.statistic(stat)[keep]
             table[group][stat] = MetricsReport(
                 auc=_guarded(lambda: auc(values, is_real)),
-                accuracy=_guarded(lambda: accuracy(values, is_real, even)),
+                accuracy=_guarded(lambda: accuracy(values, is_real, EVEN_ODDS)),
                 pd_at_fa=_guarded(lambda: pd_at_fa(values, is_real, fa=p_fa)),
                 n_real=n_real,
                 n_fake=len(is_real) - n_real,
@@ -361,14 +366,14 @@ def sweep_scores(
     embedding; they are calibrated and matched per point, because
     matches against a subset of reference rows move bits.  References
     below the nominal regime give one SmallReferenceWarning per point (per
-    sweep on test_length), not one per person.
+    sweep on test_length), not one per person.  Videos are judged at even
+    odds; the sweep rows read only the statistics.
     """
     if axis not in SWEEP_AXES:
         raise DataError(f"unknown sweep axis {axis!r}")
     if not values or any(v < 1 for v in values):
         raise DataError(f"sweep values must be integers >= 1, got {list(values)}")
     reference = _claimed(reference, test)
-    policy = DecisionPolicy(p_fa=0.5)
     ref_embedded = encode_batch(params, reference.audio, reference.video)
     videos = group_by_video(test)
     embedded = encode_batch(params, test.audio, test.video)
@@ -389,7 +394,7 @@ def sweep_scores(
             refs = _sweep_references(f"{axis}={x}", reference, ref_embedded, tau, rows,
                                      **kwargs)
             raw = _match_rows(test, embedded, refs, tau)
-        out.append((x, _judge(test, scored, raw, refs, policy, statistic)))
+        out.append((x, _judge(test, scored, raw, refs, EVEN_ODDS, statistic)))
     return out
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import DataError
+from .exceptions import ConfigError, DataError
 
 
 # The three similarity channels, in the order of every (3, ...) stack: the
@@ -192,6 +192,15 @@ class SegmentTable:
         ]
 
 
+def statistic_column(normalized: np.ndarray, fused: np.ndarray, name: str) -> np.ndarray:
+    """One statistic's values: a channel's row of the (3, n) ``normalized``, or ``fused``."""
+    if name == FUSED:
+        return fused
+    if name not in CHANNELS:
+        raise ConfigError(f"unknown statistic {name!r}")
+    return normalized[CHANNELS.index(name)]
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
     """Scored test videos as columns, one row per video, in video order.
@@ -215,4 +224,4 @@ class ScoreTable:
 
     def statistic(self, name: str) -> np.ndarray:
         """One statistic's column: a channel name or FUSED."""
-        return self.fused if name == FUSED else self.normalized[CHANNELS.index(name)]
+        return statistic_column(self.normalized, self.fused, name)

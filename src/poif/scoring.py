@@ -1,4 +1,4 @@
-"""Reference-set verification: similarity indices, calibration, decisions.
+"""Reference-set verification: similarity indices, calibration, per-clip statistics.
 
 A claimed identity is checked against a reference set of pristine
 segments of that person.  The raw index of a test segment in one modality
@@ -16,13 +16,13 @@ normalized indices: a clip is only as trustworthy as its worst channel.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from .exceptions import ConfigError, DataError, DegenerateReferenceError
-from .records import CHANNELS, FUSED, SegmentTable
+from .records import CHANNELS, SegmentTable
 from .similarity import check_temperature, padded_blocks, rows_per_block, squared_distance_matrix
 
 SIGMA_FLOOR = 1e-9
@@ -46,17 +46,6 @@ def quantile_threshold(p_fa: float) -> float:
     return _STD_NORMAL.inv_cdf(p_fa)
 
 
-@dataclass(frozen=True)
-class DecisionPolicy:
-    """Accepted false-alarm rate and the implied threshold on normalized scores."""
-
-    p_fa: float = 0.1
-    threshold: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "threshold", quantile_threshold(self.p_fa))
-
-
 @dataclass(eq=False)
 class ReferenceSet:
     """Embedded pristine segments of one person, with calibration stats.
@@ -66,7 +55,6 @@ class ReferenceSet:
     self_scores keeps the (3, n) per-segment values for diagnostics.
     """
 
-    poi_id: str
     video_ids: tuple[str, ...]
     audio: np.ndarray
     video: np.ndarray
@@ -185,7 +173,6 @@ def build_reference(
         )
 
     return ReferenceSet(
-        poi_id=poi_id,
         video_ids=video_ids,
         audio=x_audio,
         video=x_video,
@@ -195,47 +182,24 @@ def build_reference(
     )
 
 
-@dataclass(eq=False)
-class StackVerdict:
-    """Verdicts for a stack of clips of equal length.
-
-    ``normalized`` holds each clip's means of the normalized indices as a
-    (3, clips) channel stack, ``fused`` each clip's mean of the fused value,
-    ``fake`` each clip's verdict (True: judged fake).
-    """
-
-    normalized: np.ndarray
-    fused: np.ndarray
-    fake: np.ndarray
-
-
-def score_video(
-    raw: np.ndarray,
-    ref: ReferenceSet,
-    policy: DecisionPolicy,
-    statistic: str = FUSED,
-) -> StackVerdict:
-    """Verdicts for a (3, clips, L) stack of segments' raw indices (``best_matches``).
+def score_video(raw: np.ndarray, ref: ReferenceSet) -> tuple[np.ndarray, np.ndarray]:
+    """Per-clip statistics of a (3, clips, L) stack of segments' raw indices (``best_matches``).
 
     Each segment's raw index is normalized with the reference's mu and
     sigma, and the fused value is the worst of the three channels.  A
-    clip's statistic (a channel name or ``fused``) is the plain mean of its
-    per-segment normalized (or fused) values, so longer clips average down
-    the per-segment noise.  The stack is made C-contiguous first, so each
-    mean runs over a contiguous row and gives the bits of a 1-D mean of
-    that clip alone, whatever the caller's layout.  A clip is fake when the
-    chosen statistic falls below the policy threshold.
+    clip's statistics are the plain means of its per-segment normalized
+    and fused values, so longer clips average down the per-segment noise.
+    Returns the (3, clips) channel means in CHANNELS order and the
+    (clips,) fused means; the decision is the caller's.  The stack is
+    made C-contiguous first, so each mean runs over a contiguous row and
+    gives the bits of a 1-D mean of that clip alone, whatever the
+    caller's layout.
     """
     raw = np.ascontiguousarray(raw, dtype=np.float64)
     if raw.ndim != 3 or len(raw) != len(CHANNELS):
         raise DataError(f"expected a (3, clips, L) stack of raw indices, got {raw.shape}")
     if not raw.size:
         raise DataError("no test segments to score")
-    if statistic != FUSED and statistic not in CHANNELS:
-        raise ConfigError(f"unknown statistic {statistic!r}")
 
     normalized = (raw - ref.mu[:, None, None]) / ref.sigma[:, None, None]
-    means = normalized.mean(axis=-1)
-    fused = normalized.min(axis=0).mean(axis=-1)
-    value = fused if statistic == FUSED else means[CHANNELS.index(statistic)]
-    return StackVerdict(normalized=means, fused=fused, fake=value < policy.threshold)
+    return normalized.mean(axis=-1), normalized.min(axis=0).mean(axis=-1)

@@ -30,7 +30,6 @@ import numpy as np
 
 from .exceptions import ConfigError, DataError
 from .records import FLAG_COLUMNS, GROUP_FLAGS, GROUPS, SegmentTable
-from .utils import as_rng
 
 
 @dataclass
@@ -136,7 +135,7 @@ def sample_identity_videos(
     identity_id: str,
     n_videos: int,
     n_segments: int,
-    rng,
+    rng: np.random.Generator,
     video_prefix: str = "x",
 ) -> SegmentTable:
     """Draw extra pristine videos for an existing identity.
@@ -145,7 +144,6 @@ def sample_identity_videos(
     generated with; draws come from the provided stream, not the world
     seed, in the order ``generate_world`` draws one identity's videos.
     """
-    rng = as_rng(rng)
     row = world.identity_row(identity_id)
     cfg = world.cfg
     normals = rng.standard_normal((1, n_videos, 1 + n_segments, cfg.audio_dim + cfg.video_dim))
@@ -165,7 +163,7 @@ def generate_benchmark(
     world: World,
     group_counts: Mapping[str, int],
     betas: Sequence[float],
-    rng,
+    rng: np.random.Generator,
     *,
     segments_per_video: int = 10,
     reference_videos: int = 10,
@@ -187,7 +185,6 @@ def generate_benchmark(
                         ("reference_videos", reference_videos), ("real_videos", real_videos)):
         if count < 1:
             raise ConfigError(f"{name} must be >= 1, got {count}")
-    rng = as_rng(rng)
     if train_identity_ids is not None:
         overlap = sorted(set(train_identity_ids) & set(world.identity_ids))
         if overlap:

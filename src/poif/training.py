@@ -22,7 +22,6 @@ from .exceptions import ConfigError, DataError
 from .losses import LOSS_COLUMNS, loss_plan, positive_sets
 from .optim import adamw_step, init_optim_state, pack
 from .records import SegmentTable
-from .utils import as_rng
 
 
 @dataclass
@@ -184,7 +183,7 @@ def index_training_set(
     )
 
 
-def sample_batch(index: TrainingIndex, rng) -> np.ndarray:
+def sample_batch(index: TrainingIndex, rng: np.random.Generator) -> np.ndarray:
     """Draw p = identities_per_batch identities x k = segments_per_identity videos.
 
     One segment per chosen video, so no two rows share a video; rows come
@@ -196,7 +195,7 @@ def sample_batch(index: TrainingIndex, rng) -> np.ndarray:
     """
     p, k = index.identities_per_batch, index.segments_per_identity
     e, v = index.padding.shape
-    u = as_rng(rng).random(e + p * v + p * k)
+    u = rng.random(e + p * v + p * k)
     who = np.argsort(u[:e], kind="stable")[:p]
     keys = u[e:e + p * v].reshape(p, v) + index.padding[who]
     videos = index.first_video[who, None] + np.argsort(keys, axis=1, kind="stable")[:, :k]

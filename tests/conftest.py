@@ -5,7 +5,7 @@ import numpy as np
 from poif.encoder import encode_batch
 from poif.losses import loss_plan, positive_sets
 from poif.optim import init_optim_state
-from poif.records import FUSED, SegmentRecord, SegmentTable
+from poif.records import SegmentRecord, SegmentTable
 from poif.scoring import best_matches, build_reference, score_video
 from poif.training import TrainState
 
@@ -96,13 +96,13 @@ def batch_inputs(batch):
     )
 
 
-def score_clip(segments, ref, params, tau, policy, statistic=FUSED):
+def score_clip(segments, ref, params, tau):
     """The package's path for one clip: one embedding batch, best matches, and
-    the verdict of a one-clip stack."""
+    the statistics of a one-clip stack (score_video's channel and fused means)."""
     table = SegmentTable.from_records(segments)
     x_audio, x_video = encode_batch(params, table.audio, table.video)
     raw = best_matches(x_audio, x_video, ref.audio, ref.video, tau)
-    return score_video(raw[:, None], ref, policy, statistic)
+    return score_video(raw[:, None], ref)
 
 
 def embedded_reference(table, params, tau, **kwargs):

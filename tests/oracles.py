@@ -19,7 +19,7 @@ from poif.fileio import ScoreRow
 from poif.losses import LOSS_COLUMNS, loss_and_embedding_grads
 from poif.optim import flatten_params, unflatten_params
 from poif.records import CHANNELS, ManipFlags, SegmentRecord, SegmentTable
-from poif.scoring import DecisionPolicy, best_matches, build_reference
+from poif.scoring import best_matches, build_reference, quantile_threshold
 from poif.similarity import squared_distance_matrix
 
 
@@ -388,16 +388,16 @@ def knn_person_id(
     return float(np.mean(hits))
 
 
-def calibration_check(n: int, policy: DecisionPolicy, rng=0) -> float:
-    """Empirical false-alarm rate of the policy on standard-normal scores.
+def calibration_check(n: int, p_fa: float, rng=0) -> float:
+    """Empirical false-alarm rate of the p_fa threshold on standard-normal scores.
 
     If normalized genuine scores really follow a standard normal, the
-    returned rate should sit near policy.p_fa.
+    returned rate should sit near p_fa.
     """
     if n < 1000:
         raise ValueError(f"calibration check needs at least 1000 draws, got {n}")
     draws = np.random.default_rng(rng).standard_normal(n)
-    return float(np.mean(draws < policy.threshold))
+    return float(np.mean(draws < quantile_threshold(p_fa)))
 
 
 def scalar_adamw(w, g, m, v, t, lr, wd, b1, b2, eps):
@@ -559,9 +559,10 @@ def row_statistic(row: ScoreRow, name: str) -> float:
     }[name]
 
 
-def record_score_rows(reference, test, params, tau, policy, statistic="fused",
+def record_score_rows(reference, test, params, tau, p_fa, statistic="fused",
                       references=None):
     """One ScoreRow per test video, videos in first-occurrence order."""
+    threshold = quantile_threshold(p_fa)
     if references is None:
         references = record_references(reference, params, tau)
     rows = []
@@ -572,7 +573,7 @@ def record_score_rows(reference, test, params, tau, policy, statistic="fused",
             video_id=vid, identity_id=segs[0].identity_id, n_segments=len(segs),
             flags=segs[0].flags, blend=max(s.blend for s in segs),
             norm_video=norm["video"], norm_audio=norm["audio"], norm_av=norm["av"],
-            fused=fused, decision="fake" if value < policy.threshold else "real",
+            fused=fused, decision="fake" if value < threshold else "real",
         ))
     return rows
 
@@ -625,19 +626,18 @@ def record_reference_by_variety(reference, x, total):
 def record_sweep_scores(axis, values, reference, test, params, tau, statistic="fused",
                         ref_total=100):
     """[(x, score rows)] per sweep point, everything rebuilt at every point."""
-    policy = DecisionPolicy(p_fa=0.5)
     out = []
     for x in sorted(set(values)):
         if axis == "test_length":
             rows = record_score_rows(reference, record_truncate_videos(test, x),
-                                     params, tau, policy, statistic)
+                                     params, tau, 0.5, statistic)
         elif axis == "ref_size":
             rows = record_score_rows(record_reference_by_videos(reference, x), test,
-                                     params, tau, policy, statistic)
+                                     params, tau, 0.5, statistic)
         else:
             subset = record_reference_by_variety(reference, x, ref_total)
             refs = record_references(subset, params, tau, exclude_same_video=x > 1)
-            rows = record_score_rows(subset, test, params, tau, policy, statistic, refs)
+            rows = record_score_rows(subset, test, params, tau, 0.5, statistic, refs)
         out.append((x, rows))
     return out
 
@@ -670,8 +670,9 @@ def record_sweep_rows(axis, values, reference, test, params, tau, statistic="fus
 # The table scorer one video at a time: every verdict computed from that
 # video's slice of its person's best matches, on given embeddings.
 
-def per_video_score_rows(table, videos, embedded, references, tau, policy, statistic):
+def per_video_score_rows(table, videos, embedded, references, tau, p_fa, statistic):
     """One ScoreRow per video, in video order, one verdict at a time."""
+    threshold = quantile_threshold(p_fa)
     x_audio, x_video = embedded
     bounds = videos.bounds
     by_person = {}
@@ -698,6 +699,6 @@ def per_video_score_rows(table, videos, embedded, references, tau, policy, stati
                 blend=max(table.blend[rows].tolist()),
                 norm_video=means["video"], norm_audio=means["audio"], norm_av=means["av"],
                 fused=float(fused.mean()),
-                decision="fake" if value < policy.threshold else "real",
+                decision="fake" if value < threshold else "real",
             )
     return out

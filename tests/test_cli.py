@@ -310,15 +310,28 @@ def test_out_of_range_settings_are_config_errors(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sweep values must be integers >= 1" in err
     assert "not found" not in err and "data error" not in err
-    # non-finite numbers, from a flag or a config file, before any input is read
     out = tmp_path / "out.txt"
     inputs = {
         "train": ["--features", missing, "--seed", "1"],
         "score": ["--checkpoint", missing, "--reference", missing, "--test", missing],
+        "evaluate": ["--scores", missing],
         "sweep": ["--checkpoint", missing, "--reference", missing, "--test", missing,
                   "--axis", "test_length", "--values", "1"],
         "synth": ["--seed", "1"],
     }
+    # out-of-range settings are named before any input is read
+    for command, setting, expects in (
+            *(("score", ["--p-fa", p_fa], "false-alarm rate") for p_fa in ("0", "1")),
+            *(("evaluate", ["--p-fa", p_fa], "false-alarm rate") for p_fa in ("0", "1")),
+            ("score", ["--tau", "-1"], "temperature must be positive"),
+            ("sweep", ["--tau", "-1"], "temperature must be positive"),
+            ("train", ["--lr", "0"], "learning_rate must be positive"),
+            ("train", ["--identities-per-batch", "1"], "identities_per_batch must be >= 2")):
+        assert main([command, *inputs[command], "--out", str(out), *setting]) == 2
+        err = capsys.readouterr().err
+        assert expects in err and "not found" not in err, err
+        assert not out.exists()
+    # non-finite numbers, from a flag or a config file, before any input is read
     config = tmp_path / "bad.cfg"
     for command, key, value in (
             ("train", "tau", "inf"), ("train", "epsilon", "inf"), ("train", "lr", "inf"),

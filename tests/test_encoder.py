@@ -55,8 +55,8 @@ def test_glorot_bounds_and_zero_biases():
 
 def test_init_encoder_is_seed_deterministic_and_audio_first():
     cfg = EncoderConfig(1, 8, 3)
-    a = init_encoder(5, 4, cfg, 123)
-    b = init_encoder(5, 4, cfg, 123)
+    a = init_encoder(5, 4, cfg, np.random.default_rng(123))
+    b = init_encoder(5, 4, cfg, np.random.default_rng(123))
     for wa, wb in zip(a.audio.weights + a.video.weights, b.audio.weights + b.video.weights):
         np.testing.assert_array_equal(wa, wb)
     # the audio stack consumes the stream first
@@ -65,7 +65,7 @@ def test_init_encoder_is_seed_deterministic_and_audio_first():
 
 
 def test_forward_rejects_wrong_input_dim():
-    mlp = init_mlp(4, EncoderConfig(1, 8, 3), 0)
+    mlp = init_mlp(4, EncoderConfig(1, 8, 3), np.random.default_rng(0))
     with pytest.raises(ValueError):
         mlp_forward(mlp, np.zeros((2, 5)))
     with pytest.raises(ValueError):

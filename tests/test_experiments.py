@@ -39,7 +39,7 @@ from poif.experiments import (
     truncate_videos,
 )
 from poif.records import GROUP_FLAGS, PRISTINE, ManipFlags, SegmentRecord, SegmentTable
-from poif.scoring import DecisionPolicy, SmallReferenceWarning, best_matches
+from poif.scoring import SmallReferenceWarning, best_matches, quantile_threshold
 
 pytestmark = pytest.mark.filterwarnings("ignore::poif.scoring.SmallReferenceWarning")
 
@@ -91,7 +91,8 @@ def ragged_world(seed=0, people=3):
 @pytest.fixture(scope="module")
 def world():
     reference, test = ragged_world()
-    params = init_encoder(AUDIO_DIM, VIDEO_DIM, EncoderConfig(2, 64, 32), 5)
+    params = init_encoder(AUDIO_DIM, VIDEO_DIM, EncoderConfig(2, 64, 32),
+                          np.random.default_rng(5))
     return reference, test, params
 
 
@@ -124,7 +125,7 @@ def score_tolerance(test, references, params):
     return worst
 
 
-def assert_rows_within(got, want, tol, policy, statistic):
+def assert_rows_within(got, want, tol, p_fa, statistic):
     """Exact ids, counts and labels; normalized fields within tol; equal
     decisions unless the oracle's statistic lies within tol of the threshold."""
     blank = dict.fromkeys(NORMALIZED, 0.0)
@@ -133,7 +134,7 @@ def assert_rows_within(got, want, tol, policy, statistic):
     for g, w in zip(got, want):
         assert_within([getattr(g, f) for f in NORMALIZED], [getattr(w, f) for f in NORMALIZED],
                       tol)
-        if abs(row_statistic(w, statistic) - policy.threshold) > tol:
+        if abs(row_statistic(w, statistic) - quantile_threshold(p_fa)) > tol:
             assert g.decision == w.decision, w.video_id
 
 
@@ -147,27 +148,25 @@ def assert_no_near_ties(rows, statistic, tol):
 @pytest.mark.parametrize("statistic", ["fused", "video"])
 def test_score_segments_matches_record_oracle(world, statistic):
     reference, test, params = world
-    policy = DecisionPolicy(p_fa=0.2)
     ref_table, test_table = SegmentTable.from_records(reference), SegmentTable.from_records(test)
     refs = build_references(ref_table, params, TAU)
-    got = score_table_rows(score_segments(ref_table, test_table, params, TAU, policy,
+    got = score_table_rows(score_segments(ref_table, test_table, params, TAU, 0.2,
                                           statistic=statistic, references=refs))
-    want = record_score_rows(reference, test, params, TAU, policy, statistic)
-    assert_rows_within(got, want, score_tolerance(test_table, refs, params), policy, statistic)
+    want = record_score_rows(reference, test, params, TAU, 0.2, statistic)
+    assert_rows_within(got, want, score_tolerance(test_table, refs, params), 0.2, statistic)
 
 
 def test_video_scored_alone_matches_its_row_in_the_full_file(world):
     # A row's embedding and matches do not depend on its neighbours, so a
     # video alone gets the bits of its row in the full file.
     reference, test, params = world
-    policy = DecisionPolicy(p_fa=0.2)
     ref_table, test_table = SegmentTable.from_records(reference), SegmentTable.from_records(test)
     refs = build_references(ref_table, params, TAU)
-    full = score_table_rows(score_segments(ref_table, test_table, params, TAU, policy,
+    full = score_table_rows(score_segments(ref_table, test_table, params, TAU, 0.2,
                                            references=refs))
     for row in full:
         alone = test_table.take(np.flatnonzero(test_table.video_ids == row.video_id))
-        assert score_table_rows(score_segments(ref_table, alone, params, TAU, policy,
+        assert score_table_rows(score_segments(ref_table, alone, params, TAU, 0.2,
                                                references=refs)) == [row]
 
 
@@ -198,7 +197,7 @@ def test_sweeps_match_record_oracle(world, axis, values):
         # truncating test videos only drops rows, so the full table's bound holds
         tol = score_tolerance(test_table, point_references(axis, x, ref_table, params, 7),
                               params)
-        assert_rows_within(got_rows, want_rows, tol, DecisionPolicy(p_fa=0.5), "fused")
+        assert_rows_within(got_rows, want_rows, tol, 0.5, "fused")
         assert_no_near_ties(want_rows, "fused", tol)
     assert sweep_rows(axis, values, ref_table, test_table, params, TAU, ref_total=7) \
         == record_sweep_rows(axis, values, reference, test, params, TAU, ref_total=7)
@@ -216,8 +215,8 @@ def test_test_length_sweep_matches_scoring_the_truncated_table(world):
         scored = truncate_videos(videos, x)
         truncated = test_table.take(np.concatenate(
             [scored.video_rows(k) for k in reversed(range(len(scored)))]))
-        want = score_table_rows(score_segments(ref_table, truncated, params, TAU,
-                                               DecisionPolicy(p_fa=0.5), references=refs))
+        want = score_table_rows(score_segments(ref_table, truncated, params, TAU, 0.5,
+                                               references=refs))
         assert sorted(score_table_rows(rows), key=lambda r: r.video_id) \
             == sorted(want, key=lambda r: r.video_id)
 
@@ -270,14 +269,14 @@ def test_scoring_holds_no_person_sized_similarity_matrix():
 
     reference = SegmentTable.from_records(segments("r", n_ref, 20))
     test = SegmentTable.from_records(segments("t", n_test, 10))
-    params = init_encoder(AUDIO_DIM, VIDEO_DIM, EncoderConfig(1, 16, 32), 2)
+    params = init_encoder(AUDIO_DIM, VIDEO_DIM, EncoderConfig(1, 16, 32),
+                          np.random.default_rng(2))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SmallReferenceWarning)
         refs = build_references(reference, params, TAU)
     tracemalloc.start()
     try:
-        rows = score_segments(reference, test, params, TAU, DecisionPolicy(p_fa=0.1),
-                              references=refs)
+        rows = score_segments(reference, test, params, TAU, 0.1, references=refs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -317,7 +316,8 @@ def stack_world():
             flags, blend = labels[j % len(labels)]
             video(test, f"{poi}_t{j}", length, flags, blend)
     test = [test[i] for i in rng.permutation(len(test))]
-    params = init_encoder(AUDIO_DIM, VIDEO_DIM, EncoderConfig(2, 64, 32), 8)
+    params = init_encoder(AUDIO_DIM, VIDEO_DIM, EncoderConfig(2, 64, 32),
+                          np.random.default_rng(8))
     ref_table = SegmentTable.from_records(reference)
     return ref_table, SegmentTable.from_records(test), params, build_references(
         ref_table, params, TAU)
@@ -365,12 +365,11 @@ def test_rows_get_the_same_bits_alone_shifted_and_among_any_neighbours(stack_wor
 @pytest.mark.parametrize("statistic", ["video", "audio", "av", "fused"])
 def test_stacked_score_rows_match_per_video_verdicts(stack_world, budget, statistic):
     ref_table, test, params, refs = stack_world
-    policy = DecisionPolicy(p_fa=0.3)
-    got = score_segments(ref_table, test, params, TAU, policy, statistic=statistic,
+    got = score_segments(ref_table, test, params, TAU, 0.3, statistic=statistic,
                          references=refs)
     videos = group_by_video(test)
     embedded = tuple(x[videos.rows] for x in encode_batch(params, test.audio, test.video))
-    want = per_video_score_rows(test, videos, embedded, refs, TAU, policy, statistic)
+    want = per_video_score_rows(test, videos, embedded, refs, TAU, 0.3, statistic)
     assert score_table_rows(got) == want
     assert set(got.n_segments.tolist()) == set(STACK_LENGTHS)
     assert set(got.fake.tolist()) == {True, False}
@@ -388,8 +387,8 @@ def test_truncated_sweeps_match_per_video_verdicts(stack_world, budget):
     for x, scores in got:
         scored = truncate_videos(videos, x)
         assert score_table_rows(scores) == per_video_score_rows(
-            test, scored, (x_audio[scored.rows], x_video[scored.rows]), refs, TAU,
-            DecisionPolicy(p_fa=0.5), "fused")
+            test, scored, (x_audio[scored.rows], x_video[scored.rows]), refs, TAU, 0.5,
+            "fused")
 
 
 def test_embedding_holds_only_its_output_and_a_few_stacks():
@@ -400,7 +399,8 @@ def test_embedding_holds_only_its_output_and_a_few_stacks():
         SegmentRecord(identity_id="p0", video_id=f"t{i // length}", segment_index=i % length,
                       audio=rng.normal(size=AUDIO_DIM), video=rng.normal(size=VIDEO_DIM))
         for i in range(n_videos * length)])
-    params = init_encoder(AUDIO_DIM, VIDEO_DIM, EncoderConfig(2, WIDEST, 32), 3)
+    params = init_encoder(AUDIO_DIM, VIDEO_DIM, EncoderConfig(2, WIDEST, 32),
+                          np.random.default_rng(3))
     tracemalloc.start()
     try:
         x_audio, x_video = encode_batch(params, test.audio, test.video)

@@ -249,7 +249,7 @@ def test_meta_lines_sorted_and_validated(tmp_path):
 
 def test_checkpoint_round_trip_weights_only(tmp_path):
     path = tmp_path / "c.ckpt"
-    params = init_encoder(3, 4, EncoderConfig(2, 6, 5), 11)
+    params = init_encoder(3, 4, EncoderConfig(2, 6, 5), np.random.default_rng(11))
     write_checkpoint(str(path), step0(params), {"tau": "0.5"})
     path.write_text("\n".join(encoders_only(path.read_text().splitlines())) + "\n")
     ckpt = read_checkpoint(str(path))
@@ -261,7 +261,7 @@ def test_checkpoint_round_trip_weights_only(tmp_path):
 
 def test_checkpoint_round_trip_with_resume_state(tmp_path):
     path = str(tmp_path / "c.ckpt")
-    params = init_encoder(3, 4, EncoderConfig(1, 4, 2), 2)
+    params = init_encoder(3, 4, EncoderConfig(1, 4, 2), np.random.default_rng(2))
     rng = np.random.default_rng(77)
     rng.standard_normal(5)
     state = replace(step0(params, 13), rng_state=rng.bit_generator.state)
@@ -285,7 +285,7 @@ def test_checkpoint_round_trip_with_resume_state(tmp_path):
 
 def test_checkpoint_reader_reports_malformed_integers(tmp_path):
     good = tmp_path / "c.ckpt"
-    params = init_encoder(3, 4, EncoderConfig(1, 4, 2), 2)
+    params = init_encoder(3, 4, EncoderConfig(1, 4, 2), np.random.default_rng(2))
     write_checkpoint(str(good), step0(params, 3), {})
     lines = good.read_text().splitlines()
     assert lines[-1] == "steps_done,3"
@@ -303,7 +303,7 @@ def test_checkpoint_reader_reports_malformed_integers(tmp_path):
 
 def test_read_encoders_gives_the_checkpoints_settings_and_encoders(tmp_path):
     path = str(tmp_path / "c.ckpt")
-    params = init_encoder(3, 4, EncoderConfig(1, 4, 2), 2)
+    params = init_encoder(3, 4, EncoderConfig(1, 4, 2), np.random.default_rng(2))
     write_checkpoint(path, step0(params, 5), {"tau": "0.5"})
     ckpt = read_checkpoint(path)
     assert ckpt.can_resume
@@ -315,7 +315,7 @@ def test_read_encoders_gives_the_checkpoints_settings_and_encoders(tmp_path):
 
 def checkpoint_lines(tmp_path, steps_done):
     """The lines of a small checkpoint at steps_done, and a reader of edited lines."""
-    params = init_encoder(3, 4, EncoderConfig(1, 4, 2), 2)
+    params = init_encoder(3, 4, EncoderConfig(1, 4, 2), np.random.default_rng(2))
     good = tmp_path / "c.ckpt"
     write_checkpoint(str(good), step0(params, steps_done), {})
     bad = tmp_path / "bad.ckpt"
@@ -593,7 +593,8 @@ NON_ASCII_FILES = {
     "features": (write_features, read_feature_table, some_segments),
     "scores": (write_scores, read_score_table, score_table),
     "checkpoint": (write_checkpoint, read_checkpoint,
-                   lambda: step0(init_encoder(3, 4, EncoderConfig(1, 4, 2), 2), 1)),
+                   lambda: step0(init_encoder(3, 4, EncoderConfig(1, 4, 2),
+                                              np.random.default_rng(2)), 1)),
     "report": (write_report, read_report, report_rows),
 }
 
@@ -634,7 +635,7 @@ def test_fmt_row_matches_per_scalar_fmt():
 
 
 def test_checkpoint_writer_refuses_non_finite_and_leaves_no_file(tmp_path):
-    params = init_encoder(3, 4, EncoderConfig(1, 4, 2), 2)
+    params = init_encoder(3, 4, EncoderConfig(1, 4, 2), np.random.default_rng(2))
     state = step0(params, 1)
     state.m[1] = state.m[1].copy()
     state.m[1][0] = np.nan

@@ -4,9 +4,10 @@ from hypothesis import given, strategies as st
 
 from oracles import calibration_check, knn_person_id, midrank_auc, pairwise_auc
 from poif.exceptions import UndefinedMetricError
+from poif.experiments import EVEN_ODDS
 from poif.metrics import accuracy, auc, pd_at_fa
 from poif.records import CHANNELS
-from poif.scoring import DecisionPolicy
+from poif.scoring import quantile_threshold
 
 
 def labeled(real_scores, fake_scores):
@@ -87,7 +88,8 @@ def test_pd_at_fa_small_real_set_keeps_one_anchor():
 
 
 def test_accuracy_against_policy_threshold():
-    even = DecisionPolicy(p_fa=0.5).threshold  # exactly 0
+    even = quantile_threshold(0.5)
+    assert even == EVEN_ODDS == 0.0  # the sweeps' and table_metrics' threshold, exactly
     samples = labeled([0.0, 1.0, -1.0], [-2.0, 0.5])
     # reals at 0.0 and 1.0 pass, -1.0 fails; fake at -2.0 caught, 0.5 missed
     assert accuracy(*samples, even) == pytest.approx(3.0 / 5.0)
@@ -135,8 +137,7 @@ def test_knn_joint_uses_both_channels():
 
 
 def test_calibration_check_tracks_p_fa():
-    policy = DecisionPolicy(p_fa=0.1)
-    rate = calibration_check(20000, policy, rng=0)
+    rate = calibration_check(20000, 0.1, rng=0)
     assert abs(rate - 0.1) < 0.01
     with pytest.raises(ValueError):
-        calibration_check(10, policy)
+        calibration_check(10, 0.1)

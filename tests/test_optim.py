@@ -12,7 +12,7 @@ from poif.training import TrainConfig
 
 
 def small_params(seed=0):
-    return init_encoder(3, 2, EncoderConfig(1, 4, 2), seed)
+    return init_encoder(3, 2, EncoderConfig(1, 4, 2), np.random.default_rng(seed))
 
 
 def cfg(**kw):
@@ -140,7 +140,7 @@ def assert_same_bits(a_state, b_state):
 
 def test_flat_buffers_match_per_array_oracle_bit_for_bit():
     """250 in-place steps on one set of flat buffers, and array by array: same bits."""
-    params = init_encoder(5, 3, EncoderConfig(2, 8, 4), 6)
+    params = init_encoder(5, 3, EncoderConfig(2, 8, 4), np.random.default_rng(6))
     c = cfg(learning_rate=3e-3, weight_decay=0.02)
     rng = np.random.default_rng(11)
     flat = pack(step0(params))
@@ -179,7 +179,7 @@ def test_edits_through_the_views_reach_the_update():
 
 def test_checkpoint_mid_run_resumes_to_identical_bytes(tmp_path):
     """200 steps straight, or 100 then a checkpoint round trip then 100 more."""
-    params0 = init_encoder(4, 3, EncoderConfig(1, 6, 3), 8)
+    params0 = init_encoder(4, 3, EncoderConfig(1, 6, 3), np.random.default_rng(8))
     c = cfg(learning_rate=2e-3)
     grads = [random_grads(params0, np.random.default_rng(1000 + t)) for t in range(200)]
 

@@ -17,8 +17,8 @@ from poif import similarity
 from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError, DataError, DegenerateReferenceError
 from poif.records import CHANNELS, SegmentTable
+from poif.experiments import score_segments
 from poif.scoring import (
-    DecisionPolicy,
     SmallReferenceWarning,
     build_reference,
     quantile_threshold,
@@ -44,7 +44,7 @@ def quiet_reference(segments, params, tau, **kwargs):
 
 @pytest.fixture
 def params():
-    return init_encoder(6, 5, EncoderConfig(1, 8, 4), 7)
+    return init_encoder(6, 5, EncoderConfig(1, 8, 4), np.random.default_rng(7))
 
 
 def test_reference_stats_match_bruteforce(params):
@@ -84,7 +84,7 @@ def test_reference_calibration_never_holds_an_n_by_n_matrix():
     n = 1000
     segments = one_person_segments(seed=4, videos=50, segments=20)
     assert len(segments) == n
-    params = init_encoder(6, 5, EncoderConfig(1, 8, 32), 3)
+    params = init_encoder(6, 5, EncoderConfig(1, 8, 32), np.random.default_rng(3))
     table = SegmentTable.from_records(segments)
     tracemalloc.start()
     try:
@@ -127,7 +127,8 @@ def test_small_reference_warns():
     segments = one_person_segments(videos=2, segments=3)
     with pytest.warns(SmallReferenceWarning):
         embedded_reference(SegmentTable.from_records(segments),
-                           init_encoder(6, 5, EncoderConfig(1, 8, 4), 0), 0.5)
+                           init_encoder(6, 5, EncoderConfig(1, 8, 4), np.random.default_rng(0)),
+                           0.5)
 
 
 def test_degenerate_reference_is_reported(params):
@@ -170,25 +171,25 @@ def test_poi_index_is_max_over_reference(params):
         n_identities=1, n_videos_per_identity=1, n_segments_per_video=1,
         audio_dim=6, video_dim=5, seed=99))
     probe = world.segments.to_records()[0]
-    verdict = score_clip([probe], ref, params, 0.9, DecisionPolicy(p_fa=0.1))
+    normalized, _ = score_clip([probe], ref, params, 0.9)
     for c, best in enumerate(best_similarities(probe, segments, params, 0.9)):
         want = (best - ref.mu[c]) / ref.sigma[c]
-        assert verdict.normalized[c][0] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert normalized[c][0] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_normalize_and_fuse():
     segments = one_person_segments(seed=6)
-    params = init_encoder(6, 5, EncoderConfig(1, 8, 4), 1)
+    params = init_encoder(6, 5, EncoderConfig(1, 8, 4), np.random.default_rng(1))
     ref = quiet_reference(segments, params, tau=0.5)
     # a probe equal to a reference segment has raw index 0 (its own
     # distance) up to the kernel's bound, so normalization leaves -mu / sigma
-    verdict = score_clip(segments[:1], ref, params, 0.5, DecisionPolicy(p_fa=0.1))
+    normalized, fused = score_clip(segments[:1], ref, params, 0.5)
     bound = index_bound(ref.audio[:1], ref.video[:1], ref.audio, ref.video, 0.5)
     for c in range(len(CHANNELS)):
-        assert_within(verdict.normalized[c][0], (0.0 - ref.mu[c]) / ref.sigma[c],
+        assert_within(normalized[c][0], (0.0 - ref.mu[c]) / ref.sigma[c],
                       bound[c][0] / ref.sigma[c])
     # for one segment the fused value is exactly the worst channel
-    assert verdict.fused[0] == min(verdict.normalized[:, 0])
+    assert fused[0] == min(normalized[:, 0])
 
 
 def test_quantile_threshold_matches_erf_inverse():
@@ -198,9 +199,9 @@ def test_quantile_threshold_matches_erf_inverse():
         assert t == pytest.approx(phi_inv(p), abs=1e-9)
         assert phi(t) == pytest.approx(p, abs=1e-9)
     with pytest.raises(ConfigError):
-        DecisionPolicy(p_fa=0.0)
+        quantile_threshold(0.0)
     with pytest.raises(ConfigError):
-        DecisionPolicy(p_fa=1.0)
+        quantile_threshold(1.0)
 
 
 def test_score_video_averages_per_segment_indices(params):
@@ -211,17 +212,14 @@ def test_score_video_averages_per_segment_indices(params):
         audio_dim=6, video_dim=5, seed=8))
     test_segments = sample_identity_videos(world, "id0000", 1, 4,
                                            np.random.default_rng(3)).to_records()
-    verdict = score_clip(test_segments, ref, params, 0.5, DecisionPolicy(p_fa=0.1))
+    normalized, fused = score_clip(test_segments, ref, params, 0.5)
 
-    per_segment = [
-        score_clip([seg], ref, params, 0.5, DecisionPolicy(p_fa=0.1))
-        for seg in test_segments
-    ]
+    per_segment = [score_clip([seg], ref, params, 0.5)[0] for seg in test_segments]
     for c in range(len(CHANNELS)):
-        mean = sum(v.normalized[c][0] for v in per_segment) / len(per_segment)
-        assert verdict.normalized[c][0] == pytest.approx(mean, rel=1e-10)
-    fused = sum(min(v.normalized[:, 0]) for v in per_segment) / len(per_segment)
-    assert verdict.fused[0] == pytest.approx(fused, rel=1e-10)
+        mean = sum(v[c][0] for v in per_segment) / len(per_segment)
+        assert normalized[c][0] == pytest.approx(mean, rel=1e-10)
+    want = sum(min(v[:, 0]) for v in per_segment) / len(per_segment)
+    assert fused[0] == pytest.approx(want, rel=1e-10)
 
 
 def test_score_video_gives_a_strided_stack_the_bits_of_its_contiguous_copy(params):
@@ -233,11 +231,9 @@ def test_score_video_gives_a_strided_stack_the_bits_of_its_contiguous_copy(param
     raw = ref.mu[:, None] + ref.sigma[:, None] * rng.standard_normal((len(CHANNELS), 400))
     strided = raw[:, rng.permutation(400).reshape(40, 10)]
     assert not strided.flags.c_contiguous
-    got = score_video(strided, ref, DecisionPolicy(0.1))
-    want = score_video(np.ascontiguousarray(strided), ref, DecisionPolicy(0.1))
-    assert got.normalized.tobytes() == want.normalized.tobytes()
-    assert got.fused.tobytes() == want.fused.tobytes()
-    assert np.array_equal(got.fake, want.fake)
+    got = score_video(strided, ref)
+    want = score_video(np.ascontiguousarray(strided), ref)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 def test_score_video_decision_follows_threshold(params):
@@ -246,15 +242,22 @@ def test_score_video_decision_follows_threshold(params):
     world = generate_world(WorldConfig(
         n_identities=1, n_videos_per_identity=1, n_segments_per_video=1,
         audio_dim=6, video_dim=5, seed=9))
-    own = sample_identity_videos(world, "id0000", 1, 6, np.random.default_rng(1)).to_records()
-    verdict = score_clip(own, ref, params, 0.5, DecisionPolicy(p_fa=0.1))
-    lenient = verdict.fused[0] >= DecisionPolicy(p_fa=0.1).threshold  # the default statistic
-    assert verdict.fake.dtype == bool
-    assert verdict.fake.tolist() == [not lenient]
-    # an absurdly strict policy must flag even genuine material
-    strict = score_clip(own, ref, params, 0.5, DecisionPolicy(p_fa=0.999999))
-    assert strict.fake.tolist() == [True]
+    own = sample_identity_videos(world, "id0000", 1, 6, np.random.default_rng(1))
+    reference = SegmentTable.from_records(ref_segments)
+
+    def judged(p_fa, **kwargs):
+        return score_segments(reference, own, params, 0.5, p_fa, references={"id0000": ref},
+                              **kwargs)
+
+    # the one-video table carries score_video's statistics of the clip
+    lenient = judged(0.1)
+    assert lenient.fused.tolist() == score_clip(own.to_records(), ref, params, 0.5)[1].tolist()
+    assert lenient.fake.dtype == bool
+    # the default statistic against the threshold at p_fa
+    assert lenient.fake.tolist() == [bool(lenient.fused[0] < quantile_threshold(0.1))]
+    # an absurdly strict rate must flag even genuine material
+    assert judged(0.999999).fake.tolist() == [True]
     with pytest.raises(ConfigError):
-        score_clip(own, ref, params, 0.5, DecisionPolicy(0.1), statistic="fusion")
+        judged(0.1, statistic="fusion")
     with pytest.raises(DataError):
-        score_video(np.empty((3, 0, 3)), ref, DecisionPolicy(0.1))
+        score_video(np.empty((3, 0, 3)), ref)

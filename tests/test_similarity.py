@@ -175,7 +175,7 @@ def test_similarity_rejects_bad_tau():
     plan = loss_plan(~np.eye(4, dtype=bool))
     with pytest.raises(ConfigError):
         loss_and_embedding_grads(x_audio, x_video, plan, 0.0, 1.0)
-    params = init_encoder(6, 5, EncoderConfig(1, 4, 2), 0)
+    params = init_encoder(6, 5, EncoderConfig(1, 4, 2), np.random.default_rng(0))
     with pytest.raises(ConfigError):
         embedded_reference(SegmentTable.from_records(batch), params, -1.0)
 
