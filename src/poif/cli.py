@@ -7,9 +7,10 @@ a score file into the per-group metric table, and ``sweep`` traces AUC
 against test length or reference composition.
 
 Settings resolve in three layers: built-in defaults, then a flat
-key=value file given with --config, then explicit flags.  The effective
-settings are echoed into every output file header.  POIF_SEED serves as a
-seed fallback for the commands that draw randomness.
+key=value file given with --config, then explicit flags, with POIF_SEED as
+the seed fallback.  Ranges, required settings, input files and output
+directories are all checked before any input is read, and the effective
+settings, paths aside, are echoed into every output file header.
 
 Exit codes: 0 success, 2 configuration problem (including unresolvable
 paths), 3 data problem, 4 degenerate reference.
@@ -33,7 +34,7 @@ from .fileio import fmt, parse_config_file
 from .records import FUSED, GROUPS
 from .scoring import quantile_threshold
 from .similarity import check_temperature
-from .synthgen import WorldConfig, generate_benchmark, generate_world
+from .synthgen import WorldConfig, check_disjoint, generate_benchmark, generate_world
 from .training import TrainConfig, train
 
 STATISTIC_CHOICES = ("video", "audio", "av", "fusion")
@@ -76,8 +77,21 @@ def _choice(options: Sequence[str]) -> Callable[[str], str]:
     return convert
 
 
-# Per-command setting schema: key -> (converter, default).  Flags override
-# config-file values, which override these defaults.
+def _at_least_one(what: str) -> Callable:
+    """The ">= 1" rule of ref_total and the sweep values."""
+    def check(value):
+        if np.min(value) < 1:
+            raise ConfigError(f"{what} >= 1, got {value}")
+    return check
+
+
+# Per-command setting schema: key -> (converter, default[, rule]).  Flags
+# override config-file values, which override these defaults.  A REQUIRED
+# default must be given.  The rule is a range check, INPUT (the file must
+# exist) or OUTPUT (its directory must exist); paths never enter headers.
+REQUIRED = object()
+INPUT, OUTPUT = "input", "output"
+
 _SYNTH_SPEC = {
     "mode": (_choice(("train", "benchmark")), "train"),
     "identities": (int, None),
@@ -89,11 +103,11 @@ _SYNTH_SPEC = {
     "video_bias_scale": (finite, 0.1),
     "segment_noise_scale": (finite, 0.1),
     "identity_start": (int, None),
-    "seed": (int, None),
-    "out": (str, None),
-    "out_reference": (str, None),
-    "out_test": (str, None),
-    "train_features": (str, None),
+    "seed": (int, REQUIRED),
+    "out": (str, REQUIRED, OUTPUT),
+    "out_reference": (str, REQUIRED, OUTPUT),
+    "out_test": (str, REQUIRED, OUTPUT),
+    "train_features": (str, None, INPUT),
     "fakes_per_group": (int, 4),
     "betas": (_float_list, [1.0, 0.4]),
     "cloned_voice_scale": (finite, 0.5),
@@ -101,12 +115,19 @@ _SYNTH_SPEC = {
     "real_videos": (int, 4),
 }
 
+# The synth settings each mode never reads, so never requires or checks.
+_SYNTH_UNREAD = {
+    "train": {"out_reference", "out_test", "train_features", "fakes_per_group", "betas",
+              "cloned_voice_scale", "reference_videos", "real_videos"},
+    "benchmark": {"out", "videos_per_identity"},
+}
+
 _TRAIN_SPEC = {
-    "features": (str, None),
-    "out": (str, None),
-    "log": (str, None),
-    "resume": (str, None),
-    "seed": (int, None),
+    "features": (str, REQUIRED, INPUT),
+    "out": (str, REQUIRED, OUTPUT),
+    "log": (str, None, OUTPUT),
+    "resume": (str, None, INPUT),
+    "seed": (int, REQUIRED),
     "lr": (finite, 1e-4),
     "weight_decay": (finite, 0.01),
     "beta1": (finite, 0.9),
@@ -124,45 +145,48 @@ _TRAIN_SPEC = {
 }
 
 _SCORE_SPEC = {
-    "checkpoint": (str, None),
-    "reference": (str, None),
-    "test": (str, None),
-    "out": (str, None),
-    "p_fa": (finite, 0.1),
-    "tau": (finite, None),
+    "checkpoint": (str, REQUIRED, INPUT),
+    "reference": (str, REQUIRED, INPUT),
+    "test": (str, REQUIRED, INPUT),
+    "out": (str, REQUIRED, OUTPUT),
+    "p_fa": (finite, 0.1, quantile_threshold),
+    "tau": (finite, None, check_temperature),
     "statistic": (_choice(STATISTIC_CHOICES), "fusion"),
 }
 
 _EVALUATE_SPEC = {
-    "scores": (str, None),
-    "out": (str, None),
-    "p_fa": (finite, 0.1),
+    "scores": (str, REQUIRED, INPUT),
+    "out": (str, REQUIRED, OUTPUT),
+    "p_fa": (finite, 0.1, quantile_threshold),
 }
 
 _SWEEP_SPEC = {
-    "checkpoint": (str, None),
-    "reference": (str, None),
-    "test": (str, None),
-    "out": (str, None),
-    "axis": (_choice(experiments.SWEEP_AXES), None),
-    "values": (_int_list, None),
-    "ref_total": (int, 100),
-    "tau": (finite, None),
+    "checkpoint": (str, REQUIRED, INPUT),
+    "reference": (str, REQUIRED, INPUT),
+    "test": (str, REQUIRED, INPUT),
+    "out": (str, REQUIRED, OUTPUT),
+    "axis": (_choice(experiments.SWEEP_AXES), REQUIRED),
+    "values": (_int_list, REQUIRED, _at_least_one("sweep values must be integers")),
+    "ref_total": (int, 100, _at_least_one("ref_total must be")),
+    "tau": (finite, None, check_temperature),
     "statistic": (_choice(STATISTIC_CHOICES), "fusion"),
 }
 
-# Settings that never enter output headers: paths vary by machine.
-_NO_ECHO = {
-    "out", "out_reference", "out_test", "train_features", "features", "log",
-    "resume", "checkpoint", "reference", "test", "scores",
-}
+
+_NO_SEED = "a seed is required: pass --seed, set seed in the config file, or export POIF_SEED"
 
 
-def _resolve(args: argparse.Namespace, spec: Mapping) -> dict:
-    merged = {k: default for k, (_, default) in spec.items()}
+def _rule(entry: tuple):
+    return entry[2] if len(entry) > 2 else None
+
+
+def _resolve(args: argparse.Namespace, spec: Mapping, unread: Mapping | None = None) -> dict:
+    """The merged settings, their ranges checked and the required ones present.
+
+    ``unread`` maps a mode to the settings it never reads, which go unchecked.
+    """
+    merged = {k: None if entry[1] is REQUIRED else entry[1] for k, entry in spec.items()}
     if args.config is not None:
-        if not os.path.isfile(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
         for key, raw in parse_config_file(args.config).items():
             k = key.replace("-", "_")
             if k not in spec:
@@ -171,26 +195,35 @@ def _resolve(args: argparse.Namespace, spec: Mapping) -> dict:
                 merged[k] = spec[k][0](raw)
             except ValueError as e:
                 raise ConfigError(f"bad config value {key}={raw!r}: {e}") from None
-    for k in spec:
-        explicit = getattr(args, k, None)
-        if explicit is not None:
-            merged[k] = explicit
+    merged.update({k: getattr(args, k) for k in spec if getattr(args, k, None) is not None})
+    env = os.environ.get("POIF_SEED")
+    if "seed" in spec and merged["seed"] is None and env is not None:
+        try:
+            merged["seed"] = int(env)
+        except ValueError:
+            raise ConfigError(f"POIF_SEED must be an integer, got {env!r}") from None
+    read = {k: entry for k, entry in spec.items()
+            if not unread or k not in unread[merged["mode"]]}
+    for k, entry in read.items():
+        if callable(_rule(entry)) and merged[k] is not None:
+            _rule(entry)(merged[k])
+    for k, entry in read.items():
+        if entry[1] is REQUIRED and merged[k] is None:
+            raise ConfigError(_NO_SEED if k == "seed" else "missing required setting: pass "
+                              f"--{k.replace('_', '-')} or set {k} in the config")
     return merged
 
 
-def _resolve_seed(merged: dict):
-    if merged.get("seed") is None:
-        env = os.environ.get("POIF_SEED")
-        if env is not None:
-            try:
-                merged["seed"] = int(env)
-            except ValueError:
-                raise ConfigError(f"POIF_SEED must be an integer, got {env!r}") from None
-    if merged.get("seed") is None:
-        raise ConfigError(
-            "a seed is required: pass --seed, set seed in the config file, "
-            "or export POIF_SEED"
-        )
+def _check_paths(merged: Mapping, spec: Mapping, unread=()):
+    """Refuse a missing input file, then an output path in a missing directory."""
+    given = [(k, _rule(entry), merged[k]) for k, entry in spec.items()
+             if k not in unread and merged[k] is not None]
+    for k, rule, path in given:
+        if rule is INPUT and not os.path.isfile(path):
+            raise ConfigError(f"{k} file not found: {path}")
+    for k, rule, path in given:
+        if rule is OUTPUT and not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise ConfigError(f"directory not found for {k}: {path}")
 
 
 def _stringify(value) -> str:
@@ -203,32 +236,18 @@ def _stringify(value) -> str:
     return str(value)
 
 
-def _echo_meta(merged: Mapping, extra: Mapping | None = None) -> dict[str, str]:
+def _echo_meta(merged: Mapping, spec: Mapping, extra: Mapping | None = None) -> dict[str, str]:
     meta = {k: _stringify(v) for k, v in merged.items()
-            if k not in _NO_ECHO and v is not None}
+            if _rule(spec[k]) not in (INPUT, OUTPUT) and v is not None}
     if extra:
         meta.update({k: _stringify(v) for k, v in extra.items()})
     return meta
 
 
-def _need(merged: Mapping, key: str, flag: str):
-    if merged.get(key) is None:
-        raise ConfigError(f"missing required setting: pass {flag} or set {key} in the config")
-    return merged[key]
-
-
-def _need_input(merged: Mapping, key: str, flag: str) -> str:
-    path = _need(merged, key, flag)
-    if not os.path.isfile(path):
-        raise ConfigError(f"{key} file not found: {path}")
-    return path
-
-
 # -- commands -----------------------------------------------------------
 
 def _cmd_synth(args) -> int:
-    merged = _resolve(args, _SYNTH_SPEC)
-    _resolve_seed(merged)
+    merged = _resolve(args, _SYNTH_SPEC, _SYNTH_UNREAD)
     mode = merged["mode"]
     if merged["identities"] is None:
         merged["identities"] = 64 if mode == "train" else 20
@@ -252,19 +271,12 @@ def _cmd_synth(args) -> int:
     world = generate_world(world_cfg)
 
     if mode == "train":
-        out = _need(merged, "out", "--out")
-        fileio.write_features(out, world.segments, _echo_meta(merged))
-        print(f"wrote {out} ({len(world.segments)} segments)")
+        _check_paths(merged, _SYNTH_SPEC, _SYNTH_UNREAD[mode])
+        fileio.write_features(merged["out"], world.segments, _echo_meta(merged, _SYNTH_SPEC))
+        print(f"wrote {merged['out']} ({len(world.segments)} segments)")
         return 0
 
-    out_reference = _need(merged, "out_reference", "--out-reference")
-    out_test = _need(merged, "out_test", "--out-test")
-    train_ids = None
-    if merged["train_features"] is not None:
-        if not os.path.isfile(merged["train_features"]):
-            raise ConfigError(f"train_features file not found: {merged['train_features']}")
-        _, train_table = fileio.read_feature_table(merged["train_features"])
-        train_ids = sorted(set(train_table.identity_ids.tolist()))
+    # drawn before any file is opened, so its guards refuse bad group settings first
     bench = generate_benchmark(
         world,
         group_counts={g: merged["fakes_per_group"] for g in GROUPS},
@@ -274,12 +286,15 @@ def _cmd_synth(args) -> int:
         reference_videos=merged["reference_videos"],
         real_videos=merged["real_videos"],
         cloned_voice_scale=merged["cloned_voice_scale"],
-        train_identity_ids=train_ids,
     )
-    fileio.write_features(out_reference, bench.reference, _echo_meta(merged, {"role": "reference"}))
-    fileio.write_features(out_test, bench.test, _echo_meta(merged, {"role": "test"}))
-    print(f"wrote {out_reference} ({len(bench.reference)} segments)")
-    print(f"wrote {out_test} ({len(bench.test)} segments)")
+    _check_paths(merged, _SYNTH_SPEC, _SYNTH_UNREAD[mode])
+    if merged["train_features"] is not None:
+        _, train_table = fileio.read_feature_table(merged["train_features"])
+        check_disjoint(train_table.identity_ids.tolist(), world.identity_ids)
+    for role, table in (("reference", bench.reference), ("test", bench.test)):
+        path = merged[f"out_{role}"]
+        fileio.write_features(path, table, _echo_meta(merged, _SYNTH_SPEC, {"role": role}))
+        print(f"wrote {path} ({len(table)} segments)")
     return 0
 
 
@@ -295,7 +310,6 @@ _RESUME_MUST_MATCH = (
 
 def _cmd_train(args) -> int:
     merged = _resolve(args, _TRAIN_SPEC)
-    _resolve_seed(merged)
     cfg = TrainConfig(
         learning_rate=merged["lr"],
         weight_decay=merged["weight_decay"],
@@ -315,14 +329,11 @@ def _cmd_train(args) -> int:
             embedding_dim=merged["embedding_dim"],
         ),
     )
-    features_path = _need_input(merged, "features", "--features")
-    out = _need(merged, "out", "--out")
-    _, table = fileio.read_feature_table(features_path)
+    _check_paths(merged, _TRAIN_SPEC)
+    _, table = fileio.read_feature_table(merged["features"])
 
     resume, final_loss = None, math.nan
     if merged["resume"] is not None:
-        if not os.path.isfile(merged["resume"]):
-            raise ConfigError(f"resume checkpoint not found: {merged['resume']}")
         ckpt = fileio.read_checkpoint(merged["resume"])
         if ckpt.state is None:
             raise ConfigError(f"checkpoint {merged['resume']} carries no resume state")
@@ -340,13 +351,13 @@ def _cmd_train(args) -> int:
 
     if len(result.log):
         final_loss = float(result.log[-1, -1])
-    meta = _echo_meta(merged, {
+    meta = _echo_meta(merged, _TRAIN_SPEC, {
         "audio_dim": table.audio.shape[1],
         "video_dim": table.video.shape[1],
         "final_loss": final_loss,
     })
-    fileio.write_checkpoint(out, result.state, meta)
-    print(f"wrote {out} ({result.state.steps_done} steps, final loss "
+    fileio.write_checkpoint(merged["out"], result.state, meta)
+    print(f"wrote {merged['out']} ({result.state.steps_done} steps, final loss "
           f"{_stringify(final_loss)})")
     if merged["log"] is not None:
         fileio.write_train_log(merged["log"], result.log, meta,
@@ -355,12 +366,11 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _scoring_inputs(merged) -> tuple:
-    if merged["tau"] is not None:
-        check_temperature(merged["tau"])
-    meta, params = fileio.read_encoders(_need_input(merged, "checkpoint", "--checkpoint"))
-    _, reference = fileio.read_feature_table(_need_input(merged, "reference", "--reference"))
-    _, test = fileio.read_feature_table(_need_input(merged, "test", "--test"))
+def _scoring_inputs(merged, spec) -> tuple:
+    _check_paths(merged, spec)
+    meta, params = fileio.read_encoders(merged["checkpoint"])
+    _, reference = fileio.read_feature_table(merged["reference"])
+    _, test = fileio.read_feature_table(merged["test"])
     if merged["tau"] is None:
         if "tau" not in meta:
             raise ConfigError("no --tau given and the checkpoint records none")
@@ -370,17 +380,15 @@ def _scoring_inputs(merged) -> tuple:
 
 def _cmd_score(args) -> int:
     merged = _resolve(args, _SCORE_SPEC)
-    threshold = quantile_threshold(merged["p_fa"])
-    params, reference, test = _scoring_inputs(merged)
-    out = _need(merged, "out", "--out")
+    params, reference, test = _scoring_inputs(merged, _SCORE_SPEC)
     scores = experiments.score_segments(
         reference, test, params, merged["tau"], merged["p_fa"],
         statistic=_STATISTIC_BY_FLAG[merged["statistic"]],
     )
-    meta = _echo_meta(merged, {"threshold": threshold})
-    fileio.write_scores(out, scores, meta)
+    meta = _echo_meta(merged, _SCORE_SPEC, {"threshold": quantile_threshold(merged["p_fa"])})
+    fileio.write_scores(merged["out"], scores, meta)
     n_fake = int(scores.fake.sum())
-    print(f"wrote {out} ({len(scores)} videos: {len(scores) - n_fake} judged real, "
+    print(f"wrote {merged['out']} ({len(scores)} videos: {len(scores) - n_fake} judged real, "
           f"{n_fake} judged fake)")
     return 0
 
@@ -391,14 +399,12 @@ def _fmt_cell(value: float | None) -> str:
 
 def _cmd_evaluate(args) -> int:
     merged = _resolve(args, _EVALUATE_SPEC)
-    quantile_threshold(merged["p_fa"])  # range check before reading
-    scores_path = _need_input(merged, "scores", "--scores")
-    out = _need(merged, "out", "--out")
-    _, scores = fileio.read_score_table(scores_path)
+    _check_paths(merged, _EVALUATE_SPEC)
+    _, scores = fileio.read_score_table(merged["scores"])
     table = experiments.table_metrics(scores, p_fa=merged["p_fa"])
     report = experiments.report_rows(table)
-    fileio.write_report(out, report, _echo_meta(merged))
-    print(f"wrote {out} ({len(report)} rows)")
+    fileio.write_report(merged["out"], report, _echo_meta(merged, _EVALUATE_SPEC))
+    print(f"wrote {merged['out']} ({len(report)} rows)")
     for metric in ("auc", "accuracy", "pd_at_fa"):
         print(f"{metric} (percent):")
         print(f"  {'group':8s} {'video':>6s} {'audio':>6s} {'av':>6s} {'fusion':>6s}")
@@ -413,39 +419,32 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     merged = _resolve(args, _SWEEP_SPEC)
-    if merged["ref_total"] < 1:
-        raise ConfigError(f"ref_total must be >= 1, got {merged['ref_total']}")
-    values = _need(merged, "values", "--values")
-    if any(v < 1 for v in values):
-        raise ConfigError(f"sweep values must be integers >= 1, got {values}")
-    params, reference, test = _scoring_inputs(merged)
-    out = _need(merged, "out", "--out")
-    axis = _need(merged, "axis", "--axis")
+    params, reference, test = _scoring_inputs(merged, _SWEEP_SPEC)
+    axis = merged["axis"]
     rows = experiments.sweep_rows(
-        axis, values, reference, test, params, merged["tau"],
+        axis, merged["values"], reference, test, params, merged["tau"],
         statistic=_STATISTIC_BY_FLAG[merged["statistic"]],
         ref_total=merged["ref_total"],
     )
-    meta = _echo_meta(merged)
+    meta = _echo_meta(merged, _SWEEP_SPEC)
     if axis != "ref_variety":
         del meta["ref_total"]  # only the variety axis reads the budget
-    fileio.write_sweep(out, rows, meta)
-    print(f"wrote {out} ({len(rows)} rows)")
+    fileio.write_sweep(merged["out"], rows, meta)
+    print(f"wrote {merged['out']} ({len(rows)} rows)")
     return 0
 
 
 # -- parser -------------------------------------------------------------
 
-def _add_setting_flags(sp: argparse.ArgumentParser, spec: Mapping, flags: Mapping[str, str]):
+def _add_setting_flags(sp: argparse.ArgumentParser, spec: Mapping):
     sp.add_argument("--config", help="flat key=value settings file")
-    for key, (converter, _) in spec.items():
-        flag = flags.get(key, "--" + key.replace("_", "-"))
+    for key, (converter, *_) in spec.items():
         kwargs: dict = {"dest": key, "default": None}
         if hasattr(converter, "choices"):
             kwargs["choices"] = converter.choices
         elif converter is not str:
             kwargs["type"] = converter
-        sp.add_argument(flag, **kwargs)
+        sp.add_argument("--" + key.replace("_", "-"), **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,23 +455,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate synthetic feature files")
-    _add_setting_flags(sp, _SYNTH_SPEC, {})
+    _add_setting_flags(sp, _SYNTH_SPEC)
     sp.set_defaults(run=_cmd_synth)
 
     sp = sub.add_parser("train", help="fit the encoders on pristine features")
-    _add_setting_flags(sp, _TRAIN_SPEC, {"lambda": "--lambda"})
+    _add_setting_flags(sp, _TRAIN_SPEC)
     sp.set_defaults(run=_cmd_train)
 
     sp = sub.add_parser("score", help="verify test videos against references")
-    _add_setting_flags(sp, _SCORE_SPEC, {})
+    _add_setting_flags(sp, _SCORE_SPEC)
     sp.set_defaults(run=_cmd_score)
 
     sp = sub.add_parser("evaluate", help="per-group metric table from scores")
-    _add_setting_flags(sp, _EVALUATE_SPEC, {})
+    _add_setting_flags(sp, _EVALUATE_SPEC)
     sp.set_defaults(run=_cmd_evaluate)
 
     sp = sub.add_parser("sweep", help="AUC curves along one axis")
-    _add_setting_flags(sp, _SWEEP_SPEC, {})
+    _add_setting_flags(sp, _SWEEP_SPEC)
     sp.set_defaults(run=_cmd_sweep)
     return p
 

@@ -128,7 +128,7 @@ def build_references(
     return _calibrate(reference, embedded, tau, **kwargs)
 
 
-def _need_material(claimed, available) -> None:
+def _require_material(claimed, available) -> None:
     missing = sorted(set(claimed) - set(available))
     if missing:
         raise DataError(f"no reference material for: {', '.join(missing)}")
@@ -144,7 +144,7 @@ def _claimed(reference: SegmentTable, test: SegmentTable) -> SegmentTable:
         if not len(table):
             raise DataError(f"empty {name} set")
     claimed, owners = set(test.identity_ids.tolist()), reference.identity_ids.tolist()
-    _need_material(claimed, owners)
+    _require_material(claimed, owners)
     return reference.take(np.array([poi in claimed for poi in owners]))
 
 
@@ -154,7 +154,7 @@ def _match_rows(table, embedded, references, tau) -> np.ndarray:
     A person's rows are matched in one best_matches call.
     """
     people = group_by_identity(table)
-    _need_material(people, references)
+    _require_material(people, references)
     raw = np.empty((len(CHANNELS), len(table)))
     for poi, rows in people.items():
         ref = references[poi]

@@ -196,20 +196,25 @@ def _write(path: str, *parts: Iterable[str]):
     """Write the lines of each part as they come to a temporary file, then move it onto path.
 
     A line that fails to format, or a move that fails, leaves path as it was
-    and no temporary file.
+    and no temporary file; an OSError of the temporary file names path.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
-    f = open(tmp, "w", encoding="ascii")
     try:
-        with f:
-            for lines in parts:
-                for line in lines:
-                    f.write(line)
-                    f.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        f = open(tmp, "w", encoding="ascii")
+        try:
+            with f:
+                for lines in parts:
+                    for line in lines:
+                        f.write(line)
+                        f.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:
+        if e.filename != tmp:
+            raise
+        raise OSError(e.errno, e.strerror, path) from None
 
 
 # -- feature and score rows ---------------------------------------------
@@ -631,7 +636,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     """Read a flat key=value settings file; # starts a comment line."""
     try:
         raw = _ascii_lines(path, lambda n: ConfigError(f"{path}:{n}: non-ASCII byte"))
-    except FileNotFoundError:
+    except (FileNotFoundError, IsADirectoryError):
         raise ConfigError(f"config file not found: {path}") from None
     out: dict[str, str] = {}
     for i, line in enumerate(raw, start=1):

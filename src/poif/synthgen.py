@@ -24,7 +24,7 @@ that person, and the labels carry what was tampered with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -151,6 +151,13 @@ def sample_identity_videos(
                             world.video_latents[row:row + 1], normals, video_prefix)
 
 
+def check_disjoint(train_identity_ids: Iterable[str], identity_ids: Iterable[str]):
+    """Refuse benchmark identities that the training set also holds."""
+    overlap = sorted(set(train_identity_ids) & set(identity_ids))
+    if overlap:
+        raise DataError(f"benchmark identities overlap the training set: {', '.join(overlap)}")
+
+
 @dataclass(eq=False)
 class Benchmark:
     """Labeled evaluation material: references plus real and fake test videos."""
@@ -186,11 +193,7 @@ def generate_benchmark(
         if count < 1:
             raise ConfigError(f"{name} must be >= 1, got {count}")
     if train_identity_ids is not None:
-        overlap = sorted(set(train_identity_ids) & set(world.identity_ids))
-        if overlap:
-            raise DataError(
-                f"benchmark identities overlap the training set: {', '.join(overlap)}"
-            )
+        check_disjoint(train_identity_ids, world.identity_ids)
     unknown = sorted(set(group_counts) - set(GROUPS))
     if unknown:
         raise ConfigError(f"unknown manipulation groups: {', '.join(unknown)}")

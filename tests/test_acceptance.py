@@ -3,12 +3,14 @@
 `pytest -v tests/test_acceptance.py` reads as the scorecard: one test per
 numbered criterion, each printing the measured numbers (visible with -s or
 on failure).  The session fixture trains the five-seed desk-scale grid
-(`scripts/desk.py`) once, with and without the joint loss term, and the
-detection, trend, identification, and ablation criteria all read from
-it.  Expect a few minutes of wall time.
+(`scripts/desk.py`) once, with and without the joint loss term, in a
+forked pool of one worker per CPU, and the detection, trend,
+identification, and ablation criteria all read from it.
 """
 
 import math
+import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 
@@ -149,7 +151,10 @@ def _run_seed(s: int) -> SeedResult:
 
 @pytest.fixture(scope="session")
 def battery():
-    return [_run_seed(s) for s in SEEDS]
+    # pool.map returns the results in SEEDS order
+    workers = min(len(os.sched_getaffinity(0)), len(SEEDS))
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return pool.map(_run_seed, SEEDS)
 
 
 def _mean(values) -> float:

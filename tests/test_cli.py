@@ -604,6 +604,76 @@ def test_synth_benchmark_refuses_bad_group_settings(tmp_path, capsys, flag, valu
     assert not ref.exists() and not test.exists()
 
 
+SMALL_TRAIN = ["synth", "--mode", "train", "--identities", "2", "--videos-per-identity", "2",
+               "--segments-per-video", "2", "--seed", "3"]
+BENCH = ["synth", "--mode", "benchmark", "--identities", "3", "--seed", "9"]
+SCORED = ["--checkpoint", "{ckpt}", "--reference", "{ref}", "--test", "{test}"]
+UNSCORED = ["--checkpoint", "{missing}", "--reference", "{missing}", "--test", "{missing}"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # a setting is named before a missing input is
+    ([*BENCH, "--train-features", "{missing}", "--out-reference", "{out}/r.txt",
+      "--out-test", "{out}/t.txt", "--fakes-per-group", "-1"], 2,
+     "group 'v' has negative count -1"),
+    ([*BENCH, "--train-features", "{missing}", "--out-reference", "{out}/r.txt",
+      "--out-test", "{out}/t.txt", "--betas", "1.5"], 2, "betas must lie in [0, 1], got [1.5]"),
+    ([*BENCH, "--train-features", "{missing}", "--out-reference", "{out}/r.txt",
+      "--out-test", "{out}/t.txt", "--reference-videos", "0"], 2,
+     "reference_videos must be >= 1, got 0"),
+    (["score", *UNSCORED], 2, "missing required setting: pass --out or set out in the config"),
+    (["sweep", *UNSCORED, "--values", "1", "--out", "{out}/w.txt"], 2,
+     "missing required setting: pass --axis or set axis in the config"),
+    # an output in a missing directory is refused before any input is read
+    (["train", "--features", "{feats}", "--out", "{nodir}/e.ckpt", *TRAIN_ARGS], 2,
+     "directory not found for out: {nodir}/e.ckpt"),
+    (["train", "--features", "{feats}", "--out", "{out}/e.ckpt", "--log", "{nodir}/log.txt",
+      *TRAIN_ARGS], 2, "directory not found for log: {nodir}/log.txt"),
+    ([*SMALL_TRAIN, "--out", "{nodir}/x"], 2, "directory not found for out: {nodir}/x"),
+    ([*BENCH, "--out-reference", "{out}/r.txt", "--out-test", "{nodir}/t.txt"], 2,
+     "directory not found for out_test: {nodir}/t.txt"),
+    (["score", *SCORED, "--out", "{nodir}/s.txt"], 2, "directory not found for out: {nodir}/s.txt"),
+    (["evaluate", "--scores", "{scores}", "--out", "{nodir}/r.txt"], 2,
+     "directory not found for out: {nodir}/r.txt"),
+    (["sweep", *SCORED, "--axis", "test_length", "--values", "1", "--out", "{nodir}/w.txt"], 2,
+     "directory not found for out: {nodir}/w.txt"),
+    # settings a mode never reads are never checked
+    ([*SMALL_TRAIN, "--train-features", "{missing}", "--betas", "1.5", "--out", "{out}/x"], 0,
+     None),
+], ids=["synth-count", "synth-betas", "synth-reference-videos", "score-no-out", "sweep-no-axis",
+        "train-out", "train-log", "synth-out", "synth-out-test", "score-out", "evaluate-out",
+        "sweep-out", "synth-unread"])
+def test_settings_and_paths_are_checked_before_any_input_is_read(
+        pipeline, tmp_path, capsys, monkeypatch, argv, code, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    names = {"missing": str(tmp_path / "missing.txt"), "nodir": str(tmp_path / "nodir"),
+             "out": str(out), "feats": pipeline["train_feats"], "ckpt": pipeline["ckpt"],
+             "ref": pipeline["ref"], "test": pipeline["test"],
+             "scores": str(tmp_path / "scores.txt")}
+
+    def filled(args):
+        return [arg.format(**names) for arg in args]
+
+    if "{scores}" in argv:
+        assert main(filled(["score", *SCORED, "--out", "{scores}"])) == 0
+        capsys.readouterr()
+    if code:
+        def refuse_read(path, *rest):
+            raise AssertionError(f"read {path}")
+        for reader in ("read_feature_table", "read_encoders", "read_checkpoint",
+                       "read_score_table"):
+            monkeypatch.setattr(f"poif.fileio.{reader}", refuse_read)
+    assert main(filled(argv)) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"poif: config error: {message.format(**names)}\n"
+        assert list(out.iterdir()) == []  # no output and no temporary file
+    else:
+        assert err == "" and [p.name for p in out.iterdir()] == ["x"]
+    assert not (tmp_path / "nodir").exists()
+
+
 # Runs the README commands in one fresh interpreter and reports whether
 # numpy.ma was imported: numpy imports it lazily, at 13-16 ms, on the first
 # np.unique call without a return_* flag.

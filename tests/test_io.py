@@ -123,6 +123,14 @@ def test_writing_onto_a_directory_leaves_it_and_no_temporary_file(tmp_path):
     assert (out / "kept.txt").read_text() == "kept\n"
 
 
+def test_writing_into_a_missing_directory_names_the_path_given(tmp_path):
+    path = str(tmp_path / "nodir" / "out.txt")
+    with pytest.raises(OSError) as raised:
+        write_features(path, some_segments(), {})
+    assert path in str(raised.value) and ".tmp." not in str(raised.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reader_accepts_header_only_file(tmp_path):
     # a scored run over an empty test set still writes a valid file
     path = tmp_path / "empty.txt"
