@@ -9,8 +9,8 @@ full count; its checkpoint, printed as resumed.ckpt, must equal
 encoder.ckpt, and the script exits 1 when it does not.
 A behaviour-preserving change must print the same lines before and after:
 run it on both checkouts and diff the output.  A change that moves bits
-states its deltas with --against, which runs the pipeline for both
-checkouts and prints "same" or "differs" per artifact; for scores.txt it
+states its deltas with --against, which runs the pipelines of both
+checkouts side by side and prints "same" or "differs" per artifact; for scores.txt it
 adds the largest absolute difference of any numeric field and the number
 of videos whose decision flipped.
 Artifact bytes depend on the BLAS kernel, so the script names the OpenBLAS
@@ -30,6 +30,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -150,9 +151,11 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="poif-digests-") as root:
         works = [os.path.join(root, str(k)) for k in range(len(srcs))]
-        for src, work in zip(srcs, works):
+        for work in works:
             os.mkdir(work)
-            if not run_pipeline(src, work):
+        # each checkout's pipeline runs in its own directory, so both can run at once
+        with ThreadPoolExecutor(max_workers=len(srcs)) as pool:
+            if not all(pool.map(run_pipeline, srcs, works)):
                 return 1
         if len(works) == 1:
             for name in ARTIFACTS:

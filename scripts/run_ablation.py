@@ -15,7 +15,7 @@ import time
 
 import desk
 from poif.experiments import AVG_GROUP, score_segments, table_metrics
-from poif.records import GROUPS
+from poif.records import GROUPS, STATISTICS
 
 
 def run_seed(world: desk.DeskWorld, joint_weight: float, steps: int, tau: float,
@@ -28,12 +28,11 @@ def run_seed(world: desk.DeskWorld, joint_weight: float, steps: int, tau: float,
 def print_table(tables: list, joint_weight: float):
     order = list(GROUPS) + [AVG_GROUP]
     print(f"\njoint weight {joint_weight:g}, mean over {len(tables)} seeds")
-    print(f"  {'group':8s} {'metric':8s} {'video':>6s} {'audio':>6s} "
-          f"{'av':>6s} {'fusion':>6s}")
+    print(f"  {'group':8s} {'metric':8s} " + " ".join(f"{stat:>6s}" for stat in STATISTICS))
     for metric in ("auc", "pd_at_fa"):
         for group in order:
             cells = []
-            for stat in ("video", "audio", "av", "fused"):
+            for stat in STATISTICS:
                 values = [getattr(t[group][stat], metric) for t in tables]
                 defined = [v for v in values if v is not None]
                 cells.append(f"{sum(defined) / len(defined):6.1f}"

@@ -31,14 +31,11 @@ from . import experiments, fileio
 from .encoder import EncoderConfig
 from .exceptions import ConfigError, DataError, DegenerateReferenceError
 from .fileio import fmt, parse_config_file
-from .records import FUSED, GROUPS
+from .records import FUSED, GROUPS, STATISTICS
 from .scoring import quantile_threshold
 from .similarity import check_temperature
 from .synthgen import WorldConfig, check_disjoint, generate_benchmark, generate_world
 from .training import TrainConfig, train
-
-STATISTIC_CHOICES = ("video", "audio", "av", "fusion")
-_STATISTIC_BY_FLAG = {"video": "video", "audio": "audio", "av": "av", "fusion": FUSED}
 
 
 def finite(raw: str) -> float:
@@ -88,7 +85,8 @@ def _at_least_one(what: str) -> Callable:
 # Per-command setting schema: key -> (converter, default[, rule]).  Flags
 # override config-file values, which override these defaults.  A REQUIRED
 # default must be given.  The rule is a range check, INPUT (the file must
-# exist) or OUTPUT (its directory must exist); paths never enter headers.
+# exist) or OUTPUT (its directory must exist, and it must not name one);
+# paths never enter headers.
 REQUIRED = object()
 INPUT, OUTPUT = "input", "output"
 
@@ -151,7 +149,7 @@ _SCORE_SPEC = {
     "out": (str, REQUIRED, OUTPUT),
     "p_fa": (finite, 0.1, quantile_threshold),
     "tau": (finite, None, check_temperature),
-    "statistic": (_choice(STATISTIC_CHOICES), "fusion"),
+    "statistic": (_choice(STATISTICS), FUSED),
 }
 
 _EVALUATE_SPEC = {
@@ -169,7 +167,7 @@ _SWEEP_SPEC = {
     "values": (_int_list, REQUIRED, _at_least_one("sweep values must be integers")),
     "ref_total": (int, 100, _at_least_one("ref_total must be")),
     "tau": (finite, None, check_temperature),
-    "statistic": (_choice(STATISTIC_CHOICES), "fusion"),
+    "statistic": (_choice(STATISTICS), FUSED),
 }
 
 
@@ -215,7 +213,8 @@ def _resolve(args: argparse.Namespace, spec: Mapping, unread: Mapping | None = N
 
 
 def _check_paths(merged: Mapping, spec: Mapping, unread=()):
-    """Refuse a missing input file, then an output path in a missing directory."""
+    """Refuse a missing input file, then an output path in a missing directory
+    or one that names a directory."""
     given = [(k, _rule(entry), merged[k]) for k, entry in spec.items()
              if k not in unread and merged[k] is not None]
     for k, rule, path in given:
@@ -224,6 +223,8 @@ def _check_paths(merged: Mapping, spec: Mapping, unread=()):
     for k, rule, path in given:
         if rule is OUTPUT and not os.path.isdir(os.path.dirname(path) or os.curdir):
             raise ConfigError(f"directory not found for {k}: {path}")
+        if rule is OUTPUT and os.path.isdir(path):
+            raise ConfigError(f"{k} names a directory: {path}")
 
 
 def _stringify(value) -> str:
@@ -381,10 +382,8 @@ def _scoring_inputs(merged, spec) -> tuple:
 def _cmd_score(args) -> int:
     merged = _resolve(args, _SCORE_SPEC)
     params, reference, test = _scoring_inputs(merged, _SCORE_SPEC)
-    scores = experiments.score_segments(
-        reference, test, params, merged["tau"], merged["p_fa"],
-        statistic=_STATISTIC_BY_FLAG[merged["statistic"]],
-    )
+    scores = experiments.score_segments(reference, test, params, merged["tau"], merged["p_fa"],
+                                        statistic=merged["statistic"])
     meta = _echo_meta(merged, _SCORE_SPEC, {"threshold": quantile_threshold(merged["p_fa"])})
     fileio.write_scores(merged["out"], scores, meta)
     n_fake = int(scores.fake.sum())
@@ -407,12 +406,11 @@ def _cmd_evaluate(args) -> int:
     print(f"wrote {merged['out']} ({len(report)} rows)")
     for metric in ("auc", "accuracy", "pd_at_fa"):
         print(f"{metric} (percent):")
-        print(f"  {'group':8s} {'video':>6s} {'audio':>6s} {'av':>6s} {'fusion':>6s}")
+        print(f"  {'group':8s} " + " ".join(f"{stat:>6s}" for stat in STATISTICS))
         for row in report:
             if row["metric"] != metric:
                 continue
-            cells = " ".join(f"{_fmt_cell(row[c]):>6s}"
-                             for c in ("video", "audio", "av", "fusion"))
+            cells = " ".join(f"{_fmt_cell(row[stat]):>6s}" for stat in STATISTICS)
             print(f"  {row['group']:8s} {cells}")
     return 0
 
@@ -423,8 +421,7 @@ def _cmd_sweep(args) -> int:
     axis = merged["axis"]
     rows = experiments.sweep_rows(
         axis, merged["values"], reference, test, params, merged["tau"],
-        statistic=_STATISTIC_BY_FLAG[merged["statistic"]],
-        ref_total=merged["ref_total"],
+        statistic=merged["statistic"], ref_total=merged["ref_total"],
     )
     meta = _echo_meta(merged, _SWEEP_SPEC)
     if axis != "ref_variety":

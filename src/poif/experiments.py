@@ -22,14 +22,14 @@ from .encoder import EncoderParams, encode_batch
 from .exceptions import DataError, UndefinedMetricError
 from .metrics import MetricsReport, accuracy, auc, pd_at_fa
 from .records import (
-    CHANNELS, FLAG_COLUMNS, FUSED, GROUP_FLAGS, GROUPS, ScoreTable, SegmentTable, statistic_column,
+    CHANNELS, FLAG_COLUMNS, FUSED, GROUP_FLAGS, GROUPS, STATISTICS, ScoreTable, SegmentTable,
+    statistic_row,
 )
 from .scoring import (
     ReferenceSet, SmallReferenceWarning, below_nominal, best_matches, build_reference,
     quantile_threshold, score_video,
 )
 
-STATISTIC_KEYS = ("video", "audio", "av", FUSED)
 AVG_GROUP = "AVG"
 # The threshold at even odds: quantile_threshold(0.5) is exactly 0.0.
 EVEN_ODDS = 0.0
@@ -174,21 +174,19 @@ def _judge(table, videos, raw, references, threshold, statistic) -> ScoreTable:
     first = videos.rows[bounds[:-1]]
     codes, owners = _first_occurrence_codes(table.identity_ids[first])
     counts = np.diff(bounds)
-    normalized = np.empty((len(CHANNELS), len(videos)))
-    fused = np.empty(len(videos))
+    statistics = np.empty((len(STATISTICS), len(videos)))
     for poi, ks in zip(owners, _split_by(codes)):
         ref = references[poi]
         lengths, by_length = np.unique(counts[ks], return_inverse=True)
         for length, group in zip(lengths.tolist(), _split_by(by_length)):
             k = ks[group]
             at = videos.rows[bounds[k, None] + np.arange(length)]
-            normalized[:, k], fused[k] = score_video(np.take(raw, at, axis=1), ref)
+            statistics[:-1, k], statistics[-1, k] = score_video(np.take(raw, at, axis=1), ref)
     return ScoreTable(
         video_ids=np.array(videos.ids, dtype=str), identity_ids=table.identity_ids[first],
         n_segments=counts, flags=table.flags[first],
         blend=np.maximum.reduceat(table.blend[videos.rows], bounds[:-1]),
-        normalized=normalized, fused=fused,
-        fake=statistic_column(normalized, fused, statistic) < threshold)
+        statistics=statistics, fake=statistics[statistic_row(statistic)] < threshold)
 
 
 def score_segments(
@@ -250,7 +248,7 @@ def table_metrics(
         is_real = ~fake[keep]
         n_real = int(is_real.sum())
         table[group] = {}
-        for stat in STATISTIC_KEYS:
+        for stat in STATISTICS:
             values = scores.statistic(stat)[keep]
             table[group][stat] = MetricsReport(
                 auc=_guarded(lambda: auc(values, is_real)),
@@ -267,7 +265,7 @@ def table_metrics(
             n_real=sum(table[g][stat].n_real for g in members),
             n_fake=sum(table[g][stat].n_fake for g in members),
         )
-        for stat in STATISTIC_KEYS
+        for stat in STATISTICS
     }
     return table
 
@@ -443,15 +441,11 @@ def report_rows(table: Mapping[str, Mapping[str, MetricsReport]]) -> list[dict]:
     for metric in ("auc", "accuracy", "pd_at_fa"):
         for group in order:
             stats = table[group]
-            any_report = stats["fused"]
             rows.append({
                 "metric": metric,
                 "group": group,
-                "n_real": any_report.n_real,
-                "n_fake": any_report.n_fake,
-                "video": getattr(stats["video"], metric),
-                "audio": getattr(stats["audio"], metric),
-                "av": getattr(stats["av"], metric),
-                "fusion": getattr(stats["fused"], metric),
+                "n_real": stats[FUSED].n_real,
+                "n_fake": stats[FUSED].n_fake,
+                **{stat: getattr(stats[stat], metric) for stat in STATISTICS},
             })
     return rows

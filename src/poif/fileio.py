@@ -21,7 +21,7 @@ from .exceptions import ConfigError, DataError
 from .losses import LOSS_COLUMNS
 from .optim import flatten_params
 from .records import (
-    FAKE, FLAG_COLUMNS, REAL, ManipFlags, ScoreTable, SegmentTable, valid_flag_rows,
+    FAKE, FLAG_COLUMNS, REAL, STATISTICS, ManipFlags, ScoreTable, SegmentTable, valid_flag_rows,
 )
 from .training import TrainState
 
@@ -245,7 +245,8 @@ def _feature_rows(da: int, dv: int) -> _RowLayout:
                       (("blend", 1), ("audio", da), ("video", dv)), False, True, "segment")
 
 
-# The floats are blend, norm_video, norm_audio, norm_av and fused.
+# The floats are blend, then the statistics in STATISTICS order: norm_video,
+# norm_audio, norm_av and fused.
 _SCORE_ROWS = _RowLayout(("video_id", "identity_id"), "n_segments", 1,
                          "n_segments must be >= 1, got {}", (("score", 5),), True, False,
                          "score row")
@@ -371,10 +372,8 @@ def read_features(path: str) -> tuple[dict[str, str], list]:
 
 
 def write_scores(path: str, table: ScoreTable, meta: Mapping[str, str]):
-    audio, video, av = table.normalized
-    values = np.stack((table.blend, video, audio, av, table.fused), axis=1)
     rows = _row_lines(_SCORE_ROWS, (table.video_ids, table.identity_ids), table.n_segments,
-                      table.flags, (values,))
+                      table.flags, (table.blend[:, None], table.statistics.T))
     _write(path, _table_head(SCORES_MAGIC, len(table), meta, SCORE_COLUMNS),
            (f"{row},{FAKE if fake else REAL}" for row, fake in zip(rows, table.fake.tolist())))
 
@@ -383,9 +382,8 @@ def read_score_table(path: str) -> tuple[dict[str, str], ScoreTable]:
     """Read a score file into columns, through ``_read_rows``."""
     lines, (count,), meta = _open(path, SCORES_MAGIC, 1, SCORE_COLUMNS, "score")
     *columns, floats, words = _read_rows(lines, count, _SCORE_ROWS)
-    blend, norm_video, norm_audio, norm_av, fused = floats.T
-    return meta, ScoreTable(*columns, blend.copy(), np.stack((norm_audio, norm_video, norm_av)),
-                            fused.copy(), words == FAKE)
+    return meta, ScoreTable(*columns, floats[:, 0].copy(), np.ascontiguousarray(floats[:, 1:].T),
+                            words == FAKE)
 
 
 @dataclass
@@ -407,11 +405,10 @@ class ScoreRow:
 def read_scores(path: str) -> tuple[dict[str, str], list[ScoreRow]]:
     """A row view over ``read_score_table``, one ScoreRow per video; the package never calls it."""
     meta, t = read_score_table(path)
-    audio, video, av = t.normalized.tolist()
     return meta, [ScoreRow(*row) for row in zip(
         t.video_ids.tolist(), t.identity_ids.tolist(), t.n_segments.tolist(),
-        [ManipFlags(*bits) for bits in t.flags.tolist()], t.blend.tolist(), video, audio, av,
-        t.fused.tolist(), [FAKE if f else REAL for f in t.fake.tolist()])]
+        [ManipFlags(*bits) for bits in t.flags.tolist()], t.blend.tolist(),
+        *t.statistics.tolist(), [FAKE if f else REAL for f in t.fake.tolist()])]
 
 
 # -- checkpoints --------------------------------------------------------
@@ -578,8 +575,7 @@ _WORD = (str, lambda lines, field, name: field)
 _INT = (str, _Lines.parse_int)
 _FLOAT_OR_UNDEFINED = (_opt, _parse_opt)
 _REPORT_KINDS = {"metric": _WORD, "group": _WORD, "n_real": _INT, "n_fake": _INT,
-                 "video": _FLOAT_OR_UNDEFINED, "audio": _FLOAT_OR_UNDEFINED,
-                 "av": _FLOAT_OR_UNDEFINED, "fusion": _FLOAT_OR_UNDEFINED}
+                 **{stat: _FLOAT_OR_UNDEFINED for stat in STATISTICS}}
 _SWEEP_KINDS = {"axis": _WORD, "x": _INT, "class": _WORD, "n_real": _INT, "n_fake": _INT,
                 "auc": _FLOAT_OR_UNDEFINED}
 REPORT_COLUMNS = ",".join(_REPORT_KINDS)

@@ -110,11 +110,12 @@ def loss_and_embedding_grads(
         raise ValueError(f"batch of {n} rows for a loss plan of {len(plan.starts)}")
     anchor, at = plan.anchor, plan.at
 
-    # Audio, video and joint similarities as one (3, n, n) stack.
-    # (Dividing by -tau rounds as dividing by tau and negating does.)
+    # Video, audio and joint similarities as one (3, n, n) stack, in
+    # LOSS_COLUMNS order.  (Dividing by -tau rounds as dividing by tau and
+    # negating does.)
     s = np.empty((3, n, n))
-    np.divide(squared_distance_matrix(x_audio), -tau, out=s[0])
-    np.divide(squared_distance_matrix(x_video), -tau, out=s[1])
+    np.divide(squared_distance_matrix(x_video), -tau, out=s[0])
+    np.divide(squared_distance_matrix(x_audio), -tau, out=s[1])
     np.add(s[0], s[1], out=s[2])
 
     s_pos = np.take(s, at)
@@ -136,7 +137,7 @@ def loss_and_embedding_grads(
     spare = np.zeros((3, n, n))
     np.put(spare, at, np.exp(s_pos - np.take(m_pos, anchor, axis=1)))
     lognum = m_pos + np.log(spare.sum(axis=2))
-    l_a, l_v, l_av = (float(l) for l in (logden - lognum).sum(axis=1))
+    l_v, l_a, l_av = (float(l) for l in (logden - lognum).sum(axis=1))
     losses = np.array([l_v, l_a, l_av, l_v + l_a + joint_weight * l_av])
 
     # d loss / d s[c, k]: the softmax over the row's off-diagonal entries
@@ -146,11 +147,11 @@ def loss_and_embedding_grads(
     np.put(g, at, np.take(g, at) - np.exp(s_pos - np.take(lognum, anchor, axis=1)))
 
     # Each pair appears as a row and as a column; the joint channel feeds
-    # both modalities with the same pair weights: m[0] = sym_a + w * sym_av
-    # and m[1] = sym_v + w * sym_av.
+    # both modalities with the same pair weights: m[0] = sym_v + w * sym_av
+    # and m[1] = sym_a + w * sym_av.
     sym = np.add(g, g.transpose(0, 2, 1), out=spare)
     np.multiply(sym[2], joint_weight, out=g[2])
     m = np.add(sym[:2], g[2], out=g[:2])
-    d_audio = (-2.0 / tau) * (m[0].sum(axis=1, keepdims=True) * x_audio - m[0] @ x_audio)
-    d_video = (-2.0 / tau) * (m[1].sum(axis=1, keepdims=True) * x_video - m[1] @ x_video)
+    d_video = (-2.0 / tau) * (m[0].sum(axis=1, keepdims=True) * x_video - m[0] @ x_video)
+    d_audio = (-2.0 / tau) * (m[1].sum(axis=1, keepdims=True) * x_audio - m[1] @ x_audio)
     return losses, d_audio, d_video

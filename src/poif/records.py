@@ -18,13 +18,16 @@ import numpy as np
 from .exceptions import ConfigError, DataError
 
 
-# The three similarity channels, in the order of every (3, ...) stack: the
-# two single modalities, then the joint audio-visual channel.  Raw features
-# exist for audio and video alone.
-CHANNELS = ("audio", "video", "av")
+# The three similarity channels, in the order of every (3, ...) stack, file
+# column and report column: the two single modalities, then the joint
+# audio-visual channel.  Raw features exist for audio and video alone.
+CHANNELS = ("video", "audio", "av")
 
 # The statistic that takes each segment's worst channel.
-FUSED = "fused"
+FUSED = "fusion"
+
+# Every statistic a clip is judged on, in the order of a ScoreTable's rows.
+STATISTICS = (*CHANNELS, FUSED)
 
 REAL = "real"
 FAKE = "fake"
@@ -192,13 +195,11 @@ class SegmentTable:
         ]
 
 
-def statistic_column(normalized: np.ndarray, fused: np.ndarray, name: str) -> np.ndarray:
-    """One statistic's values: a channel's row of the (3, n) ``normalized``, or ``fused``."""
-    if name == FUSED:
-        return fused
-    if name not in CHANNELS:
+def statistic_row(name: str) -> int:
+    """A statistic's row in a STATISTICS-ordered stack."""
+    if name not in STATISTICS:
         raise ConfigError(f"unknown statistic {name!r}")
-    return normalized[CHANNELS.index(name)]
+    return STATISTICS.index(name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +207,9 @@ class ScoreTable:
     """Scored test videos as columns, one row per video, in video order.
 
     ``flags`` is (n, 4) in FLAG_COLUMNS order and ``blend`` each video's
-    largest segment blend; ``normalized`` holds the (3, n) channel means in
-    CHANNELS order, ``fused`` the fused means, ``fake`` the bool decisions.
+    largest segment blend; ``statistics`` holds the (4, n) means in
+    STATISTICS order (the channels, then the fused means), ``fake`` the bool
+    decisions.
     """
 
     video_ids: np.ndarray
@@ -215,13 +217,12 @@ class ScoreTable:
     n_segments: np.ndarray
     flags: np.ndarray
     blend: np.ndarray
-    normalized: np.ndarray
-    fused: np.ndarray
+    statistics: np.ndarray
     fake: np.ndarray
 
     def __len__(self) -> int:
         return len(self.video_ids)
 
     def statistic(self, name: str) -> np.ndarray:
-        """One statistic's column: a channel name or FUSED."""
-        return statistic_column(self.normalized, self.fused, name)
+        """One statistic's values: a name in STATISTICS."""
+        return self.statistics[statistic_row(name)]

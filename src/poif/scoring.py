@@ -51,8 +51,9 @@ class ReferenceSet:
     """Embedded pristine segments of one person, with calibration stats.
 
     mu and sigma are the (3,) means and population spreads of the
-    leave-own-video-out self-scores per channel (CHANNELS order);
-    self_scores keeps the (3, n) per-segment values for diagnostics.
+    leave-own-video-out self-scores per channel, in CHANNELS order (video,
+    audio, av); self_scores keeps the (3, n) per-segment values for
+    diagnostics.
     """
 
     video_ids: tuple[str, ...]
@@ -71,13 +72,14 @@ class ReferenceSet:
 
 
 def _similarity_rows(x_audio, x_video, ref_audio, ref_video, tau, ref_sq):
-    """(3, rows, m) similarities in CHANNELS order, joint = audio + video.
+    """(3, rows, m) similarities in CHANNELS order, joint = video + audio.
 
-    ``ref_sq`` holds the references' row norms.  Dividing into the stack and
-    negating in place gives the bits of ``-(d / tau)``.
+    ``ref_sq`` holds the references' row norms in CHANNELS order (video,
+    audio).  Dividing into the stack and negating in place gives the bits
+    of ``-(d / tau)``.
     """
     sims = np.empty((len(CHANNELS), len(x_audio), len(ref_audio)))
-    for plane, x, y, y_sq in zip(sims, (x_audio, x_video), (ref_audio, ref_video), ref_sq):
+    for plane, x, y, y_sq in zip(sims, (x_video, x_audio), (ref_video, ref_audio), ref_sq):
         np.divide(squared_distance_matrix(x, y, y_sq), tau, out=plane)
     np.negative(sims[:2], out=sims[:2])
     np.add(sims[0], sims[1], out=sims[2])
@@ -97,7 +99,7 @@ def best_matches(x_audio, x_video, ref_audio, ref_video, tau, groups=None):
     """
     rows = rows_per_block(len(ref_audio))
     best = np.empty((len(CHANNELS), len(x_audio)))
-    ref_sq = [np.einsum("ij,ij->i", y, y) for y in (ref_audio, ref_video)]
+    ref_sq = [np.einsum("ij,ij->i", y, y) for y in (ref_video, ref_audio)]
     for (start, stop, xa), (_, _, xv) in zip(padded_blocks(x_audio, rows),
                                              padded_blocks(x_video, rows)):
         sims = _similarity_rows(xa, xv, ref_audio, ref_video, tau, ref_sq)[:, :stop - start]

@@ -4,7 +4,7 @@ The similarity between two segments in one modality is the negative
 squared Euclidean distance of their embeddings divided by a temperature:
 larger (closer to zero) means more alike.  The joint audio-visual
 similarity is defined as the sum of the two single-modality similarities,
-audio term first.  Callers (the loss and the scorer) add the two stored
+video term first.  Callers (the loss and the scorer) add the two stored
 similarity matrices rather than recompute distances on concatenated
 vectors, so the identity holds bit-exactly.  This module holds the one
 distance kernel both of them use, and the fixed-shape row blocks that

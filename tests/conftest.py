@@ -37,7 +37,7 @@ def index_bound(x_audio, x_video, ref_audio, ref_video, tau):
     """
     audio = gram_bound(x_audio, ref_audio).max(axis=1) / tau
     video = gram_bound(x_video, ref_video).max(axis=1) / tau
-    return np.stack([audio, video, audio + video])
+    return np.stack([video, audio, video + audio])
 
 
 def assert_within(got, want, bound):

@@ -538,28 +538,28 @@ def score_table_rows(table) -> list[ScoreRow]:
     """One ScoreRow per row of a ScoreTable, read column by column."""
     rows = []
     for k in range(len(table)):
-        norm = {m: float(table.normalized[c, k]) for c, m in enumerate(CHANNELS)}
+        norm = {m: float(table.statistics[c, k]) for c, m in enumerate(CHANNELS)}
         rows.append(ScoreRow(
             video_id=str(table.video_ids[k]), identity_id=str(table.identity_ids[k]),
             n_segments=int(table.n_segments[k]),
             flags=ManipFlags(*(bool(b) for b in table.flags[k])), blend=float(table.blend[k]),
             norm_video=norm["video"], norm_audio=norm["audio"], norm_av=norm["av"],
-            fused=float(table.fused[k]), decision="fake" if table.fake[k] else "real",
+            fused=float(table.statistics[-1, k]), decision="fake" if table.fake[k] else "real",
         ))
     return rows
 
 
 def row_statistic(row: ScoreRow, name: str) -> float:
-    """A score row's value of one statistic: a channel name or "fused"."""
+    """A score row's value of one statistic: a channel name or "fusion"."""
     return {
         "video": row.norm_video,
         "audio": row.norm_audio,
         "av": row.norm_av,
-        "fused": row.fused,
+        "fusion": row.fused,
     }[name]
 
 
-def record_score_rows(reference, test, params, tau, p_fa, statistic="fused",
+def record_score_rows(reference, test, params, tau, p_fa, statistic="fusion",
                       references=None):
     """One ScoreRow per test video, videos in first-occurrence order."""
     threshold = quantile_threshold(p_fa)
@@ -568,7 +568,7 @@ def record_score_rows(reference, test, params, tau, p_fa, statistic="fused",
     rows = []
     for vid, segs in _by_video(test).items():
         norm, fused = record_score_video(segs, references[segs[0].identity_id], params, tau)
-        value = fused if statistic == "fused" else norm[statistic]
+        value = fused if statistic == "fusion" else norm[statistic]
         rows.append(ScoreRow(
             video_id=vid, identity_id=segs[0].identity_id, n_segments=len(segs),
             flags=segs[0].flags, blend=max(s.blend for s in segs),
@@ -623,7 +623,7 @@ def record_reference_by_variety(reference, x, total):
     return out
 
 
-def record_sweep_scores(axis, values, reference, test, params, tau, statistic="fused",
+def record_sweep_scores(axis, values, reference, test, params, tau, statistic="fusion",
                         ref_total=100):
     """[(x, score rows)] per sweep point, everything rebuilt at every point."""
     out = []
@@ -642,7 +642,7 @@ def record_sweep_scores(axis, values, reference, test, params, tau, statistic="f
     return out
 
 
-def record_sweep_rows(axis, values, reference, test, params, tau, statistic="fused",
+def record_sweep_rows(axis, values, reference, test, params, tau, statistic="fusion",
                       ref_total=100):
     """AUC rows per sweep point and class, AUC by pairwise comparison."""
     classes = {
@@ -691,7 +691,7 @@ def per_video_score_rows(table, videos, embedded, references, tau, p_fa, statist
             offset += n
             fused = np.minimum(np.minimum(norm["audio"], norm["video"]), norm["av"])
             means = {m: float(v.mean()) for m, v in norm.items()}
-            value = float(fused.mean()) if statistic == "fused" else means[statistic]
+            value = float(fused.mean()) if statistic == "fusion" else means[statistic]
             rows = videos.video_rows(k)
             out[k] = ScoreRow(
                 video_id=videos.ids[k], identity_id=poi, n_segments=n,

@@ -140,7 +140,7 @@ def _run_seed(s: int) -> SeedResult:
         audio_auc_v=table["v"]["audio"].auc,
         video_auc_fs=100.0 * auc(scores.statistic("video")[fs], ~fake[fs]),
         avg_auc={stat: table[AVG_GROUP][stat].auc
-                 for stat in ("video", "audio", "av", "fused")},
+                 for stat in ("video", "audio", "av", "fusion")},
         fr_auc_by_len={r["x"]: r["auc"] for r in fr_rows if r["class"] == "fr"},
         variety_auc={r["x"]: r["auc"] for r in variety_rows if r["class"] == "all"},
         knn=knn,
@@ -261,18 +261,18 @@ def test_c05_benchmark_detection_structure(battery):
     audio_v = _mean(r.audio_auc_v for r in battery)
     video_fs = _mean(r.video_auc_fs for r in battery)
     avg = {stat: _mean(r.avg_auc[stat] for r in battery)
-           for stat in ("video", "audio", "av", "fused")}
+           for stat in ("video", "audio", "av", "fusion")}
     runtime = sum(r.lambda1_seconds for r in battery)
     print(f"criterion 5: audio AUC on video-only fakes {audio_v:.1f} "
           f"(want 50 +- 7); video AUC on full swaps {video_fs:.1f} (want >= 80); "
           f"average AUC video/audio/av/fused = "
-          f"{avg['video']:.1f}/{avg['audio']:.1f}/{avg['av']:.1f}/{avg['fused']:.1f} "
+          f"{avg['video']:.1f}/{avg['audio']:.1f}/{avg['av']:.1f}/{avg['fusion']:.1f} "
           f"(fused within 1 of best); {runtime:.0f}s for 5 trained seeds "
           f"(limit 600s)")
     assert abs(audio_v - 50.0) <= 7.0
     assert video_fs >= 80.0
     for stat in ("video", "audio", "av"):
-        assert avg["fused"] >= avg[stat] - 1.0
+        assert avg["fusion"] >= avg[stat] - 1.0
     assert runtime < 600.0
 
 
@@ -354,7 +354,7 @@ def test_c09_oracle_equivalences():
             for i in range(len(ref)):
                 s_a = -(squared_distance(audio, ref.audio[i]) / TAU)
                 s_v = -(squared_distance(video, ref.video[i]) / TAU)
-                best = [max(b, s) for b, s in zip(best, (s_a, s_v, s_a + s_v))]
+                best = [max(b, s) for b, s in zip(best, (s_v, s_a, s_v + s_a))]
             # one segment: the clip's mean is that segment's index, which
             # the distance kernel's error bound keeps near the scalar loop's
             bound = index_bound(audio[None], video[None], ref.audio, ref.video, TAU)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from poif import cli
 from poif.cli import main
 from poif.scoring import SmallReferenceWarning
 
@@ -25,7 +26,7 @@ from poif.fileio import (
     write_features,
     write_scores,
 )
-from poif.records import ScoreTable
+from poif.records import STATISTICS, ScoreTable
 
 TRAIN_ARGS = [
     "--seed", "1", "--tau", "0.5", "--epochs", "1", "--batches-per-epoch", "6",
@@ -152,6 +153,33 @@ def test_score_statistic_flag_drives_decisions(pipeline):
         assert r.decision == ("real" if r.norm_video >= threshold else "fake")
 
 
+@pytest.mark.parametrize("statistic", STATISTICS)
+def test_score_and_sweep_take_every_statistic_name(pipeline, tmp_path, statistic):
+    inputs = ["--checkpoint", pipeline["ckpt"], "--reference", pipeline["ref"],
+              "--test", pipeline["test"], "--statistic", statistic]
+    scores = str(tmp_path / "scores.txt")
+    assert main(["score", *inputs, "--out", scores]) == 0
+    meta, table = read_score_table(scores)
+    assert meta["statistic"] == statistic
+    threshold = float(meta["threshold"])
+    assert table.fake.tolist() == (table.statistic(statistic) < threshold).tolist()
+    sweep = str(tmp_path / "sweep.txt")
+    assert main(["sweep", *inputs, "--axis", "test_length", "--values", "1,3",
+                 "--out", sweep]) == 0
+    assert read_sweep(sweep)[0]["statistic"] == statistic
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("score", []), ("sweep", ["--axis", "test_length", "--values", "1"])])
+def test_the_score_column_name_fused_is_no_statistic(pipeline, tmp_path, command, extra):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--checkpoint", pipeline["ckpt"], "--reference", pipeline["ref"],
+              "--test", pipeline["test"], *extra, "--out", str(tmp_path / "out.txt"),
+              "--statistic", "fused"])
+    assert err.value.code == 2
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_evaluate_reports_groups_and_average(pipeline, capsys):
     d = pipeline["dir"]
     scores = str(d / "scores_eval.txt")
@@ -177,8 +205,9 @@ def test_evaluate_marks_single_class_metrics_undefined(pipeline, tmp_path):
         video_ids=np.array(["f1", "f2"]), identity_ids=np.array(["p", "p"]),
         n_segments=np.array([3, 3]), flags=np.array([[True, True, False, False]] * 2),
         blend=np.array([1.0, 1.0]),
-        normalized=np.array([[-0.1, -0.2], [-3.0, -2.0], [-2.0, -1.5]]),  # audio, video, av
-        fused=np.array([-3.0, -2.0]), fake=np.array([True, True]))
+        statistics=np.array([[-3.0, -2.0], [-0.1, -0.2], [-2.0, -1.5],
+                             [-3.0, -2.0]]),  # video, audio, av, fusion
+        fake=np.array([True, True]))
     scores = str(tmp_path / "fakes_only.txt")
     write_scores(scores, fakes, {})
     report = str(tmp_path / "report.txt")
@@ -672,6 +701,64 @@ def test_settings_and_paths_are_checked_before_any_input_is_read(
     else:
         assert err == "" and [p.name for p in out.iterdir()] == ["x"]
     assert not (tmp_path / "nodir").exists()
+
+
+# Every OUTPUT setting of the five commands, named by "{adir}", an existing
+# directory: (argv, command, setting).
+DIRECTORY_OUTPUTS = {
+    "synth-out": ([*SMALL_TRAIN, "--out", "{adir}"], "synth", "out"),
+    "synth-out-reference": ([*BENCH, "--out-reference", "{adir}", "--out-test", "{out}/t.txt"],
+                            "synth", "out_reference"),
+    "synth-out-test": ([*BENCH, "--out-reference", "{out}/r.txt", "--out-test", "{adir}"],
+                       "synth", "out_test"),
+    "train-out": (["train", "--features", "{feats}", "--out", "{adir}", *TRAIN_ARGS],
+                  "train", "out"),
+    "train-log": (["train", "--features", "{feats}", "--out", "{out}/e.ckpt", "--log", "{adir}",
+                   *TRAIN_ARGS], "train", "log"),
+    "score-out": (["score", *SCORED, "--out", "{adir}"], "score", "out"),
+    "evaluate-out": (["evaluate", "--scores", "{scores}", "--out", "{adir}"], "evaluate", "out"),
+    "sweep-out": (["sweep", *SCORED, "--axis", "test_length", "--values", "1", "--out", "{adir}"],
+                  "sweep", "out"),
+}
+
+
+def test_directory_outputs_cover_every_output_setting():
+    specs = {"synth": cli._SYNTH_SPEC, "train": cli._TRAIN_SPEC, "score": cli._SCORE_SPEC,
+             "evaluate": cli._EVALUATE_SPEC, "sweep": cli._SWEEP_SPEC}
+    outputs = {(command, key) for command, spec in specs.items()
+               for key, entry in spec.items() if entry[2:] == (cli.OUTPUT,)}
+    assert {(command, key) for _, command, key in DIRECTORY_OUTPUTS.values()} == outputs
+
+
+@pytest.mark.parametrize("case", sorted(DIRECTORY_OUTPUTS))
+def test_an_output_that_names_a_directory_is_refused_before_any_input_is_read(
+        pipeline, tmp_path, capsys, monkeypatch, case):
+    argv, _, key = DIRECTORY_OUTPUTS[case]
+    out, adir = tmp_path / "out", tmp_path / "adir"
+    out.mkdir()
+    adir.mkdir()
+    names = {"out": str(out), "adir": str(adir), "feats": pipeline["train_feats"],
+             "ckpt": pipeline["ckpt"], "ref": pipeline["ref"], "test": pipeline["test"],
+             "scores": str(tmp_path / "scores.txt")}
+
+    def filled(args):
+        return [arg.format(**names) for arg in args]
+
+    made = {"out", "adir"}
+    if "{scores}" in argv:
+        assert main(filled(["score", *SCORED, "--out", "{scores}"])) == 0
+        capsys.readouterr()
+        made.add("scores.txt")
+
+    def refuse_read(path, *rest):
+        raise AssertionError(f"read {path}")
+    for reader in ("read_feature_table", "read_encoders", "read_checkpoint", "read_score_table"):
+        monkeypatch.setattr(f"poif.fileio.{reader}", refuse_read)
+    assert main(filled(argv)) == 2
+    assert capsys.readouterr().err == f"poif: config error: {key} names a directory: {adir}\n"
+    # no output and no temporary file, in the directory or beside it
+    assert list(out.iterdir()) == [] and list(adir.iterdir()) == []
+    assert {p.name for p in tmp_path.iterdir()} == made
 
 
 # Runs the README commands in one fresh interpreter and reports whether

@@ -145,7 +145,7 @@ def assert_no_near_ties(rows, statistic, tol):
     assert np.abs(reals[:, None] - fakes[None, :]).min() > 2 * tol
 
 
-@pytest.mark.parametrize("statistic", ["fused", "video"])
+@pytest.mark.parametrize("statistic", ["fusion", "video"])
 def test_score_segments_matches_record_oracle(world, statistic):
     reference, test, params = world
     ref_table, test_table = SegmentTable.from_records(reference), SegmentTable.from_records(test)
@@ -197,8 +197,8 @@ def test_sweeps_match_record_oracle(world, axis, values):
         # truncating test videos only drops rows, so the full table's bound holds
         tol = score_tolerance(test_table, point_references(axis, x, ref_table, params, 7),
                               params)
-        assert_rows_within(got_rows, want_rows, tol, 0.5, "fused")
-        assert_no_near_ties(want_rows, "fused", tol)
+        assert_rows_within(got_rows, want_rows, tol, 0.5, "fusion")
+        assert_no_near_ties(want_rows, "fusion", tol)
     assert sweep_rows(axis, values, ref_table, test_table, params, TAU, ref_total=7) \
         == record_sweep_rows(axis, values, reference, test, params, TAU, ref_total=7)
 
@@ -362,7 +362,7 @@ def test_rows_get_the_same_bits_alone_shifted_and_among_any_neighbours(stack_wor
         assert_same_bits(matched, full[:, rows])
 
 
-@pytest.mark.parametrize("statistic", ["video", "audio", "av", "fused"])
+@pytest.mark.parametrize("statistic", ["video", "audio", "av", "fusion"])
 def test_stacked_score_rows_match_per_video_verdicts(stack_world, budget, statistic):
     ref_table, test, params, refs = stack_world
     got = score_segments(ref_table, test, params, TAU, 0.3, statistic=statistic,
@@ -388,7 +388,7 @@ def test_truncated_sweeps_match_per_video_verdicts(stack_world, budget):
         scored = truncate_videos(videos, x)
         assert score_table_rows(scores) == per_video_score_rows(
             test, scored, (x_audio[scored.rows], x_video[scored.rows]), refs, TAU, 0.5,
-            "fused")
+            "fusion")
 
 
 def test_embedding_holds_only_its_output_and_a_few_stacks():

@@ -27,7 +27,10 @@ from poif.fileio import (
     write_train_log,
 )
 from poif.optim import flatten_params
-from poif.records import FLAG_COLUMNS, ManipFlags, ScoreTable, SegmentRecord, SegmentTable
+from poif.losses import LOSS_COLUMNS
+from poif.records import (
+    CHANNELS, FLAG_COLUMNS, STATISTICS, ManipFlags, ScoreTable, SegmentRecord, SegmentTable,
+)
 from poif.synthgen import WorldConfig, generate_world
 
 
@@ -385,8 +388,8 @@ def score_table():
         n_segments=np.array([10, 10]),
         flags=np.array([[False] * 4, [True, True, False, False]]),
         blend=np.array([0.0, 1.0]),
-        normalized=np.array([[-0.3, 0.1], [1.2, -4.5], [0.8, -3.3]]),  # audio, video, av
-        fused=np.array([-0.3, -4.5]),
+        statistics=np.array([[1.2, -4.5], [-0.3, 0.1], [0.8, -3.3],
+                             [-0.3, -4.5]]),  # video, audio, av, fusion
         fake=np.array([False, True]),
     )
 
@@ -411,14 +414,33 @@ def test_scores_round_trip(tmp_path):
     assert_score_tables_equal(table, score_table())
 
 
+def test_files_list_channels_and_statistics_in_one_order(tmp_path):
+    """Score, loss and report columns follow CHANNELS and STATISTICS, and a
+    score file's columns hold the table's statistics as they are."""
+    columns = fileio.SCORE_COLUMNS.split(",")
+    first = columns.index("norm_video")
+    assert columns[first:first + 4] == [*(f"norm_{c}" for c in CHANNELS), "fused"]
+    assert LOSS_COLUMNS[:3] == tuple("l_" + {"video": "v", "audio": "a", "av": "av"}[c]
+                                     for c in CHANNELS)
+    assert fileio.REPORT_COLUMNS.split(",")[-len(STATISTICS):] == list(STATISTICS)
+
+    path = str(tmp_path / "s.txt")
+    table = score_table()
+    write_scores(path, table, {})
+    lines = path_lines(path)
+    rows = [line.split(",") for line in lines[lines.index(fileio.SCORE_COLUMNS) + 1:]]
+    for at, name in enumerate(STATISTICS, first):
+        assert [float(row[at]) for row in rows] == table.statistic(name).tolist()
+
+
 def path_lines(path) -> list[str]:
     with open(path) as f:
         return f.read().splitlines()
 
 
 def assert_score_tables_equal(got: ScoreTable, want: ScoreTable):
-    for name in ("video_ids", "identity_ids", "n_segments", "flags", "blend", "normalized",
-                 "fused", "fake"):
+    for name in ("video_ids", "identity_ids", "n_segments", "flags", "blend", "statistics",
+                 "fake"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and np.array_equal(a, b), name
     assert got.flags.dtype == got.fake.dtype == bool
@@ -477,8 +499,8 @@ def score_table_of(rows) -> ScoreTable:
         np.array([r.n_segments for r in rows]),
         np.array([[getattr(r.flags, c) for c in FLAG_COLUMNS] for r in rows]),
         np.array([r.blend for r in rows]),
-        np.array([[r.norm_audio, r.norm_video, r.norm_av] for r in rows]).T,
-        np.array([r.fused for r in rows]), np.array([r.decision == "fake" for r in rows]))
+        np.array([[r.norm_video, r.norm_audio, r.norm_av, r.fused] for r in rows]).T,
+        np.array([r.decision == "fake" for r in rows]))
 
 
 # Each kind: (writer, reader, written rows, what the writer takes of the read rows).

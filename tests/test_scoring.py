@@ -160,7 +160,7 @@ def best_similarities(probe, ref_segments, params, tau):
         ref_audio, ref_video = embed_one(params, seg)
         s_a = -(squared_distance(audio, ref_audio) / tau)
         s_v = -(squared_distance(video, ref_video) / tau)
-        best = [max(b, s) for b, s in zip(best, (s_a, s_v, s_a + s_v))]
+        best = [max(b, s) for b, s in zip(best, (s_v, s_a, s_v + s_a))]
     return best
 
 
@@ -251,13 +251,13 @@ def test_score_video_decision_follows_threshold(params):
 
     # the one-video table carries score_video's statistics of the clip
     lenient = judged(0.1)
-    assert lenient.fused.tolist() == score_clip(own.to_records(), ref, params, 0.5)[1].tolist()
+    assert lenient.statistics[-1].tolist() == score_clip(own.to_records(), ref, params, 0.5)[1].tolist()
     assert lenient.fake.dtype == bool
     # the default statistic against the threshold at p_fa
-    assert lenient.fake.tolist() == [bool(lenient.fused[0] < quantile_threshold(0.1))]
+    assert lenient.fake.tolist() == [bool(lenient.statistics[-1, 0] < quantile_threshold(0.1))]
     # an absurdly strict rate must flag even genuine material
     assert judged(0.999999).fake.tolist() == [True]
     with pytest.raises(ConfigError):
-        judged(0.1, statistic="fusion")
+        judged(0.1, statistic="fused")
     with pytest.raises(DataError):
         score_video(np.empty((3, 0, 3)), ref)
