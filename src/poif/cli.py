@@ -113,7 +113,7 @@ _SYNTH_SPEC = {
     "real_videos": (int, 4),
 }
 
-# The synth settings each mode never reads, so never requires or checks.
+# The synth settings each mode never reads, so never requires, checks or echoes.
 _SYNTH_UNREAD = {
     "train": {"out_reference", "out_test", "train_features", "fakes_per_group", "betas",
               "cloned_voice_scale", "reference_videos", "real_videos"},
@@ -181,7 +181,8 @@ def _rule(entry: tuple):
 def _resolve(args: argparse.Namespace, spec: Mapping, unread: Mapping | None = None) -> dict:
     """The merged settings, their ranges checked and the required ones present.
 
-    ``unread`` maps a mode to the settings it never reads, which go unchecked.
+    ``unread`` maps a mode to the settings it never reads.  Those are set to
+    None, so they are neither checked nor echoed.
     """
     merged = {k: None if entry[1] is REQUIRED else entry[1] for k, entry in spec.items()}
     if args.config is not None:
@@ -200,23 +201,22 @@ def _resolve(args: argparse.Namespace, spec: Mapping, unread: Mapping | None = N
             merged["seed"] = int(env)
         except ValueError:
             raise ConfigError(f"POIF_SEED must be an integer, got {env!r}") from None
-    read = {k: entry for k, entry in spec.items()
-            if not unread or k not in unread[merged["mode"]]}
-    for k, entry in read.items():
+    skipped = unread[merged["mode"]] if unread else ()
+    merged.update(dict.fromkeys(skipped))
+    for k, entry in spec.items():
         if callable(_rule(entry)) and merged[k] is not None:
             _rule(entry)(merged[k])
-    for k, entry in read.items():
-        if entry[1] is REQUIRED and merged[k] is None:
+    for k, entry in spec.items():
+        if entry[1] is REQUIRED and merged[k] is None and k not in skipped:
             raise ConfigError(_NO_SEED if k == "seed" else "missing required setting: pass "
                               f"--{k.replace('_', '-')} or set {k} in the config")
     return merged
 
 
-def _check_paths(merged: Mapping, spec: Mapping, unread=()):
+def _check_paths(merged: Mapping, spec: Mapping):
     """Refuse a missing input file, then an output path in a missing directory
     or one that names a directory."""
-    given = [(k, _rule(entry), merged[k]) for k, entry in spec.items()
-             if k not in unread and merged[k] is not None]
+    given = [(k, _rule(entry), merged[k]) for k, entry in spec.items() if merged[k] is not None]
     for k, rule, path in given:
         if rule is INPUT and not os.path.isfile(path):
             raise ConfigError(f"{k} file not found: {path}")
@@ -272,7 +272,7 @@ def _cmd_synth(args) -> int:
     world = generate_world(world_cfg)
 
     if mode == "train":
-        _check_paths(merged, _SYNTH_SPEC, _SYNTH_UNREAD[mode])
+        _check_paths(merged, _SYNTH_SPEC)
         fileio.write_features(merged["out"], world.segments, _echo_meta(merged, _SYNTH_SPEC))
         print(f"wrote {merged['out']} ({len(world.segments)} segments)")
         return 0
@@ -288,7 +288,7 @@ def _cmd_synth(args) -> int:
         real_videos=merged["real_videos"],
         cloned_voice_scale=merged["cloned_voice_scale"],
     )
-    _check_paths(merged, _SYNTH_SPEC, _SYNTH_UNREAD[mode])
+    _check_paths(merged, _SYNTH_SPEC)
     if merged["train_features"] is not None:
         _, train_table = fileio.read_feature_table(merged["train_features"])
         check_disjoint(train_table.identity_ids.tolist(), world.identity_ids)

@@ -703,6 +703,21 @@ def test_settings_and_paths_are_checked_before_any_input_is_read(
     assert not (tmp_path / "nodir").exists()
 
 
+@pytest.mark.parametrize("argv, unread", [
+    ([*SMALL_TRAIN, "--out", "{d}/a.txt"], ["--betas", "0.3", "--real-videos", "9"]),
+    ([*BENCH, "--out-reference", "{d}/a.txt", "--out-test", "{d}/b.txt"],
+     ["--videos-per-identity", "3"]),
+], ids=["train", "benchmark"])
+def test_synth_headers_echo_only_what_the_mode_reads(tmp_path, argv, unread):
+    written = []
+    for name, extra in (("plain", []), ("unread", unread)):
+        d = tmp_path / name
+        d.mkdir()
+        assert main([arg.format(d=d) for arg in argv] + extra) == 0
+        written.append({p.name: p.read_bytes() for p in d.iterdir()})
+    assert written[0] == written[1]
+
+
 # Every OUTPUT setting of the five commands, named by "{adir}", an existing
 # directory: (argv, command, setting).
 DIRECTORY_OUTPUTS = {
