@@ -10,9 +10,9 @@ encoder.ckpt, and the script exits 1 when it does not.
 A behaviour-preserving change must print the same lines before and after:
 run it on both checkouts and diff the output.  A change that moves bits
 states its deltas with --against, which runs the pipelines of both
-checkouts side by side and prints "same" or "differs" per artifact; for scores.txt it
-adds the largest absolute difference of any numeric field and the number
-of videos whose decision flipped.
+checkouts side by side and prints "same" or "differs" per artifact; for
+scores.txt it adds the largest absolute difference of any numeric field
+and the number of videos whose decision flipped.
 Artifact bytes depend on the BLAS kernel, so the script names the OpenBLAS
 core it runs on, on stderr ("unknown" when no core line appears).
 
@@ -155,8 +155,9 @@ def main(argv: list[str] | None = None) -> int:
             os.mkdir(work)
         # each checkout's pipeline runs in its own directory, so both can run at once
         with ThreadPoolExecutor(max_workers=len(srcs)) as pool:
-            if not all(pool.map(run_pipeline, srcs, works)):
-                return 1
+            finished = list(pool.map(run_pipeline, srcs, works))
+        if not all(finished):
+            return 1
         if len(works) == 1:
             for name in ARTIFACTS:
                 print(f"{sha256(Path(works[0]) / name)}  {name}")
