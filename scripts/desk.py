@@ -16,6 +16,7 @@ from poif.synthgen import (
     Benchmark,
     World,
     WorldConfig,
+    check_disjoint,
     generate_benchmark,
     generate_world,
     sample_identity_videos,
@@ -52,10 +53,10 @@ def build(s: int) -> DeskWorld:
     eval_world = generate_world(world_config(
         n_identities=EVAL_IDENTITIES, n_videos_per_identity=1, n_segments_per_video=1,
         identity_start=10000, seed=3000 + s))
+    check_disjoint(train_world.identity_ids, eval_world.identity_ids)
     bench = generate_benchmark(
         eval_world, {g: FAKES_PER_GROUP for g in GROUPS}, [1.0, 0.4],
-        np.random.default_rng([4000 + s, 1]), cloned_voice_scale=CLONED_VOICE,
-        train_identity_ids=train_world.identity_ids)
+        np.random.default_rng([4000 + s, 1]), cloned_voice_scale=CLONED_VOICE)
     return DeskWorld(s, train_world, eval_world, bench)
 
 

@@ -203,6 +203,7 @@ def score_segments(
     A video is judged fake when its statistic falls below the
     standard-normal quantile at the accepted false-alarm rate ``p_fa``.
     """
+    statistic_row(statistic)
     threshold = quantile_threshold(p_fa)
     if references is None:
         references = build_references(_claimed(reference, test), params, tau)
@@ -367,6 +368,7 @@ def sweep_scores(
     sweep on test_length), not one per person.  Videos are judged at even
     odds; the sweep rows read only the statistics.
     """
+    statistic_row(statistic)
     if axis not in SWEEP_AXES:
         raise DataError(f"unknown sweep axis {axis!r}")
     if not values or any(v < 1 for v in values):

@@ -7,9 +7,10 @@ against the mass on every other segment in the batch:
     loss(c) = log sum_{k != c} exp(S(c, k)) - log sum_{k in N_c} exp(S(c, k))
 
 summed over anchors and over the three similarity channels: video, audio,
-and the joint channel weighted by ``joint_weight``.  Every log-sum-exp is
-computed with per-row max subtraction; at sharp temperatures similarities
-reach -1e6 and naive summation underflows to zero.
+and the joint channel weighted by ``joint_weight``: the stack verification
+scores with, built in one place (``similarity.similarity_stack``).  Every
+log-sum-exp is computed with per-row max subtraction; at sharp
+temperatures similarities reach -1e6 and naive summation underflows.
 
 Each per-anchor term is a log of a superset mass over a subset mass, so
 the loss is non-negative, and it is exactly zero when every off-diagonal
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DataError
-from .similarity import check_temperature, squared_distance_matrix
+from .similarity import similarity_stack
 
 # The entries of a loss row: the three channels and their weighted total.
 LOSS_COLUMNS = ("l_v", "l_a", "l_av", "l_tot")
@@ -47,9 +48,9 @@ def positive_sets(labels) -> np.ndarray:
     return mask
 
 
-def _check_joint_weight(joint_weight: float) -> float:
+def check_joint_weight(joint_weight: float) -> float:
     joint_weight = float(joint_weight)
-    if joint_weight < 0.0:
+    if not joint_weight >= 0.0:
         raise ConfigError(f"joint loss weight must be non-negative, got {joint_weight}")
     return joint_weight
 
@@ -101,8 +102,7 @@ def loss_and_embedding_grads(
     modalities with the same pair weights.  Reductions run in a fixed
     order, so results are reproducible bit for bit.
     """
-    tau = check_temperature(tau)
-    joint_weight = _check_joint_weight(joint_weight)
+    joint_weight = check_joint_weight(joint_weight)
     x_audio = np.asarray(x_audio, dtype=np.float64)
     x_video = np.asarray(x_video, dtype=np.float64)
     n = len(x_audio)
@@ -110,13 +110,8 @@ def loss_and_embedding_grads(
         raise ValueError(f"batch of {n} rows for a loss plan of {len(plan.starts)}")
     anchor, at = plan.anchor, plan.at
 
-    # Video, audio and joint similarities as one (3, n, n) stack, in
-    # LOSS_COLUMNS order.  (Dividing by -tau rounds as dividing by tau and
-    # negating does.)
-    s = np.empty((3, n, n))
-    np.divide(squared_distance_matrix(x_video), -tau, out=s[0])
-    np.divide(squared_distance_matrix(x_audio), -tau, out=s[1])
-    np.add(s[0], s[1], out=s[2])
+    # Video, audio and joint similarities in LOSS_COLUMNS order.
+    s = similarity_stack(x_audio, x_video, tau)
 
     s_pos = np.take(s, at)
 
@@ -127,9 +122,9 @@ def loss_and_embedding_grads(
     # the off-diagonal similarities (-inf on the diagonal), and two more
     # (3, n, n) buffers carry every later stage.
     s.reshape(3, -1)[:, ::n + 1] = -np.inf
-    # Each channel's matrix is exactly symmetric (squared_distance_matrix
-    # guarantees it for x alone), so its column maxima are its row maxima,
-    # and they reduce along the fast axis.
+    # Each channel's matrix is exactly symmetric (similarity_stack
+    # guarantees it for a batch alone), so its column maxima are its row
+    # maxima, and they reduce along the fast axis.
     m_off = s.max(axis=1)
     m_pos = np.maximum.reduceat(s_pos, plan.starts, axis=1)
     work = np.subtract(s, m_off[:, :, None])

@@ -2,11 +2,12 @@
 
 A claimed identity is checked against a reference set of pristine
 segments of that person.  The raw index of a test segment in one modality
-is its best (maximum) similarity to any reference segment.  Raw indices
-are normalized with mean and spread estimated on the reference itself in
-leave-own-video-out fashion: each reference segment is scored against the
-other reference videos only, never against its own, because same-video
-pairs share recording conditions and would shrink the estimated spread.
+is its best (maximum) similarity to any reference segment, in the stack
+the loss trains on (``similarity.similarity_stack`` serves both).  Raw
+indices are normalized with mean and spread estimated on the reference
+itself in leave-own-video-out fashion: each reference segment is scored
+against the other reference videos only, never against its own, because
+same-video pairs share recording conditions and would shrink the spread.
 Under that normalization, genuine material scores like a standard normal,
 so a decision threshold is just a normal quantile at the accepted
 false-alarm rate.  The fused statistic is the minimum of the three
@@ -23,7 +24,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DataError, DegenerateReferenceError
 from .records import CHANNELS, SegmentTable
-from .similarity import check_temperature, padded_blocks, rows_per_block, squared_distance_matrix
+from .similarity import check_temperature, padded_blocks, rows_per_block, similarity_stack
 
 SIGMA_FLOOR = 1e-9
 
@@ -71,21 +72,6 @@ class ReferenceSet:
         return len(set(self.video_ids))
 
 
-def _similarity_rows(x_audio, x_video, ref_audio, ref_video, tau, ref_sq):
-    """(3, rows, m) similarities in CHANNELS order, joint = video + audio.
-
-    ``ref_sq`` holds the references' row norms in CHANNELS order (video,
-    audio).  Dividing into the stack and negating in place gives the bits
-    of ``-(d / tau)``.
-    """
-    sims = np.empty((len(CHANNELS), len(x_audio), len(ref_audio)))
-    for plane, x, y, y_sq in zip(sims, (x_video, x_audio), (ref_video, ref_audio), ref_sq):
-        np.divide(squared_distance_matrix(x, y, y_sq), tau, out=plane)
-    np.negative(sims[:2], out=sims[:2])
-    np.add(sims[0], sims[1], out=sims[2])
-    return sims
-
-
 def best_matches(x_audio, x_video, ref_audio, ref_video, tau, groups=None):
     """Each row's best similarity to any reference row, as a (3, n) channel stack.
 
@@ -102,9 +88,9 @@ def best_matches(x_audio, x_video, ref_audio, ref_video, tau, groups=None):
     ref_sq = [np.einsum("ij,ij->i", y, y) for y in (ref_video, ref_audio)]
     for (start, stop, xa), (_, _, xv) in zip(padded_blocks(x_audio, rows),
                                              padded_blocks(x_video, rows)):
-        sims = _similarity_rows(xa, xv, ref_audio, ref_video, tau, ref_sq)[:, :stop - start]
+        sims = similarity_stack(xa, xv, tau, ref_audio, ref_video, ref_sq)[:, :stop - start]
         if groups is not None:
-            sims[:, groups[start:stop, None] == groups[None, :]] = -np.inf
+            np.copyto(sims, -np.inf, where=groups[start:stop, None] == groups[None, :])
         sims.max(axis=2, out=best[:, start:stop])
     return best
 

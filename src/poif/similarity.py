@@ -4,11 +4,11 @@ The similarity between two segments in one modality is the negative
 squared Euclidean distance of their embeddings divided by a temperature:
 larger (closer to zero) means more alike.  The joint audio-visual
 similarity is defined as the sum of the two single-modality similarities,
-video term first.  Callers (the loss and the scorer) add the two stored
-similarity matrices rather than recompute distances on concatenated
-vectors, so the identity holds bit-exactly.  This module holds the one
-distance kernel both of them use, and the fixed-shape row blocks that
-inference runs its row-wise products on.
+video term first: the stored planes are added rather than distances
+recomputed on concatenated vectors, so the identity holds bit-exactly.
+The loss and the scorer both get that stack from ``similarity_stack``,
+the one place it is built, over the one distance kernel.  This module
+also holds the fixed-shape row blocks that inference runs on.
 """
 
 from __future__ import annotations
@@ -116,3 +116,21 @@ def squared_distance_matrix(
         out += np.einsum("ij,ij->i", x, x)[:, None]
         out += (np.einsum("ij,ij->i", y, y) if y_sq is None else y_sq)[None, :]
     return np.maximum(out, 0.0, out=out)
+
+
+def similarity_stack(x_audio, x_video, tau, ref_audio=None, ref_video=None,
+                     ref_sq=(None, None)) -> np.ndarray:
+    """(3, n, m) similarities in CHANNELS order: video, audio, joint = video + audio.
+
+    A modality's plane is its squared distances d over -tau: the bits of
+    -(d / tau) under round-to-nearest.  With no reference the batch is
+    compared with itself (m = n) and every plane is exactly symmetric.
+    ``ref_sq``: the reference's (video, audio) squared row norms, or None.
+    """
+    tau = check_temperature(tau)
+    m = len(x_audio) if ref_audio is None else len(ref_audio)
+    sims = np.empty((3, len(x_audio), m))
+    for plane, x, y, y_sq in zip(sims, (x_video, x_audio), (ref_video, ref_audio), ref_sq):
+        np.divide(squared_distance_matrix(x, y, y_sq), -tau, out=plane)
+    np.add(sims[0], sims[1], out=sims[2])
+    return sims

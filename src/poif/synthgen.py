@@ -176,7 +176,6 @@ def generate_benchmark(
     reference_videos: int = 10,
     real_videos: int = 4,
     cloned_voice_scale: float = 0.5,
-    train_identity_ids: Sequence[str] | None = None,
 ) -> Benchmark:
     """Build an evaluation set over every identity in ``world``.
 
@@ -186,14 +185,12 @@ def generate_benchmark(
     test videos in rotation, so each fake has a genuine counterpart shot
     under the same conditions.  Video-manipulated groups cycle through
     ``betas``; donors are drawn uniformly from the other identities.
-    ``train_identity_ids`` guards train/test identity disjointness.
+    The caller checks train/test identity disjointness (``check_disjoint``).
     """
     for name, count in (("segments_per_video", segments_per_video),
                         ("reference_videos", reference_videos), ("real_videos", real_videos)):
         if count < 1:
             raise ConfigError(f"{name} must be >= 1, got {count}")
-    if train_identity_ids is not None:
-        check_disjoint(train_identity_ids, world.identity_ids)
     unknown = sorted(set(group_counts) - set(GROUPS))
     if unknown:
         raise ConfigError(f"unknown manipulation groups: {', '.join(unknown)}")

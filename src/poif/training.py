@@ -19,9 +19,10 @@ import numpy as np
 
 from .encoder import EncoderConfig, EncoderParams, init_encoder, loss_and_param_grads
 from .exceptions import ConfigError, DataError
-from .losses import LOSS_COLUMNS, loss_plan, positive_sets
+from .losses import LOSS_COLUMNS, check_joint_weight, loss_plan, positive_sets
 from .optim import adamw_step, init_optim_state, pack
 from .records import SegmentTable
+from .similarity import check_temperature
 
 
 @dataclass
@@ -53,10 +54,8 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.joint_weight < 0:
-            raise ConfigError(f"joint_weight must be non-negative, got {self.joint_weight}")
+        check_temperature(self.tau)
+        check_joint_weight(self.joint_weight)
         if self.epochs < 0 or self.batches_per_epoch < 1:
             raise ConfigError(
                 f"bad schedule: epochs={self.epochs}, batches_per_epoch={self.batches_per_epoch}"

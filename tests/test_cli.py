@@ -354,6 +354,8 @@ def test_out_of_range_settings_are_config_errors(pipeline, tmp_path, capsys):
             *(("evaluate", ["--p-fa", p_fa], "false-alarm rate") for p_fa in ("0", "1")),
             ("score", ["--tau", "-1"], "temperature must be positive"),
             ("sweep", ["--tau", "-1"], "temperature must be positive"),
+            ("train", ["--tau", "-1"], "temperature must be positive"),
+            ("train", ["--lambda", "-1"], "joint loss weight must be non-negative"),
             ("train", ["--lr", "0"], "learning_rate must be positive"),
             ("train", ["--identities-per-batch", "1"], "identities_per_batch must be >= 2")):
         assert main([command, *inputs[command], "--out", str(out), *setting]) == 2

@@ -25,9 +25,9 @@ from oracles import (
     row_statistic,
     score_table_rows,
 )
-from poif import similarity
+from poif import experiments, similarity
 from poif.encoder import EncoderConfig, encode_batch, init_encoder
-from poif.exceptions import DataError
+from poif.exceptions import ConfigError, DataError
 from poif.experiments import (
     build_references,
     group_by_video,
@@ -94,6 +94,21 @@ def world():
     params = init_encoder(AUDIO_DIM, VIDEO_DIM, EncoderConfig(2, 64, 32),
                           np.random.default_rng(5))
     return reference, test, params
+
+
+def test_unknown_statistic_is_refused_before_any_embedding(world, monkeypatch):
+    reference, test, params = world
+    ref_table, test_table = SegmentTable.from_records(reference), SegmentTable.from_records(test)
+
+    def embed(*args):
+        raise AssertionError("embedded before the statistic was checked")
+
+    monkeypatch.setattr(experiments, "encode_batch", embed)
+    for run in (score_segments, sweep_scores, sweep_rows):
+        args = (ref_table, test_table, params, TAU)
+        args = (*args, 0.1) if run is score_segments else ("test_length", [1], *args)
+        with pytest.raises(ConfigError, match="^unknown statistic 'fused'$"):
+            run(*args, statistic="fused")
 
 
 def test_world_covers_both_embedding_batch_paths(world):

@@ -10,11 +10,12 @@ from poif.encoder import EncoderConfig, init_encoder
 from poif.exceptions import ConfigError
 from poif.losses import loss_and_embedding_grads, loss_plan
 from poif.records import CHANNELS, SegmentTable
-from poif.scoring import _similarity_rows, best_matches
+from poif.scoring import best_matches
 from poif.similarity import (
     check_temperature,
     padded_blocks,
     rows_per_block,
+    similarity_stack,
     squared_distance_matrix,
 )
 
@@ -158,8 +159,8 @@ def test_best_matches_slices_keep_the_bits_of_one_kernel_call_per_slice():
 def test_similarity_sign_and_temperature_scaling():
     rng = np.random.default_rng(2)
     (xa, xv), (ra, rv) = channel_pairs(rng, 3, 5)
-    s1 = _similarity_rows(xa, xv, ra, rv, 1.0, row_norms(rv, ra))
-    s2 = _similarity_rows(xa, xv, ra, rv, 2.0, row_norms(rv, ra))
+    s1 = similarity_stack(xa, xv, 1.0, ra, rv, row_norms(rv, ra))
+    s2 = similarity_stack(xa, xv, 2.0, ra, rv, row_norms(rv, ra))
     for c in range(len(CHANNELS)):
         assert np.all(s1[c] <= 0.0)
         np.testing.assert_allclose(s2[c], s1[c] / 2.0, rtol=1e-15)
@@ -175,23 +176,68 @@ def test_similarity_rejects_bad_tau():
     plan = loss_plan(~np.eye(4, dtype=bool))
     with pytest.raises(ConfigError):
         loss_and_embedding_grads(x_audio, x_video, plan, 0.0, 1.0)
+    with pytest.raises(ConfigError, match="temperature must be positive"):
+        similarity_stack(x_audio, x_video, -1.0)
     params = init_encoder(6, 5, EncoderConfig(1, 4, 2), np.random.default_rng(0))
     with pytest.raises(ConfigError):
         embedded_reference(SegmentTable.from_records(batch), params, -1.0)
 
 
+def bits(a):
+    """The float64 bit patterns of a: tells -0.0 from 0.0, unlike ==."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
 def test_similarity_matrix_joint_is_sum_of_channels():
     rng = np.random.default_rng(3)
     (xa, xv), (ra, rv) = channel_pairs(rng, 7, 6, d_video=6)
-    sims = _similarity_rows(xa, xv, ra, rv, 0.7, row_norms(rv, ra))
-    assert np.array_equal(sims[2], sims[0] + sims[1])
-    assert sims.shape == (len(CHANNELS), 7, 6)
+    for sims, shape in ((similarity_stack(xa, xv, 0.7, ra, rv, row_norms(rv, ra)), (7, 6)),
+                        (similarity_stack(xa, xv, 0.7), (7, 7))):
+        assert sims.shape == (len(CHANNELS), *shape)
+        assert np.array_equal(bits(sims[2]), bits(sims[0] + sims[1]))
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.5, 3.0])
+def test_similarity_stack_is_the_kernel_divided_by_minus_tau(tau):
+    """Both forms: video then audio, each the kernel's distances over -tau."""
+    rng = np.random.default_rng(13)
+    (xa, xv), (ra, rv) = channel_pairs(rng, 9, 37, d_audio=8, d_video=5)
+    forms = (
+        (similarity_stack(xa, xv, tau), (squared_distance_matrix(xv),
+                                         squared_distance_matrix(xa))),
+        (similarity_stack(xa, xv, tau, ra, rv), (squared_distance_matrix(xv, rv),
+                                                 squared_distance_matrix(xa, ra))),
+        (similarity_stack(xa, xv, tau, ra, rv, row_norms(rv, ra)),
+         (squared_distance_matrix(xv, rv), squared_distance_matrix(xa, ra))),
+    )
+    for sims, distances in forms:
+        for plane, d in zip(sims, distances):
+            assert np.array_equal(bits(plane), bits(np.divide(d, -tau)))
+
+
+@given(st.integers(2, 40), st.integers(1, 8), st.integers(0, 10**6))
+def test_similarity_stack_self_form_is_exactly_symmetric(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    xa, xv = rng.standard_normal((n, dim)), rng.standard_normal((n, dim + 1))
+    sims = similarity_stack(xa, xv, 0.5)
+    assert np.array_equal(bits(sims), bits(sims.transpose(0, 2, 1)))
+
+
+def test_dividing_by_minus_tau_negates_the_quotient():
+    """fl(d / -tau) = -fl(d / tau) under round-to-nearest, which lets one
+    division build every plane of the stack with the bits of -(d / tau)."""
+    rng = np.random.default_rng(14)
+    d = np.concatenate(([0.0, 5e-324, 1e-300, 1.0, 1e300],
+                        rng.random(20000) * 10.0 ** rng.integers(-30, 30, 20000)))
+    for tau in np.concatenate(([1e-3, 0.01, 0.5, 1.0, 3.0],
+                               (1.0 - rng.random(200)) * 10.0 ** rng.integers(-6, 6, 200))):
+        assert np.array_equal(bits(np.divide(d, -tau)), bits(-(d / tau))), tau
 
 
 def test_similarity_matrix_entries_match_pair_function():
     rng = np.random.default_rng(4)
     (xa, xv), (ra, rv) = channel_pairs(rng, 4, 4, d_audio=3)
-    sims = _similarity_rows(xa, xv, ra, rv, 1.3, row_norms(rv, ra))
+    sims = similarity_stack(xa, xv, 1.3, ra, rv, row_norms(rv, ra))
     bound_a, bound_v = gram_bound(xa, ra) / 1.3, gram_bound(xv, rv) / 1.3
     for i in range(4):
         for j in range(4):

@@ -5,7 +5,9 @@ from conftest import assert_tables_equal
 from oracles import record_benchmark, record_identity_videos, record_world
 from poif.exceptions import ConfigError, DataError
 from poif.records import GROUP_FLAGS, GROUPS, SegmentTable
-from poif.synthgen import WorldConfig, generate_benchmark, generate_world, sample_identity_videos
+from poif.synthgen import (
+    WorldConfig, check_disjoint, generate_benchmark, generate_world, sample_identity_videos,
+)
 
 
 def small_world(seed=0, **kw):
@@ -237,12 +239,16 @@ def test_benchmark_guards():
     for beta in (1.2, -0.1, float("nan")):
         with pytest.raises(ConfigError, match="betas must lie in"):
             generate_benchmark(world, {"v": 1}, [beta], rng)
-    with pytest.raises(DataError):
-        generate_benchmark(world, {"v": 1}, [1.0], rng,
-                           train_identity_ids=["id0001", "zz"])
     solo = bench_world(identities=1)
     with pytest.raises(ConfigError, match="fakes need at least 2 identities"):
         generate_benchmark(solo, {"v": 1}, [1.0], rng)
+
+
+def test_check_disjoint_refuses_shared_identities():
+    world = bench_world()
+    check_disjoint(["zz"], world.identity_ids)
+    with pytest.raises(DataError, match="overlap the training set: id0001$"):
+        check_disjoint(["id0001", "zz"], world.identity_ids)
 
 
 @pytest.mark.parametrize("setting", ["segments_per_video", "reference_videos", "real_videos"])

@@ -314,10 +314,12 @@ def test_train_refuses_manipulated_segments():
 def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(tau=-0.5)
-    with pytest.raises(ConfigError):
-        TrainConfig(joint_weight=-1.0)
+    for tau in (-0.5, float("nan")):
+        with pytest.raises(ConfigError, match="temperature must be positive"):
+            TrainConfig(tau=tau)
+    for joint_weight in (-1.0, float("nan")):
+        with pytest.raises(ConfigError, match="joint loss weight must be non-negative"):
+            TrainConfig(joint_weight=joint_weight)
     with pytest.raises(ConfigError):
         TrainConfig(identities_per_batch=1)
     with pytest.raises(ConfigError):
