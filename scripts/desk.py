@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from poif.encoder import EncoderConfig
-from poif.records import GROUPS, SegmentTable
+from poif.records import SegmentTable
 from poif.synthgen import (
     Benchmark,
     World,
@@ -55,7 +55,7 @@ def build(s: int) -> DeskWorld:
         identity_start=10000, seed=3000 + s))
     check_disjoint(train_world.identity_ids, eval_world.identity_ids)
     bench = generate_benchmark(
-        eval_world, {g: FAKES_PER_GROUP for g in GROUPS}, [1.0, 0.4],
+        eval_world, FAKES_PER_GROUP, [1.0, 0.4],
         np.random.default_rng([4000 + s, 1]), cloned_voice_scale=CLONED_VOICE)
     return DeskWorld(s, train_world, eval_world, bench)
 

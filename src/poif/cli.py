@@ -31,7 +31,7 @@ from . import experiments, fileio
 from .encoder import EncoderConfig
 from .exceptions import ConfigError, DataError, DegenerateReferenceError
 from .fileio import fmt, parse_config_file
-from .records import FUSED, GROUPS, STATISTICS
+from .records import FUSED, STATISTICS
 from .scoring import quantile_threshold
 from .similarity import check_temperature
 from .synthgen import WorldConfig, check_disjoint, generate_benchmark, generate_world
@@ -114,11 +114,11 @@ _SYNTH_SPEC = {
 }
 
 # The synth settings each mode never reads, so never requires, checks or echoes.
-_SYNTH_UNREAD = {
+_SYNTH_UNREAD = {"mode": {
     "train": {"out_reference", "out_test", "train_features", "fakes_per_group", "betas",
               "cloned_voice_scale", "reference_videos", "real_videos"},
     "benchmark": {"out", "videos_per_identity"},
-}
+}}
 
 _TRAIN_SPEC = {
     "features": (str, REQUIRED, INPUT),
@@ -170,6 +170,9 @@ _SWEEP_SPEC = {
     "statistic": (_choice(STATISTICS), FUSED),
 }
 
+# Only the variety axis reads the segment budget.
+_SWEEP_UNREAD = {"axis": {"test_length": {"ref_total"}, "ref_size": {"ref_total"}}}
+
 
 _NO_SEED = "a seed is required: pass --seed, set seed in the config file, or export POIF_SEED"
 
@@ -181,8 +184,9 @@ def _rule(entry: tuple):
 def _resolve(args: argparse.Namespace, spec: Mapping, unread: Mapping | None = None) -> dict:
     """The merged settings, their ranges checked and the required ones present.
 
-    ``unread`` maps a mode to the settings it never reads.  Those are set to
-    None, so they are neither checked nor echoed.
+    ``unread`` maps the setting that selects a mode to each mode's settings
+    that it never reads.  Those are set to None, so they are neither
+    checked nor echoed.
     """
     merged = {k: None if entry[1] is REQUIRED else entry[1] for k, entry in spec.items()}
     if args.config is not None:
@@ -201,7 +205,8 @@ def _resolve(args: argparse.Namespace, spec: Mapping, unread: Mapping | None = N
             merged["seed"] = int(env)
         except ValueError:
             raise ConfigError(f"POIF_SEED must be an integer, got {env!r}") from None
-    skipped = unread[merged["mode"]] if unread else ()
+    skipped = {k for selector, modes in (unread or {}).items()
+               for k in modes.get(merged[selector], ())}
     merged.update(dict.fromkeys(skipped))
     for k, entry in spec.items():
         if callable(_rule(entry)) and merged[k] is not None:
@@ -280,7 +285,7 @@ def _cmd_synth(args) -> int:
     # drawn before any file is opened, so its guards refuse bad group settings first
     bench = generate_benchmark(
         world,
-        group_counts={g: merged["fakes_per_group"] for g in GROUPS},
+        fakes_per_group=merged["fakes_per_group"],
         betas=merged["betas"],
         rng=np.random.default_rng([merged["seed"], 1]),
         segments_per_video=merged["segments_per_video"],
@@ -416,17 +421,13 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    merged = _resolve(args, _SWEEP_SPEC)
+    merged = _resolve(args, _SWEEP_SPEC, _SWEEP_UNREAD)
     params, reference, test = _scoring_inputs(merged, _SWEEP_SPEC)
-    axis = merged["axis"]
     rows = experiments.sweep_rows(
-        axis, merged["values"], reference, test, params, merged["tau"],
+        merged["axis"], merged["values"], reference, test, params, merged["tau"],
         statistic=merged["statistic"], ref_total=merged["ref_total"],
     )
-    meta = _echo_meta(merged, _SWEEP_SPEC)
-    if axis != "ref_variety":
-        del meta["ref_total"]  # only the variety axis reads the budget
-    fileio.write_sweep(merged["out"], rows, meta)
+    fileio.write_sweep(merged["out"], rows, _echo_meta(merged, _SWEEP_SPEC))
     print(f"wrote {merged['out']} ({len(rows)} rows)")
     return 0
 
@@ -481,28 +482,29 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.showwarning = _show_warning
-        try:
-            return args.run(args)
-        except ConfigError as e:
-            print(f"poif: config error: {e}", file=sys.stderr)
-            return 2
-        except DegenerateReferenceError as e:
-            print(f"poif: degenerate reference: {e}", file=sys.stderr)
-            return 4
-        except DataError as e:
-            print(f"poif: data error: {e}", file=sys.stderr)
-            return 3
-        except FileNotFoundError as e:
-            print(f"poif: config error: {e}", file=sys.stderr)
-            return 2
-        except ValueError as e:
-            print(f"poif: data error: {e}", file=sys.stderr)
-            return 3
-        except OSError as e:
-            print(f"poif: io error: {e}", file=sys.stderr)
-            return 3
+    shown, warnings.showwarning = warnings.showwarning, _show_warning
+    try:
+        return args.run(args)
+    except ConfigError as e:
+        print(f"poif: config error: {e}", file=sys.stderr)
+        return 2
+    except DegenerateReferenceError as e:
+        print(f"poif: degenerate reference: {e}", file=sys.stderr)
+        return 4
+    except DataError as e:
+        print(f"poif: data error: {e}", file=sys.stderr)
+        return 3
+    except FileNotFoundError as e:
+        print(f"poif: config error: {e}", file=sys.stderr)
+        return 2
+    except ValueError as e:
+        print(f"poif: data error: {e}", file=sys.stderr)
+        return 3
+    except OSError as e:
+        print(f"poif: io error: {e}", file=sys.stderr)
+        return 3
+    finally:
+        warnings.showwarning = shown
 
 
 if __name__ == "__main__":

@@ -3,7 +3,10 @@
 The scoring path embeds each table once, builds one reference set per
 person, matches each person's test rows against it once, scores each
 person's videos of one length as one stack, and judges the whole table
-in one comparison against the threshold.  Videos are processed in
+in one comparison against the threshold.  ``build_references`` builds the
+reference sets for ``score_segments`` and for every sweep point alike,
+and names the references below the nominal 10-video / 100-segment
+regime in one SmallReferenceWarning per call.  Videos are processed in
 first-occurrence order; inside a video, segments run in segment_index
 order.  Results come back as a ScoreTable, one row per video, and
 table_metrics turns its columns into the per-manipulation-group AUC /
@@ -106,26 +109,36 @@ def group_by_video(table: SegmentTable, rows: np.ndarray | None = None) -> Video
     return Videos(ids, grouped, bounds)
 
 
-def _calibrate(reference, embedded, tau, rows=None, **kwargs) -> dict[str, ReferenceSet]:
-    """One reference set per person from the given rows of an embedded reference table."""
-    return {
-        poi: build_reference(reference.take(mine), tuple(x[mine] for x in embedded), tau,
-                             **kwargs)
-        for poi, mine in group_by_identity(reference, rows).items()
-    }
-
-
 def build_references(
     reference: SegmentTable,
-    params: EncoderParams,
+    embedded: tuple[np.ndarray, np.ndarray],
     tau: float,
-    **kwargs,
+    rows: np.ndarray | None = None,
+    *,
+    exclude_same_video: bool = True,
+    point: str = "score",
 ) -> dict[str, ReferenceSet]:
-    """Embed the reference table once and build every person's reference set."""
-    if not len(reference):
-        raise DataError("empty reference set")
-    embedded = encode_batch(params, reference.audio, reference.video)
-    return _calibrate(reference, embedded, tau, **kwargs)
+    """Every person's reference set from the given rows (default: all) of a reference table.
+
+    ``embedded`` holds the (audio, video) embeddings of all the table's
+    rows (``encode_batch``).  References below the nominal regime get one
+    SmallReferenceWarning per call, led by ``point``, counting and naming
+    them.
+    """
+    refs = {
+        poi: build_reference(reference.take(mine), tuple(x[mine] for x in embedded), tau,
+                             exclude_same_video=exclude_same_video)
+        for poi, mine in group_by_identity(reference, rows).items()
+    }
+    small = [poi for poi, ref in refs.items() if below_nominal(ref.n_videos, len(ref))]
+    if small:
+        warnings.warn(
+            f"{point}: {len(small)} of {len(refs)} references are below the nominal "
+            f"10-video / 100-segment regime: {', '.join(small)}",
+            SmallReferenceWarning,
+            stacklevel=2,
+        )
+    return refs
 
 
 def _require_material(claimed, available) -> None:
@@ -206,7 +219,9 @@ def score_segments(
     statistic_row(statistic)
     threshold = quantile_threshold(p_fa)
     if references is None:
-        references = build_references(_claimed(reference, test), params, tau)
+        claimed = _claimed(reference, test)
+        embedded = encode_batch(params, claimed.audio, claimed.video)
+        references = build_references(claimed, embedded, tau)
     videos = group_by_video(test)
     raw = _match_rows(test, encode_batch(params, test.audio, test.video), references, tau)
     return _judge(test, videos, raw, references, threshold, statistic)
@@ -330,22 +345,6 @@ def reference_by_variety(reference: SegmentTable, x: int, total: int) -> np.ndar
     return np.concatenate(out)
 
 
-def _sweep_references(point: str, reference, embedded, tau, rows=None, **kwargs):
-    """The references of one sweep point, with one warning for all its small references."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SmallReferenceWarning)
-        refs = _calibrate(reference, embedded, tau, rows, **kwargs)
-    small = sum(below_nominal(ref.n_videos, len(ref)) for ref in refs.values())
-    if small:
-        warnings.warn(
-            f"sweep {point}: {small} of {len(refs)} references are below the nominal "
-            f"10-video / 100-segment regime",
-            SmallReferenceWarning,
-            stacklevel=3,
-        )
-    return refs
-
-
 def sweep_scores(
     axis: str,
     values: Sequence[int],
@@ -363,10 +362,11 @@ def sweep_scores(
     judges every video's first x segments.  On ref_size and ref_variety a
     point's references are row selections of the one reference
     embedding; they are calibrated and matched per point, because
-    matches against a subset of reference rows move bits.  References
-    below the nominal regime give one SmallReferenceWarning per point (per
-    sweep on test_length), not one per person.  Videos are judged at even
-    odds; the sweep rows read only the statistics.
+    matches against a subset of reference rows move bits, and a one-video
+    point on either axis is calibrated leaving out only the segment
+    itself.  References below the nominal regime give one
+    SmallReferenceWarning per point (per sweep on test_length).  Videos
+    are judged at even odds; the sweep rows read only the statistics.
     """
     statistic_row(statistic)
     if axis not in SWEEP_AXES:
@@ -378,7 +378,7 @@ def sweep_scores(
     videos = group_by_video(test)
     embedded = encode_batch(params, test.audio, test.video)
     if axis == "test_length":
-        refs = _sweep_references(axis, reference, ref_embedded, tau)
+        refs = build_references(reference, ref_embedded, tau, point=f"sweep {axis}")
         raw = _match_rows(test, embedded, refs, tau)
     out = []
     for x in sorted(set(values)):
@@ -386,13 +386,10 @@ def sweep_scores(
         if axis == "test_length":
             scored = truncate_videos(videos, x)
         else:
-            if axis == "ref_size":
-                rows, kwargs = reference_by_videos(reference, x), {}
-            else:
-                rows = reference_by_variety(reference, x, ref_total)
-                kwargs = {"exclude_same_video": x > 1}
-            refs = _sweep_references(f"{axis}={x}", reference, ref_embedded, tau, rows,
-                                     **kwargs)
+            rows = (reference_by_videos(reference, x) if axis == "ref_size"
+                    else reference_by_variety(reference, x, ref_total))
+            refs = build_references(reference, ref_embedded, tau, rows,
+                                    exclude_same_video=x > 1, point=f"sweep {axis}={x}")
             raw = _match_rows(test, embedded, refs, tau)
         out.append((x, _judge(test, scored, raw, refs, EVEN_ODDS, statistic)))
     return out

@@ -12,11 +12,14 @@ Under that normalization, genuine material scores like a standard normal,
 so a decision threshold is just a normal quantile at the accepted
 false-alarm rate.  The fused statistic is the minimum of the three
 normalized indices: a clip is only as trustworthy as its worst channel.
+A reference below the nominal 10-video / 100-segment regime
+(``below_nominal``) is calibrated all the same; ``build_reference`` stays
+silent about it, and ``experiments.build_references`` names every such
+person of one run in one SmallReferenceWarning.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -51,13 +54,14 @@ def quantile_threshold(p_fa: float) -> float:
 class ReferenceSet:
     """Embedded pristine segments of one person, with calibration stats.
 
-    mu and sigma are the (3,) means and population spreads of the
+    n_videos counts the distinct videos the segments come from.  mu and
+    sigma are the (3,) means and population spreads of the
     leave-own-video-out self-scores per channel, in CHANNELS order (video,
     audio, av); self_scores keeps the (3, n) per-segment values for
     diagnostics.
     """
 
-    video_ids: tuple[str, ...]
+    n_videos: int
     audio: np.ndarray
     video: np.ndarray
     mu: np.ndarray
@@ -65,11 +69,7 @@ class ReferenceSet:
     self_scores: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.video_ids)
-
-    @property
-    def n_videos(self) -> int:
-        return len(set(self.video_ids))
+        return len(self.audio)
 
 
 def best_matches(x_audio, x_video, ref_audio, ref_video, tau, groups=None):
@@ -126,8 +126,8 @@ def build_reference(
             )
         raise DataError(f"reference segments must be pristine; found {table.key(row)}")
 
-    video_ids = tuple(table.video_ids.tolist())
-    n_videos = len(set(video_ids))
+    names, codes = np.unique(table.video_ids, return_inverse=True)
+    n_videos = len(names)
     if exclude_same_video and n_videos < 2:
         raise DataError(
             f"reference for {poi_id!r} needs at least 2 distinct videos for "
@@ -135,20 +135,10 @@ def build_reference(
         )
     if not exclude_same_video and len(table) < 2:
         raise DataError(f"reference for {poi_id!r} needs at least 2 segments")
-    if below_nominal(n_videos, len(table)):
-        warnings.warn(
-            f"reference for {poi_id!r} has {n_videos} videos / {len(table)} segments, "
-            f"below the nominal 10-video / 100-segment regime",
-            SmallReferenceWarning,
-            stacklevel=2,
-        )
 
     x_audio, x_video = embedded
     # A self-score skips partners in its own group: its video, or only itself.
-    if exclude_same_video:
-        groups = np.unique(table.video_ids, return_inverse=True)[1]
-    else:
-        groups = np.arange(len(table))
+    groups = codes if exclude_same_video else np.arange(len(table))
     self_scores = best_matches(x_audio, x_video, x_audio, x_video, tau, groups)
 
     sigma = self_scores.std(axis=1)
@@ -161,7 +151,7 @@ def build_reference(
         )
 
     return ReferenceSet(
-        video_ids=video_ids,
+        n_videos=n_videos,
         audio=x_audio,
         video=x_video,
         mu=self_scores.mean(axis=1),

@@ -24,7 +24,7 @@ that person, and the labels carry what was tampered with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class WorldConfig:
                 f"feature dims must be >= 1, got audio {self.audio_dim}, video {self.video_dim}"
             )
         for name in ("identity_scale", "video_bias_scale", "segment_noise_scale"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.identity_start < 0:
             raise ConfigError(f"identity_start must be >= 0, got {self.identity_start}")
@@ -168,7 +168,7 @@ class Benchmark:
 
 def generate_benchmark(
     world: World,
-    group_counts: Mapping[str, int],
+    fakes_per_group: int,
     betas: Sequence[float],
     rng: np.random.Generator,
     *,
@@ -180,8 +180,8 @@ def generate_benchmark(
     """Build an evaluation set over every identity in ``world``.
 
     Each identity gets ``reference_videos`` pristine reference videos,
-    ``real_videos`` pristine test videos, and per manipulation group the
-    requested number of fake videos.  Fakes are derived from the pristine
+    ``real_videos`` pristine test videos, and ``fakes_per_group`` fake
+    videos in each manipulation group.  Fakes are derived from the pristine
     test videos in rotation, so each fake has a genuine counterpart shot
     under the same conditions.  Video-manipulated groups cycle through
     ``betas``; donors are drawn uniformly from the other identities.
@@ -191,19 +191,16 @@ def generate_benchmark(
                         ("reference_videos", reference_videos), ("real_videos", real_videos)):
         if count < 1:
             raise ConfigError(f"{name} must be >= 1, got {count}")
-    unknown = sorted(set(group_counts) - set(GROUPS))
-    if unknown:
-        raise ConfigError(f"unknown manipulation groups: {', '.join(unknown)}")
-    for g, c in group_counts.items():
-        if c < 0:
-            raise ConfigError(f"group {g!r} has negative count {c}")
+    if fakes_per_group < 0:
+        raise ConfigError(f"fakes_per_group must be >= 0, got {fakes_per_group}")
+    if not cloned_voice_scale >= 0:
+        raise ConfigError(f"cloned_voice_scale must be >= 0, got {cloned_voice_scale}")
     betas = [float(b) for b in betas]
     if any(not 0.0 <= b <= 1.0 for b in betas):
         raise ConfigError(f"betas must lie in [0, 1], got {betas}")
-    counts = [group_counts.get(g, 0) for g in GROUPS]
-    if any(c > 0 for c, flags in zip(counts, GROUP_FLAGS) if flags[1]) and not betas:
+    if fakes_per_group and not betas:
         raise ConfigError("video-manipulated groups requested but no betas given")
-    n, n_fakes = len(world.identity_ids), sum(counts)
+    n, n_fakes = len(world.identity_ids), len(GROUPS) * fakes_per_group
     if n < 2 and n_fakes:
         raise ConfigError("fakes need at least 2 identities to draw donors from")
 
@@ -226,9 +223,9 @@ def generate_benchmark(
 
     # A person's fakes run group by group.  Fake j of a group copies the
     # person's real video j in name order and, if it swaps the video, takes
-    # beta j, both cycling (without betas, no fake swaps a video).
-    group = np.tile(np.repeat(np.arange(len(GROUPS)), counts), n)
-    j = np.tile(np.concatenate([np.arange(c) for c in counts]), n)
+    # beta j, both cycling.
+    group = np.tile(np.repeat(np.arange(len(GROUPS)), fakes_per_group), n)
+    j = np.tile(np.arange(fakes_per_group), len(GROUPS) * n)
     owner = np.repeat(np.arange(n), n_fakes)
     donor = picks.ravel() + (picks.ravel() >= owner)  # any identity but the owner
     in_name_order = np.argsort([f"{t:03d}" for t in range(real_videos)])
@@ -236,7 +233,7 @@ def generate_benchmark(
     names = [f"{world.identity_ids[o]}_g{g + 1}f{i:02d}"
              for o, g, i in zip(owner.tolist(), group.tolist(), j.tolist())]
     flags = GROUP_FLAGS[group]
-    blend = np.where(flags[:, 1], np.take(betas or [0.0], j, mode="wrap"), 0.0)
+    blend = np.where(flags[:, 1], np.take(betas, j, mode="wrap"), 0.0)
 
     # Every fake segment as one gather of its source row, then each edit by mask.
     rows = (source[:, None] * k + np.arange(k)).ravel()

@@ -52,7 +52,7 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
         check_temperature(self.tau)
         check_joint_weight(self.joint_weight)

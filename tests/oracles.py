@@ -631,11 +631,10 @@ def record_sweep_scores(axis, values, reference, test, params, tau, statistic="f
         if axis == "test_length":
             rows = record_score_rows(reference, record_truncate_videos(test, x),
                                      params, tau, 0.5, statistic)
-        elif axis == "ref_size":
-            rows = record_score_rows(record_reference_by_videos(reference, x), test,
-                                     params, tau, 0.5, statistic)
         else:
-            subset = record_reference_by_variety(reference, x, ref_total)
+            subset = (record_reference_by_videos(reference, x) if axis == "ref_size"
+                      else record_reference_by_variety(reference, x, ref_total))
+            # a one-video point leaves out only the segment itself
             refs = record_references(subset, params, tau, exclude_same_video=x > 1)
             rows = record_score_rows(subset, test, params, tau, 0.5, statistic, refs)
         out.append((x, rows))

@@ -247,6 +247,18 @@ def test_sweep_axes(pipeline):
                         "--ref-total", "9"]) == 3
 
 
+@pytest.mark.parametrize("axis", ["test_length", "ref_size"])
+def test_sweep_axes_that_never_read_the_budget_never_check_it(pipeline, tmp_path, axis):
+    base = ["sweep", "--checkpoint", pipeline["ckpt"], "--reference", pipeline["ref"],
+            "--test", pipeline["test"], "--axis", axis, "--values", "1,2"]
+    written = []
+    for name, extra in (("plain", []), ("unread", ["--ref-total", "0"])):
+        out = tmp_path / f"{name}.txt"
+        assert main([*base, "--out", str(out), *extra]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_only_claimed_persons_are_calibrated(pipeline, tmp_path, capsys):
     lines = open(pipeline["ref"]).read().splitlines()
     head = [line for line in lines if line.startswith(("POIF", "#"))]
@@ -296,20 +308,22 @@ def test_small_reference_warnings_take_one_line_each(pipeline, tmp_path, capsys)
     base = ["--checkpoint", pipeline["ckpt"], "--reference", pipeline["ref"],
             "--test", pipeline["test"]]
     sweep = ["sweep", *base, "--out", str(tmp_path / "sweep.txt")]
-    regime = "references are below the nominal 10-video / 100-segment regime"
+    regime = ("4 of 4 references are below the nominal 10-video / 100-segment regime: "
+              "id0100, id0101, id0102, id0103")
     with warnings.catch_warnings():
         warnings.simplefilter("always", SmallReferenceWarning)
-        assert main([*sweep, "--axis", "ref_size", "--values", "2,3"]) == 0
+        assert main([*sweep, "--axis", "ref_size", "--values", "1,2,3"]) == 0
         assert capsys.readouterr().err.splitlines() == [
-            f"poif: warning: sweep ref_size={x}: 4 of 4 {regime}" for x in (2, 3)]
+            f"poif: warning: sweep ref_size={x}: {regime}" for x in (1, 2, 3)]
+        assert main([*sweep, "--axis", "ref_variety", "--values", "1,3",
+                     "--ref-total", "3"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"poif: warning: sweep ref_variety={x}: {regime}" for x in (1, 3)]
         assert main([*sweep, "--axis", "test_length", "--values", "1,2,3"]) == 0
         assert capsys.readouterr().err.splitlines() == [
-            f"poif: warning: sweep test_length: 4 of 4 {regime}"]
-        # score keeps one warning per small reference
+            f"poif: warning: sweep test_length: {regime}"]
         assert main(["score", *base, "--out", str(tmp_path / "scores.txt")]) == 0
-        err = capsys.readouterr().err.splitlines()
-    assert len(err) == 4
-    assert all(line.startswith("poif: warning: reference for 'id01") for line in err)
+        assert capsys.readouterr().err.splitlines() == [f"poif: warning: score: {regime}"]
 
 
 def test_out_of_range_settings_are_config_errors(pipeline, tmp_path, capsys):
@@ -357,7 +371,10 @@ def test_out_of_range_settings_are_config_errors(pipeline, tmp_path, capsys):
             ("train", ["--tau", "-1"], "temperature must be positive"),
             ("train", ["--lambda", "-1"], "joint loss weight must be non-negative"),
             ("train", ["--lr", "0"], "learning_rate must be positive"),
-            ("train", ["--identities-per-batch", "1"], "identities_per_batch must be >= 2")):
+            ("train", ["--identities-per-batch", "1"], "identities_per_batch must be >= 2"),
+            ("synth", ["--mode", "benchmark", "--out-reference", str(out), "--out-test",
+                       str(out), "--cloned-voice-scale", "-1"],
+             "cloned_voice_scale must be >= 0, got -1.0")):
         assert main([command, *inputs[command], "--out", str(out), *setting]) == 2
         err = capsys.readouterr().err
         assert expects in err and "not found" not in err, err
@@ -622,7 +639,7 @@ def test_synth_benchmark_refuses_counts_below_one(tmp_path, capsys, flag, value)
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--fakes-per-group", "-1", "group 'v' has negative count -1"),
+    ("--fakes-per-group", "-1", "fakes_per_group must be >= 0, got -1"),
     ("--betas", "1.5", "betas must lie in [0, 1], got [1.5]"),
     ("--betas", "0.4,-0.5", "betas must lie in [0, 1], got [0.4, -0.5]"),
     ("--identities", "1", "fakes need at least 2 identities to draw donors from"),
@@ -646,7 +663,7 @@ UNSCORED = ["--checkpoint", "{missing}", "--reference", "{missing}", "--test", "
     # a setting is named before a missing input is
     ([*BENCH, "--train-features", "{missing}", "--out-reference", "{out}/r.txt",
       "--out-test", "{out}/t.txt", "--fakes-per-group", "-1"], 2,
-     "group 'v' has negative count -1"),
+     "fakes_per_group must be >= 0, got -1"),
     ([*BENCH, "--train-features", "{missing}", "--out-reference", "{out}/r.txt",
       "--out-test", "{out}/t.txt", "--betas", "1.5"], 2, "betas must lie in [0, 1], got [1.5]"),
     ([*BENCH, "--train-features", "{missing}", "--out-reference", "{out}/r.txt",

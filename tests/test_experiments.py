@@ -47,6 +47,12 @@ TAU = 0.5
 AUDIO_DIM, VIDEO_DIM = 16, 16
 
 
+def embedded_references(table, params, rows=None, **kwargs):
+    """build_references on the table's own embedding."""
+    return build_references(table, encode_batch(params, table.audio, table.video), TAU, rows,
+                            **kwargs)
+
+
 def ragged_world(seed=0, people=3):
     """Reference and test records with ragged, shuffled, interleaved videos.
 
@@ -164,7 +170,7 @@ def assert_no_near_ties(rows, statistic, tol):
 def test_score_segments_matches_record_oracle(world, statistic):
     reference, test, params = world
     ref_table, test_table = SegmentTable.from_records(reference), SegmentTable.from_records(test)
-    refs = build_references(ref_table, params, TAU)
+    refs = embedded_references(ref_table, params)
     got = score_table_rows(score_segments(ref_table, test_table, params, TAU, 0.2,
                                           statistic=statistic, references=refs))
     want = record_score_rows(reference, test, params, TAU, 0.2, statistic)
@@ -176,7 +182,7 @@ def test_video_scored_alone_matches_its_row_in_the_full_file(world):
     # video alone gets the bits of its row in the full file.
     reference, test, params = world
     ref_table, test_table = SegmentTable.from_records(reference), SegmentTable.from_records(test)
-    refs = build_references(ref_table, params, TAU)
+    refs = embedded_references(ref_table, params)
     full = score_table_rows(score_segments(ref_table, test_table, params, TAU, 0.2,
                                            references=refs))
     for row in full:
@@ -187,17 +193,16 @@ def test_video_scored_alone_matches_its_row_in_the_full_file(world):
 
 def point_references(axis, x, ref_table, params, ref_total):
     """The references one sweep point scores against."""
-    if axis == "ref_size":
-        return build_references(ref_table.take(reference_by_videos(ref_table, x)), params, TAU)
-    if axis == "ref_variety":
-        subset = ref_table.take(reference_by_variety(ref_table, x, ref_total))
-        return build_references(subset, params, TAU, exclude_same_video=x > 1)
-    return build_references(ref_table, params, TAU)
+    if axis == "test_length":
+        return embedded_references(ref_table, params)
+    rows = (reference_by_videos(ref_table, x) if axis == "ref_size"
+            else reference_by_variety(ref_table, x, ref_total))
+    return embedded_references(ref_table, params, rows, exclude_same_video=x > 1)
 
 
 @pytest.mark.parametrize("axis, values", [
     ("test_length", [40, 1, 3, 37, 38]),
-    ("ref_size", [2, 5, 3]),
+    ("ref_size", [2, 5, 1, 3]),
     ("ref_variety", [1, 2, 5]),
 ])
 def test_sweeps_match_record_oracle(world, axis, values):
@@ -223,7 +228,7 @@ def test_test_length_sweep_matches_scoring_the_truncated_table(world):
     its videos in reverse order, bit for bit."""
     reference, test, params = world
     ref_table, test_table = SegmentTable.from_records(reference), SegmentTable.from_records(test)
-    refs = build_references(ref_table, params, TAU)
+    refs = embedded_references(ref_table, params)
     videos = group_by_video(test_table)
     values = [1, 3, 37, 38, 40]
     for x, rows in sweep_scores("test_length", values, ref_table, test_table, params, TAU):
@@ -288,7 +293,7 @@ def test_scoring_holds_no_person_sized_similarity_matrix():
                           np.random.default_rng(2))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SmallReferenceWarning)
-        refs = build_references(reference, params, TAU)
+        refs = embedded_references(reference, params)
     tracemalloc.start()
     try:
         rows = score_segments(reference, test, params, TAU, 0.1, references=refs)
@@ -334,8 +339,8 @@ def stack_world():
     params = init_encoder(AUDIO_DIM, VIDEO_DIM, EncoderConfig(2, 64, 32),
                           np.random.default_rng(8))
     ref_table = SegmentTable.from_records(reference)
-    return ref_table, SegmentTable.from_records(test), params, build_references(
-        ref_table, params, TAU)
+    return ref_table, SegmentTable.from_records(test), params, embedded_references(
+        ref_table, params)
 
 
 WIDEST = 64  # the stack world's widest encoder layer
@@ -393,7 +398,7 @@ def test_stacked_score_rows_match_per_video_verdicts(stack_world, budget, statis
 def test_truncated_sweeps_match_per_video_verdicts(stack_world, budget):
     ref_table, test, params, _ = stack_world
     # calibration's row slices follow the budget, and so do its last bits
-    refs = build_references(ref_table, params, TAU)
+    refs = embedded_references(ref_table, params)
     values = [1, 2, 5, 7, 10, 15, 20, 30]
     got = sweep_scores("test_length", values, ref_table, test, params, TAU)
     videos = group_by_video(test)

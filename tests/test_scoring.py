@@ -14,10 +14,10 @@ from oracles import (
     squared_distance,
 )
 from poif import similarity
-from poif.encoder import EncoderConfig, init_encoder
+from poif.encoder import EncoderConfig, encode_batch, init_encoder
 from poif.exceptions import ConfigError, DataError, DegenerateReferenceError
 from poif.records import CHANNELS, SegmentTable
-from poif.experiments import score_segments
+from poif.experiments import build_references, score_segments
 from poif.scoring import (
     SmallReferenceWarning,
     build_reference,
@@ -36,10 +36,8 @@ def one_person_segments(seed=0, videos=4, segments=5):
     return generate_world(cfg).segments.to_records()
 
 
-def quiet_reference(segments, params, tau, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SmallReferenceWarning)
-        return embedded_reference(SegmentTable.from_records(segments), params, tau, **kwargs)
+def reference_of(segments, params, tau, **kwargs):
+    return embedded_reference(SegmentTable.from_records(segments), params, tau, **kwargs)
 
 
 @pytest.fixture
@@ -49,7 +47,7 @@ def params():
 
 def test_reference_stats_match_bruteforce(params):
     segments = one_person_segments()
-    ref = quiet_reference(segments, params, tau=0.7)
+    ref = reference_of(segments, params, tau=0.7)
     oracle = reference_stats_bruteforce(segments, params, 0.7)
     for c, m in enumerate(CHANNELS):
         mu, sigma = oracle[m]
@@ -67,9 +65,9 @@ def test_streamed_calibration_matches_dense_oracle(params, monkeypatch, budget,
                                                    exclude_same_video):
     monkeypatch.setattr(similarity, "_SLICE_BYTES", budget)
     segments = one_person_segments(seed=2, videos=6, segments=5)
-    ref = quiet_reference(segments, params, tau=0.6,
+    ref = reference_of(segments, params, tau=0.6,
                           exclude_same_video=exclude_same_video)
-    oracle = dense_self_scores(ref.audio, ref.video, ref.video_ids, 0.6,
+    oracle = dense_self_scores(ref.audio, ref.video, [s.video_id for s in segments], 0.6,
                                exclude_same_video)
     bound = index_bound(ref.audio, ref.video, ref.audio, ref.video, 0.6)
     for c, m in enumerate(CHANNELS):
@@ -97,7 +95,7 @@ def test_reference_calibration_never_holds_an_n_by_n_matrix():
 
 def test_normalized_self_scores_are_standardized(params):
     segments = one_person_segments(seed=3)
-    ref = quiet_reference(segments, params, tau=0.5)
+    ref = reference_of(segments, params, tau=0.5)
     for scores, mu, sigma in zip(ref.self_scores, ref.mu, ref.sigma):
         z = (scores - mu) / sigma
         assert abs(z.mean()) < 1e-12
@@ -107,8 +105,8 @@ def test_normalized_self_scores_are_standardized(params):
 def test_single_video_reference_needs_explicit_opt_out(params):
     segments = one_person_segments(videos=1, segments=8)
     with pytest.raises(DataError):
-        quiet_reference(segments, params, tau=0.5)
-    ref = quiet_reference(segments, params, tau=0.5, exclude_same_video=False)
+        reference_of(segments, params, tau=0.5)
+    ref = reference_of(segments, params, tau=0.5, exclude_same_video=False)
     assert ref.n_videos == 1
     assert len(ref) == 8
 
@@ -118,17 +116,32 @@ def test_reference_count_errors_name_the_person(params):
     poi = one_video[0].identity_id
     with pytest.raises(DataError, match=f"reference for '{poi}' needs at least 2 distinct "
                                         f"videos for leave-own-video-out calibration; got 1"):
-        quiet_reference(one_video, params, tau=0.5)
+        reference_of(one_video, params, tau=0.5)
     with pytest.raises(DataError, match=f"reference for '{poi}' needs at least 2 segments"):
-        quiet_reference(one_video[:1], params, tau=0.5, exclude_same_video=False)
+        reference_of(one_video[:1], params, tau=0.5, exclude_same_video=False)
 
 
-def test_small_reference_warns():
-    segments = one_person_segments(videos=2, segments=3)
-    with pytest.warns(SmallReferenceWarning):
-        embedded_reference(SegmentTable.from_records(segments),
-                           init_encoder(6, 5, EncoderConfig(1, 8, 4), np.random.default_rng(0)),
-                           0.5)
+def test_small_reference_warns(params):
+    """build_references names every small reference in one warning;
+    build_reference itself never warns."""
+    table = generate_world(WorldConfig(
+        n_identities=3, n_videos_per_identity=10, n_segments_per_video=10, audio_dim=6,
+        video_dim=5, seed=1, segment_noise_scale=0.3, video_bias_scale=0.2)).segments
+    embedded = encode_batch(params, table.audio, table.video)
+    # id0001 loses a video (9 left), id0002 a segment (99 left)
+    keep = np.flatnonzero((table.video_ids != "id0001_v009")
+                          & ((table.video_ids != "id0002_v000") | (table.segment_index > 0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(build_references(table, embedded, 0.5)) == 3
+        small = table.take(keep[table.identity_ids[keep] == "id0001"])
+        assert embedded_reference(small, params, 0.5).n_videos == 9
+    for point in ("score", "sweep ref_size=9"):
+        with pytest.warns(SmallReferenceWarning) as caught:
+            build_references(table, embedded, 0.5, keep, point=point)
+        assert [str(w.message) for w in caught] == [
+            f"{point}: 2 of 3 references are below the nominal 10-video / 100-segment "
+            f"regime: id0001, id0002"]
 
 
 def test_degenerate_reference_is_reported(params):
@@ -139,7 +152,7 @@ def test_degenerate_reference_is_reported(params):
                     segment_index=s.segment_index,
                     audio=np.ones(6), video=np.ones(5)) for s in base]
     with pytest.raises(DegenerateReferenceError):
-        quiet_reference(flat, params, tau=0.5)
+        reference_of(flat, params, tau=0.5)
 
 
 def test_reference_rejects_mixed_and_fake_material(params):
@@ -147,7 +160,7 @@ def test_reference_rejects_mixed_and_fake_material(params):
                       n_segments_per_video=2, audio_dim=6, video_dim=5, seed=0)
     world = generate_world(cfg)
     with pytest.raises(DataError):
-        quiet_reference(world.segments.to_records(), params, tau=0.5)
+        reference_of(world.segments.to_records(), params, tau=0.5)
     with pytest.raises(DataError, match="empty reference"):
         build_reference(SegmentTable.from_records([]), (np.empty((0, 4)),) * 2, tau=0.5)
 
@@ -166,7 +179,7 @@ def best_similarities(probe, ref_segments, params, tau):
 
 def test_poi_index_is_max_over_reference(params):
     segments = one_person_segments(seed=5)
-    ref = quiet_reference(segments, params, tau=0.9)
+    ref = reference_of(segments, params, tau=0.9)
     world = generate_world(WorldConfig(
         n_identities=1, n_videos_per_identity=1, n_segments_per_video=1,
         audio_dim=6, video_dim=5, seed=99))
@@ -180,7 +193,7 @@ def test_poi_index_is_max_over_reference(params):
 def test_normalize_and_fuse():
     segments = one_person_segments(seed=6)
     params = init_encoder(6, 5, EncoderConfig(1, 8, 4), np.random.default_rng(1))
-    ref = quiet_reference(segments, params, tau=0.5)
+    ref = reference_of(segments, params, tau=0.5)
     # a probe equal to a reference segment has raw index 0 (its own
     # distance) up to the kernel's bound, so normalization leaves -mu / sigma
     normalized, fused = score_clip(segments[:1], ref, params, 0.5)
@@ -206,7 +219,7 @@ def test_quantile_threshold_matches_erf_inverse():
 
 def test_score_video_averages_per_segment_indices(params):
     ref_segments = one_person_segments(seed=8)
-    ref = quiet_reference(ref_segments, params, tau=0.5)
+    ref = reference_of(ref_segments, params, tau=0.5)
     world = generate_world(WorldConfig(
         n_identities=1, n_videos_per_identity=1, n_segments_per_video=1,
         audio_dim=6, video_dim=5, seed=8))
@@ -226,7 +239,7 @@ def test_score_video_gives_a_strided_stack_the_bits_of_its_contiguous_copy(param
     """A fancy index after a slice, raw[:, at], returns a channel-innermost
     stack that is not C-contiguous; means along L over it would sum in
     another order.  score_video makes its input contiguous itself."""
-    ref = quiet_reference(one_person_segments(seed=10), params, tau=0.5)
+    ref = reference_of(one_person_segments(seed=10), params, tau=0.5)
     rng = np.random.default_rng(10)
     raw = ref.mu[:, None] + ref.sigma[:, None] * rng.standard_normal((len(CHANNELS), 400))
     strided = raw[:, rng.permutation(400).reshape(40, 10)]
@@ -238,7 +251,7 @@ def test_score_video_gives_a_strided_stack_the_bits_of_its_contiguous_copy(param
 
 def test_score_video_decision_follows_threshold(params):
     ref_segments = one_person_segments(seed=9)
-    ref = quiet_reference(ref_segments, params, tau=0.5)
+    ref = reference_of(ref_segments, params, tau=0.5)
     world = generate_world(WorldConfig(
         n_identities=1, n_videos_per_identity=1, n_segments_per_video=1,
         audio_dim=6, video_dim=5, seed=9))

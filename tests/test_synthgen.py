@@ -84,14 +84,14 @@ def test_sample_identity_videos_matches_record_oracle(kw):
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-SMALL_BENCHMARK = dict(group_counts={"v": 3, "v+ai": 1, "a+ai": 2, "v+a+ai": 1},
+SMALL_BENCHMARK = dict(fakes_per_group=3,
                        segments_per_video=2, reference_videos=3, real_videos=2,
                        cloned_voice_scale=0.3)
 # The README benchmark: 20 people, 10 reference videos of 10 segments, 4 real
 # videos and 4 fakes per group each, over the CLI's benchmark world.
 README_WORLD = dict(n_identities=20, n_videos_per_identity=1, n_segments_per_video=1,
                     seed=8, identity_start=10000)
-README_BENCHMARK = dict(group_counts={g: 4 for g in GROUPS}, segments_per_video=10,
+README_BENCHMARK = dict(fakes_per_group=4, segments_per_video=10,
                         reference_videos=10, real_videos=4, cloned_voice_scale=0.5)
 ORACLE_BENCHMARKS = [(w, SMALL_BENCHMARK) for w in ORACLE_WORLDS if w["n_identities"] > 1]
 
@@ -101,10 +101,11 @@ ORACLE_BENCHMARKS = [(w, SMALL_BENCHMARK) for w in ORACLE_WORLDS if w["n_identit
 def test_benchmark_matches_record_oracle(kw, shape):
     world = generate_world(WorldConfig(**kw))
     shape = dict(shape)
-    counts = shape.pop("group_counts")
+    fakes = shape.pop("fakes_per_group")
     ours, theirs = np.random.default_rng([5, 1]), np.random.default_rng([5, 1])
-    bench = generate_benchmark(world, counts, [1.0, 0.4], ours, **shape)
-    reference, test = record_benchmark(world, counts, [1.0, 0.4], theirs, **shape)
+    bench = generate_benchmark(world, fakes, [1.0, 0.4], ours, **shape)
+    reference, test = record_benchmark(world, dict.fromkeys(GROUPS, fakes), [1.0, 0.4], theirs,
+                                       **shape)
     assert_tables_equal(bench.reference, SegmentTable.from_records(reference))
     assert_tables_equal(bench.test, SegmentTable.from_records(test))
     assert ours.bit_generator.state == theirs.bit_generator.state
@@ -151,8 +152,8 @@ def test_benchmark_fakes_are_their_sources_plus_the_group_edit():
     donor's audio latent delta, a cloned voice the person's one offset; the
     untouched channel is the source's."""
     world = bench_world(identities=5)
-    counts, betas, real_videos = {"v": 3, "v+ai": 2, "a+ai": 3, "v+a+ai": 2}, [1.0, 0.4], 2
-    bench = generate_benchmark(world, counts, betas, np.random.default_rng(4),
+    betas, real_videos = [1.0, 0.4], 2
+    bench = generate_benchmark(world, 3, betas, np.random.default_rng(4),
                                segments_per_video=3, reference_videos=2,
                                real_videos=real_videos, cloned_voice_scale=0.5)
     # the voice offsets are the generator's first draw
@@ -192,8 +193,7 @@ def test_benchmark_fakes_are_their_sources_plus_the_group_edit():
 
 def test_benchmark_composition():
     world = bench_world()
-    counts = {g: 2 for g in GROUPS}
-    bench = generate_benchmark(world, counts, [1.0, 0.4], np.random.default_rng(7),
+    bench = generate_benchmark(world, 2, [1.0, 0.4], np.random.default_rng(7),
                                segments_per_video=3, reference_videos=4, real_videos=2)
     # per identity: 4 reference videos x 3 segments
     assert len(bench.reference) == 4 * 4 * 3
@@ -213,12 +213,12 @@ def test_benchmark_composition():
 
 def test_benchmark_fakes_are_paired_with_real_sources():
     world = bench_world()
-    bench = generate_benchmark(world, {"v": 1}, [1.0], np.random.default_rng(3),
+    bench = generate_benchmark(world, 1, [1.0], np.random.default_rng(3),
                                segments_per_video=2, reference_videos=2, real_videos=2)
     test = bench.test
     mine = test.identity_ids == "id0000"
     reals = test.take(mine & ~test.flags[:, 0])
-    fakes = test.take(mine & test.flags[:, 0])
+    fakes = test.take(mine & (test.flags == GROUP_FLAGS[GROUPS.index("v")]).all(axis=1))
     # the fake's audio channel is copied from its pristine source video
     source = video_rows(reals, sorted(set(reals.video_ids.tolist()))[0])
     assert len(fakes) == 2
@@ -230,18 +230,22 @@ def test_benchmark_fakes_are_paired_with_real_sources():
 def test_benchmark_guards():
     world = bench_world()
     rng = np.random.default_rng(0)
-    with pytest.raises(ConfigError, match="unknown manipulation groups: vv"):
-        generate_benchmark(world, {"vv": 1}, [1.0], rng)
-    with pytest.raises(ConfigError, match="group 'v' has negative count -1"):
-        generate_benchmark(world, {"v": -1}, [1.0], rng)
+    with pytest.raises(ConfigError, match="fakes_per_group must be >= 0, got -1"):
+        generate_benchmark(world, -1, [1.0], rng)
+    for scale in (-1.0, float("nan")):
+        with pytest.raises(ConfigError, match="cloned_voice_scale must be >= 0"):
+            generate_benchmark(world, 1, [1.0], rng, cloned_voice_scale=scale)
     with pytest.raises(ConfigError, match="no betas given"):
-        generate_benchmark(world, {"v": 1}, [], rng)
+        generate_benchmark(world, 1, [], rng)
     for beta in (1.2, -0.1, float("nan")):
         with pytest.raises(ConfigError, match="betas must lie in"):
-            generate_benchmark(world, {"v": 1}, [beta], rng)
+            generate_benchmark(world, 1, [beta], rng)
     solo = bench_world(identities=1)
     with pytest.raises(ConfigError, match="fakes need at least 2 identities"):
-        generate_benchmark(solo, {"v": 1}, [1.0], rng)
+        generate_benchmark(solo, 1, [1.0], rng)
+    # without fakes, neither betas nor a second identity are needed
+    bench = generate_benchmark(solo, 0, [], rng, reference_videos=1, real_videos=1)
+    assert not bench.test.flags.any()
 
 
 def test_check_disjoint_refuses_shared_identities():
@@ -255,16 +259,18 @@ def test_check_disjoint_refuses_shared_identities():
 @pytest.mark.parametrize("count", [0, -1])
 def test_benchmark_refuses_counts_below_one(setting, count):
     with pytest.raises(ConfigError, match=rf"^{setting} must be >= 1, got {count}$"):
-        generate_benchmark(bench_world(), {"v": 2}, [1.0], np.random.default_rng(0),
+        generate_benchmark(bench_world(), 2, [1.0], np.random.default_rng(0),
                            **{setting: count})
 
 
 def test_world_config_validation():
     with pytest.raises(ConfigError):
         WorldConfig(n_identities=0, n_videos_per_identity=1, n_segments_per_video=1)
-    with pytest.raises(ConfigError):
-        WorldConfig(n_identities=1, n_videos_per_identity=1, n_segments_per_video=1,
-                    identity_scale=-1.0)
+    for name in ("identity_scale", "video_bias_scale", "segment_noise_scale"):
+        for value in (-1.0, float("nan")):
+            with pytest.raises(ConfigError, match=f"^{name} must be >= 0, got {value}$"):
+                WorldConfig(n_identities=1, n_videos_per_identity=1, n_segments_per_video=1,
+                            **{name: value})
     with pytest.raises(ConfigError):
         WorldConfig(n_identities=1, n_videos_per_identity=1, n_segments_per_video=1,
                     audio_dim=0)

@@ -320,6 +320,9 @@ def test_config_validation():
     for joint_weight in (-1.0, float("nan")):
         with pytest.raises(ConfigError, match="joint loss weight must be non-negative"):
             TrainConfig(joint_weight=joint_weight)
+    for weight_decay in (-0.1, float("nan")):
+        with pytest.raises(ConfigError, match="weight_decay must be non-negative"):
+            TrainConfig(weight_decay=weight_decay)
     with pytest.raises(ConfigError):
         TrainConfig(identities_per_batch=1)
     with pytest.raises(ConfigError):
