@@ -1,14 +1,14 @@
 """Glue between segment tables and the verification tables.
 
-The scoring path embeds each table once, builds one reference set per
-person, matches each person's test rows against it once, scores each
-person's videos of one length as one stack, and judges the whole table
-in one comparison against the threshold.  ``build_references`` builds the
-reference sets for ``score_segments`` and for every sweep point alike,
-and names the references below the nominal 10-video / 100-segment
-regime in one SmallReferenceWarning per call.  Videos are processed in
-first-occurrence order; inside a video, segments run in segment_index
-order.  Results come back as a ScoreTable, one row per video, and
+The scoring path checks both tables, then embeds each once, builds one
+reference set per person, matches each person's test rows against it
+once, scores each person's videos of one length as one stack, and judges
+the whole table in one comparison against the threshold.
+``build_references`` builds the reference sets for ``score_segments`` and
+for every sweep point alike, and names the references below the nominal
+10-video / 100-segment regime in one SmallReferenceWarning per call.
+Videos are processed in first-occurrence order; inside a video, segments
+run in segment_index order.  Results come back as a ScoreTable, one row per video, and
 table_metrics turns its columns into the per-manipulation-group AUC /
 accuracy / detection tables.
 """
@@ -30,7 +30,7 @@ from .records import (
 )
 from .scoring import (
     ReferenceSet, SmallReferenceWarning, below_nominal, best_matches, build_reference,
-    quantile_threshold, score_video,
+    check_reference, quantile_threshold, score_video,
 )
 
 AVG_GROUP = "AVG"
@@ -109,26 +109,39 @@ def group_by_video(table: SegmentTable, rows: np.ndarray | None = None) -> Video
     return Videos(ids, grouped, bounds)
 
 
+def check_references(
+    reference: SegmentTable,
+    rows: np.ndarray | None = None,
+    *,
+    exclude_same_video: bool = True,
+) -> dict[str, tuple[np.ndarray, tuple[int, np.ndarray]]]:
+    """Every person's rows (default: all) of a reference table, with their
+    ``check_reference`` result: the refusals that need no embedding."""
+    return {poi: (mine, check_reference(reference.take(mine),
+                                        exclude_same_video=exclude_same_video))
+            for poi, mine in group_by_identity(reference, rows).items()}
+
+
 def build_references(
     reference: SegmentTable,
     embedded: tuple[np.ndarray, np.ndarray],
     tau: float,
-    rows: np.ndarray | None = None,
+    people: Mapping[str, tuple[np.ndarray, tuple[int, np.ndarray]]],
     *,
-    exclude_same_video: bool = True,
     point: str = "score",
 ) -> dict[str, ReferenceSet]:
-    """Every person's reference set from the given rows (default: all) of a reference table.
+    """Every person's reference set from their checked rows of a reference table.
 
     ``embedded`` holds the (audio, video) embeddings of all the table's
-    rows (``encode_batch``).  References below the nominal regime get one
-    SmallReferenceWarning per call, led by ``point``, counting and naming
-    them.
+    rows (``encode_batch``), and ``people`` the ``check_references`` of
+    the rows to build from, which callers take before embedding.
+    References below the nominal regime get one SmallReferenceWarning per
+    call, led by ``point``, counting and naming them.
     """
     refs = {
         poi: build_reference(reference.take(mine), tuple(x[mine] for x in embedded), tau,
-                             exclude_same_video=exclude_same_video)
-        for poi, mine in group_by_identity(reference, rows).items()
+                             checked)
+        for poi, (mine, checked) in people.items()
     }
     small = [poi for poi, ref in refs.items() if below_nominal(ref.n_videos, len(ref))]
     if small:
@@ -215,14 +228,17 @@ def score_segments(
 
     A video is judged fake when its statistic falls below the
     standard-normal quantile at the accepted false-alarm rate ``p_fa``.
+    The test videos, then the references, are checked before either table
+    is embedded.
     """
     statistic_row(statistic)
     threshold = quantile_threshold(p_fa)
+    videos = group_by_video(test)
     if references is None:
         claimed = _claimed(reference, test)
+        people = check_references(claimed)
         embedded = encode_batch(params, claimed.audio, claimed.video)
-        references = build_references(claimed, embedded, tau)
-    videos = group_by_video(test)
+        references = build_references(claimed, embedded, tau, people)
     raw = _match_rows(test, encode_batch(params, test.audio, test.video), references, tau)
     return _judge(test, videos, raw, references, threshold, statistic)
 
@@ -357,8 +373,9 @@ def sweep_scores(
 ) -> list[tuple[int, ScoreTable]]:
     """The score table at each point of one sweep axis, x ascending.
 
-    Both tables are embedded once per sweep.  On test_length the
-    references are built and the test rows matched once, and each point
+    Both tables are embedded once per sweep, after the test videos and
+    every point's reference rows are selected and checked.  On test_length
+    the references are built and the test rows matched once, and each point
     judges every video's first x segments.  On ref_size and ref_variety a
     point's references are row selections of the one reference
     embedding; they are calibrated and matched per point, because
@@ -373,23 +390,29 @@ def sweep_scores(
         raise DataError(f"unknown sweep axis {axis!r}")
     if not values or any(v < 1 for v in values):
         raise DataError(f"sweep values must be integers >= 1, got {list(values)}")
-    reference = _claimed(reference, test)
-    ref_embedded = encode_batch(params, reference.audio, reference.video)
     videos = group_by_video(test)
+    reference = _claimed(reference, test)
+    xs = sorted(set(values))
+    if axis == "test_length":
+        people = check_references(reference)
+    else:
+        select = reference_by_videos if axis == "ref_size" else (
+            lambda table, x: reference_by_variety(table, x, ref_total))
+        points = {x: check_references(reference, select(reference, x), exclude_same_video=x > 1)
+                  for x in xs}
+    ref_embedded = encode_batch(params, reference.audio, reference.video)
     embedded = encode_batch(params, test.audio, test.video)
     if axis == "test_length":
-        refs = build_references(reference, ref_embedded, tau, point=f"sweep {axis}")
+        refs = build_references(reference, ref_embedded, tau, people, point=f"sweep {axis}")
         raw = _match_rows(test, embedded, refs, tau)
     out = []
-    for x in sorted(set(values)):
+    for x in xs:
         scored = videos
         if axis == "test_length":
             scored = truncate_videos(videos, x)
         else:
-            rows = (reference_by_videos(reference, x) if axis == "ref_size"
-                    else reference_by_variety(reference, x, ref_total))
-            refs = build_references(reference, ref_embedded, tau, rows,
-                                    exclude_same_video=x > 1, point=f"sweep {axis}={x}")
+            refs = build_references(reference, ref_embedded, tau, points[x],
+                                    point=f"sweep {axis}={x}")
             raw = _match_rows(test, embedded, refs, tau)
         out.append((x, _judge(test, scored, raw, refs, EVEN_ODDS, statistic)))
     return out

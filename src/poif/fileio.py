@@ -10,8 +10,7 @@ write/read round trip is bit-exact.
 from __future__ import annotations
 
 import os
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -85,26 +84,30 @@ def _meta_lines(meta: Mapping[str, str]) -> list[str]:
     return lines
 
 
-def _ascii_lines(path: str, fail) -> list[str]:
-    """The lines of an ASCII file, cut by str.splitlines; a non-ASCII byte raises
-    fail(n), n the number of the line that holds the first one."""
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _ascii_lines(data: bytes, fail) -> list[str]:
+    """The lines of a file's ASCII bytes, cut by str.splitlines; a non-ASCII byte
+    raises fail(n), n the number of the line that holds the first one."""
     try:
-        with open(path, "r", encoding="ascii") as f:
-            return f.read().splitlines()
-    except UnicodeDecodeError:
-        with open(path, "rb") as f:
-            data = f.read()
-    start = re.search(rb"[\x80-\xff]", data).start()
+        return data.decode("ascii").splitlines()
+    except UnicodeDecodeError as e:
+        start = e.start
     # "x" stands in for the bad byte, so that a line it starts is counted
     raise fail(len((data[:start].decode("ascii") + "x").splitlines()))
 
 
 class _Lines:
-    """Cursor over the lines of one file, with parse-error context."""
+    """Cursor over the lines of one file (its bytes, when already read), with
+    parse-error context."""
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, data: bytes | None = None):
         self.lines = _ascii_lines(
-            path, lambda n: DataError(f"{path}: non-ASCII byte at line {n}"))
+            _read_bytes(path) if data is None else data,
+            lambda n: DataError(f"{path}: non-ASCII byte at line {n}"))
         self.path = path
         self.pos = 0
 
@@ -169,10 +172,11 @@ def _table_head(magic: str, count: int, meta: Mapping[str, str], columns: str) -
     return [f"{magic},{FORMAT_VERSION},{count}", *_meta_lines(meta), columns]
 
 
-def _open(path: str, magic: str, n_counts: int, columns: str | None = None, noun: str = ""):
+def _open(path: str, magic: str, n_counts: int, columns: str | None = None, noun: str = "",
+          data: bytes | None = None):
     """(lines, header counts, meta) of a file, positioned at its first row: past
     the column line, which must equal ``columns``, when one is given."""
-    lines = _Lines(path)
+    lines = _Lines(path, data)
     counts = _read_header(lines, magic, n_counts)
     meta = _read_meta(lines)
     if columns is not None and lines.next() != columns:
@@ -192,21 +196,18 @@ def _parse_floats(fields: Sequence[str], n: int, lines: _Lines) -> np.ndarray:
     return values
 
 
-def _write(path: str, *parts: Iterable[str]):
-    """Write the lines of each part as they come to a temporary file, then move it onto path.
+def _replace(path: str, fill, binary: bool = False):
+    """Let fill(f) write a temporary file, ASCII text unless binary, then move it onto path.
 
-    A line that fails to format, or a move that fails, leaves path as it was
-    and no temporary file; an OSError of the temporary file names path.
+    A fill that raises, or a move that fails, leaves path as it was and no
+    temporary file; an OSError of the temporary file names path.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        f = open(tmp, "w", encoding="ascii")
+        f = open(tmp, "wb") if binary else open(tmp, "w", encoding="ascii")
         try:
             with f:
-                for lines in parts:
-                    for line in lines:
-                        f.write(line)
-                        f.write("\n")
+                fill(f)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -215,6 +216,17 @@ def _write(path: str, *parts: Iterable[str]):
         if e.filename != tmp:
             raise
         raise OSError(e.errno, e.strerror, path) from None
+
+
+def _write(path: str, *parts: Iterable[str]):
+    """Write the lines of each part as they come to path, through ``_replace``."""
+    def fill(f):
+        for lines in parts:
+            for line in lines:
+                f.write(line)
+                f.write("\n")
+
+    _replace(path, fill)
 
 
 # -- feature and score rows ---------------------------------------------
@@ -264,6 +276,22 @@ def _row_lines(layout: _RowLayout, ids: Sequence[np.ndarray], counts: np.ndarray
                         *("1" if bit else "0" for bit in bits), fmt_row(np.concatenate(parts))])
 
 
+def _bad_rows(layout: _RowLayout, counts: np.ndarray, flags: np.ndarray,
+              *floats: np.ndarray) -> np.ndarray:
+    """Which rows fail the checks that run over whole columns: the flag bits, finite
+    floats, the count floor, blend in [0, 1] and non-empty groups.  floats are
+    (n, k) blocks of the row's floats in order, blend first."""
+    bad = ~valid_flag_rows(flags)
+    for block in floats:
+        bad |= ~np.isfinite(block).all(axis=1)
+    bad |= counts < layout.count_floor
+    if layout.unit_blend:
+        bad |= ~((floats[0][:, 0] >= 0.0) & (floats[0][:, 0] <= 1.0))
+    if any(w == 0 for _, w in layout.groups):
+        bad[:] = True
+    return bad
+
+
 def _read_rows(lines: _Lines, count: int, layout: _RowLayout):
     """The next count rows as (first ids, second ids, counts, flags, floats, words).
 
@@ -292,17 +320,11 @@ def _read_rows(lines: _Lines, count: int, layout: _RowLayout):
             break
         firsts[i], seconds[i] = fields[0], fields[1]
 
-    bad = ~valid_flag_rows(ints[:filled, 1:])
-    bad |= ~np.isfinite(floats[:filled]).all(axis=1)
-    bad |= ints[:filled, 0] < layout.count_floor
-    if layout.unit_blend:
-        bad |= ~((floats[:filled, 0] >= 0.0) & (floats[:filled, 0] <= 1.0))
+    bad = _bad_rows(layout, ints[:filled, 0], ints[:filled, 1:], floats[:filled])
     words = None
     if layout.decision:
         words = np.array([line[line.rfind(",") + 1:] for line in payload[:filled]], dtype=str)
         bad |= (words != REAL) & (words != FAKE)
-    if any(w == 0 for _, w in layout.groups):
-        bad[:] = True
     first = int(np.argmax(bad)) if bad.any() else filled
     if first < n:
         lines.pos = start + first + 1
@@ -357,12 +379,105 @@ def write_features(path: str, table: SegmentTable, meta: Mapping[str, str]):
 
 
 def read_feature_table(path: str) -> tuple[dict[str, str], SegmentTable]:
-    """Read a feature file into columns, through ``_read_rows``."""
-    lines, (da, dv, count), meta = _open(path, FEAT_MAGIC, 3)
+    """Read a feature file into columns, through ``_read_rows`` or its sidecar.
+
+    The sidecar ``.<name>.poif.npz`` beside the file caches the parse of the
+    bytes whose sha256 it holds (``_cached_table``).  Without a valid one the
+    bytes are parsed, and a sidecar is written after a successful parse; a
+    directory that refuses it leaves the read as it was.
+    """
+    # imported here, so that commands that read no feature file skip the
+    # ~3 ms of loading hashlib's OpenSSL binding
+    import hashlib
+
+    data = _read_bytes(path)
+    digest = hashlib.sha256(data).hexdigest()
+    sidecar = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.poif.npz")
+    cached = _cached_table(sidecar, digest)
+    if cached is not None:
+        return cached
+    lines, (da, dv, count), meta = _open(path, FEAT_MAGIC, 3, data=data)
     *columns, floats, _ = _read_rows(lines, count, _feature_rows(da, dv))
-    return meta, SegmentTable(*columns, blend=floats[:, 0].copy(),
-                              audio=np.ascontiguousarray(floats[:, 1:1 + da]),
-                              video=np.ascontiguousarray(floats[:, 1 + da:]))
+    table = SegmentTable(*columns, blend=floats[:, 0].copy(),
+                         audio=np.ascontiguousarray(floats[:, 1:1 + da]),
+                         video=np.ascontiguousarray(floats[:, 1 + da:]))
+    _cache_table(sidecar, digest, meta, table)
+    return meta, table
+
+
+# The arrays of a feature-table sidecar: (dtype, shape), where "n" is the
+# table's rows, "m" the settings count and None any width.  The table
+# columns are SegmentTable's, as the parse returns them.
+_CACHE_VERSION = 1
+_SIDECAR = {
+    "sha256": ("U", ()), "version": (np.dtype(np.int64), ()),
+    "meta_keys": ("U", ("m",)), "meta_values": ("U", ("m",)),
+    "identity_ids": ("U", ("n",)), "video_ids": ("U", ("n",)),
+    "segment_index": (np.dtype(np.int64), ("n",)),
+    "flags": (np.dtype(bool), ("n", len(FLAG_COLUMNS))),
+    "blend": (np.dtype(np.float64), ("n",)),
+    "audio": (np.dtype(np.float64), ("n", None)), "video": (np.dtype(np.float64), ("n", None)),
+}
+_TABLE_COLUMNS = tuple(f.name for f in dataclass_fields(SegmentTable))
+
+
+def _sidecar_fits(arrays: Mapping[str, np.ndarray]) -> bool:
+    """Whether every sidecar array has its dtype and shape, "n" and "m" one size each."""
+    if set(arrays) != set(_SIDECAR):
+        return False
+    sizes: dict[str, int] = {}
+    for name, (dtype, shape) in _SIDECAR.items():
+        arr = arrays[name]
+        if isinstance(dtype, str):
+            if arr.dtype.kind != "U" or not arr.dtype.isnative:
+                return False
+        elif arr.dtype != dtype:
+            return False
+        if arr.ndim != len(shape):
+            return False
+        for dim, want in zip(arr.shape, shape):
+            if isinstance(want, str):
+                want = sizes.setdefault(want, dim)
+            if want is not None and dim != want:
+                return False
+    return True
+
+
+def _cached_table(sidecar: str, digest: str) -> tuple[dict[str, str], SegmentTable] | None:
+    """The (meta, table) a sidecar holds for the bytes of this sha256, or None when
+    it is missing, unreadable, of another version or other bytes, or fails the
+    dtype and shape checks or ``_read_rows``'s checks over whole columns."""
+    try:
+        with np.load(sidecar, allow_pickle=False) as z:
+            arrays = {name: z[name] for name in z.files}
+    except Exception:  # whatever a missing, truncated or forged file raises
+        return None
+    if not _sidecar_fits(arrays) or arrays["version"].item() != _CACHE_VERSION \
+            or arrays["sha256"].item() != digest:
+        return None
+    table = SegmentTable(*(arrays[name] for name in _TABLE_COLUMNS))
+    layout = _feature_rows(table.audio.shape[1], table.video.shape[1])
+    bad = _bad_rows(layout, table.segment_index, table.flags, table.blend[:, None],
+                    table.audio, table.video)
+    if bad.any() or not ((table.identity_ids != "") & (table.video_ids != "")).all():
+        return None
+    return dict(zip(arrays["meta_keys"].tolist(), arrays["meta_values"].tolist())), table
+
+
+def _cache_table(sidecar: str, digest: str, meta: Mapping[str, str], table: SegmentTable):
+    """Write the sidecar of a parsed table through ``_replace``; an OSError leaves
+    no sidecar and no temporary file, and is not raised.  Settings that a string
+    array would not hold as they are (a trailing NUL) are not cached."""
+    keys, values = np.array(list(meta), dtype=str), np.array(list(meta.values()), dtype=str)
+    if keys.tolist() != list(meta) or values.tolist() != list(meta.values()):
+        return
+    try:
+        _replace(sidecar, lambda f: np.savez(
+            f, sha256=np.array(digest), version=np.array(_CACHE_VERSION, np.int64),
+            meta_keys=keys, meta_values=values,
+            **{name: getattr(table, name) for name in _TABLE_COLUMNS}), binary=True)
+    except OSError:
+        pass
 
 
 def read_features(path: str) -> tuple[dict[str, str], list]:
@@ -631,9 +746,10 @@ def write_train_log(path: str, log: np.ndarray, meta: Mapping[str, str],
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a flat key=value settings file; # starts a comment line."""
     try:
-        raw = _ascii_lines(path, lambda n: ConfigError(f"{path}:{n}: non-ASCII byte"))
+        data = _read_bytes(path)
     except (FileNotFoundError, IsADirectoryError):
         raise ConfigError(f"config file not found: {path}") from None
+    raw = _ascii_lines(data, lambda n: ConfigError(f"{path}:{n}: non-ASCII byte"))
     out: dict[str, str] = {}
     for i, line in enumerate(raw, start=1):
         stripped = line.strip()

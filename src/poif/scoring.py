@@ -95,24 +95,17 @@ def best_matches(x_audio, x_video, ref_audio, ref_video, tau, groups=None):
     return best
 
 
-def build_reference(
-    table: SegmentTable,
-    embedded: tuple[np.ndarray, np.ndarray],
-    tau: float,
-    *,
-    exclude_same_video: bool = True,
-) -> ReferenceSet:
-    """Calibrate one person's pristine segments on their embedding.
+def check_reference(table: SegmentTable, *, exclude_same_video: bool = True
+                    ) -> tuple[int, np.ndarray]:
+    """The checks of one person's pristine segments that need no embedding.
 
-    ``embedded`` holds the (audio, video) embeddings of the table's rows,
-    in table order (``encode_batch``).  With
-    ``exclude_same_video`` (the default), at least two distinct videos are
-    required and every self-score ignores same-video partners.  Passing
+    With ``exclude_same_video`` (the default), at least two distinct videos
+    are required and every self-score ignores same-video partners.  Passing
     False relaxes the exclusion to the segment itself, which is the only
     usable protocol for a single-video reference; expect optimistic spread
-    estimates there.
+    estimates there.  Returns the number of distinct videos and each row's
+    self-score group: its video's code, or only itself.
     """
-    tau = check_temperature(tau)
     if not len(table):
         raise DataError("empty reference")
     poi_id = str(table.identity_ids[0])
@@ -135,10 +128,24 @@ def build_reference(
         )
     if not exclude_same_video and len(table) < 2:
         raise DataError(f"reference for {poi_id!r} needs at least 2 segments")
+    return n_videos, codes if exclude_same_video else np.arange(len(table))
 
+
+def build_reference(
+    table: SegmentTable,
+    embedded: tuple[np.ndarray, np.ndarray],
+    tau: float,
+    checked: tuple[int, np.ndarray],
+) -> ReferenceSet:
+    """Calibrate one person's pristine segments on their embedding.
+
+    ``embedded`` holds the (audio, video) embeddings of the table's rows,
+    in table order (``encode_batch``), and ``checked`` the table's
+    ``check_reference`` result, which callers take before embedding.
+    """
+    tau = check_temperature(tau)
+    n_videos, groups = checked
     x_audio, x_video = embedded
-    # A self-score skips partners in its own group: its video, or only itself.
-    groups = codes if exclude_same_video else np.arange(len(table))
     self_scores = best_matches(x_audio, x_video, x_audio, x_video, tau, groups)
 
     sigma = self_scores.std(axis=1)
@@ -146,8 +153,8 @@ def build_reference(
     if len(low):
         c = low[0]
         raise DegenerateReferenceError(
-            f"reference for {poi_id!r} is degenerate: {CHANNELS[c]} self-scores have "
-            f"spread {sigma[c]:.3g} below the floor {SIGMA_FLOOR:.3g}"
+            f"reference for {str(table.identity_ids[0])!r} is degenerate: {CHANNELS[c]} "
+            f"self-scores have spread {sigma[c]:.3g} below the floor {SIGMA_FLOOR:.3g}"
         )
 
     return ReferenceSet(

@@ -6,7 +6,7 @@ from poif.encoder import encode_batch
 from poif.losses import loss_plan, positive_sets
 from poif.optim import init_optim_state
 from poif.records import SegmentRecord, SegmentTable
-from poif.scoring import best_matches, build_reference, score_video
+from poif.scoring import best_matches, build_reference, check_reference, score_video
 from poif.training import TrainState
 
 EPS = np.finfo(np.float64).eps
@@ -107,7 +107,8 @@ def score_clip(segments, ref, params, tau):
 
 def embedded_reference(table, params, tau, **kwargs):
     """build_reference on the table's own embedding."""
-    return build_reference(table, encode_batch(params, table.audio, table.video), tau, **kwargs)
+    return build_reference(table, encode_batch(params, table.audio, table.video), tau,
+                           check_reference(table, **kwargs))
 
 
 def step0(params, steps_done=0):

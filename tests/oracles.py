@@ -19,7 +19,7 @@ from poif.fileio import ScoreRow
 from poif.losses import LOSS_COLUMNS, loss_and_embedding_grads
 from poif.optim import flatten_params, unflatten_params
 from poif.records import CHANNELS, ManipFlags, SegmentRecord, SegmentTable
-from poif.scoring import best_matches, build_reference, quantile_threshold
+from poif.scoring import best_matches, build_reference, check_reference, quantile_threshold
 from poif.similarity import squared_distance_matrix
 
 
@@ -135,29 +135,34 @@ def clone_params(params: EncoderParams) -> EncoderParams:
 
 def fd_param_grads(params, f_audio, f_video, plan, tau, joint_weight,
                    step=1e-5) -> EncoderParams:
-    """Central finite differences of the total loss in every parameter."""
+    """Central finite differences of the total loss in every parameter.
+
+    A perturbed parameter moves one modality's embedding only, so the other
+    modality's embedding is computed once, from the unperturbed parameters.
+    """
     work = clone_params(params)
-    arrays = flatten_params(work)
-    grads = [np.zeros_like(a) for a in arrays]
+    held = {"audio": mlp_forward(work.audio, f_audio)[0],
+            "video": mlp_forward(work.video, f_video)[0]}
+    grads = []
+    for name, mlp, features in (("audio", work.audio, f_audio), ("video", work.video, f_video)):
+        def loss() -> float:
+            # the forward and the loss of loss_and_param_grads, without its backward
+            x = {**held, name: mlp_forward(mlp, features)[0]}
+            return loss_entry(loss_and_embedding_grads(x["audio"], x["video"], plan, tau,
+                                                       joint_weight)[0], "l_tot")
 
-    def loss() -> float:
-        # the forward and the loss of loss_and_param_grads, without its backward
-        x_audio = mlp_forward(work.audio, f_audio)[0]
-        x_video = mlp_forward(work.video, f_video)[0]
-        return loss_entry(loss_and_embedding_grads(x_audio, x_video, plan, tau, joint_weight)[0],
-                          "l_tot")
-
-    for arr, out in zip(arrays, grads):
-        flat = arr.reshape(-1)
-        g = out.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            up = loss()
-            flat[i] = keep - step
-            down = loss()
-            flat[i] = keep
-            g[i] = (up - down) / (2.0 * step)
+        for arr in (a for layer in zip(mlp.weights, mlp.biases) for a in layer):
+            flat = arr.reshape(-1)
+            g = np.zeros(flat.size)
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + step
+                up = loss()
+                flat[i] = keep - step
+                down = loss()
+                flat[i] = keep
+                g[i] = (up - down) / (2.0 * step)
+            grads.append(g.reshape(arr.shape))
     return unflatten_params(params, grads)
 
 
@@ -334,20 +339,25 @@ def embed_one(params: EncoderParams, seg):
 
 
 def reference_stats_bruteforce(segments, params, tau):
-    """Leave-own-video-out self-score mean and spread by explicit loops."""
+    """Leave-own-video-out self-score mean and spread by explicit loops.
+
+    Each pair's audio and video distances are computed once, before the
+    channels take their candidates from them.
+    """
     embedded = [embed_one(params, s) for s in segments]
+    channels = ("audio", "video", "av")
+    candidates = {m: [[] for _ in segments] for m in channels}
+    for c, seg in enumerate(segments):
+        for k, other in enumerate(segments):
+            if other.video_id == seg.video_id:
+                continue
+            sa = -squared_distance(embedded[c][0], embedded[k][0]) / tau
+            sv = -squared_distance(embedded[c][1], embedded[k][1]) / tau
+            for m, s in zip(channels, (sa, sv, sa + sv)):
+                candidates[m][c].append(s)
     out = {}
-    for m in ("audio", "video", "av"):
-        best = []
-        for c, seg in enumerate(segments):
-            candidates = []
-            for k, other in enumerate(segments):
-                if other.video_id == seg.video_id:
-                    continue
-                sa = -squared_distance(embedded[c][0], embedded[k][0]) / tau
-                sv = -squared_distance(embedded[c][1], embedded[k][1]) / tau
-                candidates.append({"audio": sa, "video": sv, "av": sa + sv}[m])
-            best.append(max(candidates))
+    for m in channels:
+        best = [max(row) for row in candidates[m]]
         mu = sum(best) / len(best)
         var = sum((b - mu) ** 2 for b in best) / len(best)
         out[m] = (mu, math.sqrt(var))
@@ -518,7 +528,7 @@ def record_references(reference, params, tau, **kwargs):
     for poi, segs in _by_identity(reference).items():
         table = SegmentTable.from_records(segs)
         embedded = encode_batch(params, table.audio, table.video)
-        out[poi] = build_reference(table, embedded, tau, **kwargs)
+        out[poi] = build_reference(table, embedded, tau, check_reference(table, **kwargs))
     return out
 
 

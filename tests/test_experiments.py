@@ -30,6 +30,7 @@ from poif.encoder import EncoderConfig, encode_batch, init_encoder
 from poif.exceptions import ConfigError, DataError
 from poif.experiments import (
     build_references,
+    check_references,
     group_by_video,
     reference_by_variety,
     reference_by_videos,
@@ -48,9 +49,9 @@ AUDIO_DIM, VIDEO_DIM = 16, 16
 
 
 def embedded_references(table, params, rows=None, **kwargs):
-    """build_references on the table's own embedding."""
-    return build_references(table, encode_batch(params, table.audio, table.video), TAU, rows,
-                            **kwargs)
+    """build_references of the table's checked rows (default: all), on its own embedding."""
+    return build_references(table, encode_batch(params, table.audio, table.video), TAU,
+                            check_references(table, rows, **kwargs))
 
 
 def ragged_world(seed=0, people=3):
@@ -115,6 +116,67 @@ def test_unknown_statistic_is_refused_before_any_embedding(world, monkeypatch):
         args = (*args, 0.1) if run is score_segments else ("test_length", [1], *args)
         with pytest.raises(ConfigError, match="^unknown statistic 'fused'$"):
             run(*args, statistic="fused")
+
+
+def refuse_embedding(monkeypatch):
+    def embed(*args):
+        raise AssertionError("embedded before the data was checked")
+
+    monkeypatch.setattr(experiments, "encode_batch", embed)
+
+
+def runs_of(ref_table, test_table, params):
+    """score_segments and each sweep axis, on the two tables."""
+    return {"score": lambda: score_segments(ref_table, test_table, params, TAU, 0.1),
+            **{axis: lambda axis=axis: sweep_scores(axis, [1, 2], ref_table, test_table, params,
+                                                    TAU, ref_total=40)
+               for axis in ("test_length", "ref_size", "ref_variety")}}
+
+
+@pytest.mark.parametrize("axis, ref_total", [("ref_size", 100), ("ref_variety", 40)])
+def test_a_sweep_point_without_enough_videos_is_refused_before_any_embedding_or_warning(
+        world, monkeypatch, axis, ref_total):
+    """Every point's reference rows are selected before the embedding, so a
+    point past a person's videos is refused before any point is calibrated."""
+    reference, test, params = world
+    ref_table, test_table = SegmentTable.from_records(reference), SegmentTable.from_records(test)
+    refuse_embedding(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError, match="^reference for 'p0' has 5 videos, need 6$"):
+            sweep_scores(axis, [6, 1, 2, 3, 4, 5], ref_table, test_table, params, TAU,
+                         ref_total=ref_total)
+    assert caught == []
+
+
+def test_a_bad_test_video_is_refused_before_any_embedding(world, monkeypatch):
+    reference, test, params = world
+    ref_table, test_table = SegmentTable.from_records(reference), SegmentTable.from_records(test)
+    first = test_table.video_ids[0]
+    owners = test_table.identity_ids.copy()
+    owners[np.flatnonzero(test_table.video_ids == first)[-1]] = "p2" if owners[0] != "p2" else "p1"
+    bad = replace(test_table, identity_ids=owners)
+    refuse_embedding(monkeypatch)
+    for run in runs_of(ref_table, bad, params).values():
+        with pytest.raises(DataError, match=rf"^video '{first}' claims multiple identities"):
+            run()
+
+
+def test_a_one_video_reference_is_refused_before_any_embedding(world, monkeypatch):
+    reference, test, params = world
+    ref_table, test_table = SegmentTable.from_records(reference), SegmentTable.from_records(test)
+    # p1 keeps its first video only; every sweep point still selects p1's
+    # rows, so each run meets the one-video refusal before anything else
+    one = ref_table.take((ref_table.identity_ids != "p1") | (ref_table.video_ids == "p1_r0"))
+    refuse_embedding(monkeypatch)
+    runs = runs_of(one, test_table, params)
+    for name in ("score", "test_length"):
+        with pytest.raises(DataError, match="^reference for 'p1' needs at least 2 distinct "
+                                            "videos for leave-own-video-out calibration; got 1$"):
+            runs[name]()
+    for name in ("ref_size", "ref_variety"):
+        with pytest.raises(DataError, match="^reference for 'p1' has 1 videos, need 2$"):
+            runs[name]()
 
 
 def test_world_covers_both_embedding_batch_paths(world):

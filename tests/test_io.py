@@ -233,6 +233,7 @@ def test_feature_readers_name_path_and_line(tmp_path, case):
     for reader in (read_feature_table, read_features):
         with pytest.raises(DataError, match=want):
             reader(str(bad))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "ok.txt"]  # no sidecar
 
 
 def test_feature_table_columns(tmp_path):
@@ -690,3 +691,175 @@ def test_parse_config_file(tmp_path):
     cfg.write_bytes(b"seed = 7\n# caf\xc3\xa9\n")
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(cfg))}:2: non-ASCII byte$"):
         parse_config_file(str(cfg))
+
+
+# -- the parsed-table sidecar ---------------------------------------------
+
+def _sidecar(path):
+    return path.parent / f".{path.name}.poif.npz"
+
+
+def assert_same_bits(got, want):
+    """Every column of two tables has the same dtype, shape and bytes."""
+    for name in fileio._TABLE_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def refuse_parse(monkeypatch):
+    def parse(*args):
+        raise AssertionError("parsed the text")
+
+    monkeypatch.setattr(fileio, "_read_rows", parse)
+
+
+def signed_zero_segments():
+    """some_segments with a -0.0 feature, which only a bit-for-bit copy keeps."""
+    table = some_segments()
+    audio = table.audio.copy()
+    audio[1, 2] = -0.0
+    return replace(table, audio=audio)
+
+
+@pytest.mark.parametrize("rows", ["some", "none"])
+def test_a_sidecar_hit_gives_the_parse_bit_for_bit(tmp_path, monkeypatch, rows):
+    path = tmp_path / "feat.txt"
+    if rows == "some":
+        write_features(str(path), signed_zero_segments(), {"seed": "5", "note": "x y z"})
+    else:
+        path.write_text("POIF-FEAT,1,3,4,0\n# seed=1\n# empty=\n")
+    meta, parsed = read_feature_table(str(path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [_sidecar(path).name, "feat.txt"]
+    refuse_parse(monkeypatch)
+    for reader in (read_feature_table, read_features):
+        got = reader(str(path))
+        assert got[0] == meta and list(got[0]) == list(meta)
+    assert_same_bits(read_feature_table(str(path))[1], parsed)
+    if rows == "some":
+        assert np.signbit(parsed.audio[1, 2])
+
+
+def test_one_changed_byte_re_parses_the_text(tmp_path, monkeypatch):
+    path = tmp_path / "feat.txt"
+    write_features(str(path), some_segments(), {"seed": "5"})
+    read_feature_table(str(path))
+    data = path.read_bytes()
+    last = data[-2:-1]  # the last digit of the last float
+    path.write_bytes(data[:-2] + (b"1" if last != b"1" else b"2") + b"\n")
+    meta, table = read_feature_table(str(path))
+    want = float(path.read_text().splitlines()[-1].split(",")[-1])
+    assert table.video[-1, -1] == want != some_segments().video[-1, -1]
+    # the sidecar now holds the new bytes' parse
+    refuse_parse(monkeypatch)
+    assert read_feature_table(str(path))[0] == meta == {"seed": "5"}
+    assert_same_bits(read_feature_table(str(path))[1], table)
+
+
+def _forge(arrays, case):
+    if case == "invalid_flags":
+        arrays["flags"][0] = [False, True, False, False]  # a pristine row with the v bit
+    elif case == "non_finite":
+        arrays["audio"][1, 2] = np.nan
+    elif case == "negative_segment_index":
+        arrays["segment_index"][0] = -1
+    elif case == "blend_out_of_range":
+        arrays["blend"][0] = 1.5
+    elif case == "empty_id":
+        arrays["video_ids"][0] = ""
+    elif case == "wrong_shape":
+        arrays["blend"] = arrays["blend"][:-1]
+    elif case == "wrong_dtype":
+        arrays["segment_index"] = arrays["segment_index"].astype(np.int32)
+    elif case == "missing_column":
+        del arrays["video"]
+    elif case == "other_version":
+        arrays["version"] = np.array(2, np.int64)
+    elif case == "pickled_ids":
+        arrays["identity_ids"] = arrays["identity_ids"].astype(object)
+    return arrays
+
+
+FORGED = ("invalid_flags", "non_finite", "negative_segment_index", "blend_out_of_range",
+          "empty_id", "wrong_shape", "wrong_dtype", "missing_column", "other_version",
+          "pickled_ids", "not_a_zip")
+
+
+@pytest.mark.parametrize("case", FORGED)
+def test_a_forged_sidecar_falls_back_to_the_text(tmp_path, monkeypatch, case):
+    """A sidecar that names the file's sha256 but fails a check is not used:
+    the text is parsed, and its parse replaces the sidecar."""
+    path = tmp_path / "feat.txt"
+    write_features(str(path), some_segments(), {"seed": "5"})
+    meta, parsed = read_feature_table(str(path))
+    sidecar = _sidecar(path)
+
+    def stored():
+        with np.load(sidecar) as z:
+            return {name: z[name] for name in z.files}
+
+    written = stored()
+    if case == "not_a_zip":
+        sidecar.write_bytes(b"PK not a zip")
+    else:
+        forged = _forge(stored(), case)
+        with open(sidecar, "wb") as f:
+            np.savez(f, **forged)
+    got_meta, got = read_feature_table(str(path))
+    assert got_meta == meta
+    assert_same_bits(got, parsed)
+    rewritten = stored()
+    assert rewritten.keys() == written.keys()
+    for name, arr in written.items():
+        assert (arr.dtype, arr.shape, arr.tobytes()) == (rewritten[name].dtype,
+                                                         rewritten[name].shape,
+                                                         rewritten[name].tobytes()), name
+    refuse_parse(monkeypatch)
+    assert_same_bits(read_feature_table(str(path))[1], parsed)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [sidecar.name, "feat.txt"]
+
+
+@pytest.mark.parametrize("refusal", ["read_only", "sidecar_is_a_directory"])
+def test_a_directory_that_refuses_the_sidecar_reads_the_same_table(tmp_path, monkeypatch,
+                                                                   refusal):
+    path = tmp_path / "feat.txt"
+    write_features(str(path), signed_zero_segments(), {"seed": "5"})
+    if refusal == "read_only":
+        # fails the temporary file as a directory without write permission
+        # does; a mode change would not, for root
+        def read_only_open(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                raise PermissionError(13, "Permission denied", file)
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(fileio, "open", read_only_open, raising=False)
+        left = ["feat.txt"]
+    else:
+        _sidecar(path).mkdir()
+        left = [_sidecar(path).name, "feat.txt"]
+    for _ in range(2):
+        meta, table = read_feature_table(str(path))
+        assert meta == {"seed": "5"}
+        assert_same_bits(table, signed_zero_segments())
+        assert sorted(p.name for p in tmp_path.iterdir()) == left
+
+
+def test_a_failing_parse_leaves_no_sidecar_and_ignores_a_stale_one(tmp_path):
+    path = tmp_path / "feat.txt"
+    write_features(str(path), some_segments(), {"seed": "5"})
+    lines = path.read_text().splitlines()
+    edit, message, line = READER_ERRORS["non_finite"]
+    bad = "\n".join(edit(list(lines))) + "\n"  # edit changes the list it is given
+    want = rf"^{re.escape(f'{path}: {message} at line {line}')}$"
+    path.write_text(bad)
+    with pytest.raises(DataError, match=want):
+        read_feature_table(str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["feat.txt"]
+    # a sidecar of earlier bytes is not read, and not replaced
+    path.write_text("\n".join(lines) + "\n")
+    read_feature_table(str(path))
+    stale = _sidecar(path).read_bytes()
+    path.write_text(bad)
+    with pytest.raises(DataError, match=want):
+        read_feature_table(str(path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [_sidecar(path).name, "feat.txt"]
+    assert _sidecar(path).read_bytes() == stale

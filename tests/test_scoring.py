@@ -17,10 +17,10 @@ from poif import similarity
 from poif.encoder import EncoderConfig, encode_batch, init_encoder
 from poif.exceptions import ConfigError, DataError, DegenerateReferenceError
 from poif.records import CHANNELS, SegmentTable
-from poif.experiments import build_references, score_segments
+from poif.experiments import build_references, check_references, score_segments
 from poif.scoring import (
     SmallReferenceWarning,
-    build_reference,
+    check_reference,
     quantile_threshold,
     score_video,
 )
@@ -133,12 +133,12 @@ def test_small_reference_warns(params):
                           & ((table.video_ids != "id0002_v000") | (table.segment_index > 0)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert len(build_references(table, embedded, 0.5)) == 3
+        assert len(build_references(table, embedded, 0.5, check_references(table))) == 3
         small = table.take(keep[table.identity_ids[keep] == "id0001"])
         assert embedded_reference(small, params, 0.5).n_videos == 9
     for point in ("score", "sweep ref_size=9"):
         with pytest.warns(SmallReferenceWarning) as caught:
-            build_references(table, embedded, 0.5, keep, point=point)
+            build_references(table, embedded, 0.5, check_references(table, keep), point=point)
         assert [str(w.message) for w in caught] == [
             f"{point}: 2 of 3 references are below the nominal 10-video / 100-segment "
             f"regime: id0001, id0002"]
@@ -162,7 +162,7 @@ def test_reference_rejects_mixed_and_fake_material(params):
     with pytest.raises(DataError):
         reference_of(world.segments.to_records(), params, tau=0.5)
     with pytest.raises(DataError, match="empty reference"):
-        build_reference(SegmentTable.from_records([]), (np.empty((0, 4)),) * 2, tau=0.5)
+        check_reference(SegmentTable.from_records([]))
 
 
 def best_similarities(probe, ref_segments, params, tau):
